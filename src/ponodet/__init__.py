@@ -7,10 +7,10 @@ train toy predictors on synthetic scenes.
 """
 
 from .geometry import Box, Detection, Offsets, decode, encode, iou, nms
-from .anchors import AnchorGrid, AnchorSet, build_grid, kmeans_anchors
-from .assignment import (GroundTruth, LabelMap, PonoMap, PredIoUMap,
-                         ams_labels, assign_ao, compute_pono, pono_labels,
-                         pred_iou_map)
+from .anchors import (AnchorGrid, AnchorSet, build_grid, kmeans_anchors,
+                      sizes_per_class)
+from .assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
+                         pono_labels, pred_iou_values, threshold_labels)
 from .loss import BalanceWeights, LossReport, balanced_totals, weight_gradients
 from .data import GenSpec, Scene, generate, hflip, load_dataset, save_dataset
 from .model import PredictorOutput, TabularPredictor, ToyNet, ToyNetConfig
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "Detection", "Offsets", "decode", "encode", "iou", "nms",
-    "AnchorGrid", "AnchorSet", "build_grid", "kmeans_anchors",
-    "GroundTruth", "LabelMap", "PonoMap", "PredIoUMap",
-    "ams_labels", "assign_ao", "compute_pono", "pono_labels", "pred_iou_map",
+    "AnchorGrid", "AnchorSet", "build_grid", "kmeans_anchors", "sizes_per_class",
+    "Assignment", "GroundTruth", "ams_labels", "assign_ao", "pono_labels",
+    "pred_iou_values", "threshold_labels",
     "BalanceWeights", "LossReport", "balanced_totals", "weight_gradients",
     "GenSpec", "Scene", "generate", "hflip", "load_dataset", "save_dataset",
     "PredictorOutput", "TabularPredictor", "ToyNet", "ToyNetConfig",

@@ -176,6 +176,15 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
     return centroids
 
 
+def sizes_per_class(gts, n_classes: int) -> list[np.ndarray]:
+    """The (w, h) of every object, grouped by class: k-means input."""
+    sizes = [[] for _ in range(n_classes)]
+    for gt in gts:
+        for box, cid in zip(gt.boxes, gt.class_ids):
+            sizes[cid].append((box.w, box.h))
+    return [np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in sizes]
+
+
 def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int,
                    max_iter: int = 60) -> AnchorSet:
     """Cluster each class's (w, h) samples into `n_a` anchor shapes.

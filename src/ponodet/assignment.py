@@ -1,12 +1,14 @@
-"""Anchor-to-object assignment and the dense training maps.
+"""Anchor-to-object assignment: one record per scene and anchor grid.
 
-The assignment clusters every anchor cell to the same-class object it
-overlaps most.  Each cluster is then normalized by its own best overlap,
-which guarantees every object at least one anchor with a normalized
-overlap of exactly 1 regardless of how coarse the anchor set is.  Labels
-come either from thresholding that normalized map, from thresholding raw
-overlap, or from the ambiguity-managed product with the predicted-box
-overlap map.
+`assign_ao` builds the [h, w, nc, na, n_gt] IoU tensor between anchor
+cells and objects once, clusters every cell to the same-class object it
+overlaps most, and normalizes each cluster by its own best overlap (PONO).
+That guarantees every object at least one anchor with a normalized overlap
+of exactly 1 regardless of how coarse the anchor set is.  The returned
+`Assignment` holds everything later steps read: the object index, raw and
+normalized overlap, and the assigned box per cell.  Labels come from
+thresholding the normalized map (PONO), thresholding raw overlap (AO), or
+the ambiguity-managed product with the predicted-box overlap map (AMS).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .anchors import AnchorGrid
 from .geometry import decode_cxywh, iou_cxywh
 
@@ -38,51 +39,35 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class AssignmentMap:
-    """Object index per anchor cell, UNASSIGNED where no same-class overlap."""
+class Assignment:
+    """One scene against one anchor grid; every array is shaped like the grid.
 
-    gt_index: np.ndarray
+    `gt_box` holds the assigned object's (cx, cy, w, h) per cell, with unit
+    dummy boxes on unassigned cells; multiply by `mask` after any
+    computation on it.
+    """
 
-
-@dataclass(frozen=True)
-class PonoMap:
-    """Per-object normalized overlap in [0, 1]; 0 on unassigned cells."""
-
-    o: np.ndarray
-
-
-@dataclass(frozen=True)
-class PredIoUMap:
-    """Overlap between each cell's decoded box and its assigned object."""
-
-    o_hat: np.ndarray
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """Binary classification targets per anchor cell."""
-
-    p: np.ndarray
+    gt_index: np.ndarray   # object per cell, UNASSIGNED where no same-class overlap
+    ao: np.ndarray         # raw overlap with the assigned object, 0 if none
+    pono: np.ndarray       # ao divided by its cluster's maximum, in [0, 1]
+    gt_box: tuple
+    mask: np.ndarray       # 1.0 on assigned cells, 0.0 elsewhere
 
 
 def _grid_gt_iou(grid: AnchorGrid, gt: GroundTruth) -> np.ndarray:
     """IoU between every anchor cell and every object, [h, w, nc, na, n_gt];
     objects of a different class score 0."""
-    n = len(gt)
-    out = np.zeros(grid.boxes.shape[:4] + (n,), dtype=np.float64)
-    if n == 0:
-        return out
+    out = np.zeros(grid.boxes.shape[:4] + (len(gt),), dtype=np.float64)
     b = grid.boxes
     for k, (box, cid) in enumerate(zip(gt.boxes, gt.class_ids)):
-        v = iou_cxywh(b[..., cid, :, 0], b[..., cid, :, 1],
-                      b[..., cid, :, 2], b[..., cid, :, 3],
-                      box.cx, box.cy, box.w, box.h)
-        out[:, :, cid, :, k] = v
+        out[:, :, cid, :, k] = iou_cxywh(b[..., cid, :, 0], b[..., cid, :, 1],
+                                         b[..., cid, :, 2], b[..., cid, :, 3],
+                                         box.cx, box.cy, box.w, box.h)
     return out
 
 
-def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> AssignmentMap:
-    """Cluster anchor cells to objects by maximum same-class overlap.
+def _cluster(overlaps: np.ndarray, n_gt: int) -> np.ndarray:
+    """Object index per cell by maximum overlap, with coverage repair.
 
     Ties break toward the lowest object index; cells with no positive
     same-class overlap stay unassigned.  If the argmax pass leaves an
@@ -90,19 +75,15 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> AssignmentMap:
     other objects), the object claims its single best-overlap cell so
     that no object is ever left without an anchor.
     """
-    overlaps = _grid_gt_iou(grid, gt)
-    if len(gt) == 0:
-        return AssignmentMap(np.full(grid.boxes.shape[:4], UNASSIGNED, dtype=np.int64))
     idx = np.argmax(overlaps, axis=-1)
     best = np.take_along_axis(overlaps, idx[..., None], axis=-1)[..., 0]
     gt_index = np.where(best > 0.0, idx, UNASSIGNED).astype(np.int64)
 
-    # Coverage repair: an object whose cluster came out empty claims its
-    # best cell.  Claimed cells are reserved (never re-stolen), so every
-    # object is repaired at most once and the pass terminates.
-    counts = np.bincount(gt_index[gt_index != UNASSIGNED], minlength=len(gt))
+    # Claimed cells are reserved (never re-stolen), so every object is
+    # repaired at most once and the pass terminates.
+    counts = np.bincount(gt_index[gt_index != UNASSIGNED], minlength=n_gt)
     reserved = np.zeros(gt_index.shape, dtype=bool)
-    queue = [k for k in range(len(gt)) if counts[k] == 0]
+    queue = [k for k in range(n_gt) if counts[k] == 0]
     while queue:
         k = queue.pop(0)
         if counts[k] > 0:
@@ -119,88 +100,64 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> AssignmentMap:
             counts[prev] -= 1
             if counts[prev] == 0:
                 queue.append(int(prev))
-    return AssignmentMap(gt_index)
+    return gt_index
 
 
-def ao_map(grid: AnchorGrid, gt: GroundTruth,
-           assignment: AssignmentMap) -> np.ndarray:
-    """Raw overlap between each cell and its assigned object (0 if none)."""
-    overlaps = _grid_gt_iou(grid, gt)
-    gi = assignment.gt_index
+def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
+    """Cluster anchor cells to objects and normalize each cluster (PONO).
+
+    The anchor x object IoU tensor is built once here; every field of the
+    record is read off it.  Assigned cells have positive overlap, so the
+    normalization is always well defined and the maximal cell of every
+    cluster lands exactly on 1.0.
+    """
+    shape = grid.boxes.shape[:4]
     if len(gt) == 0:
-        return np.zeros(gi.shape, dtype=np.float64)
-    vals = np.take_along_axis(overlaps, np.maximum(gi, 0)[..., None], axis=-1)[..., 0]
-    return np.where(gi == UNASSIGNED, 0.0, vals)
-
-
-def compute_pono(grid: AnchorGrid, gt: GroundTruth,
-                 assignment: AssignmentMap) -> PonoMap:
-    """Divide each cluster's overlaps by the cluster maximum.
-
-    Assigned cells have positive overlap, so the division is always well
-    defined and the maximal cell of every cluster lands exactly on 1.0.
-    """
-    raw = ao_map(grid, gt, assignment)
-    o = np.zeros_like(raw)
-    gi = assignment.gt_index
+        return Assignment(np.full(shape, UNASSIGNED, dtype=np.int64),
+                          np.zeros(shape), np.zeros(shape),
+                          tuple(np.ones(shape) for _ in range(4)), np.zeros(shape))
+    overlaps = _grid_gt_iou(grid, gt)
+    gt_index = _cluster(overlaps, len(gt))
+    unassigned = gt_index == UNASSIGNED
+    safe = np.maximum(gt_index, 0)
+    ao = np.where(unassigned, 0.0,
+                  np.take_along_axis(overlaps, safe[..., None], axis=-1)[..., 0])
+    pono = np.zeros_like(ao)
     for k in range(len(gt)):
-        cluster = gi == k
+        cluster = gt_index == k
         if np.any(cluster):
-            o[cluster] = raw[cluster] / raw[cluster].max()
-    return PonoMap(o)
+            pono[cluster] = ao[cluster] / ao[cluster].max()
+    picked = np.asarray([[b.cx, b.cy, b.w, b.h] for b in gt.boxes])[safe]
+    gt_box = tuple(np.where(unassigned, 1.0, picked[..., d]) for d in range(4))
+    return Assignment(gt_index, ao, pono, gt_box,
+                      (~unassigned).astype(np.float64))
 
 
-def gt_cell_arrays(grid: AnchorGrid, gt: GroundTruth,
-                   assignment: AssignmentMap):
-    """Per-cell assigned-object box components plus the assigned mask.
-
-    Unassigned cells carry unit dummy boxes; mask them out after any
-    computation.  Returns (cx, cy, w, h, mask) arrays shaped like the grid.
-    """
-    gi = assignment.gt_index
-    shape = gi.shape
-    comps = [np.ones(shape), np.ones(shape), np.ones(shape), np.ones(shape)]
-    mask = (gi != UNASSIGNED).astype(np.float64)
-    if len(gt) > 0:
-        table = np.asarray([[b.cx, b.cy, b.w, b.h] for b in gt.boxes])
-        safe = np.maximum(gi, 0)
-        picked = table[safe]
-        for d in range(4):
-            comps[d] = np.where(gi == UNASSIGNED, comps[d], picked[..., d])
-    return comps[0], comps[1], comps[2], comps[3], mask
-
-
-def pred_iou_values(grid: AnchorGrid, offsets, gt_arrays):
-    """Overlap of decoded boxes with assigned objects; generic over
-    ndarray/Tensor offsets ([h, w, nc, na, 4])."""
-    gcx, gcy, gw, gh, mask = gt_arrays
+def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
+    """Overlap of each cell's decoded box with its assigned object (0 where
+    unassigned); generic over ndarray/Tensor offsets ([h, w, nc, na, 4])."""
+    if offsets.shape != grid.boxes.shape:
+        raise ValueError(f"offsets shape {offsets.shape} does not match grid {grid.boxes.shape}")
     b = grid.boxes
     cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
                                 offsets[..., 0], offsets[..., 1],
                                 offsets[..., 2], offsets[..., 3])
-    return iou_cxywh(cx, cy, w, h, gcx, gcy, gw, gh) * mask
+    return iou_cxywh(cx, cy, w, h, *assignment.gt_box) * assignment.mask
 
 
-def pred_iou_map(grid: AnchorGrid, offsets: np.ndarray, gt: GroundTruth,
-                 assignment: AssignmentMap) -> PredIoUMap:
-    if offsets.shape != grid.boxes.shape:
-        raise ValueError(f"offsets shape {offsets.shape} does not match grid {grid.boxes.shape}")
-    arrays = gt_cell_arrays(grid, gt, assignment)
-    return PredIoUMap(np.asarray(pred_iou_values(grid, offsets, arrays)))
+def ams_labels(pono: np.ndarray, o_hat: np.ndarray,
+               threshold: float = 0.5) -> np.ndarray:
+    """Positive (uint8 1) where normalized overlap times predicted overlap
+    beats the threshold.  The predicted map is used as plain data: no
+    gradient is ever taken through label computation."""
+    return ((pono * np.asarray(o_hat)) > threshold).astype(np.uint8)
 
 
-def ams_labels(o: PonoMap, o_hat: PredIoUMap, threshold: float = 0.5) -> LabelMap:
-    """Positive where normalized overlap times predicted overlap beats the
-    threshold.  The predicted map is used as plain data: no gradient is ever
-    taken through label computation."""
-    return LabelMap(((o.o * np.asarray(o_hat.o_hat)) > threshold).astype(np.uint8))
-
-
-def pono_labels(o: PonoMap, threshold: float = 0.5) -> LabelMap:
+def pono_labels(pono: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Positive where normalized overlap alone beats the threshold."""
-    return LabelMap((o.o > threshold).astype(np.uint8))
+    return (pono > threshold).astype(np.uint8)
 
 
-def threshold_labels(values: np.ndarray, threshold: float = 0.5) -> LabelMap:
+def threshold_labels(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Positive where a raw overlap map beats the threshold (baseline rule)."""
-    return LabelMap((values > threshold).astype(np.uint8))
+    return (values > threshold).astype(np.uint8)

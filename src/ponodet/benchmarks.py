@@ -22,11 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anchors import build_grid, kmeans_anchors
+from .anchors import kmeans_anchors, sizes_per_class
 from .data import GenSpec, generate
 from .evaluation import dataset_detections, map_eval
-from .loss import BalanceWeights
-from .model import FEAT_STRIDE, ToyNet, ToyNetConfig
+from .model import ToyNet, ToyNetConfig
 from .train import RunState, TrainConfig, run_training
 
 # mAP-point floor (x100 scale) by which unit weighting must trail learned
@@ -99,25 +98,19 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
              log_path=None) -> dict:
     """Train one ablation cell on the benchmark, score it on the test split."""
     train, test = benchmark_data(bench)
-    sizes = [[] for _ in range(bench.gen.n_classes)]
-    for scene in train:
-        for box, cid in zip(scene.gt.boxes, scene.gt.class_ids):
-            sizes[cid].append((box.w, box.h))
-    anchor_set = kmeans_anchors(sizes, n_a=bench.n_anchors,
-                                seed=bench.train_cfg.seed)
-    f = bench.gen.image_size // FEAT_STRIDE
-    grid = build_grid(anchor_set, f, f, FEAT_STRIDE)
+    anchor_set = kmeans_anchors(
+        sizes_per_class([s.gt for s in train], bench.gen.n_classes),
+        n_a=bench.n_anchors, seed=bench.train_cfg.seed)
     cfg = replace(bench.train_cfg, mode=mode, label_rule=label_rule,
                   cls_loss=cls_loss)
     if max_iter is not None:
         cfg = replace(cfg, max_iter=max_iter)
     model = ToyNet(bench.net, bench.gen.n_classes, bench.n_anchors,
                    seed=cfg.seed)
-    state = RunState(model=model, grid=grid,
-                     bw=BalanceWeights.initial(bench.gen.n_classes,
-                                               bench.n_anchors))
+    state = RunState.fresh(model, anchor_set, bench.gen.image_size)
     reports = run_training(state, train, cfg, log_path=log_path)
-    dets = dataset_detections(model, grid, test, bench.score_min, bench.nms_iou)
+    dets = dataset_detections(model, state.grid, test, bench.score_min,
+                              bench.nms_iou)
     per_class, mean = map_eval(dets, [s.gt for s in test])
     return {
         "state": state,

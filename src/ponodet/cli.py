@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .anchors import build_grid, kmeans_anchors, load_anchor_set, save_anchor_set
-from .assignment import (PredIoUMap, ams_labels, assign_ao, compute_pono,
-                         pred_iou_map)
-from .loss import BalanceWeights
+from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
+                      save_anchor_set, sizes_per_class)
+from .assignment import ams_labels, assign_ao, pred_iou_values
 from .model import FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig
 from .train import (RunState, load_run, run_training, save_run,
                     train_config_from_kv)
@@ -35,12 +35,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _sizes_per_class(gts, n_classes: int) -> list[np.ndarray]:
-    sizes = [[] for _ in range(n_classes)]
-    for gt in gts:
-        for box, cid in zip(gt.boxes, gt.class_ids):
-            sizes[cid].append((box.w, box.h))
-    return [np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in sizes]
+def _load_scenes(dataset_dir, anchor_set: AnchorSet) -> list:
+    """A non-empty dataset whose class ids all have anchors."""
+    scenes = data_mod.load_dataset(dataset_dir)
+    if not scenes:
+        raise RuntimeError(f"{dataset_dir}: dataset has no scenes")
+    for idx, scene in enumerate(scenes):
+        for cid in scene.gt.class_ids:
+            if cid >= anchor_set.n_classes:
+                raise RuntimeError(
+                    f"{dataset_dir}: scene {idx} has class id {cid}, but the "
+                    f"anchors cover classes 0..{anchor_set.n_classes - 1}")
+    return scenes
+
+
+def _cluster_anchors(dataset_dir, n_a: int, seed: int) -> AnchorSet:
+    """Per-class k-means anchors from a dataset's annotations."""
+    gts = data_mod.load_annotations(os.path.join(dataset_dir, "annotations.txt"))
+    n_classes = max((c for gt in gts for c in gt.class_ids), default=-1) + 1
+    if n_classes == 0:
+        raise RuntimeError(f"{dataset_dir}: no annotated objects")
+    return kmeans_anchors(sizes_per_class(gts, n_classes), n_a=n_a, seed=seed)
 
 
 def _build_model(kv: dict, n_classes: int, n_anchors: int, seed: int,
@@ -60,10 +75,7 @@ def _build_model(kv: dict, n_classes: int, n_anchors: int, seed: int,
 def cmd_gen_data(args) -> int:
     spec = data_mod.gen_spec_from_file(args.config)
     if args.seed is not None:
-        spec = data_mod.GenSpec(
-            n_classes=spec.n_classes, class_freq=spec.class_freq,
-            size_ranges=spec.size_ranges, objects_per_scene=spec.objects_per_scene,
-            crowding=spec.crowding, seed=args.seed, image_size=spec.image_size)
+        spec = replace(spec, seed=args.seed)
     scenes = data_mod.generate(spec, args.count)
     data_mod.save_dataset(args.out, scenes)
     data_mod.save_gen_spec(os.path.join(args.out, "genspec.txt"), spec)
@@ -72,33 +84,23 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_anchors(args) -> int:
-    gts = data_mod.load_annotations(os.path.join(args.dataset, "annotations.txt"))
-    n_classes = max((c for gt in gts for c in gt.class_ids), default=-1) + 1
-    if n_classes == 0:
-        raise RuntimeError(f"{args.dataset}: no annotated objects")
-    anchor_set = kmeans_anchors(_sizes_per_class(gts, n_classes),
-                                n_a=args.n_a, seed=args.seed or 0)
+    anchor_set = _cluster_anchors(args.dataset, args.n_a, args.seed)
     save_anchor_set(args.out, anchor_set)
-    print(f"wrote {n_classes}x{args.n_a} anchor shapes to {args.out}")
+    print(f"wrote {anchor_set.n_classes}x{args.n_a} anchor shapes to {args.out}")
     return 0
 
 
 def _train_once(kv: dict, dataset_dir: str, anchors_path: str, out_dir: str,
                 seed_override=None) -> RunState:
-    scenes = data_mod.load_dataset(dataset_dir)
     anchor_set = load_anchor_set(anchors_path)
+    scenes = _load_scenes(dataset_dir, anchor_set)
     cfg = train_config_from_kv(kv)
     if seed_override is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=seed_override)
     image_size = scenes[0].image.shape[0]
-    grid = build_grid(anchor_set, image_size // FEAT_STRIDE,
-                      image_size // FEAT_STRIDE, FEAT_STRIDE)
     model = _build_model(kv, anchor_set.n_classes, anchor_set.n_anchors,
                          cfg.seed, image_size)
-    state = RunState(model=model, grid=grid,
-                     bw=BalanceWeights.initial(anchor_set.n_classes,
-                                               anchor_set.n_anchors))
+    state = RunState.fresh(model, anchor_set, image_size)
     os.makedirs(out_dir, exist_ok=True)
     run_training(state, scenes, cfg,
                  log_path=os.path.join(out_dir, "log.csv"),
@@ -153,44 +155,42 @@ def cmd_eval(args) -> int:
 
 
 def cmd_assign_dump(args) -> int:
-    scenes = data_mod.load_dataset(args.dataset)
-    scene = scenes[args.scene]
     anchor_set = load_anchor_set(args.anchors)
-    image_size = scene.image.shape[0]
-    grid = build_grid(anchor_set, image_size // FEAT_STRIDE,
-                      image_size // FEAT_STRIDE, FEAT_STRIDE)
+    scenes = _load_scenes(args.dataset, anchor_set)
+    if not 0 <= args.scene < len(scenes):
+        raise RuntimeError(f"{args.dataset}: no scene {args.scene} "
+                           f"({len(scenes)} scenes)")
+    scene = scenes[args.scene]
+    model = load_run(args.checkpoint).model if args.checkpoint else None
+    grid = RunState.fresh(model, anchor_set, scene.image.shape[0]).grid
     assignment = assign_ao(grid, scene.gt)
-    pono = compute_pono(grid, scene.gt, assignment)
-    o_hat = None
-    if args.checkpoint:
-        state = load_run(args.checkpoint)
-        out = state.model.forward(state.model.params, scene.image)
-        o_hat = pred_iou_map(grid, np.asarray(out.offsets), scene.gt, assignment)
-        labels = ams_labels(pono, o_hat)
-    else:
-        labels = ams_labels(pono, PredIoUMap(np.zeros_like(pono.o)))
+    o_hat = np.zeros_like(assignment.pono)
+    if model is not None:
+        out = model.forward(model.params, scene.image)
+        o_hat = pred_iou_values(grid, out.offsets, assignment)
+    labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
     nc, na = grid.n_classes, grid.n_anchors
     for c in range(nc):
         for a in range(na):
             data_mod.write_pgm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
-                               pono.o[:, :, c, a])
+                               assignment.pono[:, :, c, a])
             data_mod.write_pgm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
-                               labels.p[:, :, c, a].astype(np.float64))
-            if o_hat is not None:
+                               labels[:, :, c, a].astype(np.float64))
+            if model is not None:
                 data_mod.write_pgm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
-                                   o_hat.o_hat[:, :, c, a])
+                                   o_hat[:, :, c, a])
     with open(os.path.join(args.out, "maps.csv"), "w") as f:
         f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
         for i in range(grid.h_f):
             for j in range(grid.w_f):
                 for c in range(nc):
                     for a in range(na):
-                        oh = float(o_hat.o_hat[i, j, c, a]) if o_hat is not None else 0.0
                         f.write(f"{i},{j},{c},{a},"
                                 f"{int(assignment.gt_index[i, j, c, a])},"
-                                f"{float(pono.o[i, j, c, a])!r},{oh!r},"
-                                f"{int(labels.p[i, j, c, a])}\n")
+                                f"{float(assignment.pono[i, j, c, a])!r},"
+                                f"{float(o_hat[i, j, c, a])!r},"
+                                f"{int(labels[i, j, c, a])}\n")
     print(f"wrote assignment maps for scene {args.scene} to {args.out}")
     return 0
 
@@ -225,11 +225,8 @@ def cmd_ablate(args) -> int:
 
     anchors_path = kv.get("anchors")
     if not anchors_path:
-        gts = data_mod.load_annotations(os.path.join(dataset_dir, "annotations.txt"))
-        n_classes = max(c for gt in gts for c in gt.class_ids) + 1
-        anchor_set = kmeans_anchors(_sizes_per_class(gts, n_classes),
-                                    n_a=int(kv.get("n_a", "3")),
-                                    seed=int(kv.get("seed", "0")))
+        anchor_set = _cluster_anchors(dataset_dir, int(kv.get("n_a", "3")),
+                                      int(kv.get("seed", "0")))
         anchors_path = os.path.join(args.out, "anchors.txt")
         save_anchor_set(anchors_path, anchor_set)
 

@@ -254,6 +254,8 @@ def load_annotations(path) -> list[GroundTruth]:
                 cx, cy, w, h = (float(p) for p in parts[1:])
             except ValueError as e:
                 raise ValueError(f"{path}:{ln}: {e}") from None
+            if cid < 0:
+                raise ValueError(f"{path}:{ln}: negative class id {cid}")
             try:
                 boxes.append(Box(cx, cy, w, h))
             except ValueError as e:

@@ -6,31 +6,31 @@ step under a polynomial learning-rate decay.  Labels and the predicted
 overlaps inside label computation are plain data; the localization loss
 is the only gradient path into the offsets.
 
-Per-scene constants (assignment, normalized overlap, gate mask, assigned
-box components) never change, so they are computed once and cached.
-Batch losses are the per-scene sums divided by the summed positive counts
-(equivalently: maps averaged before weighting).  The batch RNG is derived
-from (seed, iteration), which makes checkpoint resume bit-exact without
-serializing generator state.
+A scene's `Assignment` against the grid never changes, so it is computed
+once per `run_training` call and cached on the run state; the gate and
+labels read off it depend on the config and are recomputed each
+iteration.  Batch losses are the per-scene sums divided by the summed
+positive counts (equivalently: maps averaged before weighting).  The
+batch RNG is derived from (seed, iteration), which makes checkpoint
+resume bit-exact without serializing generator state.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import AnchorGrid, AnchorSet, build_grid
-from .assignment import (PonoMap, PredIoUMap, ams_labels, ao_map, assign_ao,
-                         compute_pono, gt_cell_arrays, pono_labels,
+from .assignment import (Assignment, ams_labels, assign_ao, pono_labels,
                          pred_iou_values, threshold_labels)
 from .data import Scene, hflip
 from .loss import BalanceWeights, LossReport, LOC_GATE
-from .model import (TabularPredictor, ToyNet, ToyNetConfig, leaf_params,
-                    load_arrays, save_arrays)
+from .model import (FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig,
+                    leaf_params, load_arrays, save_arrays)
 
 LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
@@ -67,17 +67,6 @@ class TrainConfig:
 
 
 @dataclass
-class SceneCache:
-    """Constants of one scene against one anchor grid."""
-
-    gt_arrays: tuple
-    pono: np.ndarray
-    ao: np.ndarray
-    gate: np.ndarray       # float 0/1, drives the loc loss and n_pos
-    gate_count: int
-
-
-@dataclass
 class RunState:
     """Everything that evolves during a run; checkpoints restore it bit-exactly."""
 
@@ -86,7 +75,18 @@ class RunState:
     grid: AnchorGrid
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
+    # id(scene) -> (scene.gt, Assignment); holding the gt makes a reused id
+    # of a collected scene a miss, and no image is ever held
     _scene_cache: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def fresh(cls, model, anchor_set: AnchorSet, image_size: int) -> RunState:
+        """Iteration 0: the anchors tiled over the stride-8 map of a square
+        image, and unit balance weights."""
+        f = image_size // FEAT_STRIDE
+        return cls(model=model, grid=build_grid(anchor_set, f, f, FEAT_STRIDE),
+                   bw=BalanceWeights.initial(anchor_set.n_classes,
+                                             anchor_set.n_anchors))
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -110,29 +110,24 @@ def sgd_step(params: dict, velocity: dict, grads: dict,
         p -= lr * v
 
 
-def scene_cache(state: RunState, scene: Scene, cfg: TrainConfig) -> SceneCache:
+def scene_cache(state: RunState, scene: Scene) -> Assignment:
+    """The scene's assignment against the state's grid, computed on first use."""
     cached = state._scene_cache.get(id(scene))
-    if cached is not None:
-        return cached
-    assignment = assign_ao(state.grid, scene.gt)
-    pono = compute_pono(state.grid, scene.gt, assignment).o
-    ao = ao_map(state.grid, scene.gt, assignment)
-    gate_src = ao if cfg.label_rule == "AO" else pono
-    gate_thr = cfg.ao_threshold if cfg.label_rule == "AO" else LOC_GATE
-    gate = (gate_src > gate_thr).astype(np.float64)
-    cached = SceneCache(
-        gt_arrays=gt_cell_arrays(state.grid, scene.gt, assignment),
-        pono=pono, ao=ao, gate=gate, gate_count=int(gate.sum()))
-    state._scene_cache[id(scene)] = cached
-    return cached
+    if cached is None or cached[0] is not scene.gt:
+        cached = (scene.gt, assign_ao(state.grid, scene.gt))
+        state._scene_cache[id(scene)] = cached
+    return cached[1]
 
 
-def _labels_for(cache: SceneCache, o_hat: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
+    """Loc-loss gate (float 0/1) and classification labels of one scene."""
+    if cfg.label_rule == "AO":
+        return (a.ao > cfg.ao_threshold).astype(np.float64), \
+            threshold_labels(a.ao, cfg.ao_threshold)
+    gate = (a.pono > LOC_GATE).astype(np.float64)
     if cfg.label_rule == "AMS":
-        return ams_labels(PonoMap(cache.pono), PredIoUMap(o_hat)).p
-    if cfg.label_rule == "PONO":
-        return pono_labels(PonoMap(cache.pono)).p
-    return threshold_labels(cache.ao, cfg.ao_threshold).p
+        return gate, ams_labels(a.pono, o_hat)
+    return gate, pono_labels(a.pono)
 
 
 def train_iteration(state: RunState, batch: list[Scene],
@@ -154,11 +149,11 @@ def train_iteration(state: RunState, batch: list[Scene],
     n_pos = 0
     per_grid_pos = np.zeros((nc, na), dtype=np.int64)
     for scene in batch:
-        cache = scene_cache(state, scene, cfg)
+        assignment = scene_cache(state, scene)
         out = state.model.forward(params, scene.image)
-        o_hat = pred_iou_values(state.grid, out.offsets, cache.gt_arrays)
-        labels = _labels_for(cache, np.asarray(ad.values_of(o_hat)), cfg)
-        loc_map = loss_mod.loc_loss_map(cache.gate, o_hat)
+        o_hat = pred_iou_values(state.grid, out.offsets, assignment)
+        gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
+        loc_map = loss_mod.loc_loss_map(gate, o_hat)
         if cfg.cls_loss == "CE":
             cls_map = loss_mod.bce_logits(labels.astype(np.float64), out.logits)
         else:
@@ -167,7 +162,7 @@ def train_iteration(state: RunState, batch: list[Scene],
         cs = cls_map.sum(axis=(0, 1))
         loc_sums = ls if loc_sums is None else loc_sums + ls
         cls_sums = cs if cls_sums is None else cls_sums + cs
-        n_pos += cache.gate_count
+        n_pos += int(gate.sum())
         per_grid_pos += labels.sum(axis=(0, 1), dtype=np.int64)
 
     n_pos_eff = max(1, n_pos)
@@ -224,12 +219,14 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
 
     The tabular predictor trains on scenes[0] alone (its parameters are
     one fixed scene's outputs); the convnet samples batches and optional
-    horizontal flips from the per-iteration RNG.
+    horizontal flips from the per-iteration RNG.  A run from iteration 0
+    starts `log_path` afresh; a resumed run appends to it.  The scene cache
+    lives for this call only, as the scenes it describes do.
     """
     tabular = isinstance(state.model, TabularPredictor)
     flipped: dict[int, Scene] = {}
     reports = []
-    log = open(log_path, "a") if log_path else None
+    log = open(log_path, "w" if state.iteration == 0 else "a") if log_path else None
     try:
         if log and state.iteration == 0:
             log.write(LossReport.CSV_HEADER + "\n")
@@ -259,6 +256,7 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
                 save_run(os.path.join(checkpoint_dir,
                                       f"ckpt_{state.iteration:06d}.bin"), state)
     finally:
+        state._scene_cache.clear()
         if log:
             log.close()
     return reports
@@ -290,48 +288,43 @@ def load_run(path) -> RunState:
     kind = int(arrays["meta.model_kind"])
     nc = int(arrays["meta.n_classes"])
     na = int(arrays["meta.n_anchors"])
-    stride = int(arrays["meta.feat_stride"])
-    shapes = arrays["anchors.shapes"]
+    if int(arrays["meta.feat_stride"]) != FEAT_STRIDE:
+        raise ValueError(f"{path}: feature stride is not {FEAT_STRIDE}")
     if kind == 0:
         model = TabularPredictor(int(arrays["meta.h_f"]), int(arrays["meta.w_f"]), nc, na)
-        h_f, w_f = model.h_f, model.w_f
+        if model.h_f != model.w_f:
+            raise ValueError(f"{path}: tabular map {model.h_f}x{model.w_f} is not square")
+        image_size = model.h_f * FEAT_STRIDE
     else:
         cfg = ToyNetConfig(input_size=int(arrays["meta.input_size"]),
                            base_channels=int(arrays["meta.base_channels"]),
                            levels=int(arrays["meta.levels"]),
                            head_convs=int(arrays["meta.head_convs"]))
         model = ToyNet(cfg, nc, na, seed=0)
-        h_f = w_f = cfg.feat_size
+        image_size = cfg.input_size
     for name in model.params:
         model.params[name] = arrays[f"model.{name}"].copy()
-    bw = BalanceWeights(
+    state = RunState.fresh(model, AnchorSet(arrays["anchors.shapes"]), image_size)
+    state.bw = BalanceWeights(
         s_cls=float(arrays["bw.s_cls"]), s_loc=float(arrays["bw.s_loc"]),
         s_cls_grid=arrays["bw.s_cls_grid"].copy(),
         s_loc_grid=arrays["bw.s_loc_grid"].copy())
-    velocity = {name[len("mom."):]: arr.copy()
-                for name, arr in arrays.items() if name.startswith("mom.")}
-    grid = build_grid(AnchorSet(shapes), h_f, w_f, stride)
-    return RunState(model=model, bw=bw, grid=grid,
-                    iteration=int(arrays["meta.iteration"]), velocity=velocity)
+    state.iteration = int(arrays["meta.iteration"])
+    state.velocity = {name[len("mom."):]: arr.copy()
+                      for name, arr in arrays.items() if name.startswith("mom.")}
+    return state
+
+
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
 
 
 def train_config_from_kv(kv: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from parsed key=value pairs (unknown keys are
-    left for the caller)."""
-    def get(key, cast, default):
-        return cast(kv[key]) if key in kv else default
-
-    return TrainConfig(
-        lr0=get("lr0", float, 0.005),
-        momentum=get("momentum", float, 0.9),
-        poly_power=get("poly_power", float, 0.9),
-        max_iter=get("max_iter", int, 1000),
-        batch_size=get("batch_size", int, 1),
-        mode=get("mode", str, "learned"),
-        label_rule=get("label_rule", str, "AMS"),
-        cls_loss=get("cls_loss", str, "CE"),
-        seed=get("seed", int, 0),
-        ao_threshold=get("ao_threshold", float, 0.5),
-        flip=get("flip", lambda s: s.lower() in ("1", "true", "yes"), True),
-        checkpoint_every=get("checkpoint_every", int, 0),
-    )
+    """Build a TrainConfig from parsed key=value pairs; absent keys keep the
+    dataclass defaults, unknown keys are left for the caller."""
+    values = {}
+    for f in fields(TrainConfig):
+        if f.name in kv:
+            kind = type(f.default)
+            values[f.name] = (_parse_bool if kind is bool else kind)(kv[f.name])
+    return TrainConfig(**values)

@@ -14,8 +14,7 @@ from scipy.stats import spearmanr
 from ponodet import autodiff as ad
 from ponodet import benchmarks as B
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors, wh_iou
-from ponodet.assignment import (GroundTruth, assign_ao, compute_pono,
-                                gt_cell_arrays, pred_iou_values)
+from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.evaluation import average_precision
 from ponodet.geometry import Box, Detection, iou
@@ -80,9 +79,8 @@ def test_c01_pono_coverage():
         shapes = spec_rng.uniform(6.0, 48.0, size=(n_classes, int(spec_rng.integers(1, 5)), 2))
         grid = build_grid(AnchorSet(shapes), 8, 8, 8)
         am = assign_ao(grid, scene.gt)
-        pono = compute_pono(grid, scene.gt, am)
         for k in range(len(scene.gt)):
-            cluster = pono.o[am.gt_index == k]
+            cluster = am.pono[am.gt_index == k]
             if cluster.size == 0 or cluster.max() != 1.0:
                 report(1, False, f"object {k} of scene {scene_idx} lacks a unit-overlap anchor")
             checked_objects += 1
@@ -103,13 +101,10 @@ def _random_instance(rng):
                  float(rng.uniform(5, 14)), float(rng.uniform(5, 14)))]
     gt = GroundTruth(boxes=boxes, class_ids=[0])
     am = assign_ao(grid, gt)
-    pono = compute_pono(grid, gt, am)
-    arrays = gt_cell_arrays(grid, gt, am)
-    gate = (pono.o > 0.5).astype(float)
-    return grid, arrays, gate
+    return grid, am, (am.pono > 0.5).astype(float)
 
 
-def _offsets_kink_free(grid, offs, arrays, gate, margin=5e-3):
+def _offsets_kink_free(grid, offs, am, gate, margin=5e-3):
     """True when every gated cell's decoded box sits clear of the IoU
     min/max kinks (coincident edges, vanishing intersection) so central
     differences see a smooth function."""
@@ -118,7 +113,7 @@ def _offsets_kink_free(grid, offs, arrays, gate, margin=5e-3):
     cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
                                 offs[..., 0], offs[..., 1],
                                 offs[..., 2], offs[..., 3])
-    gcx, gcy, gw, gh, _ = arrays
+    gcx, gcy, gw, gh = am.gt_box
     on = gate > 0
     for lo_a, lo_b in (((cx - w / 2)[on], (gcx - gw / 2)[on]),
                        ((cx + w / 2)[on], (gcx + gw / 2)[on]),
@@ -136,15 +131,15 @@ def test_c02_gradient_suite():
     worst = {"offsets": 0.0, "logits_ce": 0.0, "logits_fl": 0.0, "weights": 0.0}
     n = 0
     while n < 100:
-        grid, arrays, gate = _random_instance(rng)
+        grid, am, gate = _random_instance(rng)
         if gate.sum() == 0:
             continue
         offs = rng.uniform(-0.4, 0.4, grid.boxes.shape)
-        if not _offsets_kink_free(grid, offs, arrays, gate):
+        if not _offsets_kink_free(grid, offs, am, gate):
             continue
 
         def f_off(t):
-            return loc_loss_map(gate, pred_iou_values(grid, t, arrays)).sum()
+            return loc_loss_map(gate, pred_iou_values(grid, t, am)).sum()
 
         worst["offsets"] = max(worst["offsets"], ad.grad_check(f_off, [offs]))
 

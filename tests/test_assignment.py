@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
-from ponodet.assignment import (UNASSIGNED, GroundTruth, PonoMap, PredIoUMap,
-                                ams_labels, ao_map, assign_ao, compute_pono,
-                                pono_labels, pred_iou_map, threshold_labels)
+from ponodet.assignment import (UNASSIGNED, GroundTruth, ams_labels, assign_ao,
+                                pono_labels, pred_iou_values, threshold_labels)
 from ponodet.data import GenSpec, generate
 from ponodet.geometry import Box, iou
 
@@ -26,7 +25,7 @@ class TestAssignAO:
         covered = am.gt_index[:, :, 0, 0]
         assert np.all(am.gt_index[:, :, 1, 0] == UNASSIGNED)
         # class-0 cells with positive overlap all map to object 0
-        raw = ao_map(grid, gt, am)
+        raw = am.ao
         assert np.all((covered == 0) == (raw[:, :, 0, 0] > 0))
 
     def test_argmax_between_two_objects(self):
@@ -60,7 +59,7 @@ class TestAssignAO:
             boxes=[Box(10, 10, 12, 9), Box(22, 20, 8, 8), Box(15, 25, 10, 14)],
             class_ids=[0, 1, 0])
         am = assign_ao(grid, gt)
-        raw = ao_map(grid, gt, am)
+        raw = am.ao
         idx = am.gt_index
         for cell in np.argwhere(idx != UNASSIGNED):
             i, j, c, a = cell
@@ -85,24 +84,21 @@ class TestPono:
         grid = square_grid([[[6.0, 6.0]]], h=2, w=2, stride=16)
         gt = GroundTruth(boxes=[Box(8, 8, 5, 5)], class_ids=[0])
         am = assign_ao(grid, gt)
-        pono = compute_pono(grid, gt, am)
-        cluster = pono.o[am.gt_index == 0]
+        cluster = am.pono[am.gt_index == 0]
         assert cluster.max() == 1.0
 
     def test_direct_normalization(self):
         grid = square_grid([[[10.0, 10.0]]], h=1, w=2, stride=10)
         gt = GroundTruth(boxes=[Box(7.5, 5, 10, 10)], class_ids=[0])
         am = assign_ao(grid, gt)
-        raw = ao_map(grid, gt, am)
-        pono = compute_pono(grid, gt, am)
         assert np.all(am.gt_index == 0)
-        np.testing.assert_allclose(pono.o, raw / raw.max())
+        np.testing.assert_allclose(am.pono, am.ao / am.ao.max())
 
     def test_zero_on_unassigned(self):
         grid = square_grid([[[8.0, 8.0]], [[8.0, 8.0]]])
         gt = GroundTruth(boxes=[Box(10, 10, 8, 8)], class_ids=[0])
-        pono = compute_pono(grid, gt, assign_ao(grid, gt))
-        assert np.all(pono.o[:, :, 1, :] == 0)
+        am = assign_ao(grid, gt)
+        assert np.all(am.pono[:, :, 1, :] == 0)
 
     def test_pono_at_least_ao(self):
         rng = np.random.default_rng(0)
@@ -111,9 +107,7 @@ class TestPono:
                      rng.uniform(6, 20), rng.uniform(6, 20)) for _ in range(3)]
         gt = GroundTruth(boxes=boxes, class_ids=[0, 0, 0])
         am = assign_ao(grid, gt)
-        raw = ao_map(grid, gt, am)
-        pono = compute_pono(grid, gt, am)
-        assert np.all(pono.o >= raw - 1e-15)
+        assert np.all(am.pono >= am.ao - 1e-15)
 
     def test_every_object_reaches_exactly_one(self):
         spec = GenSpec(n_classes=2, class_freq=(0.6, 0.4),
@@ -126,9 +120,8 @@ class TestPono:
             shapes = rng.uniform(6, 40, size=(2, rng.integers(1, 4), 2))
             grid = build_grid(AnchorSet(shapes), 8, 8, 8)
             am = assign_ao(grid, scene.gt)
-            pono = compute_pono(grid, scene.gt, am)
             for k in range(len(scene.gt)):
-                cluster = pono.o[am.gt_index == k]
+                cluster = am.pono[am.gt_index == k]
                 assert cluster.size > 0
                 assert cluster.max() == 1.0
 
@@ -139,15 +132,15 @@ class TestPredIoU:
         gt = GroundTruth(boxes=[Box(10, 12, 9, 9), Box(20, 18, 12, 14)],
                          class_ids=[0, 0])
         am = assign_ao(grid, gt)
-        m = pred_iou_map(grid, np.zeros(grid.boxes.shape), gt, am)
-        np.testing.assert_allclose(m.o_hat, ao_map(grid, gt, am), atol=1e-15)
+        o_hat = pred_iou_values(grid, np.zeros(grid.boxes.shape), am)
+        np.testing.assert_allclose(o_hat, am.ao, atol=1e-15)
 
     def test_perfect_anchor(self):
         grid = square_grid([[[8.0, 8.0]]], h=1, w=1, stride=8)
         gt = GroundTruth(boxes=[Box(4, 4, 8, 8)], class_ids=[0])
         am = assign_ao(grid, gt)
-        m = pred_iou_map(grid, np.zeros(grid.boxes.shape), gt, am)
-        assert m.o_hat[0, 0, 0, 0] == 1.0
+        o_hat = pred_iou_values(grid, np.zeros(grid.boxes.shape), am)
+        assert o_hat[0, 0, 0, 0] == 1.0
 
     def test_offsets_fit_gt_exactly(self):
         grid = square_grid([[[4.0, 4.0]]], h=2, w=2, stride=10)
@@ -156,55 +149,50 @@ class TestPredIoU:
         am = assign_ao(grid, gt)
         offsets = np.zeros(grid.boxes.shape)
         offsets[0, 0, 0, 0] = [0.5, 0.0, np.log(2.0), 0.0]
-        m = pred_iou_map(grid, offsets, gt, am)
-        assert m.o_hat[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        o_hat = pred_iou_values(grid, offsets, am)
+        assert o_hat[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch(self):
         grid = square_grid([[[8.0, 8.0]]])
         gt = GroundTruth(boxes=[Box(8, 8, 8, 8)], class_ids=[0])
         with pytest.raises(ValueError):
-            pred_iou_map(grid, np.zeros((2, 2, 1, 1, 4)), gt, assign_ao(grid, gt))
+            pred_iou_values(grid, np.zeros((2, 2, 1, 1, 4)), assign_ao(grid, gt))
 
 
 class TestLabels:
     def test_ams_product_rule(self):
-        o = PonoMap(np.array([[[[1.0, 0.9, 0.0]]]]))
-        oh = PredIoUMap(np.array([[[[0.6, 0.5, 0.0]]]]))
-        labels = ams_labels(o, oh)
-        np.testing.assert_array_equal(labels.p, [[[[1, 0, 0]]]])
+        o = np.array([[[[1.0, 0.9, 0.0]]]])
+        oh = np.array([[[[0.6, 0.5, 0.0]]]])
+        np.testing.assert_array_equal(ams_labels(o, oh), [[[[1, 0, 0]]]])
 
     def test_untrained_predictions_all_negative(self):
-        o = PonoMap(np.ones((2, 2, 1, 1)))
-        oh = PredIoUMap(np.zeros((2, 2, 1, 1)))
-        assert ams_labels(o, oh).p.sum() == 0
+        assert ams_labels(np.ones((2, 2, 1, 1)), np.zeros((2, 2, 1, 1))).sum() == 0
 
     def test_pono_rule_strict_threshold(self):
-        o = PonoMap(np.array([[[[1.0, 0.5, 0.2, 0.4]]]]))
-        np.testing.assert_array_equal(pono_labels(o).p, [[[[1, 0, 0, 0]]]])
+        o = np.array([[[[1.0, 0.5, 0.2, 0.4]]]])
+        np.testing.assert_array_equal(pono_labels(o), [[[[1, 0, 0, 0]]]])
 
     def test_pono_rule_from_cluster(self):
         # overlaps {0.2, 0.4} normalize to {0.5, 1.0} -> labels {0, 1}
-        o = PonoMap(np.array([[[[0.5, 1.0]]]]))
-        np.testing.assert_array_equal(pono_labels(o).p, [[[[0, 1]]]])
+        o = np.array([[[[0.5, 1.0]]]])
+        np.testing.assert_array_equal(pono_labels(o), [[[[0, 1]]]])
 
     def test_ao_threshold_rule(self):
         raw = np.array([[[[0.51, 0.5, 0.49]]]])
-        np.testing.assert_array_equal(threshold_labels(raw, 0.5).p, [[[[1, 0, 0]]]])
+        np.testing.assert_array_equal(threshold_labels(raw, 0.5), [[[[1, 0, 0]]]])
 
     def test_ams_subset_of_pono(self):
         rng = np.random.default_rng(3)
-        o = PonoMap(rng.uniform(0, 1, (4, 4, 2, 3)))
-        oh = PredIoUMap(rng.uniform(0, 1, (4, 4, 2, 3)))
-        a = ams_labels(o, oh).p
-        p = pono_labels(o).p
-        assert np.all(a <= p)
+        o = rng.uniform(0, 1, (4, 4, 2, 3))
+        oh = rng.uniform(0, 1, (4, 4, 2, 3))
+        assert np.all(ams_labels(o, oh) <= pono_labels(o))
 
     def test_label_invariant_product_gate(self):
         rng = np.random.default_rng(4)
-        o = PonoMap(rng.uniform(0, 1, (4, 4, 1, 2)))
-        oh = PredIoUMap(rng.uniform(0, 1, (4, 4, 1, 2)))
+        o = rng.uniform(0, 1, (4, 4, 1, 2))
+        oh = rng.uniform(0, 1, (4, 4, 1, 2))
         labels = ams_labels(o, oh)
-        assert np.all((o.o * oh.o_hat)[labels.p == 1] > 0.5)
+        assert np.all((o * oh)[labels == 1] > 0.5)
 
 
 class TestAmbiguitySuppression:
@@ -218,8 +206,7 @@ class TestAmbiguitySuppression:
         b = Box(28, 6, 12, 12)
         gt = GroundTruth(boxes=[a, b], class_ids=[0, 0])
         am = assign_ao(grid, gt)
-        pono = compute_pono(grid, gt, am)
-        mid = pono.o[0, 1, 0, 0]
+        mid = am.pono[0, 1, 0, 0]
         assert 0.0 < mid <= 0.5
 
         # geometric fact: no single box overlaps both disjoint objects
@@ -236,5 +223,5 @@ class TestAmbiguitySuppression:
 
         # whatever the network predicts, the product rule keeps it negative
         for trial in range(20):
-            oh = PredIoUMap(np.random.default_rng(trial).uniform(0, 1, pono.o.shape))
-            assert ams_labels(pono, oh).p[0, 1, 0, 0] == 0
+            oh = np.random.default_rng(trial).uniform(0, 1, am.pono.shape)
+            assert ams_labels(am.pono, oh)[0, 1, 0, 0] == 0

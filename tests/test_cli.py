@@ -110,6 +110,73 @@ class TestPipeline:
         assert len(rows) == 1 + 2 * 2 + 1  # header + grid + global
 
 
+class TestRerun:
+    def test_rerun_into_same_out_rewrites_log(self, workspace, tmp_path):
+        cfg = tmp_path / "short.txt"
+        cfg.write_text(TRAINCFG.replace("max_iter = 30", "max_iter = 4"))
+        argv = ["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
+                "--anchors", str(workspace / "anchors.txt"), "--out", str(tmp_path / "run")]
+        assert run(argv) == 0
+        first = (tmp_path / "run" / "log.csv").read_bytes()
+        assert run(argv) == 0
+        log = (tmp_path / "run" / "log.csv").read_bytes()
+        assert log == first
+        assert len(log.decode().splitlines()) == 1 + 4
+
+
+class TestBadInput:
+    def make_dataset(self, root, objects="1,2", count=3):
+        spec = root / "gen.txt"
+        spec.write_text(GENSPEC.replace("objects_per_scene = 1,2",
+                                        f"objects_per_scene = {objects}"))
+        assert run(["gen-data", "--config", str(spec), "--out", str(root / "d"),
+                    "-n", str(count)]) == 0
+        return root / "d"
+
+    def train_argv(self, workspace, dataset, anchors, out):
+        return ["train", "--config", str(workspace / "train.txt"), "--dataset",
+                str(dataset), "--anchors", str(anchors), "--out", str(out)]
+
+    def test_empty_dataset_names_the_directory(self, workspace, tmp_path, capsys):
+        ds = self.make_dataset(tmp_path, count=0)
+        assert run(self.train_argv(workspace, ds, workspace / "anchors.txt",
+                                   tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert str(ds) in err and "no scenes" in err
+
+    def test_class_outside_anchor_file(self, workspace, tmp_path, capsys):
+        anchors = tmp_path / "one_class.txt"
+        anchors.write_text("0 8.0 8.0\n0 12.0 12.0\n")
+        ds = workspace / "ds"
+        first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
+        assert run(self.train_argv(workspace, ds, anchors, tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert f"{ds}: scene {first} has class id 1" in err
+
+    def test_assign_dump_scene_out_of_range(self, workspace, tmp_path, capsys):
+        assert run(["assign-dump", "--dataset", str(workspace / "ds"), "--scene", "8",
+                    "--anchors", str(workspace / "anchors.txt"),
+                    "--out", str(tmp_path / "dump")]) == 2
+        assert f"{workspace / 'ds'}: no scene 8 (8 scenes)" in capsys.readouterr().err
+
+    def test_negative_class_id_names_file_and_line(self, tmp_path, capsys):
+        ds = self.make_dataset(tmp_path)
+        ann = ds / "annotations.txt"
+        lines = ann.read_text().splitlines()
+        lines[1] = "-1" + lines[1][1:]
+        ann.write_text("\n".join(lines) + "\n")
+        assert run(["anchors", "--dataset", str(ds), "--out",
+                    str(tmp_path / "a.txt")]) == 2
+        assert f"{ann}:2: negative class id -1" in capsys.readouterr().err
+
+    def test_ablate_on_dataset_without_objects(self, tmp_path, capsys):
+        ds = self.make_dataset(tmp_path, objects="0,0")
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(f"dataset = {ds}\ncells = AMS:learned:CE\nn_a = 2\n")
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
+        assert f"{ds}: no annotated objects" in capsys.readouterr().err
+
+
 class TestTabularPath:
     def test_tabular_train_and_eval(self, workspace, tmp_path):
         cfg = tmp_path / "tab.txt"

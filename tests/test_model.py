@@ -3,7 +3,7 @@ import pytest
 
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
-from ponodet.assignment import GroundTruth, assign_ao, compute_pono, gt_cell_arrays, pred_iou_values
+from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
 from ponodet.geometry import Box
 from ponodet.loss import bce_logits, loc_loss_map
 from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig,
@@ -92,16 +92,14 @@ class TestToyNetGradients:
         grid = build_grid(AnchorSet(np.full((1, 1, 2), 10.0)), 4, 4, 8)
         gt = GroundTruth(boxes=[Box(12.5, 11.0, 11.0, 9.0)], class_ids=[0])
         am = assign_ao(grid, gt)
-        pono = compute_pono(grid, gt, am)
-        gate = (pono.o > 0.5).astype(float)
+        gate = (am.pono > 0.5).astype(float)
         labels = gate.copy()
-        arrays = gt_cell_arrays(grid, gt, am)
         names = sorted(net.params)
 
         def total_loss(*tensors):
             params = dict(zip(names, tensors))
             out = net.forward(params, image)
-            o_hat = pred_iou_values(grid, out.offsets, arrays)
+            o_hat = pred_iou_values(grid, out.offsets, am)
             loc = loc_loss_map(gate, o_hat).sum() / max(1.0, gate.sum())
             cls = bce_logits(labels, out.logits).mean()
             return loc + cls

@@ -97,15 +97,12 @@ class TestTrainIteration:
         state = tabular_state(scene, shapes=((10.0, 9.0),))
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit", flip=False)
         run_training(state, [scene], cfg)
-        from ponodet.assignment import (assign_ao, compute_pono,
-                                        gt_cell_arrays, pred_iou_values)
+        from ponodet.assignment import assign_ao, pred_iou_values
         am = assign_ao(state.grid, scene.gt)
-        arrays = gt_cell_arrays(state.grid, scene.gt, am)
-        o_hat = pred_iou_values(state.grid, state.model.params["offsets"], arrays)
-        pono = compute_pono(state.grid, scene.gt, am)
-        best = np.unravel_index(np.argmax(pono.o), pono.o.shape)
+        o_hat = pred_iou_values(state.grid, state.model.params["offsets"], am)
+        best = np.unravel_index(np.argmax(am.pono), am.pono.shape)
         assert o_hat[best] > 0.999
-        assert pono.o[best] * o_hat[best] > 0.5
+        assert am.pono[best] * o_hat[best] > 0.5
 
     def test_torn_cell_never_labeled_positive(self):
         # two disjoint same-class objects share a middle anchor; its
@@ -117,18 +114,14 @@ class TestTrainIteration:
                          class_ids=[0, 0])
         scene = Scene(img, gt)
         state = tabular_state(scene, shapes=((11.0, 11.0),))
-        from ponodet.assignment import assign_ao, compute_pono
+        from ponodet.assignment import ams_labels, assign_ao, pred_iou_values
         am = assign_ao(state.grid, scene.gt)
-        pono = compute_pono(state.grid, scene.gt, am)
         torn = (1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
-        assert 0.0 < pono.o[torn] <= 0.5
+        assert 0.0 < am.pono[torn] <= 0.5
         cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned", flip=False)
         run_training(state, [scene], cfg)
-        from ponodet.assignment import (PredIoUMap, ams_labels,
-                                        gt_cell_arrays, pred_iou_values)
-        arrays = gt_cell_arrays(state.grid, scene.gt, am)
-        o_hat = pred_iou_values(state.grid, state.model.params["offsets"], arrays)
-        assert ams_labels(pono, PredIoUMap(o_hat)).p[torn] == 0
+        o_hat = pred_iou_values(state.grid, state.model.params["offsets"], am)
+        assert ams_labels(am.pono, o_hat)[torn] == 0
 
     def test_report_total_decomposition(self):
         scene = one_object_scene()
@@ -145,6 +138,47 @@ class TestTrainIteration:
             train_iteration(state, [scene], cfg)
         np.testing.assert_array_equal(state.bw.s_cls_grid, s0)
         assert state.bw.s_cls == 1.0
+
+
+class TestSceneCache:
+    def crowded_scene(self):
+        img = np.zeros((32, 32, 3))
+        gt = GroundTruth(boxes=[Box(10.0, 10.0, 12.0, 10.0), Box(17.0, 12.0, 12.0, 10.0),
+                                Box(22.0, 24.0, 9.0, 14.0)], class_ids=[0, 0, 0])
+        return Scene(img, gt)
+
+    def test_gate_follows_the_rule_on_a_reused_state(self):
+        # the loc gate and n_pos come from the current config, never from
+        # an entry cached under another label rule
+        scene = self.crowded_scene()
+        shapes = ((8.0, 8.0), (14.0, 12.0))
+        pono = TrainConfig(lr0=0.0, max_iter=5, label_rule="PONO")
+        ao = TrainConfig(lr0=0.0, max_iter=5, label_rule="AO", ao_threshold=0.3)
+        reused = tabular_state(scene, shapes=shapes)
+        n_pono = train_iteration(reused, [scene], pono).n_pos
+        n_ao = train_iteration(reused, [scene], ao).n_pos
+        fresh = tabular_state(scene, shapes=shapes)
+        assert n_ao == train_iteration(fresh, [scene], ao).n_pos
+        assert n_ao != n_pono
+
+    def test_new_scene_at_a_collected_scene_id_is_a_miss(self):
+        # scenes die between direct train_iteration calls and CPython hands
+        # their ids to new scenes; each new scene must get its own gate
+        cfg = TrainConfig(lr0=0.0, max_iter=5, label_rule="PONO")
+        img = np.zeros((32, 32, 3))
+        reused = tabular_state(one_object_scene())
+        for k in (1, 2, 3, 1, 3, 2):
+            scene = Scene(img, GroundTruth(
+                [Box(6.0 + 8 * j, 6.0, 8.0, 8.0) for j in range(k)], [0] * k))
+            n_pos = train_iteration(reused, [scene], cfg).n_pos
+            assert n_pos == train_iteration(tabular_state(scene), [scene], cfg).n_pos
+            del scene
+
+    def test_run_training_keeps_no_entries(self):
+        scene = self.crowded_scene()
+        state = tabular_state(scene)
+        run_training(state, [scene], TrainConfig(max_iter=3, flip=False))
+        assert state._scene_cache == {}
 
 
 class TestFreezeRule:
@@ -222,6 +256,19 @@ class TestConfigParsing:
                                     "flip": "false"})
         assert cfg.max_iter == 50 and cfg.mode == "unit" and cfg.flip is False
         assert cfg.lr0 == 0.005 and cfg.momentum == 0.9 and cfg.poly_power == 0.9
+
+    def test_empty_kv_gives_defaults(self):
+        assert train_config_from_kv({}) == TrainConfig()
+
+    def test_every_field_round_trips(self):
+        from dataclasses import fields
+        cfg = TrainConfig(lr0=0.02, momentum=0.5, poly_power=1.5, max_iter=7,
+                          batch_size=3, mode="unit", label_rule="AO",
+                          cls_loss="FL", seed=42, ao_threshold=0.4, flip=False,
+                          checkpoint_every=2)
+        kv = {f.name: str(getattr(cfg, f.name)) for f in fields(TrainConfig)}
+        assert all(getattr(cfg, f.name) != f.default for f in fields(TrainConfig))
+        assert train_config_from_kv(kv) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
