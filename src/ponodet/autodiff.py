@@ -14,7 +14,7 @@ arrays (untracked, fast path) or on tracked tensors.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 Array = np.ndarray
 
@@ -34,7 +34,7 @@ class Tape:
 class Tensor:
     """Dense float64 value, optionally tracked on a tape for backward."""
 
-    __slots__ = ("values", "tape", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("values", "tape", "requires_grad", "grad", "is_leaf", "__weakref__")
 
     # Keep numpy from coercing Tensor operands in `ndarray <op> Tensor`;
     # with this set, numpy returns NotImplemented and Python falls back to
@@ -470,20 +470,32 @@ def matmul(a, b):
                          (b, lambda g: av.T @ g)])
 
 
-def _conv2d_values(xv: Array, wv: Array, bv: Array | None,
-                   stride: int, pad: int) -> Array:
-    kh, kw, cin, cout = wv.shape
-    xp = np.pad(xv, ((pad, pad), (pad, pad), (0, 0))) if pad else xv
-    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
-    out = np.tensordot(win, wv, axes=([3, 4, 2], [0, 1, 2]))
-    if bv is not None:
-        out = out + bv
-    return np.ascontiguousarray(out)
+def _im2col(xv: Array, kh: int, kw: int, stride: int, pad: int):
+    """The [ho*wo, kh*kw*cin] patch matrix of a zero-padded input, and
+    (ho, wo).  Each row reads one window in (kh, kw, cin) order, the order
+    the flattened kernel is laid out in."""
+    h, w, cin = xv.shape
+    if pad:
+        xp = np.zeros((h + 2 * pad, w + 2 * pad, cin))
+        xp[pad:pad + h, pad:pad + w] = xv
+    else:
+        xp = xv
+    ho = (xp.shape[0] - kh) // stride + 1
+    wo = (xp.shape[1] - kw) // stride + 1
+    s0, s1, s2 = xp.strides
+    win = as_strided(xp, (ho, wo, kh, kw, cin),
+                     (s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+    return win.reshape(ho * wo, kh * kw * cin), ho, wo
 
 
 def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None):
     """2-D convolution on channels-last [H, W, Cin] with kernel
-    [kh, kw, Cin, Cout], zero padding, stride 1 or 2."""
+    [kh, kw, Cin, Cout], zero padding, stride 1 or 2.
+
+    Lowered to one GEMM of the patch matrix (im2col) against the kernel
+    flattened to [kh*kw*cin, cout]; the input vjp is one GEMM back into
+    patch space plus kh*kw strided adds (col2im), the kernel vjp one GEMM.
+    """
     xv, wv = values_of(x), values_of(w)
     bv = values_of(b) if b is not None else None
     if xv.ndim != 3 or wv.ndim != 4 or xv.shape[2] != wv.shape[2]:
@@ -491,29 +503,27 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None):
     kh, kw, cin, cout = wv.shape
     if pad is None:
         pad = (kh - 1) // 2
-    out = _conv2d_values(xv, wv, bv, stride, pad)
+    cols, ho, wo = _im2col(xv, kh, kw, stride, pad)
+    w2 = wv.reshape(kh * kw * cin, cout)
+    out = (cols @ w2).reshape(ho, wo, cout)
+    if bv is not None:
+        out = out + bv
     if not _tracked(x, w, b):
         return out
-    ho, wo = out.shape[:2]
 
     def vjp_x(g):
+        dcols = (g.reshape(ho * wo, cout) @ w2.T).reshape(ho, wo, kh, kw, cin)
         gxp = np.zeros((xv.shape[0] + 2 * pad, xv.shape[1] + 2 * pad, cin))
         for di in range(kh):
             for dj in range(kw):
                 gxp[di:di + stride * ho:stride, dj:dj + stride * wo:stride, :] += \
-                    np.tensordot(g, wv[di, dj], axes=([2], [1]))
+                    dcols[:, :, di, dj]
         if pad:
             return gxp[pad:pad + xv.shape[0], pad:pad + xv.shape[1], :]
         return gxp
 
     def vjp_w(g):
-        xp = np.pad(xv, ((pad, pad), (pad, pad), (0, 0))) if pad else xv
-        gw = np.zeros_like(wv)
-        for di in range(kh):
-            for dj in range(kw):
-                xs = xp[di:di + stride * ho:stride, dj:dj + stride * wo:stride, :]
-                gw[di, dj] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
-        return gw
+        return (cols.T @ g.reshape(ho * wo, cout)).reshape(wv.shape)
 
     pulls = [(x, vjp_x), (w, vjp_w)]
     if b is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,8 +22,11 @@ from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
 from .assignment import ams_labels, assign_ao, pred_iou_values
 from .model import FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig
-from .train import (RunState, load_run, run_training, save_run,
+from .train import (RunState, TrainConfig, load_run, run_training, save_run,
                     train_config_from_kv)
+
+MODEL_KEYS = ("model", "input_size", "base_channels", "levels", "head_convs")
+ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,17 +38,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_scenes(dataset_dir, anchor_set: AnchorSet) -> list:
-    """A non-empty dataset whose class ids all have anchors."""
+def _read_config(path, extra_keys=()) -> dict[str, str]:
+    """A `train` (or, with ABLATE_KEYS, `ablate`) key=value file; a key
+    outside the TrainConfig fields, the model keys and `extra_keys` is an
+    error rather than a setting silently left at its default."""
+    kv = data_mod.read_kv(path)
+    known = {f.name for f in fields(TrainConfig)} | set(MODEL_KEYS) | set(extra_keys)
+    unknown = [key for key in kv if key not in known]
+    if unknown:
+        raise RuntimeError(f"{path}: unknown config key "
+                           + ", ".join(repr(key) for key in unknown))
+    return kv
+
+
+def _load_scenes(dataset_dir, n_classes: int, covered_by: str = "anchors") -> list:
+    """A non-empty dataset whose class ids are all below `n_classes`, the
+    class count of the anchors or checkpoint named by `covered_by`."""
     scenes = data_mod.load_dataset(dataset_dir)
     if not scenes:
         raise RuntimeError(f"{dataset_dir}: dataset has no scenes")
     for idx, scene in enumerate(scenes):
         for cid in scene.gt.class_ids:
-            if cid >= anchor_set.n_classes:
+            if cid >= n_classes:
                 raise RuntimeError(
                     f"{dataset_dir}: scene {idx} has class id {cid}, but the "
-                    f"anchors cover classes 0..{anchor_set.n_classes - 1}")
+                    f"{covered_by} cover classes 0..{n_classes - 1}")
     return scenes
 
 
@@ -90,10 +107,8 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _train_once(kv: dict, dataset_dir: str, anchors_path: str, out_dir: str,
+def _train_once(kv: dict, scenes: list, anchor_set: AnchorSet, out_dir: str,
                 seed_override=None) -> RunState:
-    anchor_set = load_anchor_set(anchors_path)
-    scenes = _load_scenes(dataset_dir, anchor_set)
     cfg = train_config_from_kv(kv)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
@@ -110,15 +125,16 @@ def _train_once(kv: dict, dataset_dir: str, anchors_path: str, out_dir: str,
 
 
 def cmd_train(args) -> int:
-    kv = data_mod.read_kv(args.config)
-    _train_once(kv, args.dataset, args.anchors, args.out, args.seed)
+    kv = _read_config(args.config)
+    anchor_set = load_anchor_set(args.anchors)
+    scenes = _load_scenes(args.dataset, anchor_set.n_classes)
+    _train_once(kv, scenes, anchor_set, args.out, args.seed)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
 
-def _evaluate(state: RunState, dataset_dir: str, score_min: float,
+def _evaluate(state: RunState, scenes: list, score_min: float,
               nms_iou: float, iou_match: float = 0.5):
-    scenes = data_mod.load_dataset(dataset_dir)
     dets = eval_mod.dataset_detections(state.model, state.grid, scenes,
                                        score_min, nms_iou)
     gts = [s.gt for s in scenes]
@@ -145,8 +161,9 @@ def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
 
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
+    scenes = _load_scenes(args.dataset, state.grid.n_classes, "checkpoint's anchors")
     per_class, mean, n_gt, n_det = _evaluate(
-        state, args.dataset, args.score_min, args.iou_nms)
+        state, scenes, args.score_min, args.iou_nms)
     _write_eval_report(args.out, per_class, mean, n_gt, n_det)
     for c in sorted(per_class):
         print(f"class {c}: AP {per_class[c]:.4f}")
@@ -156,7 +173,7 @@ def cmd_eval(args) -> int:
 
 def cmd_assign_dump(args) -> int:
     anchor_set = load_anchor_set(args.anchors)
-    scenes = _load_scenes(args.dataset, anchor_set)
+    scenes = _load_scenes(args.dataset, anchor_set.n_classes)
     if not 0 <= args.scene < len(scenes):
         raise RuntimeError(f"{args.dataset}: no scene {args.scene} "
                            f"({len(scenes)} scenes)")
@@ -216,19 +233,22 @@ def cmd_plot_weights(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    kv = data_mod.read_kv(args.config)
+    kv = _read_config(args.config, ABLATE_KEYS)
     dataset_dir = kv["dataset"]
     eval_dir = kv.get("eval_dataset", dataset_dir)
     cells = [tuple(cell.strip().split(":"))
              for cell in kv["cells"].split(",") if cell.strip()]
     os.makedirs(args.out, exist_ok=True)
 
-    anchors_path = kv.get("anchors")
-    if not anchors_path:
+    if kv.get("anchors"):
+        anchor_set = load_anchor_set(kv["anchors"])
+    else:
         anchor_set = _cluster_anchors(dataset_dir, int(kv.get("n_a", "3")),
                                       int(kv.get("seed", "0")))
-        anchors_path = os.path.join(args.out, "anchors.txt")
-        save_anchor_set(anchors_path, anchor_set)
+        save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
+    scenes = _load_scenes(dataset_dir, anchor_set.n_classes)
+    eval_scenes = scenes if eval_dir == dataset_dir \
+        else _load_scenes(eval_dir, anchor_set.n_classes)
 
     rows = []
     for cell in cells:
@@ -239,9 +259,9 @@ def cmd_ablate(args) -> int:
         cell_kv = dict(kv)
         cell_kv.update(label_rule=label_rule, mode=mode, cls_loss=cls_loss)
         cell_dir = os.path.join(args.out, name)
-        state = _train_once(cell_kv, dataset_dir, anchors_path, cell_dir)
+        state = _train_once(cell_kv, scenes, anchor_set, cell_dir)
         per_class, mean, n_gt, n_det = _evaluate(
-            state, eval_dir, args.score_min, args.iou_nms)
+            state, eval_scenes, args.score_min, args.iou_nms)
         _write_eval_report(cell_dir, per_class, mean, n_gt, n_det)
         rows.append((name, label_rule, mode, cls_loss, mean, per_class))
         print(f"{name}: mAP {mean:.4f}")

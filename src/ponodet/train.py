@@ -175,6 +175,10 @@ def train_iteration(state: RunState, batch: list[Scene],
     total = loc + cls + reg
 
     ad.backward(total)
+    # every taped tensor points at the tape and the tape's records point
+    # back at them; dropping the records frees the iteration's tensors and
+    # the arrays their vjps hold without waiting for the cyclic collector
+    tape.records.clear()
     grads = {name: t.grad for name, t in params.items() if t.grad is not None}
     all_params = dict(state.model.params)
     if learned:
@@ -221,7 +225,9 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
     one fixed scene's outputs); the convnet samples batches and optional
     horizontal flips from the per-iteration RNG.  A run from iteration 0
     starts `log_path` afresh; a resumed run appends to it.  The scene cache
-    lives for this call only, as the scenes it describes do.
+    lives for this call only, as the scenes it describes do.  A non-finite
+    loss raises FloatingPointError naming the iteration, before that
+    iteration is logged or checkpointed.
     """
     tabular = isinstance(state.model, TabularPredictor)
     flipped: dict[int, Scene] = {}
@@ -248,6 +254,9 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
                         batch.append(scenes[i])
             lr = lr_at(it, cfg)
             report = train_iteration(state, batch, cfg)
+            if not np.isfinite(report.total):
+                raise FloatingPointError(
+                    f"non-finite loss {report.total!r} at iteration {it}")
             reports.append(report)
             if log:
                 log.write(report.csv_row(it, lr) + "\n")

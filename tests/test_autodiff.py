@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ponodet import autodiff as ad
 
@@ -193,3 +194,70 @@ class TestGradCheck:
         # (slope 0.5); such points are excluded from gradient checks
         err = ad.grad_check(lambda x: ad.maximum(x, 0.0).sum(), [np.array(0.0)])
         assert err == pytest.approx(0.5, abs=1e-6)
+
+
+# ---------------------------------------------------------------------
+# conv2d against the direct per-tap form it replaced
+# ---------------------------------------------------------------------
+
+def ref_conv2d(xv, wv, bv, stride, pad):
+    """Forward as one tensordot over a sliding-window view."""
+    kh, kw = wv.shape[:2]
+    xp = np.pad(xv, ((pad, pad), (pad, pad), (0, 0))) if pad else xv
+    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
+    out = np.tensordot(win, wv, axes=([3, 4, 2], [0, 1, 2]))
+    return out + bv
+
+
+def ref_conv2d_vjps(xv, wv, g, stride, pad):
+    """Input and kernel gradients, one tensordot per kernel tap."""
+    kh, kw = wv.shape[:2]
+    ho, wo = g.shape[:2]
+    gxp = np.zeros((xv.shape[0] + 2 * pad, xv.shape[1] + 2 * pad, xv.shape[2]))
+    xp = np.pad(xv, ((pad, pad), (pad, pad), (0, 0))) if pad else xv
+    gw = np.zeros_like(wv)
+    for di in range(kh):
+        for dj in range(kw):
+            taps = (slice(di, di + stride * ho, stride), slice(dj, dj + stride * wo, stride))
+            gxp[taps] += np.tensordot(g, wv[di, dj], axes=([2], [1]))
+            gw[di, dj] = np.tensordot(xp[taps], g, axes=([0, 1], [0, 1]))
+    return gxp[pad:pad + xv.shape[0], pad:pad + xv.shape[1]], gw
+
+
+# (input shape, kernel shape, stride, pad)
+CONV_CASES = [
+    ((6, 6, 2), (3, 3, 2, 3), 1, 1),
+    ((8, 8, 2), (3, 3, 2, 4), 2, 1),
+    ((5, 5, 3), (1, 1, 3, 4), 1, 0),
+    ((7, 7, 2), (3, 3, 2, 3), 2, 1),
+]
+
+
+@pytest.mark.parametrize("xs,ws,stride,pad", CONV_CASES)
+class TestConvOracle:
+    def inputs(self, xs, ws):
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        return (rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[3]))
+
+    def test_forward_bit_identical(self, xs, ws, stride, pad):
+        x, w, b = self.inputs(xs, ws)
+        out = ad.conv2d(x, w, b, stride=stride, pad=pad)
+        np.testing.assert_array_equal(out, ref_conv2d(x, w, b, stride, pad))
+
+    def test_vjps_match(self, xs, ws, stride, pad):
+        x, w, b = self.inputs(xs, ws)
+        tape = ad.Tape()
+        xl, wl, bl = make_leaves(tape, x, w, b)
+        out = ad.conv2d(xl, wl, bl, stride=stride, pad=pad)
+        g = np.random.default_rng(7).normal(size=out.shape)
+        ad.backward((out * g).sum())
+        gx, gw = ref_conv2d_vjps(x, w, g, stride, pad)
+        np.testing.assert_allclose(xl.grad, gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wl.grad, gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(bl.grad, g.sum(axis=(0, 1)), rtol=1e-12)
+
+    def test_grad_check(self, xs, ws, stride, pad):
+        def f(x, w, b):
+            return (ad.conv2d(x, w, b, stride=stride, pad=pad) ** 2.0).sum()
+
+        assert ad.grad_check(f, list(self.inputs(xs, ws))) < 1e-6

@@ -1,11 +1,19 @@
+import importlib.util
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ponodet.cli import run
-from ponodet.anchors import load_anchor_set
+from ponodet import data as data_mod
+from ponodet.cli import ABLATE_KEYS, _read_config, run
+from ponodet.anchors import AnchorSet, load_anchor_set
 from ponodet.data import load_dataset, read_kv
+from ponodet.model import TabularPredictor
+from ponodet.train import RunState, save_run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 GENSPEC = """\
@@ -177,6 +185,60 @@ class TestBadInput:
         assert f"{ds}: no annotated objects" in capsys.readouterr().err
 
 
+    def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
+        state = RunState.fresh(TabularPredictor(4, 4, 1, 2),
+                               AnchorSet(np.full((1, 2, 2), 9.0)), 32)
+        save_run(tmp_path / "one_class.bin", state)
+        ds = workspace / "ds"
+        first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
+        assert run(["eval", "--checkpoint", str(tmp_path / "one_class.bin"),
+                    "--dataset", str(ds), "--out", str(tmp_path / "ev")]) == 2
+        assert f"{ds}: scene {first} has class id 1" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "report.csv").exists()
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("train", "lr = 0.5\n", "lr"),
+        ("train", "dataset = elsewhere\n", "dataset"),
+        ("ablate", "cells = AMS:learned:CE\neval_set = x\n", "eval_set"),
+    ])
+    def test_unknown_config_key(self, workspace, tmp_path, capsys, command, text, key):
+        cfg = tmp_path / "cfg.txt"
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--dataset", str(workspace / "ds"),
+                     "--anchors", str(workspace / "anchors.txt")]
+        else:
+            text = f"dataset = {workspace / 'ds'}\n" + text
+        cfg.write_text(TRAINCFG + text)
+        assert run([command] + argv) == 2
+        assert f"{cfg}: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_documented_config_keys_accepted(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        block = re.search(r"Training \(`train --config`.*?```\n(.*?)```", readme,
+                          re.S).group(1)
+        spec = importlib.util.spec_from_file_location(
+            "demo_pipeline", ROOT / "scripts" / "demo_pipeline.py")
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        ablate_only = "dataset = d\neval_dataset = e\nn_a = 3\nanchors = a\ncells = x\n"
+        for text, extra in ((block, ()), (demo.TRAINCFG, ()),
+                            (block + ablate_only, ABLATE_KEYS)):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(text)
+            assert _read_config(cfg, extra) == read_kv(cfg)
+
+    def test_non_finite_loss_exits_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "hot.txt"
+        cfg.write_text(TRAINCFG.replace("lr0 = 0.01", "lr0 = 1e6"))
+        with np.errstate(all="ignore"):
+            assert run(["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
+                        "--anchors", str(workspace / "anchors.txt"),
+                        "--out", str(tmp_path / "run")]) == 2
+        assert re.search(r"non-finite loss .* at iteration \d+", capsys.readouterr().err)
+
+
 class TestTabularPath:
     def test_tabular_train_and_eval(self, workspace, tmp_path):
         cfg = tmp_path / "tab.txt"
@@ -207,6 +269,22 @@ class TestAblate:
         assert len(rows) == 3
         assert (out / "ams_learned_ce" / "report.csv").exists()
         assert (out / "pono_unit_ce" / "log.csv").exists()
+
+    def test_datasets_loaded_once_per_call(self, workspace, tmp_path, monkeypatch):
+        test_ds = TestBadInput().make_dataset(tmp_path)
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text().replace("PONO:unit:CE", "PONO:unit:CE,AO:unit:FL")
+                       + f"eval_dataset = {test_ds}\nmax_iter = 3\n")
+        loaded = []
+        load = data_mod.load_dataset
+
+        def counting_load(path):
+            loaded.append(str(path))
+            return load(path)
+
+        monkeypatch.setattr(data_mod, "load_dataset", counting_load)
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
+        assert sorted(loaded) == sorted([str(workspace / "ds"), str(test_ds)])
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         cfg = self.make_config(tmp_path, workspace / "ds")

@@ -1,9 +1,13 @@
+import gc
 import math
 import os
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import GroundTruth
 from ponodet.data import GenSpec, Scene, generate
@@ -248,6 +252,37 @@ class TestDeterminismAndResume:
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
         run_training(state, scenes, cfg, log_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestIterationLifetime:
+    def test_taped_tensors_freed_without_cyclic_gc(self, tmp_path, monkeypatch):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        roots = []
+        backward = ad.backward
+
+        def keep_ref(root):
+            roots.append(weakref.ref(root))
+            backward(root)
+
+        monkeypatch.setattr(ad, "backward", keep_ref)
+        gc.collect()
+        gc.disable()
+        try:
+            train_iteration(state, scenes[:2], cfg)
+            assert len(roots) == 1 and roots[0]() is None
+        finally:
+            gc.enable()
+
+    def test_non_finite_loss_names_the_iteration(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path,
+                                                                   max_iter=40)
+        cfg = replace(cfg, lr0=1e6)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match=r"at iteration \d+"):
+            run_training(state, scenes, cfg, log_path=tmp_path / "log.csv")
+        rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+        assert len(rows) == state.iteration - 1
 
 
 class TestConfigParsing:
