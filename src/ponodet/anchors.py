@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .geometry import Box
-
 # Cap on local-search restarts per centroid update; small clusters get one
 # start per member, large clusters a deterministic area-spread subsample.
 _MAX_STARTS = 8
@@ -73,10 +71,6 @@ class AnchorGrid:
     @property
     def n_anchors(self) -> int:
         return self.boxes.shape[3]
-
-    def cell(self, i: int, j: int, c: int, a: int) -> Box:
-        cx, cy, w, h = self.boxes[i, j, c, a]
-        return Box(cx, cy, w, h)
 
 
 def wh_iou(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
@@ -205,16 +199,6 @@ def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int,
                             centroids[:, 0] * centroids[:, 1]))
         out.append(centroids[order])
     return AnchorSet(np.asarray(out))
-
-
-def kmeans_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> float:
-    """Summed min-over-centroids 1 - IoU cost over all classes."""
-    total = 0.0
-    for c in range(anchor_set.n_classes):
-        arr = np.asarray(gt_sizes_per_class[c], dtype=np.float64).reshape(-1, 2)
-        d = 1.0 - wh_iou(arr[:, None, :], anchor_set.shapes[c][None, :, :])
-        total += float(d.min(axis=1).sum())
-    return total
 
 
 def build_grid(anchor_set: AnchorSet, h_f: int, w_f: int,

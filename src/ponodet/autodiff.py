@@ -6,7 +6,7 @@ construction and ``backward`` replays it in reverse exactly once per node.
 The op set is the minimum a small dense-prediction training loop needs.
 
 The free functions (``exp``, ``minimum``, ``conv2d``, ...) and the
-ndarray-style methods on ``Tensor`` (``sum``, ``clip``, indexing, operators)
+ndarray-style methods on ``Tensor`` (``sum``, ``mean``, indexing, operators)
 dispatch on input type, so the same formula code runs either on plain numpy
 arrays (untracked, fast path) or on tracked tensors.
 """
@@ -26,9 +26,6 @@ class Tape:
 
     def __init__(self) -> None:
         self.records: list[tuple[Tensor, tuple]] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class Tensor:
@@ -52,17 +49,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.values.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self) -> str:
         flags = "leaf" if self.is_leaf else ("grad" if self.requires_grad else "const")
@@ -99,9 +85,6 @@ class Tensor:
     def __pow__(self, p):
         return power(self, p)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -112,28 +95,12 @@ class Tensor:
     def mean(self, axis=None):
         return _reduce_mean(self, axis)
 
-    def max(self, axis=None):
-        return _reduce_extremum(self, axis, np.max, np.argmax)
-
-    def min(self, axis=None):
-        return _reduce_extremum(self, axis, np.min, np.argmin)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def clip(self, lo, hi):
-        return clip(self, lo, hi)
-
 
 def leaf(values, tape: Tape) -> Tensor:
     """Create a differentiable leaf bound to `tape`."""
     if tape is None:
         raise ValueError("a leaf tensor needs a tape")
     return Tensor(values, tape=tape, requires_grad=True, is_leaf=True)
-
-
-def constant(values) -> Tensor:
-    return Tensor(values)
 
 
 def values_of(x) -> Array:
@@ -283,14 +250,6 @@ def exp(x):
     return _record(out, [(x, lambda g: g * out)])
 
 
-def log(x):
-    xv = values_of(x)
-    out = np.log(xv)
-    if not _tracked(x):
-        return out
-    return _record(out, [(x, lambda g: g / xv)])
-
-
 def log1p(x):
     xv = values_of(x)
     out = np.log1p(xv)
@@ -378,33 +337,6 @@ def _reduce_mean(x: Tensor, axis):
     return _record(out, [(x, vjp)])
 
 
-def _reduce_extremum(x: Tensor, axis, reducer, arg_reducer):
-    """Shared min/max reduction; ties route the gradient to the first
-    attaining element (C order for full reductions, first along the axis
-    otherwise)."""
-    xv = x.values
-    out = reducer(xv, axis=axis)
-    if axis is None:
-        idx = np.unravel_index(arg_reducer(xv), xv.shape)
-
-        def vjp(g):
-            z = np.zeros_like(xv)
-            z[idx] = g
-            return z
-    else:
-        if not isinstance(axis, int):
-            raise ValueError("min/max reductions support axis=None or a single axis")
-        ai = arg_reducer(xv, axis=axis)
-
-        def vjp(g):
-            z = np.zeros_like(xv)
-            np.put_along_axis(z, np.expand_dims(ai, axis),
-                              np.expand_dims(g, axis), axis)
-            return z
-
-    return _record(out, [(x, vjp)])
-
-
 # ---------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------
@@ -458,17 +390,6 @@ def concat(parts, axis: int = -1):
 # ---------------------------------------------------------------------
 # linear algebra / spatial ops
 # ---------------------------------------------------------------------
-
-def matmul(a, b):
-    av, bv = values_of(a), values_of(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {av.shape} @ {bv.shape}")
-    out = av @ bv
-    if not _tracked(a, b):
-        return out
-    return _record(out, [(a, lambda g: g @ bv.T),
-                         (b, lambda g: av.T @ g)])
-
 
 def _im2col(xv: Array, kh: int, kw: int, stride: int, pad: int):
     """The [ho*wo, kh*kw*cin] patch matrix of a zero-padded input, and
@@ -543,39 +464,3 @@ def upsample2(x):
         return g.reshape(h, 2, w, 2, *xv.shape[2:]).sum(axis=(1, 3))
 
     return _record(out, [(x, vjp)])
-
-
-# ---------------------------------------------------------------------
-# verification harness
-# ---------------------------------------------------------------------
-
-def grad_check(f, inputs, step: float = 1e-4) -> float:
-    """Compare analytic gradients of scalar `f(*leaves)` against central
-    finite differences.
-
-    Returns max over coordinates of |analytic - numeric| / max(1, |analytic|).
-    The caller is responsible for keeping the evaluation point away from
-    min/max/clip kinks.
-    """
-    arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
-    tape = Tape()
-    leaves = [leaf(a.copy(), tape) for a in arrays]
-    out = f(*leaves)
-    backward(out)
-    analytic = [np.zeros_like(a) if lf.grad is None else lf.grad
-                for lf, a in zip(leaves, arrays)]
-
-    def value_at(k: int, i: int, delta: float) -> float:
-        shifted = [a.copy() for a in arrays]
-        shifted[k].flat[i] += delta
-        t = Tape()
-        r = f(*[leaf(a, t) for a in shifted])
-        return float(values_of(r))
-
-    worst = 0.0
-    for k, a in enumerate(arrays):
-        for i in range(a.size):
-            numeric = (value_at(k, i, step) - value_at(k, i, -step)) / (2.0 * step)
-            ana = analytic[k].flat[i]
-            worst = max(worst, abs(ana - numeric) / max(1.0, abs(ana)))
-    return worst

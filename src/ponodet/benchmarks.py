@@ -20,18 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .anchors import kmeans_anchors, sizes_per_class
 from .data import GenSpec, generate
 from .evaluation import dataset_detections, map_eval
 from .model import ToyNet, ToyNetConfig
 from .train import RunState, TrainConfig, run_training
-
-# mAP-point floor (x100 scale) by which unit weighting must trail learned
-# weighting on the imbalanced benchmark; pinned from the first passing run
-# (observed gap there: ~50 points).
-TABLE3B_UNIT_GAP_FLOOR = 20.0
 
 IMAGE_SIZE = 48
 
@@ -119,7 +112,3 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
         "map": mean,
         "reports": reports,
     }
-
-
-def anchor_areas(anchor_set) -> np.ndarray:
-    return anchor_set.shapes[..., 0] * anchor_set.shapes[..., 1]

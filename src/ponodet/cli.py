@@ -147,12 +147,12 @@ def _evaluate(state: RunState, scenes: list, score_min: float,
 
 def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.csv"), "w") as f:
+    with data_mod.atomic_open(os.path.join(out_dir, "report.csv")) as f:
         f.write("class,ap,n_gt,n_det\n")
         for c in sorted(per_class):
             f.write(f"{c},{per_class[c]!r},{n_gt[c]},{n_det[c]}\n")
         f.write(f"mean,{mean!r},,\n")
-    with open(os.path.join(out_dir, "report.txt"), "w") as f:
+    with data_mod.atomic_open(os.path.join(out_dir, "report.txt")) as f:
         for c in sorted(per_class):
             f.write(f"class {c}: AP {per_class[c]:.4f} "
                     f"({n_gt[c]} objects, {n_det[c]} detections)\n")
@@ -234,6 +234,9 @@ def cmd_plot_weights(args) -> int:
 
 def cmd_ablate(args) -> int:
     kv = _read_config(args.config, ABLATE_KEYS)
+    for key in ("dataset", "cells"):
+        if not kv.get(key):
+            raise RuntimeError(f"{args.config}: config key {key!r} is missing or empty")
     dataset_dir = kv["dataset"]
     eval_dir = kv.get("eval_dataset", dataset_dir)
     cells = [tuple(cell.strip().split(":"))
@@ -267,7 +270,7 @@ def cmd_ablate(args) -> int:
         print(f"{name}: mAP {mean:.4f}")
 
     classes = sorted({c for *_, pc in rows for c in pc})
-    with open(os.path.join(args.out, "summary.csv"), "w") as f:
+    with data_mod.atomic_open(os.path.join(args.out, "summary.csv")) as f:
         f.write("cell,label_rule,mode,cls_loss,map,"
                 + ",".join(f"ap_{c}" for c in classes) + "\n")
         for name, label_rule, mode, cls_loss, mean, pc in rows:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,20 @@ def hflip(scene: Scene) -> Scene:
 # ---------------------------------------------------------------------
 # on-disk format
 # ---------------------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write through a temp file beside `path` that replaces it only when
+    the block completes: a failed write leaves the old file and no temp."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
 
 def write_ppm(path, image: np.ndarray) -> None:
     h, w = image.shape[:2]

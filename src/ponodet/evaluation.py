@@ -8,8 +8,6 @@ integrated over recall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -17,13 +15,6 @@ from .anchors import AnchorGrid
 from .assignment import GroundTruth
 from .geometry import Box, Detection, decode_cxywh, iou, nms
 from .model import PredictorOutput
-
-
-@dataclass(frozen=True)
-class PRPoint:
-    recall: float
-    precision: float
-    score_threshold: float
 
 
 def extract_detections(output: PredictorOutput, grid: AnchorGrid,
@@ -87,21 +78,6 @@ def _greedy_match(flat, gts: list[GroundTruth], class_id: int,
             matched[s].add(best_k)
             tp[rank] = True
     return tp, n_gt
-
-
-def pr_curve(dets_per_scene: list[list[Detection]], gts: list[GroundTruth],
-             class_id: int, iou_match: float = 0.5) -> list[PRPoint]:
-    flat = _sorted_class_dets(dets_per_scene, class_id)
-    tp, n_gt = _greedy_match(flat, gts, class_id, iou_match)
-    points = []
-    cum_tp = 0
-    for rank, (_, _, det) in enumerate(flat):
-        cum_tp += int(tp[rank])
-        points.append(PRPoint(
-            recall=cum_tp / n_gt if n_gt else 0.0,
-            precision=cum_tp / (rank + 1),
-            score_threshold=det.score))
-    return points
 
 
 def average_precision(dets_per_scene: list[list[Detection]],

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 
 # Offsets dw/dh are clamped to [-EXP_CLAMP, EXP_CLAMP] before being
@@ -42,16 +40,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Offsets:
-    """Unitless box deltas (dx, dy shift by anchor sides; dw, dh are log scales)."""
-
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-
-@dataclass(frozen=True)
 class Detection:
     box: Box
     class_id: int
@@ -72,25 +60,6 @@ def iou(a: Box, b: Box) -> float:
         return 0.0
     inter = iw * ih
     return inter / (a.area() + b.area() - inter)
-
-
-def encode(anchor: Box, target: Box) -> Offsets:
-    """Offsets that decode `anchor` onto `target` (up to the dw/dh clamp)."""
-    return Offsets(
-        dx=(target.cx - anchor.cx) / anchor.w,
-        dy=(target.cy - anchor.cy) / anchor.h,
-        dw=math.log(target.w / anchor.w),
-        dh=math.log(target.h / anchor.h),
-    )
-
-
-def decode(anchor: Box, offsets: Offsets) -> Box:
-    cx, cy, w, h = decode_cxywh(
-        np.float64(anchor.cx), np.float64(anchor.cy),
-        np.float64(anchor.w), np.float64(anchor.h),
-        np.float64(offsets.dx), np.float64(offsets.dy),
-        np.float64(offsets.dw), np.float64(offsets.dh))
-    return Box(float(cx), float(cy), float(w), float(h))
 
 
 def nms(dets: list[Detection], iou_threshold: float,

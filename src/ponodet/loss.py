@@ -57,16 +57,6 @@ class BalanceWeights:
 
 
 @dataclass
-class WeightGradients:
-    """d(total)/d(s) for every balance parameter."""
-
-    s_cls: float
-    s_loc: float
-    s_cls_grid: np.ndarray
-    s_loc_grid: np.ndarray
-
-
-@dataclass
 class LossReport:
     total: float
     loc: float
@@ -85,24 +75,6 @@ class LossReport:
 # ---------------------------------------------------------------------
 # elementwise losses
 # ---------------------------------------------------------------------
-
-def loc_loss_elem(o: float, o_hat: float) -> float:
-    """Squared overlap shortfall (1 - o_hat)^2, active only where o > 0.5."""
-    return (1.0 - o_hat) ** 2 if o > LOC_GATE else 0.0
-
-
-def cls_loss_elem(p: int, p_hat: float) -> float:
-    """Binary cross entropy for a probability in (0, 1)."""
-    return -p * math.log(p_hat) - (1 - p) * math.log1p(-p_hat)
-
-
-def focal_loss_elem(p: int, p_hat: float, alpha: float = 0.25,
-                    gamma: float = 2.0) -> float:
-    """Focal modulation of the cross entropy (ablation only)."""
-    p_t = p_hat if p == 1 else 1.0 - p_hat
-    alpha_t = alpha if p == 1 else 1.0 - alpha
-    return alpha_t * (1.0 - p_t) ** gamma * (-math.log(p_t))
-
 
 def loc_loss_map(gate, o_hat):
     """Gated squared-shortfall map; generic over ndarray/Tensor `o_hat`.
@@ -159,59 +131,3 @@ def weighted_totals(loc_sums, cls_sums, n_pos: float, n_total: float,
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     return loc, cls, reg
-
-
-def balanced_totals(loc_map: np.ndarray, cls_map: np.ndarray,
-                    weights: BalanceWeights, mode: str,
-                    gate: np.ndarray, labels: np.ndarray) -> LossReport:
-    """Reduce elementwise loss maps into a weighted LossReport.
-
-    `gate` marks cells counted as positives for the localization
-    normalizer (floored at 1); `labels` drive the per-grid positive counts
-    used by the freeze rule.
-    """
-    if not (loc_map.shape == cls_map.shape == gate.shape == labels.shape):
-        raise ValueError(
-            f"map shapes differ: loc {loc_map.shape}, cls {cls_map.shape}, "
-            f"gate {gate.shape}, labels {labels.shape}")
-    if loc_map.ndim != 4:
-        raise ValueError(f"expected [h, w, n_classes, n_anchors] maps, got {loc_map.shape}")
-    n_pos = int(np.asarray(gate, dtype=bool).sum())
-    n_pos_eff = max(1, n_pos)
-    n_total = loc_map.size
-    loc_sums = loc_map.sum(axis=(0, 1))
-    cls_sums = cls_map.sum(axis=(0, 1))
-    loc, cls, reg = weighted_totals(
-        loc_sums, cls_sums, n_pos_eff, n_total, mode,
-        s_cls=weights.s_cls, s_loc=weights.s_loc,
-        s_cls_grid=weights.s_cls_grid, s_loc_grid=weights.s_loc_grid)
-    loc, cls, reg = float(loc), float(cls), float(reg)
-    per_grid_pos = np.asarray(labels, dtype=bool).sum(axis=(0, 1)).astype(np.int64)
-    return LossReport(total=loc + cls + reg, loc=loc, cls=cls, reg=reg,
-                      n_pos=n_pos, per_grid_pos=per_grid_pos)
-
-
-def weight_gradients(loc_sums: np.ndarray, cls_sums: np.ndarray,
-                     n_pos: float, n_total: float,
-                     per_grid_pos: np.ndarray,
-                     weights: BalanceWeights) -> WeightGradients:
-    """Closed-form d(total)/d(s) for the learned mode.
-
-    Grids with zero positive labels get exactly zero gradient on both of
-    their s entries, regularizer contribution included, so frozen weights
-    cannot drift.
-    """
-    nc, na = weights.s_cls_grid.shape
-    lam_cls, lam_loc = weights.lambda_cls(), weights.lambda_loc()
-    lam_cls_g, lam_loc_g = weights.lambda_cls_grid(), weights.lambda_loc_grid()
-
-    g_s_loc = 1.0 - lam_loc * float((lam_loc_g * loc_sums).sum()) / n_pos
-    g_s_cls = 1.0 - lam_cls * float((lam_cls_g * cls_sums).sum()) / n_total
-    g_loc_grid = 1.0 / (nc * na) - lam_loc * lam_loc_g * loc_sums / n_pos
-    g_cls_grid = 1.0 / (nc * na) - lam_cls * lam_cls_g * cls_sums / n_total
-
-    frozen = np.asarray(per_grid_pos) == 0
-    g_loc_grid = np.where(frozen, 0.0, g_loc_grid)
-    g_cls_grid = np.where(frozen, 0.0, g_cls_grid)
-    return WeightGradients(s_cls=g_s_cls, s_loc=g_s_loc,
-                           s_cls_grid=g_cls_grid, s_loc_grid=g_loc_grid)

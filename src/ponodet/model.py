@@ -17,12 +17,14 @@ runs the same forward in pure numpy for inference.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .data import atomic_open
 
 FEAT_STRIDE = 8
 
@@ -65,8 +67,6 @@ class ToyNetConfig:
 class TabularPredictor:
     """Identity predictor: every output cell is an independent parameter."""
 
-    kind = "tabular"
-
     def __init__(self, h_f: int, w_f: int, n_classes: int, n_anchors: int):
         self.h_f, self.w_f = h_f, w_f
         self.n_classes, self.n_anchors = n_classes, n_anchors
@@ -85,8 +85,6 @@ class TabularPredictor:
 
 class ToyNet:
     """Encoder-decoder detector with multi-scale concatenation at stride 8."""
-
-    kind = "toynet"
 
     def __init__(self, cfg: ToyNetConfig, n_classes: int, n_anchors: int,
                  seed: int = 0):
@@ -203,7 +201,7 @@ MAGIC = b"PONODET1"
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     names = list(arrays.keys())
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(names)))
         for name in names:
@@ -220,20 +218,37 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read a `save_arrays` file; a foreign, truncated or overlong file
+    raises ValueError naming the path and the fault."""
     with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (count,) = struct.unpack("<I", f.read(4))
-        entries = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<q", f.read(8))[0] for _ in range(ndim))
-            entries.append((name, shape))
-        out = {}
-        for name, shape in entries:
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").astype(np.float64)
-            out[name] = data.reshape(shape)
-        return out
+        blob = f.read()
+    if blob[:8] != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    pos = 8
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ValueError(f"{path}: checkpoint truncated at {len(blob)} bytes")
+        pos += n
+        return blob[pos - n:pos]
+
+    (count,) = struct.unpack("<I", take(4))
+    entries = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: entry name is not UTF-8") from None
+        (ndim,) = struct.unpack("<B", take(1))
+        entries.append((name, struct.unpack(f"<{ndim}q", take(8 * ndim))))
+    out = {}
+    for name, shape in entries:
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{path}: entry {name!r} has shape {shape}")
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        out[name] = data.astype(np.float64).reshape(shape)
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last entry")
+    return out

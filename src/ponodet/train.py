@@ -293,32 +293,40 @@ def save_run(path, state: RunState) -> None:
 
 
 def load_run(path) -> RunState:
+    """Restore a `save_run` checkpoint; one that lacks an entry the run
+    needs raises ValueError naming the path and the entry."""
     arrays = load_arrays(path)
-    kind = int(arrays["meta.model_kind"])
-    nc = int(arrays["meta.n_classes"])
-    na = int(arrays["meta.n_anchors"])
-    if int(arrays["meta.feat_stride"]) != FEAT_STRIDE:
+
+    def entry(key: str) -> np.ndarray:
+        if key not in arrays:
+            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
+        return arrays[key]
+
+    kind = int(entry("meta.model_kind"))
+    nc = int(entry("meta.n_classes"))
+    na = int(entry("meta.n_anchors"))
+    if int(entry("meta.feat_stride")) != FEAT_STRIDE:
         raise ValueError(f"{path}: feature stride is not {FEAT_STRIDE}")
     if kind == 0:
-        model = TabularPredictor(int(arrays["meta.h_f"]), int(arrays["meta.w_f"]), nc, na)
+        model = TabularPredictor(int(entry("meta.h_f")), int(entry("meta.w_f")), nc, na)
         if model.h_f != model.w_f:
             raise ValueError(f"{path}: tabular map {model.h_f}x{model.w_f} is not square")
         image_size = model.h_f * FEAT_STRIDE
     else:
-        cfg = ToyNetConfig(input_size=int(arrays["meta.input_size"]),
-                           base_channels=int(arrays["meta.base_channels"]),
-                           levels=int(arrays["meta.levels"]),
-                           head_convs=int(arrays["meta.head_convs"]))
+        cfg = ToyNetConfig(input_size=int(entry("meta.input_size")),
+                           base_channels=int(entry("meta.base_channels")),
+                           levels=int(entry("meta.levels")),
+                           head_convs=int(entry("meta.head_convs")))
         model = ToyNet(cfg, nc, na, seed=0)
         image_size = cfg.input_size
     for name in model.params:
-        model.params[name] = arrays[f"model.{name}"].copy()
-    state = RunState.fresh(model, AnchorSet(arrays["anchors.shapes"]), image_size)
+        model.params[name] = entry(f"model.{name}").copy()
+    state = RunState.fresh(model, AnchorSet(entry("anchors.shapes")), image_size)
     state.bw = BalanceWeights(
-        s_cls=float(arrays["bw.s_cls"]), s_loc=float(arrays["bw.s_loc"]),
-        s_cls_grid=arrays["bw.s_cls_grid"].copy(),
-        s_loc_grid=arrays["bw.s_loc_grid"].copy())
-    state.iteration = int(arrays["meta.iteration"])
+        s_cls=float(entry("bw.s_cls")), s_loc=float(entry("bw.s_loc")),
+        s_cls_grid=entry("bw.s_cls_grid").copy(),
+        s_loc_grid=entry("bw.s_loc_grid").copy())
+    state.iteration = int(entry("meta.iteration"))
     state.velocity = {name[len("mom."):]: arr.copy()
                       for name, arr in arrays.items() if name.startswith("mom.")}
     return state

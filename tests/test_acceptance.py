@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ponodet import autodiff as ad
 from ponodet import benchmarks as B
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors, wh_iou
 from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
@@ -23,9 +22,19 @@ from ponodet.loss import (BalanceWeights, bce_logits, focal_logits,
 from ponodet.model import TabularPredictor
 from ponodet.train import RunState, TrainConfig, run_training, sgd_step
 
+from test_autodiff import grad_check
 from test_evaluation import brute_force_ap
 from test_geometry import iou_oracle
 from test_anchors import grid_search_single_shape
+
+# mAP-point floor (x100 scale) by which unit weighting must trail learned
+# weighting on the imbalanced benchmark; pinned from the first passing run
+# (observed gap there: ~50 points).
+TABLE3B_UNIT_GAP_FLOOR = 20.0
+
+
+def anchor_areas(anchor_set) -> np.ndarray:
+    return anchor_set.shapes[..., 0] * anchor_set.shapes[..., 1]
 
 
 def report(criterion: int, passed: bool, detail: str = ""):
@@ -141,13 +150,13 @@ def test_c02_gradient_suite():
         def f_off(t):
             return loc_loss_map(gate, pred_iou_values(grid, t, am)).sum()
 
-        worst["offsets"] = max(worst["offsets"], ad.grad_check(f_off, [offs]))
+        worst["offsets"] = max(worst["offsets"], grad_check(f_off, [offs]))
 
         labels = (rng.uniform(0, 1, gate.shape) > 0.5).astype(float)
         z = rng.normal(0, 2.5, gate.shape)
-        worst["logits_ce"] = max(worst["logits_ce"], ad.grad_check(
+        worst["logits_ce"] = max(worst["logits_ce"], grad_check(
             lambda t: bce_logits(labels, t).sum(), [z]))
-        worst["logits_fl"] = max(worst["logits_fl"], ad.grad_check(
+        worst["logits_fl"] = max(worst["logits_fl"], grad_check(
             lambda t: focal_logits(labels, t).sum(), [z]))
 
         nc, na = gate.shape[2], gate.shape[3]
@@ -159,7 +168,7 @@ def test_c02_gradient_suite():
                                          sc, sl, scg, slg)
             return lo + cl + rg
 
-        worst["weights"] = max(worst["weights"], ad.grad_check(
+        worst["weights"] = max(worst["weights"], grad_check(
             f_s, [rng.normal(), rng.normal(),
                   rng.normal(size=(nc, na)), rng.normal(size=(nc, na))]))
         n += 1
@@ -221,10 +230,10 @@ def test_c05_weighting_mode_ordering(imbalanced_runs):
     m = {k: v["map"] * 100 for k, v in imbalanced_runs.items()}
     ordered = m["learned"] > m["retina_norm"] > m["unit"]
     gap = m["learned"] - m["unit"]
-    ok = ordered and gap >= B.TABLE3B_UNIT_GAP_FLOOR
+    ok = ordered and gap >= TABLE3B_UNIT_GAP_FLOOR
     report(5, ok, f"mAP points: learned={m['learned']:.1f} > "
                   f"retina_norm={m['retina_norm']:.1f} > unit={m['unit']:.1f}; "
-                  f"learned-unit gap {gap:.1f} >= {B.TABLE3B_UNIT_GAP_FLOOR}")
+                  f"learned-unit gap {gap:.1f} >= {TABLE3B_UNIT_GAP_FLOOR}")
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +256,7 @@ def test_c06_label_rule_ordering(crowded_runs):
 def test_c07_weight_trends(imbalanced_runs):
     run = imbalanced_runs["learned"]
     bw = run["state"].bw
-    areas = B.anchor_areas(run["anchor_set"])
+    areas = anchor_areas(run["anchor_set"])
     lam_loc = bw.lambda_loc_grid()
     lam_cls = bw.lambda_cls_grid()
     size_corrs = [spearmanr(areas[c], lam_loc[c]).statistic

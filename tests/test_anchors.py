@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ponodet.anchors import (AnchorSet, build_grid, kmeans_anchors,
-                             kmeans_objective, load_anchor_set,
-                             save_anchor_set, wh_iou)
+                             load_anchor_set, save_anchor_set, wh_iou)
+from ponodet.geometry import Box
 
 
 def grid_search_single_shape(samples: np.ndarray, resolution: int = 120):
@@ -18,6 +18,16 @@ def grid_search_single_shape(samples: np.ndarray, resolution: int = 120):
             if cost < best_cost:
                 best, best_cost = (w, h), cost
     return np.asarray(best), best_cost
+
+
+def kmeans_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> float:
+    """Summed min-over-centroids 1 - IoU cost over all classes."""
+    total = 0.0
+    for c in range(anchor_set.n_classes):
+        arr = np.asarray(gt_sizes_per_class[c], dtype=np.float64).reshape(-1, 2)
+        d = 1.0 - wh_iou(arr[:, None, :], anchor_set.shapes[c][None, :, :])
+        total += float(d.min(axis=1).sum())
+    return total
 
 
 class TestWhIoU:
@@ -90,14 +100,15 @@ class TestBuildGrid:
     def test_single_cell(self):
         aset = AnchorSet(np.array([[[4.0, 4.0]]]))
         grid = build_grid(aset, 1, 1, 8)
-        assert grid.cell(0, 0, 0, 0).cx == 4.0
-        assert grid.cell(0, 0, 0, 0).cy == 4.0
-        assert grid.cell(0, 0, 0, 0).w == 4.0
+        cell = Box(*grid.boxes[0, 0, 0, 0])
+        assert cell.cx == 4.0
+        assert cell.cy == 4.0
+        assert cell.w == 4.0
 
     def test_centers(self):
         aset = AnchorSet(np.array([[[4.0, 4.0]]]))
         grid = build_grid(aset, 2, 2, 8)
-        centers = {(grid.cell(i, j, 0, 0).cx, grid.cell(i, j, 0, 0).cy)
+        centers = {(Box(*grid.boxes[i, j, 0, 0]).cx, Box(*grid.boxes[i, j, 0, 0]).cy)
                    for i in range(2) for j in range(2)}
         assert centers == {(4.0, 4.0), (12.0, 4.0), (4.0, 12.0), (12.0, 12.0)}
 

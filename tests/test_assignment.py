@@ -5,7 +5,7 @@ from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
 from ponodet.assignment import (UNASSIGNED, GroundTruth, ams_labels, assign_ao,
                                 pono_labels, pred_iou_values, threshold_labels)
 from ponodet.data import GenSpec, generate
-from ponodet.geometry import Box, iou
+from ponodet.geometry import Box, decode_cxywh, iou
 
 
 def square_grid(shapes, h=4, w=4, stride=8):
@@ -36,7 +36,7 @@ class TestAssignAO:
         b = Box(3, 5, 10, 10)
         gt = GroundTruth(boxes=[a, b], class_ids=[0, 0])
         am = assign_ao(grid, gt)
-        left = grid.cell(0, 0, 0, 0)
+        left = Box(*grid.boxes[0, 0, 0, 0])
         assert iou(left, b) > iou(left, a) > 0
         assert am.gt_index[0, 0, 0, 0] == 1
         assert am.gt_index[0, 1, 0, 0] == 0
@@ -211,13 +211,12 @@ class TestAmbiguitySuppression:
 
         # geometric fact: no single box overlaps both disjoint objects
         # above 0.5 -- exhaustive search over a coarse offset grid
-        anchor = grid.cell(0, 1, 0, 0)
+        anchor = grid.boxes[0, 1, 0, 0]
         best = 0.0
-        from ponodet.geometry import Offsets, decode
         for dx in np.linspace(-1.5, 1.5, 13):
             for dw in np.linspace(-1.5, 1.5, 13):
                 for dh in np.linspace(-1.5, 1.5, 9):
-                    cand = decode(anchor, Offsets(dx, 0.0, dw, dh))
+                    cand = Box(*map(float, decode_cxywh(*anchor, dx, 0.0, dw, dh)))
                     best = max(best, min(iou(cand, a), iou(cand, b)))
         assert best <= 0.5
 

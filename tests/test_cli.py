@@ -185,6 +185,16 @@ class TestBadInput:
         assert f"{ds}: no annotated objects" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key,cells", [("dataset", "AMS:learned:CE"),
+                                           ("cells", None), ("cells", "")])
+    def test_ablate_missing_key_names_file_and_key(self, workspace, tmp_path, capsys,
+                                                   key, cells):
+        cfg = tmp_path / "ablate.txt"
+        text = "" if key == "dataset" else f"dataset = {workspace / 'ds'}\n"
+        cfg.write_text(text + ("" if cells is None else f"cells = {cells}\n"))
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
+        assert f"{cfg}: config key {key!r} is missing or empty" in capsys.readouterr().err
+
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
         state = RunState.fresh(TabularPredictor(4, 4, 1, 2),
                                AnchorSet(np.full((1, 2, 2), 9.0)), 32)

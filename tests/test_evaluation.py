@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import GroundTruth
-from ponodet.evaluation import (PRPoint, average_precision, extract_detections,
-                                map_eval, pr_curve)
+from ponodet.evaluation import average_precision, extract_detections, map_eval
 from ponodet.geometry import Box, Detection, iou
 from ponodet.model import PredictorOutput
 
@@ -125,17 +124,6 @@ class TestAveragePrecision:
             assert got == pytest.approx(want, abs=1e-9)
 
 
-class TestPrCurve:
-    def test_recall_nondecreasing(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8), Box(40, 40, 8, 8)], [0, 0])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9), det(25, 25, 4, 4, 0, 0.8),
-                 det(40, 40, 8, 8, 0, 0.7)]]
-        pts = pr_curve(dets, gts, 0)
-        rec = [p.recall for p in pts]
-        assert rec == sorted(rec)
-        assert isinstance(pts[0], PRPoint)
-
-
 class TestMapEval:
     def test_all_perfect(self):
         gts = [GroundTruth([Box(10, 10, 8, 8), Box(30, 30, 8, 8)], [0, 1])]
@@ -174,7 +162,7 @@ class TestExtractDetections:
         out = PredictorOutput(logits, np.zeros((2, 2, 1, 1, 4)))
         dets = extract_detections(out, grid, score_min=0.05)
         assert len(dets) == 1
-        assert dets[0].box == grid.cell(1, 0, 0, 0)
+        assert dets[0].box == Box(*grid.boxes[1, 0, 0, 0])
         assert dets[0].score > 0.9999
 
     def test_duplicates_collapse_under_nms(self):
@@ -185,7 +173,7 @@ class TestExtractDetections:
         for i in range(2):
             for j in range(2):
                 target = Box(8.0, 8.0, 8.0, 8.0)
-                anchor = grid.cell(i, j, 0, 0)
+                anchor = Box(*grid.boxes[i, j, 0, 0])
                 offsets[i, j, 0, 0, 0] = (target.cx - anchor.cx) / anchor.w
                 offsets[i, j, 0, 0, 1] = (target.cy - anchor.cy) / anchor.h
         logits[0, 0, 0, 0] = 5.0

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ponodet.geometry import (EXP_CLAMP, Box, Detection, Offsets, decode,
-                              encode, iou, nms)
+from ponodet.geometry import EXP_CLAMP, Box, Detection, decode_cxywh, iou, nms
 
 
 def iou_oracle(a: Box, b: Box) -> float:
@@ -69,32 +68,36 @@ class TestIoU:
 
 class TestDecode:
     def test_zero_offsets_identity(self):
-        a = Box(7.0, 11.0, 3.0, 5.0)
-        assert decode(a, Offsets(0, 0, 0, 0)) == a
+        assert decode_cxywh(7.0, 11.0, 3.0, 5.0, 0, 0, 0, 0) == (7.0, 11.0, 3.0, 5.0)
 
     def test_closed_form(self):
-        out = decode(Box(10, 10, 4, 4), Offsets(0.5, 0.0, math.log(2.0), 0.0))
-        assert out.cx == pytest.approx(12.0)
-        assert out.cy == pytest.approx(10.0)
-        assert out.w == pytest.approx(8.0)
-        assert out.h == pytest.approx(4.0)
+        cx, cy, w, h = decode_cxywh(10, 10, 4, 4, 0.5, 0.0, math.log(2.0), 0.0)
+        assert cx == pytest.approx(12.0)
+        assert cy == pytest.approx(10.0)
+        assert w == pytest.approx(8.0)
+        assert h == pytest.approx(4.0)
 
     def test_scale_clamp(self):
-        out = decode(Box(10, 10, 4, 4), Offsets(0, 0, 100.0, 0))
-        assert out.w == pytest.approx(4000.0)
-        out = decode(Box(10, 10, 4, 4), Offsets(0, 0, -100.0, 0))
-        assert out.w == pytest.approx(4.0 / 1000.0)
+        _, _, w, _ = decode_cxywh(10, 10, 4, 4, 0, 0, 100.0, 0)
+        assert w == pytest.approx(4000.0)
+        _, _, w, _ = decode_cxywh(10, 10, 4, 4, 0, 0, -100.0, 0)
+        assert w == pytest.approx(4.0 / 1000.0)
 
     @given(grid_boxes, grid_boxes)
     def test_roundtrip_through_encode(self, anchor, target):
-        offs = encode(anchor, target)
-        if max(abs(offs.dw), abs(offs.dh)) > EXP_CLAMP:
+        # encode: the offsets that decode `anchor` onto `target`
+        dx = (target.cx - anchor.cx) / anchor.w
+        dy = (target.cy - anchor.cy) / anchor.h
+        dw = math.log(target.w / anchor.w)
+        dh = math.log(target.h / anchor.h)
+        if max(abs(dw), abs(dh)) > EXP_CLAMP:
             return
-        out = decode(anchor, offs)
-        assert out.cx == pytest.approx(target.cx, rel=1e-9, abs=1e-9)
-        assert out.cy == pytest.approx(target.cy, rel=1e-9, abs=1e-9)
-        assert out.w == pytest.approx(target.w, rel=1e-12)
-        assert out.h == pytest.approx(target.h, rel=1e-12)
+        cx, cy, w, h = decode_cxywh(anchor.cx, anchor.cy, anchor.w, anchor.h,
+                                    dx, dy, dw, dh)
+        assert cx == pytest.approx(target.cx, rel=1e-9, abs=1e-9)
+        assert cy == pytest.approx(target.cy, rel=1e-9, abs=1e-9)
+        assert w == pytest.approx(target.w, rel=1e-12)
+        assert h == pytest.approx(target.h, rel=1e-12)
 
 
 class TestNms:

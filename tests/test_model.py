@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
 from ponodet.geometry import Box
 from ponodet.loss import bce_logits, loc_loss_map
-from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig,
+from ponodet.model import (MAGIC, TabularPredictor, ToyNet, ToyNetConfig,
                            leaf_params, load_arrays, save_arrays)
+
+from test_autodiff import grad_check
 
 
 class TestToyNetConfig:
@@ -104,7 +109,7 @@ class TestToyNetGradients:
             cls = bce_logits(labels, out.logits).mean()
             return loc + cls
 
-        err = ad.grad_check(total_loss, [net.params[n] for n in names], step=1e-4)
+        err = grad_check(total_loss, [net.params[n] for n in names], step=1e-4)
         assert err < 1e-3
 
 
@@ -129,8 +134,40 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError):
             load_arrays(path)
 
+    def test_non_utf8_entry_name_rejected(self, tmp_path):
+        path = tmp_path / "foreign.bin"
+        path.write_bytes(MAGIC + b"\x01\x00\x00\x00" + b"\x02\x00\xff\xfe" + b"\x00" + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry name is not UTF-8")):
+            load_arrays(path)
+
     def test_bytes_deterministic(self, tmp_path):
         arrays = {"x": np.linspace(0, 1, 10).reshape(2, 5)}
         save_arrays(tmp_path / "a.bin", arrays)
         save_arrays(tmp_path / "b.bin", arrays)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_arrays(path, {"x": np.arange(3.0)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_arrays(path, {"x": np.ones(2), "y": "not a number"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.text("abc.", min_size=1, max_size=4),
+                           st.lists(st.integers(0, 3), max_size=3),
+                           min_size=1, max_size=3))
+    def test_every_truncation_rejected_naming_the_file(self, tmp_path, shapes):
+        path = tmp_path / "ckpt.bin"
+        save_arrays(path, {name: np.ones(shape) for name, shape in shapes.items()})
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_arrays(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match="1 bytes after the last entry"):
+            load_arrays(path)

@@ -1,0 +1,62 @@
+"""`src/ponodet` holds only code that a run executes.
+
+Every public module-level name in a `src/ponodet` module must be read
+somewhere a run reaches it from: its own module, another package module,
+the benchmark harness (`bench/`), the scripts (`scripts/`) or the entry
+points in `pyproject.toml`.  Code that only tests use belongs in the
+tests.  `__init__.py` re-exports names, so an import there is not a use.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ponodet"
+
+
+def defined_names(tree: ast.Module) -> list[str]:
+    """Public names bound at module level by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Identifiers a module reads: loaded names, attributes, imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_public_src_name_is_used_outside_the_tests():
+    modules = {p: parse(p) for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    outside = set()
+    for path in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        outside |= used_names(parse(path))
+    outside |= set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    uses = {p: used_names(tree) for p, tree in modules.items()}
+
+    unused = []
+    for path, tree in modules.items():
+        elsewhere = set().union(*(u for q, u in uses.items() if q != path))
+        for name in defined_names(tree):
+            if name not in uses[path] | elsewhere | outside:
+                unused.append(f"{path.name}: {name}")
+    assert not unused, "names only tests use: " + ", ".join(unused)

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 import weakref
 from dataclasses import replace
 
@@ -13,7 +14,8 @@ from ponodet.assignment import GroundTruth
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.geometry import Box
 from ponodet.loss import BalanceWeights
-from ponodet.model import TabularPredictor, ToyNet, ToyNetConfig
+from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig, load_arrays,
+                           save_arrays)
 from ponodet.train import (RunState, TrainConfig, load_run, lr_at,
                            run_training, save_run, sgd_step, train_iteration,
                            train_config_from_kv)
@@ -252,6 +254,21 @@ class TestDeterminismAndResume:
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
         run_training(state, scenes, cfg, log_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestLoadRun:
+    def test_missing_entry_named(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
+        run_training(state, scenes, cfg)
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        required = [key for key in arrays if not key.startswith("mom.")]
+        assert "meta.model_kind" in required and "model.cls_out.w" in required
+        for key in required:
+            path = tmp_path / "partial.bin"
+            save_arrays(path, {k: v for k, v in arrays.items() if k != key})
+            with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has no {key!r}")):
+                load_run(path)
 
 
 class TestIterationLifetime:
