@@ -293,8 +293,10 @@ def save_run(path, state: RunState) -> None:
 
 
 def load_run(path) -> RunState:
-    """Restore a `save_run` checkpoint; one that lacks an entry the run
-    needs raises ValueError naming the path and the entry."""
+    """Restore a `save_run` checkpoint.  One that lacks an entry the run
+    needs, or holds an entry the run does not know or of another shape than
+    its `meta.*` entries imply, raises ValueError naming the path and the
+    entry."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -319,6 +321,23 @@ def load_run(path) -> RunState:
                            head_convs=int(entry("meta.head_convs")))
         model = ToyNet(cfg, nc, na, seed=0)
         image_size = cfg.input_size
+    # every array entry must have the shape the meta entries imply; a
+    # momentum buffer is keyed by the name the optimizer updates
+    params = {name: p.shape for name, p in model.params.items()}
+    bw = {name: v.shape for name, v in
+          _bw_param_views(BalanceWeights.initial(nc, na)).items()}
+    shapes = {"anchors.shapes": (nc, na, 2), **bw,
+              **{f"model.{name}": s for name, s in params.items()},
+              **{f"mom.{name}": s for name, s in {**params, **bw}.items()}}
+    for key, arr in arrays.items():
+        if key.startswith("meta."):
+            continue
+        want = shapes.get(key)
+        if want is None:
+            raise ValueError(f"{path}: checkpoint has an unknown entry {key!r}")
+        if arr.shape != want:
+            raise ValueError(f"{path}: entry {key!r} has shape {arr.shape}, "
+                             f"but the meta entries imply {want}")
     for name in model.params:
         model.params[name] = entry(f"model.{name}").copy()
     state = RunState.fresh(model, AnchorSet(entry("anchors.shapes")), image_size)

@@ -1,8 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.optimize import minimize
 
+from ponodet import anchors
 from ponodet.anchors import (AnchorSet, build_grid, kmeans_anchors,
-                             load_anchor_set, save_anchor_set, wh_iou)
+                             load_anchor_set, save_anchor_set, sizes_per_class,
+                             wh_iou, _MAX_STARTS, _cluster_cost)
+from ponodet.benchmarks import crowded_benchmark, imbalanced_benchmark
+from ponodet.data import generate
 from ponodet.geometry import Box
 
 
@@ -11,13 +19,10 @@ def grid_search_single_shape(samples: np.ndarray, resolution: int = 120):
     lo = samples.min() * 0.5
     hi = samples.max() * 1.5
     ws = np.linspace(lo, hi, resolution)
-    best, best_cost = None, np.inf
-    for w in ws:
-        for h in ws:
-            cost = float(np.sum(1.0 - wh_iou(np.array([w, h]), samples)))
-            if cost < best_cost:
-                best, best_cost = (w, h), cost
-    return np.asarray(best), best_cost
+    grid = np.stack(np.meshgrid(ws, ws, indexing="ij"), axis=-1).reshape(-1, 2)
+    costs = np.sum(1.0 - wh_iou(grid[:, None, :], samples), axis=-1)
+    i = int(np.argmin(costs))
+    return grid[i], float(costs[i])
 
 
 def kmeans_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> float:
@@ -28,6 +33,52 @@ def kmeans_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> float:
         d = 1.0 - wh_iou(arr[:, None, :], anchor_set.shapes[c][None, :, :])
         total += float(d.min(axis=1).sum())
     return total
+
+
+def per_class_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> list:
+    return [kmeans_objective(AnchorSet(anchor_set.shapes[c:c + 1]), [sizes])
+            for c, sizes in enumerate(gt_sizes_per_class)]
+
+
+# The Nelder-Mead centroid update k-means used before the batched local
+# search, kept as its reference.
+
+def nm_refine_shape(start: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, float]:
+    """Local minimization of the summed 1 - IoU cost, in log coordinates."""
+
+    def cost(p):
+        return _cluster_cost(np.exp(p), members)
+
+    res = minimize(cost, np.log(start), method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 500})
+    return np.exp(res.x), float(res.fun)
+
+
+def nm_best_shape(members: np.ndarray,
+                  current: np.ndarray | None = None) -> np.ndarray:
+    """Shape minimizing the summed 1 - IoU distance to `members`.
+
+    Multi-start: the component-wise mean, a deterministic subsample of the
+    members, and the current centroid each seed a local search; exact-cost
+    candidates (the starts themselves) compete too, so zero-cost starts are
+    returned bit-for-bit.
+    """
+    starts = [members.mean(axis=0)]
+    if len(members) <= _MAX_STARTS:
+        starts.extend(members)
+    else:
+        order = np.argsort(members[:, 0] * members[:, 1], kind="stable")
+        picks = np.linspace(0, len(members) - 1, _MAX_STARTS).astype(int)
+        starts.extend(members[order[picks]])
+    if current is not None:
+        starts.append(np.asarray(current, dtype=np.float64))
+
+    best, best_cost = None, np.inf
+    for s in starts:
+        for cand, cost in ((s, _cluster_cost(s, members)), nm_refine_shape(s, members)):
+            if cost < best_cost:
+                best, best_cost = np.asarray(cand, dtype=np.float64), cost
+    return best
 
 
 class TestWhIoU:
@@ -91,6 +142,36 @@ class TestKmeans:
         areas = aset.shapes[0, :, 0] * aset.shapes[0, :, 1]
         assert np.all(np.diff(areas) >= 0)
 
+    @pytest.mark.parametrize("name", ["imbalanced_n_a3", "crowded_200_boxes"])
+    def test_objective_within_nelder_mead_oracle(self, name, monkeypatch):
+        if name == "imbalanced_n_a3":
+            bench, n_a = imbalanced_benchmark(), 3
+            gts = [s.gt for s in generate(bench.gen, bench.n_train)]
+            sizes = sizes_per_class(gts, bench.gen.n_classes)
+        else:
+            bench = crowded_benchmark()
+            n_a = bench.n_anchors
+            gts = [s.gt for s in generate(bench.gen, bench.n_train)]
+            boxes = [(c, b.w, b.h) for gt in gts
+                     for b, c in zip(gt.boxes, gt.class_ids)]
+            picks = np.random.default_rng(0).choice(len(boxes), 200, replace=False)
+            sizes = [np.asarray([boxes[i][1:] for i in sorted(picks)
+                                 if boxes[i][0] == c]).reshape(-1, 2)
+                     for c in range(bench.gen.n_classes)]
+        seed = bench.train_cfg.seed
+        got = per_class_objective(kmeans_anchors(sizes, n_a, seed), sizes)
+        monkeypatch.setattr(anchors, "_best_shape", nm_best_shape)
+        want = per_class_objective(kmeans_anchors(sizes, n_a, seed), sizes)
+        assert all(g <= w + 1e-9 for g, w in zip(got, want)), (got, want)
+
+    def test_single_cluster_within_oracles(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            members = rng.uniform(4.0, 60.0, size=(int(rng.integers(2, 9)), 2))
+            cost = _cluster_cost(anchors._best_shape(members), members)
+            assert cost <= _cluster_cost(nm_best_shape(members), members) + 1e-12
+            assert cost <= grid_search_single_shape(members)[1] + 1e-6
+
     def test_empty_class_error_names_class(self):
         with pytest.raises(ValueError, match="class 1"):
             kmeans_anchors([np.ones((3, 2)) * 10, np.empty((0, 2))], n_a=2, seed=0)
@@ -145,3 +226,29 @@ class TestAnchorFile:
         path.write_text("0 10.0 12.0\n0 nonsense\n")
         with pytest.raises(ValueError, match=":2"):
             load_anchor_set(path)
+
+    @pytest.mark.parametrize("line", ["0 inf 5", "0 1e400 5", "0 nan 5",
+                                      "0 -2 3", "0 5 0", "-1 5 5"])
+    def test_bad_line_named(self, tmp_path, line):
+        path = tmp_path / "anchors.txt"
+        path.write_text(f"0 10.0 12.0\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            load_anchor_set(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.lists(st.sampled_from(
+            ["0", "1", "2", "-1", "5", "0.5", "1e400", "-2", "nan", "inf",
+             "0x10", "#", "1e-320", "x"]), max_size=4).map(" ".join),
+            max_size=6).map("\n".join)))
+    def test_any_text_loads_or_names_the_file(self, tmp_path, text):
+        path = tmp_path / "anchors.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            aset = load_anchor_set(path)
+        except ValueError as e:
+            assert str(e).startswith(str(path)), str(e)
+        else:
+            assert np.all(np.isfinite(aset.shapes)) and np.all(aset.shapes > 0)

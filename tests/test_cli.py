@@ -10,7 +10,7 @@ from ponodet import data as data_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
 from ponodet.anchors import AnchorSet, load_anchor_set
 from ponodet.data import load_dataset, read_kv
-from ponodet.model import TabularPredictor
+from ponodet.model import TabularPredictor, load_arrays, save_arrays
 from ponodet.train import RunState, save_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,6 +205,14 @@ class TestBadInput:
                     "--dataset", str(ds), "--out", str(tmp_path / "ev")]) == 2
         assert f"{ds}: scene {first} has class id 1" in capsys.readouterr().err
         assert not (tmp_path / "ev" / "report.csv").exists()
+
+    def test_eval_checkpoint_entry_of_wrong_shape(self, workspace, tmp_path, capsys):
+        arrays = load_arrays(workspace / "run" / "final.bin")
+        path = tmp_path / "reshaped.bin"
+        save_arrays(path, {**arrays, "model.stem0.w": np.ones((3, 3, 3, 5))})
+        assert run(["eval", "--checkpoint", str(path), "--dataset",
+                    str(workspace / "ds"), "--out", str(tmp_path / "ev")]) == 2
+        assert f"{path}: entry 'model.stem0.w' has shape (3, 3, 3, 5)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,text,key", [
         ("train", "lr = 0.5\n", "lr"),

@@ -1,15 +1,23 @@
-"""`src/ponodet` holds only code that a run executes.
+"""`src/ponodet` holds only code that a run executes, and needs only the
+packages it declares.
 
 Every public module-level name in a `src/ponodet` module must be read
 somewhere a run reaches it from: its own module, another package module,
 the benchmark harness (`bench/`), the scripts (`scripts/`) or the entry
 points in `pyproject.toml`.  Code that only tests use belongs in the
 tests.  `__init__.py` re-exports names, so an import there is not a use.
+
+Every package a `src/ponodet` module imports is the standard library,
+`ponodet` itself or one of the `[project] dependencies`; test-only
+packages belong in the `test` extra.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ponodet"
@@ -60,3 +68,24 @@ def test_every_public_src_name_is_used_outside_the_tests():
             if name not in uses[path] | elsewhere | outside:
                 unused.append(f"{path.name}: {name}")
     assert not unused, "names only tests use: " + ", ".join(unused)
+
+
+def test_src_imports_only_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    allowed = declared | set(sys.stdlib_module_names) | {"ponodet"}
+    undeclared = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            undeclared += [f"{path.name}: {top}" for top in tops
+                           if top.lower() not in allowed]
+    assert not undeclared, "imports missing from [project] dependencies: " \
+        + ", ".join(undeclared)

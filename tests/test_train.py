@@ -270,6 +270,23 @@ class TestLoadRun:
             with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has no {key!r}")):
                 load_run(path)
 
+    def test_entry_shape_checked_against_meta(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
+        run_training(state, scenes, cfg)
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        checked = [key for key in arrays if not key.startswith("meta.")]
+        assert {"model.stem0.w", "anchors.shapes", "bw.s_cls", "bw.s_loc_grid",
+                "mom.stem0.w", "mom.bw.s_cls_grid"} <= set(checked)
+        path = tmp_path / "bad.bin"
+        for key in checked:
+            save_arrays(path, {**arrays, key: np.ones(arrays[key].shape + (2,))})
+            with pytest.raises(ValueError, match=re.escape(f"{path}: entry {key!r} has shape")):
+                load_run(path)
+        save_arrays(path, {**arrays, "mom.nothing": np.zeros(3)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has an unknown entry 'mom.nothing'")):
+            load_run(path)
+
 
 class TestIterationLifetime:
     def test_taped_tensors_freed_without_cyclic_gc(self, tmp_path, monkeypatch):
