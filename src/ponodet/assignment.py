@@ -6,7 +6,9 @@ overlaps most, and normalizes each cluster by its own best overlap (PONO).
 That guarantees every object at least one anchor with a normalized overlap
 of exactly 1 regardless of how coarse the anchor set is.  The returned
 `Assignment` holds everything later steps read: the object index, raw and
-normalized overlap, and the assigned box per cell.  Labels come from
+normalized overlap, and the assigned box per cell.  `Assignment.stack`
+puts the records of a batch's scenes on a leading scene axis, the layout
+`pred_iou_values` and the label rules read.  Labels come from
 thresholding the normalized map (PONO), thresholding raw overlap (AO), or
 the ambiguity-managed product with the predicted-box overlap map (AMS).
 """
@@ -40,7 +42,9 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Assignment:
-    """One scene against one anchor grid; every array is shaped like the grid.
+    """One scene against one anchor grid, every array shaped like the grid
+    [h, w, nc, na]; or, from `stack`, N scenes with every array [N, h, w,
+    nc, na].
 
     `gt_box` holds the assigned object's (cx, cy, w, h) per cell, with unit
     dummy boxes on unassigned cells; multiply by `mask` after any
@@ -52,6 +56,22 @@ class Assignment:
     pono: np.ndarray       # ao divided by its cluster's maximum, in [0, 1]
     gt_box: tuple
     mask: np.ndarray       # 1.0 on assigned cells, 0.0 elsewhere
+
+    @classmethod
+    def stack(cls, records: list[Assignment]) -> Assignment:
+        """The scenes' records on a leading scene axis, in list order."""
+        return cls(_stacked([r.gt_index for r in records]),
+                   _stacked([r.ao for r in records]),
+                   _stacked([r.pono for r in records]),
+                   tuple(_stacked([r.gt_box[d] for r in records]) for d in range(4)),
+                   _stacked([r.mask for r in records]))
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays on a new leading axis.  One concatenate of [None]
+    views: on maps this small, np.stack's checks in Python cost more than
+    the copy, and this runs every training iteration."""
+    return np.concatenate([a[None] for a in arrays])
 
 
 def _grid_gt_iou(grid: AnchorGrid, gt: GroundTruth) -> np.ndarray:
@@ -135,9 +155,14 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
 
 def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
     """Overlap of each cell's decoded box with its assigned object (0 where
-    unassigned); generic over ndarray/Tensor offsets ([h, w, nc, na, 4])."""
-    if offsets.shape != grid.boxes.shape:
-        raise ValueError(f"offsets shape {offsets.shape} does not match grid {grid.boxes.shape}")
+    unassigned), [N, h, w, nc, na]; generic over ndarray/Tensor offsets
+    [N, h, w, nc, na, 4].  `assignment` is the `Assignment.stack` of the N
+    scenes."""
+    if offsets.shape[1:] != grid.boxes.shape \
+            or offsets.shape[:-1] != assignment.mask.shape:
+        raise ValueError(f"offsets shape {offsets.shape} does not match grid "
+                         f"{grid.boxes.shape} with assignments stacked as "
+                         f"{assignment.mask.shape}")
     b = grid.boxes
     cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
                                 offsets[..., 0], offsets[..., 1],

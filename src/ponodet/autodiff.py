@@ -4,6 +4,9 @@ A ``Tensor`` wraps an ndarray; every operation appends one record to the
 ``Tape`` its inputs live on, so the record list is a topological order by
 construction and ``backward`` replays it in reverse exactly once per node.
 The op set is the minimum a small dense-prediction training loop needs.
+The spatial ops (``conv2d``, ``upsample2``) take channels-last image
+stacks [N, H, W, C], so one record serves a whole batch; ``conv2d`` can
+apply the bias and a leaky ReLU in the same op and record.
 
 The free functions (``exp``, ``minimum``, ``conv2d``, ...) and the
 ndarray-style methods on ``Tensor`` (``sum``, ``mean``, indexing, operators)
@@ -25,7 +28,9 @@ class Tape:
     __slots__ = ("records",)
 
     def __init__(self) -> None:
-        self.records: list[tuple[Tensor, tuple]] = []
+        # (output, pre, pulls): `pre` maps the output's adjoint once before
+        # every (input, vjp) pull reads it, or is None
+        self.records: list[tuple[Tensor, object, tuple]] = []
 
 
 class Tensor:
@@ -107,8 +112,9 @@ def values_of(x) -> Array:
     return x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _record(out_values: Array, pulls) -> Tensor:
-    """Build the output tensor for an op; `pulls` is (input, vjp) pairs."""
+def _record(out_values: Array, pulls, pre=None) -> Tensor:
+    """Build the output tensor for an op; `pulls` is (input, vjp) pairs, and
+    `pre`, if given, maps the output's adjoint once before the pulls."""
     live = [(p, fn) for p, fn in pulls
             if isinstance(p, Tensor) and p.requires_grad]
     if not live:
@@ -118,7 +124,7 @@ def _record(out_values: Array, pulls) -> Tensor:
         raise ValueError("operands recorded on different tapes")
     tape = next(iter(tapes.values()))
     out = Tensor(out_values, tape=tape, requires_grad=True)
-    tape.records.append((out, tuple(live)))
+    tape.records.append((out, pre, tuple(live)))
     return out
 
 
@@ -153,10 +159,12 @@ def backward(root: Tensor) -> None:
         root.grad = seed if root.grad is None else root.grad + seed
         return
     adjoint: dict[int, Array] = {id(root): seed}
-    for out, pulls in reversed(root.tape.records):
+    for out, pre, pulls in reversed(root.tape.records):
         g = adjoint.pop(id(out), None)
         if g is None:
             continue
+        if pre is not None:
+            g = pre(g)
         for parent, vjp in pulls:
             contrib = vjp(g)
             if parent.is_leaf:
@@ -281,15 +289,6 @@ def sigmoid(x):
     return _record(out, [(x, lambda g: g * out * (1.0 - out))])
 
 
-def leaky_relu(x, alpha: float = 0.1):
-    xv = values_of(x)
-    out = np.where(xv >= 0, xv, alpha * xv)
-    if not _tracked(x):
-        return out
-    slope = np.where(xv >= 0, 1.0, alpha)
-    return _record(out, [(x, lambda g: g * slope)])
-
-
 def clip(x, lo, hi):
     """Clamp to [lo, hi]; gradient passes inside the closed interval."""
     xv = values_of(x)
@@ -392,75 +391,95 @@ def concat(parts, axis: int = -1):
 # ---------------------------------------------------------------------
 
 def _im2col(xv: Array, kh: int, kw: int, stride: int, pad: int):
-    """The [ho*wo, kh*kw*cin] patch matrix of a zero-padded input, and
-    (ho, wo).  Each row reads one window in (kh, kw, cin) order, the order
-    the flattened kernel is laid out in."""
-    h, w, cin = xv.shape
+    """The [n*ho*wo, kh*kw*cin] patch matrix of a zero-padded image stack,
+    and (ho, wo).  Each row reads one window in (kh, kw, cin) order, the
+    order the flattened kernel is laid out in; the rows run over the images,
+    then the output rows and columns."""
+    n, h, w, cin = xv.shape
     if pad:
-        xp = np.zeros((h + 2 * pad, w + 2 * pad, cin))
-        xp[pad:pad + h, pad:pad + w] = xv
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
+        xp[:, pad:pad + h, pad:pad + w] = xv
     else:
         xp = xv
-    ho = (xp.shape[0] - kh) // stride + 1
-    wo = (xp.shape[1] - kw) // stride + 1
-    s0, s1, s2 = xp.strides
-    win = as_strided(xp, (ho, wo, kh, kw, cin),
-                     (s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
-    return win.reshape(ho * wo, kh * kw * cin), ho, wo
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
+    sn, s0, s1, s2 = xp.strides
+    win = as_strided(xp, (n, ho, wo, kh, kw, cin),
+                     (sn, s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
+    return win.reshape(n * ho * wo, kh * kw * cin), ho, wo
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None):
-    """2-D convolution on channels-last [H, W, Cin] with kernel
-    [kh, kw, Cin, Cout], zero padding, stride 1 or 2.
+def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None,
+           leak: float | None = None):
+    """2-D convolution of a channels-last image stack [N, H, W, Cin] with
+    kernel [kh, kw, Cin, Cout], zero padding, stride 1 or 2.  With `leak`
+    (0 < leak < 1), the biased output z goes through the leaky ReLU
+    max(z, leak * z) in the same op and record (slope 1 at z = 0).
 
-    Lowered to one GEMM of the patch matrix (im2col) against the kernel
-    flattened to [kh*kw*cin, cout]; the input vjp is one GEMM back into
-    patch space plus kh*kw strided adds (col2im), the kernel vjp one GEMM.
+    Lowered to one GEMM of the patch matrix (im2col) of all N images
+    against the kernel flattened to [kh*kw*cin, cout]; the input vjp is one
+    GEMM back into patch space plus kh*kw strided adds (col2im), the kernel
+    vjp one GEMM that also sums over the images.  The activation slope
+    multiplies the output gradient once per backward pass, before the
+    input, kernel and bias pulls read it.
     """
     xv, wv = values_of(x), values_of(w)
     bv = values_of(b) if b is not None else None
-    if xv.ndim != 3 or wv.ndim != 4 or xv.shape[2] != wv.shape[2]:
+    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2]:
         raise ValueError(f"conv2d shape mismatch: input {xv.shape}, kernel {wv.shape}")
     kh, kw, cin, cout = wv.shape
     if pad is None:
         pad = (kh - 1) // 2
     cols, ho, wo = _im2col(xv, kh, kw, stride, pad)
     w2 = wv.reshape(kh * kw * cin, cout)
-    out = (cols @ w2).reshape(ho, wo, cout)
+    out = (cols @ w2).reshape(xv.shape[0], ho, wo, cout)
     if bv is not None:
         out = out + bv
+    if leak is not None:
+        z, out = out, np.maximum(out, leak * out)
     if not _tracked(x, w, b):
         return out
 
+    # the vjps read their sizes off the arrays they hold: every closed-over
+    # name is one more object per record for the cyclic collector to count
     def vjp_x(g):
-        dcols = (g.reshape(ho * wo, cout) @ w2.T).reshape(ho, wo, kh, kw, cin)
-        gxp = np.zeros((xv.shape[0] + 2 * pad, xv.shape[1] + 2 * pad, cin))
-        for di in range(kh):
-            for dj in range(kw):
-                gxp[di:di + stride * ho:stride, dj:dj + stride * wo:stride, :] += \
-                    dcols[:, :, di, dj]
+        n, ho, wo, _ = g.shape
+        h, wd, cin = xv.shape[1:]
+        dcols = (g.reshape(n * ho * wo, -1) @ w2.T).reshape(n, ho, wo, *wv.shape[:3])
+        gxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
+        for di in range(wv.shape[0]):
+            for dj in range(wv.shape[1]):
+                gxp[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride, :] += \
+                    dcols[:, :, :, di, dj]
         if pad:
-            return gxp[pad:pad + xv.shape[0], pad:pad + xv.shape[1], :]
+            return gxp[:, pad:pad + h, pad:pad + wd, :]
         return gxp
 
     def vjp_w(g):
-        return (cols.T @ g.reshape(ho * wo, cout)).reshape(wv.shape)
+        return (cols.T @ g.reshape(len(cols), -1)).reshape(wv.shape)
 
     pulls = [(x, vjp_x), (w, vjp_w)]
     if b is not None:
-        pulls.append((b, lambda g: g.sum(axis=(0, 1))))
-    return _record(out, pulls)
+        pulls.append((b, lambda g: g.sum(axis=(0, 1, 2))))
+    pre = None
+    if leak is not None:
+        def pre(g, pos=z >= 0, leak=leak):
+            return np.where(pos, g, leak * g)
+
+    return _record(out, pulls, pre)
 
 
 def upsample2(x):
-    """Nearest-neighbor 2x upsampling of a channels-last [H, W, C] map."""
+    """Nearest-neighbor 2x upsampling of a channels-last stack [N, H, W, C]."""
     xv = values_of(x)
-    out = xv.repeat(2, axis=0).repeat(2, axis=1)
+    if xv.ndim != 4:
+        raise ValueError(f"upsample2 expects [N, H, W, C], got shape {xv.shape}")
+    out = xv.repeat(2, axis=1).repeat(2, axis=2)
     if not _tracked(x):
         return out
-    h, w = xv.shape[:2]
+    n, h, w, c = xv.shape
 
     def vjp(g):
-        return g.reshape(h, 2, w, 2, *xv.shape[2:]).sum(axis=(1, 3))
+        return g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
 
     return _record(out, [(x, vjp)])

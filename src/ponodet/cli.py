@@ -20,7 +20,7 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
-from .assignment import ams_labels, assign_ao, pred_iou_values
+from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig
 from .train import (RunState, TrainConfig, load_run, run_training, save_run,
                     train_config_from_kv)
@@ -183,8 +183,8 @@ def cmd_assign_dump(args) -> int:
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
     if model is not None:
-        out = model.forward(model.params, scene.image)
-        o_hat = pred_iou_values(grid, out.offsets, assignment)
+        out = model.forward(model.params, scene.image[None])
+        o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
     nc, na = grid.n_classes, grid.n_anchors
@@ -197,7 +197,7 @@ def cmd_assign_dump(args) -> int:
             if model is not None:
                 data_mod.write_pgm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
                                    o_hat[:, :, c, a])
-    with open(os.path.join(args.out, "maps.csv"), "w") as f:
+    with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
         f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
         for i in range(grid.h_f):
             for j in range(grid.w_f):
@@ -220,7 +220,7 @@ def cmd_plot_weights(args) -> int:
     lam_loc = state.bw.lambda_loc_grid()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "weights.csv")
-    with open(path, "w") as f:
+    with data_mod.atomic_open(path) as f:
         f.write("class,anchor,w,h,area,lambda_cls,lambda_loc\n")
         for c in range(shapes.shape[0]):
             for a in range(shapes.shape[1]):
@@ -232,6 +232,22 @@ def cmd_plot_weights(args) -> int:
     return 0
 
 
+def _ablation_cell(config, kv: dict, text: str) -> tuple[str, str, str]:
+    """(label_rule, mode, cls_loss) of one `label:mode:loss` cell, checked
+    with the rest of the config before anything runs; a bad cell is an error
+    naming the config file and the cell."""
+    parts = tuple(text.split(":"))
+    if len(parts) != 3:
+        raise RuntimeError(f"{config}: bad ablation cell {text!r}; "
+                           "expected label:mode:loss")
+    try:
+        train_config_from_kv({**kv, "label_rule": parts[0], "mode": parts[1],
+                              "cls_loss": parts[2]})
+    except ValueError as e:
+        raise RuntimeError(f"{config}: bad ablation cell {text!r}: {e}") from None
+    return parts
+
+
 def cmd_ablate(args) -> int:
     kv = _read_config(args.config, ABLATE_KEYS)
     for key in ("dataset", "cells"):
@@ -239,8 +255,8 @@ def cmd_ablate(args) -> int:
             raise RuntimeError(f"{args.config}: config key {key!r} is missing or empty")
     dataset_dir = kv["dataset"]
     eval_dir = kv.get("eval_dataset", dataset_dir)
-    cells = [tuple(cell.strip().split(":"))
-             for cell in kv["cells"].split(",") if cell.strip()]
+    cells = [_ablation_cell(args.config, kv, text.strip())
+             for text in kv["cells"].split(",") if text.strip()]
     os.makedirs(args.out, exist_ok=True)
 
     if kv.get("anchors"):
@@ -254,10 +270,7 @@ def cmd_ablate(args) -> int:
         else _load_scenes(eval_dir, anchor_set.n_classes)
 
     rows = []
-    for cell in cells:
-        if len(cell) != 3:
-            raise RuntimeError(f"bad ablation cell {cell!r}; expected label:mode:loss")
-        label_rule, mode, cls_loss = cell
+    for label_rule, mode, cls_loss in cells:
         name = f"{label_rule}_{mode}_{cls_loss}".lower()
         cell_kv = dict(kv)
         cell_kv.update(label_rule=label_rule, mode=mode, cls_loss=cls_loss)

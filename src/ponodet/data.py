@@ -17,6 +17,7 @@ full precision.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -271,6 +272,8 @@ def load_annotations(path) -> list[GroundTruth]:
                 raise ValueError(f"{path}:{ln}: {e}") from None
             if cid < 0:
                 raise ValueError(f"{path}:{ln}: negative class id {cid}")
+            if not all(map(math.isfinite, (cx, cy, w, h))):
+                raise ValueError(f"{path}:{ln}: non-finite box in {line!r}")
             try:
                 boxes.append(Box(cx, cy, w, h))
             except ValueError as e:

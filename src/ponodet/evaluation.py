@@ -14,15 +14,15 @@ from . import autodiff as ad
 from .anchors import AnchorGrid
 from .assignment import GroundTruth
 from .geometry import Box, Detection, decode_cxywh, iou, nms
-from .model import PredictorOutput
 
 
-def extract_detections(output: PredictorOutput, grid: AnchorGrid,
+def extract_detections(logits, offsets, grid: AnchorGrid,
                        score_min: float = 0.05,
                        nms_iou: float = 0.5) -> list[Detection]:
-    """Decode every cell whose score clears `score_min`, then per-class NMS."""
-    logits = np.asarray(ad.values_of(output.logits))
-    offsets = np.asarray(ad.values_of(output.offsets))
+    """Decode every cell of one scene's logits [h, w, nc, na] and offsets
+    [h, w, nc, na, 4] whose score clears `score_min`, then per-class NMS."""
+    logits = np.asarray(ad.values_of(logits))
+    offsets = np.asarray(ad.values_of(offsets))
     if logits.shape != grid.boxes.shape[:4]:
         raise ValueError(f"logits shape {logits.shape} does not match grid")
     scores = ad.sigmoid(logits)
@@ -116,9 +116,11 @@ def map_eval(dets_per_scene: list[list[Detection]], gts: list[GroundTruth],
 def dataset_detections(model, grid: AnchorGrid, scenes,
                        score_min: float = 0.05,
                        nms_iou: float = 0.5) -> list[list[Detection]]:
-    """Forward every scene in pure numpy and extract detections."""
+    """Forward every scene in pure numpy, one scene per forward, and
+    extract detections."""
     out = []
     for scene in scenes:
-        pred = model.forward(model.params, scene.image)
-        out.append(extract_detections(pred, grid, score_min, nms_iou))
+        pred = model.forward(model.params, scene.image[None])
+        out.append(extract_detections(pred.logits[0], pred.offsets[0], grid,
+                                      score_min, nms_iou))
     return out

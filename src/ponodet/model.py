@@ -10,9 +10,13 @@ Two predictors share one interface:
   stride-8 map, concatenated, and read by a classification head and an
   offset regression head.
 
-Parameters are plain float64 arrays in a name->array dict; each training
-iteration wraps them as leaves on a fresh tape.  Passing the raw arrays
-runs the same forward in pure numpy for inference.
+Both return outputs with a leading scene axis: ToyNet runs a whole image
+stack [N, H, W, 3] through one forward (each conv, bias and leaky ReLU is
+one ``conv2d`` call and one tape record), and the tabular predictor's
+outputs carry an axis of 1.  Parameters are plain float64 arrays in a
+name->array dict; each training iteration wraps them as leaves on a fresh
+tape.  Passing the raw arrays runs the same forward in pure numpy for
+inference.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ LEAK = 0.1
 
 @dataclass
 class PredictorOutput:
-    """logits [h, w, nc, na] and offsets [h, w, nc, na, 4]."""
+    """logits [N, h, w, nc, na] and offsets [N, h, w, nc, na, 4]."""
 
     logits: object
     offsets: object
@@ -75,8 +79,12 @@ class TabularPredictor:
             "offsets": np.zeros((h_f, w_f, n_classes, n_anchors, 4)),
         }
 
-    def forward(self, params, image=None) -> PredictorOutput:
-        return PredictorOutput(logits=params["logits"], offsets=params["offsets"])
+    def forward(self, params, images=None) -> PredictorOutput:
+        """The parameters themselves, with a leading axis of 1; `images`
+        is ignored."""
+        logits, offsets = params["logits"], params["offsets"]
+        return PredictorOutput(logits=ad.reshape(logits, (1, *logits.shape)),
+                               offsets=ad.reshape(offsets, (1, *offsets.shape)))
 
     def meta(self) -> dict:
         return {"model_kind": 0.0, "h_f": float(self.h_f), "w_f": float(self.w_f),
@@ -125,20 +133,21 @@ class ToyNet:
                 ch = conv(f"{prefix}{i}", ch, head_ch)
             conv(f"{prefix}_out", ch, cout, k=1, bias=bias)
 
-    def forward(self, params, image) -> PredictorOutput:
+    def forward(self, params, images) -> PredictorOutput:
+        """Predictions for an image stack [N, input_size, input_size, 3]."""
         cfg = self.cfg
-        shape = ad.values_of(image).shape
-        if shape[:2] != (cfg.input_size, cfg.input_size):
-            raise ValueError(f"expected {cfg.input_size}x{cfg.input_size} input, got {shape[:2]}")
-        img = image
+        shape = ad.values_of(images).shape
+        if len(shape) != 4 or shape[1:3] != (cfg.input_size, cfg.input_size):
+            raise ValueError(f"expected an [N, {cfg.input_size}, {cfg.input_size}, C] "
+                             f"image stack, got shape {shape}")
 
         def conv(name, x, stride=1, act=True):
             w, b = params[f"{name}.w"], params[f"{name}.b"]
             pad = 0 if ad.values_of(w).shape[0] == 1 else 1
-            y = ad.conv2d(x, w, b, stride=stride, pad=pad)
-            return ad.leaky_relu(y, LEAK) if act else y
+            return ad.conv2d(x, w, b, stride=stride, pad=pad,
+                             leak=LEAK if act else None)
 
-        x = conv("stem0", img, stride=2)
+        x = conv("stem0", images, stride=2)
         x = conv("stem1", x, stride=2)
         x = conv("stem2", x, stride=2)
         enc = [x]
@@ -168,9 +177,9 @@ class ToyNet:
                 h = conv(f"{prefix}{i}", h)
             heads[prefix] = conv(f"{prefix}_out", h, act=False)
 
-        s = cfg.feat_size
-        logits = ad.reshape(heads["cls"], (s, s, self.n_classes, self.n_anchors))
-        offsets = ad.reshape(heads["reg"], (s, s, self.n_classes, self.n_anchors, 4))
+        n, s = shape[0], cfg.feat_size
+        logits = ad.reshape(heads["cls"], (n, s, s, self.n_classes, self.n_anchors))
+        offsets = ad.reshape(heads["reg"], (n, s, s, self.n_classes, self.n_anchors, 4))
         return PredictorOutput(logits=logits, offsets=offsets)
 
     def meta(self) -> dict:

@@ -6,10 +6,14 @@ step under a polynomial learning-rate decay.  Labels and the predicted
 overlaps inside label computation are plain data; the localization loss
 is the only gradient path into the offsets.
 
-A scene's `Assignment` against the grid never changes, so it is computed
-once per `run_training` call and cached on the run state; the gate and
-labels read off it depend on the config and are recomputed each
-iteration.  Batch losses are the per-scene sums divided by the summed
+A batch is one array problem: its images are stacked on a leading scene
+axis and go through one taped forward, one predicted-overlap map, one
+loss map and one set of per-grid sums [N, h, w, nc, na] -> [nc, na].  A
+scene's `Assignment` against the grid never changes, so it is computed
+once per `run_training` call and cached per scene on the run state; the
+batch's records are stacked each iteration, and the gate and labels read
+off them depend on the config and are recomputed each iteration.  Batch
+losses are the sums over the batch's scenes divided by the summed
 positive counts (equivalently: maps averaged before weighting).  The
 batch RNG is derived from (seed, iteration), which makes checkpoint
 resume bit-exact without serializing generator state.
@@ -120,7 +124,8 @@ def scene_cache(state: RunState, scene: Scene) -> Assignment:
 
 
 def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
-    """Loc-loss gate (float 0/1) and classification labels of one scene."""
+    """Loc-loss gate (float 0/1) and classification labels, shaped like the
+    (stacked) assignment's maps."""
     if cfg.label_rule == "AO":
         return (a.ao > cfg.ao_threshold).astype(np.float64), \
             threshold_labels(a.ao, cfg.ao_threshold)
@@ -132,7 +137,8 @@ def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
 
 def train_iteration(state: RunState, batch: list[Scene],
                     cfg: TrainConfig) -> LossReport:
-    """One optimizer step over a batch of scenes."""
+    """One optimizer step over a batch of scenes, as one taped pass over
+    the stacked batch."""
     tape = ad.Tape()
     params = leaf_params(state.model.params, tape)
     learned = cfg.mode == "learned"
@@ -144,26 +150,19 @@ def train_iteration(state: RunState, batch: list[Scene],
             "bw.s_loc_grid": ad.leaf(state.bw.s_loc_grid, tape),
         }
 
-    nc, na = state.grid.n_classes, state.grid.n_anchors
-    loc_sums = cls_sums = None
-    n_pos = 0
-    per_grid_pos = np.zeros((nc, na), dtype=np.int64)
-    for scene in batch:
-        assignment = scene_cache(state, scene)
-        out = state.model.forward(params, scene.image)
-        o_hat = pred_iou_values(state.grid, out.offsets, assignment)
-        gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
-        loc_map = loss_mod.loc_loss_map(gate, o_hat)
-        if cfg.cls_loss == "CE":
-            cls_map = loss_mod.bce_logits(labels.astype(np.float64), out.logits)
-        else:
-            cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
-        ls = loc_map.sum(axis=(0, 1))
-        cs = cls_map.sum(axis=(0, 1))
-        loc_sums = ls if loc_sums is None else loc_sums + ls
-        cls_sums = cs if cls_sums is None else cls_sums + cs
-        n_pos += int(gate.sum())
-        per_grid_pos += labels.sum(axis=(0, 1), dtype=np.int64)
+    assignment = Assignment.stack([scene_cache(state, scene) for scene in batch])
+    out = state.model.forward(params, np.stack([scene.image for scene in batch]))
+    o_hat = pred_iou_values(state.grid, out.offsets, assignment)
+    gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
+    loc_map = loss_mod.loc_loss_map(gate, o_hat)
+    if cfg.cls_loss == "CE":
+        cls_map = loss_mod.bce_logits(labels.astype(np.float64), out.logits)
+    else:
+        cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
+    loc_sums = loc_map.sum(axis=(0, 1, 2))
+    cls_sums = cls_map.sum(axis=(0, 1, 2))
+    n_pos = int(gate.sum())
+    per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
 
     n_pos_eff = max(1, n_pos)
     n_total = len(batch) * state.grid.boxes.size // 4
@@ -294,9 +293,10 @@ def save_run(path, state: RunState) -> None:
 
 def load_run(path) -> RunState:
     """Restore a `save_run` checkpoint.  One that lacks an entry the run
-    needs, or holds an entry the run does not know or of another shape than
-    its `meta.*` entries imply, raises ValueError naming the path and the
-    entry."""
+    needs, holds an entry the run does not know or of another shape than
+    its `meta.*` entries imply, or holds a size below 1 or an anchor side
+    that is not finite and positive, raises ValueError naming the path and
+    the entry."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -304,21 +304,31 @@ def load_run(path) -> RunState:
             raise ValueError(f"{path}: checkpoint has no {key!r} entry")
         return arrays[key]
 
+    def size(key: str) -> int:
+        value = float(entry(key))
+        if not value >= 1:
+            raise ValueError(f"{path}: entry {key!r} is {value!r}, but must be at least 1")
+        return int(value)
+
     kind = int(entry("meta.model_kind"))
-    nc = int(entry("meta.n_classes"))
-    na = int(entry("meta.n_anchors"))
+    nc = size("meta.n_classes")
+    na = size("meta.n_anchors")
     if int(entry("meta.feat_stride")) != FEAT_STRIDE:
         raise ValueError(f"{path}: feature stride is not {FEAT_STRIDE}")
     if kind == 0:
-        model = TabularPredictor(int(entry("meta.h_f")), int(entry("meta.w_f")), nc, na)
+        model = TabularPredictor(size("meta.h_f"), size("meta.w_f"), nc, na)
         if model.h_f != model.w_f:
             raise ValueError(f"{path}: tabular map {model.h_f}x{model.w_f} is not square")
         image_size = model.h_f * FEAT_STRIDE
     else:
-        cfg = ToyNetConfig(input_size=int(entry("meta.input_size")),
-                           base_channels=int(entry("meta.base_channels")),
-                           levels=int(entry("meta.levels")),
-                           head_convs=int(entry("meta.head_convs")))
+        sizes = dict(input_size=size("meta.input_size"),
+                     base_channels=size("meta.base_channels"),
+                     levels=int(entry("meta.levels")),
+                     head_convs=int(entry("meta.head_convs")))
+        try:
+            cfg = ToyNetConfig(**sizes)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         model = ToyNet(cfg, nc, na, seed=0)
         image_size = cfg.input_size
     # every array entry must have the shape the meta entries imply; a
@@ -338,9 +348,13 @@ def load_run(path) -> RunState:
         if arr.shape != want:
             raise ValueError(f"{path}: entry {key!r} has shape {arr.shape}, "
                              f"but the meta entries imply {want}")
+    sides = entry("anchors.shapes")
+    if not np.all(np.isfinite(sides) & (sides > 0)):
+        raise ValueError(f"{path}: entry 'anchors.shapes' holds a side that is "
+                         "not finite and positive")
     for name in model.params:
         model.params[name] = entry(f"model.{name}").copy()
-    state = RunState.fresh(model, AnchorSet(entry("anchors.shapes")), image_size)
+    state = RunState.fresh(model, AnchorSet(sides), image_size)
     state.bw = BalanceWeights(
         s_cls=float(entry("bw.s_cls")), s_loc=float(entry("bw.s_loc")),
         s_cls_grid=entry("bw.s_cls_grid").copy(),

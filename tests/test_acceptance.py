@@ -13,7 +13,8 @@ from scipy.stats import spearmanr
 
 from ponodet import benchmarks as B
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors, wh_iou
-from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
+from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
+                                pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.evaluation import average_precision
 from ponodet.geometry import Box, Detection, iou
@@ -147,8 +148,10 @@ def test_c02_gradient_suite():
         if not _offsets_kink_free(grid, offs, am, gate):
             continue
 
+        stacked = Assignment.stack([am])
+
         def f_off(t):
-            return loc_loss_map(gate, pred_iou_values(grid, t, am)).sum()
+            return loc_loss_map(gate, pred_iou_values(grid, t[None], stacked)[0]).sum()
 
         worst["offsets"] = max(worst["offsets"], grad_check(f_off, [offs]))
 

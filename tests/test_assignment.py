@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
-from ponodet.assignment import (UNASSIGNED, GroundTruth, ams_labels, assign_ao,
-                                pono_labels, pred_iou_values, threshold_labels)
+from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, ams_labels,
+                                assign_ao, pono_labels, pred_iou_values,
+                                threshold_labels)
 from ponodet.data import GenSpec, generate
 from ponodet.geometry import Box, decode_cxywh, iou
 
@@ -132,31 +133,55 @@ class TestPredIoU:
         gt = GroundTruth(boxes=[Box(10, 12, 9, 9), Box(20, 18, 12, 14)],
                          class_ids=[0, 0])
         am = assign_ao(grid, gt)
-        o_hat = pred_iou_values(grid, np.zeros(grid.boxes.shape), am)
-        np.testing.assert_allclose(o_hat, am.ao, atol=1e-15)
+        o_hat = pred_iou_values(grid, np.zeros((1, *grid.boxes.shape)),
+                                Assignment.stack([am]))
+        np.testing.assert_allclose(o_hat[0], am.ao, atol=1e-15)
 
     def test_perfect_anchor(self):
         grid = square_grid([[[8.0, 8.0]]], h=1, w=1, stride=8)
         gt = GroundTruth(boxes=[Box(4, 4, 8, 8)], class_ids=[0])
         am = assign_ao(grid, gt)
-        o_hat = pred_iou_values(grid, np.zeros(grid.boxes.shape), am)
-        assert o_hat[0, 0, 0, 0] == 1.0
+        o_hat = pred_iou_values(grid, np.zeros((1, *grid.boxes.shape)),
+                                Assignment.stack([am]))
+        assert o_hat[0, 0, 0, 0, 0] == 1.0
 
     def test_offsets_fit_gt_exactly(self):
         grid = square_grid([[[4.0, 4.0]]], h=2, w=2, stride=10)
         # anchor at (5, 5): shift to (12, 10) and double the width
         gt = GroundTruth(boxes=[Box(7.0, 5.0, 8.0, 4.0)], class_ids=[0])
         am = assign_ao(grid, gt)
-        offsets = np.zeros(grid.boxes.shape)
-        offsets[0, 0, 0, 0] = [0.5, 0.0, np.log(2.0), 0.0]
-        o_hat = pred_iou_values(grid, offsets, am)
-        assert o_hat[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        offsets = np.zeros((1, *grid.boxes.shape))
+        offsets[0, 0, 0, 0, 0] = [0.5, 0.0, np.log(2.0), 0.0]
+        o_hat = pred_iou_values(grid, offsets, Assignment.stack([am]))
+        assert o_hat[0, 0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch(self):
         grid = square_grid([[[8.0, 8.0]]])
         gt = GroundTruth(boxes=[Box(8, 8, 8, 8)], class_ids=[0])
+        stacked = Assignment.stack([assign_ao(grid, gt)])
         with pytest.raises(ValueError):
-            pred_iou_values(grid, np.zeros((2, 2, 1, 1, 4)), assign_ao(grid, gt))
+            pred_iou_values(grid, np.zeros((1, 2, 2, 1, 1, 4)), stacked)
+        # one scene's unstacked offsets, and a stack of another length
+        with pytest.raises(ValueError):
+            pred_iou_values(grid, np.zeros(grid.boxes.shape), stacked)
+        with pytest.raises(ValueError):
+            pred_iou_values(grid, np.zeros((2, *grid.boxes.shape)), stacked)
+
+    def test_stacked_scenes_match_one_at_a_time(self):
+        grid = square_grid([[[8.0, 8.0], [12.0, 16.0]]], h=3, w=3, stride=8)
+        gts = [GroundTruth(boxes=[Box(10, 12, 9, 9)], class_ids=[0]),
+               GroundTruth(boxes=[Box(20, 18, 12, 14), Box(6, 6, 8, 7)],
+                           class_ids=[0, 0])]
+        records = [assign_ao(grid, gt) for gt in gts]
+        stacked = Assignment.stack(records)
+        assert stacked.mask.shape == (2, *grid.boxes.shape[:4])
+        offsets = np.random.default_rng(3).uniform(-0.3, 0.3, (2, *grid.boxes.shape))
+        o_hat = pred_iou_values(grid, offsets, stacked)
+        for k, rec in enumerate(records):
+            np.testing.assert_array_equal(stacked.pono[k], rec.pono)
+            np.testing.assert_array_equal(stacked.gt_index[k], rec.gt_index)
+            one = pred_iou_values(grid, offsets[k:k + 1], Assignment.stack([rec]))
+            np.testing.assert_array_equal(o_hat[k], one[0])
 
 
 class TestLabels:

@@ -52,29 +52,34 @@ class TestForward:
         assert v[0] == 0.0 and v[1] == 1.0
 
     def test_conv_identity_kernel(self):
-        x = np.ones((3, 3, 1))
+        x = np.arange(18.0).reshape(2, 3, 3, 1)
         w = np.zeros((3, 3, 1, 1))
         w[1, 1, 0, 0] = 1.0
         out = ad.conv2d(x, w, np.zeros(1), stride=1, pad=1)
         np.testing.assert_array_equal(out, x)
 
     def test_conv_stride2_shape(self):
-        out = ad.conv2d(np.ones((8, 8, 2)), np.ones((3, 3, 2, 5)), None, stride=2, pad=1)
-        assert out.shape == (4, 4, 5)
+        out = ad.conv2d(np.ones((2, 8, 8, 2)), np.ones((3, 3, 2, 5)), None, stride=2, pad=1)
+        assert out.shape == (2, 4, 4, 5)
 
     def test_conv_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ad.conv2d(np.ones((4, 4, 3)), np.ones((3, 3, 2, 5)))
+            ad.conv2d(np.ones((1, 4, 4, 3)), np.ones((3, 3, 2, 5)))
+        with pytest.raises(ValueError, match="conv2d shape mismatch"):
+            ad.conv2d(np.ones((4, 4, 2)), np.ones((3, 3, 2, 5)))
 
     def test_upsample_nearest(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
-        out = ad.upsample2(x)[:, :, 0]
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
+        out = ad.upsample2(np.concatenate([x, -x]))
         expect = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], float)
-        np.testing.assert_array_equal(out, expect)
+        np.testing.assert_array_equal(out[0, :, :, 0], expect)
+        np.testing.assert_array_equal(out[1, :, :, 0], -expect)
+        with pytest.raises(ValueError, match=r"\[N, H, W, C\]"):
+            ad.upsample2(x[0])
 
     def test_numpy_fast_path_matches_tracked(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(6, 6, 3))
+        x = rng.normal(size=(2, 6, 6, 3))
         w = rng.normal(size=(3, 3, 3, 4))
         b = rng.normal(size=4)
         plain = ad.conv2d(x, w, b, stride=2)
@@ -147,9 +152,9 @@ class TestBackward:
         def run():
             tape = ad.Tape()
             rng = np.random.default_rng(9)
-            x = ad.leaf(rng.normal(size=(4, 4, 2)), tape)
+            x = ad.leaf(rng.normal(size=(2, 4, 4, 2)), tape)
             w = ad.leaf(rng.normal(size=(3, 3, 2, 3)), tape)
-            out = ad.leaky_relu(ad.conv2d(x, w, None, stride=1), 0.1).sum()
+            out = ad.conv2d(x, w, None, stride=1, leak=0.1).sum()
             ad.backward(out)
             return out.values.copy(), x.grad.copy(), w.grad.copy()
 
@@ -181,7 +186,7 @@ class TestGradCheck:
             return (ad.upsample2(y) ** 2.0).sum()
 
         err = grad_check(
-            f, [rng.normal(size=(6, 6, 2)), rng.normal(size=(3, 3, 2, 3)),
+            f, [rng.normal(size=(2, 6, 6, 2)), rng.normal(size=(3, 3, 2, 3)),
                 rng.normal(size=3)])
         assert err < 1e-6
 
@@ -218,11 +223,12 @@ class TestGradCheck:
 
 
 # ---------------------------------------------------------------------
-# conv2d against the direct per-tap form it replaced
+# conv2d against the direct per-tap form it replaced, applied per image
 # ---------------------------------------------------------------------
 
 def ref_conv2d(xv, wv, bv, stride, pad):
-    """Forward as one tensordot over a sliding-window view."""
+    """Forward of one [H, W, Cin] image as one tensordot over a
+    sliding-window view."""
     kh, kw = wv.shape[:2]
     xp = np.pad(xv, ((pad, pad), (pad, pad), (0, 0))) if pad else xv
     win = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
@@ -231,7 +237,7 @@ def ref_conv2d(xv, wv, bv, stride, pad):
 
 
 def ref_conv2d_vjps(xv, wv, g, stride, pad):
-    """Input and kernel gradients, one tensordot per kernel tap."""
+    """Input and kernel gradients of one image, one tensordot per kernel tap."""
     kh, kw = wv.shape[:2]
     ho, wo = g.shape[:2]
     gxp = np.zeros((xv.shape[0] + 2 * pad, xv.shape[1] + 2 * pad, xv.shape[2]))
@@ -245,12 +251,18 @@ def ref_conv2d_vjps(xv, wv, g, stride, pad):
     return gxp[pad:pad + xv.shape[0], pad:pad + xv.shape[1]], gw
 
 
-# (input shape, kernel shape, stride, pad)
+def leaky_relu(z, leak):
+    """Leaky ReLU composed from taped ops; at z = 0 `maximum` routes the
+    gradient to its first argument, i.e. slope 1."""
+    return ad.maximum(z, leak * z)
+
+
+# (input stack shape, kernel shape, stride, pad)
 CONV_CASES = [
-    ((6, 6, 2), (3, 3, 2, 3), 1, 1),
-    ((8, 8, 2), (3, 3, 2, 4), 2, 1),
-    ((5, 5, 3), (1, 1, 3, 4), 1, 0),
-    ((7, 7, 2), (3, 3, 2, 3), 2, 1),
+    ((2, 6, 6, 2), (3, 3, 2, 3), 1, 1),
+    ((2, 8, 8, 2), (3, 3, 2, 4), 2, 1),
+    ((2, 5, 5, 3), (1, 1, 3, 4), 1, 0),
+    ((2, 7, 7, 2), (3, 3, 2, 3), 2, 1),
 ]
 
 
@@ -263,7 +275,8 @@ class TestConvOracle:
     def test_forward_bit_identical(self, xs, ws, stride, pad):
         x, w, b = self.inputs(xs, ws)
         out = ad.conv2d(x, w, b, stride=stride, pad=pad)
-        np.testing.assert_array_equal(out, ref_conv2d(x, w, b, stride, pad))
+        for k in range(xs[0]):
+            np.testing.assert_array_equal(out[k], ref_conv2d(x[k], w, b, stride, pad))
 
     def test_vjps_match(self, xs, ws, stride, pad):
         x, w, b = self.inputs(xs, ws)
@@ -272,13 +285,95 @@ class TestConvOracle:
         out = ad.conv2d(xl, wl, bl, stride=stride, pad=pad)
         g = np.random.default_rng(7).normal(size=out.shape)
         ad.backward((out * g).sum())
-        gx, gw = ref_conv2d_vjps(x, w, g, stride, pad)
-        np.testing.assert_allclose(xl.grad, gx, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(wl.grad, gw, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(bl.grad, g.sum(axis=(0, 1)), rtol=1e-12)
+        per_image = [ref_conv2d_vjps(x[k], w, g[k], stride, pad) for k in range(xs[0])]
+        np.testing.assert_allclose(xl.grad, np.stack([gx for gx, _ in per_image]),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wl.grad, sum(gw for _, gw in per_image),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(bl.grad, g.sum(axis=(0, 1, 2)), rtol=1e-12)
 
     def test_grad_check(self, xs, ws, stride, pad):
         def f(x, w, b):
             return (ad.conv2d(x, w, b, stride=stride, pad=pad) ** 2.0).sum()
 
         assert grad_check(f, list(self.inputs(xs, ws))) < 1e-6
+
+    def test_leak_matches_composed_activation(self, xs, ws, stride, pad):
+        x, w, b = self.inputs(xs, ws)
+        fused = ad.conv2d(x, w, b, stride=stride, pad=pad, leak=0.1)
+        z = np.stack([ref_conv2d(x[k], w, b, stride, pad) for k in range(xs[0])])
+        np.testing.assert_array_equal(fused, np.where(z >= 0, z, 0.1 * z))
+        grads = []
+        for fuse in (True, False):
+            tape = ad.Tape()
+            leaves = make_leaves(tape, x, w, b)
+            if fuse:
+                out = ad.conv2d(*leaves, stride=stride, pad=pad, leak=0.1)
+            else:
+                out = leaky_relu(ad.conv2d(*leaves, stride=stride, pad=pad), 0.1)
+            ad.backward((out ** 2.0).sum())
+            grads.append([lf.grad for lf in leaves])
+        for a, c in zip(*grads):
+            np.testing.assert_array_equal(a, c)
+
+
+class TestConvLeak:
+    LEAK = 0.1
+
+    def test_one_record_per_fused_conv(self):
+        rng = np.random.default_rng(1)
+        tape = ad.Tape()
+        x, w, b = make_leaves(tape, rng.normal(size=(2, 4, 4, 2)),
+                              rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3))
+        ad.conv2d(x, w, b, leak=self.LEAK)
+        assert len(tape.records) == 1
+
+    def test_grad_check_away_from_zero(self):
+        rng = np.random.default_rng(12)
+        x, w, b = rng.normal(size=(2, 5, 5, 2)), rng.normal(size=(3, 3, 2, 3)), \
+            rng.normal(size=3)
+        # the finite-difference steps never cross the kink at z = 0
+        assert np.abs(ad.conv2d(x, w, b)).min() > 1e-2
+
+        def f(x, w, b):
+            return (ad.conv2d(x, w, b, stride=1, leak=self.LEAK) ** 2.0).sum()
+
+        assert grad_check(f, [x, w, b]) < 1e-6
+
+    def test_pre_activation_exactly_zero_takes_slope_one(self):
+        # z = x * w + b = 0 exactly: the analytic slope is 1 (as for z > 0),
+        # while the central difference averages the two sides to
+        # (1 + leak) / 2, so grad_check sees exactly the convention gap
+        def f(x, w, b):
+            return ad.conv2d(x, w, b, pad=0, leak=self.LEAK).sum()
+
+        x, w, b = np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)), np.zeros(1)
+        assert grad_check(f, [x, w, b]) == pytest.approx((1 - self.LEAK) / 2, abs=1e-9)
+        tape = ad.Tape()
+        xl, wl, bl = make_leaves(tape, x, w, b)
+        ad.backward(f(xl, wl, bl))
+        assert xl.grad.item() == 1.0 and bl.grad.item() == 1.0
+
+    def test_zero_pre_activations_in_a_stack(self):
+        # the second image and the top half of the first are zero, so with
+        # a zero bias their outputs sit exactly at z = 0; the fused vjps
+        # must match the composed activation there bit for bit
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 6, 6, 2))
+        x[0, :3] = 0.0
+        x[1] = 0.0
+        w, b = rng.normal(size=(3, 3, 2, 3)), np.zeros(3)
+        z = ad.conv2d(x, w, b)
+        assert np.count_nonzero(z == 0.0) >= z[1].size
+        g = rng.normal(size=z.shape)
+        grads = []
+        for fuse in (True, False):
+            tape = ad.Tape()
+            leaves = make_leaves(tape, x, w, b)
+            out = ad.conv2d(*leaves, leak=self.LEAK) if fuse \
+                else leaky_relu(ad.conv2d(*leaves), self.LEAK)
+            ad.backward((out * g).sum())
+            grads.append([lf.grad for lf in leaves])
+        for a, c in zip(*grads):
+            np.testing.assert_array_equal(a, c)
+        assert np.any(grads[0][0][1] != 0.0)  # gradient passes at z = 0

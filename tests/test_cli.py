@@ -110,6 +110,23 @@ class TestPipeline:
         assert rows[0] == "i,j,class,anchor,gt_index,pono,pred_iou,label"
         assert len(rows) == 1 + 4 * 4 * 2 * 2
 
+    def test_reports_written_atomically(self, workspace, tmp_path, monkeypatch):
+        written = []
+        atomic_open = data_mod.atomic_open
+
+        def recording_open(path, mode="w"):
+            written.append(os.path.basename(path))
+            return atomic_open(path, mode)
+
+        monkeypatch.setattr(data_mod, "atomic_open", recording_open)
+        ckpt = str(workspace / "run" / "final.bin")
+        assert run(["assign-dump", "--dataset", str(workspace / "ds"),
+                    "--anchors", str(workspace / "anchors.txt"), "--checkpoint", ckpt,
+                    "--out", str(tmp_path / "dump")]) == 0
+        assert run(["plot-weights", "--checkpoint", ckpt, "--out", str(tmp_path / "wt")]) == 0
+        assert written == ["maps.csv", "weights.csv"]
+        assert sorted(os.listdir(tmp_path / "wt")) == ["weights.csv"]
+
     def test_plot_weights(self, workspace):
         assert run(["plot-weights", "--checkpoint", str(workspace / "run" / "final.bin"),
                     "--out", str(workspace / "wt")]) == 0
@@ -303,6 +320,27 @@ class TestAblate:
         monkeypatch.setattr(data_mod, "load_dataset", counting_load)
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
         assert sorted(loaded) == sorted([str(workspace / "ds"), str(test_ds)])
+
+    @pytest.mark.parametrize("bad,reason", [
+        ("AMS:bogus:CE", "mode must be one of"),
+        ("NOPE:learned:CE", "label_rule must be one of"),
+        ("AMS:learned:hinge", "cls_loss must be one of"),
+        ("AMS:learned", "expected label:mode:loss"),
+        ("AMS:learned:CE:FL", "expected label:mode:loss")])
+    def test_bad_cell_stops_before_anything_runs(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, bad, reason):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text().replace("PONO:unit:CE", bad))
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("kmeans"))
+        monkeypatch.setattr("ponodet.cli.run_training",
+                            lambda *a, **k: started.append("train"))
+        out = tmp_path / "ab"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: bad ablation cell {bad!r}" in err and reason in err
+        assert started == [] and not out.exists()
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         cfg = self.make_config(tmp_path, workspace / "ds")

@@ -1,6 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet.data import (GenSpec, Scene, gen_spec_from_file, generate,
                           hflip, load_annotations, load_dataset, read_kv,
@@ -179,6 +182,64 @@ class TestDatasetIO:
         path.write_text("scene 0\n0 10.0 10.0 8.0 8.0\nscene 1\n1 a b c d\n")
         with pytest.raises(ValueError, match=":4"):
             load_annotations(path)
+
+    @pytest.mark.parametrize("record", ["0 nan 5 5 5", "0 5 5 inf 5",
+                                        "0 5 -inf 5 5", "0 5 5 5 1e400"])
+    def test_non_finite_box_names_line(self, tmp_path, record):
+        path = tmp_path / "annotations.txt"
+        path.write_text(f"scene 0\n0 10.0 10.0 8.0 8.0\n{record}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            load_annotations(path)
+
+
+def loads_or_names_the_line(load, path):
+    """`load(path)`, or None when it raised a ValueError starting with
+    `path:line: `; any other failure propagates."""
+    try:
+        return load(path)
+    except ValueError as e:
+        assert re.match(re.escape(str(path)) + r":\d+: ", str(e)), str(e)
+        return None
+
+
+NUMBERS = ["0", "1", "-1", "5", "0.5", "-2", "1e400", "nan", "inf", "-inf", "1e-320", "x"]
+TOKEN_SOUP = st.lists(st.lists(st.sampled_from(
+    NUMBERS + ["scene", "0x10", "=", "#", "key", "a = b"]), max_size=6).map(" ".join),
+    max_size=8).map("\n".join)
+GOOD_RECORD = st.lists(st.sampled_from(["1", "5", "12.25"]), min_size=5,
+                       max_size=5).map(" ".join)
+# one scene of well-formed records around one record of arbitrary numbers
+RECORD_SOUP = st.tuples(
+    st.lists(GOOD_RECORD, max_size=3),
+    st.lists(st.sampled_from(NUMBERS), min_size=5, max_size=5).map(" ".join),
+    st.lists(GOOD_RECORD, max_size=3)).map(
+        lambda t: "\n".join(["scene 0", *t[0], t[1], *t[2]]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.text(), TOKEN_SOUP))
+def test_read_kv_loads_or_names_the_line(tmp_path, text):
+    path = tmp_path / "config.txt"
+    path.write_text(text, encoding="utf-8")
+    kv = loads_or_names_the_line(read_kv, path)
+    if kv is not None:
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in kv.items())
+        assert not any("#" in k or "#" in v for k, v in kv.items())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.text(), TOKEN_SOUP, RECORD_SOUP))
+def test_load_annotations_loads_or_names_the_line(tmp_path, text):
+    path = tmp_path / "annotations.txt"
+    path.write_text(text, encoding="utf-8")
+    gts = loads_or_names_the_line(load_annotations, path)
+    for gt in gts or []:
+        assert all(c >= 0 for c in gt.class_ids)
+        for b in gt.boxes:
+            assert all(math.isfinite(v) for v in (b.cx, b.cy, b.w, b.h))
+            assert b.w > 0 and b.h > 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,6 @@ from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import GroundTruth
 from ponodet.evaluation import average_precision, extract_detections, map_eval
 from ponodet.geometry import Box, Detection, iou
-from ponodet.model import PredictorOutput
 
 
 def brute_force_ap(dets_per_scene, gts, class_id, iou_match=0.5):
@@ -152,15 +151,14 @@ class TestExtractDetections:
 
     def test_all_low_logits_empty(self):
         grid = self.grid()
-        out = PredictorOutput(np.full((2, 2, 1, 1), -10.0), np.zeros((2, 2, 1, 1, 4)))
-        assert extract_detections(out, grid, score_min=0.05) == []
+        assert extract_detections(np.full((2, 2, 1, 1), -10.0),
+                                  np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05) == []
 
     def test_single_hot_cell_is_anchor_box(self):
         grid = self.grid()
         logits = np.full((2, 2, 1, 1), -10.0)
         logits[1, 0, 0, 0] = 10.0
-        out = PredictorOutput(logits, np.zeros((2, 2, 1, 1, 4)))
-        dets = extract_detections(out, grid, score_min=0.05)
+        dets = extract_detections(logits, np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05)
         assert len(dets) == 1
         assert dets[0].box == Box(*grid.boxes[1, 0, 0, 0])
         assert dets[0].score > 0.9999
@@ -177,7 +175,6 @@ class TestExtractDetections:
                 offsets[i, j, 0, 0, 0] = (target.cx - anchor.cx) / anchor.w
                 offsets[i, j, 0, 0, 1] = (target.cy - anchor.cy) / anchor.h
         logits[0, 0, 0, 0] = 5.0
-        dets = extract_detections(PredictorOutput(logits, offsets), grid,
-                                  score_min=0.05, nms_iou=0.5)
+        dets = extract_detections(logits, offsets, grid, score_min=0.05, nms_iou=0.5)
         assert len(dets) == 1
         assert dets[0].score == pytest.approx(1 / (1 + np.exp(-5.0)))

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
-from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
+from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
 from ponodet.geometry import Box
 from ponodet.loss import bce_logits, loc_loss_map
 from ponodet.model import (MAGIC, TabularPredictor, ToyNet, ToyNetConfig,
@@ -30,6 +30,8 @@ class TestTabular:
     def test_zero_init_predictions(self):
         m = TabularPredictor(4, 4, 2, 3)
         out = m.forward(m.params)
+        assert out.logits.shape == (1, 4, 4, 2, 3)
+        assert out.offsets.shape == (1, 4, 4, 2, 3, 4)
         assert np.all(ad.sigmoid(out.logits) == 0.5)
         assert np.all(out.offsets == 0.0)
 
@@ -37,28 +39,30 @@ class TestTabular:
         m = TabularPredictor(2, 2, 1, 1)
         m.params["logits"][0, 0, 0, 0] = 3.0
         out = m.forward(m.params)
-        assert out.logits[0, 0, 0, 0] == 3.0
+        assert out.logits[0, 0, 0, 0, 0] == 3.0
 
 
 class TestToyNetForward:
     def test_output_shapes(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
         net = ToyNet(cfg, n_classes=2, n_anchors=3, seed=0)
-        out = net.forward(net.params, np.zeros((32, 32, 3)))
-        assert out.logits.shape == (4, 4, 2, 3)
-        assert out.offsets.shape == (4, 4, 2, 3, 4)
+        out = net.forward(net.params, np.zeros((2, 32, 32, 3)))
+        assert out.logits.shape == (2, 4, 4, 2, 3)
+        assert out.offsets.shape == (2, 4, 4, 2, 3, 4)
 
     def test_input_size_checked(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
         net = ToyNet(cfg, 1, 1, seed=0)
         with pytest.raises(ValueError):
-            net.forward(net.params, np.zeros((16, 16, 3)))
+            net.forward(net.params, np.zeros((1, 16, 16, 3)))
+        with pytest.raises(ValueError, match="image stack"):
+            net.forward(net.params, np.zeros((32, 32, 3)))
 
     def test_zero_weights_give_constant_logits(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
         net = ToyNet(cfg, 2, 2, seed=1)
         zeroed = {k: np.zeros_like(v) for k, v in net.params.items()}
-        out = net.forward(zeroed, np.random.default_rng(0).uniform(0, 1, (32, 32, 3)))
+        out = net.forward(zeroed, np.random.default_rng(0).uniform(0, 1, (2, 32, 32, 3)))
         assert np.ptp(out.logits) == 0.0
         assert np.ptp(out.offsets) == 0.0
 
@@ -68,6 +72,23 @@ class TestToyNetForward:
         b = ToyNet(cfg, 2, 2, seed=7)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_stack_forward_matches_per_scene_forwards(self, taped):
+        cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=2)
+        net = ToyNet(cfg, 2, 3, seed=4)
+        images = np.random.default_rng(6).uniform(0, 1, (3, 32, 32, 3))
+
+        def forward(stack):
+            params = leaf_params(net.params, ad.Tape()) if taped else net.params
+            out = net.forward(params, stack)
+            return ad.values_of(out.logits), ad.values_of(out.offsets)
+
+        logits, offsets = forward(images)
+        for k in range(len(images)):
+            one_logits, one_offsets = forward(images[k:k + 1])
+            np.testing.assert_allclose(logits[k], one_logits[0], rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(offsets[k], one_offsets[0], rtol=1e-12, atol=1e-13)
 
     def test_translation_covariance_interior(self):
         # shifting the input by the coarsest pyramid stride shifts the
@@ -79,8 +100,7 @@ class TestToyNetForward:
         shift = 16  # stride of the coarsest level; 2 cells at stride 8
         shifted = np.zeros_like(img)
         shifted[:, shift:, :] = img[:, :-shift, :]
-        out_a = net.forward(net.params, img).logits[:, :, 0, 0]
-        out_b = net.forward(net.params, shifted).logits[:, :, 0, 0]
+        out_a, out_b = net.forward(net.params, np.stack([img, shifted])).logits[..., 0, 0]
         cells = shift // 8
         m = 14  # interior margin (cells) larger than the receptive field
         np.testing.assert_allclose(out_b[m:-m, m + cells:-m],
@@ -96,15 +116,15 @@ class TestToyNetGradients:
         image = rng.uniform(0, 1, (32, 32, 3))
         grid = build_grid(AnchorSet(np.full((1, 1, 2), 10.0)), 4, 4, 8)
         gt = GroundTruth(boxes=[Box(12.5, 11.0, 11.0, 9.0)], class_ids=[0])
-        am = assign_ao(grid, gt)
-        gate = (am.pono > 0.5).astype(float)
+        stacked = Assignment.stack([assign_ao(grid, gt)])
+        gate = (stacked.pono > 0.5).astype(float)
         labels = gate.copy()
         names = sorted(net.params)
 
         def total_loss(*tensors):
             params = dict(zip(names, tensors))
-            out = net.forward(params, image)
-            o_hat = pred_iou_values(grid, out.offsets, am)
+            out = net.forward(params, image[None])
+            o_hat = pred_iou_values(grid, out.offsets, stacked)
             loc = loc_loss_map(gate, o_hat).sum() / max(1.0, gate.sum())
             cls = bce_logits(labels, out.logits).mean()
             return loc + cls

@@ -10,12 +10,15 @@ import pytest
 
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
-from ponodet.assignment import GroundTruth
+from ponodet import loss as loss_mod
+from ponodet import train as train_mod
+from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
+                                pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.geometry import Box
 from ponodet.loss import BalanceWeights
-from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig, load_arrays,
-                           save_arrays)
+from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig, leaf_params,
+                           load_arrays, save_arrays)
 from ponodet.train import (RunState, TrainConfig, load_run, lr_at,
                            run_training, save_run, sgd_step, train_iteration,
                            train_config_from_kv)
@@ -103,9 +106,9 @@ class TestTrainIteration:
         state = tabular_state(scene, shapes=((10.0, 9.0),))
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit", flip=False)
         run_training(state, [scene], cfg)
-        from ponodet.assignment import assign_ao, pred_iou_values
         am = assign_ao(state.grid, scene.gt)
-        o_hat = pred_iou_values(state.grid, state.model.params["offsets"], am)
+        o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
+                                Assignment.stack([am]))[0]
         best = np.unravel_index(np.argmax(am.pono), am.pono.shape)
         assert o_hat[best] > 0.999
         assert am.pono[best] * o_hat[best] > 0.5
@@ -120,13 +123,13 @@ class TestTrainIteration:
                          class_ids=[0, 0])
         scene = Scene(img, gt)
         state = tabular_state(scene, shapes=((11.0, 11.0),))
-        from ponodet.assignment import ams_labels, assign_ao, pred_iou_values
         am = assign_ao(state.grid, scene.gt)
         torn = (1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
         assert 0.0 < am.pono[torn] <= 0.5
         cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned", flip=False)
         run_training(state, [scene], cfg)
-        o_hat = pred_iou_values(state.grid, state.model.params["offsets"], am)
+        o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
+                                Assignment.stack([am]))[0]
         assert ams_labels(am.pono, o_hat)[torn] == 0
 
     def test_report_total_decomposition(self):
@@ -144,6 +147,86 @@ class TestTrainIteration:
             train_iteration(state, [scene], cfg)
         np.testing.assert_array_equal(state.bw.s_cls_grid, s0)
         assert state.bw.s_cls == 1.0
+
+
+def per_scene_reference(state, batch, cfg):
+    """Test oracle: the per-scene loop `train_iteration` replaced.  Each
+    scene gets its own forward, overlap map, loss maps and per-grid sums,
+    which are added up over the batch.  Returns the loss terms, n_pos,
+    per_grid_pos and the gradients the optimizer would receive; the state
+    is left unchanged."""
+    tape = ad.Tape()
+    params = leaf_params(state.model.params, tape)
+    learned = cfg.mode == "learned"
+    s = {"s_cls": ad.leaf(np.asarray(state.bw.s_cls), tape),
+         "s_loc": ad.leaf(np.asarray(state.bw.s_loc), tape),
+         "s_cls_grid": ad.leaf(state.bw.s_cls_grid, tape),
+         "s_loc_grid": ad.leaf(state.bw.s_loc_grid, tape)} if learned else {}
+    loc_sums = cls_sums = None
+    n_pos = 0
+    per_grid_pos = np.zeros((state.grid.n_classes, state.grid.n_anchors), np.int64)
+    for scene in batch:
+        one = Assignment.stack([assign_ao(state.grid, scene.gt)])
+        out = state.model.forward(params, scene.image[None])
+        o_hat = pred_iou_values(state.grid, out.offsets, one)
+        gate, labels = train_mod._gate_and_labels(one, ad.values_of(o_hat), cfg)
+        loc_map = loss_mod.loc_loss_map(gate, o_hat)
+        cls_fn = loss_mod.bce_logits if cfg.cls_loss == "CE" else loss_mod.focal_logits
+        cls_map = cls_fn(labels.astype(np.float64), out.logits)
+        ls, cs = loc_map.sum(axis=(0, 1, 2)), cls_map.sum(axis=(0, 1, 2))
+        loc_sums = ls if loc_sums is None else loc_sums + ls
+        cls_sums = cs if cls_sums is None else cls_sums + cs
+        n_pos += int(gate.sum())
+        per_grid_pos += labels.sum(axis=(0, 1, 2), dtype=np.int64)
+    n_total = len(batch) * state.grid.boxes.size // 4
+    loc, cls, reg = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
+                                             n_total, cfg.mode, **s)
+    ad.backward(loc + cls + reg)
+    grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+    for key, t in s.items():
+        g = t.grad
+        if key.endswith("_grid"):
+            g = np.where(per_grid_pos == 0, 0.0, g)
+        grads[f"bw.{key}"] = g
+    terms = tuple(float(ad.values_of(t)) for t in (loc, cls, reg))
+    return terms, n_pos, per_grid_pos, grads
+
+
+class TestBatchedIteration:
+    @pytest.mark.parametrize("rule,mode,cls_loss", [("AMS", "learned", "CE"),
+                                                    ("AO", "retina_norm", "FL"),
+                                                    ("PONO", "unit", "CE")])
+    def test_batch_of_two_matches_per_scene_loop(self, tmp_path, monkeypatch,
+                                                 rule, mode, cls_loss):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        cfg = replace(cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
+        # a few steps first, so the AMS labels see trained offsets
+        run_training(state, scenes, replace(cfg, max_iter=4))
+        batch = [scenes[1], scenes[4]]
+        terms, n_pos, per_grid_pos, grads = per_scene_reference(state, batch, cfg)
+        assert n_pos > 0
+        seen = {}
+        monkeypatch.setattr(train_mod, "sgd_step",
+                            lambda params, velocity, g, lr, momentum: seen.update(g))
+        report = train_iteration(state, batch, cfg)
+        np.testing.assert_allclose((report.loc, report.cls, report.reg), terms,
+                                   rtol=1e-12, atol=1e-12)
+        assert report.n_pos == n_pos
+        np.testing.assert_array_equal(report.per_grid_pos, per_grid_pos)
+        assert seen.keys() == grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+    def test_one_taped_forward_per_batch(self, tmp_path, monkeypatch):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        calls = []
+        forward = state.model.forward
+        monkeypatch.setattr(state.model, "forward",
+                            lambda params, images: calls.append(images.shape) or
+                            forward(params, images))
+        train_iteration(state, scenes[:3], cfg)
+        assert calls == [(3, 32, 32, 3)]
 
 
 class TestSceneCache:
@@ -285,6 +368,42 @@ class TestLoadRun:
                 load_run(path)
         save_arrays(path, {**arrays, "mom.nothing": np.zeros(3)})
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has an unknown entry 'mom.nothing'")):
+            load_run(path)
+
+
+    @pytest.mark.parametrize("key,value", [("meta.n_classes", -1.0),
+                                           ("meta.n_anchors", 0.0),
+                                           ("meta.input_size", 0.0),
+                                           ("meta.n_classes", np.nan)])
+    def test_size_below_one_named(self, tmp_path, key, value):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        path = tmp_path / "bad.bin"
+        save_arrays(path, {**arrays, key: np.asarray(value)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry {key!r} is")):
+            load_run(path)
+
+    @pytest.mark.parametrize("side", [0.0, -3.0, np.inf, np.nan])
+    def test_bad_anchor_side_named(self, tmp_path, side):
+        scene = one_object_scene()
+        state = tabular_state(scene, shapes=((8.0, 8.0), (12.0, 12.0)))
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        arrays["anchors.shapes"][0, 1, 0] = side
+        path = tmp_path / "bad.bin"
+        save_arrays(path, arrays)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: entry 'anchors.shapes' holds a side")):
+            load_run(path)
+
+    def test_toynet_levels_named(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
+        save_run(tmp_path / "full.bin", state)
+        path = tmp_path / "bad.bin"
+        save_arrays(path, {**load_arrays(tmp_path / "full.bin"),
+                           "meta.levels": np.asarray(1.0)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: levels must be >= 2")):
             load_run(path)
 
 
