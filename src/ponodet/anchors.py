@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import text_lines
+
 # Cap on local-search restarts per centroid update; small clusters get one
 # start per member, large clusters a deterministic area-spread subsample.
 _MAX_STARTS = 8
@@ -204,11 +206,9 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
 
 def sizes_per_class(gts, n_classes: int) -> list[np.ndarray]:
     """The (w, h) of every object, grouped by class: k-means input."""
-    sizes = [[] for _ in range(n_classes)]
-    for gt in gts:
-        for box, cid in zip(gt.boxes, gt.class_ids):
-            sizes[cid].append((box.w, box.h))
-    return [np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in sizes]
+    boxes = np.concatenate([gt.boxes for gt in gts] or [np.zeros((0, 4))])
+    class_ids = np.concatenate([gt.class_ids for gt in gts] or [np.zeros(0, dtype=np.int64)])
+    return [boxes[class_ids == c, 2:] for c in range(n_classes)]
 
 
 def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int,
@@ -258,24 +258,23 @@ def save_anchor_set(path, anchor_set: AnchorSet) -> None:
 
 def load_anchor_set(path) -> AnchorSet:
     per_class: dict[int, list] = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected 'class w h', got {line!r}")
-            try:
-                c, w, h = int(parts[0]), float(parts[1]), float(parts[2])
-            except ValueError as e:
-                raise ValueError(f"{path}:{ln}: {e}") from None
-            if c < 0:
-                raise ValueError(f"{path}:{ln}: class id {c} is negative")
-            if not (0 < w < math.inf and 0 < h < math.inf):
-                raise ValueError(f"{path}:{ln}: anchor sides must be finite "
-                                 f"and positive, got {w!r} {h!r}")
-            per_class.setdefault(c, []).append((w, h))
+    for ln, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{ln}: expected 'class w h', got {line!r}")
+        try:
+            c, w, h = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
+        if c < 0:
+            raise ValueError(f"{path}:{ln}: class id {c} is negative")
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValueError(f"{path}:{ln}: anchor sides must be finite "
+                             f"and positive, got {w!r} {h!r}")
+        per_class.setdefault(c, []).append((w, h))
     if not per_class:
         raise ValueError(f"{path}: no anchor shapes found")
     n_classes = max(per_class) + 1

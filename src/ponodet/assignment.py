@@ -20,24 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorGrid
-from .geometry import decode_cxywh, iou_cxywh
+from .geometry import GroundTruth, decode_cxywh, iou_cxywh
 
 UNASSIGNED = -1
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Scene annotation: one box and one class id per object."""
-
-    boxes: list
-    class_ids: list
-
-    def __post_init__(self):
-        if len(self.boxes) != len(self.class_ids):
-            raise ValueError("boxes and class_ids must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -78,11 +63,10 @@ def _grid_gt_iou(grid: AnchorGrid, gt: GroundTruth) -> np.ndarray:
     """IoU between every anchor cell and every object, [h, w, nc, na, n_gt];
     objects of a different class score 0."""
     out = np.zeros(grid.boxes.shape[:4] + (len(gt),), dtype=np.float64)
-    b = grid.boxes
-    for k, (box, cid) in enumerate(zip(gt.boxes, gt.class_ids)):
-        out[:, :, cid, :, k] = iou_cxywh(b[..., cid, :, 0], b[..., cid, :, 1],
-                                         b[..., cid, :, 2], b[..., cid, :, 3],
-                                         box.cx, box.cy, box.w, box.h)
+    for c in np.unique(gt.class_ids):
+        objs = np.flatnonzero(gt.class_ids == c)
+        cells = np.moveaxis(grid.boxes[:, :, c, :, None, :], -1, 0)
+        out[:, :, c][..., objs] = iou_cxywh(*cells, *gt.boxes[objs].T)
     return out
 
 
@@ -142,12 +126,11 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
     safe = np.maximum(gt_index, 0)
     ao = np.where(unassigned, 0.0,
                   np.take_along_axis(overlaps, safe[..., None], axis=-1)[..., 0])
+    cluster_max = np.zeros(len(gt))
+    np.maximum.at(cluster_max, gt_index[~unassigned], ao[~unassigned])
     pono = np.zeros_like(ao)
-    for k in range(len(gt)):
-        cluster = gt_index == k
-        if np.any(cluster):
-            pono[cluster] = ao[cluster] / ao[cluster].max()
-    picked = np.asarray([[b.cx, b.cy, b.w, b.h] for b in gt.boxes])[safe]
+    pono[~unassigned] = ao[~unassigned] / cluster_max[gt_index[~unassigned]]
+    picked = gt.boxes[safe]
     gt_box = tuple(np.where(unassigned, 1.0, picked[..., d]) for d in range(4))
     return Assignment(gt_index, ao, pono, gt_box,
                       (~unassigned).astype(np.float64))

@@ -58,18 +58,18 @@ def _load_scenes(dataset_dir, n_classes: int, covered_by: str = "anchors") -> li
     if not scenes:
         raise RuntimeError(f"{dataset_dir}: dataset has no scenes")
     for idx, scene in enumerate(scenes):
-        for cid in scene.gt.class_ids:
-            if cid >= n_classes:
-                raise RuntimeError(
-                    f"{dataset_dir}: scene {idx} has class id {cid}, but the "
-                    f"{covered_by} cover classes 0..{n_classes - 1}")
+        outside = scene.gt.class_ids[scene.gt.class_ids >= n_classes]
+        if outside.size:
+            raise RuntimeError(
+                f"{dataset_dir}: scene {idx} has class id {outside[0]}, but the "
+                f"{covered_by} cover classes 0..{n_classes - 1}")
     return scenes
 
 
 def _cluster_anchors(dataset_dir, n_a: int, seed: int) -> AnchorSet:
     """Per-class k-means anchors from a dataset's annotations."""
     gts = data_mod.load_annotations(os.path.join(dataset_dir, "annotations.txt"))
-    n_classes = max((c for gt in gts for c in gt.class_ids), default=-1) + 1
+    n_classes = max((int(gt.class_ids.max()) for gt in gts if len(gt)), default=-1) + 1
     if n_classes == 0:
         raise RuntimeError(f"{dataset_dir}: no annotated objects")
     return kmeans_anchors(sizes_per_class(gts, n_classes), n_a=n_a, seed=seed)
@@ -139,9 +139,8 @@ def _evaluate(state: RunState, scenes: list, score_min: float,
                                        score_min, nms_iou)
     gts = [s.gt for s in scenes]
     per_class, mean = eval_mod.map_eval(dets, gts, iou_match)
-    n_gt = {c: sum(gt.class_ids.count(c) for gt in gts) for c in per_class}
-    n_det = {c: sum(1 for ds in dets for d in ds if d.class_id == c)
-             for c in per_class}
+    n_gt = {c: sum(int(np.sum(gt.class_ids == c)) for gt in gts) for c in per_class}
+    n_det = {c: sum(int(np.sum(ds.class_ids == c)) for ds in dets) for c in per_class}
     return per_class, mean, n_gt, n_det
 
 
@@ -187,35 +186,29 @@ def cmd_assign_dump(args) -> int:
         o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
-    nc, na = grid.n_classes, grid.n_anchors
-    for c in range(nc):
-        for a in range(na):
-            data_mod.write_pgm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
-                               assignment.pono[:, :, c, a])
-            data_mod.write_pgm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
-                               labels[:, :, c, a].astype(np.float64))
-            if model is not None:
-                data_mod.write_pgm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
-                                   o_hat[:, :, c, a])
+    for c, a in np.ndindex(grid.n_classes, grid.n_anchors):
+        data_mod.write_pgm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
+                           assignment.pono[:, :, c, a])
+        data_mod.write_pgm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
+                           labels[:, :, c, a].astype(np.float64))
+        if model is not None:
+            data_mod.write_pgm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
+                               o_hat[:, :, c, a])
     with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
         f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
-        for i in range(grid.h_f):
-            for j in range(grid.w_f):
-                for c in range(nc):
-                    for a in range(na):
-                        f.write(f"{i},{j},{c},{a},"
-                                f"{int(assignment.gt_index[i, j, c, a])},"
-                                f"{float(assignment.pono[i, j, c, a])!r},"
-                                f"{float(o_hat[i, j, c, a])!r},"
-                                f"{int(labels[i, j, c, a])}\n")
+        for i, j, c, a in np.ndindex(labels.shape):
+            f.write(f"{i},{j},{c},{a},"
+                    f"{int(assignment.gt_index[i, j, c, a])},"
+                    f"{float(assignment.pono[i, j, c, a])!r},"
+                    f"{float(o_hat[i, j, c, a])!r},"
+                    f"{int(labels[i, j, c, a])}\n")
     print(f"wrote assignment maps for scene {args.scene} to {args.out}")
     return 0
 
 
 def cmd_plot_weights(args) -> int:
     state = load_run(args.checkpoint)
-    shapes = np.stack([state.grid.boxes[0, 0, :, :, 2],
-                       state.grid.boxes[0, 0, :, :, 3]], axis=-1)
+    shapes = state.grid.boxes[0, 0, :, :, 2:]
     lam_cls = state.bw.lambda_cls_grid()
     lam_loc = state.bw.lambda_loc_grid()
     os.makedirs(args.out, exist_ok=True)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import GroundTruth
-from .geometry import Box, iou
+from .geometry import GroundTruth
 
 # distinct fill colors, cycled per class id
 PALETTE = [
@@ -67,12 +66,14 @@ class GenSpec:
             raise ValueError(f"class_freq must sum to 1, got {sum(self.class_freq)}")
         for lo, hi in self.size_ranges:
             if not (4.0 <= lo <= hi <= self.image_size):
-                raise ValueError(f"bad size range ({lo}, {hi}) for image size {self.image_size}")
+                raise ValueError(f"size_ranges: bad range ({lo}, {hi}) for image size {self.image_size}")
         lo, hi = self.objects_per_scene
         if not (0 <= lo <= hi):
-            raise ValueError(f"bad objects_per_scene {self.objects_per_scene}")
+            raise ValueError(f"objects_per_scene: bad range {self.objects_per_scene}")
         if not (0.0 <= self.crowding <= 1.0):
             raise ValueError(f"crowding must be in [0, 1], got {self.crowding}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _snap(x: float) -> float:
@@ -87,27 +88,26 @@ _MAX_COVER = 0.3
 _PLACE_TRIES = 24
 
 
-def _cover_fraction(a: Box, b: Box) -> float:
-    """Largest fraction of either box's area taken by the intersection."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    return iw * ih / min(a.area(), b.area())
+def _intersection(a: tuple, b: tuple) -> float:
+    """Intersection area of two (cx, cy, w, h) boxes."""
+    iw = min(a[0] + a[2] / 2, b[0] + b[2] / 2) - max(a[0] - a[2] / 2, b[0] - b[2] / 2)
+    ih = min(a[1] + a[3] / 2, b[1] + b[3] / 2) - max(a[1] - a[3] / 2, b[1] - b[3] / 2)
+    return iw * ih if iw > 0 and ih > 0 else 0.0
 
 
 def _sample_box(rng: np.random.Generator, lo: float, hi: float,
-                size: int, placed: list[Box]) -> Box:
+                size: int, placed: list[tuple]) -> tuple:
+    """A (cx, cy, w, h) box that covers, and is covered by, no placed box
+    beyond `_MAX_COVER` of its area, or the least-covering candidate."""
     best, best_cover = None, np.inf
     for _ in range(_PLACE_TRIES):
         w = _snap(rng.uniform(lo, hi))
         h = _snap(rng.uniform(lo, hi))
         cx = _snap(rng.uniform(w / 2, size - w / 2))
         cy = _snap(rng.uniform(h / 2, size - h / 2))
-        cand = Box(cx, cy, w, h)
-        cover = max((_cover_fraction(cand, p) for p in placed), default=0.0)
+        cand = (cx, cy, w, h)
+        cover = max((_intersection(cand, p) / min(w * h, p[2] * p[3]) for p in placed),
+                    default=0.0)
         if cover <= _MAX_COVER:
             return cand
         if cover < best_cover:
@@ -115,21 +115,21 @@ def _sample_box(rng: np.random.Generator, lo: float, hi: float,
     return best  # crowded scene; accept the least-covering candidate
 
 
-def _spawn_neighbor(rng: np.random.Generator, base: Box, size: int) -> Box:
+def _spawn_neighbor(rng: np.random.Generator, base: tuple, size: int) -> tuple:
     """Same-class companion overlapping `base` with IoU in (0.3, 0.7)."""
+    cx, cy, w, h = base
     for _ in range(32):
         t = rng.uniform(0.34, 0.66)
         horizontal = rng.random() < 0.5
         sign = 1.0 if rng.random() < 0.5 else -1.0
         if horizontal:
-            delta = _snap(base.w * (1.0 - t) / (1.0 + t)) * sign
-            cand = Box(base.cx + delta, base.cy, base.w, base.h)
+            cand = (cx + _snap(w * (1.0 - t) / (1.0 + t)) * sign, cy, w, h)
         else:
-            delta = _snap(base.h * (1.0 - t) / (1.0 + t)) * sign
-            cand = Box(base.cx, base.cy + delta, base.w, base.h)
-        x1, y1, x2, y2 = cand.corners()
-        if x1 >= 0 and y1 >= 0 and x2 <= size and y2 <= size \
-                and 0.3 < iou(base, cand) < 0.7:
+            cand = (cx, cy + _snap(h * (1.0 - t) / (1.0 + t)) * sign, w, h)
+        inside = (cand[0] - w / 2 >= 0 and cand[1] - h / 2 >= 0
+                  and cand[0] + w / 2 <= size and cand[1] + h / 2 <= size)
+        inter = _intersection(base, cand)
+        if inside and 0.3 < inter / (w * h + w * h - inter) < 0.7:
             return cand
     raise RuntimeError("could not place an overlapping neighbor; "
                        "object sizes too large for the image")
@@ -137,10 +137,9 @@ def _spawn_neighbor(rng: np.random.Generator, base: Box, size: int) -> Box:
 
 def _render(rng: np.random.Generator, gt: GroundTruth, size: int) -> np.ndarray:
     img = np.full((size, size, 3), BACKGROUND)
-    for box, cid in zip(gt.boxes, gt.class_ids):
-        x1, y1, x2, y2 = box.corners()
-        xs, ys = int(round(x1)), int(round(y1))
-        xe, ye = int(round(x2)), int(round(y2))
+    for (cx, cy, w, h), cid in zip(gt.boxes.tolist(), gt.class_ids.tolist()):
+        xs, ys = int(round(cx - w / 2)), int(round(cy - h / 2))
+        xe, ye = int(round(cx + w / 2)), int(round(cy + h / 2))
         img[max(ys, 0):min(ye, size), max(xs, 0):min(xe, size)] = \
             PALETTE[cid % len(PALETTE)]
     img += rng.normal(0.0, NOISE_SIGMA, img.shape)
@@ -155,7 +154,7 @@ def generate(spec: GenSpec, n: int) -> list[Scene]:
         rng = np.random.default_rng([spec.seed, idx])
         count = int(rng.integers(spec.objects_per_scene[0],
                                  spec.objects_per_scene[1] + 1))
-        boxes: list[Box] = []
+        boxes: list[tuple] = []
         class_ids: list[int] = []
         for _ in range(count):
             cid = int(rng.choice(spec.n_classes, p=freq))
@@ -173,10 +172,10 @@ def generate(spec: GenSpec, n: int) -> list[Scene]:
 
 def hflip(scene: Scene) -> Scene:
     """Mirror the image columns and box centers; an exact involution."""
-    width = scene.image.shape[1]
-    boxes = [Box(width - b.cx, b.cy, b.w, b.h) for b in scene.gt.boxes]
+    boxes = scene.gt.boxes.copy()
+    boxes[:, 0] = scene.image.shape[1] - boxes[:, 0]
     return Scene(image=np.ascontiguousarray(scene.image[:, ::-1, :]),
-                 gt=GroundTruth(boxes=boxes, class_ids=list(scene.gt.class_ids)))
+                 gt=GroundTruth(boxes=boxes, class_ids=scene.gt.class_ids))
 
 
 # ---------------------------------------------------------------------
@@ -212,7 +211,10 @@ def read_ppm(path) -> np.ndarray:
     if not m:
         raise ValueError(f"{path}: not a binary 8-bit PPM")
     w, h = int(m.group(1)), int(m.group(2))
-    pixels = np.frombuffer(blob[m.end():], dtype=np.uint8, count=w * h * 3)
+    found, need = len(blob) - m.end(), w * h * 3
+    if found < need:
+        raise ValueError(f"{path}: pixel block has {found} bytes, the {w}x{h} header needs {need}")
+    pixels = np.frombuffer(blob[m.end():], dtype=np.uint8, count=need)
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
@@ -235,52 +237,41 @@ def save_dataset(directory, scenes: list[Scene]) -> None:
     for idx, scene in enumerate(scenes):
         write_ppm(os.path.join(directory, _image_name(idx)), scene.image)
         lines.append(f"scene {idx}")
-        for box, cid in zip(scene.gt.boxes, scene.gt.class_ids):
-            lines.append(f"{cid} {box.cx!r} {box.cy!r} {box.w!r} {box.h!r}")
-    with open(os.path.join(directory, "annotations.txt"), "w") as f:
+        for (cx, cy, w, h), cid in zip(scene.gt.boxes.tolist(), scene.gt.class_ids.tolist()):
+            lines.append(f"{cid} {cx!r} {cy!r} {w!r} {h!r}")
+    with atomic_open(os.path.join(directory, "annotations.txt")) as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_annotations(path) -> list[GroundTruth]:
     """Parse an annotations file; raises with the line number on bad records."""
-    records: list[GroundTruth] = []
-    boxes: list[Box] | None = None
-    class_ids: list[int] = []
-
-    def flush():
-        if boxes is not None:
-            records.append(GroundTruth(boxes=list(boxes), class_ids=list(class_ids)))
-
-    with open(path) as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("scene "):
-                flush()
-                boxes, class_ids = [], []
-                continue
-            if boxes is None:
-                raise ValueError(f"{path}:{ln}: object record before any 'scene' header")
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{ln}: expected 'class_id cx cy w h', got {line!r}")
-            try:
-                cid = int(parts[0])
-                cx, cy, w, h = (float(p) for p in parts[1:])
-            except ValueError as e:
-                raise ValueError(f"{path}:{ln}: {e}") from None
-            if cid < 0:
-                raise ValueError(f"{path}:{ln}: negative class id {cid}")
-            if not all(map(math.isfinite, (cx, cy, w, h))):
-                raise ValueError(f"{path}:{ln}: non-finite box in {line!r}")
-            try:
-                boxes.append(Box(cx, cy, w, h))
-            except ValueError as e:
-                raise ValueError(f"{path}:{ln}: {e}") from None
-            class_ids.append(cid)
-    flush()
-    return records
+    scenes: list[tuple[list, list]] = []  # (boxes, class ids) per scene
+    for ln, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("scene "):
+            scenes.append(([], []))
+            continue
+        if not scenes:
+            raise ValueError(f"{path}:{ln}: object record before any 'scene' header")
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{ln}: expected 'class_id cx cy w h', got {line!r}")
+        try:
+            cid = int(parts[0])
+            cx, cy, w, h = (float(p) for p in parts[1:])
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
+        if cid < 0:
+            raise ValueError(f"{path}:{ln}: negative class id {cid}")
+        if not all(map(math.isfinite, (cx, cy, w, h))):
+            raise ValueError(f"{path}:{ln}: non-finite box in {line!r}")
+        if not (w > 0 and h > 0):
+            raise ValueError(f"{path}:{ln}: box sides must be positive, got w={w}, h={h}")
+        scenes[-1][0].append((cx, cy, w, h))
+        scenes[-1][1].append(cid)
+    return [GroundTruth(boxes, class_ids) for boxes, class_ids in scenes]
 
 
 def load_dataset(directory) -> list[Scene]:
@@ -296,42 +287,78 @@ def load_dataset(directory) -> list[Scene]:
 # key=value config files
 # ---------------------------------------------------------------------
 
+# A byte that is not UTF-8 decodes to one of these lone surrogates under
+# the "surrogateescape" error handler; no UTF-8 text contains them.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path):
+    """(line number, line) pairs of a UTF-8 text file.  A byte that is not
+    UTF-8 raises a ValueError naming the file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for ln, line in enumerate(f, start=1):
+            bad = _UNDECODED.search(line)
+            if bad:
+                raise ValueError(f"{path}:{ln}: byte 0x{ord(bad.group()) & 0xff:02x} is not UTF-8")
+            yield ln, line
+
+
 def read_kv(path) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path) as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for ln, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{ln}: expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
+def _pair(text: str, parse, sep: str) -> tuple:
+    lo, hi = (parse(x) for x in text.split(sep))
+    return lo, hi
+
+
+# genspec.txt keys: the GenSpec fields, how each value parses, and the
+# defaults of the optional ones
+_GEN_KEYS = {
+    "n_classes": int,
+    "class_freq": lambda text: tuple(float(x) for x in text.split(",")),
+    "size_ranges": lambda text: tuple(_pair(p, float, ":") for p in text.split(",")),
+    "objects_per_scene": lambda text: _pair(text, int, ","),
+    "crowding": float, "seed": int, "image_size": int,
+}
+_GEN_DEFAULTS = {"crowding": "0", "seed": "0", "image_size": "64"}
+
+
 def gen_spec_from_file(path) -> GenSpec:
+    """A GenSpec from a genspec.txt file; an unknown or missing key, a value
+    that does not parse and a GenSpec rule it breaks each raise a
+    ValueError naming the file and the key."""
     kv = read_kv(path)
+    unknown = ", ".join(repr(key) for key in kv if key not in _GEN_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown key {unknown}")
+    kv = {**_GEN_DEFAULTS, **kv}
+    values = {}
+    for key, parse in _GEN_KEYS.items():
+        if key not in kv:
+            raise ValueError(f"{path}: missing key {key!r}")
+        try:
+            values[key] = parse(kv[key])
+        except ValueError as e:
+            raise ValueError(f"{path}: {key}: {e}") from None
     try:
-        n_classes = int(kv["n_classes"])
-        class_freq = tuple(float(x) for x in kv["class_freq"].split(","))
-        size_ranges = tuple(
-            tuple(float(x) for x in pair.split(":"))
-            for pair in kv["size_ranges"].split(","))
-        objects = tuple(int(x) for x in kv["objects_per_scene"].split(","))
-        spec = GenSpec(
-            n_classes=n_classes, class_freq=class_freq, size_ranges=size_ranges,
-            objects_per_scene=objects, crowding=float(kv.get("crowding", "0")),
-            seed=int(kv.get("seed", "0")),
-            image_size=int(kv.get("image_size", "64")))
-    except KeyError as e:
-        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
-    return spec
+        return GenSpec(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_gen_spec(path, spec: GenSpec) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(f"n_classes = {spec.n_classes}\n")
         f.write("class_freq = " + ",".join(repr(x) for x in spec.class_freq) + "\n")
         f.write("size_ranges = " + ",".join(f"{lo!r}:{hi!r}" for lo, hi in spec.size_ranges) + "\n")

@@ -1,14 +1,18 @@
-"""Axis-aligned boxes: IoU, the anchor-offset codec, and NMS.
+"""Axis-aligned boxes as arrays: the scene records, IoU, the anchor-offset
+codec, and NMS.
 
-Boxes are center-size (cx, cy, w, h) because decoding offsets against an
-anchor is the gradient path; the corner form is a derived view.  The array
-helpers at the bottom run on plain ndarrays or autodiff tensors alike.
+A box is a (cx, cy, w, h) row in pixels, center-size because decoding
+offsets against an anchor is the gradient path, and a set of boxes is an
+[n, 4] float64 array; edges are derived where an overlap needs them.  The
+codec and the elementwise IoU run on plain ndarrays or autodiff tensors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import autodiff as ad
 
@@ -17,78 +21,58 @@ from . import autodiff as ad
 EXP_CLAMP = math.log(1000.0)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle in pixels, center-size form."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x1, y1, x2, y2) view with x1 < x2 and y1 < y2."""
-        return (self.cx - self.w / 2, self.cy - self.h / 2,
-                self.cx + self.w / 2, self.cy + self.h / 2)
-
-    def area(self) -> float:
-        return self.w * self.h
+def _store_rows(record, **columns) -> None:
+    """Store a record's `boxes` as an [n, 4] float64 array with positive
+    sides (any empty input gives n = 0), and each named column as n values
+    of its dtype."""
+    boxes = np.asarray(record.boxes, dtype=np.float64)
+    if boxes.size == 0:
+        boxes = boxes.reshape(0, 4)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"boxes must be [n, 4] (cx, cy, w, h), got shape {boxes.shape}")
+    if not np.all(boxes[:, 2:] > 0):
+        raise ValueError("box sides must be positive")
+    object.__setattr__(record, "boxes", boxes)
+    for name, dtype in columns.items():
+        values = np.asarray(getattr(record, name), dtype=dtype).reshape(-1)
+        if len(values) != len(boxes):
+            raise ValueError(f"{len(boxes)} boxes but {len(values)} {name}")
+        object.__setattr__(record, name, values)
 
 
-@dataclass(frozen=True)
-class Detection:
-    box: Box
-    class_id: int
-    score: float
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Scene annotation: boxes [n, 4] (cx, cy, w, h) and class ids [n]."""
+
+    boxes: np.ndarray
+    class_ids: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+        _store_rows(self, class_ids=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two valid boxes, in [0, 1]."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area() + b.area() - inter)
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """A scene's detections: boxes [n, 4], class ids [n] and scores [n].
+    `extract_detections` and `nms` return them by descending score."""
 
+    boxes: np.ndarray
+    class_ids: np.ndarray
+    scores: np.ndarray
 
-def nms(dets: list[Detection], iou_threshold: float,
-        per_class: bool = True) -> list[Detection]:
-    """Greedy non-maximum suppression by descending score.
+    def __post_init__(self):
+        _store_rows(self, class_ids=np.int64, scores=np.float64)
 
-    Equal scores break ties by lower class id, then input order; the output
-    keeps that ordering.  With `per_class`, only same-class pairs suppress
-    each other.
-    """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    order = sorted(range(len(dets)),
-                   key=lambda i: (-dets[i].score, dets[i].class_id, i))
-    kept: list[Detection] = []
-    for i in order:
-        d = dets[i]
-        suppressed = any(
-            (not per_class or k.class_id == d.class_id)
-            and iou(k.box, d.box) > iou_threshold
-            for k in kept)
-        if not suppressed:
-            kept.append(d)
-    return kept
+    def __len__(self) -> int:
+        return len(self.boxes)
 
+    def take(self, index) -> Detections:
+        """The detections an index array or boolean mask picks, in its order."""
+        return Detections(self.boxes[index], self.class_ids[index], self.scores[index])
 
-# ---------------------------------------------------------------------
-# array forms, shared by the numpy and the autodiff paths
-# ---------------------------------------------------------------------
 
 def decode_cxywh(acx, acy, aw, ah, dx, dy, dw, dh):
     """Apply offset arrays to anchor component arrays; returns cx, cy, w, h."""
@@ -109,3 +93,32 @@ def iou_cxywh(acx, acy, aw, ah, bcx, bcy, bw, bh):
     inter = ad.maximum(ix, 0.0) * ad.maximum(iy, 0.0)
     union = aw * ah + bw * bh - inter
     return inter / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box of `a` [n, 4] with every box of `b` [m, 4], [n, m]."""
+    return iou_cxywh(*a.T[:, :, None], *b.T[:, None, :])
+
+
+def nms(dets: Detections, iou_threshold: float) -> Detections:
+    """Greedy non-maximum suppression within each class.
+
+    Detections are visited by descending score, equal scores by lower
+    class id, then input order.  One is kept unless an already kept
+    detection of its class overlaps it by more than `iou_threshold`.  The
+    output keeps the visiting order.
+    """
+    if not (0.0 < iou_threshold <= 1.0):
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    order = np.lexsort((dets.class_ids, -dets.scores))  # stable: ties keep input order
+    dets = dets.take(order)
+    keep = np.ones(len(dets), dtype=bool)
+    for c in np.unique(dets.class_ids):
+        members = np.flatnonzero(dets.class_ids == c)
+        over = pairwise_iou(dets.boxes[members], dets.boxes[members]) > iou_threshold
+        alive = np.ones(len(members), dtype=bool)
+        for i in range(len(members)):
+            if alive[i]:
+                alive[i + 1:] &= ~over[i, i + 1:]
+        keep[members] = alive
+    return dets.take(keep)

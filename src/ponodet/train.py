@@ -280,8 +280,7 @@ def save_run(path, state: RunState) -> None:
         arrays[f"meta.{k}"] = np.asarray(v)
     arrays["meta.iteration"] = np.asarray(float(state.iteration))
     arrays["meta.feat_stride"] = np.asarray(float(state.grid.feat_stride))
-    arrays["anchors.shapes"] = np.asarray(
-        np.stack([state.grid.boxes[0, 0, :, :, 2], state.grid.boxes[0, 0, :, :, 3]], axis=-1))
+    arrays["anchors.shapes"] = state.grid.boxes[0, 0, :, :, 2:]
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr
     for name, arr in _bw_param_views(state.bw).items():

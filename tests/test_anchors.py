@@ -11,7 +11,6 @@ from ponodet.anchors import (AnchorSet, build_grid, kmeans_anchors,
                              wh_iou, _MAX_STARTS, _cluster_cost)
 from ponodet.benchmarks import crowded_benchmark, imbalanced_benchmark
 from ponodet.data import generate
-from ponodet.geometry import Box
 
 
 def grid_search_single_shape(samples: np.ndarray, resolution: int = 120):
@@ -152,7 +151,7 @@ class TestKmeans:
             bench = crowded_benchmark()
             n_a = bench.n_anchors
             gts = [s.gt for s in generate(bench.gen, bench.n_train)]
-            boxes = [(c, b.w, b.h) for gt in gts
+            boxes = [(c, b[2], b[3]) for gt in gts
                      for b, c in zip(gt.boxes, gt.class_ids)]
             picks = np.random.default_rng(0).choice(len(boxes), 200, replace=False)
             sizes = [np.asarray([boxes[i][1:] for i in sorted(picks)
@@ -181,15 +180,12 @@ class TestBuildGrid:
     def test_single_cell(self):
         aset = AnchorSet(np.array([[[4.0, 4.0]]]))
         grid = build_grid(aset, 1, 1, 8)
-        cell = Box(*grid.boxes[0, 0, 0, 0])
-        assert cell.cx == 4.0
-        assert cell.cy == 4.0
-        assert cell.w == 4.0
+        assert grid.boxes[0, 0, 0, 0].tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_centers(self):
         aset = AnchorSet(np.array([[[4.0, 4.0]]]))
         grid = build_grid(aset, 2, 2, 8)
-        centers = {(Box(*grid.boxes[i, j, 0, 0]).cx, Box(*grid.boxes[i, j, 0, 0]).cy)
+        centers = {tuple(grid.boxes[i, j, 0, 0, :2].tolist())
                    for i in range(2) for j in range(2)}
         assert centers == {(4.0, 4.0), (12.0, 4.0), (4.0, 12.0), (12.0, 12.0)}
 
@@ -233,6 +229,12 @@ class TestAnchorFile:
         path = tmp_path / "anchors.txt"
         path.write_text(f"0 10.0 12.0\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            load_anchor_set(path)
+
+    def test_non_utf8_byte_named(self, tmp_path):
+        path = tmp_path / "anchors.txt"
+        path.write_bytes(b"0 10.0 12.0\n0 5 5\xe9\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: byte 0xe9 is not UTF-8")):
             load_anchor_set(path)
 
     @settings(max_examples=200, deadline=None,

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import re
@@ -194,6 +195,27 @@ class TestBadInput:
                     str(tmp_path / "a.txt")]) == 2
         assert f"{ann}:2: negative class id -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("n_classes = 2", "n_classes = two", "n_classes: invalid literal"),
+        ("crowding = 0.0", "crowding = 1.5", "crowding must be in [0, 1]"),
+        ("crowding = 0.0", "crowdng = 0.8", "unknown key 'crowdng'"),
+    ])
+    def test_bad_genspec_names_file_and_key(self, tmp_path, capsys, old, new, message):
+        spec = tmp_path / "gen.txt"
+        spec.write_text(GENSPEC.replace(old, new))
+        assert run(["gen-data", "--config", str(spec), "--out", str(tmp_path / "d"),
+                    "-n", "2"]) == 2
+        assert f"{spec}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_non_utf8_config_names_file_and_line(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "train.txt"
+        cfg.write_bytes(b"max_iter = 2\n\xff = 2\n")
+        assert run(["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
+                    "--anchors", str(workspace / "anchors.txt"),
+                    "--out", str(tmp_path / "run")]) == 2
+        assert f"{cfg}:2: byte 0xff is not UTF-8" in capsys.readouterr().err
+
     def test_ablate_on_dataset_without_objects(self, tmp_path, capsys):
         ds = self.make_dataset(tmp_path, objects="0,0")
         cfg = tmp_path / "ablate.txt"
@@ -286,6 +308,31 @@ class TestTabularPath:
         assert run(["eval", "--checkpoint", str(out / "final.bin"),
                     "--dataset", str(workspace / "ds"),
                     "--out", str(tmp_path / "tabeval")]) == 0
+
+
+class TestArtifactDigests:
+    def test_one_digest_per_artifact(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "artifact_digests", ROOT / "scripts" / "artifact_digests.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        artifacts = script.run_flow(tmp_path)
+        digests = {rel: digest for digest, rel in
+                   (line.split(" ", 1) for line in script.digests(artifacts))}
+        assert sorted(digests) == sorted(p.relative_to(artifacts).as_posix()
+                                         for p in artifacts.rglob("*") if p.is_file())
+        for rel, digest in digests.items():
+            assert hashlib.sha256((artifacts / rel).read_bytes()).hexdigest() == digest
+        expected = ["ablation/summary.csv", "ablation/anchors.txt", "ds/annotations.txt",
+                    "ds/genspec.txt", "ds/scene_00009.ppm", "eval_ds/scene_00005.ppm",
+                    "eval/report.csv", "eval/report.txt", "maps/maps.csv",
+                    "maps_ckpt/maps.csv", "maps_ckpt/prediou_c1_a1.pgm",
+                    "weights/weights.csv"]
+        for cell in ("ams_learned_ce", "pono_unit_ce", "ao_retina_norm_fl"):
+            expected += [f"ablation/{cell}/{name}" for name in
+                         ("log.csv", "report.csv", "report.txt", "final.bin",
+                          "ckpt_000010.bin", "ckpt_000020.bin")]
+        assert set(expected) <= set(digests)
 
 
 class TestAblate:

@@ -1,15 +1,17 @@
-import math
+import os
 import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ponodet import data as data_mod
 from ponodet.data import (GenSpec, Scene, gen_spec_from_file, generate,
                           hflip, load_annotations, load_dataset, read_kv,
                           read_ppm, save_dataset, save_gen_spec, write_ppm)
-from ponodet.assignment import GroundTruth
-from ponodet.geometry import Box, iou
+from ponodet.geometry import GroundTruth
+
+from test_geometry import iou_oracle
 
 
 def basic_spec(**overrides):
@@ -41,6 +43,41 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=":1"):
             read_kv(path)
 
+    def spec_file(self, tmp_path, old, new):
+        path = tmp_path / "genspec.txt"
+        save_gen_spec(path, basic_spec())
+        path.write_text(path.read_text().replace(old, new))
+        return path
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("n_classes = 2", "n_classes = two", "n_classes"),
+        ("objects_per_scene = 1,3", "objects_per_scene = 1", "objects_per_scene"),
+        ("size_ranges = 8.0:20.0", "size_ranges = 8.0", "size_ranges"),
+    ])
+    def test_value_that_does_not_parse_names_file_and_key(self, tmp_path, old, new, key):
+        path = self.spec_file(tmp_path, old, new)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {key}: ")):
+            gen_spec_from_file(path)
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("crowding = 0.0", "crowding = 1.5", "crowding"),
+        ("size_ranges = 8.0:20.0", "size_ranges = 2.0:20.0", "size_ranges"),
+        ("class_freq = 0.7,0.3", "class_freq = 0.5,0.3", "class_freq"),
+        ("n_classes = 2", "n_classes = 3", "class_freq"),
+        ("objects_per_scene = 1,3", "objects_per_scene = 3,1", "objects_per_scene"),
+        ("seed = 5", "seed = -3", "seed"),
+    ])
+    def test_rule_failure_names_file_and_key(self, tmp_path, old, new, key):
+        path = self.spec_file(tmp_path, old, new)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as e:
+            gen_spec_from_file(path)
+        assert key in str(e.value)
+
+    def test_unknown_key_names_file_and_key(self, tmp_path):
+        path = self.spec_file(tmp_path, "crowding = 0.0", "crowdng = 0.8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key 'crowdng'")):
+            gen_spec_from_file(path)
+
 
 class TestGenerate:
     def test_deterministic(self):
@@ -48,8 +85,8 @@ class TestGenerate:
         b = generate(basic_spec(), 6)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.image, sb.image)
-            assert sa.gt.boxes == sb.gt.boxes
-            assert sa.gt.class_ids == sb.gt.class_ids
+            np.testing.assert_array_equal(sa.gt.boxes, sb.gt.boxes)
+            np.testing.assert_array_equal(sa.gt.class_ids, sb.gt.class_ids)
 
     def test_prefix_stability(self):
         # per-scene seeding: the first k scenes do not depend on n
@@ -64,10 +101,10 @@ class TestGenerate:
 
     def test_boxes_inside_image_and_min_size(self):
         for scene in generate(basic_spec(crowding=0.5), 30):
-            for b in scene.gt.boxes:
-                x1, y1, x2, y2 = b.corners()
-                assert 0 <= x1 < x2 <= 64 and 0 <= y1 < y2 <= 64
-                assert b.w >= 4 and b.h >= 4
+            for cx, cy, w, h in scene.gt.boxes:
+                assert 0 <= cx - w / 2 < cx + w / 2 <= 64
+                assert 0 <= cy - h / 2 < cy + h / 2 <= 64
+                assert w >= 4 and h >= 4
 
     def test_class_frequency_within_3_sigma(self):
         spec = basic_spec(class_freq=(0.9, 0.1), objects_per_scene=(4, 4),
@@ -84,9 +121,9 @@ class TestGenerate:
 
     def test_size_range_conformance(self):
         for scene in generate(basic_spec(), 40):
-            for b, c in zip(scene.gt.boxes, scene.gt.class_ids):
+            for (_, _, w, h), c in zip(scene.gt.boxes, scene.gt.class_ids):
                 lo, hi = basic_spec().size_ranges[c]
-                assert lo <= b.w <= hi and lo <= b.h <= hi
+                assert lo <= w <= hi and lo <= h <= hi
 
     def test_full_crowding_creates_pairs(self):
         spec = basic_spec(crowding=1.0, objects_per_scene=(1, 2), seed=9)
@@ -96,7 +133,7 @@ class TestGenerate:
                 for j in range(i + 1, len(scene.gt)):
                     if scene.gt.class_ids[i] != scene.gt.class_ids[j]:
                         continue
-                    v = iou(scene.gt.boxes[i], scene.gt.boxes[j])
+                    v = iou_oracle(scene.gt.boxes[i], scene.gt.boxes[j])
                     if 0.3 <= v <= 0.7:
                         found = True
             assert found
@@ -104,9 +141,9 @@ class TestGenerate:
     def test_render_marks_objects(self):
         scenes = generate(basic_spec(seed=77), 5)
         for scene in scenes:
-            for b in scene.gt.boxes:
-                patch = scene.image[int(b.cy) - 1:int(b.cy) + 1,
-                                    int(b.cx) - 1:int(b.cx) + 1]
+            for cx, cy, _, _ in scene.gt.boxes:
+                patch = scene.image[int(cy) - 1:int(cy) + 1,
+                                    int(cx) - 1:int(cx) + 1]
                 assert abs(patch.mean() - 0.12) > 0.05  # not background
 
 
@@ -115,21 +152,21 @@ class TestHflip:
         for scene in generate(basic_spec(crowding=0.4, seed=31), 10):
             twice = hflip(hflip(scene))
             np.testing.assert_array_equal(twice.image, scene.image)
-            assert twice.gt.boxes == scene.gt.boxes
-            assert twice.gt.class_ids == scene.gt.class_ids
+            np.testing.assert_array_equal(twice.gt.boxes, scene.gt.boxes)
+            np.testing.assert_array_equal(twice.gt.class_ids, scene.gt.class_ids)
 
     def test_center_box_unchanged(self):
         img = np.zeros((64, 64, 3))
-        scene = Scene(img, GroundTruth([Box(32.0, 10.0, 8.0, 8.0)], [0]))
-        assert hflip(scene).gt.boxes[0].cx == 32.0
+        scene = Scene(img, GroundTruth([(32.0, 10.0, 8.0, 8.0)], [0]))
+        assert hflip(scene).gt.boxes[0, 0] == 32.0
 
     def test_mirror_formula(self):
         img = np.zeros((64, 64, 3))
-        scene = Scene(img, GroundTruth([Box(10.0, 20.0, 8.0, 8.0)], [1]))
+        scene = Scene(img, GroundTruth([(10.0, 20.0, 8.0, 8.0)], [1]))
         out = hflip(scene)
-        assert out.gt.boxes[0].cx == 54.0
-        assert out.gt.boxes[0].cy == 20.0
-        assert out.gt.class_ids == [1]
+        assert out.gt.boxes[0, 0] == 54.0
+        assert out.gt.boxes[0, 1] == 20.0
+        assert out.gt.class_ids.tolist() == [1]
 
     def test_image_columns_mirrored(self):
         scene = generate(basic_spec(seed=2), 1)[0]
@@ -143,8 +180,8 @@ class TestDatasetIO:
         loaded = load_dataset(tmp_path / "ds")
         assert len(loaded) == len(scenes)
         for a, b in zip(scenes, loaded):
-            assert a.gt.boxes == b.gt.boxes
-            assert a.gt.class_ids == b.gt.class_ids
+            np.testing.assert_array_equal(a.gt.boxes, b.gt.boxes)
+            np.testing.assert_array_equal(a.gt.class_ids, b.gt.class_ids)
 
     def test_images_8bit_quantized(self, tmp_path):
         scenes = generate(basic_spec(seed=3), 2)
@@ -152,6 +189,35 @@ class TestDatasetIO:
         loaded = load_dataset(tmp_path / "ds")
         q = np.clip(np.rint(scenes[0].image * 255), 0, 255) / 255.0
         np.testing.assert_allclose(loaded[0].image, q, atol=1e-12)
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        path = tmp_path / "x.ppm"
+        write_ppm(path, np.zeros((2, 3, 3)))
+        blob = path.read_bytes()
+        header = len(b"P6\n3 2\n255\n")
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as e:
+                read_ppm(path)
+            if cut >= header:
+                assert f"has {cut - header} bytes, the 3x2 header needs 18" in str(e.value)
+        path.write_bytes(blob)
+        assert read_ppm(path).shape == (2, 3, 3)
+
+    def test_annotations_and_genspec_written_atomically(self, tmp_path, monkeypatch):
+        written = []
+        atomic_open = data_mod.atomic_open
+
+        def recording_open(path, mode="w"):
+            written.append(os.path.basename(path))
+            return atomic_open(path, mode)
+
+        monkeypatch.setattr(data_mod, "atomic_open", recording_open)
+        save_dataset(tmp_path / "ds", generate(basic_spec(), 2))
+        save_gen_spec(tmp_path / "ds" / "genspec.txt", basic_spec())
+        assert written == ["annotations.txt", "genspec.txt"]
+        assert not [n for n in sorted(p.name for p in (tmp_path / "ds").iterdir())
+                    if n.endswith(".tmp")]
 
     def test_ppm_roundtrip_idempotent(self, tmp_path):
         img = np.clip(np.rint(np.random.default_rng(0).uniform(0, 1, (8, 10, 3)) * 255),
@@ -237,9 +303,28 @@ def test_load_annotations_loads_or_names_the_line(tmp_path, text):
     gts = loads_or_names_the_line(load_annotations, path)
     for gt in gts or []:
         assert all(c >= 0 for c in gt.class_ids)
-        for b in gt.boxes:
-            assert all(math.isfinite(v) for v in (b.cx, b.cy, b.w, b.h))
-            assert b.w > 0 and b.h > 0
+        assert np.all(np.isfinite(gt.boxes))
+        assert np.all(gt.boxes[:, 2:] > 0)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(), st.sampled_from([read_kv, load_annotations]))
+def test_raw_bytes_load_or_name_the_line(tmp_path, blob, load):
+    path = tmp_path / "input.txt"
+    path.write_bytes(blob)
+    loads_or_names_the_line(load, path)
+
+
+@pytest.mark.parametrize("load,blob", [
+    (read_kv, "# \u00e9t\u00e9\nkey = 1\n".encode() + b"\xff = 2\n"),
+    (load_annotations, b"scene 0\n0 5 5 4 4\n0 5 5 4 4 \xff\n"),
+])
+def test_non_utf8_byte_names_the_line(tmp_path, load, blob):
+    path = tmp_path / "input.txt"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: byte 0xff is not UTF-8")):
+        load(path)
 
 
 @settings(max_examples=25, deadline=None)

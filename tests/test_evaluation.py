@@ -1,37 +1,58 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
-from ponodet.assignment import GroundTruth
-from ponodet.evaluation import average_precision, extract_detections, map_eval
-from ponodet.geometry import Box, Detection, iou
+from ponodet.evaluation import extract_detections, map_eval
+from ponodet.geometry import Detections, GroundTruth, decode_cxywh
+
+from test_geometry import dets_of, iou_oracle, nms_oracle, rows_of
+
+
+def average_precision(dets_per_scene, gts, class_id, iou_match=0.5):
+    """One class's AP as `map_eval` scores it; 0.0 for a class with no
+    annotated object."""
+    return map_eval(dets_per_scene, gts, iou_match)[0].get(class_id, 0.0)
+
+
+def extract_oracle(logits, offsets, grid, score_min, nms_iou):
+    """The former per-cell loop: decode each selected cell on its own, then
+    the per-pair NMS oracle; (cx, cy, w, h, class_id, score) rows."""
+    scores = ad.sigmoid(logits)
+    rows = []
+    for i, j, c, a in np.argwhere(scores >= score_min):
+        b, o = grid.boxes[i, j, c, a], offsets[i, j, c, a]
+        box = decode_cxywh(b[0], b[1], b[2], b[3], o[0], o[1], o[2], o[3])
+        rows.append((*map(float, box), int(c), float(scores[i, j, c, a])))
+    keep = nms_oracle([r[:4] for r in rows], [r[4] for r in rows],
+                      [r[5] for r in rows], nms_iou)
+    return [rows[k] for k in keep]
 
 
 def brute_force_ap(dets_per_scene, gts, class_id, iou_match=0.5):
     """Threshold-sweep oracle: rebuild the match set from scratch at every
     distinct score threshold, then integrate the precision envelope over
     the achieved recalls."""
-    flat = []
+    flat = []  # (scene, box, score) of the class's detections
     for s, dets in enumerate(dets_per_scene):
-        for d in dets:
-            if d.class_id == class_id:
-                flat.append((s, d))
+        for *box, c, score in rows_of(dets):
+            if c == class_id:
+                flat.append((s, box, score))
     n_gt = sum(sum(1 for c in gt.class_ids if c == class_id) for gt in gts)
     if n_gt == 0 or not flat:
         return 0.0
 
     def point_at(threshold):
-        kept = [(s, d) for s, d in flat if d.score >= threshold]
-        kept.sort(key=lambda t: -t[1].score)
+        kept = [d for d in flat if d[2] >= threshold]
+        kept.sort(key=lambda t: -t[2])
         matched = [set() for _ in gts]
         tp = 0
-        for s, d in kept:
+        for s, box, _ in kept:
             best, best_k = 0.0, -1
-            for k, (box, c) in enumerate(zip(gts[s].boxes, gts[s].class_ids)):
+            for k, (gt_box, c) in enumerate(zip(gts[s].boxes, gts[s].class_ids)):
                 if c != class_id or k in matched[s]:
                     continue
-                v = iou(d.box, box)
+                v = iou_oracle(box, gt_box)
                 if v > best:
                     best, best_k = v, k
             if best_k >= 0 and best >= iou_match:
@@ -41,7 +62,7 @@ def brute_force_ap(dets_per_scene, gts, class_id, iou_match=0.5):
             return 0.0, 1.0
         return tp / n_gt, tp / len(kept)
 
-    points = sorted(point_at(t) for t in {d.score for _, d in flat})
+    points = sorted(point_at(t) for t in {score for *_, score in flat})
     recalls = sorted({r for r, _ in points})
     ap, prev = 0.0, 0.0
     for r in recalls:
@@ -54,46 +75,46 @@ def brute_force_ap(dets_per_scene, gts, class_id, iou_match=0.5):
 
 
 def det(cx, cy, w, h, cls, score):
-    return Detection(Box(cx, cy, w, h), cls, score)
+    return (cx, cy, w, h, cls, score)
 
 
 class TestAveragePrecision:
     def test_perfect_detections(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8), Box(30, 30, 6, 6)], [0, 0])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9), det(30, 30, 6, 6, 0, 0.8)]]
+        gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 6, 6)], [0, 0])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(30, 30, 6, 6, 0, 0.8))]
         assert average_precision(dets, gts, 0) == 1.0
 
     def test_no_detections(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8)], [0])]
-        assert average_precision([[]], gts, 0) == 0.0
+        gts = [GroundTruth([(10, 10, 8, 8)], [0])]
+        assert average_precision([dets_of()], gts, 0) == 0.0
 
     def test_hand_rolled_pr_example(self):
         # 2 objects; TP(0.9), FP(0.8), TP(0.7) => AP = 0.5*1 + 0.5*(2/3)
-        gts = [GroundTruth([Box(10, 10, 8, 8), Box(40, 40, 8, 8)], [0, 0])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9),
-                 det(25, 25, 4, 4, 0, 0.8),
-                 det(40, 40, 8, 8, 0, 0.7)]]
+        gts = [GroundTruth([(10, 10, 8, 8), (40, 40, 8, 8)], [0, 0])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9),
+                        det(25, 25, 4, 4, 0, 0.8),
+                        det(40, 40, 8, 8, 0, 0.7))]
         assert average_precision(dets, gts, 0) == pytest.approx(5 / 6, abs=1e-12)
 
     def test_trailing_fp_never_raises_ap(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8)], [0])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9)]]
+        gts = [GroundTruth([(10, 10, 8, 8)], [0])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9))]
         base = average_precision(dets, gts, 0)
-        dets2 = [dets[0] + [det(40, 40, 4, 4, 0, 0.1)]]
+        dets2 = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(40, 40, 4, 4, 0, 0.1))]
         assert average_precision(dets2, gts, 0) <= base
 
     def test_monotone_score_rescale_invariance(self):
         rng = np.random.default_rng(0)
-        gts = [GroundTruth([Box(10, 10, 8, 8), Box(30, 30, 8, 8)], [0, 0])]
-        dets = [[det(10 + rng.normal(), 10, 8, 8, 0, s)
-                 for s in (0.9, 0.6, 0.4, 0.2)]]
+        gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 0])]
+        dets = [dets_of(*[det(10 + rng.normal(), 10, 8, 8, 0, s)
+                          for s in (0.9, 0.6, 0.4, 0.2)])]
         a = average_precision(dets, gts, 0)
-        resc = [[Detection(d.box, d.class_id, d.score ** 3) for d in dets[0]]]
+        resc = [Detections(dets[0].boxes, dets[0].class_ids, dets[0].scores ** 3)]
         assert average_precision(resc, gts, 0) == pytest.approx(a, abs=1e-12)
 
     def test_greedy_match_each_gt_once(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8)], [0])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9), det(10, 10, 8, 8, 0, 0.8)]]
+        gts = [GroundTruth([(10, 10, 8, 8)], [0])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(10, 10, 8, 8, 0, 0.8))]
         # second duplicate is a false positive: AP = area under p=1 up to
         # r=1 is cut by the duplicate only after recall saturates
         assert average_precision(dets, gts, 0) == 1.0
@@ -105,19 +126,19 @@ class TestAveragePrecision:
             gts, dets = [], []
             for _ in range(n_scenes):
                 n_obj = rng.integers(0, 4)
-                boxes = [Box(*rng.uniform(10, 50, 2), *rng.uniform(5, 15, 2))
+                boxes = [(*rng.uniform(10, 50, 2), *rng.uniform(5, 15, 2))
                          for _ in range(n_obj)]
                 gts.append(GroundTruth(boxes, [0] * n_obj))
                 ds = []
-                for b in boxes:
+                for cx, cy, w, h in boxes:
                     if rng.random() < 0.8:
-                        ds.append(det(b.cx + rng.normal(0, 2), b.cy + rng.normal(0, 2),
-                                      b.w * rng.uniform(0.8, 1.2), b.h, 0,
+                        ds.append(det(cx + rng.normal(0, 2), cy + rng.normal(0, 2),
+                                      w * rng.uniform(0.8, 1.2), h, 0,
                                       float(rng.uniform(0.1, 1.0))))
                 for _ in range(rng.integers(0, 3)):
                     ds.append(det(*rng.uniform(10, 50, 2), *rng.uniform(5, 15, 2),
                                   0, float(rng.uniform(0.1, 1.0))))
-                dets.append(ds)
+                dets.append(dets_of(*ds))
             got = average_precision(dets, gts, 0)
             want = brute_force_ap(dets, gts, 0)
             assert got == pytest.approx(want, abs=1e-9)
@@ -125,22 +146,22 @@ class TestAveragePrecision:
 
 class TestMapEval:
     def test_all_perfect(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8), Box(30, 30, 8, 8)], [0, 1])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9), det(30, 30, 8, 8, 1, 0.8)]]
+        gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 1])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(30, 30, 8, 8, 1, 0.8))]
         per_class, mean = map_eval(dets, gts)
         assert per_class == {0: 1.0, 1: 1.0}
         assert mean == 1.0
 
     def test_half(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8), Box(30, 30, 8, 8)], [0, 1])]
-        dets = [[det(10, 10, 8, 8, 0, 0.9)]]
+        gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 1])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9))]
         per_class, mean = map_eval(dets, gts)
         assert per_class == {0: 1.0, 1: 0.0}
         assert mean == 0.5
 
     def test_only_present_classes_counted(self):
-        gts = [GroundTruth([Box(10, 10, 8, 8)], [1])]
-        dets = [[det(10, 10, 8, 8, 1, 0.9), det(20, 20, 8, 8, 0, 0.8)]]
+        gts = [GroundTruth([(10, 10, 8, 8)], [1])]
+        dets = [dets_of(det(10, 10, 8, 8, 1, 0.9), det(20, 20, 8, 8, 0, 0.8))]
         per_class, mean = map_eval(dets, gts)
         assert set(per_class) == {1}
 
@@ -152,7 +173,7 @@ class TestExtractDetections:
     def test_all_low_logits_empty(self):
         grid = self.grid()
         assert extract_detections(np.full((2, 2, 1, 1), -10.0),
-                                  np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05) == []
+                                  np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05).boxes.shape == (0, 4)
 
     def test_single_hot_cell_is_anchor_box(self):
         grid = self.grid()
@@ -160,8 +181,8 @@ class TestExtractDetections:
         logits[1, 0, 0, 0] = 10.0
         dets = extract_detections(logits, np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05)
         assert len(dets) == 1
-        assert dets[0].box == Box(*grid.boxes[1, 0, 0, 0])
-        assert dets[0].score > 0.9999
+        assert dets.boxes[0].tolist() == grid.boxes[1, 0, 0, 0].tolist()
+        assert dets.scores[0] > 0.9999
 
     def test_duplicates_collapse_under_nms(self):
         grid = self.grid()
@@ -170,11 +191,22 @@ class TestExtractDetections:
         # all four cells decode onto the same spot
         for i in range(2):
             for j in range(2):
-                target = Box(8.0, 8.0, 8.0, 8.0)
-                anchor = Box(*grid.boxes[i, j, 0, 0])
-                offsets[i, j, 0, 0, 0] = (target.cx - anchor.cx) / anchor.w
-                offsets[i, j, 0, 0, 1] = (target.cy - anchor.cy) / anchor.h
+                acx, acy, aw, ah = grid.boxes[i, j, 0, 0]
+                offsets[i, j, 0, 0, 0] = (8.0 - acx) / aw
+                offsets[i, j, 0, 0, 1] = (8.0 - acy) / ah
         logits[0, 0, 0, 0] = 5.0
         dets = extract_detections(logits, offsets, grid, score_min=0.05, nms_iou=0.5)
         assert len(dets) == 1
-        assert dets[0].score == pytest.approx(1 / (1 + np.exp(-5.0)))
+        assert dets.scores[0] == pytest.approx(1 / (1 + np.exp(-5.0)))
+
+    def test_matches_per_cell_loop(self):
+        rng = np.random.default_rng(7)
+        grid = build_grid(AnchorSet(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1)), 6, 6, 4)
+        for _ in range(10):
+            # few logit levels: equal scores and same-spot duplicates are common
+            logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.boxes.shape[:4])
+            offsets = rng.choice([0.0, 0.25, -0.5], size=grid.boxes.shape)
+            for score_min, nms_iou in ((0.05, 0.5), (0.5, 0.3), (0.05, 0.9)):
+                got = extract_detections(logits, offsets, grid, score_min, nms_iou)
+                assert rows_of(got) == extract_oracle(logits, offsets, grid,
+                                                      score_min, nms_iou)

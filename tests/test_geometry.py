@@ -4,57 +4,102 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ponodet.geometry import EXP_CLAMP, Box, Detection, decode_cxywh, iou, nms
+from ponodet.geometry import (EXP_CLAMP, Detections, GroundTruth, decode_cxywh,
+                              nms, pairwise_iou)
 
 
-def iou_oracle(a: Box, b: Box) -> float:
-    """Independent corner-arithmetic IoU used to cross-check the library."""
-    ax1, ay1, ax2, ay2 = a.cx - a.w / 2, a.cy - a.h / 2, a.cx + a.w / 2, a.cy + a.h / 2
-    bx1, by1, bx2, by2 = b.cx - b.w / 2, b.cy - b.h / 2, b.cx + b.w / 2, b.cy + b.h / 2
+def iou_oracle(a, b) -> float:
+    """Independent corner-arithmetic IoU of two (cx, cy, w, h) boxes, used
+    to cross-check the library."""
+    acx, acy, aw, ah = (float(v) for v in a)
+    bcx, bcy, bw, bh = (float(v) for v in b)
+    ax1, ay1, ax2, ay2 = acx - aw / 2, acy - ah / 2, acx + aw / 2, acy + ah / 2
+    bx1, by1, bx2, by2 = bcx - bw / 2, bcy - bh / 2, bcx + bw / 2, bcy + bh / 2
     iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
     ih = max(0.0, min(ay2, by2) - max(ay1, by1))
     inter = iw * ih
     if inter == 0.0:
         return 0.0
-    return inter / (a.w * a.h + b.w * b.h - inter)
+    return inter / (aw * ah + bw * bh - inter)
+
+
+def nms_oracle(boxes, class_ids, scores, iou_threshold) -> list[int]:
+    """The former per-pair greedy NMS: input indices of the kept detections,
+    in visiting order (descending score, then class id, then index)."""
+    order = sorted(range(len(scores)),
+                   key=lambda i: (-scores[i], class_ids[i], i))
+    kept: list[int] = []
+    for i in order:
+        if not any(class_ids[k] == class_ids[i]
+                   and iou_oracle(boxes[k], boxes[i]) > iou_threshold
+                   for k in kept):
+            kept.append(i)
+    return kept
+
+
+def iou(a, b) -> float:
+    """The library IoU of two single boxes."""
+    return float(pairwise_iou(np.asarray([a], float), np.asarray([b], float))[0, 0])
+
+
+def dets_of(*rows) -> Detections:
+    """Detections from (cx, cy, w, h, class_id, score) rows."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    return Detections(rows[:, :4], rows[:, 4], rows[:, 5])
+
+
+def rows_of(dets: Detections) -> list[tuple]:
+    return [(*b, c, s) for b, c, s in zip(dets.boxes.tolist(), dets.class_ids.tolist(),
+                                          dets.scores.tolist())]
 
 
 # boxes on a 1/32 grid: IoU == 1.0 then really means identical boxes
 grid_boxes = st.builds(
-    lambda cx, cy, w, h: Box(cx / 32, cy / 32, w / 32, h / 32),
+    lambda cx, cy, w, h: (cx / 32, cy / 32, w / 32, h / 32),
     st.integers(-3200, 3200), st.integers(-3200, 3200),
     st.integers(1, 3200), st.integers(1, 3200))
 
 
 class TestBox:
     def test_rejects_nonpositive_sides(self):
-        with pytest.raises(ValueError):
-            Box(0, 0, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            Box(0, 0, 5.0, -1.0)
+        for sides in ((0.0, 5.0), (5.0, -1.0)):
+            with pytest.raises(ValueError, match="positive"):
+                GroundTruth([(0, 0, *sides)], [0])
+            with pytest.raises(ValueError, match="positive"):
+                Detections([(0, 0, *sides)], [0], [0.5])
 
-    def test_corners_ordered(self):
-        x1, y1, x2, y2 = Box(3, 4, 2, 6).corners()
-        assert x1 < x2 and y1 < y2
-        assert (x1, y1, x2, y2) == (2, 1, 4, 7)
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=r"\[n, 4\]"):
+            GroundTruth([(1.0, 2.0, 3.0)], [0])
+        with pytest.raises(ValueError, match="1 boxes but 2 class_ids"):
+            GroundTruth([(1.0, 2.0, 3.0, 4.0)], [0, 1])
+        with pytest.raises(ValueError, match="1 boxes but 2 scores"):
+            Detections([(1.0, 2.0, 3.0, 4.0)], [0], [0.5, 0.4])
+
+    def test_converts_rows_and_empty_input(self):
+        gt = GroundTruth([(3, 4, 2, 6)], [1])
+        assert gt.boxes.dtype == np.float64 and gt.boxes.shape == (1, 4)
+        assert gt.class_ids.dtype == np.int64 and gt.class_ids.tolist() == [1]
+        empty = GroundTruth([], [])
+        assert empty.boxes.shape == (0, 4) and len(empty) == 0
 
 
 class TestIoU:
     def test_identity(self):
-        b = Box(3.5, -2.0, 7.0, 1.25)
+        b = (3.5, -2.0, 7.0, 1.25)
         assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(Box(0, 0, 2, 2), Box(10, 10, 2, 2)) == 0.0
+        assert iou((0, 0, 2, 2), (10, 10, 2, 2)) == 0.0
 
     def test_third_overlap(self):
         # intersection 1*2 = 2, union 4 + 4 - 2 = 6
-        assert iou(Box(1, 1, 2, 2), Box(2, 1, 2, 2)) == pytest.approx(1 / 3, abs=1e-15)
+        assert iou((1, 1, 2, 2), (2, 1, 2, 2)) == pytest.approx(1 / 3, abs=1e-15)
 
     @given(grid_boxes, grid_boxes)
     def test_matches_oracle_symmetric_bounded(self, a, b):
         v = iou(a, b)
-        assert abs(v - iou_oracle(a, b)) <= 1e-12
+        assert v == iou_oracle(a, b)
         assert v == iou(b, a)
         assert 0.0 <= v <= 1.0
 
@@ -64,6 +109,14 @@ class TestIoU:
             assert a == b
         if a == b:
             assert iou(a, b) == 1.0
+
+    @given(st.lists(grid_boxes, max_size=6), st.lists(grid_boxes, max_size=6))
+    def test_pairwise_matrix_matches_oracle(self, a, b):
+        got = pairwise_iou(np.asarray(a, float).reshape(-1, 4),
+                           np.asarray(b, float).reshape(-1, 4))
+        assert got.shape == (len(a), len(b))
+        for i, j in np.ndindex(got.shape):
+            assert got[i, j] == iou_oracle(a[i], b[j])
 
 
 class TestDecode:
@@ -86,61 +139,67 @@ class TestDecode:
     @given(grid_boxes, grid_boxes)
     def test_roundtrip_through_encode(self, anchor, target):
         # encode: the offsets that decode `anchor` onto `target`
-        dx = (target.cx - anchor.cx) / anchor.w
-        dy = (target.cy - anchor.cy) / anchor.h
-        dw = math.log(target.w / anchor.w)
-        dh = math.log(target.h / anchor.h)
+        dx = (target[0] - anchor[0]) / anchor[2]
+        dy = (target[1] - anchor[1]) / anchor[3]
+        dw = math.log(target[2] / anchor[2])
+        dh = math.log(target[3] / anchor[3])
         if max(abs(dw), abs(dh)) > EXP_CLAMP:
             return
-        cx, cy, w, h = decode_cxywh(anchor.cx, anchor.cy, anchor.w, anchor.h,
-                                    dx, dy, dw, dh)
-        assert cx == pytest.approx(target.cx, rel=1e-9, abs=1e-9)
-        assert cy == pytest.approx(target.cy, rel=1e-9, abs=1e-9)
-        assert w == pytest.approx(target.w, rel=1e-12)
-        assert h == pytest.approx(target.h, rel=1e-12)
+        cx, cy, w, h = decode_cxywh(*anchor, dx, dy, dw, dh)
+        assert cx == pytest.approx(target[0], rel=1e-9, abs=1e-9)
+        assert cy == pytest.approx(target[1], rel=1e-9, abs=1e-9)
+        assert w == pytest.approx(target[2], rel=1e-12)
+        assert h == pytest.approx(target[3], rel=1e-12)
+
+
+# detections on a coarse grid with few score levels, so equal scores and
+# heavily overlapping same-class boxes are common
+tied_dets = st.lists(st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 5), st.integers(1, 5),
+    st.integers(0, 2), st.sampled_from([0.25, 0.5, 0.75, 1.0])), max_size=16)
 
 
 class TestNms:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            nms([], 0.0)
+            nms(dets_of(), 0.0)
 
     def test_single_detection(self):
-        d = Detection(Box(5, 5, 4, 4), 0, 0.7)
-        assert nms([d], 0.5) == [d]
+        assert rows_of(nms(dets_of((5, 5, 4, 4, 0, 0.7)), 0.5)) == [(5, 5, 4, 4, 0, 0.7)]
 
     def test_identical_boxes_suppressed(self):
-        hi = Detection(Box(5, 5, 4, 4), 0, 0.9)
-        lo = Detection(Box(5, 5, 4, 4), 0, 0.8)
-        assert nms([lo, hi], 0.5) == [hi]
+        out = nms(dets_of((5, 5, 4, 4, 0, 0.8), (5, 5, 4, 4, 0, 0.9)), 0.5)
+        assert rows_of(out) == [(5, 5, 4, 4, 0, 0.9)]
 
     def test_third_overlap_both_kept(self):
-        a = Detection(Box(1, 1, 2, 2), 0, 0.9)
-        b = Detection(Box(2, 1, 2, 2), 0, 0.8)
-        assert nms([a, b], 0.5) == [a, b]
+        a, b = (1, 1, 2, 2, 0, 0.9), (2, 1, 2, 2, 0, 0.8)
+        assert rows_of(nms(dets_of(a, b), 0.5)) == [a, b]
 
     def test_per_class_keeps_other_classes(self):
-        a = Detection(Box(5, 5, 4, 4), 0, 0.9)
-        b = Detection(Box(5, 5, 4, 4), 1, 0.8)
-        assert nms([a, b], 0.5, per_class=True) == [a, b]
-        assert nms([a, b], 0.5, per_class=False) == [a]
+        a, b = (5, 5, 4, 4, 0, 0.9), (5, 5, 4, 4, 1, 0.8)
+        assert rows_of(nms(dets_of(a, b), 0.5)) == [a, b]
 
     def test_equal_score_tiebreak(self):
-        a = Detection(Box(0, 0, 2, 2), 1, 0.5)
-        b = Detection(Box(20, 0, 2, 2), 0, 0.5)
-        out = nms([a, b], 0.5)
-        assert [d.class_id for d in out] == [0, 1]
+        out = nms(dets_of((0, 0, 2, 2, 1, 0.5), (20, 0, 2, 2, 0, 0.5)), 0.5)
+        assert out.class_ids.tolist() == [0, 1]
+
+    @given(tied_dets, st.integers(1, 10))
+    def test_same_ordered_keep_list_as_oracle(self, raw, thr10):
+        dets = dets_of(*raw)
+        want = nms_oracle(dets.boxes.tolist(), dets.class_ids.tolist(),
+                          dets.scores.tolist(), thr10 / 10)
+        assert rows_of(nms(dets, thr10 / 10)) == rows_of(dets.take(np.array(want, int)))
 
     @given(st.lists(st.tuples(grid_boxes, st.integers(0, 2),
                               st.integers(0, 100)), max_size=12),
            st.integers(1, 9))
     def test_output_subset_sorted_no_overlap(self, raw, thr10):
         thr = thr10 / 10
-        dets = [Detection(b, c, s / 100) for b, c, s in raw]
-        out = nms(dets, thr)
-        assert all(d in dets for d in out)
-        assert all(out[i].score >= out[i + 1].score for i in range(len(out) - 1))
+        dets = dets_of(*[(*b, c, s / 100) for b, c, s in raw])
+        out = rows_of(nms(dets, thr))
+        assert all(d in rows_of(dets) for d in out)
+        assert all(out[i][5] >= out[i + 1][5] for i in range(len(out) - 1))
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
-                if out[i].class_id == out[j].class_id:
-                    assert iou(out[i].box, out[j].box) <= thr
+                if out[i][4] == out[j][4]:
+                    assert iou_oracle(out[i][:4], out[j][:4]) <= thr

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
-from ponodet.geometry import Box
 from ponodet.loss import bce_logits, loc_loss_map
 from ponodet.model import (MAGIC, TabularPredictor, ToyNet, ToyNetConfig,
                            leaf_params, load_arrays, save_arrays)
@@ -115,7 +114,7 @@ class TestToyNetGradients:
         rng = np.random.default_rng(2)
         image = rng.uniform(0, 1, (32, 32, 3))
         grid = build_grid(AnchorSet(np.full((1, 1, 2), 10.0)), 4, 4, 8)
-        gt = GroundTruth(boxes=[Box(12.5, 11.0, 11.0, 9.0)], class_ids=[0])
+        gt = GroundTruth(boxes=[(12.5, 11.0, 11.0, 9.0)], class_ids=[0])
         stacked = Assignment.stack([assign_ao(grid, gt)])
         gate = (stacked.pono > 0.5).astype(float)
         labels = gate.copy()

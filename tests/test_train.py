@@ -15,7 +15,6 @@ from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
-from ponodet.geometry import Box
 from ponodet.loss import BalanceWeights
 from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig, leaf_params,
                            load_arrays, save_arrays)
@@ -26,7 +25,7 @@ from ponodet.train import (RunState, TrainConfig, load_run, lr_at,
 
 def one_object_scene(image_size=32):
     img = np.zeros((image_size, image_size, 3))
-    gt = GroundTruth(boxes=[Box(13.0, 14.0, 10.0, 9.0)], class_ids=[0])
+    gt = GroundTruth(boxes=[(13.0, 14.0, 10.0, 9.0)], class_ids=[0])
     return Scene(img, gt)
 
 
@@ -118,8 +117,8 @@ class TestTrainIteration:
         # normalized overlap stays at or below the gate so the product
         # rule keeps it negative for the entire run
         img = np.zeros((32, 32, 3))
-        gt = GroundTruth(boxes=[Box(6.0, 12.0, 11.0, 11.0),
-                                Box(18.0, 12.0, 11.0, 11.0)],
+        gt = GroundTruth(boxes=[(6.0, 12.0, 11.0, 11.0),
+                                (18.0, 12.0, 11.0, 11.0)],
                          class_ids=[0, 0])
         scene = Scene(img, gt)
         state = tabular_state(scene, shapes=((11.0, 11.0),))
@@ -232,8 +231,8 @@ class TestBatchedIteration:
 class TestSceneCache:
     def crowded_scene(self):
         img = np.zeros((32, 32, 3))
-        gt = GroundTruth(boxes=[Box(10.0, 10.0, 12.0, 10.0), Box(17.0, 12.0, 12.0, 10.0),
-                                Box(22.0, 24.0, 9.0, 14.0)], class_ids=[0, 0, 0])
+        gt = GroundTruth(boxes=[(10.0, 10.0, 12.0, 10.0), (17.0, 12.0, 12.0, 10.0),
+                                (22.0, 24.0, 9.0, 14.0)], class_ids=[0, 0, 0])
         return Scene(img, gt)
 
     def test_gate_follows_the_rule_on_a_reused_state(self):
@@ -258,7 +257,7 @@ class TestSceneCache:
         reused = tabular_state(one_object_scene())
         for k in (1, 2, 3, 1, 3, 2):
             scene = Scene(img, GroundTruth(
-                [Box(6.0 + 8 * j, 6.0, 8.0, 8.0) for j in range(k)], [0] * k))
+                [(6.0 + 8 * j, 6.0, 8.0, 8.0) for j in range(k)], [0] * k))
             n_pos = train_iteration(reused, [scene], cfg).n_pos
             assert n_pos == train_iteration(tabular_state(scene), [scene], cfg).n_pos
             del scene
@@ -274,7 +273,7 @@ class TestFreezeRule:
     def test_absent_class_weights_bit_equal(self):
         # class 1 never occurs: its grid weights must stay exactly at init
         img = np.zeros((32, 32, 3))
-        scene = Scene(img, GroundTruth([Box(12, 12, 10, 10)], [0]))
+        scene = Scene(img, GroundTruth([(12, 12, 10, 10)], [0]))
         aset = AnchorSet(np.full((2, 2, 2), 9.0))
         grid = build_grid(aset, 4, 4, 8)
         model = TabularPredictor(4, 4, 2, 2)
