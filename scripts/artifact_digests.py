@@ -4,11 +4,12 @@ refactor changed no output byte.
 
 The flow is the ablation of acceptance criterion c10, extended: gen-data
 (a train and an eval set), a 3-cell ablate with checkpoints, eval of one
-cell's final checkpoint, assign-dump without and with a checkpoint, and
-plot-weights.  It prints one `sha256 relpath` line per file written,
-sorted by path.  Run it from the root of a source checkout; ponodet is
-imported from that checkout's src/ directory, so one command compares two
-checkouts:
+cell's final checkpoint, assign-dump without and with a checkpoint,
+plot-weights, and a learned-mode train at batch size 2 with checkpoints
+(stacked assignments and a batch-2 optimizer step).  It prints one
+`sha256 relpath` line per file written, sorted by path.  Run it from the
+root of a source checkout; ponodet is imported from that checkout's src/
+directory, so one command compares two checkouts:
 
     diff <(cd ../parent && python3 "$OLDPWD/scripts/artifact_digests.py") \\
          <(python3 scripts/artifact_digests.py)
@@ -48,6 +49,20 @@ eval_dataset = {root}/eval_ds
 cells = AMS:learned:CE,PONO:unit:CE,AO:retina_norm:FL
 """
 
+TRAIN_BATCH2 = """\
+model = toynet
+input_size = 32
+base_channels = 2
+levels = 2
+head_convs = 1
+lr0 = 0.01
+max_iter = 12
+batch_size = 2
+mode = learned
+seed = 4
+checkpoint_every = 5
+"""
+
 
 def run_flow(root: Path) -> Path:
     """Run the flow with its config files in `root`/inputs and its
@@ -59,6 +74,7 @@ def run_flow(root: Path) -> Path:
     inputs.mkdir(parents=True)
     (inputs / "genspec.txt").write_text(GENSPEC)
     (inputs / "ablate.txt").write_text(ABLATE.format(root=root))
+    (inputs / "train_b2.txt").write_text(TRAIN_BATCH2)
     ckpt = str(root / "ablation" / "ams_learned_ce" / "final.bin")
     steps = [
         ["gen-data", "--config", f"{inputs}/genspec.txt", "--out", f"{root}/ds", "-n", "10"],
@@ -72,6 +88,8 @@ def run_flow(root: Path) -> Path:
          "--anchors", f"{root}/ablation/anchors.txt", "--checkpoint", ckpt,
          "--out", f"{root}/maps_ckpt"],
         ["plot-weights", "--checkpoint", ckpt, "--out", f"{root}/weights"],
+        ["train", "--config", f"{inputs}/train_b2.txt", "--dataset", f"{root}/ds",
+         "--anchors", f"{root}/ablation/anchors.txt", "--out", f"{root}/train_b2"],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):

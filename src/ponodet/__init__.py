@@ -9,9 +9,8 @@ train toy predictors on synthetic scenes.
 from .geometry import Detections, GroundTruth, nms
 from .anchors import (AnchorGrid, AnchorSet, build_grid, kmeans_anchors,
                       sizes_per_class)
-from .assignment import (Assignment, ams_labels, assign_ao, pono_labels,
-                         pred_iou_values, threshold_labels)
-from .loss import BalanceWeights, LossReport
+from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
+from .loss import LossReport, initial_balance
 from .data import GenSpec, Scene, generate, hflip, load_dataset, save_dataset
 from .model import PredictorOutput, TabularPredictor, ToyNet, ToyNetConfig
 from .train import RunState, TrainConfig, lr_at, run_training, sgd_step, train_iteration
@@ -22,9 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Detections", "GroundTruth", "nms",
     "AnchorGrid", "AnchorSet", "build_grid", "kmeans_anchors", "sizes_per_class",
-    "Assignment", "ams_labels", "assign_ao", "pono_labels",
-    "pred_iou_values", "threshold_labels",
-    "BalanceWeights", "LossReport",
+    "Assignment", "ams_labels", "assign_ao", "pred_iou_values",
+    "LossReport", "initial_balance",
     "GenSpec", "Scene", "generate", "hflip", "load_dataset", "save_dataset",
     "PredictorOutput", "TabularPredictor", "ToyNet", "ToyNetConfig",
     "RunState", "TrainConfig", "lr_at", "run_training", "sgd_step",

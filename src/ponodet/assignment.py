@@ -31,16 +31,15 @@ class Assignment:
     [h, w, nc, na]; or, from `stack`, N scenes with every array [N, h, w,
     nc, na].
 
-    `gt_box` holds the assigned object's (cx, cy, w, h) per cell, with unit
-    dummy boxes on unassigned cells; multiply by `mask` after any
-    computation on it.
+    `gt_box` [..., 4] holds the assigned object's (cx, cy, w, h) per cell,
+    with unit dummy boxes on unassigned cells; mask any computation on it
+    with `gt_index != UNASSIGNED`.
     """
 
     gt_index: np.ndarray   # object per cell, UNASSIGNED where no same-class overlap
     ao: np.ndarray         # raw overlap with the assigned object, 0 if none
     pono: np.ndarray       # ao divided by its cluster's maximum, in [0, 1]
-    gt_box: tuple
-    mask: np.ndarray       # 1.0 on assigned cells, 0.0 elsewhere
+    gt_box: np.ndarray
 
     @classmethod
     def stack(cls, records: list[Assignment]) -> Assignment:
@@ -48,8 +47,7 @@ class Assignment:
         return cls(_stacked([r.gt_index for r in records]),
                    _stacked([r.ao for r in records]),
                    _stacked([r.pono for r in records]),
-                   tuple(_stacked([r.gt_box[d] for r in records]) for d in range(4)),
-                   _stacked([r.mask for r in records]))
+                   _stacked([r.gt_box for r in records]))
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -118,8 +116,7 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
     shape = grid.boxes.shape[:4]
     if len(gt) == 0:
         return Assignment(np.full(shape, UNASSIGNED, dtype=np.int64),
-                          np.zeros(shape), np.zeros(shape),
-                          tuple(np.ones(shape) for _ in range(4)), np.zeros(shape))
+                          np.zeros(shape), np.zeros(shape), np.ones(shape + (4,)))
     overlaps = _grid_gt_iou(grid, gt)
     gt_index = _cluster(overlaps, len(gt))
     unassigned = gt_index == UNASSIGNED
@@ -130,10 +127,8 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
     np.maximum.at(cluster_max, gt_index[~unassigned], ao[~unassigned])
     pono = np.zeros_like(ao)
     pono[~unassigned] = ao[~unassigned] / cluster_max[gt_index[~unassigned]]
-    picked = gt.boxes[safe]
-    gt_box = tuple(np.where(unassigned, 1.0, picked[..., d]) for d in range(4))
-    return Assignment(gt_index, ao, pono, gt_box,
-                      (~unassigned).astype(np.float64))
+    gt_box = np.where(unassigned[..., None], 1.0, gt.boxes[safe])
+    return Assignment(gt_index, ao, pono, gt_box)
 
 
 def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
@@ -142,15 +137,17 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
     [N, h, w, nc, na, 4].  `assignment` is the `Assignment.stack` of the N
     scenes."""
     if offsets.shape[1:] != grid.boxes.shape \
-            or offsets.shape[:-1] != assignment.mask.shape:
+            or offsets.shape[:-1] != assignment.gt_index.shape:
         raise ValueError(f"offsets shape {offsets.shape} does not match grid "
                          f"{grid.boxes.shape} with assignments stacked as "
-                         f"{assignment.mask.shape}")
+                         f"{assignment.gt_index.shape}")
     b = grid.boxes
     cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
                                 offsets[..., 0], offsets[..., 1],
                                 offsets[..., 2], offsets[..., 3])
-    return iou_cxywh(cx, cy, w, h, *assignment.gt_box) * assignment.mask
+    g = assignment.gt_box
+    return iou_cxywh(cx, cy, w, h, g[..., 0], g[..., 1], g[..., 2], g[..., 3]) \
+        * (assignment.gt_index != UNASSIGNED)
 
 
 def ams_labels(pono: np.ndarray, o_hat: np.ndarray,
@@ -160,12 +157,3 @@ def ams_labels(pono: np.ndarray, o_hat: np.ndarray,
     gradient is ever taken through label computation."""
     return ((pono * np.asarray(o_hat)) > threshold).astype(np.uint8)
 
-
-def pono_labels(pono: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Positive where normalized overlap alone beats the threshold."""
-    return (pono > threshold).astype(np.uint8)
-
-
-def threshold_labels(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Positive where a raw overlap map beats the threshold (baseline rule)."""
-    return (values > threshold).astype(np.uint8)

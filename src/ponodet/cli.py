@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -82,7 +83,7 @@ def _build_model(kv: dict, n_classes: int, n_anchors: int, seed: int,
         f = image_size // FEAT_STRIDE
         return TabularPredictor(f, f, n_classes, n_anchors)
     cfg = ToyNetConfig(
-        input_size=int(kv.get("input_size", image_size)),
+        input_size=image_size,
         base_channels=int(kv.get("base_channels", "8")),
         levels=int(kv.get("levels", "2")),
         head_convs=int(kv.get("head_convs", "2")))
@@ -107,12 +108,16 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _train_once(kv: dict, scenes: list, anchor_set: AnchorSet, out_dir: str,
-                seed_override=None) -> RunState:
+def _train_once(config, kv: dict, scenes: list, anchor_set: AnchorSet,
+                out_dir: str, seed_override=None) -> RunState:
+    """Train on `scenes` with the settings `kv` read from the file `config`."""
     cfg = train_config_from_kv(kv)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     image_size = scenes[0].image.shape[0]
+    if int(kv.get("input_size", image_size)) != image_size:
+        raise RuntimeError(f"{config}: input_size = {kv['input_size']}, but the "
+                           f"dataset's images are {image_size}x{image_size}")
     model = _build_model(kv, anchor_set.n_classes, anchor_set.n_anchors,
                          cfg.seed, image_size)
     state = RunState.fresh(model, anchor_set, image_size)
@@ -128,7 +133,7 @@ def cmd_train(args) -> int:
     kv = _read_config(args.config)
     anchor_set = load_anchor_set(args.anchors)
     scenes = _load_scenes(args.dataset, anchor_set.n_classes)
-    _train_once(kv, scenes, anchor_set, args.out, args.seed)
+    _train_once(args.config, kv, scenes, anchor_set, args.out, args.seed)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
@@ -161,6 +166,10 @@ def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
     scenes = _load_scenes(args.dataset, state.grid.n_classes, "checkpoint's anchors")
+    size = state.grid.h_f * state.grid.feat_stride
+    if scenes[0].image.shape[0] != size:
+        raise RuntimeError(f"{args.dataset}: images are {scenes[0].image.shape[0]}px "
+                           f"square, but {args.checkpoint} is for {size}px images")
     per_class, mean, n_gt, n_det = _evaluate(
         state, scenes, args.score_min, args.iou_nms)
     _write_eval_report(args.out, per_class, mean, n_gt, n_det)
@@ -209,8 +218,8 @@ def cmd_assign_dump(args) -> int:
 def cmd_plot_weights(args) -> int:
     state = load_run(args.checkpoint)
     shapes = state.grid.boxes[0, 0, :, :, 2:]
-    lam_cls = state.bw.lambda_cls_grid()
-    lam_loc = state.bw.lambda_loc_grid()
+    lam_cls = np.exp(-state.bw["bw.s_cls_grid"])
+    lam_loc = np.exp(-state.bw["bw.s_loc_grid"])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "weights.csv")
     with data_mod.atomic_open(path) as f:
@@ -220,7 +229,9 @@ def cmd_plot_weights(args) -> int:
                 w, h = float(shapes[c, a, 0]), float(shapes[c, a, 1])
                 f.write(f"{c},{a},{w!r},{h!r},{w * h!r},"
                         f"{float(lam_cls[c, a])!r},{float(lam_loc[c, a])!r}\n")
-        f.write(f"global,,,,,{state.bw.lambda_cls()!r},{state.bw.lambda_loc()!r}\n")
+        # math.exp: np.exp may round the last bit differently
+        s_cls, s_loc = float(state.bw["bw.s_cls"]), float(state.bw["bw.s_loc"])
+        f.write(f"global,,,,,{math.exp(-s_cls)!r},{math.exp(-s_loc)!r}\n")
     print(f"wrote weight table to {path}")
     return 0
 
@@ -261,6 +272,9 @@ def cmd_ablate(args) -> int:
     scenes = _load_scenes(dataset_dir, anchor_set.n_classes)
     eval_scenes = scenes if eval_dir == dataset_dir \
         else _load_scenes(eval_dir, anchor_set.n_classes)
+    if eval_scenes[0].image.shape != scenes[0].image.shape:
+        raise RuntimeError(f"{eval_dir}: images are {eval_scenes[0].image.shape[0]}px square, "
+                           f"but {dataset_dir} has {scenes[0].image.shape[0]}px images")
 
     rows = []
     for label_rule, mode, cls_loss in cells:
@@ -268,7 +282,7 @@ def cmd_ablate(args) -> int:
         cell_kv = dict(kv)
         cell_kv.update(label_rule=label_rule, mode=mode, cls_loss=cls_loss)
         cell_dir = os.path.join(args.out, name)
-        state = _train_once(cell_kv, scenes, anchor_set, cell_dir)
+        state = _train_once(args.config, cell_kv, scenes, anchor_set, cell_dir)
         per_class, mean, n_gt, n_det = _evaluate(
             state, eval_scenes, args.score_min, args.iou_nms)
         _write_eval_report(cell_dir, per_class, mean, n_gt, n_det)

@@ -275,10 +275,18 @@ def load_annotations(path) -> list[GroundTruth]:
 
 
 def load_dataset(directory) -> list[Scene]:
+    """The scenes of a `save_dataset` directory.  Every image must be square
+    and of scene 0's size, or a ValueError names the scene and the shapes."""
     gts = load_annotations(os.path.join(directory, "annotations.txt"))
     scenes = []
     for idx, gt in enumerate(gts):
         image = read_ppm(os.path.join(directory, _image_name(idx)))
+        h, w = image.shape[:2]
+        if h != w:
+            raise ValueError(f"{directory}: scene {idx} image is {h}x{w}, not square")
+        if scenes and image.shape != scenes[0].image.shape:
+            raise ValueError(f"{directory}: scene {idx} image is {h}x{w}, but scene 0 "
+                             f"is {scenes[0].image.shape[0]}x{scenes[0].image.shape[1]}")
         scenes.append(Scene(image=image, gt=gt))
     return scenes
 

@@ -13,7 +13,6 @@ cannot inflate their own weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,33 +26,17 @@ MODES = ("learned", "unit", "retina_norm")
 LOC_GATE = 0.5
 
 
-@dataclass
-class BalanceWeights:
-    """Trainable balance parameters; lambda = exp(-s) for every entry."""
-
-    s_cls: float
-    s_loc: float
-    s_cls_grid: np.ndarray
-    s_loc_grid: np.ndarray
-
-    @classmethod
-    def initial(cls, n_classes: int, n_anchors: int,
-                value: float = 1.0) -> "BalanceWeights":
-        return cls(s_cls=value, s_loc=value,
-                   s_cls_grid=np.full((n_classes, n_anchors), value),
-                   s_loc_grid=np.full((n_classes, n_anchors), value))
-
-    def lambda_cls(self) -> float:
-        return math.exp(-self.s_cls)
-
-    def lambda_loc(self) -> float:
-        return math.exp(-self.s_loc)
-
-    def lambda_cls_grid(self) -> np.ndarray:
-        return np.exp(-self.s_cls_grid)
-
-    def lambda_loc_grid(self) -> np.ndarray:
-        return np.exp(-self.s_loc_grid)
+def initial_balance(n_classes: int, n_anchors: int,
+                    value: float = 1.0) -> dict[str, np.ndarray]:
+    """The trainable balance parameters s, lambda = exp(-s) for every entry:
+    the global `bw.s_cls` and `bw.s_loc` (0-d), then the per-grid
+    `bw.s_cls_grid` and `bw.s_loc_grid` [n_classes, n_anchors].  The keys
+    are the checkpoint's entry names, and `learned` mode steps the arrays
+    in place with the model parameters, in this order."""
+    grid = (n_classes, n_anchors)
+    return {"bw.s_cls": np.full((), value), "bw.s_loc": np.full((), value),
+            "bw.s_cls_grid": np.full(grid, value),
+            "bw.s_loc_grid": np.full(grid, value)}
 
 
 @dataclass
@@ -105,10 +88,11 @@ def focal_logits(p, z, alpha: float = 0.25, gamma: float = 2.0):
 # ---------------------------------------------------------------------
 
 def weighted_totals(loc_sums, cls_sums, n_pos: float, n_total: float,
-                    mode: str, s_cls=None, s_loc=None,
-                    s_cls_grid=None, s_loc_grid=None):
+                    mode: str, bw=None):
     """Combine per-grid loss sums [n_classes, n_anchors] into the three
-    loss terms.  Generic over ndarray/Tensor inputs.
+    loss terms.  Generic over ndarray/Tensor inputs; `bw` maps the
+    `initial_balance` keys to the s values and is read in `learned` mode
+    only.
 
     learned      -- every term scaled by its exp(-s) multiplier, plus the
                     s regularizer.
@@ -117,9 +101,12 @@ def weighted_totals(loc_sums, cls_sums, n_pos: float, n_total: float,
                     at n_total / n_pos, no regularizer.
     """
     if mode == "learned":
-        loc = ad.exp(-s_loc) * ((ad.exp(-s_loc_grid) * loc_sums).sum() / n_pos)
-        cls = ad.exp(-s_cls) * ((ad.exp(-s_cls_grid) * cls_sums).sum() / n_total)
-        reg = s_cls + s_loc + (s_cls_grid + s_loc_grid).mean()
+        loc = ad.exp(-bw["bw.s_loc"]) * (
+            (ad.exp(-bw["bw.s_loc_grid"]) * loc_sums).sum() / n_pos)
+        cls = ad.exp(-bw["bw.s_cls"]) * (
+            (ad.exp(-bw["bw.s_cls_grid"]) * cls_sums).sum() / n_total)
+        reg = bw["bw.s_cls"] + bw["bw.s_loc"] \
+            + (bw["bw.s_cls_grid"] + bw["bw.s_loc_grid"]).mean()
     elif mode == "unit":
         loc = loc_sums.sum() / n_pos
         cls = cls_sums.sum() / n_total

@@ -29,10 +29,9 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import AnchorGrid, AnchorSet, build_grid
-from .assignment import (Assignment, ams_labels, assign_ao, pono_labels,
-                         pred_iou_values, threshold_labels)
+from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, hflip
-from .loss import BalanceWeights, LossReport, LOC_GATE
+from .loss import LossReport, LOC_GATE, initial_balance
 from .model import (FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig,
                     leaf_params, load_arrays, save_arrays)
 
@@ -75,12 +74,13 @@ class RunState:
     """Everything that evolves during a run; checkpoints restore it bit-exactly."""
 
     model: object
-    bw: BalanceWeights
+    bw: dict               # the `loss.initial_balance` arrays
     grid: AnchorGrid
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
-    # id(scene) -> (scene.gt, Assignment); holding the gt makes a reused id
-    # of a collected scene a miss, and no image is ever held
+    # GroundTruth -> Assignment; a GroundTruth hashes by identity, and the
+    # key held here keeps its id from passing to a new one.  No image is
+    # ever held.
     _scene_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -89,8 +89,7 @@ class RunState:
         image, and unit balance weights."""
         f = image_size // FEAT_STRIDE
         return cls(model=model, grid=build_grid(anchor_set, f, f, FEAT_STRIDE),
-                   bw=BalanceWeights.initial(anchor_set.n_classes,
-                                             anchor_set.n_anchors))
+                   bw=initial_balance(anchor_set.n_classes, anchor_set.n_anchors))
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -116,23 +115,19 @@ def sgd_step(params: dict, velocity: dict, grads: dict,
 
 def scene_cache(state: RunState, scene: Scene) -> Assignment:
     """The scene's assignment against the state's grid, computed on first use."""
-    cached = state._scene_cache.get(id(scene))
-    if cached is None or cached[0] is not scene.gt:
-        cached = (scene.gt, assign_ao(state.grid, scene.gt))
-        state._scene_cache[id(scene)] = cached
-    return cached[1]
+    cached = state._scene_cache.get(scene.gt)
+    if cached is None:
+        cached = state._scene_cache[scene.gt] = assign_ao(state.grid, scene.gt)
+    return cached
 
 
 def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
     """Loc-loss gate (float 0/1) and classification labels, shaped like the
-    (stacked) assignment's maps."""
-    if cfg.label_rule == "AO":
-        return (a.ao > cfg.ao_threshold).astype(np.float64), \
-            threshold_labels(a.ao, cfg.ao_threshold)
-    gate = (a.pono > LOC_GATE).astype(np.float64)
-    if cfg.label_rule == "AMS":
-        return gate, ams_labels(a.pono, o_hat)
-    return gate, pono_labels(a.pono)
+    (stacked) assignment's maps.  Under the PONO and AO rules the labels are
+    the gate; under AMS they also need the predicted overlap."""
+    mask = a.ao > cfg.ao_threshold if cfg.label_rule == "AO" else a.pono > LOC_GATE
+    labels = ams_labels(a.pono, o_hat) if cfg.label_rule == "AMS" else mask.astype(np.uint8)
+    return mask.astype(np.float64), labels
 
 
 def train_iteration(state: RunState, batch: list[Scene],
@@ -140,15 +135,11 @@ def train_iteration(state: RunState, batch: list[Scene],
     """One optimizer step over a batch of scenes, as one taped pass over
     the stacked batch."""
     tape = ad.Tape()
-    params = leaf_params(state.model.params, tape)
     learned = cfg.mode == "learned"
-    if learned:
-        s_leaves = {
-            "bw.s_cls": ad.leaf(np.asarray(state.bw.s_cls), tape),
-            "bw.s_loc": ad.leaf(np.asarray(state.bw.s_loc), tape),
-            "bw.s_cls_grid": ad.leaf(state.bw.s_cls_grid, tape),
-            "bw.s_loc_grid": ad.leaf(state.bw.s_loc_grid, tape),
-        }
+    # learned mode trains the balance weights as more parameters, after
+    # the model's; their order sets the momentum buffers' checkpoint order
+    trained = {**state.model.params, **state.bw} if learned else state.model.params
+    params = leaf_params(trained, tape)
 
     assignment = Assignment.stack([scene_cache(state, scene) for scene in batch])
     out = state.model.forward(params, np.stack([scene.image for scene in batch]))
@@ -166,11 +157,8 @@ def train_iteration(state: RunState, batch: list[Scene],
 
     n_pos_eff = max(1, n_pos)
     n_total = len(batch) * state.grid.boxes.size // 4
-    loc, cls, reg = loss_mod.weighted_totals(
-        loc_sums, cls_sums, n_pos_eff, n_total, cfg.mode,
-        **({"s_cls": s_leaves["bw.s_cls"], "s_loc": s_leaves["bw.s_loc"],
-            "s_cls_grid": s_leaves["bw.s_cls_grid"],
-            "s_loc_grid": s_leaves["bw.s_loc_grid"]} if learned else {}))
+    loc, cls, reg = loss_mod.weighted_totals(loc_sums, cls_sums, n_pos_eff,
+                                             n_total, cfg.mode, params)
     total = loc + cls + reg
 
     ad.backward(total)
@@ -179,41 +167,19 @@ def train_iteration(state: RunState, batch: list[Scene],
     # the arrays their vjps hold without waiting for the cyclic collector
     tape.records.clear()
     grads = {name: t.grad for name, t in params.items() if t.grad is not None}
-    all_params = dict(state.model.params)
     if learned:
         # freeze rule: a grid with zero positive labels keeps both of its
         # s entries untouched this iteration
-        frozen = per_grid_pos == 0
         for key in ("bw.s_cls_grid", "bw.s_loc_grid"):
-            g = s_leaves[key].grad
-            if g is not None:
-                g = np.where(frozen, 0.0, g)
-            grads[key] = g
-        grads["bw.s_cls"] = s_leaves["bw.s_cls"].grad
-        grads["bw.s_loc"] = s_leaves["bw.s_loc"].grad
-        all_params.update(_bw_param_views(state.bw))
+            grads[key] = np.where(per_grid_pos == 0, 0.0, grads[key])
 
-    sgd_step(all_params, state.velocity, grads,
-             lr_at(state.iteration, cfg), cfg.momentum)
-    if learned:
-        state.bw.s_cls = float(all_params["bw.s_cls"])
-        state.bw.s_loc = float(all_params["bw.s_loc"])
+    sgd_step(trained, state.velocity, grads, lr_at(state.iteration, cfg), cfg.momentum)
     state.iteration += 1
 
     loc_f, cls_f, reg_f = float(ad.values_of(loc)), float(ad.values_of(cls)), \
         float(ad.values_of(reg))
     return LossReport(total=loc_f + cls_f + reg_f, loc=loc_f, cls=cls_f,
                       reg=reg_f, n_pos=n_pos, per_grid_pos=per_grid_pos)
-
-
-def _bw_param_views(bw: BalanceWeights) -> dict[str, np.ndarray]:
-    """Balance parameters as 0-d/2-d arrays the optimizer can update in place."""
-    return {
-        "bw.s_cls": np.asarray(bw.s_cls, dtype=np.float64).reshape(()),
-        "bw.s_loc": np.asarray(bw.s_loc, dtype=np.float64).reshape(()),
-        "bw.s_cls_grid": bw.s_cls_grid,
-        "bw.s_loc_grid": bw.s_loc_grid,
-    }
 
 
 def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
@@ -283,8 +249,7 @@ def save_run(path, state: RunState) -> None:
     arrays["anchors.shapes"] = state.grid.boxes[0, 0, :, :, 2:]
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr
-    for name, arr in _bw_param_views(state.bw).items():
-        arrays[name] = arr
+    arrays.update(state.bw)
     for name, arr in state.velocity.items():
         arrays[f"mom.{name}"] = arr
     save_arrays(path, arrays)
@@ -333,8 +298,7 @@ def load_run(path) -> RunState:
     # every array entry must have the shape the meta entries imply; a
     # momentum buffer is keyed by the name the optimizer updates
     params = {name: p.shape for name, p in model.params.items()}
-    bw = {name: v.shape for name, v in
-          _bw_param_views(BalanceWeights.initial(nc, na)).items()}
+    bw = {name: v.shape for name, v in initial_balance(nc, na).items()}
     shapes = {"anchors.shapes": (nc, na, 2), **bw,
               **{f"model.{name}": s for name, s in params.items()},
               **{f"mom.{name}": s for name, s in {**params, **bw}.items()}}
@@ -354,10 +318,7 @@ def load_run(path) -> RunState:
     for name in model.params:
         model.params[name] = entry(f"model.{name}").copy()
     state = RunState.fresh(model, AnchorSet(sides), image_size)
-    state.bw = BalanceWeights(
-        s_cls=float(entry("bw.s_cls")), s_loc=float(entry("bw.s_loc")),
-        s_cls_grid=entry("bw.s_cls_grid").copy(),
-        s_loc_grid=entry("bw.s_loc_grid").copy())
+    state.bw = {name: entry(name).copy() for name in state.bw}
     state.iteration = int(entry("meta.iteration"))
     state.velocity = {name[len("mom."):]: arr.copy()
                       for name, arr in arrays.items() if name.startswith("mom.")}

@@ -17,7 +17,7 @@ from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.geometry import Detections, pairwise_iou
-from ponodet.loss import (BalanceWeights, bce_logits, focal_logits,
+from ponodet.loss import (bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.model import TabularPredictor
 from ponodet.train import RunState, TrainConfig, run_training, sgd_step
@@ -122,7 +122,7 @@ def _offsets_kink_free(grid, offs, am, gate, margin=5e-3):
     cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
                                 offs[..., 0], offs[..., 1],
                                 offs[..., 2], offs[..., 3])
-    gcx, gcy, gw, gh = am.gt_box
+    gcx, gcy, gw, gh = np.moveaxis(am.gt_box, -1, 0)
     on = gate > 0
     for lo_a, lo_b in (((cx - w / 2)[on], (gcx - gw / 2)[on]),
                        ((cx + w / 2)[on], (gcx + gw / 2)[on]),
@@ -165,9 +165,9 @@ def test_c02_gradient_suite():
         loc_sums = rng.uniform(0.05, 3, (nc, na))
         cls_sums = rng.uniform(0.05, 3, (nc, na))
 
-        def f_s(sc, sl, scg, slg):
-            lo, cl, rg = weighted_totals(loc_sums, cls_sums, 5, 64, "learned",
-                                         sc, sl, scg, slg)
+        def f_s(*s):
+            bw = dict(zip(initial_balance(nc, na), s))
+            lo, cl, rg = weighted_totals(loc_sums, cls_sums, 5, 64, "learned", bw)
             return lo + cl + rg
 
         worst["weights"] = max(worst["weights"], grad_check(
@@ -212,12 +212,12 @@ def test_c04_freeze_rule():
     aset = AnchorSet(np.full((2, 2, 2), 10.0))
     grid = build_grid(aset, 4, 4, 8)
     model = TabularPredictor(4, 4, 2, 2)
-    state = RunState(model=model, grid=grid, bw=BalanceWeights.initial(2, 2))
+    state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
     cfg = TrainConfig(lr0=0.05, max_iter=120, mode="learned", flip=False)
     run_training(state, scenes, cfg)
-    frozen = (np.all(state.bw.s_cls_grid[1] == 1.0)
-              and np.all(state.bw.s_loc_grid[1] == 1.0))
-    trained = np.any(state.bw.s_cls_grid[0] != 1.0)
+    frozen = (np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
+              and np.all(state.bw["bw.s_loc_grid"][1] == 1.0))
+    trained = np.any(state.bw["bw.s_cls_grid"][0] != 1.0)
     report(4, frozen and trained,
            f"absent-class s rows bit-equal to init: {frozen}; "
            f"present-class weights moved: {trained}")
@@ -259,8 +259,8 @@ def test_c07_weight_trends(imbalanced_runs):
     run = imbalanced_runs["learned"]
     bw = run["state"].bw
     areas = anchor_areas(run["anchor_set"])
-    lam_loc = bw.lambda_loc_grid()
-    lam_cls = bw.lambda_cls_grid()
+    lam_loc = np.exp(-bw["bw.s_loc_grid"])
+    lam_cls = np.exp(-bw["bw.s_cls_grid"])
     size_corrs = [spearmanr(areas[c], lam_loc[c]).statistic
                   for c in range(areas.shape[0])]
     size_ok = all(c < 0 for c in size_corrs)

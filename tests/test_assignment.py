@@ -3,10 +3,10 @@ import pytest
 
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
 from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, ams_labels,
-                                assign_ao, pono_labels, pred_iou_values,
-                                threshold_labels)
+                                assign_ao, pred_iou_values)
 from ponodet.data import GenSpec, generate
 from ponodet.geometry import decode_cxywh
+from ponodet.train import TrainConfig, _gate_and_labels
 
 from test_geometry import iou_oracle
 
@@ -20,6 +20,19 @@ class TestAssignAO:
         grid = square_grid([[[8.0, 8.0]]])
         am = assign_ao(grid, GroundTruth(boxes=[], class_ids=[]))
         assert np.all(am.gt_index == UNASSIGNED)
+        np.testing.assert_array_equal(am.gt_box, np.ones(grid.boxes.shape))
+
+    def test_gt_box_rows(self):
+        # assigned cells hold their object's row; unassigned cells a unit box
+        grid = square_grid([[[8.0, 8.0]], [[12.0, 10.0]]])
+        gt = GroundTruth(boxes=[(12, 12, 10, 10), (20, 18, 12, 9), (8, 22, 7, 8)],
+                         class_ids=[0, 1, 0])
+        am = assign_ao(grid, gt)
+        assert am.gt_box.shape == grid.boxes.shape
+        on = am.gt_index != UNASSIGNED
+        assert on.any() and not on.all()
+        np.testing.assert_array_equal(am.gt_box[on], gt.boxes[am.gt_index[on]])
+        np.testing.assert_array_equal(am.gt_box[~on], 1.0)
 
     def test_single_gt_class_separation(self):
         grid = square_grid([[[8.0, 8.0]], [[8.0, 8.0]]])
@@ -176,14 +189,26 @@ class TestPredIoU:
                            class_ids=[0, 0])]
         records = [assign_ao(grid, gt) for gt in gts]
         stacked = Assignment.stack(records)
-        assert stacked.mask.shape == (2, *grid.boxes.shape[:4])
+        assert stacked.gt_box.shape == (2, *grid.boxes.shape)
         offsets = np.random.default_rng(3).uniform(-0.3, 0.3, (2, *grid.boxes.shape))
         o_hat = pred_iou_values(grid, offsets, stacked)
         for k, rec in enumerate(records):
             np.testing.assert_array_equal(stacked.pono[k], rec.pono)
             np.testing.assert_array_equal(stacked.gt_index[k], rec.gt_index)
+            np.testing.assert_array_equal(stacked.gt_box[k], rec.gt_box)
             one = pred_iou_values(grid, offsets[k:k + 1], Assignment.stack([rec]))
             np.testing.assert_array_equal(o_hat[k], one[0])
+
+
+def rule_labels(rule, overlaps, **cfg):
+    """`_gate_and_labels` under a PONO or AO rule, for a record whose raw and
+    normalized overlaps both equal `overlaps`; the labels equal the gate."""
+    a = Assignment(np.zeros(overlaps.shape, np.int64), overlaps, overlaps,
+                   np.ones(overlaps.shape + (4,)))
+    gate, labels = _gate_and_labels(a, np.zeros(overlaps.shape),
+                                    TrainConfig(label_rule=rule, **cfg))
+    np.testing.assert_array_equal(gate, labels)
+    return labels
 
 
 class TestLabels:
@@ -197,22 +222,23 @@ class TestLabels:
 
     def test_pono_rule_strict_threshold(self):
         o = np.array([[[[1.0, 0.5, 0.2, 0.4]]]])
-        np.testing.assert_array_equal(pono_labels(o), [[[[1, 0, 0, 0]]]])
+        np.testing.assert_array_equal(rule_labels("PONO", o), [[[[1, 0, 0, 0]]]])
 
     def test_pono_rule_from_cluster(self):
         # overlaps {0.2, 0.4} normalize to {0.5, 1.0} -> labels {0, 1}
         o = np.array([[[[0.5, 1.0]]]])
-        np.testing.assert_array_equal(pono_labels(o), [[[[0, 1]]]])
+        np.testing.assert_array_equal(rule_labels("PONO", o), [[[[0, 1]]]])
 
     def test_ao_threshold_rule(self):
         raw = np.array([[[[0.51, 0.5, 0.49]]]])
-        np.testing.assert_array_equal(threshold_labels(raw, 0.5), [[[[1, 0, 0]]]])
+        np.testing.assert_array_equal(rule_labels("AO", raw, ao_threshold=0.5),
+                                      [[[[1, 0, 0]]]])
 
     def test_ams_subset_of_pono(self):
         rng = np.random.default_rng(3)
         o = rng.uniform(0, 1, (4, 4, 2, 3))
         oh = rng.uniform(0, 1, (4, 4, 2, 3))
-        assert np.all(ams_labels(o, oh) <= pono_labels(o))
+        assert np.all(ams_labels(o, oh) <= (o > 0.5))
 
     def test_label_invariant_product_gate(self):
         rng = np.random.default_rng(4)

@@ -151,10 +151,11 @@ class TestRerun:
 
 
 class TestBadInput:
-    def make_dataset(self, root, objects="1,2", count=3):
+    def make_dataset(self, root, objects="1,2", count=3, size=32):
         spec = root / "gen.txt"
         spec.write_text(GENSPEC.replace("objects_per_scene = 1,2",
-                                        f"objects_per_scene = {objects}"))
+                                        f"objects_per_scene = {objects}")
+                        .replace("image_size = 32", f"image_size = {size}"))
         assert run(["gen-data", "--config", str(spec), "--out", str(root / "d"),
                     "-n", str(count)]) == 0
         return root / "d"
@@ -286,6 +287,53 @@ class TestBadInput:
             cfg.write_text(text)
             assert _read_config(cfg, extra) == read_kv(cfg)
 
+    @pytest.mark.parametrize("h,w,message", [
+        (48, 48, "scene 1 image is 48x48, but scene 0 is 32x32"),
+        (32, 40, "scene 1 image is 32x40, not square")])
+    def test_image_size_differs_in_dataset(self, workspace, tmp_path, capsys,
+                                           h, w, message):
+        ds = self.make_dataset(tmp_path)
+        data_mod.write_ppm(ds / "scene_00001.ppm", np.zeros((h, w, 3)))
+        cfg = tmp_path / "batch2.txt"
+        cfg.write_text(TRAINCFG.replace("batch_size = 1", "batch_size = 2"))
+        assert run(["train", "--config", str(cfg), "--dataset", str(ds),
+                    "--anchors", str(workspace / "anchors.txt"),
+                    "--out", str(tmp_path / "run")]) == 2
+        assert f"{ds}: {message}" in capsys.readouterr().err
+
+    def test_eval_image_size_differs_from_checkpoint(self, workspace, tmp_path, capsys):
+        ds = self.make_dataset(tmp_path, count=1, size=48)
+        ckpt = workspace / "run" / "final.bin"
+        assert run(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                    "--out", str(tmp_path / "ev")]) == 2
+        assert f"{ds}: images are 48px square, but {ckpt} is for 32px images" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_ablate_eval_image_size_differs(self, workspace, tmp_path, capsys,
+                                            monkeypatch):
+        ds = self.make_dataset(tmp_path, count=1, size=48)
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(f"dataset = {workspace / 'ds'}\neval_dataset = {ds}\n"
+                       "cells = AMS:learned:CE\nn_a = 2\n")
+        started = []
+        monkeypatch.setattr("ponodet.cli.run_training",
+                            lambda *a, **k: started.append("train"))
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
+        assert f"{ds}: images are 48px square, but {workspace / 'ds'} has 32px images" \
+            in capsys.readouterr().err
+        assert started == []
+
+    def test_input_size_differs_from_dataset(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "in48.txt"
+        cfg.write_text(TRAINCFG.replace("input_size = 32", "input_size = 48"))
+        assert run(["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
+                    "--anchors", str(workspace / "anchors.txt"),
+                    "--out", str(tmp_path / "run")]) == 2
+        assert f"{cfg}: input_size = 48, but the dataset's images are 32x32" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_loss_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "hot.txt"
         cfg.write_text(TRAINCFG.replace("lr0 = 0.01", "lr0 = 1e6"))
@@ -327,7 +375,8 @@ class TestArtifactDigests:
                     "ds/genspec.txt", "ds/scene_00009.ppm", "eval_ds/scene_00005.ppm",
                     "eval/report.csv", "eval/report.txt", "maps/maps.csv",
                     "maps_ckpt/maps.csv", "maps_ckpt/prediou_c1_a1.pgm",
-                    "weights/weights.csv"]
+                    "weights/weights.csv", "train_b2/log.csv", "train_b2/final.bin",
+                    "train_b2/ckpt_000005.bin", "train_b2/ckpt_000010.bin"]
         for cell in ("ams_learned_ce", "pono_unit_ce", "ao_retina_norm_fl"):
             expected += [f"ablation/{cell}/{name}" for name in
                          ("log.csv", "report.csv", "report.txt", "final.bin",

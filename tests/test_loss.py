@@ -6,7 +6,7 @@ import pytest
 from ponodet.anchors import AnchorSet
 from ponodet.assignment import GroundTruth
 from ponodet.data import Scene
-from ponodet.loss import (LOC_GATE, BalanceWeights, bce_logits, focal_logits,
+from ponodet.loss import (LOC_GATE, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.model import TabularPredictor
 from ponodet.train import RunState, TrainConfig, train_iteration
@@ -114,9 +114,8 @@ class TestBalancedTotals:
     def test_learned_identity_weights(self):
         rng = np.random.default_rng(3)
         loc_sums, cls_sums = rng.uniform(0, 4, (2, 3)), rng.uniform(0, 8, (2, 3))
-        w = BalanceWeights.initial(2, 3, value=0.0)
-        loc, cls, reg = weighted_totals(loc_sums, cls_sums, 5, 96, "learned", w.s_cls,
-                                        w.s_loc, w.s_cls_grid, w.s_loc_grid)
+        bw = initial_balance(2, 3, value=0.0)
+        loc, cls, reg = weighted_totals(loc_sums, cls_sums, 5, 96, "learned", bw)
         assert loc == pytest.approx(loc_sums.sum() / 5, rel=1e-12)
         assert cls == pytest.approx(cls_sums.sum() / 96, rel=1e-12)
         assert reg == 0.0
@@ -149,11 +148,20 @@ class TestBalancedTotals:
 
 class TestBalanceWeights:
     def test_lambda_positive_for_any_finite_s(self):
-        # positivity is structural: lambda stays positive for any finite s
-        w = BalanceWeights.initial(2, 2, value=-40.0)
-        assert w.lambda_cls() > 0
-        w.s_cls = 40.0
-        assert w.lambda_cls() > 0
+        # positivity is structural: every exp(-s) multiplier stays positive
+        # for any finite s, so positive loss sums give positive terms
+        sums = np.ones((2, 2))
+        for value in (-40.0, 40.0):
+            bw = initial_balance(2, 2, value=value)
+            loc, cls, _ = weighted_totals(sums, sums, 1, 4, "learned", bw)
+            assert loc > 0 and cls > 0
+
+    def test_initial_keys_shapes_and_order(self):
+        # the keys are the checkpoint entry names, in optimizer order
+        bw = initial_balance(2, 3, value=0.5)
+        assert list(bw) == ["bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"]
+        assert [v.shape for v in bw.values()] == [(), (), (2, 3), (2, 3)]
+        assert all(v.dtype == np.float64 and np.all(v == 0.5) for v in bw.values())
 
 
 class TestSelfBalancingFixedPoint:

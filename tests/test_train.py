@@ -15,7 +15,7 @@ from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
-from ponodet.loss import BalanceWeights
+from ponodet.loss import initial_balance
 from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig, leaf_params,
                            load_arrays, save_arrays)
 from ponodet.train import (RunState, TrainConfig, load_run, lr_at,
@@ -35,7 +35,7 @@ def tabular_state(scene, shapes=((8.0, 8.0),), stride=8):
     aset = AnchorSet(np.asarray([list(shapes)], float))
     grid = build_grid(aset, f, f, stride)
     model = TabularPredictor(f, f, 1, len(shapes))
-    return RunState(model=model, grid=grid, bw=BalanceWeights.initial(1, len(shapes)))
+    return RunState(model=model, grid=grid, bw=initial_balance(1, len(shapes)))
 
 
 class TestLrSchedule:
@@ -140,12 +140,12 @@ class TestTrainIteration:
     def test_unit_mode_trains_without_weight_updates(self):
         scene = one_object_scene()
         state = tabular_state(scene)
-        s0 = state.bw.s_cls_grid.copy()
+        s0 = state.bw["bw.s_cls_grid"].copy()
         cfg = TrainConfig(lr0=0.05, max_iter=5, mode="unit")
         for _ in range(5):
             train_iteration(state, [scene], cfg)
-        np.testing.assert_array_equal(state.bw.s_cls_grid, s0)
-        assert state.bw.s_cls == 1.0
+        np.testing.assert_array_equal(state.bw["bw.s_cls_grid"], s0)
+        assert state.bw["bw.s_cls"] == 1.0
 
 
 def per_scene_reference(state, batch, cfg):
@@ -155,12 +155,8 @@ def per_scene_reference(state, batch, cfg):
     per_grid_pos and the gradients the optimizer would receive; the state
     is left unchanged."""
     tape = ad.Tape()
-    params = leaf_params(state.model.params, tape)
     learned = cfg.mode == "learned"
-    s = {"s_cls": ad.leaf(np.asarray(state.bw.s_cls), tape),
-         "s_loc": ad.leaf(np.asarray(state.bw.s_loc), tape),
-         "s_cls_grid": ad.leaf(state.bw.s_cls_grid, tape),
-         "s_loc_grid": ad.leaf(state.bw.s_loc_grid, tape)} if learned else {}
+    params = leaf_params({**state.model.params, **(state.bw if learned else {})}, tape)
     loc_sums = cls_sums = None
     n_pos = 0
     per_grid_pos = np.zeros((state.grid.n_classes, state.grid.n_anchors), np.int64)
@@ -179,14 +175,12 @@ def per_scene_reference(state, batch, cfg):
         per_grid_pos += labels.sum(axis=(0, 1, 2), dtype=np.int64)
     n_total = len(batch) * state.grid.boxes.size // 4
     loc, cls, reg = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
-                                             n_total, cfg.mode, **s)
+                                             n_total, cfg.mode, params)
     ad.backward(loc + cls + reg)
     grads = {name: t.grad for name, t in params.items() if t.grad is not None}
-    for key, t in s.items():
-        g = t.grad
-        if key.endswith("_grid"):
-            g = np.where(per_grid_pos == 0, 0.0, g)
-        grads[f"bw.{key}"] = g
+    for key in grads:
+        if key.startswith("bw.") and key.endswith("_grid"):
+            grads[key] = np.where(per_grid_pos == 0, 0.0, grads[key])
     terms = tuple(float(ad.values_of(t)) for t in (loc, cls, reg))
     return terms, n_pos, per_grid_pos, grads
 
@@ -277,13 +271,13 @@ class TestFreezeRule:
         aset = AnchorSet(np.full((2, 2, 2), 9.0))
         grid = build_grid(aset, 4, 4, 8)
         model = TabularPredictor(4, 4, 2, 2)
-        state = RunState(model=model, grid=grid, bw=BalanceWeights.initial(2, 2))
+        state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
         cfg = TrainConfig(lr0=0.05, max_iter=60, mode="learned", flip=False)
         run_training(state, [scene], cfg)
-        assert np.all(state.bw.s_cls_grid[1] == 1.0)
-        assert np.all(state.bw.s_loc_grid[1] == 1.0)
+        assert np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
+        assert np.all(state.bw["bw.s_loc_grid"][1] == 1.0)
         # the trained class moved
-        assert np.any(state.bw.s_cls_grid[0] != 1.0)
+        assert np.any(state.bw["bw.s_cls_grid"][0] != 1.0)
 
 
 class TestDeterminismAndResume:
@@ -298,7 +292,7 @@ class TestDeterminismAndResume:
                           mode="learned")
         net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, levels=2,
                                   head_convs=1), 1, 2, seed=cfg.seed)
-        state = RunState(model=net, grid=grid, bw=BalanceWeights.initial(1, 2))
+        state = RunState(model=net, grid=grid, bw=initial_balance(1, 2))
         return scenes, cfg, state
 
     def test_seeded_rerun_identical_reports(self, tmp_path):
@@ -327,8 +321,8 @@ class TestDeterminismAndResume:
         for k in state.model.params:
             np.testing.assert_array_equal(resumed_state.model.params[k],
                                           state.model.params[k])
-        np.testing.assert_array_equal(resumed_state.bw.s_loc_grid,
-                                      state.bw.s_loc_grid)
+        for k in state.bw:
+            np.testing.assert_array_equal(resumed_state.bw[k], state.bw[k])
 
     def test_log_rows_deterministic(self, tmp_path):
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
@@ -336,6 +330,30 @@ class TestDeterminismAndResume:
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
         run_training(state, scenes, cfg, log_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestCheckpoint:
+    def test_learned_round_trip_byte_identical(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
+        run_training(state, scenes, cfg)
+        save_run(tmp_path / "a.bin", state)
+        save_run(tmp_path / "b.bin", load_run(tmp_path / "a.bin"))
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        names = list(load_arrays(tmp_path / "a.bin"))
+        bw = list(initial_balance(1, 2))
+        assert [n for n in names if n.startswith("bw.")] == bw
+        # momentum: the model's buffers, then the balance weights' in order
+        mom = [n[len("mom."):] for n in names if n.startswith("mom.")]
+        assert mom == list(state.model.params) + bw
+
+    @pytest.mark.parametrize("mode", ["unit", "retina_norm"])
+    def test_fixed_weights_have_no_momentum(self, tmp_path, mode):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
+        run_training(state, scenes, replace(cfg, mode=mode))
+        save_run(tmp_path / "final.bin", state)
+        names = list(load_arrays(tmp_path / "final.bin"))
+        assert not [n for n in names if n.startswith("mom.bw.")]
+        assert [n for n in names if n.startswith("bw.")] == list(initial_balance(1, 2))
 
 
 class TestLoadRun:
