@@ -5,8 +5,9 @@ refactor changed no output byte.
 The flow is the ablation of acceptance criterion c10, extended: gen-data
 (a train and an eval set), a 3-cell ablate with checkpoints, eval of one
 cell's final checkpoint, assign-dump without and with a checkpoint,
-plot-weights, and a learned-mode train at batch size 2 with checkpoints
-(stacked assignments and a batch-2 optimizer step).  It prints one
+plot-weights, a learned-mode train at batch size 2 with checkpoints
+(stacked assignments and a batch-2 optimizer step), the anchors command,
+an ablate that reads that anchor file, and a train with --seed.  It prints one
 `sha256 relpath` line per file written, sorted by path.  Run it from the
 root of a source checkout; ponodet is imported from that checkout's src/
 directory, so one command compares two checkouts:
@@ -63,6 +64,18 @@ seed = 4
 checkpoint_every = 5
 """
 
+ABLATE_ANCHORS = """\
+model = toynet
+base_channels = 2
+head_convs = 1
+lr0 = 0.01
+max_iter = 8
+seed = 3
+anchors = {root}/anchors.txt
+dataset = {root}/ds
+cells = PONO:learned:FL
+"""
+
 
 def run_flow(root: Path) -> Path:
     """Run the flow with its config files in `root`/inputs and its
@@ -75,6 +88,7 @@ def run_flow(root: Path) -> Path:
     (inputs / "genspec.txt").write_text(GENSPEC)
     (inputs / "ablate.txt").write_text(ABLATE.format(root=root))
     (inputs / "train_b2.txt").write_text(TRAIN_BATCH2)
+    (inputs / "ablate_anchors.txt").write_text(ABLATE_ANCHORS.format(root=root))
     ckpt = str(root / "ablation" / "ams_learned_ce" / "final.bin")
     steps = [
         ["gen-data", "--config", f"{inputs}/genspec.txt", "--out", f"{root}/ds", "-n", "10"],
@@ -90,6 +104,12 @@ def run_flow(root: Path) -> Path:
         ["plot-weights", "--checkpoint", ckpt, "--out", f"{root}/weights"],
         ["train", "--config", f"{inputs}/train_b2.txt", "--dataset", f"{root}/ds",
          "--anchors", f"{root}/ablation/anchors.txt", "--out", f"{root}/train_b2"],
+        ["anchors", "--dataset", f"{root}/ds", "--out", f"{root}/anchors.txt",
+         "--n-a", "3", "--seed", "2"],
+        ["ablate", "--config", f"{inputs}/ablate_anchors.txt",
+         "--out", f"{root}/ablation_anchors"],
+        ["train", "--config", f"{inputs}/train_b2.txt", "--dataset", f"{root}/ds",
+         "--anchors", f"{root}/anchors.txt", "--out", f"{root}/train_seed", "--seed", "8"],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):

@@ -3,7 +3,7 @@
 Per-class anchor clustering, normalized-overlap anchor assignment with
 ambiguity-managed labels, an IoU localization loss, automatically learned
 class/size balance weights, and a minimal reverse-mode autodiff engine to
-train toy predictors on synthetic scenes.
+train a toy convnet on synthetic scenes.
 """
 
 from .geometry import Detections, GroundTruth, nms
@@ -12,7 +12,7 @@ from .anchors import (AnchorGrid, AnchorSet, build_grid, kmeans_anchors,
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .loss import LossReport, initial_balance
 from .data import GenSpec, Scene, generate, hflip, load_dataset, save_dataset
-from .model import PredictorOutput, TabularPredictor, ToyNet, ToyNetConfig
+from .model import PredictorOutput, ToyNet, ToyNetConfig
 from .train import RunState, TrainConfig, lr_at, run_training, sgd_step, train_iteration
 from .evaluation import extract_detections, map_eval
 
@@ -24,7 +24,7 @@ __all__ = [
     "Assignment", "ams_labels", "assign_ao", "pred_iou_values",
     "LossReport", "initial_balance",
     "GenSpec", "Scene", "generate", "hflip", "load_dataset", "save_dataset",
-    "PredictorOutput", "TabularPredictor", "ToyNet", "ToyNetConfig",
+    "PredictorOutput", "ToyNet", "ToyNetConfig",
     "RunState", "TrainConfig", "lr_at", "run_training", "sgd_step",
     "train_iteration",
     "extract_detections", "map_eval",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import text_lines
+from .data import atomic_open, text_lines
 
 # Cap on local-search restarts per centroid update; small clusters get one
 # start per member, large clusters a deterministic area-spread subsample.
@@ -248,8 +248,9 @@ def build_grid(anchor_set: AnchorSet, h_f: int, w_f: int,
 
 
 def save_anchor_set(path, anchor_set: AnchorSet) -> None:
-    """One `class w h` line per shape, full float precision."""
-    with open(path, "w") as f:
+    """One `class w h` line per shape, full float precision, written
+    atomically."""
+    with atomic_open(path) as f:
         for c in range(anchor_set.n_classes):
             for a in range(anchor_set.n_anchors):
                 w, h = (float(v) for v in anchor_set.shapes[c, a])

@@ -22,11 +22,10 @@ from . import evaluation as eval_mod
 from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
-from .model import FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig
-from .train import (RunState, TrainConfig, load_run, run_training, save_run,
-                    train_config_from_kv)
+from .model import ToyNet, ToyNetConfig
+from .train import (RunState, TrainConfig, config_from_kv, load_run, run_training,
+                    save_run)
 
-MODEL_KEYS = ("model", "input_size", "base_channels", "levels", "head_convs")
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 
 
@@ -40,16 +39,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path, extra_keys=()) -> dict[str, str]:
-    """A `train` (or, with ABLATE_KEYS, `ablate`) key=value file; a key
-    outside the TrainConfig fields, the model keys and `extra_keys` is an
+    """A `train` (or, with ABLATE_KEYS, `ablate`) key=value file.  A key other
+    than a TrainConfig or ToyNetConfig field, `model` and `extra_keys` is an
     error rather than a setting silently left at its default."""
     kv = data_mod.read_kv(path)
-    known = {f.name for f in fields(TrainConfig)} | set(MODEL_KEYS) | set(extra_keys)
+    known = {f.name for f in fields(TrainConfig) + fields(ToyNetConfig)} | {"model", *extra_keys}
     unknown = [key for key in kv if key not in known]
     if unknown:
         raise RuntimeError(f"{path}: unknown config key "
                            + ", ".join(repr(key) for key in unknown))
+    if kv.get("model", "toynet") != "toynet":
+        raise RuntimeError(f"{path}: model = {kv['model']}, but the only model is toynet")
     return kv
+
+
+def _net_config(path, kv: dict, image_size: int) -> ToyNetConfig:
+    """The network settings read from the config file `path`; `input_size`
+    defaults to, and must equal, the dataset's image size."""
+    net = config_from_kv(ToyNetConfig, {"input_size": str(image_size), **kv}, path)
+    if net.input_size != image_size:
+        raise RuntimeError(f"{path}: input_size = {net.input_size}, but the "
+                           f"dataset's images are {image_size}x{image_size}")
+    return net
 
 
 def _load_scenes(dataset_dir, n_classes: int, covered_by: str = "anchors") -> list:
@@ -76,18 +87,12 @@ def _cluster_anchors(dataset_dir, n_a: int, seed: int) -> AnchorSet:
     return kmeans_anchors(sizes_per_class(gts, n_classes), n_a=n_a, seed=seed)
 
 
-def _build_model(kv: dict, n_classes: int, n_anchors: int, seed: int,
-                 image_size: int):
-    kind = kv.get("model", "toynet")
-    if kind == "tabular":
-        f = image_size // FEAT_STRIDE
-        return TabularPredictor(f, f, n_classes, n_anchors)
-    cfg = ToyNetConfig(
-        input_size=image_size,
-        base_channels=int(kv.get("base_channels", "8")),
-        levels=int(kv.get("levels", "2")),
-        head_convs=int(kv.get("head_convs", "2")))
-    return ToyNet(cfg, n_classes, n_anchors, seed=seed)
+def _check_image_size(dataset_dir, scenes: list, checkpoint, model: ToyNet) -> None:
+    """A checkpoint's network reads only images of its own input size."""
+    size, want = scenes[0].image.shape[0], model.cfg.input_size
+    if size != want:
+        raise RuntimeError(f"{dataset_dir}: images are {size}px square, "
+                           f"but {checkpoint} is for {want}px images")
 
 
 def cmd_gen_data(args) -> int:
@@ -108,19 +113,11 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _train_once(config, kv: dict, scenes: list, anchor_set: AnchorSet,
-                out_dir: str, seed_override=None) -> RunState:
-    """Train on `scenes` with the settings `kv` read from the file `config`."""
-    cfg = train_config_from_kv(kv)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    image_size = scenes[0].image.shape[0]
-    if int(kv.get("input_size", image_size)) != image_size:
-        raise RuntimeError(f"{config}: input_size = {kv['input_size']}, but the "
-                           f"dataset's images are {image_size}x{image_size}")
-    model = _build_model(kv, anchor_set.n_classes, anchor_set.n_anchors,
-                         cfg.seed, image_size)
-    state = RunState.fresh(model, anchor_set, image_size)
+def _train_once(cfg: TrainConfig, net: ToyNetConfig, scenes: list,
+                anchor_set: AnchorSet, out_dir: str) -> RunState:
+    """Train a fresh network on `scenes` and write its run to `out_dir`."""
+    model = ToyNet(net, anchor_set.n_classes, anchor_set.n_anchors, seed=cfg.seed)
+    state = RunState.fresh(model, anchor_set, net.input_size)
     os.makedirs(out_dir, exist_ok=True)
     run_training(state, scenes, cfg,
                  log_path=os.path.join(out_dir, "log.csv"),
@@ -131,9 +128,13 @@ def _train_once(config, kv: dict, scenes: list, anchor_set: AnchorSet,
 
 def cmd_train(args) -> int:
     kv = _read_config(args.config)
+    cfg = config_from_kv(TrainConfig, kv, args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     anchor_set = load_anchor_set(args.anchors)
     scenes = _load_scenes(args.dataset, anchor_set.n_classes)
-    _train_once(args.config, kv, scenes, anchor_set, args.out, args.seed)
+    net = _net_config(args.config, kv, scenes[0].image.shape[0])
+    _train_once(cfg, net, scenes, anchor_set, args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
@@ -166,10 +167,7 @@ def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
     scenes = _load_scenes(args.dataset, state.grid.n_classes, "checkpoint's anchors")
-    size = state.grid.h_f * state.grid.feat_stride
-    if scenes[0].image.shape[0] != size:
-        raise RuntimeError(f"{args.dataset}: images are {scenes[0].image.shape[0]}px "
-                           f"square, but {args.checkpoint} is for {size}px images")
+    _check_image_size(args.dataset, scenes, args.checkpoint, state.model)
     per_class, mean, n_gt, n_det = _evaluate(
         state, scenes, args.score_min, args.iou_nms)
     _write_eval_report(args.out, per_class, mean, n_gt, n_det)
@@ -187,6 +185,8 @@ def cmd_assign_dump(args) -> int:
                            f"({len(scenes)} scenes)")
     scene = scenes[args.scene]
     model = load_run(args.checkpoint).model if args.checkpoint else None
+    if model is not None:
+        _check_image_size(args.dataset, scenes, args.checkpoint, model)
     grid = RunState.fresh(model, anchor_set, scene.image.shape[0]).grid
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
@@ -236,38 +236,40 @@ def cmd_plot_weights(args) -> int:
     return 0
 
 
-def _ablation_cell(config, kv: dict, text: str) -> tuple[str, str, str]:
-    """(label_rule, mode, cls_loss) of one `label:mode:loss` cell, checked
-    with the rest of the config before anything runs; a bad cell is an error
-    naming the config file and the cell."""
-    parts = tuple(text.split(":"))
+def _ablation_cell(config, base: TrainConfig, text: str) -> tuple[str, TrainConfig]:
+    """The name and TrainConfig of one `label:mode:loss` cell over the base
+    config, checked before anything runs; a bad cell is an error naming the
+    config file and the cell."""
+    parts = text.split(":")
     if len(parts) != 3:
         raise RuntimeError(f"{config}: bad ablation cell {text!r}; "
                            "expected label:mode:loss")
     try:
-        train_config_from_kv({**kv, "label_rule": parts[0], "mode": parts[1],
-                              "cls_loss": parts[2]})
+        cfg = replace(base, label_rule=parts[0], mode=parts[1], cls_loss=parts[2])
     except ValueError as e:
         raise RuntimeError(f"{config}: bad ablation cell {text!r}: {e}") from None
-    return parts
+    return "_".join(parts).lower(), cfg
 
 
 def cmd_ablate(args) -> int:
     kv = _read_config(args.config, ABLATE_KEYS)
+    base = config_from_kv(TrainConfig, kv, args.config)
     for key in ("dataset", "cells"):
         if not kv.get(key):
             raise RuntimeError(f"{args.config}: config key {key!r} is missing or empty")
     dataset_dir = kv["dataset"]
     eval_dir = kv.get("eval_dataset", dataset_dir)
-    cells = [_ablation_cell(args.config, kv, text.strip())
+    n_a = kv.get("n_a", "3")
+    if not n_a.isdecimal() or int(n_a) < 1:
+        raise RuntimeError(f"{args.config}: n_a must be a whole number >= 1, got {n_a!r}")
+    cells = [_ablation_cell(args.config, base, text.strip())
              for text in kv["cells"].split(",") if text.strip()]
     os.makedirs(args.out, exist_ok=True)
 
     if kv.get("anchors"):
         anchor_set = load_anchor_set(kv["anchors"])
     else:
-        anchor_set = _cluster_anchors(dataset_dir, int(kv.get("n_a", "3")),
-                                      int(kv.get("seed", "0")))
+        anchor_set = _cluster_anchors(dataset_dir, int(n_a), base.seed)
         save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
     scenes = _load_scenes(dataset_dir, anchor_set.n_classes)
     eval_scenes = scenes if eval_dir == dataset_dir \
@@ -275,18 +277,16 @@ def cmd_ablate(args) -> int:
     if eval_scenes[0].image.shape != scenes[0].image.shape:
         raise RuntimeError(f"{eval_dir}: images are {eval_scenes[0].image.shape[0]}px square, "
                            f"but {dataset_dir} has {scenes[0].image.shape[0]}px images")
+    net = _net_config(args.config, kv, scenes[0].image.shape[0])
 
     rows = []
-    for label_rule, mode, cls_loss in cells:
-        name = f"{label_rule}_{mode}_{cls_loss}".lower()
-        cell_kv = dict(kv)
-        cell_kv.update(label_rule=label_rule, mode=mode, cls_loss=cls_loss)
+    for name, cfg in cells:
         cell_dir = os.path.join(args.out, name)
-        state = _train_once(args.config, cell_kv, scenes, anchor_set, cell_dir)
+        state = _train_once(cfg, net, scenes, anchor_set, cell_dir)
         per_class, mean, n_gt, n_det = _evaluate(
             state, eval_scenes, args.score_min, args.iou_nms)
         _write_eval_report(cell_dir, per_class, mean, n_gt, n_det)
-        rows.append((name, label_rule, mode, cls_loss, mean, per_class))
+        rows.append((name, cfg.label_rule, cfg.mode, cfg.cls_loss, mean, per_class))
         print(f"{name}: mAP {mean:.4f}")
 
     classes = sorted({c for *_, pc in rows for c in pc})

@@ -1,29 +1,22 @@
-"""Differentiable predictors emitting per-anchor score logits and offsets.
+"""ToyNet: a small encoder-decoder convnet with skip connections that
+predicts per-anchor score logits and offsets.
 
-Two predictors share one interface:
-
-* ``TabularPredictor`` -- the outputs are themselves the parameters, one
-  free value per cell.  It isolates the loss dynamics from representation
-  learning and is tied to a single fixed scene.
-* ``ToyNet`` -- a small encoder-decoder convnet with skip connections.
-  Every pyramid level is processed by a small conv stack, resized to the
-  stride-8 map, concatenated, and read by a classification head and an
-  offset regression head.
-
-Both return outputs with a leading scene axis: ToyNet runs a whole image
-stack [N, H, W, 3] through one forward (each conv, bias and leaky ReLU is
-one ``conv2d`` call and one tape record), and the tabular predictor's
-outputs carry an axis of 1.  Parameters are plain float64 arrays in a
-name->array dict; each training iteration wraps them as leaves on a fresh
-tape.  Passing the raw arrays runs the same forward in pure numpy for
-inference.
+Every pyramid level is processed by a small conv stack, resized to the
+stride-8 map, concatenated, and read by a classification head and an
+offset regression head.  One walk over the layers describes the network:
+at construction it draws the kernels, and the forward pass applies them
+to an image stack [N, H, W, 3], each conv, bias and leaky ReLU as one
+``conv2d`` call and one tape record.  Parameters are plain float64 arrays
+in a name->array dict; each training iteration wraps them as leaves on a
+fresh tape.  Passing the raw arrays runs the same forward in pure numpy
+for inference.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,43 +45,23 @@ class ToyNetConfig:
 
     input_size: int = 64
     base_channels: int = 8
-    levels: int = 3
+    levels: int = 2
     head_convs: int = 2
 
     def __post_init__(self):
+        if self.base_channels < 1:
+            raise ValueError("base_channels must be >= 1")
         if self.levels < 2:
             raise ValueError("levels must be >= 2")
+        if self.head_convs < 0:
+            raise ValueError("head_convs must be >= 0")
         need = FEAT_STRIDE * 2 ** (self.levels - 1)
         if self.input_size % need:
-            raise ValueError(
-                f"input_size must be a multiple of {need} for {self.levels} levels")
+            raise ValueError(f"input_size must be a multiple of {need} for {self.levels} levels")
 
     @property
     def feat_size(self) -> int:
         return self.input_size // FEAT_STRIDE
-
-
-class TabularPredictor:
-    """Identity predictor: every output cell is an independent parameter."""
-
-    def __init__(self, h_f: int, w_f: int, n_classes: int, n_anchors: int):
-        self.h_f, self.w_f = h_f, w_f
-        self.n_classes, self.n_anchors = n_classes, n_anchors
-        self.params = {
-            "logits": np.zeros((h_f, w_f, n_classes, n_anchors)),
-            "offsets": np.zeros((h_f, w_f, n_classes, n_anchors, 4)),
-        }
-
-    def forward(self, params, images=None) -> PredictorOutput:
-        """The parameters themselves, with a leading axis of 1; `images`
-        is ignored."""
-        logits, offsets = params["logits"], params["offsets"]
-        return PredictorOutput(logits=ad.reshape(logits, (1, *logits.shape)),
-                               offsets=ad.reshape(offsets, (1, *offsets.shape)))
-
-    def meta(self) -> dict:
-        return {"model_kind": 0.0, "h_f": float(self.h_f), "w_f": float(self.w_f),
-                "n_classes": float(self.n_classes), "n_anchors": float(self.n_anchors)}
 
 
 class ToyNet:
@@ -100,38 +73,56 @@ class ToyNet:
         self.n_classes, self.n_anchors = n_classes, n_anchors
         self.params: dict[str, np.ndarray] = {}
         rng = np.random.default_rng([seed, 1])
-        c = cfg.base_channels
 
-        def conv(name, cin, cout, k=3, bias=0.0):
+        def make(name, x, cout, stride=1, k=3, act=True, bias=0.0):
+            # draw the kernel and stand in for the output, without a conv
+            n, h, w, cin = x.shape
             limit = np.sqrt(3.0 / (k * k * cin))
             self.params[f"{name}.w"] = rng.uniform(-limit, limit, (k, k, cin, cout))
             self.params[f"{name}.b"] = np.full(cout, bias, dtype=np.float64)
-            return cout
+            return np.zeros((n, (h - 1) // stride + 1, (w - 1) // stride + 1, cout))
 
+        self._walk(make, np.zeros((1, cfg.input_size, cfg.input_size, 3)))
+
+    def _walk(self, conv, images):
+        """The (cls, reg) head outputs on `images`, one `conv(name, x, cout,
+        stride, k, act, bias)` call per layer in kernel-draw order.  A k x k
+        conv pads by k // 2: at stride s, a side h becomes (h - 1) // s + 1."""
+        cfg, c = self.cfg, self.cfg.base_channels
         # encoder: three stride-2 convs to /8, then one per extra level
-        enc_ch = [conv("stem0", 3, c)]
-        enc_ch[0] = conv("stem1", enc_ch[0], 2 * c)
-        enc_ch[0] = conv("stem2", enc_ch[0], 4 * c)
+        x = conv("stem0", images, c, stride=2)
+        x = conv("stem1", x, 2 * c, stride=2)
+        x = conv("stem2", x, 4 * c, stride=2)
+        enc = [x]
         for k in range(1, cfg.levels):
-            enc_ch.append(conv(f"enc{k}", enc_ch[k - 1], enc_ch[k - 1] * 2))
-        # decoder with skip concatenation, halved channels
-        dec_ch = [0] * cfg.levels
+            enc.append(conv(f"enc{k}", enc[-1], 4 * c << k, stride=2))
+
+        # decoder with skip concatenation, half the encoder's channels
         top = cfg.levels - 1
-        dec_ch[top] = conv(f"dec{top}", enc_ch[top], max(enc_ch[top] // 2, 2))
+        dec = [None] * cfg.levels
+        dec[top] = conv(f"dec{top}", enc[top], 2 * c << top)
         for k in range(top - 1, -1, -1):
-            dec_ch[k] = conv(f"dec{k}", dec_ch[k + 1] + enc_ch[k],
-                             max(enc_ch[k] // 2, 2))
+            dec[k] = conv(f"dec{k}", ad.concat([ad.upsample2(dec[k + 1]), enc[k]], axis=-1),
+                          2 * c << k)
+
+        pyramids = []
         for k in range(cfg.levels):
+            h = dec[k]
             for i in range(cfg.head_convs):
-                conv(f"pyr{k}_{i}", dec_ch[k], dec_ch[k])
-        cat_ch = sum(dec_ch)
-        head_ch = max(2 * c, 8)
-        for prefix, cout, bias in (("cls", n_classes * n_anchors, CLS_BIAS_INIT),
-                                   ("reg", n_classes * n_anchors * 4, 0.0)):
-            ch = cat_ch
+                h = conv(f"pyr{k}_{i}", h, 2 * c << k)
+            for _ in range(k):
+                h = ad.upsample2(h)
+            pyramids.append(h)
+        trunk = ad.concat(pyramids, axis=-1)
+
+        heads = []
+        nca = self.n_classes * self.n_anchors
+        for prefix, cout, bias in (("cls", nca, CLS_BIAS_INIT), ("reg", nca * 4, 0.0)):
+            h = trunk
             for i in range(cfg.head_convs):
-                ch = conv(f"{prefix}{i}", ch, head_ch)
-            conv(f"{prefix}_out", ch, cout, k=1, bias=bias)
+                h = conv(f"{prefix}{i}", h, max(2 * c, 8))
+            heads.append(conv(f"{prefix}_out", h, cout, k=1, act=False, bias=bias))
+        return heads
 
     def forward(self, params, images) -> PredictorOutput:
         """Predictions for an image stack [N, input_size, input_size, 3]."""
@@ -141,54 +132,19 @@ class ToyNet:
             raise ValueError(f"expected an [N, {cfg.input_size}, {cfg.input_size}, C] "
                              f"image stack, got shape {shape}")
 
-        def conv(name, x, stride=1, act=True):
-            w, b = params[f"{name}.w"], params[f"{name}.b"]
-            pad = 0 if ad.values_of(w).shape[0] == 1 else 1
-            return ad.conv2d(x, w, b, stride=stride, pad=pad,
-                             leak=LEAK if act else None)
+        def conv(name, x, cout, stride=1, k=3, act=True, bias=0.0):
+            return ad.conv2d(x, params[f"{name}.w"], params[f"{name}.b"],
+                             stride=stride, leak=LEAK if act else None)
 
-        x = conv("stem0", images, stride=2)
-        x = conv("stem1", x, stride=2)
-        x = conv("stem2", x, stride=2)
-        enc = [x]
-        for k in range(1, cfg.levels):
-            enc.append(conv(f"enc{k}", enc[-1], stride=2))
-
-        top = cfg.levels - 1
-        dec = [None] * cfg.levels
-        dec[top] = conv(f"dec{top}", enc[top])
-        for k in range(top - 1, -1, -1):
-            dec[k] = conv(f"dec{k}", ad.concat([ad.upsample2(dec[k + 1]), enc[k]], axis=-1))
-
-        pyramids = []
-        for k in range(cfg.levels):
-            h = dec[k]
-            for i in range(cfg.head_convs):
-                h = conv(f"pyr{k}_{i}", h)
-            for _ in range(k):
-                h = ad.upsample2(h)
-            pyramids.append(h)
-        trunk = ad.concat(pyramids, axis=-1)
-
-        heads = {}
-        for prefix in ("cls", "reg"):
-            h = trunk
-            for i in range(cfg.head_convs):
-                h = conv(f"{prefix}{i}", h)
-            heads[prefix] = conv(f"{prefix}_out", h, act=False)
-
+        cls, reg = self._walk(conv, images)
         n, s = shape[0], cfg.feat_size
-        logits = ad.reshape(heads["cls"], (n, s, s, self.n_classes, self.n_anchors))
-        offsets = ad.reshape(heads["reg"], (n, s, s, self.n_classes, self.n_anchors, 4))
+        logits = ad.reshape(cls, (n, s, s, self.n_classes, self.n_anchors))
+        offsets = ad.reshape(reg, (n, s, s, self.n_classes, self.n_anchors, 4))
         return PredictorOutput(logits=logits, offsets=offsets)
 
     def meta(self) -> dict:
-        return {"model_kind": 1.0, "input_size": float(self.cfg.input_size),
-                "base_channels": float(self.cfg.base_channels),
-                "levels": float(self.cfg.levels),
-                "head_convs": float(self.cfg.head_convs),
-                "n_classes": float(self.n_classes),
-                "n_anchors": float(self.n_anchors)}
+        return {"model_kind": 1.0, **{k: float(v) for k, v in asdict(self.cfg).items()},
+                "n_classes": float(self.n_classes), "n_anchors": float(self.n_anchors)}
 
 
 def leaf_params(params: dict[str, np.ndarray], tape: ad.Tape) -> dict[str, ad.Tensor]:

@@ -21,6 +21,7 @@ resume bit-exact without serializing generator state.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -32,8 +33,8 @@ from .anchors import AnchorGrid, AnchorSet, build_grid
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
-from .model import (FEAT_STRIDE, TabularPredictor, ToyNet, ToyNetConfig,
-                    leaf_params, load_arrays, save_arrays)
+from .model import (FEAT_STRIDE, ToyNet, ToyNetConfig, leaf_params, load_arrays,
+                    save_arrays)
 
 LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
@@ -55,12 +56,16 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.lr0 < 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 <= self.lr0 < math.inf:
+            raise ValueError("lr0 must be finite and >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for key in ("max_iter", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("checkpoint_every", "seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
         if self.mode not in loss_mod.MODES:
             raise ValueError(f"mode must be one of {loss_mod.MODES}")
         if self.label_rule not in LABEL_RULES:
@@ -73,7 +78,7 @@ class TrainConfig:
 class RunState:
     """Everything that evolves during a run; checkpoints restore it bit-exactly."""
 
-    model: object
+    model: ToyNet
     bw: dict               # the `loss.initial_balance` arrays
     grid: AnchorGrid
     iteration: int = 0
@@ -186,15 +191,12 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
                  log_path=None, checkpoint_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
-    The tabular predictor trains on scenes[0] alone (its parameters are
-    one fixed scene's outputs); the convnet samples batches and optional
-    horizontal flips from the per-iteration RNG.  A run from iteration 0
-    starts `log_path` afresh; a resumed run appends to it.  The scene cache
-    lives for this call only, as the scenes it describes do.  A non-finite
-    loss raises FloatingPointError naming the iteration, before that
-    iteration is logged or checkpointed.
+    Batches and optional horizontal flips of `scenes` are drawn from the
+    per-iteration RNG.  A run from iteration 0 starts `log_path` afresh; a
+    resumed run appends to it.  The scene cache lives for this call only, as
+    the scenes it describes do.  A non-finite loss raises FloatingPointError
+    naming the iteration, before that iteration is logged or checkpointed.
     """
-    tabular = isinstance(state.model, TabularPredictor)
     flipped: dict[int, Scene] = {}
     reports = []
     log = open(log_path, "w" if state.iteration == 0 else "a") if log_path else None
@@ -203,20 +205,17 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
             log.write(LossReport.CSV_HEADER + "\n")
         while state.iteration < cfg.max_iter:
             it = state.iteration
-            if tabular:
-                batch = [scenes[0]]
-            else:
-                rng = np.random.default_rng([cfg.seed, 7, it])
-                idx = rng.integers(0, len(scenes), size=cfg.batch_size)
-                batch = []
-                for i in idx:
-                    i = int(i)
-                    if cfg.flip and rng.random() < 0.5:
-                        if i not in flipped:
-                            flipped[i] = hflip(scenes[i])
-                        batch.append(flipped[i])
-                    else:
-                        batch.append(scenes[i])
+            rng = np.random.default_rng([cfg.seed, 7, it])
+            idx = rng.integers(0, len(scenes), size=cfg.batch_size)
+            batch = []
+            for i in idx:
+                i = int(i)
+                if cfg.flip and rng.random() < 0.5:
+                    if i not in flipped:
+                        flipped[i] = hflip(scenes[i])
+                    batch.append(flipped[i])
+                else:
+                    batch.append(scenes[i])
             lr = lr_at(it, cfg)
             report = train_iteration(state, batch, cfg)
             if not np.isfinite(report.total):
@@ -256,11 +255,11 @@ def save_run(path, state: RunState) -> None:
 
 
 def load_run(path) -> RunState:
-    """Restore a `save_run` checkpoint.  One that lacks an entry the run
-    needs, holds an entry the run does not know or of another shape than
-    its `meta.*` entries imply, or holds a size below 1 or an anchor side
-    that is not finite and positive, raises ValueError naming the path and
-    the entry."""
+    """Restore a `save_run` checkpoint of a ToyNet run.  One whose
+    `meta.model_kind` is not 1.0, that lacks an entry the run needs, holds
+    an entry the run does not know or of another shape than its `meta.*`
+    entries imply, or holds a size below 1 or an anchor side that is not
+    finite and positive, raises ValueError naming the path and the entry."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -274,27 +273,22 @@ def load_run(path) -> RunState:
             raise ValueError(f"{path}: entry {key!r} is {value!r}, but must be at least 1")
         return int(value)
 
-    kind = int(entry("meta.model_kind"))
-    nc = size("meta.n_classes")
-    na = size("meta.n_anchors")
+    kind = float(entry("meta.model_kind"))
+    if kind != 1.0:
+        raise ValueError(f"{path}: entry 'meta.model_kind' is {kind!r}, but a "
+                         "ToyNet checkpoint has 1.0")
+    nc, na = size("meta.n_classes"), size("meta.n_anchors")
     if int(entry("meta.feat_stride")) != FEAT_STRIDE:
         raise ValueError(f"{path}: feature stride is not {FEAT_STRIDE}")
-    if kind == 0:
-        model = TabularPredictor(size("meta.h_f"), size("meta.w_f"), nc, na)
-        if model.h_f != model.w_f:
-            raise ValueError(f"{path}: tabular map {model.h_f}x{model.w_f} is not square")
-        image_size = model.h_f * FEAT_STRIDE
-    else:
-        sizes = dict(input_size=size("meta.input_size"),
-                     base_channels=size("meta.base_channels"),
-                     levels=int(entry("meta.levels")),
-                     head_convs=int(entry("meta.head_convs")))
-        try:
-            cfg = ToyNetConfig(**sizes)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-        model = ToyNet(cfg, nc, na, seed=0)
-        image_size = cfg.input_size
+    sizes = dict(input_size=size("meta.input_size"),
+                 base_channels=size("meta.base_channels"),
+                 levels=int(entry("meta.levels")),
+                 head_convs=int(entry("meta.head_convs")))
+    try:
+        cfg = ToyNetConfig(**sizes)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    model = ToyNet(cfg, nc, na, seed=0)
     # every array entry must have the shape the meta entries imply; a
     # momentum buffer is keyed by the name the optimizer updates
     params = {name: p.shape for name, p in model.params.items()}
@@ -317,7 +311,7 @@ def load_run(path) -> RunState:
                          "not finite and positive")
     for name in model.params:
         model.params[name] = entry(f"model.{name}").copy()
-    state = RunState.fresh(model, AnchorSet(sides), image_size)
+    state = RunState.fresh(model, AnchorSet(sides), cfg.input_size)
     state.bw = {name: entry(name).copy() for name in state.bw}
     state.iteration = int(entry("meta.iteration"))
     state.velocity = {name[len("mom."):]: arr.copy()
@@ -325,16 +319,30 @@ def load_run(path) -> RunState:
     return state
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"{text!r} is not one of {', '.join(_BOOLS)}")
+    return _BOOLS[text.lower()]
 
 
-def train_config_from_kv(kv: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from parsed key=value pairs; absent keys keep the
-    dataclass defaults, unknown keys are left for the caller."""
+def config_from_kv(cls, kv: dict[str, str], path):
+    """Build a `cls` (TrainConfig or ToyNetConfig) from the key=value pairs
+    read from the file `path`; absent keys keep the dataclass defaults, and
+    keys that are not `cls` fields are left for the caller.  A value that
+    does not parse, or breaks a rule of `cls`, raises a ValueError naming
+    the file and the key."""
     values = {}
-    for f in fields(TrainConfig):
+    for f in fields(cls):
         if f.name in kv:
             kind = type(f.default)
-            values[f.name] = (_parse_bool if kind is bool else kind)(kv[f.name])
-    return TrainConfig(**values)
+            try:
+                values[f.name] = (_parse_bool if kind is bool else kind)(kv[f.name])
+            except ValueError as e:
+                raise ValueError(f"{path}: {f.name}: {e}") from None
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ class TestAnchorFile:
         save_anchor_set(path, aset)
         loaded = load_anchor_set(path)
         np.testing.assert_array_equal(loaded.shapes, aset.shapes)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "anchors.txt"
+        save_anchor_set(path, AnchorSet(np.full((1, 2, 2), 8.0)))
+        before = path.read_bytes()
+        # the second class's sides do not convert, after the first line is out
+        broken = SimpleNamespace(n_classes=2, n_anchors=1, shapes=np.array(
+            [[[9.0, 9.0]], [["w", "h"]]], dtype=object))
+        with pytest.raises(ValueError):
+            save_anchor_set(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["anchors.txt"]
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "anchors.txt"

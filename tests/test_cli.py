@@ -11,7 +11,7 @@ from ponodet import data as data_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
 from ponodet.anchors import AnchorSet, load_anchor_set
 from ponodet.data import load_dataset, read_kv
-from ponodet.model import TabularPredictor, load_arrays, save_arrays
+from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
 from ponodet.train import RunState, save_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,8 +236,8 @@ class TestBadInput:
         assert f"{cfg}: config key {key!r} is missing or empty" in capsys.readouterr().err
 
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
-        state = RunState.fresh(TabularPredictor(4, 4, 1, 2),
-                               AnchorSet(np.full((1, 2, 2), 9.0)), 32)
+        net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, head_convs=1), 1, 2)
+        state = RunState.fresh(net, AnchorSet(np.full((1, 2, 2), 9.0)), 32)
         save_run(tmp_path / "one_class.bin", state)
         ds = workspace / "ds"
         first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
@@ -310,6 +310,17 @@ class TestBadInput:
             in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    def test_assign_dump_image_size_differs_from_checkpoint(self, workspace, tmp_path,
+                                                            capsys):
+        ds = self.make_dataset(tmp_path, count=1, size=48)
+        ckpt = workspace / "run" / "final.bin"
+        assert run(["assign-dump", "--dataset", str(ds), "--anchors",
+                    str(workspace / "anchors.txt"), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "dump")]) == 2
+        assert f"{ds}: images are 48px square, but {ckpt} is for 32px images" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
+
     def test_ablate_eval_image_size_differs(self, workspace, tmp_path, capsys,
                                             monkeypatch):
         ds = self.make_dataset(tmp_path, count=1, size=48)
@@ -344,18 +355,54 @@ class TestBadInput:
         assert re.search(r"non-finite loss .* at iteration \d+", capsys.readouterr().err)
 
 
-class TestTabularPath:
-    def test_tabular_train_and_eval(self, workspace, tmp_path):
-        cfg = tmp_path / "tab.txt"
-        cfg.write_text("model = tabular\nmax_iter = 25\nlr0 = 0.05\n"
-                       "mode = unit\nflip = false\nseed = 2\n")
-        out = tmp_path / "tabrun"
+class TestBadConfigValue:
+    """A config value that does not parse or is out of range exits 2,
+    naming the file and the key, before anything is trained."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("ponodet.cli.run_training",
+                            lambda *a, **k: calls.append("train"))
+        return calls
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("model = toynet", "model = tabular", "model = tabular, but the only model is toynet"),
+        ("model = toynet", "model = resnet", "model = resnet, but the only model is toynet"),
+        ("lr0 = 0.01", "lr0 = abc", "lr0: could not convert string to float: 'abc'"),
+        ("lr0 = 0.01", "lr0 = inf", "lr0 must be finite and >= 0"),
+        ("base_channels = 2", "base_channels = abc", "base_channels: invalid literal"),
+        ("base_channels = 2", "base_channels = 0", "base_channels must be >= 1"),
+        ("levels = 2", "levels = 1", "levels must be >= 2"),
+        ("head_convs = 1", "head_convs = -1", "head_convs must be >= 0"),
+        ("batch_size = 1", "batch_size = 0", "batch_size must be >= 1"),
+        ("seed = 9", "seed = 9\nflip = maybe", "flip: 'maybe' is not one of"),
+        ("seed = 9", "seed = 9\ncheckpoint_every = -1", "checkpoint_every must be >= 0"),
+        ("seed = 9", "seed = -1", "seed must be >= 0"),
+    ])
+    def test_train(self, workspace, tmp_path, capsys, started, old, new, message):
+        cfg = tmp_path / "train.txt"
+        cfg.write_text(TRAINCFG.replace(old, new))
         assert run(["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
                     "--anchors", str(workspace / "anchors.txt"),
-                    "--out", str(out)]) == 0
-        assert run(["eval", "--checkpoint", str(out / "final.bin"),
-                    "--dataset", str(workspace / "ds"),
-                    "--out", str(tmp_path / "tabeval")]) == 0
+                    "--out", str(tmp_path / "run")]) == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert started == [] and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("lr0 = abc\n", "lr0: could not convert string to float: 'abc'"),
+        ("levels = 1\n", "levels must be >= 2"),
+        ("n_a = x\n", "n_a must be a whole number >= 1, got 'x'"),
+        ("n_a = 0\n", "n_a must be a whole number >= 1, got '0'"),
+    ])
+    def test_ablate(self, workspace, tmp_path, capsys, started, text, message):
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(f"dataset = {workspace / 'ds'}\n"
+                       f"cells = AMS:learned:CE,AO:unit:FL\n{text}")
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: {message}" in err and "ablation cell" not in err
+        assert started == []
 
 
 class TestArtifactDigests:
@@ -376,12 +423,18 @@ class TestArtifactDigests:
                     "eval/report.csv", "eval/report.txt", "maps/maps.csv",
                     "maps_ckpt/maps.csv", "maps_ckpt/prediou_c1_a1.pgm",
                     "weights/weights.csv", "train_b2/log.csv", "train_b2/final.bin",
-                    "train_b2/ckpt_000005.bin", "train_b2/ckpt_000010.bin"]
+                    "train_b2/ckpt_000005.bin", "train_b2/ckpt_000010.bin",
+                    "anchors.txt", "ablation_anchors/summary.csv",
+                    "ablation_anchors/pono_learned_fl/final.bin",
+                    "train_seed/log.csv", "train_seed/final.bin"]
         for cell in ("ams_learned_ce", "pono_unit_ce", "ao_retina_norm_fl"):
             expected += [f"ablation/{cell}/{name}" for name in
                          ("log.csv", "report.csv", "report.txt", "final.bin",
                           "ckpt_000010.bin", "ckpt_000020.bin")]
         assert set(expected) <= set(digests)
+        # the ablate given an anchor file clusters none of its own
+        assert "ablation_anchors/anchors.txt" not in digests
+        assert digests["train_seed/log.csv"] != digests["train_b2/log.csv"]
 
 
 class TestAblate:

@@ -8,10 +8,10 @@ from ponodet.assignment import GroundTruth
 from ponodet.data import Scene
 from ponodet.loss import (LOC_GATE, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
-from ponodet.model import TabularPredictor
 from ponodet.train import RunState, TrainConfig, train_iteration
 
 from test_autodiff import grad_check
+from test_model import TabularPredictor
 
 
 # ---------------------------------------------------------------------

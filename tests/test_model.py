@@ -8,10 +8,33 @@ from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
 from ponodet.loss import bce_logits, loc_loss_map
-from ponodet.model import (MAGIC, TabularPredictor, ToyNet, ToyNetConfig,
+from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig,
                            leaf_params, load_arrays, save_arrays)
 
 from test_autodiff import grad_check
+
+
+class TabularPredictor:
+    """Identity predictor: every output cell is an independent parameter."""
+
+    def __init__(self, h_f: int, w_f: int, n_classes: int, n_anchors: int):
+        self.h_f, self.w_f = h_f, w_f
+        self.n_classes, self.n_anchors = n_classes, n_anchors
+        self.params = {
+            "logits": np.zeros((h_f, w_f, n_classes, n_anchors)),
+            "offsets": np.zeros((h_f, w_f, n_classes, n_anchors, 4)),
+        }
+
+    def forward(self, params, images=None) -> PredictorOutput:
+        """The parameters themselves, with a leading axis of 1; `images`
+        is ignored."""
+        logits, offsets = params["logits"], params["offsets"]
+        return PredictorOutput(logits=ad.reshape(logits, (1, *logits.shape)),
+                               offsets=ad.reshape(offsets, (1, *offsets.shape)))
+
+    def meta(self) -> dict:
+        return {"model_kind": 0.0, "h_f": float(self.h_f), "w_f": float(self.w_f),
+                "n_classes": float(self.n_classes), "n_anchors": float(self.n_anchors)}
 
 
 class TestToyNetConfig:
@@ -23,6 +46,13 @@ class TestToyNetConfig:
     def test_min_levels(self):
         with pytest.raises(ValueError):
             ToyNetConfig(input_size=64, levels=1)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("base_channels", 0, "base_channels must be >= 1"),
+        ("head_convs", -1, "head_convs must be >= 0")])
+    def test_layer_sizes_bounded(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            ToyNetConfig(input_size=64, **{key: value})
 
 
 class TestTabular:
@@ -39,6 +69,39 @@ class TestTabular:
         m.params["logits"][0, 0, 0, 0] = 3.0
         out = m.forward(m.params)
         assert out.logits[0, 0, 0, 0, 0] == 3.0
+
+
+class TestToyNetLayers:
+    def test_parameter_names_order_and_shapes(self):
+        # the walk order fixes the kernel draws and the checkpoint order
+        cfg = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
+        net = ToyNet(cfg, n_classes=1, n_anchors=2)
+        kernels = [("stem0", 3, 3, 2), ("stem1", 3, 2, 4), ("stem2", 3, 4, 8),
+                   ("enc1", 3, 8, 16), ("dec1", 3, 16, 8), ("dec0", 3, 16, 4),
+                   ("pyr0_0", 3, 4, 4), ("pyr1_0", 3, 8, 8), ("cls0", 3, 12, 8),
+                   ("cls_out", 1, 8, 2), ("reg0", 3, 12, 8), ("reg_out", 1, 8, 8)]
+        want = []
+        for name, k, cin, cout in kernels:
+            want += [(f"{name}.w", (k, k, cin, cout)), (f"{name}.b", (cout,))]
+        assert [(name, p.shape) for name, p in net.params.items()] == want
+        assert np.all(net.params["cls_out.b"] == -2.0)
+        assert np.all(net.params["reg_out.b"] == 0.0)
+
+    def test_init_runs_no_conv(self, monkeypatch):
+        # building the network draws kernels only; a forward or a conv call
+        # there would be counted by a tracer wrapping either
+        def fail(*args, **kwargs):
+            raise AssertionError("called at init")
+
+        monkeypatch.setattr(ad, "conv2d", fail)
+        monkeypatch.setattr(ToyNet, "forward", fail)
+        ToyNet(ToyNetConfig(input_size=64, base_channels=3, levels=3), 2, 2)
+
+    def test_meta_lists_the_config_fields(self):
+        cfg = ToyNetConfig(input_size=64, base_channels=3, levels=3, head_convs=0)
+        assert ToyNet(cfg, 2, 5).meta() == {
+            "model_kind": 1.0, "input_size": 64.0, "base_channels": 3.0,
+            "levels": 3.0, "head_convs": 0.0, "n_classes": 2.0, "n_anchors": 5.0}
 
 
 class TestToyNetForward:

@@ -3,10 +3,11 @@ import math
 import os
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
@@ -16,11 +17,11 @@ from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.loss import initial_balance
-from ponodet.model import (TabularPredictor, ToyNet, ToyNetConfig, leaf_params,
-                           load_arrays, save_arrays)
-from ponodet.train import (RunState, TrainConfig, load_run, lr_at,
-                           run_training, save_run, sgd_step, train_iteration,
-                           train_config_from_kv)
+from ponodet.model import ToyNet, ToyNetConfig, leaf_params, load_arrays, save_arrays
+from ponodet.train import (RunState, TrainConfig, config_from_kv, load_run, lr_at,
+                           run_training, save_run, sgd_step, train_iteration)
+
+from test_model import TabularPredictor
 
 
 def one_object_scene(image_size=32):
@@ -403,8 +404,7 @@ class TestLoadRun:
 
     @pytest.mark.parametrize("side", [0.0, -3.0, np.inf, np.nan])
     def test_bad_anchor_side_named(self, tmp_path, side):
-        scene = one_object_scene()
-        state = tabular_state(scene, shapes=((8.0, 8.0), (12.0, 12.0)))
+        _, _, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         arrays["anchors.shapes"][0, 1, 0] = side
@@ -412,6 +412,16 @@ class TestLoadRun:
         save_arrays(path, arrays)
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: entry 'anchors.shapes' holds a side")):
+            load_run(path)
+
+    def test_tabular_checkpoint_rejected(self, tmp_path):
+        # a predictor with meta.model_kind 0 (the former tabular kind) writes
+        # the same entries the tabular runs used to
+        path = tmp_path / "tabular.bin"
+        save_run(path, tabular_state(one_object_scene()))
+        assert float(load_arrays(path)["meta.model_kind"]) == 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: entry 'meta.model_kind' is 0.0, but a ToyNet checkpoint has 1.0")):
             load_run(path)
 
     def test_toynet_levels_named(self, tmp_path):
@@ -455,25 +465,31 @@ class TestIterationLifetime:
         assert len(rows) == state.iteration - 1
 
 
+CONFIG_FIELDS = [(cls, f.name) for cls in (TrainConfig, ToyNetConfig)
+                 for f in fields(cls)]
+
+
 class TestConfigParsing:
     def test_defaults_and_overrides(self):
-        cfg = train_config_from_kv({"max_iter": "50", "mode": "unit",
-                                    "flip": "false"})
+        cfg = config_from_kv(TrainConfig, {"max_iter": "50", "mode": "unit",
+                                           "flip": "false"}, "cfg.txt")
         assert cfg.max_iter == 50 and cfg.mode == "unit" and cfg.flip is False
         assert cfg.lr0 == 0.005 and cfg.momentum == 0.9 and cfg.poly_power == 0.9
 
     def test_empty_kv_gives_defaults(self):
-        assert train_config_from_kv({}) == TrainConfig()
+        assert config_from_kv(TrainConfig, {}, "cfg.txt") == TrainConfig()
+        assert config_from_kv(ToyNetConfig, {}, "cfg.txt") == ToyNetConfig()
 
     def test_every_field_round_trips(self):
-        from dataclasses import fields
         cfg = TrainConfig(lr0=0.02, momentum=0.5, poly_power=1.5, max_iter=7,
                           batch_size=3, mode="unit", label_rule="AO",
                           cls_loss="FL", seed=42, ao_threshold=0.4, flip=False,
                           checkpoint_every=2)
-        kv = {f.name: str(getattr(cfg, f.name)) for f in fields(TrainConfig)}
-        assert all(getattr(cfg, f.name) != f.default for f in fields(TrainConfig))
-        assert train_config_from_kv(kv) == cfg
+        net = ToyNetConfig(input_size=96, base_channels=3, levels=3, head_convs=0)
+        for c in (cfg, net):
+            kv = {f.name: str(getattr(c, f.name)) for f in fields(c)}
+            assert all(getattr(c, f.name) != f.default for f in fields(c))
+            assert config_from_kv(type(c), kv, "cfg.txt") == c
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -482,3 +498,40 @@ class TestConfigParsing:
             TrainConfig(label_rule="NOPE")
         with pytest.raises(ValueError):
             TrainConfig(cls_loss="hinge")
+
+    @pytest.mark.parametrize("words,value", [(("true", "YES", "1"), True),
+                                             (("false", "No", "0"), False)])
+    def test_boolean_words(self, words, value):
+        for word in words:
+            assert config_from_kv(TrainConfig, {"flip": word}, "cfg.txt").flip is value
+
+    @pytest.mark.parametrize("cls,key,text,message", [
+        (TrainConfig, "lr0", "abc", "lr0: could not convert string to float: 'abc'"),
+        (TrainConfig, "flip", "maybe", "flip: 'maybe' is not one of true, yes, 1,"),
+        (TrainConfig, "lr0", "inf", "lr0 must be finite and >= 0"),
+        (TrainConfig, "lr0", "nan", "lr0 must be finite and >= 0"),
+        (TrainConfig, "batch_size", "0", "batch_size must be >= 1"),
+        (TrainConfig, "checkpoint_every", "-1", "checkpoint_every must be >= 0"),
+        (TrainConfig, "seed", "-1", "seed must be >= 0"),
+        (ToyNetConfig, "base_channels", "abc", "base_channels: invalid literal"),
+        (ToyNetConfig, "levels", "1", "levels must be >= 2"),
+        (ToyNetConfig, "head_convs", "-1", "head_convs must be >= 0")])
+    def test_bad_value_names_file_and_key(self, cls, key, text, message):
+        with pytest.raises(ValueError, match=re.escape(f"cfg.txt: {message}")):
+            config_from_kv(cls, {key: text}, "cfg.txt")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([TrainConfig, ToyNetConfig]),
+           st.dictionaries(st.sampled_from([name for _, name in CONFIG_FIELDS]),
+                           st.one_of(st.text(max_size=8),
+                                     st.integers(-3, 300).map(str),
+                                     st.floats().map(repr),
+                                     st.sampled_from(["true", "no", "AMS", "FL",
+                                                      "unit", "learned"]))))
+    def test_any_text_parses_or_names_the_file(self, cls, kv):
+        try:
+            cfg = config_from_kv(cls, kv, "cfg.txt")
+        except ValueError as e:
+            assert str(e).startswith("cfg.txt: ")
+        else:
+            assert isinstance(cfg, cls)
