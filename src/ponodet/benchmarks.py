@@ -14,17 +14,22 @@ Three synthetic regimes:
 The constants below were calibrated once on the seeds baked in here and
 are treated as frozen: tests compare against them, they are not tuned per
 run.
+
+The cells of a benchmark differ only in the label rule, the loss mode and
+the classification loss, so every `run_cell` on one `Benchmark` object
+shares the setup its first call builds (`Benchmark.setup`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .anchors import kmeans_anchors, sizes_per_class
-from .data import GenSpec, generate
+from .anchors import AnchorSet, kmeans_anchors, sizes_per_class
+from .data import GenSpec, Scene, generate
 from .evaluation import dataset_detections, map_eval
 from .model import ToyNet, ToyNetConfig
-from .train import RunState, TrainConfig, run_training
+from .train import RunState, SceneBank, TrainConfig, anchor_grid, run_training
 
 IMAGE_SIZE = 48
 
@@ -40,6 +45,30 @@ class Benchmark:
     n_test: int = 100
     score_min: float = 0.05
     nms_iou: float = 0.5
+
+    @cached_property
+    def setup(self) -> Setup:
+        """The cells' shared setup, built on first use and kept as long as
+        this object: train and test scenes (the test split uses a shifted
+        seed), the anchors clustered on the training boxes, and a bank of
+        the training scenes on their grid.  A `replace`d benchmark is a new
+        object with a setup of its own."""
+        train = generate(self.gen, self.n_train)
+        test = generate(replace(self.gen, seed=self.gen.seed + 5000), self.n_test)
+        anchor_set = kmeans_anchors(
+            sizes_per_class([s.gt for s in train], self.gen.n_classes),
+            n_a=self.n_anchors, seed=self.train_cfg.seed)
+        return Setup(test, anchor_set,
+                     SceneBank(train, anchor_grid(anchor_set, self.gen.image_size)))
+
+
+@dataclass(frozen=True)
+class Setup:
+    """What every cell of one benchmark trains and scores on."""
+
+    test: list[Scene]
+    anchor_set: AnchorSet
+    bank: SceneBank
 
 
 def easy_benchmark() -> Benchmark:
@@ -79,35 +108,26 @@ def crowded_benchmark() -> Benchmark:
         n_train=400, score_min=0.01, nms_iou=0.7)
 
 
-def benchmark_data(bench: Benchmark):
-    """Train/test scene lists; the test split uses a shifted seed."""
-    train = generate(bench.gen, bench.n_train)
-    test = generate(replace(bench.gen, seed=bench.gen.seed + 5000), bench.n_test)
-    return train, test
-
-
 def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
              cls_loss: str = "CE", max_iter: int | None = None,
              log_path=None) -> dict:
-    """Train one ablation cell on the benchmark, score it on the test split."""
-    train, test = benchmark_data(bench)
-    anchor_set = kmeans_anchors(
-        sizes_per_class([s.gt for s in train], bench.gen.n_classes),
-        n_a=bench.n_anchors, seed=bench.train_cfg.seed)
+    """Train one ablation cell on the benchmark's setup, score it on the
+    test split."""
+    setup = bench.setup
     cfg = replace(bench.train_cfg, mode=mode, label_rule=label_rule,
                   cls_loss=cls_loss)
     if max_iter is not None:
         cfg = replace(cfg, max_iter=max_iter)
     model = ToyNet(bench.net, bench.gen.n_classes, bench.n_anchors,
                    seed=cfg.seed)
-    state = RunState.fresh(model, anchor_set, bench.gen.image_size)
-    reports = run_training(state, train, cfg, log_path=log_path)
-    dets = dataset_detections(model, state.grid, test, bench.score_min,
+    state = RunState.fresh(model, setup.bank.grid)
+    reports = run_training(state, setup.bank, cfg, log_path=log_path)
+    dets = dataset_detections(model, state.grid, setup.test, bench.score_min,
                               bench.nms_iou)
-    per_class, mean = map_eval(dets, [s.gt for s in test])
+    per_class, mean = map_eval(dets, [s.gt for s in setup.test])
     return {
         "state": state,
-        "anchor_set": anchor_set,
+        "anchor_set": setup.anchor_set,
         "per_class_ap": per_class,
         "map": mean,
         "reports": reports,

@@ -23,8 +23,8 @@ from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import ToyNet, ToyNetConfig
-from .train import (RunState, TrainConfig, config_from_kv, load_run, run_training,
-                    save_run)
+from .train import (RunState, SceneBank, TrainConfig, anchor_grid, config_from_kv,
+                    load_run, run_training, save_run)
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 
@@ -63,19 +63,24 @@ def _net_config(path, kv: dict, image_size: int) -> ToyNetConfig:
     return net
 
 
-def _load_scenes(dataset_dir, n_classes: int, covered_by: str = "anchors") -> list:
-    """A non-empty dataset whose class ids are all below `n_classes`, the
-    class count of the anchors or checkpoint named by `covered_by`."""
+def _load_scenes(dataset_dir) -> list:
+    """A non-empty dataset."""
     scenes = data_mod.load_dataset(dataset_dir)
     if not scenes:
         raise RuntimeError(f"{dataset_dir}: dataset has no scenes")
+    return scenes
+
+
+def _check_classes(dataset_dir, scenes: list, n_classes: int,
+                   covered_by: str = "anchors") -> None:
+    """Every class id of the dataset is below `n_classes`, the class count
+    of the anchors or checkpoint named by `covered_by`."""
     for idx, scene in enumerate(scenes):
         outside = scene.gt.class_ids[scene.gt.class_ids >= n_classes]
         if outside.size:
             raise RuntimeError(
                 f"{dataset_dir}: scene {idx} has class id {outside[0]}, but the "
                 f"{covered_by} cover classes 0..{n_classes - 1}")
-    return scenes
 
 
 def _cluster_anchors(dataset_dir, n_a: int, seed: int) -> AnchorSet:
@@ -113,13 +118,14 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _train_once(cfg: TrainConfig, net: ToyNetConfig, scenes: list,
-                anchor_set: AnchorSet, out_dir: str) -> RunState:
-    """Train a fresh network on `scenes` and write its run to `out_dir`."""
-    model = ToyNet(net, anchor_set.n_classes, anchor_set.n_anchors, seed=cfg.seed)
-    state = RunState.fresh(model, anchor_set, net.input_size)
+def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
+                out_dir: str) -> RunState:
+    """Train a fresh network on the bank's scenes and grid and write its
+    run to `out_dir`."""
+    model = ToyNet(net, bank.grid.n_classes, bank.grid.n_anchors, seed=cfg.seed)
+    state = RunState.fresh(model, bank.grid)
     os.makedirs(out_dir, exist_ok=True)
-    run_training(state, scenes, cfg,
+    run_training(state, bank, cfg,
                  log_path=os.path.join(out_dir, "log.csv"),
                  checkpoint_dir=out_dir)
     save_run(os.path.join(out_dir, "final.bin"), state)
@@ -132,9 +138,11 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     anchor_set = load_anchor_set(args.anchors)
-    scenes = _load_scenes(args.dataset, anchor_set.n_classes)
+    scenes = _load_scenes(args.dataset)
+    _check_classes(args.dataset, scenes, anchor_set.n_classes)
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
-    _train_once(cfg, net, scenes, anchor_set, args.out)
+    _train_once(cfg, net, SceneBank(scenes, anchor_grid(anchor_set, net.input_size)),
+                args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
@@ -166,7 +174,8 @@ def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
 
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
-    scenes = _load_scenes(args.dataset, state.grid.n_classes, "checkpoint's anchors")
+    scenes = _load_scenes(args.dataset)
+    _check_classes(args.dataset, scenes, state.grid.n_classes, "checkpoint's anchors")
     _check_image_size(args.dataset, scenes, args.checkpoint, state.model)
     per_class, mean, n_gt, n_det = _evaluate(
         state, scenes, args.score_min, args.iou_nms)
@@ -179,7 +188,8 @@ def cmd_eval(args) -> int:
 
 def cmd_assign_dump(args) -> int:
     anchor_set = load_anchor_set(args.anchors)
-    scenes = _load_scenes(args.dataset, anchor_set.n_classes)
+    scenes = _load_scenes(args.dataset)
+    _check_classes(args.dataset, scenes, anchor_set.n_classes)
     if not 0 <= args.scene < len(scenes):
         raise RuntimeError(f"{args.dataset}: no scene {args.scene} "
                            f"({len(scenes)} scenes)")
@@ -187,7 +197,7 @@ def cmd_assign_dump(args) -> int:
     model = load_run(args.checkpoint).model if args.checkpoint else None
     if model is not None:
         _check_image_size(args.dataset, scenes, args.checkpoint, model)
-    grid = RunState.fresh(model, anchor_set, scene.image.shape[0]).grid
+    grid = anchor_grid(anchor_set, scene.image.shape[0])
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
     if model is not None:
@@ -262,8 +272,21 @@ def cmd_ablate(args) -> int:
     n_a = kv.get("n_a", "3")
     if not n_a.isdecimal() or int(n_a) < 1:
         raise RuntimeError(f"{args.config}: n_a must be a whole number >= 1, got {n_a!r}")
-    cells = [_ablation_cell(args.config, base, text.strip())
-             for text in kv["cells"].split(",") if text.strip()]
+    texts = [text.strip() for text in kv["cells"].split(",") if text.strip()]
+    cells = [_ablation_cell(args.config, base, text) for text in texts]
+    seen = set()
+    for text, (name, _) in zip(texts, cells):
+        if name in seen:
+            raise RuntimeError(f"{args.config}: ablation cell {text!r} appears more than once")
+        seen.add(name)
+    # everything the network settings need is read and checked before
+    # anchors are clustered or anything is written
+    scenes = _load_scenes(dataset_dir)
+    eval_scenes = scenes if eval_dir == dataset_dir else _load_scenes(eval_dir)
+    if eval_scenes[0].image.shape != scenes[0].image.shape:
+        raise RuntimeError(f"{eval_dir}: images are {eval_scenes[0].image.shape[0]}px square, "
+                           f"but {dataset_dir} has {scenes[0].image.shape[0]}px images")
+    net = _net_config(args.config, kv, scenes[0].image.shape[0])
     os.makedirs(args.out, exist_ok=True)
 
     if kv.get("anchors"):
@@ -271,18 +294,17 @@ def cmd_ablate(args) -> int:
     else:
         anchor_set = _cluster_anchors(dataset_dir, int(n_a), base.seed)
         save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
-    scenes = _load_scenes(dataset_dir, anchor_set.n_classes)
-    eval_scenes = scenes if eval_dir == dataset_dir \
-        else _load_scenes(eval_dir, anchor_set.n_classes)
-    if eval_scenes[0].image.shape != scenes[0].image.shape:
-        raise RuntimeError(f"{eval_dir}: images are {eval_scenes[0].image.shape[0]}px square, "
-                           f"but {dataset_dir} has {scenes[0].image.shape[0]}px images")
-    net = _net_config(args.config, kv, scenes[0].image.shape[0])
+    _check_classes(dataset_dir, scenes, anchor_set.n_classes)
+    if eval_scenes is not scenes:
+        _check_classes(eval_dir, eval_scenes, anchor_set.n_classes)
+    # one bank for every cell: the cells draw the same batches, so each
+    # scene is mirrored and assigned once per ablation
+    bank = SceneBank(scenes, anchor_grid(anchor_set, net.input_size))
 
     rows = []
     for name, cfg in cells:
         cell_dir = os.path.join(args.out, name)
-        state = _train_once(cfg, net, scenes, anchor_set, cell_dir)
+        state = _train_once(cfg, net, bank, cell_dir)
         per_class, mean, n_gt, n_det = _evaluate(
             state, eval_scenes, args.score_min, args.iou_nms)
         _write_eval_report(cell_dir, per_class, mean, n_gt, n_det)

@@ -8,15 +8,19 @@ is the only gradient path into the offsets.
 
 A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map, one
-loss map and one set of per-grid sums [N, h, w, nc, na] -> [nc, na].  A
-scene's `Assignment` against the grid never changes, so it is computed
-once per `run_training` call and cached per scene on the run state; the
-batch's records are stacked each iteration, and the gate and labels read
-off them depend on the config and are recomputed each iteration.  Batch
-losses are the sums over the batch's scenes divided by the summed
-positive counts (equivalently: maps averaged before weighting).  The
-batch RNG is derived from (seed, iteration), which makes checkpoint
-resume bit-exact without serializing generator state.
+loss map and one set of per-grid sums [N, h, w, nc, na] -> [nc, na].
+The training scenes live in a `SceneBank` on one anchor grid.  A scene's
+mirror image and the `Assignment` of each scene variant (plain or
+mirrored) against the grid never change, so the bank computes each on
+first use and keeps it for as long as its owner keeps the bank: one
+`run_training` call for a plain scene list, every cell of an ablation for
+a bank the cells share.  The batch's records are stacked each iteration,
+and the gate and labels read off them depend on the config and are
+recomputed each iteration.  Batch losses are the sums over the batch's
+scenes divided by the summed positive counts (equivalently: maps averaged
+before weighting).  The batch RNG is derived from (seed, iteration), which
+makes checkpoint resume bit-exact without serializing generator state,
+and makes every run with the same seed draw the same batches.
 """
 
 from __future__ import annotations
@@ -76,25 +80,54 @@ class TrainConfig:
 
 @dataclass
 class RunState:
-    """Everything that evolves during a run; checkpoints restore it bit-exactly."""
+    """Everything that evolves during a run; checkpoints restore it bit-exactly.
+    The scenes and their assignments are not part of it: they live in a
+    `SceneBank` the caller owns."""
 
     model: ToyNet
     bw: dict               # the `loss.initial_balance` arrays
     grid: AnchorGrid
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
-    # GroundTruth -> Assignment; a GroundTruth hashes by identity, and the
-    # key held here keeps its id from passing to a new one.  No image is
-    # ever held.
-    _scene_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def fresh(cls, model, anchor_set: AnchorSet, image_size: int) -> RunState:
-        """Iteration 0: the anchors tiled over the stride-8 map of a square
-        image, and unit balance weights."""
-        f = image_size // FEAT_STRIDE
-        return cls(model=model, grid=build_grid(anchor_set, f, f, FEAT_STRIDE),
-                   bw=initial_balance(anchor_set.n_classes, anchor_set.n_anchors))
+    def fresh(cls, model, grid: AnchorGrid) -> RunState:
+        """Iteration 0 on `grid`, with unit balance weights."""
+        return cls(model=model, grid=grid,
+                   bw=initial_balance(grid.n_classes, grid.n_anchors))
+
+
+def anchor_grid(anchor_set: AnchorSet, image_size: int) -> AnchorGrid:
+    """The anchors tiled over the stride-8 feature map of a square image."""
+    f = image_size // FEAT_STRIDE
+    return build_grid(anchor_set, f, f, FEAT_STRIDE)
+
+
+class SceneBank:
+    """Training scenes on one anchor grid, each drawn plain or mirrored.
+
+    A scene's mirror image and each variant's `Assignment` against the grid
+    are computed on first use and kept for the bank's life, so runs that
+    share a bank (the cells of one ablation) flip and assign each variant
+    once.
+    """
+
+    def __init__(self, scenes: list[Scene], grid: AnchorGrid):
+        self.scenes = scenes
+        self.grid = grid
+        self._flipped: dict[int, Scene] = {}
+        # GroundTruth -> Assignment; a GroundTruth hashes by identity, and
+        # the key held here keeps its id from passing to a new one
+        self.assignments: dict = {}
+
+    def variant(self, index: int, flip: bool) -> Scene:
+        """Scene `index`, mirrored if `flip`."""
+        if not flip:
+            return self.scenes[index]
+        scene = self._flipped.get(index)
+        if scene is None:
+            scene = self._flipped[index] = hflip(self.scenes[index])
+        return scene
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -118,11 +151,11 @@ def sgd_step(params: dict, velocity: dict, grads: dict,
         p -= lr * v
 
 
-def scene_cache(state: RunState, scene: Scene) -> Assignment:
-    """The scene's assignment against the state's grid, computed on first use."""
-    cached = state._scene_cache.get(scene.gt)
+def scene_cache(bank: SceneBank, scene: Scene) -> Assignment:
+    """The scene's assignment against the bank's grid, computed on first use."""
+    cached = bank.assignments.get(scene.gt)
     if cached is None:
-        cached = state._scene_cache[scene.gt] = assign_ao(state.grid, scene.gt)
+        cached = bank.assignments[scene.gt] = assign_ao(bank.grid, scene.gt)
     return cached
 
 
@@ -135,10 +168,13 @@ def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
     return mask.astype(np.float64), labels
 
 
-def train_iteration(state: RunState, batch: list[Scene],
-                    cfg: TrainConfig) -> LossReport:
+def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
+                    bank: SceneBank | None = None) -> LossReport:
     """One optimizer step over a batch of scenes, as one taped pass over
-    the stacked batch."""
+    the stacked batch.  The scenes' assignments come from `bank`, which
+    must be on the state's grid; without one they are computed afresh."""
+    if bank is None:
+        bank = SceneBank(batch, state.grid)
     tape = ad.Tape()
     learned = cfg.mode == "learned"
     # learned mode trains the balance weights as more parameters, after
@@ -146,7 +182,7 @@ def train_iteration(state: RunState, batch: list[Scene],
     trained = {**state.model.params, **state.bw} if learned else state.model.params
     params = leaf_params(trained, tape)
 
-    assignment = Assignment.stack([scene_cache(state, scene) for scene in batch])
+    assignment = Assignment.stack([scene_cache(bank, scene) for scene in batch])
     out = state.model.forward(params, np.stack([scene.image for scene in batch]))
     o_hat = pred_iou_values(state.grid, out.offsets, assignment)
     gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
@@ -187,17 +223,23 @@ def train_iteration(state: RunState, batch: list[Scene],
                       reg=reg_f, n_pos=n_pos, per_grid_pos=per_grid_pos)
 
 
-def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
-                 log_path=None, checkpoint_dir=None) -> list[LossReport]:
+def run_training(state: RunState, scenes: list[Scene] | SceneBank,
+                 cfg: TrainConfig, log_path=None,
+                 checkpoint_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
-    Batches and optional horizontal flips of `scenes` are drawn from the
-    per-iteration RNG.  A run from iteration 0 starts `log_path` afresh; a
-    resumed run appends to it.  The scene cache lives for this call only, as
-    the scenes it describes do.  A non-finite loss raises FloatingPointError
-    naming the iteration, before that iteration is logged or checkpointed.
+    Batches and optional horizontal flips of the scenes are drawn from the
+    per-iteration RNG.  `scenes` is a `SceneBank` on the state's grid, whose
+    mirrors and assignments outlive the call, or a plain list, which gets a
+    bank of its own for this call only; a bank on another grid raises
+    ValueError.  A run from iteration 0 starts `log_path` afresh; a resumed
+    run appends to it.  A non-finite loss raises FloatingPointError naming
+    the iteration, before that iteration is logged or checkpointed.
     """
-    flipped: dict[int, Scene] = {}
+    bank = scenes if isinstance(scenes, SceneBank) else SceneBank(scenes, state.grid)
+    if not (bank.grid.feat_stride == state.grid.feat_stride
+            and np.array_equal(bank.grid.boxes, state.grid.boxes)):
+        raise ValueError("the scene bank is on another anchor grid than the run")
     reports = []
     log = open(log_path, "w" if state.iteration == 0 else "a") if log_path else None
     try:
@@ -206,18 +248,10 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
         while state.iteration < cfg.max_iter:
             it = state.iteration
             rng = np.random.default_rng([cfg.seed, 7, it])
-            idx = rng.integers(0, len(scenes), size=cfg.batch_size)
-            batch = []
-            for i in idx:
-                i = int(i)
-                if cfg.flip and rng.random() < 0.5:
-                    if i not in flipped:
-                        flipped[i] = hflip(scenes[i])
-                    batch.append(flipped[i])
-                else:
-                    batch.append(scenes[i])
+            idx = rng.integers(0, len(bank.scenes), size=cfg.batch_size)
+            batch = [bank.variant(int(i), cfg.flip and rng.random() < 0.5) for i in idx]
             lr = lr_at(it, cfg)
-            report = train_iteration(state, batch, cfg)
+            report = train_iteration(state, batch, cfg, bank)
             if not np.isfinite(report.total):
                 raise FloatingPointError(
                     f"non-finite loss {report.total!r} at iteration {it}")
@@ -229,7 +263,6 @@ def run_training(state: RunState, scenes: list[Scene], cfg: TrainConfig,
                 save_run(os.path.join(checkpoint_dir,
                                       f"ckpt_{state.iteration:06d}.bin"), state)
     finally:
-        state._scene_cache.clear()
         if log:
             log.close()
     return reports
@@ -258,8 +291,9 @@ def load_run(path) -> RunState:
     """Restore a `save_run` checkpoint of a ToyNet run.  One whose
     `meta.model_kind` is not 1.0, that lacks an entry the run needs, holds
     an entry the run does not know or of another shape than its `meta.*`
-    entries imply, or holds a size below 1 or an anchor side that is not
-    finite and positive, raises ValueError naming the path and the entry."""
+    entries imply, a `meta.*` entry that is not one finite whole number,
+    a size below 1 or an anchor side that is not finite and positive,
+    raises ValueError naming the path and the entry."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -267,23 +301,32 @@ def load_run(path) -> RunState:
             raise ValueError(f"{path}: checkpoint has no {key!r} entry")
         return arrays[key]
 
-    def size(key: str) -> int:
-        value = float(entry(key))
-        if not value >= 1:
-            raise ValueError(f"{path}: entry {key!r} is {value!r}, but must be at least 1")
+    def meta(key: str, least: int = 0) -> int:
+        """A `meta.*` entry: one whole number of at least `least`."""
+        value = entry(key)
+        if value.shape != ():
+            raise ValueError(f"{path}: entry {key!r} has shape {value.shape}, "
+                             "but a meta entry holds one number")
+        value = float(value)
+        if not value.is_integer():
+            raise ValueError(f"{path}: entry {key!r} is {value!r}, but must be "
+                             "a whole number")
+        if value < least:
+            raise ValueError(f"{path}: entry {key!r} is {value!r}, but must be "
+                             f"at least {least}")
         return int(value)
 
-    kind = float(entry("meta.model_kind"))
-    if kind != 1.0:
-        raise ValueError(f"{path}: entry 'meta.model_kind' is {kind!r}, but a "
+    kind = meta("meta.model_kind")
+    if kind != 1:
+        raise ValueError(f"{path}: entry 'meta.model_kind' is {float(kind)!r}, but a "
                          "ToyNet checkpoint has 1.0")
-    nc, na = size("meta.n_classes"), size("meta.n_anchors")
-    if int(entry("meta.feat_stride")) != FEAT_STRIDE:
+    nc, na = meta("meta.n_classes", 1), meta("meta.n_anchors", 1)
+    if meta("meta.feat_stride") != FEAT_STRIDE:
         raise ValueError(f"{path}: feature stride is not {FEAT_STRIDE}")
-    sizes = dict(input_size=size("meta.input_size"),
-                 base_channels=size("meta.base_channels"),
-                 levels=int(entry("meta.levels")),
-                 head_convs=int(entry("meta.head_convs")))
+    sizes = dict(input_size=meta("meta.input_size", 1),
+                 base_channels=meta("meta.base_channels", 1),
+                 levels=meta("meta.levels"),
+                 head_convs=meta("meta.head_convs"))
     try:
         cfg = ToyNetConfig(**sizes)
     except ValueError as e:
@@ -311,9 +354,9 @@ def load_run(path) -> RunState:
                          "not finite and positive")
     for name in model.params:
         model.params[name] = entry(f"model.{name}").copy()
-    state = RunState.fresh(model, AnchorSet(sides), cfg.input_size)
+    state = RunState.fresh(model, anchor_grid(AnchorSet(sides), cfg.input_size))
     state.bw = {name: entry(name).copy() for name in state.bw}
-    state.iteration = int(entry("meta.iteration"))
+    state.iteration = meta("meta.iteration")
     state.velocity = {name[len("mom."):]: arr.copy()
                       for name, arr in arrays.items() if name.startswith("mom.")}
     return state

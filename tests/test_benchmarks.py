@@ -1,0 +1,101 @@
+"""One setup per `Benchmark` object: the cells of a benchmark share its
+scenes, anchors and scene bank, and give the bytes each gives alone."""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from ponodet import benchmarks as B
+from ponodet import train as train_mod
+
+from test_train import drawn_variants
+
+ROOT = Path(__file__).resolve().parent.parent
+RULES = ("AMS", "PONO", "AO")
+ITERS = 4
+
+
+def tiny_crowded() -> B.Benchmark:
+    bench = B.crowded_benchmark()
+    return replace(bench, n_train=12, n_test=6,
+                   net=replace(bench.net, base_channels=2))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of k-means and the generator as `ponodet.benchmarks` makes them."""
+    calls = {"kmeans_anchors": 0, "generate": 0}
+    for name in calls:
+        fn = getattr(B, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(B, name, counting)
+    return calls
+
+
+def test_shared_setup_cells_match_cells_run_alone(tmp_path, counted):
+    bench = tiny_crowded()
+    for rule in RULES:
+        B.run_cell(bench, label_rule=rule, max_iter=ITERS,
+                   log_path=tmp_path / f"shared_{rule}.csv")
+    # one k-means, and one generator call per split
+    assert counted == {"kmeans_anchors": 1, "generate": 2}
+    for rule in RULES:
+        B.run_cell(tiny_crowded(), label_rule=rule, max_iter=ITERS,
+                   log_path=tmp_path / f"alone_{rule}.csv")
+        assert (tmp_path / f"shared_{rule}.csv").read_bytes() \
+            == (tmp_path / f"alone_{rule}.csv").read_bytes(), rule
+    assert counted == {"kmeans_anchors": 4, "generate": 8}
+
+
+def test_replaced_benchmark_builds_its_own_setup(counted):
+    bench = tiny_crowded()
+    assert bench.setup is bench.setup
+    other = replace(bench)
+    assert other == bench and other.setup is not bench.setup
+    assert counted == {"kmeans_anchors": 2, "generate": 4}
+
+
+def test_cells_share_the_scene_bank(monkeypatch):
+    bench = tiny_crowded()
+    calls = []
+    assign = train_mod.assign_ao
+    monkeypatch.setattr(train_mod, "assign_ao",
+                        lambda grid, gt: calls.append(gt) or assign(grid, gt))
+    results = [B.run_cell(bench, label_rule=rule, max_iter=ITERS) for rule in RULES]
+    cfg = replace(bench.train_cfg, max_iter=ITERS)
+    assert len(calls) == len(drawn_variants(cfg, bench.n_train)) == len(
+        bench.setup.bank.assignments)
+    assert all(r["state"].grid is bench.setup.bank.grid for r in results)
+
+
+class TestBenchContract:
+    """The benchmark harness (bench/) counts the work it sees through the
+    names its tracer wraps; a refactor that routes k-means or the scene
+    assignment around those names would make it report zeros."""
+
+    @pytest.fixture
+    def tracer_module(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import tracer
+        return tracer
+
+    def test_one_kmeans_and_one_miss_per_variant(self, tracer_module):
+        bench = tiny_crowded()
+        with tracer_module.Tracer(tracer_module.LAYERS) as tracer:
+            assert not tracer.skipped
+            for rule in ("AMS", "AO"):
+                B.run_cell(bench, label_rule=rule, max_iter=ITERS)
+        figures = tracer_module.layer_metrics(tracer)
+        cfg = replace(bench.train_cfg, max_iter=ITERS)
+        assert figures["anchors.kmeans_calls"][0] == 1
+        assert figures["data.generate_s"][0] > 0
+        assert figures["assignment.scene_cache_misses"][0] \
+            == len(drawn_variants(cfg, bench.n_train))
+        lookups = 2 * ITERS * bench.train_cfg.batch_size
+        assert figures["assignment.scene_cache_hit_ratio"][0] == pytest.approx(
+            1 - len(drawn_variants(cfg, bench.n_train)) / lookups)

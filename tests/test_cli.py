@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ponodet import cli as cli_mod
 from ponodet import data as data_mod
+from ponodet import train as train_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
 from ponodet.anchors import AnchorSet, load_anchor_set
 from ponodet.data import load_dataset, read_kv
 from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
-from ponodet.train import RunState, save_run
+from ponodet.train import RunState, anchor_grid, save_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -237,7 +239,7 @@ class TestBadInput:
 
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
         net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, head_convs=1), 1, 2)
-        state = RunState.fresh(net, AnchorSet(np.full((1, 2, 2), 9.0)), 32)
+        state = RunState.fresh(net, anchor_grid(AnchorSet(np.full((1, 2, 2), 9.0)), 32))
         save_run(tmp_path / "one_class.bin", state)
         ds = workspace / "ds"
         first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
@@ -490,6 +492,51 @@ class TestAblate:
         err = capsys.readouterr().err
         assert f"{cfg}: bad ablation cell {bad!r}" in err and reason in err
         assert started == [] and not out.exists()
+
+    def test_duplicate_cell_stops_before_anything_runs(self, workspace, tmp_path,
+                                                       capsys, monkeypatch):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text().replace("PONO:unit:CE", "AMS:learned:CE"))
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("kmeans"))
+        monkeypatch.setattr("ponodet.cli.run_training",
+                            lambda *a, **k: started.append("train"))
+        out = tmp_path / "ab"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: ablation cell 'AMS:learned:CE' appears more than once" \
+            in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    def test_net_settings_checked_before_clustering(self, workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text().replace("levels = 2", "levels = 1"))
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("kmeans"))
+        out = tmp_path / "ab"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: levels must be >= 2" in capsys.readouterr().err
+        assert started == [] and not (out / "anchors.txt").exists()
+
+    def test_later_cells_reuse_the_first_cells_assignments(self, workspace, tmp_path,
+                                                           monkeypatch):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        assigned, per_cell = [], []
+        assign, train = train_mod.assign_ao, cli_mod.run_training
+        monkeypatch.setattr(train_mod, "assign_ao",
+                            lambda grid, gt: assigned.append(gt) or assign(grid, gt))
+
+        def counting_train(*args, **kwargs):
+            before = len(assigned)
+            reports = train(*args, **kwargs)
+            per_cell.append(len(assigned) - before)
+            return reports
+
+        monkeypatch.setattr(cli_mod, "run_training", counting_train)
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
+        assert len(per_cell) == 2 and per_cell[0] > 0 and per_cell[1] == 0
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         cfg = self.make_config(tmp_path, workspace / "ds")

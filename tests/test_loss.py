@@ -8,7 +8,7 @@ from ponodet.assignment import GroundTruth
 from ponodet.data import Scene
 from ponodet.loss import (LOC_GATE, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
-from ponodet.train import RunState, TrainConfig, train_iteration
+from ponodet.train import RunState, TrainConfig, anchor_grid, train_iteration
 
 from test_autodiff import grad_check
 from test_model import TabularPredictor
@@ -135,7 +135,7 @@ class TestBalancedTotals:
         # no object, so no gated cell: the loc normalizer is floored at 1
         scene = Scene(np.zeros((16, 16, 3)), GroundTruth([], []))
         state = RunState.fresh(TabularPredictor(2, 2, 1, 1),
-                               AnchorSet(np.full((1, 1, 2), 8.0)), 16)
+                               anchor_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 16))
         rep = train_iteration(state, [scene], TrainConfig(max_iter=2, mode="unit"))
         assert rep.loc == 0.0 and np.isfinite(rep.total)
         assert rep.n_pos == 0

@@ -18,8 +18,9 @@ from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.loss import initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, leaf_params, load_arrays, save_arrays
-from ponodet.train import (RunState, TrainConfig, config_from_kv, load_run, lr_at,
-                           run_training, save_run, sgd_step, train_iteration)
+from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid,
+                           config_from_kv, load_run, lr_at, run_training, save_run,
+                           sgd_step, train_iteration)
 
 from test_model import TabularPredictor
 
@@ -257,11 +258,83 @@ class TestSceneCache:
             assert n_pos == train_iteration(tabular_state(scene), [scene], cfg).n_pos
             del scene
 
-    def test_run_training_keeps_no_entries(self):
+    def test_run_training_keeps_no_entries(self, monkeypatch):
+        # a plain scene list gets a bank for the call only: no assignment
+        # outlives the call, and the state holds no scene data
         scene = self.crowded_scene()
         state = tabular_state(scene)
+        made = []
+        assign = train_mod.assign_ao
+
+        def recording_assign(grid, gt):
+            a = assign(grid, gt)
+            made.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(train_mod, "assign_ao", recording_assign)
         run_training(state, [scene], TrainConfig(max_iter=3, flip=False))
-        assert state._scene_cache == {}
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        assert {f.name for f in fields(RunState)} == {"model", "bw", "grid",
+                                                      "iteration", "velocity"}
+
+    def test_bank_keeps_its_entries_past_the_call(self):
+        scene = self.crowded_scene()
+        state = tabular_state(scene)
+        bank = SceneBank([scene], state.grid)
+        run_training(state, bank, TrainConfig(max_iter=3, flip=False))
+        assert list(bank.assignments) == [scene.gt]
+
+
+def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
+    """(scene index, mirrored) of every scene `run_training` draws from
+    iteration 0 to cfg.max_iter, replayed from the per-iteration RNG."""
+    drawn = set()
+    for it in range(cfg.max_iter):
+        rng = np.random.default_rng([cfg.seed, 7, it])
+        for i in rng.integers(0, n_scenes, size=cfg.batch_size):
+            drawn.add((int(i), bool(cfg.flip and rng.random() < 0.5)))
+    return drawn
+
+
+class TestSceneBank:
+    def test_each_variant_assigned_once_across_runs(self, tmp_path, monkeypatch):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=5)
+        bank = SceneBank(scenes, state.grid)
+        calls = []
+        assign = train_mod.assign_ao
+        monkeypatch.setattr(train_mod, "assign_ao",
+                            lambda grid, gt: calls.append(gt) or assign(grid, gt))
+        run_training(state, bank, cfg)
+        first = len(calls)
+        assert first == len(drawn_variants(cfg, len(scenes)))
+        # a second run on the bank draws the first run's variants and more
+        longer = replace(cfg, max_iter=9, label_rule="AO")
+        other = TestDeterminismAndResume().make_setup(tmp_path)[2]
+        run_training(RunState.fresh(other.model, state.grid), bank, longer)
+        assert len(calls) == len(drawn_variants(longer, len(scenes))) > first
+        assert len(set(map(id, calls))) == len(calls) == len(bank.assignments)
+
+    def test_flips_drawn_through_the_bank_match_a_plain_list(self, tmp_path):
+        scenes, cfg, state_a = TestDeterminismAndResume().make_setup(tmp_path)
+        _, _, state_b = TestDeterminismAndResume().make_setup(tmp_path)
+        bank = SceneBank(scenes, state_b.grid)
+        plain = run_training(state_a, scenes, cfg)
+        banked = run_training(state_b, bank, cfg)
+        assert [r.total for r in plain] == [r.total for r in banked]
+        assert any(flip for _, flip in drawn_variants(cfg, len(scenes)))
+        mirrored = bank.variant(0, True)
+        assert bank.variant(0, True) is mirrored and bank.variant(0, False) is scenes[0]
+
+    def test_bank_on_another_grid_rejected(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        other = anchor_grid(AnchorSet(np.full((1, 2, 2), [8.0, 13.0])), 32)
+        with pytest.raises(ValueError, match="another anchor grid"):
+            run_training(state, SceneBank(scenes, other), cfg)
+        assert state.iteration == 0
+        # an equal grid built anew is the same grid
+        same = anchor_grid(AnchorSet(np.full((1, 2, 2), [8.0, 12.0])), 32)
+        run_training(state, SceneBank(scenes, same), replace(cfg, max_iter=1))
 
 
 class TestFreezeRule:
@@ -422,6 +495,22 @@ class TestLoadRun:
         assert float(load_arrays(path)["meta.model_kind"]) == 0.0
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: entry 'meta.model_kind' is 0.0, but a ToyNet checkpoint has 1.0")):
+            load_run(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("meta.levels", np.nan, "is nan, but must be a whole number"),
+        ("meta.head_convs", np.inf, "is inf, but must be a whole number"),
+        ("meta.iteration", 2.5, "is 2.5, but must be a whole number"),
+        ("meta.iteration", -1.0, "is -1.0, but must be at least 0"),
+        ("meta.feat_stride", np.nan, "is nan, but must be a whole number"),
+        ("meta.model_kind", [1.0, 1.0], "has shape (2,), but a meta entry holds one number"),
+        ("meta.base_channels", [[2.0]], "has shape (1, 1), but a meta entry holds one number")])
+    def test_bad_meta_entry_named(self, tmp_path, key, value, message):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
+        save_run(tmp_path / "full.bin", state)
+        path = tmp_path / "bad.bin"
+        save_arrays(path, {**load_arrays(tmp_path / "full.bin"), key: np.asarray(value)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry {key!r} {message}")):
             load_run(path)
 
     def test_toynet_levels_named(self, tmp_path):
