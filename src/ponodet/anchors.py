@@ -73,14 +73,6 @@ class AnchorGrid:
     feat_stride: int
 
     @property
-    def h_f(self) -> int:
-        return self.boxes.shape[0]
-
-    @property
-    def w_f(self) -> int:
-        return self.boxes.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return self.boxes.shape[2]
 

@@ -34,20 +34,19 @@ class Tape:
 
 
 class Tensor:
-    """Dense float64 value, optionally tracked on a tape for backward."""
+    """Dense float64 value tracked on a tape for backward: a leaf, or the
+    output of an op on one."""
 
-    __slots__ = ("values", "tape", "requires_grad", "grad", "is_leaf", "__weakref__")
+    __slots__ = ("values", "tape", "grad", "is_leaf", "__weakref__")
 
     # Keep numpy from coercing Tensor operands in `ndarray <op> Tensor`;
     # with this set, numpy returns NotImplemented and Python falls back to
     # the reflected Tensor operator.
     __array_ufunc__ = None
 
-    def __init__(self, values, tape: Tape | None = None,
-                 requires_grad: bool = False, is_leaf: bool = False) -> None:
+    def __init__(self, values, tape: Tape, is_leaf: bool = False) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         self.tape = tape
-        self.requires_grad = requires_grad
         self.grad: Array | None = None
         self.is_leaf = is_leaf
 
@@ -56,8 +55,7 @@ class Tensor:
         return self.values.shape
 
     def __repr__(self) -> str:
-        flags = "leaf" if self.is_leaf else ("grad" if self.requires_grad else "const")
-        return f"Tensor(shape={self.values.shape}, {flags})"
+        return f"Tensor(shape={self.values.shape}, {'leaf' if self.is_leaf else 'op'})"
 
     # arithmetic ------------------------------------------------------
     def __add__(self, other):
@@ -105,7 +103,7 @@ def leaf(values, tape: Tape) -> Tensor:
     """Create a differentiable leaf bound to `tape`."""
     if tape is None:
         raise ValueError("a leaf tensor needs a tape")
-    return Tensor(values, tape=tape, requires_grad=True, is_leaf=True)
+    return Tensor(values, tape, is_leaf=True)
 
 
 def values_of(x) -> Array:
@@ -115,16 +113,13 @@ def values_of(x) -> Array:
 def _record(out_values: Array, pulls, pre=None) -> Tensor:
     """Build the output tensor for an op; `pulls` is (input, vjp) pairs, and
     `pre`, if given, maps the output's adjoint once before the pulls."""
-    live = [(p, fn) for p, fn in pulls
-            if isinstance(p, Tensor) and p.requires_grad]
-    if not live:
-        return Tensor(out_values)
+    live = tuple((p, fn) for p, fn in pulls if isinstance(p, Tensor))
     tapes = {id(p.tape): p.tape for p, _ in live}
     if len(tapes) != 1:
         raise ValueError("operands recorded on different tapes")
     tape = next(iter(tapes.values()))
-    out = Tensor(out_values, tape=tape, requires_grad=True)
-    tape.records.append((out, pre, tuple(live)))
+    out = Tensor(out_values, tape)
+    tape.records.append((out, pre, live))
     return out
 
 
@@ -146,12 +141,12 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into `.grad` of every requires-grad leaf.
+    """Accumulate d(root)/d(leaf) into `.grad` of every leaf the root depends on.
 
     Repeated calls keep accumulating; clear leaf grads by hand to reset.
     """
-    if not isinstance(root, Tensor) or not root.requires_grad:
-        raise ValueError("backward root must be a tracked Tensor")
+    if not isinstance(root, Tensor):
+        raise ValueError("backward root must be a Tensor")
     if root.values.shape != ():
         raise ValueError(f"backward root must be scalar, got shape {root.values.shape}")
     seed = np.ones((), dtype=np.float64)
@@ -409,12 +404,12 @@ def _im2col(xv: Array, kh: int, kw: int, stride: int, pad: int):
     return win.reshape(n * ho * wo, kh * kw * cin), ho, wo
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None,
-           leak: float | None = None):
+def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
     """2-D convolution of a channels-last image stack [N, H, W, Cin] with
-    kernel [kh, kw, Cin, Cout], zero padding, stride 1 or 2.  With `leak`
-    (0 < leak < 1), the biased output z goes through the leaky ReLU
-    max(z, leak * z) in the same op and record (slope 1 at z = 0).
+    kernel [kh, kw, Cin, Cout] plus bias [Cout], zero padding (kh - 1) // 2
+    on every side, stride 1 or 2.  With `leak` (0 < leak < 1), the biased
+    output z goes through the leaky ReLU max(z, leak * z) in the same op
+    and record (slope 1 at z = 0).
 
     Lowered to one GEMM of the patch matrix (im2col) of all N images
     against the kernel flattened to [kh*kw*cin, cout]; the input vjp is one
@@ -424,17 +419,13 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None,
     input, kernel and bias pulls read it.
     """
     xv, wv = values_of(x), values_of(w)
-    bv = values_of(b) if b is not None else None
     if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2]:
         raise ValueError(f"conv2d shape mismatch: input {xv.shape}, kernel {wv.shape}")
     kh, kw, cin, cout = wv.shape
-    if pad is None:
-        pad = (kh - 1) // 2
+    pad = (kh - 1) // 2
     cols, ho, wo = _im2col(xv, kh, kw, stride, pad)
     w2 = wv.reshape(kh * kw * cin, cout)
-    out = (cols @ w2).reshape(xv.shape[0], ho, wo, cout)
-    if bv is not None:
-        out = out + bv
+    out = (cols @ w2).reshape(xv.shape[0], ho, wo, cout) + values_of(b)
     if leak is not None:
         z, out = out, np.maximum(out, leak * out)
     if not _tracked(x, w, b):
@@ -458,9 +449,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int | None = None,
     def vjp_w(g):
         return (cols.T @ g.reshape(len(cols), -1)).reshape(wv.shape)
 
-    pulls = [(x, vjp_x), (w, vjp_w)]
-    if b is not None:
-        pulls.append((b, lambda g: g.sum(axis=(0, 1, 2))))
+    pulls = [(x, vjp_x), (w, vjp_w), (b, lambda g: g.sum(axis=(0, 1, 2)))]
     pre = None
     if leak is not None:
         def pre(g, pos=z >= 0, leak=leak):

@@ -1,15 +1,16 @@
 """Pinned desk-scale benchmarks for the directional ablation checks.
 
-Three synthetic regimes:
+Two synthetic regimes:
 
-* easy        -- balanced, uncrowded, separable; a trained detector
-                 should saturate.
 * imbalanced  -- one class rarer and smaller than the other; exercises
                  the learned class/size balancing.
 * crowded     -- frequent same-class overlapping pairs with a small,
                  capacity-limited net; exercises the label-assignment
                  rules.  Evaluation uses a high NMS threshold and a low
                  score floor because true neighbors overlap strongly.
+
+A third regime, `easy` (balanced, uncrowded, separable), backs only the
+end-to-end sanity criterion and is defined in `tests/test_acceptance.py`.
 
 The constants below were calibrated once on the seeds baked in here and
 are treated as frozen: tests compare against them, they are not tuned per
@@ -69,18 +70,6 @@ class Setup:
     test: list[Scene]
     anchor_set: AnchorSet
     bank: SceneBank
-
-
-def easy_benchmark() -> Benchmark:
-    gen = GenSpec(n_classes=2, class_freq=(0.5, 0.5),
-                  size_ranges=((10.0, 26.0), (10.0, 26.0)),
-                  objects_per_scene=(1, 3), crowding=0.0, seed=101,
-                  image_size=IMAGE_SIZE)
-    return Benchmark(
-        name="easy", gen=gen, n_anchors=3,
-        train_cfg=TrainConfig(max_iter=5000, batch_size=1, seed=11),
-        net=ToyNetConfig(input_size=IMAGE_SIZE, base_channels=8,
-                         levels=2, head_convs=2))
 
 
 def imbalanced_benchmark() -> Benchmark:

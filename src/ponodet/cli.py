@@ -83,13 +83,18 @@ def _check_classes(dataset_dir, scenes: list, n_classes: int,
                 f"{covered_by} cover classes 0..{n_classes - 1}")
 
 
-def _cluster_anchors(dataset_dir, n_a: int, seed: int) -> AnchorSet:
-    """Per-class k-means anchors from a dataset's annotations."""
-    gts = data_mod.load_annotations(os.path.join(dataset_dir, "annotations.txt"))
+def _cluster_anchors(dataset_dir, gts: list, n_a: int, seed: int) -> AnchorSet:
+    """Per-class k-means anchors from the ground truth of the dataset in
+    `dataset_dir`; every class id up to the largest must have a box."""
     n_classes = max((int(gt.class_ids.max()) for gt in gts if len(gt)), default=-1) + 1
     if n_classes == 0:
         raise RuntimeError(f"{dataset_dir}: no annotated objects")
-    return kmeans_anchors(sizes_per_class(gts, n_classes), n_a=n_a, seed=seed)
+    sizes = sizes_per_class(gts, n_classes)
+    empty = [c for c, s in enumerate(sizes) if not len(s)]
+    if empty:
+        raise RuntimeError(f"{dataset_dir}: class {empty[0]} has no boxes, but the "
+                           f"dataset has class ids up to {n_classes - 1}")
+    return kmeans_anchors(sizes, n_a=n_a, seed=seed)
 
 
 def _check_image_size(dataset_dir, scenes: list, checkpoint, model: ToyNet) -> None:
@@ -112,7 +117,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_anchors(args) -> int:
-    anchor_set = _cluster_anchors(args.dataset, args.n_a, args.seed)
+    gts = data_mod.load_annotations(os.path.join(args.dataset, "annotations.txt"))
+    anchor_set = _cluster_anchors(args.dataset, gts, args.n_a, args.seed)
     save_anchor_set(args.out, anchor_set)
     print(f"wrote {anchor_set.n_classes}x{args.n_a} anchor shapes to {args.out}")
     return 0
@@ -287,16 +293,18 @@ def cmd_ablate(args) -> int:
         raise RuntimeError(f"{eval_dir}: images are {eval_scenes[0].image.shape[0]}px square, "
                            f"but {dataset_dir} has {scenes[0].image.shape[0]}px images")
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
-    os.makedirs(args.out, exist_ok=True)
 
     if kv.get("anchors"):
         anchor_set = load_anchor_set(kv["anchors"])
     else:
-        anchor_set = _cluster_anchors(dataset_dir, int(n_a), base.seed)
-        save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
+        anchor_set = _cluster_anchors(dataset_dir, [s.gt for s in scenes],
+                                      int(n_a), base.seed)
     _check_classes(dataset_dir, scenes, anchor_set.n_classes)
     if eval_scenes is not scenes:
         _check_classes(eval_dir, eval_scenes, anchor_set.n_classes)
+    os.makedirs(args.out, exist_ok=True)
+    if not kv.get("anchors"):
+        save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
     # one bank for every cell: the cells draw the same batches, so each
     # scene is mirrored and assigned once per ablation
     bank = SceneBank(scenes, anchor_grid(anchor_set, net.input_size))

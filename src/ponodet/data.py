@@ -171,10 +171,11 @@ def generate(spec: GenSpec, n: int) -> list[Scene]:
 
 
 def hflip(scene: Scene) -> Scene:
-    """Mirror the image columns and box centers; an exact involution."""
+    """Mirror the image columns and box centers; an exact involution.  The
+    mirrored image is a view of the scene's image, not a copy."""
     boxes = scene.gt.boxes.copy()
     boxes[:, 0] = scene.image.shape[1] - boxes[:, 0]
-    return Scene(image=np.ascontiguousarray(scene.image[:, ::-1, :]),
+    return Scene(image=scene.image[:, ::-1, :],
                  gt=GroundTruth(boxes=boxes, class_ids=scene.gt.class_ids))
 
 

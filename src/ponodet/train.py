@@ -106,10 +106,11 @@ def anchor_grid(anchor_set: AnchorSet, image_size: int) -> AnchorGrid:
 class SceneBank:
     """Training scenes on one anchor grid, each drawn plain or mirrored.
 
-    A scene's mirror image and each variant's `Assignment` against the grid
-    are computed on first use and kept for the bank's life, so runs that
-    share a bank (the cells of one ablation) flip and assign each variant
-    once.
+    A scene's mirror image (a view of its image, so the bank holds no
+    second copy of the pixels) and each variant's `Assignment` against the
+    grid are computed on first use and kept for the bank's life, so runs
+    that share a bank (the cells of one ablation) flip and assign each
+    variant once.
     """
 
     def __init__(self, scenes: list[Scene], grid: AnchorGrid):

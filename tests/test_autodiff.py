@@ -55,18 +55,18 @@ class TestForward:
         x = np.arange(18.0).reshape(2, 3, 3, 1)
         w = np.zeros((3, 3, 1, 1))
         w[1, 1, 0, 0] = 1.0
-        out = ad.conv2d(x, w, np.zeros(1), stride=1, pad=1)
+        out = ad.conv2d(x, w, np.zeros(1), stride=1)
         np.testing.assert_array_equal(out, x)
 
     def test_conv_stride2_shape(self):
-        out = ad.conv2d(np.ones((2, 8, 8, 2)), np.ones((3, 3, 2, 5)), None, stride=2, pad=1)
+        out = ad.conv2d(np.ones((2, 8, 8, 2)), np.ones((3, 3, 2, 5)), np.zeros(5), stride=2)
         assert out.shape == (2, 4, 4, 5)
 
     def test_conv_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ad.conv2d(np.ones((1, 4, 4, 3)), np.ones((3, 3, 2, 5)))
+            ad.conv2d(np.ones((1, 4, 4, 3)), np.ones((3, 3, 2, 5)), np.zeros(5))
         with pytest.raises(ValueError, match="conv2d shape mismatch"):
-            ad.conv2d(np.ones((4, 4, 2)), np.ones((3, 3, 2, 5)))
+            ad.conv2d(np.ones((4, 4, 2)), np.ones((3, 3, 2, 5)), np.zeros(5))
 
     def test_upsample_nearest(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
@@ -154,7 +154,7 @@ class TestBackward:
             rng = np.random.default_rng(9)
             x = ad.leaf(rng.normal(size=(2, 4, 4, 2)), tape)
             w = ad.leaf(rng.normal(size=(3, 3, 2, 3)), tape)
-            out = ad.conv2d(x, w, None, stride=1, leak=0.1).sum()
+            out = ad.conv2d(x, w, np.zeros(3), stride=1, leak=0.1).sum()
             ad.backward(out)
             return out.values.copy(), x.grad.copy(), w.grad.copy()
 
@@ -257,7 +257,8 @@ def leaky_relu(z, leak):
     return ad.maximum(z, leak * z)
 
 
-# (input stack shape, kernel shape, stride, pad)
+# (input stack shape, kernel shape, stride, pad); conv2d pads (kh - 1) // 2,
+# so `pad` is the oracle's copy of that rule
 CONV_CASES = [
     ((2, 6, 6, 2), (3, 3, 2, 3), 1, 1),
     ((2, 8, 8, 2), (3, 3, 2, 4), 2, 1),
@@ -274,7 +275,7 @@ class TestConvOracle:
 
     def test_forward_bit_identical(self, xs, ws, stride, pad):
         x, w, b = self.inputs(xs, ws)
-        out = ad.conv2d(x, w, b, stride=stride, pad=pad)
+        out = ad.conv2d(x, w, b, stride=stride)
         for k in range(xs[0]):
             np.testing.assert_array_equal(out[k], ref_conv2d(x[k], w, b, stride, pad))
 
@@ -282,7 +283,7 @@ class TestConvOracle:
         x, w, b = self.inputs(xs, ws)
         tape = ad.Tape()
         xl, wl, bl = make_leaves(tape, x, w, b)
-        out = ad.conv2d(xl, wl, bl, stride=stride, pad=pad)
+        out = ad.conv2d(xl, wl, bl, stride=stride)
         g = np.random.default_rng(7).normal(size=out.shape)
         ad.backward((out * g).sum())
         per_image = [ref_conv2d_vjps(x[k], w, g[k], stride, pad) for k in range(xs[0])]
@@ -294,13 +295,13 @@ class TestConvOracle:
 
     def test_grad_check(self, xs, ws, stride, pad):
         def f(x, w, b):
-            return (ad.conv2d(x, w, b, stride=stride, pad=pad) ** 2.0).sum()
+            return (ad.conv2d(x, w, b, stride=stride) ** 2.0).sum()
 
         assert grad_check(f, list(self.inputs(xs, ws))) < 1e-6
 
     def test_leak_matches_composed_activation(self, xs, ws, stride, pad):
         x, w, b = self.inputs(xs, ws)
-        fused = ad.conv2d(x, w, b, stride=stride, pad=pad, leak=0.1)
+        fused = ad.conv2d(x, w, b, stride=stride, leak=0.1)
         z = np.stack([ref_conv2d(x[k], w, b, stride, pad) for k in range(xs[0])])
         np.testing.assert_array_equal(fused, np.where(z >= 0, z, 0.1 * z))
         grads = []
@@ -308,9 +309,9 @@ class TestConvOracle:
             tape = ad.Tape()
             leaves = make_leaves(tape, x, w, b)
             if fuse:
-                out = ad.conv2d(*leaves, stride=stride, pad=pad, leak=0.1)
+                out = ad.conv2d(*leaves, stride=stride, leak=0.1)
             else:
-                out = leaky_relu(ad.conv2d(*leaves, stride=stride, pad=pad), 0.1)
+                out = leaky_relu(ad.conv2d(*leaves, stride=stride), 0.1)
             ad.backward((out ** 2.0).sum())
             grads.append([lf.grad for lf in leaves])
         for a, c in zip(*grads):
@@ -345,7 +346,7 @@ class TestConvLeak:
         # while the central difference averages the two sides to
         # (1 + leak) / 2, so grad_check sees exactly the convention gap
         def f(x, w, b):
-            return ad.conv2d(x, w, b, pad=0, leak=self.LEAK).sum()
+            return ad.conv2d(x, w, b, leak=self.LEAK).sum()
 
         x, w, b = np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)), np.zeros(1)
         assert grad_check(f, [x, w, b]) == pytest.approx((1 - self.LEAK) / 2, abs=1e-9)

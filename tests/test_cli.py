@@ -226,6 +226,41 @@ class TestBadInput:
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
         assert f"{ds}: no annotated objects" in capsys.readouterr().err
 
+    def make_class_gap_dataset(self, root):
+        """A dataset whose class ids are 0 and 2: class 1 has no box."""
+        ds = self.make_dataset(root, objects="2,2", count=4)
+        ann = ds / "annotations.txt"
+        lines = ann.read_text().splitlines()
+        ids = [line.split()[0] for line in lines if not line.startswith("scene")]
+        assert "0" in ids and "1" in ids
+        ann.write_text("".join(("2" + line[1:] if line.startswith("1 ") else line) + "\n"
+                               for line in lines))
+        return ds
+
+    def test_anchors_on_class_gap_names_dataset_and_class(self, tmp_path, capsys,
+                                                          monkeypatch):
+        ds = self.make_class_gap_dataset(tmp_path)
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("kmeans"))
+        out = tmp_path / "anchors.txt"
+        assert run(["anchors", "--dataset", str(ds), "--out", str(out)]) == 2
+        assert f"{ds}: class 1 has no boxes" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    def test_ablate_on_class_gap_names_dataset_and_class(self, tmp_path, capsys,
+                                                         monkeypatch):
+        ds = self.make_class_gap_dataset(tmp_path)
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(f"dataset = {ds}\ncells = AMS:learned:CE\nn_a = 2\n")
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("kmeans"))
+        out = tmp_path / "ab"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{ds}: class 1 has no boxes" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
 
     @pytest.mark.parametrize("key,cells", [("dataset", "AMS:learned:CE"),
                                            ("cells", None), ("cells", "")])
@@ -471,6 +506,15 @@ class TestAblate:
         monkeypatch.setattr(data_mod, "load_dataset", counting_load)
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
         assert sorted(loaded) == sorted([str(workspace / "ds"), str(test_ds)])
+
+    def test_annotations_parsed_once_per_call(self, workspace, tmp_path, monkeypatch):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        parsed = []
+        parse = data_mod.load_annotations
+        monkeypatch.setattr(data_mod, "load_annotations",
+                            lambda path: parsed.append(str(path)) or parse(path))
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
+        assert parsed == [str(workspace / "ds" / "annotations.txt")]
 
     @pytest.mark.parametrize("bad,reason", [
         ("AMS:bogus:CE", "mode must be one of"),

@@ -171,6 +171,7 @@ class TestHflip:
     def test_image_columns_mirrored(self):
         scene = generate(basic_spec(seed=2), 1)[0]
         np.testing.assert_array_equal(hflip(scene).image, scene.image[:, ::-1, :])
+        assert np.shares_memory(hflip(scene).image, scene.image)
 
 
 class TestDatasetIO:

@@ -6,6 +6,8 @@ somewhere a run reaches it from: its own module, another package module,
 the benchmark harness (`bench/`), the scripts (`scripts/`) or the entry
 points in `pyproject.toml`.  Code that only tests use belongs in the
 tests.  `__init__.py` re-exports names, so an import there is not a use.
+Likewise every public method or property of a `src/ponodet` class must be
+read as an attribute somewhere in `src/`, `bench/` or `scripts/`.
 
 Every package a `src/ponodet` module imports is the standard library,
 `ponodet` itself or one of the `[project] dependencies`; test-only
@@ -68,6 +70,26 @@ def test_every_public_src_name_is_used_outside_the_tests():
             if name not in uses[path] | elsewhere | outside:
                 unused.append(f"{path.name}: {name}")
     assert not unused, "names only tests use: " + ", ".join(unused)
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names a module reads (`x.name` in a load context)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_class_member_is_read_outside_the_tests():
+    trees = {p: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_attributes, trees.values()))
+    for path in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        read |= read_attributes(parse(path))
+    unread = []
+    for path, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            unread += [f"{path.name}: {cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, ast.FunctionDef)
+                       and not node.name.startswith("_") and node.name not in read]
+    assert not unread, "class members only tests read: " + ", ".join(unread)
 
 
 def test_src_imports_only_declared_dependencies():

@@ -325,6 +325,8 @@ class TestSceneBank:
         assert any(flip for _, flip in drawn_variants(cfg, len(scenes)))
         mirrored = bank.variant(0, True)
         assert bank.variant(0, True) is mirrored and bank.variant(0, False) is scenes[0]
+        # the mirror is a view: the bank holds one copy of each scene's pixels
+        assert np.shares_memory(mirrored.image, scenes[0].image)
 
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
