@@ -413,8 +413,9 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
 
     Lowered to one GEMM of the patch matrix (im2col) of all N images
     against the kernel flattened to [kh*kw*cin, cout]; the input vjp is one
-    GEMM back into patch space plus kh*kw strided adds (col2im), the kernel
-    vjp one GEMM that also sums over the images.  The activation slope
+    GEMM back into patch space plus kh*kw strided adds (col2im), or for a
+    1x1 kernel at stride 1 the GEMM alone, and the kernel vjp one GEMM that
+    also sums over the images.  The activation slope (1 or `leak`)
     multiplies the output gradient once per backward pass, before the
     input, kernel and bias pulls read it.
     """
@@ -435,6 +436,9 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
     # name is one more object per record for the cyclic collector to count
     def vjp_x(g):
         n, ho, wo, _ = g.shape
+        if wv.shape[:2] == (1, 1) and stride == 1:
+            # a 1x1 window is a plain GEMM: each input pixel feeds one output
+            return (g.reshape(n * ho * wo, -1) @ w2.T).reshape(xv.shape)
         h, wd, cin = xv.shape[1:]
         dcols = (g.reshape(n * ho * wo, -1) @ w2.T).reshape(n, ho, wo, *wv.shape[:3])
         gxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
@@ -452,8 +456,8 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
     pulls = [(x, vjp_x), (w, vjp_w), (b, lambda g: g.sum(axis=(0, 1, 2)))]
     pre = None
     if leak is not None:
-        def pre(g, pos=z >= 0, leak=leak):
-            return np.where(pos, g, leak * g)
+        def pre(g, slope=np.where(z >= 0, 1.0, leak)):
+            return g * slope
 
     return _record(out, pulls, pre)
 

@@ -82,13 +82,49 @@ class TrainConfig:
 class RunState:
     """Everything that evolves during a run; checkpoints restore it bit-exactly.
     The scenes and their assignments are not part of it: they live in a
-    `SceneBank` the caller owns."""
+    `SceneBank` the caller owns.
+
+    The trained arrays live in one contiguous float64 vector, `flat_params`,
+    in optimizer order (the model's parameters, then the `bw.*` weights),
+    and their momentum buffers in a second, `flat_momentum`; construction
+    copies the given `model.params`, `bw` and `velocity` arrays into them
+    and rebinds those dicts to views.  `velocity` names only the buffers
+    the optimizer has stepped, so the checkpoint of a run with fixed
+    weights holds no `mom.bw.*` entries.  `flat_grad` is the one gradient
+    vector every iteration zeroes and its leaves accumulate into.
+    """
 
     model: ToyNet
     bw: dict               # the `loss.initial_balance` arrays
     grid: AnchorGrid
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        trained = {**self.model.params, **self.bw}
+        self._shapes = [(name, np.shape(a)) for name, a in trained.items()]
+        self.n_model = sum(np.size(a) for a in self.model.params.values())
+        self.flat_params = np.concatenate([np.ravel(a) for a in trained.values()],
+                                          dtype=np.float64)
+        params = self._views(self.flat_params)
+        self.model.params.update((name, params[name]) for name in self.model.params)
+        self.bw.update((name, params[name]) for name in self.bw)
+        self.flat_momentum = np.zeros_like(self.flat_params)
+        self.momentum_views = self._views(self.flat_momentum)
+        for name, v in self.velocity.items():
+            self.momentum_views[name][...] = v
+        self.velocity = {name: self.momentum_views[name] for name in self.velocity}
+        self.flat_grad = np.zeros_like(self.flat_params)
+        self.grad_views = list(self._views(self.flat_grad).values())
+
+    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each trained array's view into a flat vector, in optimizer order."""
+        views, start = {}, 0
+        for name, shape in self._shapes:
+            stop = start + math.prod(shape)
+            views[name] = vector[start:stop].reshape(shape)
+            start = stop
+        return views
 
     @classmethod
     def fresh(cls, model, grid: AnchorGrid) -> RunState:
@@ -136,20 +172,13 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * (1.0 - iteration / cfg.max_iter) ** cfg.poly_power
 
 
-def sgd_step(params: dict, velocity: dict, grads: dict,
+def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray,
              lr: float, momentum: float) -> None:
-    """v <- momentum * v + g;  p <- p - lr * v.  Absent grads still decay
-    the buffer, matching a zero gradient."""
-    for name, p in params.items():
-        v = velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-            velocity[name] = v
-        g = grads.get(name)
-        v *= momentum
-        if g is not None:
-            v += g
-        p -= lr * v
+    """v <- momentum * v + g;  p <- p - lr * v, in place on equal-length
+    flat vectors."""
+    velocity *= momentum
+    velocity += grads
+    params -= lr * velocity
 
 
 def scene_cache(bank: SceneBank, scene: Scene) -> Assignment:
@@ -182,6 +211,9 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     # the model's; their order sets the momentum buffers' checkpoint order
     trained = {**state.model.params, **state.bw} if learned else state.model.params
     params = leaf_params(trained, tape)
+    state.flat_grad.fill(0.0)
+    for t, grad in zip(params.values(), state.grad_views):
+        t.grad = grad
 
     assignment = Assignment.stack([scene_cache(bank, scene) for scene in batch])
     out = state.model.forward(params, np.stack([scene.image for scene in batch]))
@@ -208,14 +240,19 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     # back at them; dropping the records frees the iteration's tensors and
     # the arrays their vjps hold without waiting for the cyclic collector
     tape.records.clear()
-    grads = {name: t.grad for name, t in params.items() if t.grad is not None}
     if learned:
         # freeze rule: a grid with zero positive labels keeps both of its
         # s entries untouched this iteration
         for key in ("bw.s_cls_grid", "bw.s_loc_grid"):
-            grads[key] = np.where(per_grid_pos == 0, 0.0, grads[key])
+            params[key].grad[per_grid_pos == 0] = 0.0
 
-    sgd_step(trained, state.velocity, grads, lr_at(state.iteration, cfg), cfg.momentum)
+    # the stepped prefix: the model's parameters, then in learned mode the
+    # balance weights; its buffers are the checkpoint's `mom.*` entries
+    n = len(state.flat_params) if learned else state.n_model
+    for name in params:
+        state.velocity.setdefault(name, state.momentum_views[name])
+    sgd_step(state.flat_params[:n], state.flat_momentum[:n], state.flat_grad[:n],
+             lr_at(state.iteration, cfg), cfg.momentum)
     state.iteration += 1
 
     loc_f, cls_f, reg_f = float(ad.values_of(loc)), float(ad.values_of(cls)), \
@@ -354,13 +391,13 @@ def load_run(path) -> RunState:
         raise ValueError(f"{path}: entry 'anchors.shapes' holds a side that is "
                          "not finite and positive")
     for name in model.params:
-        model.params[name] = entry(f"model.{name}").copy()
-    state = RunState.fresh(model, anchor_grid(AnchorSet(sides), cfg.input_size))
-    state.bw = {name: entry(name).copy() for name in state.bw}
-    state.iteration = meta("meta.iteration")
-    state.velocity = {name[len("mom."):]: arr.copy()
-                      for name, arr in arrays.items() if name.startswith("mom.")}
-    return state
+        model.params[name] = entry(f"model.{name}")
+    # construction copies every array into the state's flat vectors
+    return RunState(model=model, grid=anchor_grid(AnchorSet(sides), cfg.input_size),
+                    bw={name: entry(name) for name in bw},
+                    iteration=meta("meta.iteration"),
+                    velocity={name[len("mom."):]: arr for name, arr in arrays.items()
+                              if name.startswith("mom.")})
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

@@ -201,12 +201,11 @@ def test_c02_gradient_suite():
 def test_c03_self_balancing_fixed_point():
     results = []
     for L in (0.5, 2.0, 10.0):
-        params = {"s": np.asarray(1.0).reshape(())}
-        vel = {}
+        s, vel = np.array([1.0]), np.zeros(1)
         for _ in range(4000):
-            g = 1.0 - math.exp(-float(params["s"])) * L
-            sgd_step(params, vel, {"s": np.asarray(g)}, lr=0.01, momentum=0.9)
-        err = abs(float(params["s"]) - math.log(L))
+            g = 1.0 - math.exp(-float(s[0])) * L
+            sgd_step(s, vel, np.array([g]), lr=0.01, momentum=0.9)
+        err = abs(float(s[0]) - math.log(L))
         results.append((L, err))
     ok = all(err < 1e-3 for _, err in results)
     report(3, ok, "s* vs ln(L): " + ", ".join(f"L={L}: err={e:.1e}" for L, e in results))

@@ -52,27 +52,106 @@ class TestLrSchedule:
         assert lr_at(50, cfg) == pytest.approx(0.002679, abs=2e-6)
 
 
+def per_array_sgd_step(params: dict, velocity: dict, grads: dict,
+                       lr: float, momentum: float) -> None:
+    """Test oracle: the per-array momentum step the flat `sgd_step`
+    replaced.  v <- momentum * v + g;  p <- p - lr * v for each named
+    array; a missing buffer starts at zero, a missing gradient counts as
+    zero."""
+    for name, p in params.items():
+        v = velocity.get(name)
+        if v is None:
+            v = np.zeros_like(p)
+            velocity[name] = v
+        g = grads.get(name)
+        v *= momentum
+        if g is not None:
+            v += g
+        p -= lr * v
+
+
+def by_name(state, vector) -> dict:
+    """A prefix of one of the state's flat vectors, split into the trained
+    arrays' names and shapes in optimizer order."""
+    out, start = {}, 0
+    for name, a in {**state.model.params, **state.bw}.items():
+        if start == len(vector):
+            break
+        out[name] = vector[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return out
+
+
+def assert_flat_views(state):
+    """`model.params` and `bw` are views into `flat_params` in optimizer
+    order, and each `velocity` buffer is the view into `flat_momentum` at
+    the same offset as its array."""
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    offsets, start = {}, 0
+    for name, a in {**state.model.params, **state.bw}.items():
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert address(a) - address(state.flat_params) == 8 * start, name
+        offsets[name] = start
+        start += a.size
+    assert start == len(state.flat_params) == len(state.flat_momentum)
+    for name, v in state.velocity.items():
+        assert v.shape == np.shape({**state.model.params, **state.bw}[name])
+        assert address(v) - address(state.flat_momentum) == 8 * offsets[name], name
+
+
 class TestSgdStep:
     def test_plain_gradient_descent(self):
-        p = {"x": np.array([1.0, 2.0])}
-        v = {}
-        sgd_step(p, v, {"x": np.array([0.5, -1.0])}, lr=0.1, momentum=0.0)
-        np.testing.assert_allclose(p["x"], [0.95, 2.1])
+        p, v = np.array([1.0, 2.0]), np.zeros(2)
+        sgd_step(p, v, np.array([0.5, -1.0]), lr=0.1, momentum=0.0)
+        np.testing.assert_allclose(p, [0.95, 2.1])
 
     def test_zero_gradients_decay_buffers(self):
-        p = {"x": np.array([1.0])}
-        v = {"x": np.array([2.0])}
-        sgd_step(p, v, {}, lr=0.1, momentum=0.9)
-        np.testing.assert_allclose(v["x"], [1.8])
-        np.testing.assert_allclose(p["x"], [1.0 - 0.18])
+        p, v = np.array([1.0]), np.array([2.0])
+        sgd_step(p, v, np.zeros(1), lr=0.1, momentum=0.9)
+        np.testing.assert_allclose(v, [1.8])
+        np.testing.assert_allclose(p, [1.0 - 0.18])
 
     def test_quadratic_bowl_convergence(self):
-        p = {"x": np.array(0.0)}
-        v = {}
+        p, v = np.array([0.0]), np.zeros(1)
         for _ in range(500):
-            g = 2.0 * (p["x"] - 3.0)
-            sgd_step(p, v, {"x": g}, lr=0.1, momentum=0.9)
-        assert abs(float(p["x"]) - 3.0) < 1e-6
+            g = 2.0 * (p - 3.0)
+            sgd_step(p, v, g, lr=0.1, momentum=0.9)
+        assert abs(float(p[0]) - 3.0) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["learned", "unit"])
+    def test_flat_step_matches_per_array_loop(self, tmp_path, monkeypatch, mode):
+        # the flat step on the optimizer prefix moves every parameter and
+        # buffer to the bits the per-array loop gives, and in unit mode
+        # leaves the balance weights and their buffers alone
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        cfg = replace(cfg, mode=mode)
+        run_training(state, scenes, replace(cfg, max_iter=3))
+        params = {name: a.copy() for name, a in {**state.model.params, **state.bw}.items()}
+        velocity = {name: v.copy() for name, v in state.velocity.items()}
+        steps = []
+        step = train_mod.sgd_step
+
+        def spy(p, v, g, lr, momentum):
+            steps.append((len(p), g.copy(), lr, momentum))
+            step(p, v, g, lr, momentum)
+
+        monkeypatch.setattr(train_mod, "sgd_step", spy)
+        train_iteration(state, scenes[:2], cfg)
+        (n, g, lr, momentum), = steps
+        trained = by_name(state, g)
+        assert n == (len(state.flat_params) if mode == "learned" else state.n_model)
+        assert list(trained) == list(params)[:len(trained)]
+        per_array_sgd_step({name: params[name] for name in trained}, velocity,
+                           trained, lr, momentum)
+        for name, a in {**state.model.params, **state.bw}.items():
+            np.testing.assert_array_equal(a, params[name], err_msg=name)
+        assert list(state.velocity) == list(velocity)
+        for name, v in state.velocity.items():
+            np.testing.assert_array_equal(v, velocity[name], err_msg=name)
+        if mode == "unit":
+            assert not any(name.startswith("bw.") for name in state.velocity)
 
 
 class TestTrainIteration:
@@ -202,7 +281,8 @@ class TestBatchedIteration:
         assert n_pos > 0
         seen = {}
         monkeypatch.setattr(train_mod, "sgd_step",
-                            lambda params, velocity, g, lr, momentum: seen.update(g))
+                            lambda params, velocity, g, lr, momentum:
+                            seen.update(by_name(state, g.copy())))
         report = train_iteration(state, batch, cfg)
         np.testing.assert_allclose((report.loc, report.cls, report.reg), terms,
                                    rtol=1e-12, atol=1e-12)
@@ -430,6 +510,34 @@ class TestCheckpoint:
         names = list(load_arrays(tmp_path / "final.bin"))
         assert not [n for n in names if n.startswith("mom.bw.")]
         assert [n for n in names if n.startswith("bw.")] == list(initial_balance(1, 2))
+
+
+class TestFlatState:
+    def test_fresh_state_arrays_are_views(self, tmp_path):
+        _, _, made = TestDeterminismAndResume().make_setup(tmp_path)
+        state = RunState.fresh(made.model, made.grid)
+        assert_flat_views(state)
+        assert state.velocity == {}
+        assert state.n_model == sum(a.size for a in state.model.params.values())
+
+    def test_stepped_buffers_are_views(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        run_training(state, scenes, replace(cfg, max_iter=2, mode="unit"))
+        assert list(state.velocity) == list(state.model.params)
+        assert_flat_views(state)
+        run_training(state, scenes, replace(cfg, max_iter=3))
+        assert list(state.velocity) == list(state.model.params) + list(state.bw)
+        assert_flat_views(state)
+
+    def test_loaded_state_arrays_are_views(self, tmp_path):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
+        run_training(state, scenes, cfg)
+        save_run(tmp_path / "a.bin", state)
+        loaded = load_run(tmp_path / "a.bin")
+        assert_flat_views(loaded)
+        assert list(loaded.velocity) == list(state.velocity)
+        np.testing.assert_array_equal(loaded.flat_params, state.flat_params)
+        np.testing.assert_array_equal(loaded.flat_momentum, state.flat_momentum)
 
 
 class TestLoadRun:
