@@ -11,13 +11,14 @@ apply the bias and a leaky ReLU in the same op and record.
 The free functions (``exp``, ``minimum``, ``conv2d``, ...) and the
 ndarray-style methods on ``Tensor`` (``sum``, ``mean``, indexing, operators)
 dispatch on input type, so the same formula code runs either on plain numpy
-arrays (untracked, fast path) or on tracked tensors.
+arrays (untracked, fast path) or on tracked tensors.  Composite ops outside
+this module (the loss head) compute their forward on arrays and append one
+record with a written-out vjp through ``record``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 Array = np.ndarray
 
@@ -110,9 +111,12 @@ def values_of(x) -> Array:
     return x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _record(out_values: Array, pulls, pre=None) -> Tensor:
-    """Build the output tensor for an op; `pulls` is (input, vjp) pairs, and
-    `pre`, if given, maps the output's adjoint once before the pulls."""
+def record(out_values: Array, pulls, pre=None) -> Tensor:
+    """Build the output tensor for an op and append its record to the tape
+    of its tracked inputs; `pulls` is (input, vjp) pairs, inputs that are
+    not Tensors are skipped, and `pre`, if given, maps the output's adjoint
+    once before the pulls.  Ops outside this module (the loss head) record
+    their written-out vjps through it."""
     live = tuple((p, fn) for p, fn in pulls if isinstance(p, Tensor))
     tapes = {id(p.tape): p.tape for p, _ in live}
     if len(tapes) != 1:
@@ -180,8 +184,8 @@ def add(a, b):
     out = av + bv
     if not _tracked(a, b):
         return out
-    return _record(out, [(a, lambda g: _unbroadcast(g, av.shape)),
-                         (b, lambda g: _unbroadcast(g, bv.shape))])
+    return record(out, [(a, lambda g: _unbroadcast(g, av.shape)),
+                        (b, lambda g: _unbroadcast(g, bv.shape))])
 
 
 def sub(a, b):
@@ -189,8 +193,8 @@ def sub(a, b):
     out = av - bv
     if not _tracked(a, b):
         return out
-    return _record(out, [(a, lambda g: _unbroadcast(g, av.shape)),
-                         (b, lambda g: _unbroadcast(-g, bv.shape))])
+    return record(out, [(a, lambda g: _unbroadcast(g, av.shape)),
+                        (b, lambda g: _unbroadcast(-g, bv.shape))])
 
 
 def mul(a, b):
@@ -198,8 +202,8 @@ def mul(a, b):
     out = av * bv
     if not _tracked(a, b):
         return out
-    return _record(out, [(a, lambda g: _unbroadcast(g * bv, av.shape)),
-                         (b, lambda g: _unbroadcast(g * av, bv.shape))])
+    return record(out, [(a, lambda g: _unbroadcast(g * bv, av.shape)),
+                        (b, lambda g: _unbroadcast(g * av, bv.shape))])
 
 
 def div(a, b):
@@ -207,8 +211,8 @@ def div(a, b):
     out = av / bv
     if not _tracked(a, b):
         return out
-    return _record(out, [(a, lambda g: _unbroadcast(g / bv, av.shape)),
-                         (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape))])
+    return record(out, [(a, lambda g: _unbroadcast(g / bv, av.shape)),
+                        (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape))])
 
 
 def minimum(a, b):
@@ -218,8 +222,8 @@ def minimum(a, b):
     if not _tracked(a, b):
         return out
     first = av <= bv
-    return _record(out, [(a, lambda g: _unbroadcast(np.where(first, g, 0.0), av.shape)),
-                         (b, lambda g: _unbroadcast(np.where(first, 0.0, g), bv.shape))])
+    return record(out, [(a, lambda g: _unbroadcast(np.where(first, g, 0.0), av.shape)),
+                        (b, lambda g: _unbroadcast(np.where(first, 0.0, g), bv.shape))])
 
 
 def maximum(a, b):
@@ -229,8 +233,8 @@ def maximum(a, b):
     if not _tracked(a, b):
         return out
     first = av >= bv
-    return _record(out, [(a, lambda g: _unbroadcast(np.where(first, g, 0.0), av.shape)),
-                         (b, lambda g: _unbroadcast(np.where(first, 0.0, g), bv.shape))])
+    return record(out, [(a, lambda g: _unbroadcast(np.where(first, g, 0.0), av.shape)),
+                        (b, lambda g: _unbroadcast(np.where(first, 0.0, g), bv.shape))])
 
 
 # ---------------------------------------------------------------------
@@ -242,7 +246,7 @@ def neg(x):
     out = -xv
     if not _tracked(x):
         return out
-    return _record(out, [(x, lambda g: -g)])
+    return record(out, [(x, lambda g: -g)])
 
 
 def exp(x):
@@ -250,7 +254,7 @@ def exp(x):
     out = np.exp(xv)
     if not _tracked(x):
         return out
-    return _record(out, [(x, lambda g: g * out)])
+    return record(out, [(x, lambda g: g * out)])
 
 
 def log1p(x):
@@ -258,7 +262,7 @@ def log1p(x):
     out = np.log1p(xv)
     if not _tracked(x):
         return out
-    return _record(out, [(x, lambda g: g / (1.0 + xv))])
+    return record(out, [(x, lambda g: g / (1.0 + xv))])
 
 
 def power(x, p):
@@ -268,7 +272,7 @@ def power(x, p):
     out = xv ** p
     if not _tracked(x):
         return out
-    return _record(out, [(x, lambda g: g * p * xv ** (p - 1.0))])
+    return record(out, [(x, lambda g: g * p * xv ** (p - 1.0))])
 
 
 def _sigmoid_values(x: Array) -> Array:
@@ -281,7 +285,7 @@ def sigmoid(x):
     out = _sigmoid_values(xv)
     if not _tracked(x):
         return out
-    return _record(out, [(x, lambda g: g * out * (1.0 - out))])
+    return record(out, [(x, lambda g: g * out * (1.0 - out))])
 
 
 def clip(x, lo, hi):
@@ -291,7 +295,7 @@ def clip(x, lo, hi):
     if not _tracked(x):
         return out
     inside = (xv >= lo) & (xv <= hi)
-    return _record(out, [(x, lambda g: np.where(inside, g, 0.0))])
+    return record(out, [(x, lambda g: np.where(inside, g, 0.0))])
 
 
 # ---------------------------------------------------------------------
@@ -310,11 +314,14 @@ def _reduce_sum(x: Tensor, axis):
     xv = x.values
     out = xv.sum(axis=axis)
     axes = _norm_axes(axis, xv.ndim)
+    kept = tuple(1 if d in axes else size for d, size in enumerate(xv.shape))
 
     def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axes), xv.shape)
+        grad = np.empty(xv.shape)
+        grad[...] = g.reshape(kept)
+        return grad
 
-    return _record(out, [(x, vjp)])
+    return record(out, [(x, vjp)])
 
 
 def _reduce_mean(x: Tensor, axis):
@@ -328,7 +335,7 @@ def _reduce_mean(x: Tensor, axis):
     def vjp(g):
         return np.broadcast_to(np.expand_dims(g / count, axes), xv.shape)
 
-    return _record(out, [(x, vjp)])
+    return record(out, [(x, vjp)])
 
 
 # ---------------------------------------------------------------------
@@ -342,7 +349,7 @@ def reshape(x, *shape):
     out = xv.reshape(shape)
     if not _tracked(x):
         return out
-    return _record(out, [(x, lambda g: g.reshape(xv.shape))])
+    return record(out, [(x, lambda g: g.reshape(xv.shape))])
 
 
 def take(x, key):
@@ -357,7 +364,7 @@ def take(x, key):
         z[key] = g
         return z
 
-    return _record(out, [(x, vjp)])
+    return record(out, [(x, vjp)])
 
 
 def concat(parts, axis: int = -1):
@@ -378,54 +385,60 @@ def concat(parts, axis: int = -1):
 
         pulls.append((p, vjp))
         start = stop
-    return _record(out, pulls)
+    return record(out, pulls)
 
 
 # ---------------------------------------------------------------------
 # linear algebra / spatial ops
 # ---------------------------------------------------------------------
 
-def _im2col(xv: Array, kh: int, kw: int, stride: int, pad: int):
-    """The [n*ho*wo, kh*kw*cin] patch matrix of a zero-padded image stack,
-    and (ho, wo).  Each row reads one window in (kh, kw, cin) order, the
-    order the flattened kernel is laid out in; the rows run over the images,
-    then the output rows and columns."""
+def _im2col(xv: Array, k: int, stride: int, pad: int):
+    """The [n*ho*wo, k*k*cin] patch matrix of a zero-padded image stack,
+    and (ho, wo).  Each row reads one k x k window in (row, column, cin)
+    order, the order the flattened kernel is laid out in; the rows run over
+    the images, then the output rows and columns."""
     n, h, w, cin = xv.shape
+    if k == stride == 1:
+        return xv.reshape(n * h * w, cin), h, w
     if pad:
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
         xp[:, pad:pad + h, pad:pad + w] = xv
     else:
-        xp = xv
-    ho = (xp.shape[1] - kh) // stride + 1
-    wo = (xp.shape[2] - kw) // stride + 1
+        xp = np.ascontiguousarray(xv)
+    ho = (xp.shape[1] - k) // stride + 1
+    wo = (xp.shape[2] - k) // stride + 1
     sn, s0, s1, s2 = xp.strides
-    win = as_strided(xp, (n, ho, wo, kh, kw, cin),
-                     (sn, s0 * stride, s1 * stride, s0, s1, s2), writeable=False)
-    return win.reshape(n * ho * wo, kh * kw * cin), ho, wo
+    # the window view over xp's buffer; as_strided builds the same view at
+    # several times the cost, which shows on maps this small
+    win = np.ndarray((n, ho, wo, k, k, cin), np.float64, xp, 0,
+                     (sn, s0 * stride, s1 * stride, s0, s1, s2))
+    return win.reshape(n * ho * wo, k * k * cin), ho, wo
 
 
 def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
     """2-D convolution of a channels-last image stack [N, H, W, Cin] with
-    kernel [kh, kw, Cin, Cout] plus bias [Cout], zero padding (kh - 1) // 2
-    on every side, stride 1 or 2.  With `leak` (0 < leak < 1), the biased
-    output z goes through the leaky ReLU max(z, leak * z) in the same op
-    and record (slope 1 at z = 0).
+    a square kernel [k, k, Cin, Cout] plus bias [Cout], zero padding
+    (k - 1) // 2 on every side, stride 1 or 2.  With `leak`
+    (0 < leak < 1), the biased output z goes through the leaky ReLU
+    max(z, leak * z) in the same op and record (slope 1 at z = 0).
 
     Lowered to one GEMM of the patch matrix (im2col) of all N images
-    against the kernel flattened to [kh*kw*cin, cout]; the input vjp is one
-    GEMM back into patch space plus kh*kw strided adds (col2im), or for a
-    1x1 kernel at stride 1 the GEMM alone, and the kernel vjp one GEMM that
-    also sums over the images.  The activation slope (1 or `leak`)
-    multiplies the output gradient once per backward pass, before the
-    input, kernel and bias pulls read it.
+    against the kernel flattened to [k*k*cin, cout]; the kernel vjp is one
+    GEMM that also sums over the images, and the input vjp one GEMM too:
+    the patch matrix of the output gradient, spread `stride` apart in a
+    zero map, against the kernel flipped in space with cin and cout
+    swapped.  The activation slope (1 or `leak`) multiplies the output
+    gradient once per backward pass, before the input, kernel and bias
+    pulls read it.
     """
     xv, wv = values_of(x), values_of(w)
-    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2]:
+    if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2] \
+            or wv.shape[0] != wv.shape[1]:
         raise ValueError(f"conv2d shape mismatch: input {xv.shape}, kernel {wv.shape}")
-    kh, kw, cin, cout = wv.shape
-    pad = (kh - 1) // 2
-    cols, ho, wo = _im2col(xv, kh, kw, stride, pad)
-    w2 = wv.reshape(kh * kw * cin, cout)
+    k, _, cin, cout = wv.shape
+    pad = (k - 1) // 2
+    cols, ho, wo = _im2col(xv, k, stride, pad)
+    w2 = wv.reshape(k * k * cin, cout)
     out = (cols @ w2).reshape(xv.shape[0], ho, wo, cout) + values_of(b)
     if leak is not None:
         z, out = out, np.maximum(out, leak * out)
@@ -435,20 +448,17 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
     # the vjps read their sizes off the arrays they hold: every closed-over
     # name is one more object per record for the cyclic collector to count
     def vjp_x(g):
-        n, ho, wo, _ = g.shape
-        if wv.shape[:2] == (1, 1) and stride == 1:
-            # a 1x1 window is a plain GEMM: each input pixel feeds one output
-            return (g.reshape(n * ho * wo, -1) @ w2.T).reshape(xv.shape)
-        h, wd, cin = xv.shape[1:]
-        dcols = (g.reshape(n * ho * wo, -1) @ w2.T).reshape(n, ho, wo, *wv.shape[:3])
-        gxp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
-        for di in range(wv.shape[0]):
-            for dj in range(wv.shape[1]):
-                gxp[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride, :] += \
-                    dcols[:, :, :, di, dj]
-        if pad:
-            return gxp[:, pad:pad + h, pad:pad + wd, :]
-        return gxp
+        n, h, wd, cin = xv.shape
+        k, cout = wv.shape[0], wv.shape[3]
+        ho, wo = g.shape[1:3]
+        # input pixel i takes g[o] * w[i + pad - stride * o]: a stride-1
+        # correlation of the flipped kernel with g spread `stride` apart
+        # from offset k - 1 - pad in a zero map
+        off = k - 1 - pad
+        spread = np.zeros((n, h + k - 1, wd + k - 1, cout))
+        spread[:, off:off + stride * ho:stride, off:off + stride * wo:stride] = g
+        flipped = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+        return (_im2col(spread, k, 1, 0)[0] @ flipped).reshape(xv.shape)
 
     def vjp_w(g):
         return (cols.T @ g.reshape(len(cols), -1)).reshape(wv.shape)
@@ -459,7 +469,7 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
         def pre(g, slope=np.where(z >= 0, 1.0, leak)):
             return g * slope
 
-    return _record(out, pulls, pre)
+    return record(out, pulls, pre)
 
 
 def upsample2(x):
@@ -475,4 +485,4 @@ def upsample2(x):
     def vjp(g):
         return g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
 
-    return _record(out, [(x, vjp)])
+    return record(out, [(x, vjp)])

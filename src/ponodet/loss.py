@@ -56,7 +56,8 @@ class LossReport:
 
 
 # ---------------------------------------------------------------------
-# elementwise losses
+# elementwise losses: the forward is the same on ndarrays and Tensors; a
+# Tensor input gets one tape record whose vjp is written out
 # ---------------------------------------------------------------------
 
 def loc_loss_map(gate, o_hat):
@@ -65,34 +66,112 @@ def loc_loss_map(gate, o_hat):
     `gate` is the 0/1 array of cells whose normalized overlap beats the
     threshold; it carries no gradient.
     """
-    return gate * (1.0 - o_hat) ** 2.0
+    if not isinstance(o_hat, ad.Tensor):
+        return gate * (1.0 - o_hat) ** 2.0
+    shortfall = 1.0 - o_hat.values
+    return ad.record(gate * shortfall ** 2.0,
+                     [(o_hat, lambda g: -(g * gate * 2.0 * shortfall))])
 
 
-def bce_logits(p, z):
-    """Binary cross entropy from logits, in the saturation-safe form
-    max(z, 0) - z*p + log(1 + exp(-|z|)); generic over ndarray/Tensor."""
+def _bce(p, z):
+    """`bce_logits` on arrays."""
     mag = ad.maximum(z, -z)
     return ad.maximum(z, 0.0) - z * p + ad.log1p(ad.exp(-mag))
 
 
+def _bce_slope(p, z):
+    """d bce / dz = sigmoid(z) - p, in a form that does not cancel:
+    (1 - p) - s for z >= 0 and s - p below, with s = sigmoid(-|z|)."""
+    e = np.exp(-np.abs(z))
+    s = e / (1.0 + e)
+    return np.where(z >= 0, (1.0 - p) - s, s - p)
+
+
+def bce_logits(p, z):
+    """Binary cross entropy from logits, in the saturation-safe form
+    max(z, 0) - z*p + log(1 + exp(-|z|)); generic over ndarray/Tensor `z`.
+    The vjp is sigmoid(z) - p."""
+    zv = ad.values_of(z)
+    out = _bce(p, zv)
+    if not isinstance(z, ad.Tensor):
+        return out
+    return ad.record(out, [(z, lambda g: g * _bce_slope(p, zv))])
+
+
 def focal_logits(p, z, alpha: float = 0.25, gamma: float = 2.0):
-    """Focal loss from logits for hard labels p in {0, 1}."""
+    """Focal loss from logits for hard labels p in {0, 1}:
+    alpha_t (1 - p_t)^gamma times the cross entropy (Lin et al., ICCV
+    2017); generic over ndarray/Tensor `z`."""
+    zv = ad.values_of(z)
     sign = 2.0 * p - 1.0
-    one_minus_pt = ad.sigmoid(-sign * z)
+    one_minus_pt = ad.sigmoid(-sign * zv)
     alpha_t = alpha * p + (1.0 - alpha) * (1.0 - p)
-    return alpha_t * one_minus_pt ** gamma * bce_logits(p, z)
+    weight = alpha_t * one_minus_pt ** gamma
+    ce = _bce(p, zv)
+    out = weight * ce
+    if not isinstance(z, ad.Tensor):
+        return out
+
+    def vjp(g):
+        # the modulating factor through sigmoid(-sign * z), then the
+        # cross entropy; for hard labels the two terms share a sign
+        d_weight = alpha_t * gamma * one_minus_pt ** (gamma - 1.0) \
+            * (one_minus_pt * (1.0 - one_minus_pt)) * -sign
+        return g * (d_weight * ce + weight * _bce_slope(p, zv))
+
+    return ad.record(out, [(z, vjp)])
 
 
 # ---------------------------------------------------------------------
 # weighted totals
 # ---------------------------------------------------------------------
 
+def _term(sums, norm: float, s=None, s_grid=None, scale: float = 1.0):
+    """One loss term, lam * (sum(lam_grid * sums) / norm), with
+    lam = exp(-s) and lam_grid = exp(-s_grid) when `s` is given, else
+    lam = `scale` and lam_grid = 1; one record if any input is a Tensor."""
+    sums_v = ad.values_of(sums)
+    lam = scale if s is None else np.exp(-ad.values_of(s))
+    lam_grid = None if s is None else np.exp(-ad.values_of(s_grid))
+    inner = (sums_v if lam_grid is None else lam_grid * sums_v).sum() / norm
+    out = lam * inner
+    if not any(isinstance(x, ad.Tensor) for x in (sums, s, s_grid)):
+        return out
+
+    def d_sums(g):
+        d = g * lam / norm
+        return np.full(sums_v.shape, d) if lam_grid is None else d * lam_grid
+
+    pulls = [(sums, d_sums)]
+    if s is not None:
+        pulls += [(s, lambda g: -(g * inner * lam)),
+                  (s_grid, lambda g: -(g * lam / norm * sums_v * lam_grid))]
+    return ad.record(out, pulls)
+
+
+def _regularizer(bw):
+    """s_cls + s_loc + mean(s_cls_grid + s_loc_grid), one record if the
+    weights are Tensors."""
+    s_cls, s_loc, cls_grid, loc_grid = (bw[key] for key in (
+        "bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"))
+    grid = ad.values_of(cls_grid) + ad.values_of(loc_grid)
+    out = ad.values_of(s_cls) + ad.values_of(s_loc) + grid.mean()
+    if not isinstance(s_cls, ad.Tensor):
+        return out
+
+    def d_grid(g):
+        return np.full(grid.shape, g / grid.size)
+
+    return ad.record(out, [(s_cls, lambda g: g), (s_loc, lambda g: g),
+                           (cls_grid, d_grid), (loc_grid, d_grid)])
+
+
 def weighted_totals(loc_sums, cls_sums, n_pos: float, n_total: float,
                     mode: str, bw=None):
     """Combine per-grid loss sums [n_classes, n_anchors] into the three
-    loss terms.  Generic over ndarray/Tensor inputs; `bw` maps the
-    `initial_balance` keys to the s values and is read in `learned` mode
-    only.
+    loss terms, each one tape record when it has Tensor inputs.  Generic
+    over ndarray/Tensor inputs; `bw` maps the `initial_balance` keys to the
+    s values and is read in `learned` mode only.
 
     learned      -- every term scaled by its exp(-s) multiplier, plus the
                     s regularizer.
@@ -101,19 +180,16 @@ def weighted_totals(loc_sums, cls_sums, n_pos: float, n_total: float,
                     at n_total / n_pos, no regularizer.
     """
     if mode == "learned":
-        loc = ad.exp(-bw["bw.s_loc"]) * (
-            (ad.exp(-bw["bw.s_loc_grid"]) * loc_sums).sum() / n_pos)
-        cls = ad.exp(-bw["bw.s_cls"]) * (
-            (ad.exp(-bw["bw.s_cls_grid"]) * cls_sums).sum() / n_total)
-        reg = bw["bw.s_cls"] + bw["bw.s_loc"] \
-            + (bw["bw.s_cls_grid"] + bw["bw.s_loc_grid"]).mean()
+        loc = _term(loc_sums, n_pos, bw["bw.s_loc"], bw["bw.s_loc_grid"])
+        cls = _term(cls_sums, n_total, bw["bw.s_cls"], bw["bw.s_cls_grid"])
+        reg = _regularizer(bw)
     elif mode == "unit":
-        loc = loc_sums.sum() / n_pos
-        cls = cls_sums.sum() / n_total
+        loc = _term(loc_sums, n_pos)
+        cls = _term(cls_sums, n_total)
         reg = 0.0
     elif mode == "retina_norm":
-        loc = loc_sums.sum() / n_pos
-        cls = (n_total / n_pos) * (cls_sums.sum() / n_total)
+        loc = _term(loc_sums, n_pos)
+        cls = _term(cls_sums, n_total, scale=n_total / n_pos)
         reg = 0.0
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -67,6 +67,8 @@ class TestForward:
             ad.conv2d(np.ones((1, 4, 4, 3)), np.ones((3, 3, 2, 5)), np.zeros(5))
         with pytest.raises(ValueError, match="conv2d shape mismatch"):
             ad.conv2d(np.ones((4, 4, 2)), np.ones((3, 3, 2, 5)), np.zeros(5))
+        with pytest.raises(ValueError, match="conv2d shape mismatch"):  # not square
+            ad.conv2d(np.ones((1, 4, 4, 2)), np.ones((3, 1, 2, 5)), np.zeros(5))
 
     def test_upsample_nearest(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
@@ -251,6 +253,24 @@ def ref_conv2d_vjps(xv, wv, g, stride, pad):
     return gxp[pad:pad + xv.shape[0], pad:pad + xv.shape[1]], gw
 
 
+def col2im_input_grad(xv, wv, g, stride):
+    """The input gradient of a stack, as conv2d computed it before its
+    one-GEMM form: one GEMM back into patch space, then kh*kw strided adds
+    into the padded input (col2im)."""
+    n, ho, wo, _ = g.shape
+    kh, kw, cin, cout = wv.shape
+    h, w = xv.shape[1:3]
+    pad = (kh - 1) // 2
+    dcols = (g.reshape(n * ho * wo, cout) @ wv.reshape(-1, cout).T) \
+        .reshape(n, ho, wo, kh, kw, cin)
+    gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
+    for di in range(kh):
+        for dj in range(kw):
+            gxp[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride] += \
+                dcols[:, :, :, di, dj]
+    return gxp[:, pad:pad + h, pad:pad + w]
+
+
 def leaky_relu(z, leak):
     """Leaky ReLU composed from taped ops; at z = 0 `maximum` routes the
     gradient to its first argument, i.e. slope 1."""
@@ -292,6 +312,17 @@ class TestConvOracle:
         np.testing.assert_allclose(wl.grad, sum(gw for _, gw in per_image),
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(bl.grad, g.sum(axis=(0, 1, 2)), rtol=1e-12)
+
+    def test_input_grad_matches_col2im(self, xs, ws, stride, pad):
+        x, w, b = self.inputs(xs, ws)
+        tape = ad.Tape()
+        xl = ad.leaf(x, tape)
+        out = ad.conv2d(xl, w, b, stride=stride, leak=0.1)
+        g = np.random.default_rng(8).normal(size=out.shape)
+        ad.backward((out * g).sum())
+        z = ad.conv2d(x, w, b, stride=stride)
+        want = col2im_input_grad(x, w, np.where(z >= 0, g, 0.1 * g), stride)
+        np.testing.assert_allclose(xl.grad, want, rtol=1e-12, atol=1e-12)
 
     def test_grad_check(self, xs, ws, stride, pad):
         def f(x, w, b):

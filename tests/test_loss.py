@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ponodet.anchors import AnchorSet
-from ponodet.assignment import GroundTruth
+from ponodet import autodiff as ad
+from ponodet import train as train_mod
+from ponodet.anchors import AnchorSet, build_grid
+from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, assign_ao,
+                                pred_iou_values)
 from ponodet.data import Scene
-from ponodet.loss import (LOC_GATE, bce_logits, focal_logits, initial_balance,
+from ponodet.geometry import EXP_CLAMP, decode_cxywh, iou_cxywh
+from ponodet.loss import (LOC_GATE, MODES, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
-from ponodet.train import RunState, TrainConfig, anchor_grid, train_iteration
+from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, TrainConfig, anchor_grid,
+                           train_iteration)
 
 from test_autodiff import grad_check
 from test_model import TabularPredictor
@@ -175,3 +180,160 @@ class TestSelfBalancingFixedPoint:
             v = 0.9 * v + g
             s -= 0.01 * v
         assert s == pytest.approx(math.log(L), abs=1e-3)
+
+
+# ---------------------------------------------------------------------
+# the elementwise head the fused records replaced, composed from Tensor
+# ops: the oracle for the written-out vjps
+# ---------------------------------------------------------------------
+
+def elementwise_pred_iou(grid, offsets, assignment):
+    b = grid.boxes
+    cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
+                                offsets[..., 0], offsets[..., 1],
+                                offsets[..., 2], offsets[..., 3])
+    g = assignment.gt_box
+    return iou_cxywh(cx, cy, w, h, g[..., 0], g[..., 1], g[..., 2], g[..., 3]) \
+        * (assignment.gt_index != UNASSIGNED)
+
+
+def elementwise_loc_loss_map(gate, o_hat):
+    return gate * (1.0 - o_hat) ** 2.0
+
+
+def elementwise_bce(p, z):
+    mag = ad.maximum(z, -z)
+    return ad.maximum(z, 0.0) - z * p + ad.log1p(ad.exp(-mag))
+
+
+def elementwise_focal(p, z, alpha=0.25, gamma=2.0):
+    sign = 2.0 * p - 1.0
+    one_minus_pt = ad.sigmoid(-sign * z)
+    alpha_t = alpha * p + (1.0 - alpha) * (1.0 - p)
+    return alpha_t * one_minus_pt ** gamma * elementwise_bce(p, z)
+
+
+def elementwise_totals(loc_sums, cls_sums, n_pos, n_total, mode, bw=None):
+    if mode == "learned":
+        loc = ad.exp(-bw["bw.s_loc"]) * (
+            (ad.exp(-bw["bw.s_loc_grid"]) * loc_sums).sum() / n_pos)
+        cls = ad.exp(-bw["bw.s_cls"]) * (
+            (ad.exp(-bw["bw.s_cls_grid"]) * cls_sums).sum() / n_total)
+        reg = bw["bw.s_cls"] + bw["bw.s_loc"] \
+            + (bw["bw.s_cls_grid"] + bw["bw.s_loc_grid"]).mean()
+    elif mode == "unit":
+        loc, cls, reg = loc_sums.sum() / n_pos, cls_sums.sum() / n_total, 0.0
+    else:
+        loc = loc_sums.sum() / n_pos
+        cls = (n_total / n_pos) * (cls_sums.sum() / n_total)
+        reg = 0.0
+    return loc, cls, reg
+
+
+FUSED = (pred_iou_values, loc_loss_map, bce_logits, focal_logits, weighted_totals)
+ELEMENTWISE = (elementwise_pred_iou, elementwise_loc_loss_map, elementwise_bce,
+               elementwise_focal, elementwise_totals)
+
+
+def head(fns, grid, assignment, cfg, logits, offsets, s_values):
+    """One iteration's head as `train_iteration` runs it, on leaves for the
+    logits, the offsets and the balance weights: the loss terms and every
+    leaf's gradient."""
+    pred_iou, loc_map_fn, bce, focal, totals = fns
+    tape = ad.Tape()
+    z, off = ad.leaf(logits.copy(), tape), ad.leaf(offsets.copy(), tape)
+    bw = {name: ad.leaf(v.copy(), tape) for name, v in s_values.items()}
+    o_hat = pred_iou(grid, off, assignment)
+    gate, labels = train_mod._gate_and_labels(assignment, ad.values_of(o_hat), cfg)
+    loc_map = loc_map_fn(gate, o_hat)
+    cls_map = (bce if cfg.cls_loss == "CE" else focal)(labels.astype(np.float64), z)
+    terms = totals(loc_map.sum(axis=(0, 1, 2)), cls_map.sum(axis=(0, 1, 2)),
+                   max(1, int(gate.sum())), gate.size, cfg.mode, bw)
+    ad.backward(terms[0] + terms[1] + terms[2])
+    grads = {"logits": z.grad, "offsets": off.grad,
+             **{name: t.grad for name, t in bw.items()}}
+    return tuple(float(ad.values_of(t)) for t in terms), grads, int(gate.sum())
+
+
+def assert_head_matches_oracle(grid, assignment, cfg, logits, offsets, s_values):
+    """The fused head gives the elementwise head's loss terms bit for bit,
+    and its gradients to 1e-12 of each array's largest entry."""
+    args = (grid, assignment, cfg, logits, offsets, s_values)
+    terms, grads, n_pos = head(FUSED, *args)
+    want_terms, want, _ = head(ELEMENTWISE, *args)
+    assert terms == want_terms
+    assert grads.keys() == want.keys()
+    for name, g in want.items():
+        if g is None:  # balance weights outside learned mode
+            assert grads[name] is None and cfg.mode != "learned"
+            continue
+        np.testing.assert_allclose(grads[name], g, rtol=1e-12,
+                                   atol=1e-12 * np.abs(g).max(), err_msg=name)
+    return n_pos
+
+
+def random_head_instance(rng):
+    """Two stacked scenes on a 4x4 grid of 2 classes x 2 anchors, with
+    offsets near zero, so that decoded boxes overlap their objects."""
+    shapes = rng.uniform(6.0, 20.0, (2, 2, 2))
+    grid = build_grid(AnchorSet(shapes), 4, 4, 8)
+    records = []
+    for _ in range(2):
+        k = int(rng.integers(1, 4))
+        gt = GroundTruth([(*rng.uniform(4, 28, 2), *rng.uniform(5, 16, 2))
+                          for _ in range(k)], rng.integers(0, 2, k))
+        records.append(assign_ao(grid, gt))
+    assignment = Assignment.stack(records)
+    offsets = rng.uniform(-0.3, 0.3, assignment.gt_box.shape)
+    logits = rng.normal(0.0, 3.0, assignment.gt_index.shape)
+    s_values = {name: rng.normal(0.0, 0.5, np.shape(v))
+                for name, v in initial_balance(2, 2).items()}
+    return grid, assignment, logits, offsets, s_values
+
+
+CELLS = [(rule, loss, mode) for rule in LABEL_RULES for loss in CLS_LOSSES
+         for mode in MODES]
+
+
+class TestFusedHead:
+    @pytest.mark.parametrize("rule,cls_loss,mode", CELLS)
+    def test_matches_elementwise_head(self, rule, cls_loss, mode):
+        rng = np.random.default_rng(sum(map(ord, rule + cls_loss + mode)))
+        cfg = TrainConfig(label_rule=rule, cls_loss=cls_loss, mode=mode)
+        positives = 0
+        for _ in range(4):
+            grid, assignment, logits, offsets, s_values = random_head_instance(rng)
+            positives += assert_head_matches_oracle(grid, assignment, cfg, logits,
+                                                    offsets, s_values)
+        assert positives > 0
+
+    @pytest.mark.parametrize("rule,cls_loss,mode", CELLS)
+    def test_matches_at_kinks(self, rule, cls_loss, mode):
+        # one cell of four 8x8 anchors spanning [0, 8] x [0, 8], each
+        # assigned its own object: coincident right edges (x) and both
+        # y edges, coincident left edges, boxes that only touch (ix = 0),
+        # and dw / dh exactly at the clamp; two logits are exactly 0
+        grid = build_grid(AnchorSet(np.full((1, 4, 2), 8.0)), 1, 1, 8)
+        gt_box = np.array([[5.0, 4.0, 6.0, 8.0], [3.0, 3.0, 6.0, 6.0],
+                           [12.0, 4.0, 8.0, 8.0], [4.0, 4.0, 8.0, 8.0]])
+        shape = (1, 1, 1, 1, 4)
+        assignment = Assignment(np.zeros(shape, np.int64), np.ones(shape),
+                                np.ones(shape), gt_box.reshape(shape + (4,)))
+        offsets = np.zeros(shape + (4,))
+        offsets[..., 3, 2:] = [EXP_CLAMP, -EXP_CLAMP]
+        logits = np.array([0.0, 0.0, -1.5, 2.0]).reshape(shape)
+        s_values = {name: np.full(np.shape(v), 0.25)
+                    for name, v in initial_balance(1, 4).items()}
+        # the kinks are where the test puts them
+        b = grid.boxes[None]
+        cx, cy, w, h = decode_cxywh(*np.moveaxis(b, -1, 0), *np.moveaxis(offsets, -1, 0))
+        right, left = (cx + w * 0.5).ravel(), (cx - w * 0.5).ravel()
+        gt_right, gt_left = gt_box[:, 0] + gt_box[:, 2] * 0.5, gt_box[:, 0] - gt_box[:, 2] * 0.5
+        assert right[0] == gt_right[0] and left[1] == gt_left[1] and right[2] == gt_left[2]
+        assert np.all(np.abs(offsets[..., 3, 2:]) == EXP_CLAMP)
+        cfg = TrainConfig(label_rule=rule, cls_loss=cls_loss, mode=mode)
+        assert_head_matches_oracle(grid, assignment, cfg, logits, offsets, s_values)
+        _, grads, _ = head(FUSED, grid, assignment, cfg, logits, offsets, s_values)
+        # the gradient passes at the touching box (ix = 0) and at the clamp
+        assert np.all(grads["offsets"][..., 2, 0::2] != 0.0)
+        assert np.all(grads["offsets"][..., 3, 2:] != 0.0)

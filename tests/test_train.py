@@ -512,6 +512,32 @@ class TestCheckpoint:
         assert [n for n in names if n.startswith("bw.")] == list(initial_balance(1, 2))
 
 
+class TestTapeShape:
+    """What one iteration puts on the tape: one record per conv (bias and
+    activation included), upsample, concat and reshape of the network, then
+    the head: the overlap map, the two loss maps, their per-grid sums, one
+    record per weighted term and the two adds of the total."""
+
+    @pytest.mark.parametrize("bench,cell,records", [
+        ("crowded", ("AMS", "learned", "CE"), 18 + 10),
+        ("imbalanced", ("AO", "retina_norm", "FL"), 22 + 9)])
+    def test_records_per_iteration(self, monkeypatch, bench, cell, records):
+        from ponodet import benchmarks
+        b = getattr(benchmarks, f"{bench}_benchmark")()
+        scenes = generate(b.gen, b.train_cfg.batch_size)
+        nc = b.gen.n_classes
+        grid = anchor_grid(AnchorSet(np.full((nc, b.n_anchors, 2), 12.0)), b.net.input_size)
+        state = RunState.fresh(ToyNet(b.net, nc, b.n_anchors), grid)
+        rule, mode, cls_loss = cell
+        cfg = replace(b.train_cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
+        counts = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root: counts.append(
+            len(root.tape.records)) or backward(root))
+        train_iteration(state, scenes, cfg)
+        assert counts == [records]
+
+
 class TestFlatState:
     def test_fresh_state_arrays_are_views(self, tmp_path):
         _, _, made = TestDeterminismAndResume().make_setup(tmp_path)
