@@ -38,6 +38,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _checked(kind, holds, what: str):
+    """An argparse type: a `kind` value for which `holds` is true.  Any other
+    text fails parsing, so the error names the flag and nothing runs."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+# NaN fails every comparison, so these also reject it
+SCORE_MIN = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+IOU_NMS = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+COUNT = _checked(int, lambda v: v >= 1, "a whole number >= 1")
+
+
 def _read_config(path, extra_keys=()) -> dict[str, str]:
     """A `train` (or, with ABLATE_KEYS, `ablate`) key=value file.  A key other
     than a TrainConfig or ToyNetConfig field, `model` and `extra_keys` is an
@@ -338,7 +358,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--config", required=True, help="generator key=value file")
     g.add_argument("--out", required=True)
-    g.add_argument("--count", "-n", type=int, required=True)
+    g.add_argument("--count", "-n", type=COUNT, required=True)
     g.add_argument("--seed", type=int, default=None)
     g.set_defaults(fn=cmd_gen_data)
 
@@ -361,8 +381,8 @@ def build_parser() -> _Parser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--dataset", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--score-min", type=float, default=0.05)
-    e.add_argument("--iou-nms", type=float, default=0.5)
+    e.add_argument("--score-min", type=SCORE_MIN, default=0.05)
+    e.add_argument("--iou-nms", type=IOU_NMS, default=0.5)
     e.set_defaults(fn=cmd_eval)
 
     d = sub.add_parser("assign-dump", help="dump assignment maps for one scene")
@@ -381,8 +401,8 @@ def build_parser() -> _Parser:
     b = sub.add_parser("ablate", help="train+eval one cell per matrix entry")
     b.add_argument("--config", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--score-min", type=float, default=0.05)
-    b.add_argument("--iou-nms", type=float, default=0.5)
+    b.add_argument("--score-min", type=SCORE_MIN, default=0.05)
+    b.add_argument("--iou-nms", type=IOU_NMS, default=0.5)
     b.set_defaults(fn=cmd_ablate)
     return p
 

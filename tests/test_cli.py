@@ -167,7 +167,9 @@ class TestBadInput:
                 str(dataset), "--anchors", str(anchors), "--out", str(out)]
 
     def test_empty_dataset_names_the_directory(self, workspace, tmp_path, capsys):
-        ds = self.make_dataset(tmp_path, count=0)
+        # gen-data refuses a count below 1, so the empty dataset is written directly
+        ds = tmp_path / "d"
+        data_mod.save_dataset(ds, [])
         assert run(self.train_argv(workspace, ds, workspace / "anchors.txt",
                                    tmp_path / "run")) == 2
         err = capsys.readouterr().err
@@ -440,6 +442,52 @@ class TestBadConfigValue:
         err = capsys.readouterr().err
         assert f"{cfg}: {message}" in err and "ablation cell" not in err
         assert started == []
+
+
+class TestFlagRanges:
+    """A flag value out of its range exits 1 naming the flag, before
+    anything is loaded, trained or written."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        calls = []
+        for name in ("run_training", "load_run", "kmeans_anchors"):
+            monkeypatch.setattr(f"ponodet.cli.{name}",
+                                lambda *a, name=name, **k: calls.append(name))
+        monkeypatch.setattr(data_mod, "load_dataset",
+                            lambda *a, **k: calls.append("load_dataset"))
+        monkeypatch.setattr(data_mod, "generate", lambda *a, **k: calls.append("generate"))
+        return calls
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--score-min", "nan", "must be a number in [0, 1), got 'nan'"),
+        ("--score-min", "1", "must be a number in [0, 1), got '1'"),
+        ("--score-min", "-0.1", "must be a number in [0, 1), got '-0.1'"),
+        ("--iou-nms", "2", "must be a number in (0, 1], got '2'"),
+        ("--iou-nms", "0", "must be a number in (0, 1], got '0'"),
+        ("--iou-nms", "inf", "must be a number in (0, 1], got 'inf'")])
+    @pytest.mark.parametrize("command", ["ablate", "eval"])
+    def test_eval_flags(self, workspace, tmp_path, capsys, started, command, flag,
+                        value, message):
+        out = tmp_path / "out"
+        if command == "ablate":
+            cfg = TestAblate().make_config(tmp_path, workspace / "ds")
+            argv = ["ablate", "--config", str(cfg)]
+        else:
+            argv = ["eval", "--checkpoint", str(workspace / "run" / "final.bin"),
+                    "--dataset", str(workspace / "ds")]
+        assert run(argv + ["--out", str(out), flag, value]) == 1
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_gen_data_count(self, workspace, tmp_path, capsys, started, value):
+        out = tmp_path / "ds"
+        assert run(["gen-data", "--config", str(workspace / "genspec.txt"),
+                    "--out", str(out), "-n", value]) == 1
+        assert f"argument --count/-n: must be a whole number >= 1, got {value!r}" \
+            in capsys.readouterr().err
+        assert started == [] and not out.exists()
 
 
 class TestArtifactDigests:
