@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .anchors import AnchorGrid
-from .geometry import EXP_CLAMP, GroundTruth, decode_cxywh, iou_cxywh
+from .geometry import EXP_CLAMP, GroundTruth, iou_cxywh
 
 UNASSIGNED = -1
 
@@ -136,32 +136,21 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
     """Overlap of each cell's decoded box with its assigned object (0 where
     unassigned), [N, h, w, nc, na]; generic over ndarray/Tensor offsets
     [N, h, w, nc, na, 4].  `assignment` is the `Assignment.stack` of the N
-    scenes.  Tensor offsets get one tape record (see `_taped_pred_iou`)."""
+    scenes.
+
+    The forward is `decode_cxywh` then `iou_cxywh` with each (x, y) pair on
+    a last axis of 2, so every value keeps its bits.  Tensor offsets get
+    one tape record whose vjp is the IoU gradient through the decode
+    (UnitBox, Yu et al., ACM MM 2016) written out.  It keeps the
+    subgradients of the elementwise form: a min/max tie passes the
+    gradient to the decoded box's edge, max(ix, 0) passes it at ix = 0,
+    and the dw/dh clamp passes it on its closed interval."""
     if offsets.shape[1:] != grid.boxes.shape \
             or offsets.shape[:-1] != assignment.gt_index.shape:
         raise ValueError(f"offsets shape {offsets.shape} does not match grid "
                          f"{grid.boxes.shape} with assignments stacked as "
                          f"{assignment.gt_index.shape}")
-    if isinstance(offsets, ad.Tensor):
-        return _taped_pred_iou(grid.boxes, offsets, assignment)
-    b = grid.boxes
-    cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
-                                offsets[..., 0], offsets[..., 1],
-                                offsets[..., 2], offsets[..., 3])
-    g = assignment.gt_box
-    return iou_cxywh(cx, cy, w, h, g[..., 0], g[..., 1], g[..., 2], g[..., 3]) \
-        * (assignment.gt_index != UNASSIGNED)
-
-
-def _taped_pred_iou(b: np.ndarray, offsets: ad.Tensor, assignment: Assignment):
-    """`pred_iou_values` on Tensor offsets as one record: the forward is
-    `decode_cxywh` then `iou_cxywh` with each (x, y) pair on a last axis
-    of 2, so every value keeps its bits, and the vjp is the IoU gradient
-    through the decode (UnitBox, Yu et al., ACM MM 2016) written out.  It
-    keeps the subgradients of the elementwise form: a min/max tie passes
-    the gradient to the decoded box's edge, max(ix, 0) passes it at
-    ix = 0, and the dw/dh clamp passes it on its closed interval."""
-    ov, g = offsets.values, assignment.gt_box
+    b, g, ov = grid.boxes, assignment.gt_box, ad.values_of(offsets)
     keep = assignment.gt_index != UNASSIGNED
     dwh = ov[..., 2:]
     grow = np.exp(np.clip(dwh, -EXP_CLAMP, EXP_CLAMP))
@@ -173,6 +162,9 @@ def _taped_pred_iou(b: np.ndarray, offsets: ad.Tensor, assignment: Assignment):
     clipped = np.maximum(overlap, 0.0)
     inter = clipped[..., 0] * clipped[..., 1]
     union = side[..., 0] * side[..., 1] + g[..., 2] * g[..., 3] - inter
+    out = inter / union * keep
+    if not isinstance(offsets, ad.Tensor):
+        return out
 
     def vjp(grad):
         d_iou = grad * keep
@@ -186,7 +178,7 @@ def _taped_pred_iou(b: np.ndarray, offsets: ad.Tensor, assignment: Assignment):
         return np.concatenate([(d_hi + d_lo) * b[..., 2:],
                                d_side * b[..., 2:] * grow * inside], axis=-1)
 
-    return ad.record(inter / union * keep, [(offsets, vjp)])
+    return ad.record(out, [(offsets, vjp)])
 
 
 def ams_labels(pono: np.ndarray, o_hat: np.ndarray,

@@ -314,12 +314,9 @@ def _reduce_sum(x: Tensor, axis):
     xv = x.values
     out = xv.sum(axis=axis)
     axes = _norm_axes(axis, xv.ndim)
-    kept = tuple(1 if d in axes else size for d, size in enumerate(xv.shape))
 
     def vjp(g):
-        grad = np.empty(xv.shape)
-        grad[...] = g.reshape(kept)
-        return grad
+        return np.broadcast_to(np.expand_dims(g, axes), xv.shape)
 
     return record(out, [(x, vjp)])
 

@@ -66,11 +66,11 @@ def loc_loss_map(gate, o_hat):
     `gate` is the 0/1 array of cells whose normalized overlap beats the
     threshold; it carries no gradient.
     """
+    shortfall = 1.0 - ad.values_of(o_hat)
+    out = gate * shortfall ** 2.0
     if not isinstance(o_hat, ad.Tensor):
-        return gate * (1.0 - o_hat) ** 2.0
-    shortfall = 1.0 - o_hat.values
-    return ad.record(gate * shortfall ** 2.0,
-                     [(o_hat, lambda g: -(g * gate * 2.0 * shortfall))])
+        return out
+    return ad.record(out, [(o_hat, lambda g: -(g * gate * 2.0 * shortfall))])
 
 
 def _bce(p, z):

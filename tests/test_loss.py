@@ -296,6 +296,23 @@ CELLS = [(rule, loss, mode) for rule in LABEL_RULES for loss in CLS_LOSSES
 
 
 class TestFusedHead:
+    def test_array_path_matches_elementwise_head(self):
+        # ndarray inputs take the same forward, untaped, bit for bit
+        rng = np.random.default_rng(13)
+        for _ in range(4):
+            grid, assignment, logits, offsets, _ = random_head_instance(rng)
+            o_hat = pred_iou_values(grid, offsets, assignment)
+            assert type(o_hat) is np.ndarray
+            np.testing.assert_array_equal(
+                o_hat, elementwise_pred_iou(grid, offsets, assignment))
+            gate = (assignment.pono > LOC_GATE).astype(np.float64)
+            np.testing.assert_array_equal(loc_loss_map(gate, o_hat),
+                                          elementwise_loc_loss_map(gate, o_hat))
+            p = (o_hat > 0.5).astype(np.float64)
+            np.testing.assert_array_equal(bce_logits(p, logits), elementwise_bce(p, logits))
+            np.testing.assert_array_equal(focal_logits(p, logits),
+                                          elementwise_focal(p, logits))
+
     @pytest.mark.parametrize("rule,cls_loss,mode", CELLS)
     def test_matches_elementwise_head(self, rule, cls_loss, mode):
         rng = np.random.default_rng(sum(map(ord, rule + cls_loss + mode)))
