@@ -3,24 +3,19 @@
 A ``Tensor`` wraps an ndarray; every operation appends one record to the
 ``Tape`` its inputs live on, so the record list is a topological order by
 construction and ``backward`` replays it in reverse exactly once per node.
-The op set is the minimum a small dense-prediction training loop needs.
-The spatial ops (``conv2d``, ``upsample2``) take channels-last image
-stacks [N, H, W, C], so one record serves a whole batch; ``conv2d`` can
-apply the bias and a leaky ReLU in the same op and record.
-
-The free functions (``exp``, ``minimum``, ``conv2d``, ...) and the
-ndarray-style methods on ``Tensor`` (``sum``, ``mean``, indexing, operators)
-dispatch on input type, so the same formula code runs either on plain numpy
-arrays (untracked, fast path) or on tracked tensors.  Composite ops outside
-this module (the loss head) compute their forward on arrays and append one
-record with a written-out vjp through ``record``.
+The op set is what one training iteration records: the network's
+``conv2d`` (bias and leaky ReLU in the same record), ``upsample2``,
+``concat`` and ``reshape`` on channels-last image stacks [N, H, W, C], so
+one record serves a whole batch; ``Tensor.sum`` and ``+`` for the loss
+totals; and the loss head, whose functions compute their forward on
+arrays and append one record with a written-out vjp through ``record``.
+The network ops return plain arrays, untracked, when no input is a
+Tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-Array = np.ndarray
 
 
 class Tape:
@@ -41,63 +36,37 @@ class Tensor:
     __slots__ = ("values", "tape", "grad", "is_leaf", "__weakref__")
 
     # Keep numpy from coercing Tensor operands in `ndarray <op> Tensor`;
-    # with this set, numpy returns NotImplemented and Python falls back to
-    # the reflected Tensor operator.
+    # with this set, numpy raises TypeError instead of building an object
+    # array of Tensors.
     __array_ufunc__ = None
 
     def __init__(self, values, tape: Tape, is_leaf: bool = False) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         self.tape = tape
-        self.grad: Array | None = None
+        self.grad: np.ndarray | None = None
         self.is_leaf = is_leaf
 
     @property
     def shape(self) -> tuple:
         return self.values.shape
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.values.shape}, {'leaf' if self.is_leaf else 'op'})"
-
-    # arithmetic ------------------------------------------------------
     def __add__(self, other):
-        return add(self, other)
+        """`self + other` for a Tensor or a constant `other`; each gradient
+        is summed back over the axes its operand was broadcast along."""
+        av, bv = self.values, values_of(other)
+        return record(av + bv, [(self, lambda g: _unbroadcast(g, av.shape)),
+                                (other, lambda g: _unbroadcast(g, bv.shape))])
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
-    # ndarray-style methods so generic code runs on either type -------
     def sum(self, axis=None):
-        return _reduce_sum(self, axis)
+        """Sum over `axis` (an int, a tuple or every axis), as ndarray.sum."""
+        xv = self.values
+        axes = range(xv.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+        axes = tuple(a % xv.ndim for a in axes)
 
-    def mean(self, axis=None):
-        return _reduce_mean(self, axis)
+        def vjp(g):
+            return np.broadcast_to(np.expand_dims(g, axes), xv.shape)
+
+        return record(xv.sum(axis=axis), [(self, vjp)])
 
 
 def leaf(values, tape: Tape) -> Tensor:
@@ -107,11 +76,11 @@ def leaf(values, tape: Tape) -> Tensor:
     return Tensor(values, tape, is_leaf=True)
 
 
-def values_of(x) -> Array:
+def values_of(x) -> np.ndarray:
     return x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def record(out_values: Array, pulls, pre=None) -> Tensor:
+def record(out_values: np.ndarray, pulls, pre=None) -> Tensor:
     """Build the output tensor for an op and append its record to the tape
     of its tracked inputs; `pulls` is (input, vjp) pairs, inputs that are
     not Tensors are skipped, and `pre`, if given, maps the output's adjoint
@@ -131,7 +100,7 @@ def _tracked(*xs) -> bool:
     return any(isinstance(x, Tensor) for x in xs)
 
 
-def _unbroadcast(g: Array, shape: tuple) -> Array:
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape`."""
     if g.shape == shape:
         return g
@@ -157,7 +126,7 @@ def backward(root: Tensor) -> None:
     if root.is_leaf:
         root.grad = seed if root.grad is None else root.grad + seed
         return
-    adjoint: dict[int, Array] = {id(root): seed}
+    adjoint: dict[int, np.ndarray] = {id(root): seed}
     for out, pre, pulls in reversed(root.tape.records):
         g = adjoint.pop(id(out), None)
         if g is None:
@@ -176,166 +145,6 @@ def backward(root: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------
-# elementwise binary ops (numpy broadcasting, gradients summed back)
-# ---------------------------------------------------------------------
-
-def add(a, b):
-    av, bv = values_of(a), values_of(b)
-    out = av + bv
-    if not _tracked(a, b):
-        return out
-    return record(out, [(a, lambda g: _unbroadcast(g, av.shape)),
-                        (b, lambda g: _unbroadcast(g, bv.shape))])
-
-
-def sub(a, b):
-    av, bv = values_of(a), values_of(b)
-    out = av - bv
-    if not _tracked(a, b):
-        return out
-    return record(out, [(a, lambda g: _unbroadcast(g, av.shape)),
-                        (b, lambda g: _unbroadcast(-g, bv.shape))])
-
-
-def mul(a, b):
-    av, bv = values_of(a), values_of(b)
-    out = av * bv
-    if not _tracked(a, b):
-        return out
-    return record(out, [(a, lambda g: _unbroadcast(g * bv, av.shape)),
-                        (b, lambda g: _unbroadcast(g * av, bv.shape))])
-
-
-def div(a, b):
-    av, bv = values_of(a), values_of(b)
-    out = av / bv
-    if not _tracked(a, b):
-        return out
-    return record(out, [(a, lambda g: _unbroadcast(g / bv, av.shape)),
-                        (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape))])
-
-
-def minimum(a, b):
-    """Elementwise minimum; at ties the gradient goes to the first argument."""
-    av, bv = values_of(a), values_of(b)
-    out = np.minimum(av, bv)
-    if not _tracked(a, b):
-        return out
-    first = av <= bv
-    return record(out, [(a, lambda g: _unbroadcast(np.where(first, g, 0.0), av.shape)),
-                        (b, lambda g: _unbroadcast(np.where(first, 0.0, g), bv.shape))])
-
-
-def maximum(a, b):
-    """Elementwise maximum; at ties the gradient goes to the first argument."""
-    av, bv = values_of(a), values_of(b)
-    out = np.maximum(av, bv)
-    if not _tracked(a, b):
-        return out
-    first = av >= bv
-    return record(out, [(a, lambda g: _unbroadcast(np.where(first, g, 0.0), av.shape)),
-                        (b, lambda g: _unbroadcast(np.where(first, 0.0, g), bv.shape))])
-
-
-# ---------------------------------------------------------------------
-# elementwise unary ops
-# ---------------------------------------------------------------------
-
-def neg(x):
-    xv = values_of(x)
-    out = -xv
-    if not _tracked(x):
-        return out
-    return record(out, [(x, lambda g: -g)])
-
-
-def exp(x):
-    xv = values_of(x)
-    out = np.exp(xv)
-    if not _tracked(x):
-        return out
-    return record(out, [(x, lambda g: g * out)])
-
-
-def log1p(x):
-    xv = values_of(x)
-    out = np.log1p(xv)
-    if not _tracked(x):
-        return out
-    return record(out, [(x, lambda g: g / (1.0 + xv))])
-
-
-def power(x, p):
-    """x ** p for a constant exponent p."""
-    p = float(p)
-    xv = values_of(x)
-    out = xv ** p
-    if not _tracked(x):
-        return out
-    return record(out, [(x, lambda g: g * p * xv ** (p - 1.0))])
-
-
-def _sigmoid_values(x: Array) -> Array:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(x):
-    xv = values_of(x)
-    out = _sigmoid_values(xv)
-    if not _tracked(x):
-        return out
-    return record(out, [(x, lambda g: g * out * (1.0 - out))])
-
-
-def clip(x, lo, hi):
-    """Clamp to [lo, hi]; gradient passes inside the closed interval."""
-    xv = values_of(x)
-    out = np.clip(xv, lo, hi)
-    if not _tracked(x):
-        return out
-    inside = (xv >= lo) & (xv <= hi)
-    return record(out, [(x, lambda g: np.where(inside, g, 0.0))])
-
-
-# ---------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------
-
-def _norm_axes(axis, ndim) -> tuple:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _reduce_sum(x: Tensor, axis):
-    xv = x.values
-    out = xv.sum(axis=axis)
-    axes = _norm_axes(axis, xv.ndim)
-
-    def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axes), xv.shape)
-
-    return record(out, [(x, vjp)])
-
-
-def _reduce_mean(x: Tensor, axis):
-    xv = x.values
-    out = xv.mean(axis=axis)
-    axes = _norm_axes(axis, xv.ndim)
-    count = 1
-    for a in axes:
-        count *= xv.shape[a]
-
-    def vjp(g):
-        return np.broadcast_to(np.expand_dims(g / count, axes), xv.shape)
-
-    return record(out, [(x, vjp)])
-
-
-# ---------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------
 
@@ -347,21 +156,6 @@ def reshape(x, *shape):
     if not _tracked(x):
         return out
     return record(out, [(x, lambda g: g.reshape(xv.shape))])
-
-
-def take(x, key):
-    """Basic (slice/int/ellipsis) indexing."""
-    xv = values_of(x)
-    out = xv[key]
-    if not _tracked(x):
-        return out
-
-    def vjp(g):
-        z = np.zeros_like(xv)
-        z[key] = g
-        return z
-
-    return record(out, [(x, vjp)])
 
 
 def concat(parts, axis: int = -1):
@@ -389,7 +183,7 @@ def concat(parts, axis: int = -1):
 # linear algebra / spatial ops
 # ---------------------------------------------------------------------
 
-def _im2col(xv: Array, k: int, stride: int, pad: int):
+def _im2col(xv: np.ndarray, k: int, stride: int, pad: int):
     """The [n*ho*wo, k*k*cin] patch matrix of a zero-padded image stack,
     and (ho, wo).  Each row reads one k x k window in (row, column, cin)
     order, the order the flattened kernel is laid out in; the rows run over

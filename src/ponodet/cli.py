@@ -56,6 +56,7 @@ def _checked(kind, holds, what: str):
 SCORE_MIN = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 IOU_NMS = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 COUNT = _checked(int, lambda v: v >= 1, "a whole number >= 1")
+SEED = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 
 
 def _read_config(path, extra_keys=()) -> dict[str, str]:
@@ -359,14 +360,14 @@ def build_parser() -> _Parser:
     g.add_argument("--config", required=True, help="generator key=value file")
     g.add_argument("--out", required=True)
     g.add_argument("--count", "-n", type=COUNT, required=True)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=SEED, default=None)
     g.set_defaults(fn=cmd_gen_data)
 
     a = sub.add_parser("anchors", help="cluster per-class anchor shapes")
     a.add_argument("--dataset", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--n-a", type=int, default=3)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--n-a", type=COUNT, default=3)
+    a.add_argument("--seed", type=SEED, default=0)
     a.set_defaults(fn=cmd_anchors)
 
     t = sub.add_parser("train", help="train a predictor")
@@ -374,7 +375,7 @@ def build_parser() -> _Parser:
     t.add_argument("--dataset", required=True)
     t.add_argument("--anchors", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=SEED, default=None)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="score a checkpoint on a dataset")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .anchors import AnchorGrid
 from .geometry import Detections, GroundTruth, decode_cxywh, nms, pairwise_iou
+from .loss import sigmoid
 
 
 def extract_detections(logits, offsets, grid: AnchorGrid,
@@ -20,11 +20,9 @@ def extract_detections(logits, offsets, grid: AnchorGrid,
                        nms_iou: float = 0.5) -> Detections:
     """Decode every cell of one scene's logits [h, w, nc, na] and offsets
     [h, w, nc, na, 4] whose score clears `score_min`, then per-class NMS."""
-    logits = np.asarray(ad.values_of(logits))
-    offsets = np.asarray(ad.values_of(offsets))
     if logits.shape != grid.boxes.shape[:4]:
         raise ValueError(f"logits shape {logits.shape} does not match grid")
-    scores = ad.sigmoid(logits)
+    scores = sigmoid(logits)
     sel = np.nonzero(scores >= score_min)
     boxes = np.stack(decode_cxywh(*grid.boxes[sel].T, *offsets[sel].T), axis=1)
     return nms(Detections(boxes, sel[2], scores[sel]), nms_iou)

@@ -4,7 +4,9 @@ codec, and NMS.
 A box is a (cx, cy, w, h) row in pixels, center-size because decoding
 offsets against an anchor is the gradient path, and a set of boxes is an
 [n, 4] float64 array; edges are derived where an overlap needs them.  The
-codec and the elementwise IoU run on plain ndarrays or autodiff tensors.
+codec and the elementwise IoU take component arrays (or scalars) that
+broadcast together; the taped training path records its own decode + IoU
+(`assignment.pred_iou_values`).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 # Offsets dw/dh are clamped to [-EXP_CLAMP, EXP_CLAMP] before being
 # exponentiated, so a decoded side never exceeds 1000x the anchor side.
@@ -78,19 +78,17 @@ def decode_cxywh(acx, acy, aw, ah, dx, dy, dw, dh):
     """Apply offset arrays to anchor component arrays; returns cx, cy, w, h."""
     cx = acx + dx * aw
     cy = acy + dy * ah
-    w = aw * ad.exp(ad.clip(dw, -EXP_CLAMP, EXP_CLAMP))
-    h = ah * ad.exp(ad.clip(dh, -EXP_CLAMP, EXP_CLAMP))
+    w = aw * np.exp(np.clip(dw, -EXP_CLAMP, EXP_CLAMP))
+    h = ah * np.exp(np.clip(dh, -EXP_CLAMP, EXP_CLAMP))
     return cx, cy, w, h
 
 
 def iou_cxywh(acx, acy, aw, ah, bcx, bcy, bw, bh):
-    """Elementwise IoU between two box component stacks.
-
-    Differentiable through min/max subgradients; disjoint pairs give 0.
-    """
-    ix = ad.minimum(acx + aw * 0.5, bcx + bw * 0.5) - ad.maximum(acx - aw * 0.5, bcx - bw * 0.5)
-    iy = ad.minimum(acy + ah * 0.5, bcy + bh * 0.5) - ad.maximum(acy - ah * 0.5, bcy - bh * 0.5)
-    inter = ad.maximum(ix, 0.0) * ad.maximum(iy, 0.0)
+    """Elementwise IoU between two box component stacks; disjoint pairs
+    give 0."""
+    ix = np.minimum(acx + aw * 0.5, bcx + bw * 0.5) - np.maximum(acx - aw * 0.5, bcx - bw * 0.5)
+    iy = np.minimum(acy + ah * 0.5, bcy + bh * 0.5) - np.maximum(acy - ah * 0.5, bcy - bh * 0.5)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     union = aw * ah + bw * bh - inter
     return inter / union
 

@@ -73,10 +73,16 @@ def loc_loss_map(gate, o_hat):
     return ad.record(out, [(o_hat, lambda g: -(g * gate * 2.0 * shortfall))])
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) without overflow: exp only ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _bce(p, z):
     """`bce_logits` on arrays."""
-    mag = ad.maximum(z, -z)
-    return ad.maximum(z, 0.0) - z * p + ad.log1p(ad.exp(-mag))
+    mag = np.maximum(z, -z)
+    return np.maximum(z, 0.0) - z * p + np.log1p(np.exp(-mag))
 
 
 def _bce_slope(p, z):
@@ -104,7 +110,7 @@ def focal_logits(p, z, alpha: float = 0.25, gamma: float = 2.0):
     2017); generic over ndarray/Tensor `z`."""
     zv = ad.values_of(z)
     sign = 2.0 * p - 1.0
-    one_minus_pt = ad.sigmoid(-sign * zv)
+    one_minus_pt = sigmoid(-sign * zv)
     alpha_t = alpha * p + (1.0 - alpha) * (1.0 - p)
     weight = alpha_t * one_minus_pt ** gamma
     ce = _bce(p, zv)

@@ -64,6 +64,10 @@ class TrainConfig:
             raise ValueError("lr0 must be finite and >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
+        if not 0 <= self.poly_power < math.inf:
+            raise ValueError("poly_power must be finite and >= 0")
+        if not (0.0 <= self.ao_threshold < 1.0):
+            raise ValueError("ao_threshold must be in [0, 1)")
         for key in ("max_iter", "batch_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")

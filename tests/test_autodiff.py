@@ -4,6 +4,88 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ponodet import autodiff as ad
 from ponodet.autodiff import Tape, backward, leaf, values_of
+from ponodet.loss import sigmoid as sigmoid_values
+
+# ---------------------------------------------------------------------
+# the elementwise op set: no training run records these (the loss head is
+# fused records with written-out vjps), so they live here, taped through
+# `ad.record`, as the vocabulary of the gradient oracles.  Each op runs on
+# plain arrays untaped, as the same numpy expression, and records one op
+# when an input is a Tensor; a broadcast operand's gradient is summed back
+# to its shape.
+# ---------------------------------------------------------------------
+
+
+def _binary(forward, pull_a, pull_b):
+    """An elementwise op of two operands; `pull_a(g, av, bv)` and
+    `pull_b(g, av, bv)` are the vjps before unbroadcasting."""
+    def op(a, b):
+        av, bv = values_of(a), values_of(b)
+        out = forward(av, bv)
+        if not ad._tracked(a, b):
+            return out
+        return ad.record(out, [
+            (a, lambda g: ad._unbroadcast(pull_a(g, av, bv), av.shape)),
+            (b, lambda g: ad._unbroadcast(pull_b(g, av, bv), bv.shape))])
+    return op
+
+
+def _unary(forward, pull):
+    """An elementwise op of one operand; `pull(g, xv, out)` is the vjp."""
+    def op(x):
+        xv = values_of(x)
+        out = forward(xv)
+        if not ad._tracked(x):
+            return out
+        return ad.record(out, [(x, lambda g: pull(g, xv, out))])
+    return op
+
+
+add = _binary(np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _binary(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+div = _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+# at ties minimum and maximum pass the gradient to the first argument
+minimum = _binary(np.minimum, lambda g, a, b: np.where(a <= b, g, 0.0),
+                  lambda g, a, b: np.where(a <= b, 0.0, g))
+maximum = _binary(np.maximum, lambda g, a, b: np.where(a >= b, g, 0.0),
+                  lambda g, a, b: np.where(a >= b, 0.0, g))
+
+neg = _unary(np.negative, lambda g, x, y: -g)
+exp = _unary(np.exp, lambda g, x, y: g * y)
+log1p = _unary(np.log1p, lambda g, x, y: g / (1.0 + x))
+sigmoid = _unary(sigmoid_values, lambda g, x, y: g * y * (1.0 - y))
+
+
+def power(x, p):
+    """x ** p for a constant exponent p."""
+    p = float(p)
+    return _unary(lambda xv: xv ** p, lambda g, xv, y: g * p * xv ** (p - 1.0))(x)
+
+
+def clip(x, lo, hi):
+    """Clamp to [lo, hi]; the gradient passes on the closed interval."""
+    return _unary(lambda xv: np.clip(xv, lo, hi),
+                  lambda g, xv, y: np.where((xv >= lo) & (xv <= hi), g, 0.0))(x)
+
+
+def take(x, key):
+    """Basic (slice/int/ellipsis/None) indexing."""
+    def pull(g, xv, y):
+        z = np.zeros_like(xv)
+        z[key] = g
+        return z
+
+    return _unary(lambda xv: xv[key], pull)(x)
+
+
+def mean(x, axis=None):
+    """Mean over `axis` (an int, a tuple or every axis): the sum divided by
+    the count, as ndarray.mean computes it."""
+    if not ad._tracked(x):
+        return values_of(x).mean(axis=axis)
+    total = x.sum(axis)
+    return div(total, x.values.size // total.values.size)
 
 
 def grad_check(f, inputs, step: float = 1e-4) -> float:
@@ -44,10 +126,10 @@ def make_leaves(tape, *arrays):
 
 class TestForward:
     def test_sigmoid_zero(self):
-        assert ad.sigmoid(np.array(0.0)) == 0.5
+        assert sigmoid_values(np.array(0.0)) == 0.5
 
     def test_sigmoid_saturation_finite(self):
-        v = ad.sigmoid(np.array([-1000.0, 1000.0]))
+        v = sigmoid_values(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(v))
         assert v[0] == 0.0 and v[1] == 1.0
 
@@ -100,13 +182,13 @@ class TestBackward:
     def test_product_rule(self):
         tape = ad.Tape()
         x, y = make_leaves(tape, 2.0, 3.0)
-        ad.backward(x * y)
+        ad.backward(mul(x, y))
         assert x.grad == 3.0 and y.grad == 2.0
 
     def test_accumulation_on_repeated_calls(self):
         tape = ad.Tape()
         x, y = make_leaves(tape, 2.0, 3.0)
-        z = x * y
+        z = mul(x, y)
         ad.backward(z)
         ad.backward(z)
         assert x.grad == 6.0
@@ -120,26 +202,26 @@ class TestBackward:
     def test_sum_linearity(self):
         tape = ad.Tape()
         (x,) = make_leaves(tape, [1.0, 2.0, 3.0])
-        ad.backward((2.0 * x).sum())
+        ad.backward(mul(2.0, x).sum())
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
     def test_broadcasting_unbroadcast(self):
         tape = ad.Tape()
         x = ad.leaf(np.ones((3, 4)), tape)
         y = ad.leaf(np.ones(4), tape)
-        ad.backward((x * y).sum())
+        ad.backward(mul(x, y).sum())
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
         np.testing.assert_array_equal(y.grad, 3 * np.ones(4))
 
     def test_min_max_ties_route_to_first(self):
         tape = ad.Tape()
         x, y = make_leaves(tape, [1.0, 5.0], [1.0, 2.0])
-        ad.backward(ad.maximum(x, y).sum())
+        ad.backward(maximum(x, y).sum())
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
         np.testing.assert_array_equal(y.grad, [0.0, 0.0])
         tape = ad.Tape()
         x, y = make_leaves(tape, [1.0, 5.0], [1.0, 2.0])
-        ad.backward(ad.minimum(x, y).sum())
+        ad.backward(minimum(x, y).sum())
         np.testing.assert_array_equal(x.grad, [1.0, 0.0])
         np.testing.assert_array_equal(y.grad, [0.0, 1.0])
 
@@ -167,15 +249,15 @@ class TestBackward:
 
 class TestGradCheck:
     def test_linear_exact(self):
-        err = grad_check(lambda x: (3.0 * x).sum(), [np.array([1.0, -2.0, 0.5])])
+        err = grad_check(lambda x: mul(3.0, x).sum(), [np.array([1.0, -2.0, 0.5])])
         assert err < 1e-8
 
     def test_composite_ops(self):
         rng = np.random.default_rng(1)
 
         def f(x, y):
-            z = ad.exp(x) * ad.sigmoid(y) + ad.log1p(ad.exp(-x))
-            return (z * z).mean()
+            z = add(mul(exp(x), sigmoid(y)), log1p(exp(neg(x))))
+            return mean(mul(z, z))
 
         err = grad_check(f, [rng.normal(size=5), rng.normal(size=5)])
         assert err < 1e-6
@@ -185,7 +267,7 @@ class TestGradCheck:
 
         def f(x, w, b):
             y = ad.conv2d(x, w, b, stride=2)
-            return (ad.upsample2(y) ** 2.0).sum()
+            return power(ad.upsample2(y), 2.0).sum()
 
         err = grad_check(
             f, [rng.normal(size=(2, 6, 6, 2)), rng.normal(size=(3, 3, 2, 3)),
@@ -197,7 +279,8 @@ class TestGradCheck:
 
         def f(x, y):
             z = ad.concat([x, y], axis=-1)
-            return (z[..., 0] * z[..., 3]).sum() + ad.reshape(z, -1).mean()
+            return mul(take(z, (..., 0)), take(z, (..., 3))).sum() \
+                + mean(ad.reshape(z, -1))
 
         err = grad_check(f, [rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))])
         assert err < 1e-7
@@ -206,13 +289,13 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
 
         def f(x):
-            return x.sum(axis=(0, 1)).mean() + x.mean(axis=0).sum()
+            return mean(x.sum(axis=(0, 1))) + mean(x, axis=0).sum()
 
         err = grad_check(f, [rng.normal(size=(3, 4, 2))])
         assert err < 1e-7
 
     def test_clip_away_from_kinks(self):
-        err = grad_check(lambda x: (ad.clip(x, -1.0, 1.0) ** 2.0).sum(),
+        err = grad_check(lambda x: power(clip(x, -1.0, 1.0), 2.0).sum(),
                             [np.array([-2.0, -0.5, 0.3, 1.7])])
         assert err < 1e-8
 
@@ -220,7 +303,7 @@ class TestGradCheck:
         # at a max tie the analytic subgradient goes to the first argument
         # (slope 1) while the central difference averages the two sides
         # (slope 0.5); such points are excluded from gradient checks
-        err = grad_check(lambda x: ad.maximum(x, 0.0).sum(), [np.array(0.0)])
+        err = grad_check(lambda x: maximum(x, 0.0).sum(), [np.array(0.0)])
         assert err == pytest.approx(0.5, abs=1e-6)
 
 
@@ -274,7 +357,7 @@ def col2im_input_grad(xv, wv, g, stride):
 def leaky_relu(z, leak):
     """Leaky ReLU composed from taped ops; at z = 0 `maximum` routes the
     gradient to its first argument, i.e. slope 1."""
-    return ad.maximum(z, leak * z)
+    return maximum(z, mul(leak, z))
 
 
 # (input stack shape, kernel shape, stride, pad); conv2d pads (kh - 1) // 2,
@@ -305,7 +388,7 @@ class TestConvOracle:
         xl, wl, bl = make_leaves(tape, x, w, b)
         out = ad.conv2d(xl, wl, bl, stride=stride)
         g = np.random.default_rng(7).normal(size=out.shape)
-        ad.backward((out * g).sum())
+        ad.backward(mul(out, g).sum())
         per_image = [ref_conv2d_vjps(x[k], w, g[k], stride, pad) for k in range(xs[0])]
         np.testing.assert_allclose(xl.grad, np.stack([gx for gx, _ in per_image]),
                                    rtol=1e-12, atol=1e-12)
@@ -319,14 +402,14 @@ class TestConvOracle:
         xl = ad.leaf(x, tape)
         out = ad.conv2d(xl, w, b, stride=stride, leak=0.1)
         g = np.random.default_rng(8).normal(size=out.shape)
-        ad.backward((out * g).sum())
+        ad.backward(mul(out, g).sum())
         z = ad.conv2d(x, w, b, stride=stride)
         want = col2im_input_grad(x, w, np.where(z >= 0, g, 0.1 * g), stride)
         np.testing.assert_allclose(xl.grad, want, rtol=1e-12, atol=1e-12)
 
     def test_grad_check(self, xs, ws, stride, pad):
         def f(x, w, b):
-            return (ad.conv2d(x, w, b, stride=stride) ** 2.0).sum()
+            return power(ad.conv2d(x, w, b, stride=stride), 2.0).sum()
 
         assert grad_check(f, list(self.inputs(xs, ws))) < 1e-6
 
@@ -343,7 +426,7 @@ class TestConvOracle:
                 out = ad.conv2d(*leaves, stride=stride, leak=0.1)
             else:
                 out = leaky_relu(ad.conv2d(*leaves, stride=stride), 0.1)
-            ad.backward((out ** 2.0).sum())
+            ad.backward(power(out, 2.0).sum())
             grads.append([lf.grad for lf in leaves])
         for a, c in zip(*grads):
             np.testing.assert_array_equal(a, c)
@@ -368,7 +451,7 @@ class TestConvLeak:
         assert np.abs(ad.conv2d(x, w, b)).min() > 1e-2
 
         def f(x, w, b):
-            return (ad.conv2d(x, w, b, stride=1, leak=self.LEAK) ** 2.0).sum()
+            return power(ad.conv2d(x, w, b, stride=1, leak=self.LEAK), 2.0).sum()
 
         assert grad_check(f, [x, w, b]) < 1e-6
 
@@ -404,7 +487,7 @@ class TestConvLeak:
             leaves = make_leaves(tape, x, w, b)
             out = ad.conv2d(*leaves, leak=self.LEAK) if fuse \
                 else leaky_relu(ad.conv2d(*leaves), self.LEAK)
-            ad.backward((out * g).sum())
+            ad.backward(mul(out, g).sum())
             grads.append([lf.grad for lf in leaves])
         for a, c in zip(*grads):
             np.testing.assert_array_equal(a, c)

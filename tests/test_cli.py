@@ -451,12 +451,12 @@ class TestFlagRanges:
     @pytest.fixture
     def started(self, monkeypatch):
         calls = []
-        for name in ("run_training", "load_run", "kmeans_anchors"):
+        for name in ("run_training", "load_run", "kmeans_anchors", "_read_config",
+                     "load_anchor_set"):
             monkeypatch.setattr(f"ponodet.cli.{name}",
                                 lambda *a, name=name, **k: calls.append(name))
-        monkeypatch.setattr(data_mod, "load_dataset",
-                            lambda *a, **k: calls.append("load_dataset"))
-        monkeypatch.setattr(data_mod, "generate", lambda *a, **k: calls.append("generate"))
+        for name in ("load_dataset", "load_annotations", "generate", "gen_spec_from_file"):
+            monkeypatch.setattr(data_mod, name, lambda *a, name=name, **k: calls.append(name))
         return calls
 
     @pytest.mark.parametrize("flag,value,message", [
@@ -487,6 +487,25 @@ class TestFlagRanges:
                     "--out", str(out), "-n", value]) == 1
         assert f"argument --count/-n: must be a whole number >= 1, got {value!r}" \
             in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("anchors", "--n-a", "0", "must be a whole number >= 1, got '0'"),
+        ("anchors", "--n-a", "1.5", "must be a whole number >= 1, got '1.5'"),
+        ("anchors", "--seed", "-1", "must be a whole number >= 0, got '-1'"),
+        ("anchors", "--seed", "x", "must be a whole number >= 0, got 'x'"),
+        ("gen-data", "--seed", "-1", "must be a whole number >= 0, got '-1'"),
+        ("train", "--seed", "-1", "must be a whole number >= 0, got '-1'")])
+    def test_setup_flags(self, workspace, tmp_path, capsys, started, command, flag,
+                         value, message):
+        inputs = {"anchors": ["--dataset", str(workspace / "ds")],
+                  "gen-data": ["--config", str(workspace / "genspec.txt"), "-n", "2"],
+                  "train": ["--config", str(workspace / "train.txt"),
+                            "--dataset", str(workspace / "ds"),
+                            "--anchors", str(workspace / "anchors.txt")]}
+        out = tmp_path / "out"
+        assert run([command, *inputs[command], "--out", str(out), flag, value]) == 1
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert started == [] and not out.exists()
 
 

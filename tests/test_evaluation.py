@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.evaluation import extract_detections, map_eval
 from ponodet.geometry import Detections, GroundTruth, decode_cxywh
+from ponodet.loss import sigmoid
 
 from test_geometry import dets_of, iou_oracle, nms_oracle, rows_of
 
@@ -18,7 +18,7 @@ def average_precision(dets_per_scene, gts, class_id, iou_match=0.5):
 def extract_oracle(logits, offsets, grid, score_min, nms_iou):
     """The former per-cell loop: decode each selected cell on its own, then
     the per-pair NMS oracle; (cx, cy, w, h, class_id, score) rows."""
-    scores = ad.sigmoid(logits)
+    scores = sigmoid(logits)
     rows = []
     for i, j, c, a in np.argwhere(scores >= score_min):
         b, o = grid.boxes[i, j, c, a], offsets[i, j, c, a]

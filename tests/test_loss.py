@@ -9,13 +9,14 @@ from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import Scene
-from ponodet.geometry import EXP_CLAMP, decode_cxywh, iou_cxywh
+from ponodet.geometry import EXP_CLAMP, decode_cxywh
 from ponodet.loss import (LOC_GATE, MODES, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, TrainConfig, anchor_grid,
                            train_iteration)
 
-from test_autodiff import grad_check
+from test_autodiff import (add, clip, div, exp, grad_check, log1p, maximum, mean,
+                           minimum, mul, neg, power, sigmoid, sub, take)
 from test_model import TabularPredictor
 
 
@@ -183,49 +184,70 @@ class TestSelfBalancingFixedPoint:
 
 
 # ---------------------------------------------------------------------
-# the elementwise head the fused records replaced, composed from Tensor
-# ops: the oracle for the written-out vjps
+# the elementwise head the fused records replaced, composed from the
+# elementwise ops: the oracle for the written-out vjps
 # ---------------------------------------------------------------------
+
+def elementwise_decode(acx, acy, aw, ah, dx, dy, dw, dh):
+    """`geometry.decode_cxywh`, one op per step."""
+    cx = add(acx, mul(dx, aw))
+    cy = add(acy, mul(dy, ah))
+    w = mul(aw, exp(clip(dw, -EXP_CLAMP, EXP_CLAMP)))
+    h = mul(ah, exp(clip(dh, -EXP_CLAMP, EXP_CLAMP)))
+    return cx, cy, w, h
+
+
+def elementwise_iou(acx, acy, aw, ah, bcx, bcy, bw, bh):
+    """`geometry.iou_cxywh`, one op per step: differentiable through the
+    min/max subgradients."""
+    ix = sub(minimum(add(acx, mul(aw, 0.5)), add(bcx, mul(bw, 0.5))),
+             maximum(sub(acx, mul(aw, 0.5)), sub(bcx, mul(bw, 0.5))))
+    iy = sub(minimum(add(acy, mul(ah, 0.5)), add(bcy, mul(bh, 0.5))),
+             maximum(sub(acy, mul(ah, 0.5)), sub(bcy, mul(bh, 0.5))))
+    inter = mul(maximum(ix, 0.0), maximum(iy, 0.0))
+    union = sub(add(mul(aw, ah), mul(bw, bh)), inter)
+    return div(inter, union)
+
 
 def elementwise_pred_iou(grid, offsets, assignment):
     b = grid.boxes
-    cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
-                                offsets[..., 0], offsets[..., 1],
-                                offsets[..., 2], offsets[..., 3])
+    cx, cy, w, h = elementwise_decode(
+        b[..., 0], b[..., 1], b[..., 2], b[..., 3],
+        *(take(offsets, (..., k)) for k in range(4)))
     g = assignment.gt_box
-    return iou_cxywh(cx, cy, w, h, g[..., 0], g[..., 1], g[..., 2], g[..., 3]) \
-        * (assignment.gt_index != UNASSIGNED)
+    return mul(elementwise_iou(cx, cy, w, h, g[..., 0], g[..., 1], g[..., 2], g[..., 3]),
+               assignment.gt_index != UNASSIGNED)
 
 
 def elementwise_loc_loss_map(gate, o_hat):
-    return gate * (1.0 - o_hat) ** 2.0
+    return mul(gate, power(sub(1.0, o_hat), 2.0))
 
 
 def elementwise_bce(p, z):
-    mag = ad.maximum(z, -z)
-    return ad.maximum(z, 0.0) - z * p + ad.log1p(ad.exp(-mag))
+    mag = maximum(z, neg(z))
+    return add(sub(maximum(z, 0.0), mul(z, p)), log1p(exp(neg(mag))))
 
 
 def elementwise_focal(p, z, alpha=0.25, gamma=2.0):
     sign = 2.0 * p - 1.0
-    one_minus_pt = ad.sigmoid(-sign * z)
+    one_minus_pt = sigmoid(mul(-sign, z))
     alpha_t = alpha * p + (1.0 - alpha) * (1.0 - p)
-    return alpha_t * one_minus_pt ** gamma * elementwise_bce(p, z)
+    return mul(mul(alpha_t, power(one_minus_pt, gamma)), elementwise_bce(p, z))
 
 
 def elementwise_totals(loc_sums, cls_sums, n_pos, n_total, mode, bw=None):
     if mode == "learned":
-        loc = ad.exp(-bw["bw.s_loc"]) * (
-            (ad.exp(-bw["bw.s_loc_grid"]) * loc_sums).sum() / n_pos)
-        cls = ad.exp(-bw["bw.s_cls"]) * (
-            (ad.exp(-bw["bw.s_cls_grid"]) * cls_sums).sum() / n_total)
+        loc = mul(exp(neg(bw["bw.s_loc"])),
+                  div(mul(exp(neg(bw["bw.s_loc_grid"])), loc_sums).sum(), n_pos))
+        cls = mul(exp(neg(bw["bw.s_cls"])),
+                  div(mul(exp(neg(bw["bw.s_cls_grid"])), cls_sums).sum(), n_total))
         reg = bw["bw.s_cls"] + bw["bw.s_loc"] \
-            + (bw["bw.s_cls_grid"] + bw["bw.s_loc_grid"]).mean()
+            + mean(bw["bw.s_cls_grid"] + bw["bw.s_loc_grid"])
     elif mode == "unit":
-        loc, cls, reg = loc_sums.sum() / n_pos, cls_sums.sum() / n_total, 0.0
+        loc, cls, reg = div(loc_sums.sum(), n_pos), div(cls_sums.sum(), n_total), 0.0
     else:
-        loc = loc_sums.sum() / n_pos
-        cls = (n_total / n_pos) * (cls_sums.sum() / n_total)
+        loc = div(loc_sums.sum(), n_pos)
+        cls = mul(n_total / n_pos, div(cls_sums.sum(), n_total))
         reg = 0.0
     return loc, cls, reg
 

@@ -735,6 +735,12 @@ class TestConfigParsing:
         (TrainConfig, "flip", "maybe", "flip: 'maybe' is not one of true, yes, 1,"),
         (TrainConfig, "lr0", "inf", "lr0 must be finite and >= 0"),
         (TrainConfig, "lr0", "nan", "lr0 must be finite and >= 0"),
+        (TrainConfig, "poly_power", "nan", "poly_power must be finite and >= 0"),
+        (TrainConfig, "poly_power", "inf", "poly_power must be finite and >= 0"),
+        (TrainConfig, "poly_power", "-0.5", "poly_power must be finite and >= 0"),
+        (TrainConfig, "ao_threshold", "nan", "ao_threshold must be in [0, 1)"),
+        (TrainConfig, "ao_threshold", "1", "ao_threshold must be in [0, 1)"),
+        (TrainConfig, "ao_threshold", "-0.1", "ao_threshold must be in [0, 1)"),
         (TrainConfig, "batch_size", "0", "batch_size must be >= 1"),
         (TrainConfig, "checkpoint_every", "-1", "checkpoint_every must be >= 0"),
         (TrainConfig, "seed", "-1", "seed must be >= 0"),
