@@ -2,15 +2,23 @@
 
 Anchor shapes come from k-means over the (w, h) pairs of each class
 independently, with distance 1 - IoU of the two shapes aligned at a common
-center.  The centroid update minimizes the within-cluster cost directly,
-so the clustering objective never increases and the single-cluster
-solution matches an exhaustive grid search.  It is a multi-start compass
-search in log (w, h): every start moves at once, each round scoring all
-starts' 3 x 3 moves against all cluster members in one array op, and each
-start halves its own step when no move lowers its cost.  The cost is
-piecewise smooth with kinks at the members' sides, where optima often sit,
-so the search runs its step down to `_STEP_TOL` rather than relying on a
+center.  The centroid update minimizes the within-cluster cost directly
+and keeps a new shape only when it strictly lowers that cost, so the
+clustering objective never increases.  The update is a compass search in
+log (w, h): every start moves at once, each round scoring all starts'
+3 x 3 moves against all cluster members in one array op, and each start
+halves its own step when no move lowers its cost.  The cost is piecewise
+smooth with kinks at the members' sides, where optima often sit, so the
+search runs its step down to `_STEP_TOL` rather than relying on a
 gradient.
+
+Lloyd's loop runs in two phases.  While members still move between
+clusters, each centroid takes one search started from itself, since it is
+already near its cluster's optimum.  Once a step changes nothing, every
+later step uses the multi-start search (the mean, up to `_MAX_STARTS`
+members and the centroid), so the loop stops only at a fixed point of the
+multi-start update, and a single cluster matches an exhaustive grid
+search.
 """
 
 from __future__ import annotations
@@ -162,8 +170,19 @@ def _farthest_point_init(shapes: np.ndarray, k: int,
 
 def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
                       max_iter: int) -> np.ndarray:
+    """Lloyd's algorithm under the 1 - IoU distance, in two phases.
+
+    Each step assigns every shape to its nearest centroid and then moves
+    each centroid only when its new shape strictly lowers the cluster cost.
+    Until the first step that changes nothing, a centroid's new shape is
+    one compass search started from the centroid itself.  From that step
+    on, every step uses the multi-start `_best_shape`, and the loop ends
+    at the first multi-start step that changes nothing.  `max_iter` caps
+    the steps of both phases together.
+    """
     centroids = _farthest_point_init(shapes, n_a, rng)
     assign = None
+    multistart = False
     for _ in range(max_iter):
         d = 1.0 - wh_iou(shapes[:, None, :], centroids[None, :, :])
         new_assign = np.argmin(d, axis=1)
@@ -186,12 +205,17 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
             members = shapes[new_assign == k]
             if members.size == 0:
                 continue
-            cand = _best_shape(members, centroids[k])
+            if multistart:
+                cand = _best_shape(members, centroids[k])
+            else:
+                cand = _local_search(centroids[k][None], members)[0][0]
             if _cluster_cost(cand, members) < _cluster_cost(centroids[k], members):
                 centroids[k] = cand
                 moved = True
         if assign is not None and np.array_equal(assign, new_assign) and not moved:
-            break
+            if multistart:
+                break
+            multistart = True
         assign = new_assign
     return centroids
 

@@ -1,3 +1,4 @@
+import functools
 import re
 from types import SimpleNamespace
 
@@ -79,6 +80,56 @@ def nm_best_shape(members: np.ndarray,
             if cost < best_cost:
                 best, best_cost = np.asarray(cand, dtype=np.float64), cost
     return best
+
+
+# The k-means loop before the two-phase form, kept as its reference: the
+# multi-start centroid update at every Lloyd step.
+
+def multistart_lloyd(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
+                     max_iter: int) -> np.ndarray:
+    centroids = anchors._farthest_point_init(shapes, n_a, rng)
+    assign = None
+    for _ in range(max_iter):
+        d = 1.0 - wh_iou(shapes[:, None, :], centroids[None, :, :])
+        new_assign = np.argmin(d, axis=1)
+        for k in range(n_a):
+            if np.any(new_assign == k):
+                continue
+            order = np.argsort(-d[np.arange(len(shapes)), new_assign],
+                               kind="stable")
+            for i in order:
+                i = int(i)
+                if np.sum(new_assign == new_assign[i]) > 1:
+                    new_assign[i] = k
+                    centroids[k] = shapes[i]
+                    break
+        moved = False
+        for k in range(n_a):
+            members = shapes[new_assign == k]
+            if members.size == 0:
+                continue
+            cand = anchors._best_shape(members, centroids[k])
+            if _cluster_cost(cand, members) < _cluster_cost(centroids[k], members):
+                centroids[k] = cand
+                moved = True
+        if assign is not None and np.array_equal(assign, new_assign) and not moved:
+            break
+        assign = new_assign
+    return centroids
+
+
+@functools.cache
+def pinned_split(name: str) -> tuple[list, int]:
+    """A pinned benchmark's training-box sizes per class and its k-means seed."""
+    bench = crowded_benchmark() if name == "crowded" else imbalanced_benchmark()
+    gts = [s.gt for s in generate(bench.gen, bench.n_train)]
+    return sizes_per_class(gts, bench.gen.n_classes), bench.train_cfg.seed
+
+
+def oracle_anchors(sizes: list, n_a: int, seed: int, monkeypatch) -> AnchorSet:
+    with monkeypatch.context() as m:
+        m.setattr(anchors, "_kmeans_one_class", multistart_lloyd)
+        return kmeans_anchors(sizes, n_a, seed)
 
 
 class TestWhIoU:
@@ -171,6 +222,54 @@ class TestKmeans:
             cost = _cluster_cost(anchors._best_shape(members), members)
             assert cost <= _cluster_cost(nm_best_shape(members), members) + 1e-12
             assert cost <= grid_search_single_shape(members)[1] + 1e-6
+
+    @pytest.mark.parametrize("name,n_a", [("crowded", 2), ("imbalanced", 3)])
+    def test_pinned_split_matches_multistart_oracle(self, name, n_a, monkeypatch):
+        sizes, seed = pinned_split(name)
+        got = kmeans_anchors(sizes, n_a, seed)
+        want = oracle_anchors(sizes, n_a, seed, monkeypatch)
+        np.testing.assert_array_equal(got.shapes, want.shapes)
+
+    def test_imbalanced_five_anchors_within_multistart_oracle(self, monkeypatch):
+        sizes, seed = pinned_split("imbalanced")
+        got = kmeans_anchors(sizes, 5, seed)
+        want = oracle_anchors(sizes, 5, seed, monkeypatch)
+        np.testing.assert_allclose(got.shapes, want.shapes, rtol=1e-12, atol=0)
+        got_obj, want_obj = (per_class_objective(a, sizes) for a in (got, want))
+        assert all(g <= w + 1e-12 for g, w in zip(got_obj, want_obj)), (got_obj, want_obj)
+
+    def test_single_start_steps_then_multistart_to_the_fixed_point(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        shapes, n_a, max_iter = rng.uniform(5, 60, size=(100, 2)), 3, 60
+        calls = []
+        local_search, best_shape = anchors._local_search, anchors._best_shape
+
+        def spy_local(starts, members):
+            # `_best_shape` searches from at least three starts
+            if len(starts) == 1:
+                calls.append("local")
+            return local_search(starts, members)
+
+        def spy_best(members, current=None):
+            calls.append("best")
+            return best_shape(members, current)
+
+        monkeypatch.setattr(anchors, "_local_search", spy_local)
+        monkeypatch.setattr(anchors, "_best_shape", spy_best)
+        centroids = anchors._kmeans_one_class(shapes, n_a, np.random.default_rng(0),
+                                              max_iter)
+        n_local, n_best = calls.count("local"), calls.count("best")
+        # every cluster is non-empty at every step, so each step makes n_a calls
+        assert calls == ["local"] * n_local + ["best"] * n_best, calls
+        assert n_local % n_a == 0 and n_best % n_a == 0
+        assert n_local >= 2 * n_a and n_best >= n_a
+        assert (n_local + n_best) // n_a < max_iter  # converged, not capped
+        # the last, multi-start step changed nothing: the result is its fixed point
+        assign = np.argmin(1.0 - wh_iou(shapes[:, None, :], centroids[None]), axis=1)
+        for k in range(n_a):
+            members = shapes[assign == k]
+            assert not (_cluster_cost(best_shape(members, centroids[k]), members)
+                        < _cluster_cost(centroids[k], members))
 
     def test_empty_class_error_names_class(self):
         with pytest.raises(ValueError, match="class 1"):

@@ -6,6 +6,11 @@ somewhere a run reaches it from: its own module, another package module,
 the benchmark harness (`bench/`), the scripts (`scripts/`) or the entry
 points in `pyproject.toml`.  Code that only tests use belongs in the
 tests.  `__init__.py` re-exports names, so an import there is not a use.
+Outside its own module a name of module `m` is read only when read
+qualified: `from .m import name`, `alias.name` with `alias` bound to
+module `m`, or a `("ponodet.m", "name")` string pair, which is how the
+bench tracer names its targets.  An unrelated name that happens to match
+does not keep it alive.
 A public `autodiff` name must be read by another package module,
 `bench/` or `scripts/`: its op set is what training records, and an op
 that only `autodiff`'s own code calls (a Tensor operator calling a free
@@ -43,40 +48,95 @@ def defined_names(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Identifiers a module reads: loaded names, attributes, imported names."""
-    used = set()
+def _imported_module(module: str | None, level: int) -> str | None:
+    """The `ponodet` module an import names: "" for the package itself,
+    None outside `ponodet`.  A relative import is one from a package
+    module."""
+    if level == 1:
+        return module or ""
+    if module == "ponodet":
+        return ""
+    if module and module.startswith("ponodet."):
+        return module[len("ponodet."):]
+    return None
+
+
+def qualified_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) pairs a file reads qualified: `from .m import name`,
+    `alias.name` with `alias` bound to module `m`, and `("ponodet.m",
+    "name")` string pairs ("name" may be "Class.method")."""
+    reads, aliases = set(), {}  # aliases: local name -> module
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
-    return used
+        if isinstance(node, ast.ImportFrom):
+            base = _imported_module(node.module, node.level)
+            for alias in node.names if base is not None else ():
+                if base:
+                    reads.add((base, alias.name))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in node.elts[:2]):
+            base = _imported_module(node.elts[0].value, 0)
+            if base:
+                reads.add((base, node.elts[1].value.split(".")[0]))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and aliases.get(node.value.id)):
+            reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Bare names a module reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_public_src_name_is_used_outside_the_tests():
-    modules = {p: parse(p) for p in sorted(PACKAGE.glob("*.py"))
-               if p.name != "__init__.py"}
-    outside = set()
-    for path in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
-        outside |= used_names(parse(path))
-    outside |= set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
-    uses = {p: used_names(tree) for p, tree in modules.items()}
-
+def unused_public_names(modules: dict[str, ast.Module], outside: list[ast.Module],
+                        pyproject: str) -> list[str]:
+    """`file: name` for each public name of a package module (keyed by
+    file name) that nothing in the rule above reads."""
+    reads = set().union(*map(qualified_reads, [*modules.values(), *outside]))
+    words = set(re.findall(r"\w+", pyproject))
     unused = []
-    for path, tree in modules.items():
-        elsewhere = set().union(*(u for q, u in uses.items() if q != path))
-        own = set() if path.name in OWN_READS_DO_NOT_COUNT else uses[path]
-        for name in defined_names(tree):
-            if name not in own | elsewhere | outside:
-                unused.append(f"{path.name}: {name}")
+    for filename, tree in modules.items():
+        module = filename.removesuffix(".py")
+        own = set() if filename in OWN_READS_DO_NOT_COUNT else loaded_names(tree)
+        unused += [f"{filename}: {name}" for name in defined_names(tree)
+                   if (module, name) not in reads and name not in own | words]
+    return unused
+
+
+def test_every_public_src_name_is_used_outside_the_tests():
+    modules = {p.name: parse(p) for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    outside = [parse(p) for p in sorted((ROOT / "bench").glob("*.py"))
+               + sorted((ROOT / "scripts").glob("*.py"))]
+    unused = unused_public_names(modules, outside,
+                                 (ROOT / "pyproject.toml").read_text())
     assert not unused, "names only tests use: " + ", ".join(unused)
+
+
+def test_an_unrelated_name_does_not_count_as_a_use():
+    modules = {name: ast.parse(src) for name, src in {
+        "ops.py": "def sub(a, b):\n    return a - b\n\n"
+                  "def add(a, b):\n    return a + b\n\n"
+                  "def mul(a, b):\n    return a * b\n\n"
+                  "def neg(a):\n    return -a\n",
+        # a local `sub` and a `.sub` attribute that are not ops.sub
+        "cli.py": "from .ops import add\n\n"
+                  "def main(parser):\n    sub = parser.sub\n    return add(sub, 1)\n",
+    }.items()}
+    outside = [ast.parse("from ponodet import ops as o\n"
+                         "PROBES = [('ponodet.ops', 'neg', 'ops.neg')]\n"
+                         "def f(x):\n    return o.mul(x, x)\n")]
+    assert unused_public_names(modules, outside, "main = 'ponodet.cli:main'") \
+        == ["ops.py: sub"]
 
 
 def read_attributes(tree: ast.Module) -> set[str]:
