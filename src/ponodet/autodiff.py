@@ -6,11 +6,11 @@ construction and ``backward`` replays it in reverse exactly once per node.
 The op set is what one training iteration records: the network's
 ``conv2d`` (bias and leaky ReLU in the same record), ``upsample2``,
 ``concat`` and ``reshape`` on channels-last image stacks [N, H, W, C], so
-one record serves a whole batch; ``Tensor.sum`` and ``+`` for the loss
-totals; and the loss head, whose functions compute their forward on
-arrays and append one record with a written-out vjp through ``record``.
-The network ops return plain arrays, untracked, when no input is a
-Tensor.
+one record serves a whole batch; and the loss head, whose functions
+compute their forward on arrays and append one record with a written-out
+vjp through ``record``, down to the scalar total.  A Tensor has no
+arithmetic of its own.  The network ops return plain arrays, untracked,
+when no input is a Tensor.
 """
 
 from __future__ import annotations
@@ -50,24 +50,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.values.shape
 
-    def __add__(self, other):
-        """`self + other` for a Tensor or a constant `other`; each gradient
-        is summed back over the axes its operand was broadcast along."""
-        av, bv = self.values, values_of(other)
-        return record(av + bv, [(self, lambda g: _unbroadcast(g, av.shape)),
-                                (other, lambda g: _unbroadcast(g, bv.shape))])
-
-    def sum(self, axis=None):
-        """Sum over `axis` (an int, a tuple or every axis), as ndarray.sum."""
-        xv = self.values
-        axes = range(xv.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
-        axes = tuple(a % xv.ndim for a in axes)
-
-        def vjp(g):
-            return np.broadcast_to(np.expand_dims(g, axes), xv.shape)
-
-        return record(xv.sum(axis=axis), [(self, vjp)])
-
 
 def leaf(values, tape: Tape) -> Tensor:
     """Create a differentiable leaf bound to `tape`."""
@@ -98,19 +80,6 @@ def record(out_values: np.ndarray, pulls, pre=None) -> Tensor:
 
 def _tracked(*xs) -> bool:
     return any(isinstance(x, Tensor) for x in xs)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    squash = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if squash:
-        g = g.sum(axis=squash, keepdims=True)
-    return g.reshape(shape)
 
 
 def backward(root: Tensor) -> None:

@@ -2,13 +2,14 @@
 
 The localization term penalizes the squared shortfall of the predicted-box
 overlap on well-covered cells; classification is per-cell binary cross
-entropy (focal variant available for the ablation).  Totals are weighted by
-trainable multipliers, one pair globally and one pair per (class, anchor)
-grid, parameterized as lambda = exp(-s) so they stay positive.  A
-regularizer of the s values keeps the multipliers from collapsing to zero,
-and grids that saw no positive label in an iteration have their s entries
-frozen (gradient zeroed, regularizer included) so easy all-negative grids
-cannot inflate their own weights.
+entropy (focal variant available for the ablation).  The maps' per-grid
+sums are weighted by trainable multipliers, one pair globally and one pair
+per (class, anchor) grid, parameterized as lambda = exp(-s) so they stay
+positive.  A regularizer of the s values keeps the multipliers from
+collapsing to zero; sums, weights and regularizer make one tape record,
+the total.  Grids that saw no positive label in an iteration have their s
+entries frozen (gradient zeroed, regularizer included) so easy
+all-negative grids cannot inflate their own weights.
 """
 
 from __future__ import annotations
@@ -132,71 +133,68 @@ def focal_logits(p, z, alpha: float = 0.25, gamma: float = 2.0):
 # weighted totals
 # ---------------------------------------------------------------------
 
-def _term(sums, norm: float, s=None, s_grid=None, scale: float = 1.0):
-    """One loss term, lam * (sum(lam_grid * sums) / norm), with
-    lam = exp(-s) and lam_grid = exp(-s_grid) when `s` is given, else
-    lam = `scale` and lam_grid = 1; one record if any input is a Tensor."""
-    sums_v = ad.values_of(sums)
-    lam = scale if s is None else np.exp(-ad.values_of(s))
-    lam_grid = None if s is None else np.exp(-ad.values_of(s_grid))
-    inner = (sums_v if lam_grid is None else lam_grid * sums_v).sum() / norm
-    out = lam * inner
-    if not any(isinstance(x, ad.Tensor) for x in (sums, s, s_grid)):
-        return out
-
-    def d_sums(g):
-        d = g * lam / norm
-        return np.full(sums_v.shape, d) if lam_grid is None else d * lam_grid
-
-    pulls = [(sums, d_sums)]
-    if s is not None:
-        pulls += [(s, lambda g: -(g * inner * lam)),
-                  (s_grid, lambda g: -(g * lam / norm * sums_v * lam_grid))]
-    return ad.record(out, pulls)
-
-
-def _regularizer(bw):
-    """s_cls + s_loc + mean(s_cls_grid + s_loc_grid), one record if the
-    weights are Tensors."""
-    s_cls, s_loc, cls_grid, loc_grid = (bw[key] for key in (
-        "bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"))
-    grid = ad.values_of(cls_grid) + ad.values_of(loc_grid)
-    out = ad.values_of(s_cls) + ad.values_of(s_loc) + grid.mean()
-    if not isinstance(s_cls, ad.Tensor):
-        return out
-
-    def d_grid(g):
-        return np.full(grid.shape, g / grid.size)
-
-    return ad.record(out, [(s_cls, lambda g: g), (s_loc, lambda g: g),
-                           (cls_grid, d_grid), (loc_grid, d_grid)])
-
-
-def weighted_totals(loc_sums, cls_sums, n_pos: float, n_total: float,
+def weighted_totals(loc_map, cls_map, n_pos: float, n_total: float,
                     mode: str, bw=None):
-    """Combine per-grid loss sums [n_classes, n_anchors] into the three
-    loss terms, each one tape record when it has Tensor inputs.  Generic
-    over ndarray/Tensor inputs; `bw` maps the `initial_balance` keys to the
-    s values and is read in `learned` mode only.
+    """The balanced loss of the loss maps [..., n_classes, n_anchors]:
+    each map is summed per grid over its leading axes into `sums`, and its
+    term is lam * sum(lam_grid * sums) / norm, normalized by `n_pos` for
+    localization and by `n_total` for classification.  Returns (total,
+    loc, cls, reg): the total is one tape record when any input is a
+    Tensor, and the three terms are floats.  `bw` maps the
+    `initial_balance` keys to the s values and is read in `learned` mode
+    only.
 
-    learned      -- every term scaled by its exp(-s) multiplier, plus the
-                    s regularizer.
+    learned      -- lam = exp(-s) and lam_grid = exp(-s_grid) for each
+                    term, plus the regularizer
+                    s_cls + s_loc + mean(s_cls_grid + s_loc_grid).
     unit         -- all multipliers 1, no regularizer.
-    retina_norm  -- multipliers 1 except the classification weight pinned
+    retina_norm  -- multipliers 1 except the classification lam pinned
                     at n_total / n_pos, no regularizer.
     """
+    def term(loss_map, norm, s=None, s_grid=None, lam=1.0):
+        """The term's value, its map's pull and the pulls to s and s_grid."""
+        values = ad.values_of(loss_map)
+        sums = values.sum(axis=tuple(range(values.ndim - 2)))
+        lam_grid = None
+        if s is not None:
+            lam, lam_grid = np.exp(-ad.values_of(s)), np.exp(-ad.values_of(s_grid))
+        inner = (sums if lam_grid is None else lam_grid * sums).sum() / norm
+
+        def d_map(g):
+            d = g * lam / norm
+            d = np.full(sums.shape, d) if lam_grid is None else d * lam_grid
+            return np.broadcast_to(d, values.shape)
+
+        s_pulls = [] if s is None else [
+            (s, lambda g: -(g * inner * lam)),
+            (s_grid, lambda g: -(g * lam / norm * sums * lam_grid))]
+        return lam * inner, (loss_map, d_map), s_pulls
+
     if mode == "learned":
-        loc = _term(loc_sums, n_pos, bw["bw.s_loc"], bw["bw.s_loc_grid"])
-        cls = _term(cls_sums, n_total, bw["bw.s_cls"], bw["bw.s_cls_grid"])
-        reg = _regularizer(bw)
-    elif mode == "unit":
-        loc = _term(loc_sums, n_pos)
-        cls = _term(cls_sums, n_total)
-        reg = 0.0
-    elif mode == "retina_norm":
-        loc = _term(loc_sums, n_pos)
-        cls = _term(cls_sums, n_total, scale=n_total / n_pos)
-        reg = 0.0
+        loc, loc_pull, loc_s = term(loc_map, n_pos, bw["bw.s_loc"], bw["bw.s_loc_grid"])
+        cls, cls_pull, cls_s = term(cls_map, n_total, bw["bw.s_cls"], bw["bw.s_cls_grid"])
+        s_cls, s_loc, cls_grid, loc_grid = (bw[key] for key in (
+            "bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"))
+        grid = ad.values_of(cls_grid) + ad.values_of(loc_grid)
+        reg = ad.values_of(s_cls) + ad.values_of(s_loc) + grid.mean()
+
+        def d_grid(g):
+            return np.full(grid.shape, g / grid.size)
+
+        # each s leaf takes its regularizer pull first, then its term's
+        s_pulls = [(s_cls, lambda g: g), (s_loc, lambda g: g), (cls_grid, d_grid),
+                   (loc_grid, d_grid), *cls_s, *loc_s]
+    elif mode in MODES:
+        loc, loc_pull, _ = term(loc_map, n_pos)
+        cls, cls_pull, _ = term(cls_map, n_total,
+                                lam=n_total / n_pos if mode == "retina_norm" else 1.0)
+        reg, s_pulls = 0.0, []
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return loc, cls, reg
+    total = (loc + cls) + reg
+    pulls = [loc_pull, cls_pull, *s_pulls]
+    if any(isinstance(x, ad.Tensor) for x, _ in pulls):
+        total = ad.record(total, pulls)
+    else:
+        total = float(total)
+    return total, float(loc), float(cls), float(reg)

@@ -7,16 +7,15 @@ overlaps inside label computation are plain data; the localization loss
 is the only gradient path into the offsets.
 
 A batch is one array problem: its images are stacked on a leading scene
-axis and go through one taped forward, one predicted-overlap map, one
-loss map and one set of per-grid sums [N, h, w, nc, na] -> [nc, na].
-The training scenes live in a `SceneBank` on one anchor grid.  A scene's
-mirror image and the `Assignment` of each scene variant (plain or
-mirrored) against the grid never change, so the bank computes each on
-first use and keeps it for as long as its owner keeps the bank: one
-`run_training` call for a plain scene list, every cell of an ablation for
-a bank the cells share.  The batch's records are stacked each iteration,
-and the gate and labels read off them depend on the config and are
-recomputed each iteration.  Batch losses are the sums over the batch's
+axis and go through one taped forward, one predicted-overlap map and one
+pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums
+per grid and weights in one record.  The training scenes live in a
+`SceneBank` on one anchor grid.  A scene's mirror image and the
+`Assignment` of each scene variant (plain or mirrored) against the grid
+never change, so the bank computes each on first use and keeps it for as
+long as its owner keeps the bank: every cell of an ablation shares one.
+The batch's records are stacked each iteration, and the gate and labels
+read off them depend on the config and are recomputed each iteration.  Batch losses are the sums over the batch's
 scenes divided by the summed positive counts (equivalently: maps averaged
 before weighting).  The batch RNG is derived from (seed, iteration), which
 makes checkpoint resume bit-exact without serializing generator state,
@@ -203,12 +202,10 @@ def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
 
 
 def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
-                    bank: SceneBank | None = None) -> LossReport:
+                    bank: SceneBank) -> LossReport:
     """One optimizer step over a batch of scenes, as one taped pass over
     the stacked batch.  The scenes' assignments come from `bank`, which
-    must be on the state's grid; without one they are computed afresh."""
-    if bank is None:
-        bank = SceneBank(batch, state.grid)
+    must be on the state's grid."""
     tape = ad.Tape()
     learned = cfg.mode == "learned"
     # learned mode trains the balance weights as more parameters, after
@@ -228,17 +225,11 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
         cls_map = loss_mod.bce_logits(labels.astype(np.float64), out.logits)
     else:
         cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
-    loc_sums = loc_map.sum(axis=(0, 1, 2))
-    cls_sums = cls_map.sum(axis=(0, 1, 2))
     n_pos = int(gate.sum())
     per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
-
-    n_pos_eff = max(1, n_pos)
     n_total = len(batch) * state.grid.boxes.size // 4
-    loc, cls, reg = loss_mod.weighted_totals(loc_sums, cls_sums, n_pos_eff,
-                                             n_total, cfg.mode, params)
-    total = loc + cls + reg
-
+    total, loc, cls, reg = loss_mod.weighted_totals(loc_map, cls_map, max(1, n_pos),
+                                                    n_total, cfg.mode, params)
     ad.backward(total)
     # every taped tensor points at the tape and the tape's records point
     # back at them; dropping the records frees the iteration's tensors and
@@ -259,26 +250,21 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
              lr_at(state.iteration, cfg), cfg.momentum)
     state.iteration += 1
 
-    loc_f, cls_f, reg_f = float(ad.values_of(loc)), float(ad.values_of(cls)), \
-        float(ad.values_of(reg))
-    return LossReport(total=loc_f + cls_f + reg_f, loc=loc_f, cls=cls_f,
-                      reg=reg_f, n_pos=n_pos, per_grid_pos=per_grid_pos)
+    return LossReport(total=loc + cls + reg, loc=loc, cls=cls, reg=reg,
+                      n_pos=n_pos, per_grid_pos=per_grid_pos)
 
 
-def run_training(state: RunState, scenes: list[Scene] | SceneBank,
-                 cfg: TrainConfig, log_path=None,
-                 checkpoint_dir=None) -> list[LossReport]:
+def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
+                 log_path=None, checkpoint_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
-    Batches and optional horizontal flips of the scenes are drawn from the
-    per-iteration RNG.  `scenes` is a `SceneBank` on the state's grid, whose
-    mirrors and assignments outlive the call, or a plain list, which gets a
-    bank of its own for this call only; a bank on another grid raises
-    ValueError.  A run from iteration 0 starts `log_path` afresh; a resumed
-    run appends to it.  A non-finite loss raises FloatingPointError naming
-    the iteration, before that iteration is logged or checkpointed.
+    Batches and optional horizontal flips of the bank's scenes are drawn
+    from the per-iteration RNG.  The bank's mirrors and assignments outlive
+    the call; a bank on another grid than the state's raises ValueError.
+    A run from iteration 0 starts `log_path` afresh; a resumed run appends
+    to it.  A non-finite loss raises FloatingPointError naming the
+    iteration, before that iteration is logged or checkpointed.
     """
-    bank = scenes if isinstance(scenes, SceneBank) else SceneBank(scenes, state.grid)
     if not (bank.grid.feat_stride == state.grid.feat_stride
             and np.array_equal(bank.grid.boxes, state.grid.boxes)):
         raise ValueError("the scene bank is on another anchor grid than the run")

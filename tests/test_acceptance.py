@@ -20,9 +20,9 @@ from ponodet.geometry import Detections, pairwise_iou
 from ponodet.loss import (bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.model import ToyNetConfig
-from ponodet.train import RunState, TrainConfig, run_training, sgd_step
+from ponodet.train import RunState, SceneBank, TrainConfig, run_training, sgd_step
 
-from test_autodiff import grad_check, take
+from test_autodiff import grad_check, reduce_sum, take
 from test_evaluation import average_precision, brute_force_ap
 from test_geometry import iou_oracle
 from test_anchors import grid_search_single_shape
@@ -164,17 +164,17 @@ def test_c02_gradient_suite():
         stacked = Assignment.stack([am])
 
         def f_off(t):
-            return loc_loss_map(gate, take(pred_iou_values(grid, take(t, None), stacked),
-                                           0)).sum()
+            return reduce_sum(loc_loss_map(
+                gate, take(pred_iou_values(grid, take(t, None), stacked), 0)))
 
         worst["offsets"] = max(worst["offsets"], grad_check(f_off, [offs]))
 
         labels = (rng.uniform(0, 1, gate.shape) > 0.5).astype(float)
         z = rng.normal(0, 2.5, gate.shape)
         worst["logits_ce"] = max(worst["logits_ce"], grad_check(
-            lambda t: bce_logits(labels, t).sum(), [z]))
+            lambda t: reduce_sum(bce_logits(labels, t)), [z]))
         worst["logits_fl"] = max(worst["logits_fl"], grad_check(
-            lambda t: focal_logits(labels, t).sum(), [z]))
+            lambda t: reduce_sum(focal_logits(labels, t)), [z]))
 
         nc, na = gate.shape[2], gate.shape[3]
         loc_sums = rng.uniform(0.05, 3, (nc, na))
@@ -182,8 +182,7 @@ def test_c02_gradient_suite():
 
         def f_s(*s):
             bw = dict(zip(initial_balance(nc, na), s))
-            lo, cl, rg = weighted_totals(loc_sums, cls_sums, 5, 64, "learned", bw)
-            return lo + cl + rg
+            return weighted_totals(loc_sums, cls_sums, 5, 64, "learned", bw)[0]
 
         worst["weights"] = max(worst["weights"], grad_check(
             f_s, [rng.normal(), rng.normal(),
@@ -229,7 +228,7 @@ def test_c04_freeze_rule():
     state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
     cfg = TrainConfig(lr0=0.05, max_iter=120, mode="learned", flip=False)
     # the tabular predictor's outputs are one fixed scene's
-    run_training(state, scenes[:1], cfg)
+    run_training(state, SceneBank(scenes[:1], state.grid), cfg)
     frozen = (np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
               and np.all(state.bw["bw.s_loc_grid"][1] == 1.0))
     trained = np.any(state.bw["bw.s_cls_grid"][0] != 1.0)

@@ -12,11 +12,11 @@ from ponodet.data import Scene
 from ponodet.geometry import EXP_CLAMP, decode_cxywh
 from ponodet.loss import (LOC_GATE, MODES, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
-from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, TrainConfig, anchor_grid,
-                           train_iteration)
+from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, SceneBank, TrainConfig,
+                           anchor_grid, train_iteration)
 
 from test_autodiff import (add, clip, div, exp, grad_check, log1p, maximum, mean,
-                           minimum, mul, neg, power, sigmoid, sub, take)
+                           minimum, mul, neg, power, reduce_sum, sigmoid, sub, take)
 from test_model import TabularPredictor
 
 
@@ -55,7 +55,7 @@ class TestLocLossElem:
 
     def test_gradient_on_active_branch(self):
         def f(oh):
-            return loc_loss_map(np.array(1.0), oh).sum()
+            return reduce_sum(loc_loss_map(np.array(1.0), oh))
         assert grad_check(f, [np.array([0.3, 0.8])]) < 1e-7
 
 
@@ -111,20 +111,33 @@ class TestFocalLossElem:
 
 
 class TestBalancedTotals:
-    """`weighted_totals` on per-grid loss sums, as `train_iteration` calls it."""
+    """`weighted_totals` on per-grid loss sums [n_classes, n_anchors], and
+    on the loss maps [N, h, w, n_classes, n_anchors] `train_iteration`
+    passes."""
 
     def test_unit_zero_maps(self):
         z = np.zeros((1, 1))
-        assert weighted_totals(z, z, 1, 4, "unit") == (0.0, 0.0, 0.0)
+        assert weighted_totals(z, z, 1, 4, "unit") == (0.0, 0.0, 0.0, 0.0)
 
     def test_learned_identity_weights(self):
         rng = np.random.default_rng(3)
         loc_sums, cls_sums = rng.uniform(0, 4, (2, 3)), rng.uniform(0, 8, (2, 3))
         bw = initial_balance(2, 3, value=0.0)
-        loc, cls, reg = weighted_totals(loc_sums, cls_sums, 5, 96, "learned", bw)
+        total, loc, cls, reg = weighted_totals(loc_sums, cls_sums, 5, 96, "learned", bw)
         assert loc == pytest.approx(loc_sums.sum() / 5, rel=1e-12)
         assert cls == pytest.approx(cls_sums.sum() / 96, rel=1e-12)
         assert reg == 0.0
+        assert total == (loc + cls) + reg
+
+    def test_maps_are_summed_per_grid(self):
+        # a map with leading axes gives the terms of its per-grid sums
+        rng = np.random.default_rng(4)
+        loc_map, cls_map = rng.uniform(0, 1, (2, 3, 3, 2, 3)), rng.uniform(0, 1, (2, 3, 3, 2, 3))
+        bw = {name: rng.normal(0.0, 0.5, np.shape(v))
+              for name, v in initial_balance(2, 3).items()}
+        for mode in MODES:
+            assert weighted_totals(loc_map, cls_map, 5, 96, mode, bw) == weighted_totals(
+                loc_map.sum(axis=(0, 1, 2)), cls_map.sum(axis=(0, 1, 2)), 5, 96, mode, bw)
 
     def test_retina_vs_unit_cls_ratio(self):
         # all-negative map at p_hat = 0.5: unit-mode classification loss is
@@ -132,8 +145,8 @@ class TestBalancedTotals:
         h = w = 4
         cls_sums = np.full((h, w, 2, 2), math.log(2.0)).sum(axis=(0, 1))
         n, n_pos = h * w * 2 * 2, 2
-        _, unit, _ = weighted_totals(cls_sums, cls_sums, n_pos, n, "unit")
-        _, retina, _ = weighted_totals(cls_sums, cls_sums, n_pos, n, "retina_norm")
+        _, _, unit, _ = weighted_totals(cls_sums, cls_sums, n_pos, n, "unit")
+        _, _, retina, _ = weighted_totals(cls_sums, cls_sums, n_pos, n, "retina_norm")
         assert unit == pytest.approx(math.log(2.0), rel=1e-12)
         assert unit / retina == pytest.approx(n_pos / n, rel=1e-12)
 
@@ -142,7 +155,8 @@ class TestBalancedTotals:
         scene = Scene(np.zeros((16, 16, 3)), GroundTruth([], []))
         state = RunState.fresh(TabularPredictor(2, 2, 1, 1),
                                anchor_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 16))
-        rep = train_iteration(state, [scene], TrainConfig(max_iter=2, mode="unit"))
+        rep = train_iteration(state, [scene], TrainConfig(max_iter=2, mode="unit"),
+                              SceneBank([scene], state.grid))
         assert rep.loc == 0.0 and np.isfinite(rep.total)
         assert rep.n_pos == 0
 
@@ -159,7 +173,7 @@ class TestBalanceWeights:
         sums = np.ones((2, 2))
         for value in (-40.0, 40.0):
             bw = initial_balance(2, 2, value=value)
-            loc, cls, _ = weighted_totals(sums, sums, 1, 4, "learned", bw)
+            _, loc, cls, _ = weighted_totals(sums, sums, 1, 4, "learned", bw)
             assert loc > 0 and cls > 0
 
     def test_initial_keys_shapes_and_order(self):
@@ -235,32 +249,100 @@ def elementwise_focal(p, z, alpha=0.25, gamma=2.0):
     return mul(mul(alpha_t, power(one_minus_pt, gamma)), elementwise_bce(p, z))
 
 
-def elementwise_totals(loc_sums, cls_sums, n_pos, n_total, mode, bw=None):
+def elementwise_totals(loc_map, cls_map, n_pos, n_total, mode, bw=None):
+    lead = tuple(range(np.ndim(ad.values_of(loc_map)) - 2))
+    loc_sums, cls_sums = reduce_sum(loc_map, lead), reduce_sum(cls_map, lead)
     if mode == "learned":
         loc = mul(exp(neg(bw["bw.s_loc"])),
-                  div(mul(exp(neg(bw["bw.s_loc_grid"])), loc_sums).sum(), n_pos))
+                  div(reduce_sum(mul(exp(neg(bw["bw.s_loc_grid"])), loc_sums)), n_pos))
         cls = mul(exp(neg(bw["bw.s_cls"])),
-                  div(mul(exp(neg(bw["bw.s_cls_grid"])), cls_sums).sum(), n_total))
-        reg = bw["bw.s_cls"] + bw["bw.s_loc"] \
-            + mean(bw["bw.s_cls_grid"] + bw["bw.s_loc_grid"])
+                  div(reduce_sum(mul(exp(neg(bw["bw.s_cls_grid"])), cls_sums)), n_total))
+        reg = add(add(bw["bw.s_cls"], bw["bw.s_loc"]),
+                  mean(add(bw["bw.s_cls_grid"], bw["bw.s_loc_grid"])))
     elif mode == "unit":
-        loc, cls, reg = div(loc_sums.sum(), n_pos), div(cls_sums.sum(), n_total), 0.0
-    else:
-        loc = div(loc_sums.sum(), n_pos)
-        cls = mul(n_total / n_pos, div(cls_sums.sum(), n_total))
+        loc, cls = div(reduce_sum(loc_sums), n_pos), div(reduce_sum(cls_sums), n_total)
         reg = 0.0
-    return loc, cls, reg
+    else:
+        loc = div(reduce_sum(loc_sums), n_pos)
+        cls = mul(n_total / n_pos, div(reduce_sum(cls_sums), n_total))
+        reg = 0.0
+    return (add(add(loc, cls), reg),
+            *(float(ad.values_of(t)) for t in (loc, cls, reg)))
+
+
+# ---------------------------------------------------------------------
+# the glue the single record of `weighted_totals` replaced: per-grid sum
+# records, one record per weighted term and one for the regularizer, and
+# two adds; the oracle the single record matches bit for bit
+# ---------------------------------------------------------------------
+
+def _term(sums, norm: float, s=None, s_grid=None, scale: float = 1.0):
+    """One loss term, lam * (sum(lam_grid * sums) / norm), with
+    lam = exp(-s) and lam_grid = exp(-s_grid) when `s` is given, else
+    lam = `scale` and lam_grid = 1; one record if any input is a Tensor."""
+    sums_v = ad.values_of(sums)
+    lam = scale if s is None else np.exp(-ad.values_of(s))
+    lam_grid = None if s is None else np.exp(-ad.values_of(s_grid))
+    inner = (sums_v if lam_grid is None else lam_grid * sums_v).sum() / norm
+    out = lam * inner
+    if not any(isinstance(x, ad.Tensor) for x in (sums, s, s_grid)):
+        return out
+
+    def d_sums(g):
+        d = g * lam / norm
+        return np.full(sums_v.shape, d) if lam_grid is None else d * lam_grid
+
+    pulls = [(sums, d_sums)]
+    if s is not None:
+        pulls += [(s, lambda g: -(g * inner * lam)),
+                  (s_grid, lambda g: -(g * lam / norm * sums_v * lam_grid))]
+    return ad.record(out, pulls)
+
+
+def _regularizer(bw):
+    """s_cls + s_loc + mean(s_cls_grid + s_loc_grid), one record if the
+    weights are Tensors."""
+    s_cls, s_loc, cls_grid, loc_grid = (bw[key] for key in (
+        "bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"))
+    grid = ad.values_of(cls_grid) + ad.values_of(loc_grid)
+    out = ad.values_of(s_cls) + ad.values_of(s_loc) + grid.mean()
+    if not isinstance(s_cls, ad.Tensor):
+        return out
+
+    def d_grid(g):
+        return np.full(grid.shape, g / grid.size)
+
+    return ad.record(out, [(s_cls, lambda g: g), (s_loc, lambda g: g),
+                           (cls_grid, d_grid), (loc_grid, d_grid)])
+
+
+def separate_records_totals(loc_map, cls_map, n_pos, n_total, mode, bw=None):
+    lead = tuple(range(np.ndim(ad.values_of(loc_map)) - 2))
+    loc_sums, cls_sums = reduce_sum(loc_map, lead), reduce_sum(cls_map, lead)
+    if mode == "learned":
+        loc = _term(loc_sums, n_pos, bw["bw.s_loc"], bw["bw.s_loc_grid"])
+        cls = _term(cls_sums, n_total, bw["bw.s_cls"], bw["bw.s_cls_grid"])
+        reg = _regularizer(bw)
+    elif mode == "unit":
+        loc, cls, reg = _term(loc_sums, n_pos), _term(cls_sums, n_total), 0.0
+    else:
+        loc = _term(loc_sums, n_pos)
+        cls = _term(cls_sums, n_total, scale=n_total / n_pos)
+        reg = 0.0
+    return (add(add(loc, cls), reg),
+            *(float(ad.values_of(t)) for t in (loc, cls, reg)))
 
 
 FUSED = (pred_iou_values, loc_loss_map, bce_logits, focal_logits, weighted_totals)
 ELEMENTWISE = (elementwise_pred_iou, elementwise_loc_loss_map, elementwise_bce,
                elementwise_focal, elementwise_totals)
+SEPARATE_RECORDS = FUSED[:-1] + (separate_records_totals,)
 
 
 def head(fns, grid, assignment, cfg, logits, offsets, s_values):
     """One iteration's head as `train_iteration` runs it, on leaves for the
-    logits, the offsets and the balance weights: the loss terms and every
-    leaf's gradient."""
+    logits, the offsets and the balance weights: the total, the loss terms,
+    every leaf's gradient and the positive count."""
     pred_iou, loc_map_fn, bce, focal, totals = fns
     tape = ad.Tape()
     z, off = ad.leaf(logits.copy(), tape), ad.leaf(offsets.copy(), tape)
@@ -269,20 +351,54 @@ def head(fns, grid, assignment, cfg, logits, offsets, s_values):
     gate, labels = train_mod._gate_and_labels(assignment, ad.values_of(o_hat), cfg)
     loc_map = loc_map_fn(gate, o_hat)
     cls_map = (bce if cfg.cls_loss == "CE" else focal)(labels.astype(np.float64), z)
-    terms = totals(loc_map.sum(axis=(0, 1, 2)), cls_map.sum(axis=(0, 1, 2)),
-                   max(1, int(gate.sum())), gate.size, cfg.mode, bw)
-    ad.backward(terms[0] + terms[1] + terms[2])
+    total, *terms = totals(loc_map, cls_map, max(1, int(gate.sum())), gate.size,
+                           cfg.mode, bw)
+    ad.backward(total)
     grads = {"logits": z.grad, "offsets": off.grad,
              **{name: t.grad for name, t in bw.items()}}
-    return tuple(float(ad.values_of(t)) for t in terms), grads, int(gate.sum())
+    return total.values, tuple(terms), grads, int(gate.sum())
+
+
+def assert_same_grads(grads, want, err_msg=""):
+    """Equal gradient dicts, bit for bit; a leaf without a gradient in one
+    has none in the other."""
+    assert grads.keys() == want.keys()
+    for name, g in want.items():
+        assert (grads[name] is None) == (g is None), name
+        if g is not None:
+            np.testing.assert_array_equal(grads[name], g, err_msg=err_msg + name)
+
+
+def assert_totals_match_separate_records(loc_map, cls_map, n_pos, n_total, mode,
+                                         s_values):
+    """`weighted_totals` on leaves for the two maps (or sums) and the
+    balance weights gives the separate records' total, terms and every
+    leaf gradient, bit for bit."""
+    results = []
+    for totals in (weighted_totals, separate_records_totals):
+        tape = ad.Tape()
+        leaves = {"loc": ad.leaf(loc_map.copy(), tape),
+                  "cls": ad.leaf(cls_map.copy(), tape)}
+        bw = {name: ad.leaf(v.copy(), tape) for name, v in s_values.items()}
+        total, *terms = totals(leaves["loc"], leaves["cls"], n_pos, n_total, mode, bw)
+        ad.backward(total)
+        results.append((total.values, terms,
+                        {name: t.grad for name, t in {**leaves, **bw}.items()}))
+    (total, terms, grads), (want_total, want_terms, want) = results
+    np.testing.assert_array_equal(total, want_total)
+    assert terms == want_terms
+    assert_same_grads(grads, want, f"{loc_map.shape} ")
 
 
 def assert_head_matches_oracle(grid, assignment, cfg, logits, offsets, s_values):
     """The fused head gives the elementwise head's loss terms bit for bit,
-    and its gradients to 1e-12 of each array's largest entry."""
+    and its gradients to 1e-12 of each array's largest entry.  Its single
+    `weighted_totals` record gives the separate records' total, terms and
+    gradients bit for bit, on the maps [N, h, w, nc, na] of the head and
+    on their per-grid sums [nc, na]."""
     args = (grid, assignment, cfg, logits, offsets, s_values)
-    terms, grads, n_pos = head(FUSED, *args)
-    want_terms, want, _ = head(ELEMENTWISE, *args)
+    total, terms, grads, n_pos = head(FUSED, *args)
+    _, want_terms, want, _ = head(ELEMENTWISE, *args)
     assert terms == want_terms
     assert grads.keys() == want.keys()
     for name, g in want.items():
@@ -291,6 +407,18 @@ def assert_head_matches_oracle(grid, assignment, cfg, logits, offsets, s_values)
             continue
         np.testing.assert_allclose(grads[name], g, rtol=1e-12,
                                    atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+    want_total, want_terms, want, _ = head(SEPARATE_RECORDS, *args)
+    np.testing.assert_array_equal(total, want_total)
+    assert terms == want_terms
+    assert_same_grads(grads, want)
+    o_hat = pred_iou_values(grid, offsets, assignment)
+    gate, labels = train_mod._gate_and_labels(assignment, o_hat, cfg)
+    cls_fn = bce_logits if cfg.cls_loss == "CE" else focal_logits
+    maps = loc_loss_map(gate, o_hat), cls_fn(labels.astype(np.float64), logits)
+    for loc, cls in (maps, [m.sum(axis=(0, 1, 2)) for m in maps]):
+        assert_totals_match_separate_records(loc, cls, max(1, n_pos), gate.size,
+                                             cfg.mode, s_values)
     return n_pos
 
 
@@ -372,7 +500,7 @@ class TestFusedHead:
         assert np.all(np.abs(offsets[..., 3, 2:]) == EXP_CLAMP)
         cfg = TrainConfig(label_rule=rule, cls_loss=cls_loss, mode=mode)
         assert_head_matches_oracle(grid, assignment, cfg, logits, offsets, s_values)
-        _, grads, _ = head(FUSED, grid, assignment, cfg, logits, offsets, s_values)
+        _, _, grads, _ = head(FUSED, grid, assignment, cfg, logits, offsets, s_values)
         # the gradient passes at the touching box (ix = 0) and at the clamp
         assert np.all(grads["offsets"][..., 2, 0::2] != 0.0)
         assert np.all(grads["offsets"][..., 3, 2:] != 0.0)

@@ -11,7 +11,7 @@ from ponodet.loss import bce_logits, loc_loss_map, sigmoid
 from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig,
                            leaf_params, load_arrays, save_arrays)
 
-from test_autodiff import div, grad_check, mean
+from test_autodiff import add, div, grad_check, mean, reduce_sum
 
 
 class TabularPredictor:
@@ -187,9 +187,9 @@ class TestToyNetGradients:
             params = dict(zip(names, tensors))
             out = net.forward(params, image[None])
             o_hat = pred_iou_values(grid, out.offsets, stacked)
-            loc = div(loc_loss_map(gate, o_hat).sum(), max(1.0, gate.sum()))
+            loc = div(reduce_sum(loc_loss_map(gate, o_hat)), max(1.0, gate.sum()))
             cls = mean(bce_logits(labels, out.logits))
-            return loc + cls
+            return add(loc, cls)
 
         err = grad_check(total_loss, [net.params[n] for n in names], step=1e-4)
         assert err < 1e-3

@@ -22,6 +22,7 @@ from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid,
                            config_from_kv, load_run, lr_at, run_training, save_run,
                            sgd_step, train_iteration)
 
+from test_autodiff import add, reduce_sum
 from test_model import TabularPredictor
 
 
@@ -127,7 +128,7 @@ class TestSgdStep:
         # leaves the balance weights and their buffers alone
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
         cfg = replace(cfg, mode=mode)
-        run_training(state, scenes, replace(cfg, max_iter=3))
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=3))
         params = {name: a.copy() for name, a in {**state.model.params, **state.bw}.items()}
         velocity = {name: v.copy() for name, v in state.velocity.items()}
         steps = []
@@ -138,7 +139,7 @@ class TestSgdStep:
             step(p, v, g, lr, momentum)
 
         monkeypatch.setattr(train_mod, "sgd_step", spy)
-        train_iteration(state, scenes[:2], cfg)
+        train_iteration(state, scenes[:2], cfg, SceneBank(scenes[:2], state.grid))
         (n, g, lr, momentum), = steps
         trained = by_name(state, g)
         assert n == (len(state.flat_params) if mode == "learned" else state.n_model)
@@ -159,9 +160,9 @@ class TestTrainIteration:
         scene = one_object_scene()
         state = tabular_state(scene)
         cfg = TrainConfig(lr0=0.0, max_iter=10, mode="learned")
-        first = train_iteration(state, [scene], cfg)
+        first = train_iteration(state, [scene], cfg, SceneBank([scene], state.grid))
         for _ in range(3):
-            rep = train_iteration(state, [scene], cfg)
+            rep = train_iteration(state, [scene], cfg, SceneBank([scene], state.grid))
         assert rep.total == first.total
         assert rep.loc == first.loc and rep.cls == first.cls
 
@@ -172,7 +173,7 @@ class TestTrainIteration:
         scene = one_object_scene()
         state = tabular_state(scene, shapes=((8.0, 8.0), (12.0, 12.0)))
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit", flip=False)
-        reports = run_training(state, [scene], cfg)
+        reports = run_training(state, SceneBank([scene], state.grid), cfg)
         loc = np.array([r.loc for r in reports])
         smooth = np.convolve(loc, np.ones(25) / 25, mode="valid")
         tail = smooth[10:]
@@ -185,7 +186,7 @@ class TestTrainIteration:
         scene = one_object_scene()
         state = tabular_state(scene, shapes=((10.0, 9.0),))
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit", flip=False)
-        run_training(state, [scene], cfg)
+        run_training(state, SceneBank([scene], state.grid), cfg)
         am = assign_ao(state.grid, scene.gt)
         o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
                                 Assignment.stack([am]))[0]
@@ -207,7 +208,7 @@ class TestTrainIteration:
         torn = (1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
         assert 0.0 < am.pono[torn] <= 0.5
         cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned", flip=False)
-        run_training(state, [scene], cfg)
+        run_training(state, SceneBank([scene], state.grid), cfg)
         o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
                                 Assignment.stack([am]))[0]
         assert ams_labels(am.pono, o_hat)[torn] == 0
@@ -215,7 +216,8 @@ class TestTrainIteration:
     def test_report_total_decomposition(self):
         scene = one_object_scene()
         state = tabular_state(scene)
-        rep = train_iteration(state, [scene], TrainConfig(max_iter=5))
+        rep = train_iteration(state, [scene], TrainConfig(max_iter=5),
+                              SceneBank([scene], state.grid))
         assert rep.total == rep.loc + rep.cls + rep.reg
 
     def test_unit_mode_trains_without_weight_updates(self):
@@ -224,7 +226,7 @@ class TestTrainIteration:
         s0 = state.bw["bw.s_cls_grid"].copy()
         cfg = TrainConfig(lr0=0.05, max_iter=5, mode="unit")
         for _ in range(5):
-            train_iteration(state, [scene], cfg)
+            train_iteration(state, [scene], cfg, SceneBank([scene], state.grid))
         np.testing.assert_array_equal(state.bw["bw.s_cls_grid"], s0)
         assert state.bw["bw.s_cls"] == 1.0
 
@@ -249,21 +251,20 @@ def per_scene_reference(state, batch, cfg):
         loc_map = loss_mod.loc_loss_map(gate, o_hat)
         cls_fn = loss_mod.bce_logits if cfg.cls_loss == "CE" else loss_mod.focal_logits
         cls_map = cls_fn(labels.astype(np.float64), out.logits)
-        ls, cs = loc_map.sum(axis=(0, 1, 2)), cls_map.sum(axis=(0, 1, 2))
-        loc_sums = ls if loc_sums is None else loc_sums + ls
-        cls_sums = cs if cls_sums is None else cls_sums + cs
+        ls, cs = reduce_sum(loc_map, (0, 1, 2)), reduce_sum(cls_map, (0, 1, 2))
+        loc_sums = ls if loc_sums is None else add(loc_sums, ls)
+        cls_sums = cs if cls_sums is None else add(cls_sums, cs)
         n_pos += int(gate.sum())
         per_grid_pos += labels.sum(axis=(0, 1, 2), dtype=np.int64)
     n_total = len(batch) * state.grid.boxes.size // 4
-    loc, cls, reg = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
+    total, *terms = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
                                              n_total, cfg.mode, params)
-    ad.backward(loc + cls + reg)
+    ad.backward(total)
     grads = {name: t.grad for name, t in params.items() if t.grad is not None}
     for key in grads:
         if key.startswith("bw.") and key.endswith("_grid"):
             grads[key] = np.where(per_grid_pos == 0, 0.0, grads[key])
-    terms = tuple(float(ad.values_of(t)) for t in (loc, cls, reg))
-    return terms, n_pos, per_grid_pos, grads
+    return tuple(terms), n_pos, per_grid_pos, grads
 
 
 class TestBatchedIteration:
@@ -275,7 +276,7 @@ class TestBatchedIteration:
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
         cfg = replace(cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
         # a few steps first, so the AMS labels see trained offsets
-        run_training(state, scenes, replace(cfg, max_iter=4))
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=4))
         batch = [scenes[1], scenes[4]]
         terms, n_pos, per_grid_pos, grads = per_scene_reference(state, batch, cfg)
         assert n_pos > 0
@@ -283,7 +284,7 @@ class TestBatchedIteration:
         monkeypatch.setattr(train_mod, "sgd_step",
                             lambda params, velocity, g, lr, momentum:
                             seen.update(by_name(state, g.copy())))
-        report = train_iteration(state, batch, cfg)
+        report = train_iteration(state, batch, cfg, SceneBank(batch, state.grid))
         np.testing.assert_allclose((report.loc, report.cls, report.reg), terms,
                                    rtol=1e-12, atol=1e-12)
         assert report.n_pos == n_pos
@@ -300,7 +301,7 @@ class TestBatchedIteration:
         monkeypatch.setattr(state.model, "forward",
                             lambda params, images: calls.append(images.shape) or
                             forward(params, images))
-        train_iteration(state, scenes[:3], cfg)
+        train_iteration(state, scenes[:3], cfg, SceneBank(scenes[:3], state.grid))
         assert calls == [(3, 32, 32, 3)]
 
 
@@ -319,10 +320,12 @@ class TestSceneCache:
         pono = TrainConfig(lr0=0.0, max_iter=5, label_rule="PONO")
         ao = TrainConfig(lr0=0.0, max_iter=5, label_rule="AO", ao_threshold=0.3)
         reused = tabular_state(scene, shapes=shapes)
-        n_pono = train_iteration(reused, [scene], pono).n_pos
-        n_ao = train_iteration(reused, [scene], ao).n_pos
+        bank = SceneBank([scene], reused.grid)
+        n_pono = train_iteration(reused, [scene], pono, bank).n_pos
+        n_ao = train_iteration(reused, [scene], ao, bank).n_pos
         fresh = tabular_state(scene, shapes=shapes)
-        assert n_ao == train_iteration(fresh, [scene], ao).n_pos
+        assert n_ao == train_iteration(fresh, [scene], ao,
+                                       SceneBank([scene], fresh.grid)).n_pos
         assert n_ao != n_pono
 
     def test_new_scene_at_a_collected_scene_id_is_a_miss(self):
@@ -334,13 +337,15 @@ class TestSceneCache:
         for k in (1, 2, 3, 1, 3, 2):
             scene = Scene(img, GroundTruth(
                 [(6.0 + 8 * j, 6.0, 8.0, 8.0) for j in range(k)], [0] * k))
-            n_pos = train_iteration(reused, [scene], cfg).n_pos
-            assert n_pos == train_iteration(tabular_state(scene), [scene], cfg).n_pos
+            n_pos = train_iteration(reused, [scene], cfg, SceneBank([scene], reused.grid)).n_pos
+            fresh = tabular_state(scene)
+            assert n_pos == train_iteration(fresh, [scene], cfg,
+                                            SceneBank([scene], fresh.grid)).n_pos
             del scene
 
     def test_run_training_keeps_no_entries(self, monkeypatch):
-        # a plain scene list gets a bank for the call only: no assignment
-        # outlives the call, and the state holds no scene data
+        # the bank holds the assignments: none outlives the bank, and the
+        # state holds no scene data
         scene = self.crowded_scene()
         state = tabular_state(scene)
         made = []
@@ -352,7 +357,8 @@ class TestSceneCache:
             return a
 
         monkeypatch.setattr(train_mod, "assign_ao", recording_assign)
-        run_training(state, [scene], TrainConfig(max_iter=3, flip=False))
+        run_training(state, SceneBank([scene], state.grid),
+                     TrainConfig(max_iter=3, flip=False))
         gc.collect()
         assert len(made) == 1 and made[0]() is None
         assert {f.name for f in fields(RunState)} == {"model", "bw", "grid",
@@ -364,6 +370,10 @@ class TestSceneCache:
         bank = SceneBank([scene], state.grid)
         run_training(state, bank, TrainConfig(max_iter=3, flip=False))
         assert list(bank.assignments) == [scene.gt]
+        mirrored = bank.variant(0, True)
+        assert bank.variant(0, True) is mirrored and bank.variant(0, False) is scene
+        # the mirror is a view: the bank holds one copy of each scene's pixels
+        assert np.shares_memory(mirrored.image, scene.image)
 
 
 def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
@@ -395,19 +405,6 @@ class TestSceneBank:
         assert len(calls) == len(drawn_variants(longer, len(scenes))) > first
         assert len(set(map(id, calls))) == len(calls) == len(bank.assignments)
 
-    def test_flips_drawn_through_the_bank_match_a_plain_list(self, tmp_path):
-        scenes, cfg, state_a = TestDeterminismAndResume().make_setup(tmp_path)
-        _, _, state_b = TestDeterminismAndResume().make_setup(tmp_path)
-        bank = SceneBank(scenes, state_b.grid)
-        plain = run_training(state_a, scenes, cfg)
-        banked = run_training(state_b, bank, cfg)
-        assert [r.total for r in plain] == [r.total for r in banked]
-        assert any(flip for _, flip in drawn_variants(cfg, len(scenes)))
-        mirrored = bank.variant(0, True)
-        assert bank.variant(0, True) is mirrored and bank.variant(0, False) is scenes[0]
-        # the mirror is a view: the bank holds one copy of each scene's pixels
-        assert np.shares_memory(mirrored.image, scenes[0].image)
-
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
         other = anchor_grid(AnchorSet(np.full((1, 2, 2), [8.0, 13.0])), 32)
@@ -429,7 +426,7 @@ class TestFreezeRule:
         model = TabularPredictor(4, 4, 2, 2)
         state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
         cfg = TrainConfig(lr0=0.05, max_iter=60, mode="learned", flip=False)
-        run_training(state, [scene], cfg)
+        run_training(state, SceneBank([scene], state.grid), cfg)
         assert np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
         assert np.all(state.bw["bw.s_loc_grid"][1] == 1.0)
         # the trained class moved
@@ -454,8 +451,8 @@ class TestDeterminismAndResume:
     def test_seeded_rerun_identical_reports(self, tmp_path):
         scenes, cfg, state_a = self.make_setup(tmp_path)
         _, _, state_b = self.make_setup(tmp_path)
-        ra = run_training(state_a, scenes, cfg)
-        rb = run_training(state_b, scenes, cfg)
+        ra = run_training(state_a, SceneBank(scenes, state_a.grid), cfg)
+        rb = run_training(state_b, SceneBank(scenes, state_b.grid), cfg)
         assert [r.total for r in ra] == [r.total for r in rb]
         for k in state_a.model.params:
             np.testing.assert_array_equal(state_a.model.params[k],
@@ -467,11 +464,11 @@ class TestDeterminismAndResume:
         from dataclasses import replace
         scenes, cfg, state = self.make_setup(tmp_path)
         cfg = replace(cfg, checkpoint_every=6)
-        straight = run_training(state, scenes, cfg, checkpoint_dir=tmp_path)
+        straight = run_training(state, SceneBank(scenes, state.grid), cfg, checkpoint_dir=tmp_path)
 
         resumed_state = load_run(tmp_path / "ckpt_000006.bin")
         assert resumed_state.iteration == 6
-        rest = run_training(resumed_state, scenes, cfg)
+        rest = run_training(resumed_state, SceneBank(scenes, resumed_state.grid), cfg)
 
         assert [r.total for r in rest] == [r.total for r in straight[6:]]
         for k in state.model.params:
@@ -482,16 +479,16 @@ class TestDeterminismAndResume:
 
     def test_log_rows_deterministic(self, tmp_path):
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
-        run_training(state, scenes, cfg, log_path=tmp_path / "a.csv")
+        run_training(state, SceneBank(scenes, state.grid), cfg, log_path=tmp_path / "a.csv")
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
-        run_training(state, scenes, cfg, log_path=tmp_path / "b.csv")
+        run_training(state, SceneBank(scenes, state.grid), cfg, log_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestCheckpoint:
     def test_learned_round_trip_byte_identical(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
-        run_training(state, scenes, cfg)
+        run_training(state, SceneBank(scenes, state.grid), cfg)
         save_run(tmp_path / "a.bin", state)
         save_run(tmp_path / "b.bin", load_run(tmp_path / "a.bin"))
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -505,7 +502,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("mode", ["unit", "retina_norm"])
     def test_fixed_weights_have_no_momentum(self, tmp_path, mode):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, scenes, replace(cfg, mode=mode))
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, mode=mode))
         save_run(tmp_path / "final.bin", state)
         names = list(load_arrays(tmp_path / "final.bin"))
         assert not [n for n in names if n.startswith("mom.bw.")]
@@ -515,12 +512,11 @@ class TestCheckpoint:
 class TestTapeShape:
     """What one iteration puts on the tape: one record per conv (bias and
     activation included), upsample, concat and reshape of the network, then
-    the head: the overlap map, the two loss maps, their per-grid sums, one
-    record per weighted term and the two adds of the total."""
+    the head: the overlap map, the two loss maps and the weighted total."""
 
     @pytest.mark.parametrize("bench,cell,records", [
-        ("crowded", ("AMS", "learned", "CE"), 18 + 10),
-        ("imbalanced", ("AO", "retina_norm", "FL"), 22 + 9)])
+        ("crowded", ("AMS", "learned", "CE"), 18 + 4),
+        ("imbalanced", ("AO", "retina_norm", "FL"), 22 + 4)])
     def test_records_per_iteration(self, monkeypatch, bench, cell, records):
         from ponodet import benchmarks
         b = getattr(benchmarks, f"{bench}_benchmark")()
@@ -534,7 +530,7 @@ class TestTapeShape:
         backward = ad.backward
         monkeypatch.setattr(ad, "backward", lambda root: counts.append(
             len(root.tape.records)) or backward(root))
-        train_iteration(state, scenes, cfg)
+        train_iteration(state, scenes, cfg, SceneBank(scenes, state.grid))
         assert counts == [records]
 
 
@@ -548,16 +544,16 @@ class TestFlatState:
 
     def test_stepped_buffers_are_views(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
-        run_training(state, scenes, replace(cfg, max_iter=2, mode="unit"))
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=2, mode="unit"))
         assert list(state.velocity) == list(state.model.params)
         assert_flat_views(state)
-        run_training(state, scenes, replace(cfg, max_iter=3))
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=3))
         assert list(state.velocity) == list(state.model.params) + list(state.bw)
         assert_flat_views(state)
 
     def test_loaded_state_arrays_are_views(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
-        run_training(state, scenes, cfg)
+        run_training(state, SceneBank(scenes, state.grid), cfg)
         save_run(tmp_path / "a.bin", state)
         loaded = load_run(tmp_path / "a.bin")
         assert_flat_views(loaded)
@@ -569,7 +565,7 @@ class TestFlatState:
 class TestLoadRun:
     def test_missing_entry_named(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, scenes, cfg)
+        run_training(state, SceneBank(scenes, state.grid), cfg)
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         required = [key for key in arrays if not key.startswith("mom.")]
@@ -582,7 +578,7 @@ class TestLoadRun:
 
     def test_entry_shape_checked_against_meta(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, scenes, cfg)
+        run_training(state, SceneBank(scenes, state.grid), cfg)
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         checked = [key for key in arrays if not key.startswith("meta.")]
@@ -673,7 +669,7 @@ class TestIterationLifetime:
         gc.collect()
         gc.disable()
         try:
-            train_iteration(state, scenes[:2], cfg)
+            train_iteration(state, scenes[:2], cfg, SceneBank(scenes[:2], state.grid))
             assert len(roots) == 1 and roots[0]() is None
         finally:
             gc.enable()
@@ -684,7 +680,7 @@ class TestIterationLifetime:
         cfg = replace(cfg, lr0=1e6)
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match=r"at iteration \d+"):
-            run_training(state, scenes, cfg, log_path=tmp_path / "log.csv")
+            run_training(state, SceneBank(scenes, state.grid), cfg, log_path=tmp_path / "log.csv")
         rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
         assert len(rows) == state.iteration - 1
