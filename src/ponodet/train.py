@@ -262,7 +262,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     from the per-iteration RNG.  The bank's mirrors and assignments outlive
     the call; a bank on another grid than the state's raises ValueError.
     A run from iteration 0 starts `log_path` afresh; a resumed run appends
-    to it.  A non-finite loss raises FloatingPointError naming the
+    to it, and the log is flushed before each checkpoint.  A non-finite loss raises FloatingPointError naming the
     iteration, before that iteration is logged or checkpointed.
     """
     if not (bank.grid.feat_stride == state.grid.feat_stride
@@ -288,6 +288,9 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
                 log.write(report.csv_row(it, lr) + "\n")
             if checkpoint_dir and cfg.checkpoint_every \
                     and state.iteration % cfg.checkpoint_every == 0:
+                if log:
+                    # the log on disk reaches every checkpoint
+                    log.flush()
                 save_run(os.path.join(checkpoint_dir,
                                       f"ckpt_{state.iteration:06d}.bin"), state)
     finally:

@@ -16,7 +16,7 @@ from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
-from ponodet.loss import initial_balance
+from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, leaf_params, load_arrays, save_arrays
 from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid,
                            config_from_kv, load_run, lr_at, run_training, save_run,
@@ -476,6 +476,27 @@ class TestDeterminismAndResume:
                                           state.model.params[k])
         for k in state.bw:
             np.testing.assert_array_equal(resumed_state.bw[k], state.bw[k])
+
+    def test_log_on_disk_at_each_checkpoint(self, tmp_path, monkeypatch):
+        # a kill right after a checkpoint must leave a log that reaches the
+        # checkpoint: the header and one row per iteration up to it
+        scenes, cfg, state = self.make_setup(tmp_path, max_iter=10)
+        cfg = replace(cfg, checkpoint_every=5)
+        log = tmp_path / "log.csv"
+        on_disk = []
+        save = train_mod.save_run
+
+        def spy(path, st):
+            on_disk.append((st.iteration, log.read_text().splitlines()))
+            save(path, st)
+
+        monkeypatch.setattr(train_mod, "save_run", spy)
+        run_training(state, SceneBank(scenes, state.grid), cfg, log_path=log,
+                     checkpoint_dir=tmp_path)
+        assert [it for it, _ in on_disk] == [5, 10]
+        for it, lines in on_disk:
+            assert lines[:1] == [LossReport.CSV_HEADER]
+            assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(it))
 
     def test_log_rows_deterministic(self, tmp_path):
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
