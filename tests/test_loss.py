@@ -373,15 +373,19 @@ def assert_totals_match_separate_records(loc_map, cls_map, n_pos, n_total, mode,
                                          s_values):
     """`weighted_totals` on leaves for the two maps (or sums) and the
     balance weights gives the separate records' total, terms and every
-    leaf gradient, bit for bit."""
+    leaf gradient, bit for bit.  The backward pass starts from 0.3 times
+    the total, and on weights that hold a gradient already, so that the
+    order of each product and of each leaf's sum shows in the bits."""
     results = []
     for totals in (weighted_totals, separate_records_totals):
         tape = ad.Tape()
         leaves = {"loc": ad.leaf(loc_map.copy(), tape),
                   "cls": ad.leaf(cls_map.copy(), tape)}
         bw = {name: ad.leaf(v.copy(), tape) for name, v in s_values.items()}
+        for t in bw.values():
+            t.grad = np.full(t.shape, 0.1)
         total, *terms = totals(leaves["loc"], leaves["cls"], n_pos, n_total, mode, bw)
-        ad.backward(total)
+        ad.backward(mul(total, 0.3))
         results.append((total.values, terms,
                         {name: t.grad for name, t in {**leaves, **bw}.items()}))
     (total, terms, grads), (want_total, want_terms, want) = results
