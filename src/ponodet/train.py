@@ -15,11 +15,12 @@ per grid and weights in one record.  The training scenes live in a
 never change, so the bank computes each on first use and keeps it for as
 long as its owner keeps the bank: every cell of an ablation shares one.
 The batch's records are stacked each iteration, and the gate and labels
-read off them depend on the config and are recomputed each iteration.  Batch losses are the sums over the batch's
-scenes divided by the summed positive counts (equivalently: maps averaged
-before weighting).  The batch RNG is derived from (seed, iteration), which
-makes checkpoint resume bit-exact without serializing generator state,
-and makes every run with the same seed draw the same batches.
+read off them depend on the config and are recomputed each iteration.
+Batch losses are the sums over the batch's scenes divided by the summed
+positive counts (equivalently: maps averaged before weighting).  The
+batch RNG is derived from (seed, iteration), which makes checkpoint
+resume bit-exact without serializing generator state, and makes every
+run with the same seed draw the same batches.
 """
 
 from __future__ import annotations
@@ -235,11 +236,11 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     # back at them; dropping the records frees the iteration's tensors and
     # the arrays their vjps hold without waiting for the cyclic collector
     tape.records.clear()
-    if learned:
-        # freeze rule: a grid with zero positive labels keeps both of its
-        # s entries untouched this iteration
-        for key in ("bw.s_cls_grid", "bw.s_loc_grid"):
-            params[key].grad[per_grid_pos == 0] = 0.0
+    # freeze rule: in learned mode a grid with zero positive labels keeps
+    # both of its s entries and their momentum through this iteration's step
+    frozen = per_grid_pos == 0
+    held = [(a, a[frozen]) for key in ("bw.s_cls_grid", "bw.s_loc_grid")
+            for a in (state.bw[key], state.momentum_views[key])] if learned else []
 
     # the stepped prefix: the model's parameters, then in learned mode the
     # balance weights; its buffers are the checkpoint's `mom.*` entries
@@ -248,6 +249,8 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
         state.velocity.setdefault(name, state.momentum_views[name])
     sgd_step(state.flat_params[:n], state.flat_momentum[:n], state.flat_grad[:n],
              lr_at(state.iteration, cfg), cfg.momentum)
+    for a, values in held:
+        a[frozen] = values
     state.iteration += 1
 
     return LossReport(total=loc + cls + reg, loc=loc, cls=cls, reg=reg,
