@@ -7,9 +7,10 @@ sums are weighted by trainable multipliers, one pair globally and one pair
 per (class, anchor) grid, parameterized as lambda = exp(-s) so they stay
 positive.  A regularizer of the s values keeps the multipliers from
 collapsing to zero; sums, weights and regularizer make one tape record,
-the total.  Grids that saw no positive label in an iteration have their s
-entries frozen (gradient zeroed, regularizer included) so easy
-all-negative grids cannot inflate their own weights.
+the total.  A grid that saw no positive label in an iteration keeps its
+s entries and their momentum through that iteration's step (the training
+loop holds them), so easy all-negative grids cannot inflate their own
+weights.
 """
 
 from __future__ import annotations

@@ -261,9 +261,6 @@ def per_scene_reference(state, batch, cfg):
                                              n_total, cfg.mode, params)
     ad.backward(total)
     grads = {name: t.grad for name, t in params.items() if t.grad is not None}
-    for key in grads:
-        if key.startswith("bw.") and key.endswith("_grid"):
-            grads[key] = np.where(per_grid_pos == 0, 0.0, grads[key])
     return tuple(terms), n_pos, per_grid_pos, grads
 
 
@@ -430,6 +427,37 @@ class TestFreezeRule:
         assert np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
         assert np.all(state.bw["bw.s_loc_grid"][1] == 1.0)
         # the trained class moved
+        assert np.any(state.bw["bw.s_cls_grid"][0] != 1.0)
+
+
+class TestFreezeHoldsMomentum:
+    def test_grid_that_loses_its_positives_keeps_value_and_momentum(self):
+        # class 1 has positives for 3 iterations and then none for 5: from
+        # then on its grids' s entries and their momentum stay bit for bit
+        both = Scene(np.zeros((32, 32, 3)),
+                     GroundTruth([(9, 9, 10, 10), (22, 22, 10, 10)], [0, 1]))
+        only_0 = Scene(np.zeros((32, 32, 3)), GroundTruth([(9, 9, 10, 10)], [0]))
+        grid = build_grid(AnchorSet(np.full((2, 2, 2), 10.0)), 4, 4, 8)
+        net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, levels=2,
+                                  head_convs=1), 2, 2, seed=0)
+        state = RunState.fresh(net, grid)
+        bank = SceneBank([both, only_0], grid)
+        cfg = TrainConfig(lr0=0.05, max_iter=8, label_rule="PONO", flip=False)
+        keys = ("bw.s_cls_grid", "bw.s_loc_grid")
+
+        def class_1():
+            return [a[1].copy() for key in keys
+                    for a in (state.bw[key], state.momentum_views[key])]
+
+        for _ in range(3):
+            assert train_iteration(state, [both], cfg, bank).per_grid_pos[1].any()
+        held = class_1()
+        assert np.any(held[1] != 0.0)  # momentum the step could carry on
+        for _ in range(5):
+            assert not train_iteration(state, [only_0], cfg, bank).per_grid_pos[1].any()
+            for now, then in zip(class_1(), held):
+                np.testing.assert_array_equal(now, then)
+        # class 0 keeps training
         assert np.any(state.bw["bw.s_cls_grid"][0] != 1.0)
 
 
