@@ -24,6 +24,8 @@ from .anchors import AnchorGrid
 from .geometry import EXP_CLAMP, GroundTruth, iou_cxywh
 
 UNASSIGNED = -1
+# AMS labels a cell positive where pono * o_hat beats this
+AMS_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,9 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
     return ad.record(out, [(offsets, vjp)])
 
 
-def ams_labels(pono: np.ndarray, o_hat: np.ndarray,
-               threshold: float = 0.5) -> np.ndarray:
+def ams_labels(pono: np.ndarray, o_hat: np.ndarray) -> np.ndarray:
     """Positive (uint8 1) where normalized overlap times predicted overlap
-    beats the threshold.  The predicted map is used as plain data: no
+    beats AMS_THRESHOLD.  The predicted map is used as plain data: no
     gradient is ever taken through label computation."""
-    return ((pono * np.asarray(o_hat)) > threshold).astype(np.uint8)
+    return ((pono * np.asarray(o_hat)) > AMS_THRESHOLD).astype(np.uint8)
 

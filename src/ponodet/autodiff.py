@@ -67,8 +67,10 @@ def record(out_values: np.ndarray, pulls, pre=None) -> Tensor:
     of its tracked inputs; `pulls` is (input, vjp) pairs, inputs that are
     not Tensors are skipped, and `pre`, if given, maps the output's adjoint
     once before the pulls.  Ops outside this module (the loss head) record
-    their written-out vjps through it."""
+    their written-out vjps through it; at least one input must be a Tensor."""
     live = tuple((p, fn) for p, fn in pulls if isinstance(p, Tensor))
+    if not live:
+        raise ValueError("no operand is a Tensor: record needs a taped input")
     tapes = {id(p.tape): p.tape for p, _ in live}
     if len(tapes) != 1:
         raise ValueError("operands recorded on different tapes")

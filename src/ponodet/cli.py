@@ -23,8 +23,8 @@ from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import ToyNet, ToyNetConfig
-from .train import (RunState, SceneBank, TrainConfig, anchor_grid, config_from_kv,
-                    load_run, run_training, save_run)
+from .train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
+                    run_training, save_run)
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 
@@ -77,7 +77,7 @@ def _read_config(path, extra_keys=()) -> dict[str, str]:
 def _net_config(path, kv: dict, image_size: int) -> ToyNetConfig:
     """The network settings read from the config file `path`; `input_size`
     defaults to, and must equal, the dataset's image size."""
-    net = config_from_kv(ToyNetConfig, {"input_size": str(image_size), **kv}, path)
+    net = data_mod.config_from_kv(ToyNetConfig, {"input_size": str(image_size), **kv}, path)
     if net.input_size != image_size:
         raise RuntimeError(f"{path}: input_size = {net.input_size}, but the "
                            f"dataset's images are {image_size}x{image_size}")
@@ -161,7 +161,7 @@ def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
 
 def cmd_train(args) -> int:
     kv = _read_config(args.config)
-    cfg = config_from_kv(TrainConfig, kv, args.config)
+    cfg = data_mod.config_from_kv(TrainConfig, kv, args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     anchor_set = load_anchor_set(args.anchors)
@@ -174,12 +174,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate(state: RunState, scenes: list, score_min: float,
-              nms_iou: float, iou_match: float = 0.5):
+def _evaluate(state: RunState, scenes: list, score_min: float, nms_iou: float):
     dets = eval_mod.dataset_detections(state.model, state.grid, scenes,
                                        score_min, nms_iou)
     gts = [s.gt for s in scenes]
-    per_class, mean = eval_mod.map_eval(dets, gts, iou_match)
+    per_class, mean = eval_mod.map_eval(dets, gts)
     n_gt = {c: sum(int(np.sum(gt.class_ids == c)) for gt in gts) for c in per_class}
     n_det = {c: sum(int(np.sum(ds.class_ids == c)) for ds in dets) for c in per_class}
     return per_class, mean, n_gt, n_det
@@ -233,12 +232,12 @@ def cmd_assign_dump(args) -> int:
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
     for c, a in np.ndindex(grid.n_classes, grid.n_anchors):
-        data_mod.write_pgm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
+        data_mod.write_pnm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
                            assignment.pono[:, :, c, a])
-        data_mod.write_pgm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
+        data_mod.write_pnm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
                            labels[:, :, c, a].astype(np.float64))
         if model is not None:
-            data_mod.write_pgm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
+            data_mod.write_pnm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
                                o_hat[:, :, c, a])
     with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
         f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
@@ -290,7 +289,7 @@ def _ablation_cell(config, base: TrainConfig, text: str) -> tuple[str, TrainConf
 
 def cmd_ablate(args) -> int:
     kv = _read_config(args.config, ABLATE_KEYS)
-    base = config_from_kv(TrainConfig, kv, args.config)
+    base = data_mod.config_from_kv(TrainConfig, kv, args.config)
     for key in ("dataset", "cells"):
         if not kv.get(key):
             raise RuntimeError(f"{args.config}: config key {key!r} is missing or empty")

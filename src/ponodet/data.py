@@ -21,7 +21,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -47,16 +47,28 @@ class Scene:
     gt: GroundTruth
 
 
+def _range_of(parse, sep: str):
+    """A parser of `lo{sep}hi` text into the pair (parse(lo), parse(hi))."""
+    def pair(text: str) -> tuple:
+        lo, hi = (parse(x) for x in text.split(sep))
+        return lo, hi
+    return pair
+
+
 @dataclass(frozen=True)
 class GenSpec:
-    """Generator settings; `class_freq` must sum to 1, sizes are >= 4 px."""
+    """Generator settings; `class_freq` must sum to 1, sizes are >= 4 px.
+    Each field is a genspec.txt key, and a field's `parse` metadata reads
+    its value there."""
 
-    n_classes: int
-    class_freq: tuple
-    size_ranges: tuple
-    objects_per_scene: tuple
-    crowding: float
-    seed: int
+    n_classes: int = field(metadata={"parse": int})
+    class_freq: tuple = field(metadata={
+        "parse": lambda text: tuple(float(x) for x in text.split(","))})
+    size_ranges: tuple = field(metadata={
+        "parse": lambda text: tuple(map(_range_of(float, ":"), text.split(",")))})
+    objects_per_scene: tuple = field(metadata={"parse": _range_of(int, ",")})
+    crowding: float = 0.0
+    seed: int = 0
     image_size: int = 64
 
     def __post_init__(self):
@@ -197,11 +209,13 @@ def atomic_open(path, mode: str = "w"):
             os.remove(tmp)
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    h, w = image.shape[:2]
-    data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+def write_pnm(path, pixels: np.ndarray) -> None:
+    """An 8-bit binary netpbm file of values in [0, 1]: a pixmap (P6) for
+    an [h, w, 3] image, a graymap (P5) for an [h, w] map."""
+    h, w = pixels.shape[:2]
+    data = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
+        f.write(f"{'P6' if pixels.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())
 
 
@@ -219,15 +233,6 @@ def read_ppm(path) -> np.ndarray:
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    """8-bit graymap for map visualizations; input in [0, 1]."""
-    h, w = gray.shape
-    data = np.clip(np.rint(gray * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(data.tobytes())
-
-
 def _image_name(idx: int) -> str:
     return f"scene_{idx:05d}.ppm"
 
@@ -236,7 +241,7 @@ def save_dataset(directory, scenes: list[Scene]) -> None:
     os.makedirs(directory, exist_ok=True)
     lines = []
     for idx, scene in enumerate(scenes):
-        write_ppm(os.path.join(directory, _image_name(idx)), scene.image)
+        write_pnm(os.path.join(directory, _image_name(idx)), scene.image)
         lines.append(f"scene {idx}")
         for (cx, cy, w, h), cid in zip(scene.gt.boxes.tolist(), scene.gt.class_ids.tolist()):
             lines.append(f"{cid} {cx!r} {cy!r} {w!r} {h!r}")
@@ -326,21 +331,39 @@ def read_kv(path) -> dict[str, str]:
     return out
 
 
-def _pair(text: str, parse, sep: str) -> tuple:
-    lo, hi = (parse(x) for x in text.split(sep))
-    return lo, hi
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-# genspec.txt keys: the GenSpec fields, how each value parses, and the
-# defaults of the optional ones
-_GEN_KEYS = {
-    "n_classes": int,
-    "class_freq": lambda text: tuple(float(x) for x in text.split(",")),
-    "size_ranges": lambda text: tuple(_pair(p, float, ":") for p in text.split(",")),
-    "objects_per_scene": lambda text: _pair(text, int, ","),
-    "crowding": float, "seed": int, "image_size": int,
-}
-_GEN_DEFAULTS = {"crowding": "0", "seed": "0", "image_size": "64"}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"{text!r} is not one of {', '.join(_BOOLS)}")
+    return _BOOLS[text.lower()]
+
+
+def config_from_kv(cls, kv: dict[str, str], path):
+    """Build the dataclass `cls` (TrainConfig, ToyNetConfig or GenSpec) from
+    the key=value pairs read from the file `path`.  A field's value parses
+    by its `parse` metadata, else by its default's type (bool from a word);
+    an absent key keeps the default, and a field without one must be
+    given.  Keys that are not `cls` fields are left for the caller.  A
+    missing key, a value that does not parse, or one that breaks a rule of
+    `cls`, raises a ValueError naming the file and the key."""
+    values = {}
+    for f in fields(cls):
+        if f.name not in kv:
+            if f.default is MISSING:
+                raise ValueError(f"{path}: missing key {f.name!r}")
+            continue
+        kind = type(f.default)
+        parse = f.metadata.get("parse", _parse_bool if kind is bool else kind)
+        try:
+            values[f.name] = parse(kv[f.name])
+        except ValueError as e:
+            raise ValueError(f"{path}: {f.name}: {e}") from None
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def gen_spec_from_file(path) -> GenSpec:
@@ -348,22 +371,11 @@ def gen_spec_from_file(path) -> GenSpec:
     that does not parse and a GenSpec rule it breaks each raise a
     ValueError naming the file and the key."""
     kv = read_kv(path)
-    unknown = ", ".join(repr(key) for key in kv if key not in _GEN_KEYS)
+    keys = {f.name for f in fields(GenSpec)}
+    unknown = ", ".join(repr(key) for key in kv if key not in keys)
     if unknown:
         raise ValueError(f"{path}: unknown key {unknown}")
-    kv = {**_GEN_DEFAULTS, **kv}
-    values = {}
-    for key, parse in _GEN_KEYS.items():
-        if key not in kv:
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
-            values[key] = parse(kv[key])
-        except ValueError as e:
-            raise ValueError(f"{path}: {key}: {e}") from None
-    try:
-        return GenSpec(**values)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return config_from_kv(GenSpec, kv, path)
 
 
 def save_gen_spec(path, spec: GenSpec) -> None:

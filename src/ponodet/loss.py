@@ -27,6 +27,10 @@ MODES = ("learned", "unit", "retina_norm")
 # participates once its normalized overlap exceeds this.
 LOC_GATE = 0.5
 
+# the focal loss's class weight and focusing exponent, as Lin et al. set them
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
+
 
 def initial_balance(n_classes: int, n_anchors: int,
                     value: float = 1.0) -> dict[str, np.ndarray]:
@@ -58,20 +62,18 @@ class LossReport:
 
 
 # ---------------------------------------------------------------------
-# elementwise losses: the forward is the same on ndarrays and Tensors; a
-# Tensor input gets one tape record whose vjp is written out
+# elementwise losses: each takes a taped input and appends one tape
+# record whose vjp is written out
 # ---------------------------------------------------------------------
 
 def loc_loss_map(gate, o_hat):
-    """Gated squared-shortfall map; generic over ndarray/Tensor `o_hat`.
+    """Gated squared-shortfall map of the taped overlaps `o_hat`.
 
     `gate` is the 0/1 array of cells whose normalized overlap beats the
     threshold; it carries no gradient.
     """
     shortfall = 1.0 - ad.values_of(o_hat)
     out = gate * shortfall ** 2.0
-    if not isinstance(o_hat, ad.Tensor):
-        return out
     return ad.record(out, [(o_hat, lambda g: -(g * gate * 2.0 * shortfall))])
 
 
@@ -96,38 +98,32 @@ def _bce_slope(p, z):
 
 
 def bce_logits(p, z):
-    """Binary cross entropy from logits, in the saturation-safe form
-    max(z, 0) - z*p + log(1 + exp(-|z|)); generic over ndarray/Tensor `z`.
-    The vjp is sigmoid(z) - p."""
+    """Binary cross entropy from the taped logits `z`, in the
+    saturation-safe form max(z, 0) - z*p + log(1 + exp(-|z|)).  The vjp is
+    sigmoid(z) - p."""
     zv = ad.values_of(z)
-    out = _bce(p, zv)
-    if not isinstance(z, ad.Tensor):
-        return out
-    return ad.record(out, [(z, lambda g: g * _bce_slope(p, zv))])
+    return ad.record(_bce(p, zv), [(z, lambda g: g * _bce_slope(p, zv))])
 
 
-def focal_logits(p, z, alpha: float = 0.25, gamma: float = 2.0):
-    """Focal loss from logits for hard labels p in {0, 1}:
-    alpha_t (1 - p_t)^gamma times the cross entropy (Lin et al., ICCV
-    2017); generic over ndarray/Tensor `z`."""
+def focal_logits(p, z):
+    """Focal loss from the taped logits `z` for hard labels p in {0, 1}:
+    alpha_t (1 - p_t)^gamma times the cross entropy, with alpha =
+    FOCAL_ALPHA and gamma = FOCAL_GAMMA (Lin et al., ICCV 2017)."""
     zv = ad.values_of(z)
     sign = 2.0 * p - 1.0
     one_minus_pt = sigmoid(-sign * zv)
-    alpha_t = alpha * p + (1.0 - alpha) * (1.0 - p)
-    weight = alpha_t * one_minus_pt ** gamma
+    alpha_t = FOCAL_ALPHA * p + (1.0 - FOCAL_ALPHA) * (1.0 - p)
+    weight = alpha_t * one_minus_pt ** FOCAL_GAMMA
     ce = _bce(p, zv)
-    out = weight * ce
-    if not isinstance(z, ad.Tensor):
-        return out
 
     def vjp(g):
         # the modulating factor through sigmoid(-sign * z), then the
         # cross entropy; for hard labels the two terms share a sign
-        d_weight = alpha_t * gamma * one_minus_pt ** (gamma - 1.0) \
+        d_weight = alpha_t * FOCAL_GAMMA * one_minus_pt ** (FOCAL_GAMMA - 1.0) \
             * (one_minus_pt * (1.0 - one_minus_pt)) * -sign
         return g * (d_weight * ce + weight * _bce_slope(p, zv))
 
-    return ad.record(out, [(z, vjp)])
+    return ad.record(weight * ce, [(z, vjp)])
 
 
 # ---------------------------------------------------------------------
@@ -140,8 +136,8 @@ def weighted_totals(loc_map, cls_map, n_pos: float, n_total: float,
     each map is summed per grid over its leading axes into `sums`, and its
     term is lam * sum(lam_grid * sums) / norm, normalized by `n_pos` for
     localization and by `n_total` for classification.  Returns (total,
-    loc, cls, reg): the total is one tape record when any input is a
-    Tensor, and the three terms are floats.  `bw` maps the
+    loc, cls, reg): the total is one tape record, so a map or an s value
+    must be taped, and the three terms are floats.  `bw` maps the
     `initial_balance` keys to the s values and is read in `learned` mode
     only.
 
@@ -152,28 +148,31 @@ def weighted_totals(loc_map, cls_map, n_pos: float, n_total: float,
     retina_norm  -- multipliers 1 except the classification lam pinned
                     at n_total / n_pos, no regularizer.
     """
-    def term(loss_map, norm, s=None, s_grid=None, lam=1.0):
-        """The term's value, its map's pull and the pulls to s and s_grid."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    learned = mode == "learned"
+
+    def term(loss_map, norm, lam, key):
+        """The term's value, its map's pull and, in learned mode, the pulls
+        to the s values under `key` and `key`_grid."""
         values = ad.values_of(loss_map)
         sums = values.sum(axis=tuple(range(values.ndim - 2)))
-        lam_grid = None
-        if s is not None:
+        lam_grid, s_pulls = np.ones(sums.shape), []
+        if learned:
+            s, s_grid = bw[key], bw[key + "_grid"]
             lam, lam_grid = np.exp(-ad.values_of(s)), np.exp(-ad.values_of(s_grid))
-        inner = (sums if lam_grid is None else lam_grid * sums).sum() / norm
+            s_pulls = [(s, lambda g: -(g * inner * lam)),
+                       (s_grid, lambda g: -(g * lam / norm * sums * lam_grid))]
+        inner = (lam_grid * sums).sum() / norm
+        map_pull = (loss_map, lambda g: np.broadcast_to(g * lam / norm * lam_grid,
+                                                        values.shape))
+        return lam * inner, map_pull, s_pulls
 
-        def d_map(g):
-            d = g * lam / norm
-            d = np.full(sums.shape, d) if lam_grid is None else d * lam_grid
-            return np.broadcast_to(d, values.shape)
-
-        s_pulls = [] if s is None else [
-            (s, lambda g: -(g * inner * lam)),
-            (s_grid, lambda g: -(g * lam / norm * sums * lam_grid))]
-        return lam * inner, (loss_map, d_map), s_pulls
-
-    if mode == "learned":
-        loc, loc_pull, loc_s = term(loc_map, n_pos, bw["bw.s_loc"], bw["bw.s_loc_grid"])
-        cls, cls_pull, cls_s = term(cls_map, n_total, bw["bw.s_cls"], bw["bw.s_cls_grid"])
+    loc, loc_pull, loc_s = term(loc_map, n_pos, 1.0, "bw.s_loc")
+    cls, cls_pull, cls_s = term(cls_map, n_total,
+                                n_total / n_pos if mode == "retina_norm" else 1.0, "bw.s_cls")
+    reg, reg_pulls = 0.0, []
+    if learned:
         s_cls, s_loc, cls_grid, loc_grid = (bw[key] for key in (
             "bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"))
         grid = ad.values_of(cls_grid) + ad.values_of(loc_grid)
@@ -182,20 +181,8 @@ def weighted_totals(loc_map, cls_map, n_pos: float, n_total: float,
         def d_grid(g):
             return np.full(grid.shape, g / grid.size)
 
-        # each s leaf takes its regularizer pull first, then its term's
-        s_pulls = [(s_cls, lambda g: g), (s_loc, lambda g: g), (cls_grid, d_grid),
-                   (loc_grid, d_grid), *cls_s, *loc_s]
-    elif mode in MODES:
-        loc, loc_pull, _ = term(loc_map, n_pos)
-        cls, cls_pull, _ = term(cls_map, n_total,
-                                lam=n_total / n_pos if mode == "retina_norm" else 1.0)
-        reg, s_pulls = 0.0, []
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    total = (loc + cls) + reg
-    pulls = [loc_pull, cls_pull, *s_pulls]
-    if any(isinstance(x, ad.Tensor) for x, _ in pulls):
-        total = ad.record(total, pulls)
-    else:
-        total = float(total)
+        reg_pulls = [(s_cls, lambda g: g), (s_loc, lambda g: g), (cls_grid, d_grid),
+                     (loc_grid, d_grid)]
+    # each s leaf takes its regularizer pull first, then its term's
+    total = ad.record((loc + cls) + reg, [loc_pull, cls_pull, *reg_pulls, *cls_s, *loc_s])
     return total, float(loc), float(cls), float(reg)

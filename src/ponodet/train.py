@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -265,8 +265,9 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     from the per-iteration RNG.  The bank's mirrors and assignments outlive
     the call; a bank on another grid than the state's raises ValueError.
     A run from iteration 0 starts `log_path` afresh; a resumed run appends
-    to it, and the log is flushed before each checkpoint.  A non-finite loss raises FloatingPointError naming the
-    iteration, before that iteration is logged or checkpointed.
+    to it, and the log is flushed before each checkpoint.  A non-finite
+    loss raises FloatingPointError naming the iteration, before that
+    iteration is logged or checkpointed.
     """
     if not (bank.grid.feat_stride == state.grid.feat_stride
             and np.array_equal(bank.grid.boxes, state.grid.boxes)):
@@ -394,32 +395,3 @@ def load_run(path) -> RunState:
                     iteration=meta("meta.iteration"),
                     velocity={name[len("mom."):]: arr for name, arr in arrays.items()
                               if name.startswith("mom.")})
-
-
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise ValueError(f"{text!r} is not one of {', '.join(_BOOLS)}")
-    return _BOOLS[text.lower()]
-
-
-def config_from_kv(cls, kv: dict[str, str], path):
-    """Build a `cls` (TrainConfig or ToyNetConfig) from the key=value pairs
-    read from the file `path`; absent keys keep the dataclass defaults, and
-    keys that are not `cls` fields are left for the caller.  A value that
-    does not parse, or breaks a rule of `cls`, raises a ValueError naming
-    the file and the key."""
-    values = {}
-    for f in fields(cls):
-        if f.name in kv:
-            kind = type(f.default)
-            try:
-                values[f.name] = (_parse_bool if kind is bool else kind)(kv[f.name])
-            except ValueError as e:
-                raise ValueError(f"{path}: {f.name}: {e}") from None
-    try:
-        return cls(**values)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

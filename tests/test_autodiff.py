@@ -254,8 +254,10 @@ class TestBackward:
         t1, t2 = ad.Tape(), ad.Tape()
         x = ad.leaf(np.array(1.0), t1)
         y = ad.leaf(np.array(1.0), t2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different tapes"):
             add(x, y)
+        with pytest.raises(ValueError, match="no operand is a Tensor"):
+            ad.record(np.ones(()), [(np.ones(()), lambda g: g)])
 
     def test_determinism(self):
         def run():

@@ -332,7 +332,7 @@ class TestBadInput:
     def test_image_size_differs_in_dataset(self, workspace, tmp_path, capsys,
                                            h, w, message):
         ds = self.make_dataset(tmp_path)
-        data_mod.write_ppm(ds / "scene_00001.ppm", np.zeros((h, w, 3)))
+        data_mod.write_pnm(ds / "scene_00001.ppm", np.zeros((h, w, 3)))
         cfg = tmp_path / "batch2.txt"
         cfg.write_text(TRAINCFG.replace("batch_size = 1", "batch_size = 2"))
         assert run(["train", "--config", str(cfg), "--dataset", str(ds),

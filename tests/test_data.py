@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ponodet import data as data_mod
 from ponodet.data import (GenSpec, Scene, gen_spec_from_file, generate,
                           hflip, load_annotations, load_dataset, read_kv,
-                          read_ppm, save_dataset, save_gen_spec, write_ppm)
+                          read_ppm, save_dataset, save_gen_spec, write_pnm)
 from ponodet.geometry import GroundTruth
 
 from test_geometry import iou_oracle
@@ -72,6 +72,23 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as e:
             gen_spec_from_file(path)
         assert key in str(e.value)
+
+    @pytest.mark.parametrize("key", ["n_classes", "class_freq", "size_ranges",
+                                     "objects_per_scene"])
+    def test_missing_key_names_file_and_key(self, tmp_path, key):
+        path = tmp_path / "genspec.txt"
+        save_gen_spec(path, basic_spec())
+        path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                if not line.startswith(key + " ")))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
+            gen_spec_from_file(path)
+
+    def test_optional_keys_take_their_defaults(self, tmp_path):
+        path = tmp_path / "genspec.txt"
+        path.write_text("n_classes = 1\nclass_freq = 1\nsize_ranges = 8:14\n"
+                        "objects_per_scene = 1,2\n")
+        spec = gen_spec_from_file(path)
+        assert (spec.crowding, spec.seed, spec.image_size) == (0.0, 0, 64)
 
     def test_unknown_key_names_file_and_key(self, tmp_path):
         path = self.spec_file(tmp_path, "crowding = 0.0", "crowdng = 0.8")
@@ -193,7 +210,7 @@ class TestDatasetIO:
 
     def test_every_truncation_names_the_file(self, tmp_path):
         path = tmp_path / "x.ppm"
-        write_ppm(path, np.zeros((2, 3, 3)))
+        write_pnm(path, np.zeros((2, 3, 3)))
         blob = path.read_bytes()
         header = len(b"P6\n3 2\n255\n")
         for cut in range(len(blob)):
@@ -223,7 +240,7 @@ class TestDatasetIO:
     def test_ppm_roundtrip_idempotent(self, tmp_path):
         img = np.clip(np.rint(np.random.default_rng(0).uniform(0, 1, (8, 10, 3)) * 255),
                       0, 255) / 255.0
-        write_ppm(tmp_path / "x.ppm", img)
+        write_pnm(tmp_path / "x.ppm", img)
         np.testing.assert_array_equal(read_ppm(tmp_path / "x.ppm"), img)
 
     def test_empty_annotations(self, tmp_path):

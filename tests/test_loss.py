@@ -42,6 +42,22 @@ def focal_loss_elem(p: int, p_hat: float, alpha: float = 0.25,
     return alpha_t * (1.0 - p_t) ** gamma * (-math.log(p_t))
 
 
+def on_leaf(fn, *args):
+    """The forward values of a loss map `fn` with its last argument (the
+    overlaps or the logits) a leaf on a fresh tape."""
+    *rest, x = args
+    return fn(*rest, ad.leaf(np.asarray(x, np.float64), ad.Tape())).values
+
+
+def totals_on_leaves(loc_map, cls_map, n_pos, n_total, mode, bw=None):
+    """`weighted_totals` with the two maps (or sums) leaves on a fresh
+    tape: the total's value as a float, then the three terms."""
+    tape = ad.Tape()
+    total, *terms = weighted_totals(ad.leaf(loc_map, tape), ad.leaf(cls_map, tape),
+                                    n_pos, n_total, mode, bw)
+    return (float(total.values), *terms)
+
+
 class TestLocLossElem:
     def test_perfect_fit(self):
         assert loc_loss_elem(1.0, 1.0) == 0.0
@@ -75,11 +91,11 @@ class TestClsLossElem:
             z = rng.normal(0, 3)
             p = rng.integers(0, 2)
             p_hat = 1.0 / (1.0 + math.exp(-z))
-            assert float(bce_logits(float(p), np.array(z))) == \
+            assert float(on_leaf(bce_logits, float(p), z)) == \
                 pytest.approx(cls_loss_elem(p, p_hat), rel=1e-9)
 
     def test_logit_form_saturation_safe(self):
-        v = bce_logits(np.array([1.0, 0.0]), np.array([-500.0, 500.0]))
+        v = on_leaf(bce_logits, np.array([1.0, 0.0]), np.array([-500.0, 500.0]))
         assert np.all(np.isfinite(v))
         assert v[0] == pytest.approx(500.0)
 
@@ -104,7 +120,7 @@ class TestFocalLossElem:
         rng = np.random.default_rng(2)
         z = rng.normal(0, 2, size=8)
         p = rng.integers(0, 2, size=8).astype(float)
-        got = focal_logits(p, z)
+        got = on_leaf(focal_logits, p, z)
         want = [focal_loss_elem(int(pi), 1 / (1 + math.exp(-zi)))
                 for pi, zi in zip(p, z)]
         np.testing.assert_allclose(got, want, rtol=1e-9)
@@ -117,13 +133,13 @@ class TestBalancedTotals:
 
     def test_unit_zero_maps(self):
         z = np.zeros((1, 1))
-        assert weighted_totals(z, z, 1, 4, "unit") == (0.0, 0.0, 0.0, 0.0)
+        assert totals_on_leaves(z, z, 1, 4, "unit") == (0.0, 0.0, 0.0, 0.0)
 
     def test_learned_identity_weights(self):
         rng = np.random.default_rng(3)
         loc_sums, cls_sums = rng.uniform(0, 4, (2, 3)), rng.uniform(0, 8, (2, 3))
         bw = initial_balance(2, 3, value=0.0)
-        total, loc, cls, reg = weighted_totals(loc_sums, cls_sums, 5, 96, "learned", bw)
+        total, loc, cls, reg = totals_on_leaves(loc_sums, cls_sums, 5, 96, "learned", bw)
         assert loc == pytest.approx(loc_sums.sum() / 5, rel=1e-12)
         assert cls == pytest.approx(cls_sums.sum() / 96, rel=1e-12)
         assert reg == 0.0
@@ -136,7 +152,7 @@ class TestBalancedTotals:
         bw = {name: rng.normal(0.0, 0.5, np.shape(v))
               for name, v in initial_balance(2, 3).items()}
         for mode in MODES:
-            assert weighted_totals(loc_map, cls_map, 5, 96, mode, bw) == weighted_totals(
+            assert totals_on_leaves(loc_map, cls_map, 5, 96, mode, bw) == totals_on_leaves(
                 loc_map.sum(axis=(0, 1, 2)), cls_map.sum(axis=(0, 1, 2)), 5, 96, mode, bw)
 
     def test_retina_vs_unit_cls_ratio(self):
@@ -145,8 +161,8 @@ class TestBalancedTotals:
         h = w = 4
         cls_sums = np.full((h, w, 2, 2), math.log(2.0)).sum(axis=(0, 1))
         n, n_pos = h * w * 2 * 2, 2
-        _, _, unit, _ = weighted_totals(cls_sums, cls_sums, n_pos, n, "unit")
-        _, _, retina, _ = weighted_totals(cls_sums, cls_sums, n_pos, n, "retina_norm")
+        _, _, unit, _ = totals_on_leaves(cls_sums, cls_sums, n_pos, n, "unit")
+        _, _, retina, _ = totals_on_leaves(cls_sums, cls_sums, n_pos, n, "retina_norm")
         assert unit == pytest.approx(math.log(2.0), rel=1e-12)
         assert unit / retina == pytest.approx(n_pos / n, rel=1e-12)
 
@@ -162,7 +178,7 @@ class TestBalancedTotals:
 
     def test_unknown_mode(self):
         z = np.zeros((1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             weighted_totals(z, z, 1, 4, "bogus")
 
 
@@ -173,7 +189,7 @@ class TestBalanceWeights:
         sums = np.ones((2, 2))
         for value in (-40.0, 40.0):
             bw = initial_balance(2, 2, value=value)
-            _, loc, cls, _ = weighted_totals(sums, sums, 1, 4, "learned", bw)
+            _, loc, cls, _ = totals_on_leaves(sums, sums, 1, 4, "learned", bw)
             assert loc > 0 and cls > 0
 
     def test_initial_keys_shapes_and_order(self):
@@ -418,8 +434,9 @@ def assert_head_matches_oracle(grid, assignment, cfg, logits, offsets, s_values)
     assert_same_grads(grads, want)
     o_hat = pred_iou_values(grid, offsets, assignment)
     gate, labels = train_mod._gate_and_labels(assignment, o_hat, cfg)
-    cls_fn = bce_logits if cfg.cls_loss == "CE" else focal_logits
-    maps = loc_loss_map(gate, o_hat), cls_fn(labels.astype(np.float64), logits)
+    # the elementwise oracle's maps on arrays are the fused head's, bit for bit
+    cls_fn = elementwise_bce if cfg.cls_loss == "CE" else elementwise_focal
+    maps = elementwise_loc_loss_map(gate, o_hat), cls_fn(labels.astype(np.float64), logits)
     for loc, cls in (maps, [m.sum(axis=(0, 1, 2)) for m in maps]):
         assert_totals_match_separate_records(loc, cls, max(1, n_pos), gate.size,
                                              cfg.mode, s_values)
@@ -451,7 +468,8 @@ CELLS = [(rule, loss, mode) for rule in LABEL_RULES for loss in CLS_LOSSES
 
 class TestFusedHead:
     def test_array_path_matches_elementwise_head(self):
-        # ndarray inputs take the same forward, untaped, bit for bit
+        # `pred_iou_values` takes the same forward on arrays, untaped, and
+        # the loss maps' taped forward values are the oracle's, bit for bit
         rng = np.random.default_rng(13)
         for _ in range(4):
             grid, assignment, logits, offsets, _ = random_head_instance(rng)
@@ -460,12 +478,25 @@ class TestFusedHead:
             np.testing.assert_array_equal(
                 o_hat, elementwise_pred_iou(grid, offsets, assignment))
             gate = (assignment.pono > LOC_GATE).astype(np.float64)
-            np.testing.assert_array_equal(loc_loss_map(gate, o_hat),
+            np.testing.assert_array_equal(on_leaf(loc_loss_map, gate, o_hat),
                                           elementwise_loc_loss_map(gate, o_hat))
             p = (o_hat > 0.5).astype(np.float64)
-            np.testing.assert_array_equal(bce_logits(p, logits), elementwise_bce(p, logits))
-            np.testing.assert_array_equal(focal_logits(p, logits),
+            np.testing.assert_array_equal(on_leaf(bce_logits, p, logits),
+                                          elementwise_bce(p, logits))
+            np.testing.assert_array_equal(on_leaf(focal_logits, p, logits),
                                           elementwise_focal(p, logits))
+
+    @pytest.mark.parametrize("fn,args", [
+        (loc_loss_map, (np.ones(3), np.full(3, 0.5))),
+        (bce_logits, (np.array([0.0, 1.0, 1.0]), np.zeros(3))),
+        (focal_logits, (np.array([0.0, 1.0, 1.0]), np.zeros(3))),
+        (weighted_totals, (np.ones((2, 2)), np.ones((2, 2)), 1, 4, "learned",
+                           initial_balance(2, 2)))],
+        ids=["loc_loss_map", "bce_logits", "focal_logits", "weighted_totals"])
+    def test_untaped_input_rejected(self, fn, args):
+        # the head has one path: every function appends its tape record
+        with pytest.raises(ValueError, match="no operand is a Tensor"):
+            fn(*args)
 
     @pytest.mark.parametrize("rule,cls_loss,mode", CELLS)
     def test_matches_elementwise_head(self, rule, cls_loss, mode):

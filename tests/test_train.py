@@ -15,12 +15,11 @@ from ponodet import loss as loss_mod
 from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
-from ponodet.data import GenSpec, Scene, generate
+from ponodet.data import GenSpec, Scene, config_from_kv, generate
 from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, leaf_params, load_arrays, save_arrays
-from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid,
-                           config_from_kv, load_run, lr_at, run_training, save_run,
-                           sgd_step, train_iteration)
+from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
+                           lr_at, run_training, save_run, sgd_step, train_iteration)
 
 from test_autodiff import add, reduce_sum
 from test_model import TabularPredictor
