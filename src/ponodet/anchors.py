@@ -5,12 +5,14 @@ independently, with distance 1 - IoU of the two shapes aligned at a common
 center.  The centroid update minimizes the within-cluster cost directly
 and keeps a new shape only when it strictly lowers that cost, so the
 clustering objective never increases.  The update is a compass search in
-log (w, h): every start moves at once, each round scoring all starts'
-3 x 3 moves against all cluster members in one array op, and each start
-halves its own step when no move lowers its cost.  The cost is piecewise
-smooth with kinks at the members' sides, where optima often sit, so the
-search runs its step down to `_STEP_TOL` rather than relying on a
-gradient.
+log (w, h): every start moves at once, and each start halves its own step
+when no move lowers its cost.  A start carries the cost of its current
+shape from the round that reached it, so a round scores only the 8 moves
+of every active start against all cluster members, in one array op that
+writes into two work buffers allocated once per search.  The cost is
+piecewise smooth with kinks at the members' sides, where optima often
+sit, so the search runs its step down to `_STEP_TOL` rather than relying
+on a gradient.
 
 Lloyd's loop runs in two phases.  While members still move between
 clusters, each centroid takes one search started from itself, since it is
@@ -18,7 +20,10 @@ already near its cluster's optimum.  Once a step changes nothing, every
 later step uses the multi-start search (the mean, up to `_MAX_STARTS`
 members and the centroid), so the loop stops only at a fixed point of the
 multi-start update, and a single cluster matches an exhaustive grid
-search.
+search.  Every search of one class goes through a cache keyed by its
+members and its start: a start's path depends on nothing else, so the
+first multi-start step reuses the last single-start search, and the step
+that confirms the fixed point searches only from centroids that moved.
 """
 
 from __future__ import annotations
@@ -33,11 +38,11 @@ from .data import atomic_open, text_lines
 # Cap on local-search restarts per centroid update; small clusters get one
 # start per member, large clusters a deterministic area-spread subsample.
 _MAX_STARTS = 8
-# Compass moves in log (w, h), the unmoved one first; the first step and
-# the step below which a start stops.  A stop at 1e-11 left the cost up to
-# 3e-12 above the former Nelder-Mead update on kinked optima; 1e-13 never
-# did over 1000 random clusters.
-_MOVES = np.array([[0, 0], [-1, -1], [-1, 0], [-1, 1], [0, -1],
+# The 8 compass moves in log (w, h); the first step and the step below
+# which a start stops.  A stop at 1e-11 left the cost up to 3e-12 above
+# the former Nelder-Mead update on kinked optima; 1e-13 never did over
+# 1000 random clusters.
+_MOVES = np.array([[-1, -1], [-1, 0], [-1, 1], [0, -1],
                    [0, 1], [1, -1], [1, 0], [1, 1]], dtype=np.float64)
 _STEP0 = 0.25
 _STEP_TOL = 1e-13
@@ -108,36 +113,76 @@ def _local_search(starts: np.ndarray,
     """Compass search of the summed 1 - IoU cost in log (w, h), all starts
     at once.
 
-    Each round scores every start's 3 x 3 moves against every member in
-    one [starts, moves, members] array op.  A start takes its cheapest move
-    when that strictly lowers its cost, else halves its own step; it stops
-    once the step falls below `_STEP_TOL`.  Returns the end shapes and
-    their costs.
+    Each start carries the cost of its current shape from the round that
+    reached it, so a round scores only every active start's 8 moves
+    against every member, into two [starts * 8, members] work buffers
+    allocated once per search.  A start takes its cheapest move (the first
+    of equal costs) when that strictly lowers its cost, else halves its
+    own step; it stops once the step falls below `_STEP_TOL`.  Returns the
+    end shapes and their costs.
     """
+    mw, mh = members[:, 0], members[:, 1]
+    m_area = mw * mh
+    inter = np.empty((len(starts) * len(_MOVES), len(members)))
+    union = np.empty_like(inter)
+
+    def score(log_shapes: np.ndarray) -> np.ndarray:
+        # `_cluster_cost` term by term in the same order, so the same doubles
+        w, h = np.exp(log_shapes).T
+        i, u = inter[:len(w)], union[:len(w)]
+        np.minimum(w[:, None], mw, out=i)
+        np.minimum(h[:, None], mh, out=u)
+        i *= u
+        np.add((w * h)[:, None], m_area, out=u)
+        u -= i
+        i /= u
+        np.subtract(1.0, i, out=i)
+        return np.sum(i, axis=-1)
+
     pos = np.log(starts)
+    cost = score(pos)
     step = np.full(len(pos), _STEP0)
     active = np.arange(len(pos))
     while active.size:
         cand = pos[active, None, :] + step[active, None, None] * _MOVES
-        cost = _cluster_cost(np.exp(cand), members)
-        # the unmoved candidate is first, so argmin > 0 is a strict descent
-        move = np.argmin(cost, axis=1)
-        went = move > 0
+        cand_cost = score(cand.reshape(-1, 2)).reshape(len(active), -1)
+        move = np.argmin(cand_cost, axis=1)
+        move_cost = cand_cost[np.arange(len(active)), move]
+        went = move_cost < cost[active]
         pos[active[went]] = cand[went, move[went]]
+        cost[active[went]] = move_cost[went]
         step[active[~went]] *= 0.5
         active = active[step[active] >= _STEP_TOL]
-    shapes = np.exp(pos)
-    return shapes, _cluster_cost(shapes, members)
+    return np.exp(pos), cost
 
 
-def _best_shape(members: np.ndarray,
-                current: np.ndarray | None = None) -> np.ndarray:
+def _cached_search(starts: np.ndarray, members: np.ndarray,
+                   cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """`_local_search` through `cache`, which maps (members, start) bytes
+    to that start's end and end cost; only starts not yet searched on
+    these members are searched, each once.
+
+    A start's path depends on nothing but itself and the members, so a
+    cached end is bit for bit the end a new batch would reach.
+    """
+    seen = cache.setdefault(members.tobytes(), {})
+    todo = {s.tobytes(): s for s in starts if s.tobytes() not in seen}
+    if todo:
+        ends, costs = _local_search(np.asarray(list(todo.values())), members)
+        seen.update(zip(todo, zip(ends, costs)))
+    found = [seen[s.tobytes()] for s in starts]
+    return (np.asarray([end for end, _ in found]),
+            np.asarray([cost for _, cost in found]))
+
+
+def _best_shape(members: np.ndarray, current: np.ndarray | None = None,
+                cache: dict | None = None) -> np.ndarray:
     """Shape minimizing the summed 1 - IoU distance to `members`.
 
     Multi-start: the component-wise mean, a deterministic subsample of the
-    members, and the current centroid each seed a local search; exact-cost
-    candidates (the starts themselves) compete too, so zero-cost starts are
-    returned bit-for-bit.
+    members, and the current centroid each seed a local search (through
+    `cache`, when given); exact-cost candidates (the starts themselves)
+    compete too, so zero-cost starts are returned bit-for-bit.
     """
     starts = [members.mean(axis=0)]
     if len(members) <= _MAX_STARTS:
@@ -150,7 +195,8 @@ def _best_shape(members: np.ndarray,
         starts.append(np.asarray(current, dtype=np.float64))
     starts = np.asarray(starts, dtype=np.float64)
 
-    ends, end_costs = _local_search(starts, members)
+    ends, end_costs = _cached_search(starts, members,
+                                     {} if cache is None else cache)
     start_costs = _cluster_cost(starts, members)
     # interleaved (start, its end) order: the first of equal costs wins
     cands = np.stack([starts, ends], axis=1).reshape(-1, 2)
@@ -181,6 +227,7 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
     the steps of both phases together.
     """
     centroids = _farthest_point_init(shapes, n_a, rng)
+    searches: dict = {}
     assign = None
     multistart = False
     for _ in range(max_iter):
@@ -206,9 +253,9 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
             if members.size == 0:
                 continue
             if multistart:
-                cand = _best_shape(members, centroids[k])
+                cand = _best_shape(members, centroids[k], searches)
             else:
-                cand = _local_search(centroids[k][None], members)[0][0]
+                cand = _cached_search(centroids[k][None], members, searches)[0][0]
             if _cluster_cost(cand, members) < _cluster_cost(centroids[k], members):
                 centroids[k] = cand
                 moved = True

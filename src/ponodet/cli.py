@@ -387,7 +387,7 @@ def build_parser() -> _Parser:
 
     d = sub.add_parser("assign-dump", help="dump assignment maps for one scene")
     d.add_argument("--dataset", required=True)
-    d.add_argument("--scene", type=int, default=0)
+    d.add_argument("--scene", type=SEED, default=0)
     d.add_argument("--anchors", required=True)
     d.add_argument("--checkpoint", default=None)
     d.add_argument("--out", required=True)

@@ -55,14 +55,14 @@ def nm_refine_shape(start: np.ndarray, members: np.ndarray) -> tuple[np.ndarray,
     return np.exp(res.x), float(res.fun)
 
 
-def nm_best_shape(members: np.ndarray,
-                  current: np.ndarray | None = None) -> np.ndarray:
+def nm_best_shape(members: np.ndarray, current: np.ndarray | None = None,
+                  cache: dict | None = None) -> np.ndarray:
     """Shape minimizing the summed 1 - IoU distance to `members`.
 
     Multi-start: the component-wise mean, a deterministic subsample of the
     members, and the current centroid each seed a local search; exact-cost
     candidates (the starts themselves) compete too, so zero-cost starts are
-    returned bit-for-bit.
+    returned bit-for-bit.  `cache` is `_best_shape`'s and goes unused.
     """
     starts = [members.mean(axis=0)]
     if len(members) <= _MAX_STARTS:
@@ -80,6 +80,53 @@ def nm_best_shape(members: np.ndarray,
             if cost < best_cost:
                 best, best_cost = np.asarray(cand, dtype=np.float64), cost
     return best
+
+
+# The compass search before the search cache, its carried costs and its
+# work buffers, kept as their reference: every round scores all 9
+# candidates, the unmoved one first, into fresh arrays.
+
+COMPASS_MOVES = np.array([[0, 0], [-1, -1], [-1, 0], [-1, 1], [0, -1],
+                          [0, 1], [1, -1], [1, 0], [1, 1]], dtype=np.float64)
+
+
+def compass_search_oracle(starts: np.ndarray,
+                          members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    pos = np.log(starts)
+    step = np.full(len(pos), anchors._STEP0)
+    active = np.arange(len(pos))
+    while active.size:
+        cand = pos[active, None, :] + step[active, None, None] * COMPASS_MOVES
+        cost = _cluster_cost(np.exp(cand), members)
+        # the unmoved candidate is first, so argmin > 0 is a strict descent
+        move = np.argmin(cost, axis=1)
+        went = move > 0
+        pos[active[went]] = cand[went, move[went]]
+        step[active[~went]] *= 0.5
+        active = active[step[active] >= anchors._STEP_TOL]
+    shapes = np.exp(pos)
+    return shapes, _cluster_cost(shapes, members)
+
+
+def oracle_best_shape(members: np.ndarray,
+                      current: np.ndarray | None = None) -> np.ndarray:
+    """`_best_shape` searching every start with `compass_search_oracle`."""
+    starts = [members.mean(axis=0)]
+    if len(members) <= _MAX_STARTS:
+        starts.extend(members)
+    else:
+        order = np.argsort(members[:, 0] * members[:, 1], kind="stable")
+        picks = np.linspace(0, len(members) - 1, _MAX_STARTS).astype(int)
+        starts.extend(members[order[picks]])
+    if current is not None:
+        starts.append(np.asarray(current, dtype=np.float64))
+    starts = np.asarray(starts, dtype=np.float64)
+
+    ends, end_costs = compass_search_oracle(starts, members)
+    start_costs = _cluster_cost(starts, members)
+    cands = np.stack([starts, ends], axis=1).reshape(-1, 2)
+    costs = np.stack([start_costs, end_costs], axis=1).reshape(-1)
+    return cands[int(np.argmin(costs))]
 
 
 # The k-means loop before the two-phase form, kept as its reference: the
@@ -108,7 +155,7 @@ def multistart_lloyd(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
             members = shapes[new_assign == k]
             if members.size == 0:
                 continue
-            cand = anchors._best_shape(members, centroids[k])
+            cand = oracle_best_shape(members, centroids[k])
             if _cluster_cost(cand, members) < _cluster_cost(centroids[k], members):
                 centroids[k] = cand
                 moved = True
@@ -241,20 +288,24 @@ class TestKmeans:
     def test_single_start_steps_then_multistart_to_the_fixed_point(self, monkeypatch):
         rng = np.random.default_rng(29)
         shapes, n_a, max_iter = rng.uniform(5, 60, size=(100, 2)), 3, 60
-        calls = []
-        local_search, best_shape = anchors._local_search, anchors._best_shape
+        calls, in_best = [], []
+        cached_search, best_shape = anchors._cached_search, anchors._best_shape
 
-        def spy_local(starts, members):
-            # `_best_shape` searches from at least three starts
-            if len(starts) == 1:
+        def spy_search(starts, members, cache):
+            # only the searches asked for outside `_best_shape`, hits included
+            if not in_best:
                 calls.append("local")
-            return local_search(starts, members)
+            return cached_search(starts, members, cache)
 
-        def spy_best(members, current=None):
+        def spy_best(members, current=None, cache=None):
             calls.append("best")
-            return best_shape(members, current)
+            in_best.append(True)
+            try:
+                return best_shape(members, current, cache)
+            finally:
+                in_best.pop()
 
-        monkeypatch.setattr(anchors, "_local_search", spy_local)
+        monkeypatch.setattr(anchors, "_cached_search", spy_search)
         monkeypatch.setattr(anchors, "_best_shape", spy_best)
         centroids = anchors._kmeans_one_class(shapes, n_a, np.random.default_rng(0),
                                               max_iter)
@@ -270,6 +321,66 @@ class TestKmeans:
             members = shapes[assign == k]
             assert not (_cluster_cost(best_shape(members, centroids[k]), members)
                         < _cluster_cost(centroids[k], members))
+
+    def test_search_matches_compass_oracle(self, monkeypatch):
+        batches = []
+        cached_search = anchors._cached_search
+
+        def spy(starts, members, cache):
+            batches.append((starts.copy(), members.copy()))
+            return cached_search(starts, members, cache)
+
+        # every batch the pinned splits search, `_best_shape`'s starts included
+        monkeypatch.setattr(anchors, "_cached_search", spy)
+        for name, n_a in [("crowded", 2), ("imbalanced", 3)]:
+            sizes, seed = pinned_split(name)
+            kmeans_anchors(sizes, n_a, seed)
+        assert any(len(starts) > 1 for starts, _ in batches)
+        rng = np.random.default_rng(37)
+        for n in [1, 2, 5, 9, 40, 300, 1000]:
+            members = rng.uniform(4.0, 60.0, size=(n, 2))
+            for n_starts in [1, 4, 10]:
+                batches.append((rng.uniform(2.0, 80.0, size=(n_starts, 2)), members))
+            # one start on a member, one inside the cluster, one far out
+            batches.append((np.stack([members[n // 2], members.mean(axis=0),
+                                      [300.0, 1.5]]), members))
+        # the start on the lone shape only halves its step, so it stops
+        # rounds before the far start, which must first walk there
+        batches.append((np.array([[12.0, 7.0], [90.0, 2.0]]), np.array([[12.0, 7.0]])))
+        for starts, members in batches:
+            got = anchors._local_search(starts, members)
+            want = compass_search_oracle(starts, members)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_pinned_crowded_searches_each_start_once(self, monkeypatch):
+        sizes, seed = pinned_split("crowded")
+        searched, per_class = [], []
+        local_search, best_shape = anchors._local_search, anchors._best_shape
+        one_class = anchors._kmeans_one_class
+
+        def spy_local(starts, members):
+            searched.append(len(starts))
+            return local_search(starts, members)
+
+        def spy_best(members, current=None, cache=None):
+            before = sum(searched)
+            out = best_shape(members, current, cache)
+            per_class[-1].append(sum(searched) - before)
+            return out
+
+        def spy_class(*args):
+            per_class.append([])
+            return one_class(*args)
+
+        monkeypatch.setattr(anchors, "_local_search", spy_local)
+        monkeypatch.setattr(anchors, "_best_shape", spy_best)
+        monkeypatch.setattr(anchors, "_kmeans_one_class", spy_class)
+        kmeans_anchors(sizes, 2, seed)
+        # the first multi-start step reuses phase 1's search from the
+        # centroid; the confirming step searches only from the new centroid
+        assert per_class == [[9, 9, 1, 1], [9, 9, 1, 1]], per_class
+        assert sum(searched) <= 84  # 120 with every start searched each time
 
     def test_empty_class_error_names_class(self):
         with pytest.raises(ValueError, match="class 1"):

@@ -495,14 +495,17 @@ class TestFlagRanges:
         ("anchors", "--seed", "-1", "must be a whole number >= 0, got '-1'"),
         ("anchors", "--seed", "x", "must be a whole number >= 0, got 'x'"),
         ("gen-data", "--seed", "-1", "must be a whole number >= 0, got '-1'"),
-        ("train", "--seed", "-1", "must be a whole number >= 0, got '-1'")])
+        ("train", "--seed", "-1", "must be a whole number >= 0, got '-1'"),
+        ("assign-dump", "--scene", "-1", "must be a whole number >= 0, got '-1'")])
     def test_setup_flags(self, workspace, tmp_path, capsys, started, command, flag,
                          value, message):
         inputs = {"anchors": ["--dataset", str(workspace / "ds")],
                   "gen-data": ["--config", str(workspace / "genspec.txt"), "-n", "2"],
                   "train": ["--config", str(workspace / "train.txt"),
                             "--dataset", str(workspace / "ds"),
-                            "--anchors", str(workspace / "anchors.txt")]}
+                            "--anchors", str(workspace / "anchors.txt")],
+                  "assign-dump": ["--dataset", str(workspace / "ds"),
+                                  "--anchors", str(workspace / "anchors.txt")]}
         out = tmp_path / "out"
         assert run([command, *inputs[command], "--out", str(out), flag, value]) == 1
         assert f"argument {flag}: {message}" in capsys.readouterr().err
