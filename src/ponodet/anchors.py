@@ -79,11 +79,11 @@ class AnchorSet:
 class AnchorGrid:
     """Dense anchor boxes [h_f, w_f, n_classes, n_anchors, 4] as (cx, cy, w, h).
 
-    Cell (i, j) centers its anchors at ((j + 0.5) * stride, (i + 0.5) * stride).
+    Cell (i, j) centers its anchors at ((j + 0.5) * stride, (i + 0.5) * stride),
+    so grids with equal boxes have equal strides.
     """
 
     boxes: np.ndarray
-    feat_stride: int
 
     @property
     def n_classes(self) -> int:
@@ -307,7 +307,7 @@ def build_grid(anchor_set: AnchorSet, h_f: int, w_f: int,
     boxes[..., 1] = ((np.arange(h_f) + 0.5) * feat_stride)[:, None, None, None]
     boxes[..., 2] = anchor_set.shapes[..., 0][None, None, :, :]
     boxes[..., 3] = anchor_set.shapes[..., 1][None, None, :, :]
-    return AnchorGrid(boxes=boxes, feat_stride=feat_stride)
+    return AnchorGrid(boxes=boxes)
 
 
 def save_anchor_set(path, anchor_set: AnchorSet) -> None:

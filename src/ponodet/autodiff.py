@@ -5,12 +5,14 @@ A ``Tensor`` wraps an ndarray; every operation appends one record to the
 construction and ``backward`` replays it in reverse exactly once per node.
 The op set is what one training iteration records: the network's
 ``conv2d`` (bias and leaky ReLU in the same record), ``upsample2``,
-``concat`` and ``reshape`` on channels-last image stacks [N, H, W, C], so
-one record serves a whole batch; and the loss head, whose functions
-compute their forward on arrays and append one record with a written-out
-vjp through ``record``, down to the scalar total.  A Tensor has no
-arithmetic of its own.  The network ops return plain arrays, untracked,
-when no input is a Tensor.
+``concat`` (on channels) and ``reshape`` on channels-last image stacks
+[N, H, W, C], so one record serves a whole batch; and the loss head,
+whose functions compute their forward on arrays and append one record
+with a written-out vjp through ``record``, down to the scalar total.  A
+Tensor has no arithmetic of its own.  The network ops return plain
+arrays, untracked, when no input is a Tensor.  A leaf's gradient starts
+at zero and ``backward`` adds into it in place, so a training run binds
+each of its leaves to a view of its gradient vector once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Tensor:
     def __init__(self, values, tape: Tape, is_leaf: bool = False) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         self.tape = tape
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros_like(self.values) if is_leaf else None
         self.is_leaf = is_leaf
 
     @property
@@ -52,7 +54,7 @@ class Tensor:
 
 
 def leaf(values, tape: Tape) -> Tensor:
-    """Create a differentiable leaf bound to `tape`."""
+    """Create a differentiable leaf bound to `tape`, with a zero gradient."""
     if tape is None:
         raise ValueError("a leaf tensor needs a tape")
     return Tensor(values, tape, is_leaf=True)
@@ -85,9 +87,9 @@ def _tracked(*xs) -> bool:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into `.grad` of every leaf the root depends on.
+    """Add d(root)/d(leaf) into `.grad` of every leaf the root depends on.
 
-    Repeated calls keep accumulating; clear leaf grads by hand to reset.
+    Repeated calls keep accumulating; zero leaf grads by hand to reset.
     """
     if not isinstance(root, Tensor):
         raise ValueError("backward root must be a Tensor")
@@ -95,7 +97,7 @@ def backward(root: Tensor) -> None:
         raise ValueError(f"backward root must be scalar, got shape {root.values.shape}")
     seed = np.ones((), dtype=np.float64)
     if root.is_leaf:
-        root.grad = seed if root.grad is None else root.grad + seed
+        root.grad += seed
         return
     adjoint: dict[int, np.ndarray] = {id(root): seed}
     for out, pre, pulls in reversed(root.tape.records):
@@ -107,8 +109,6 @@ def backward(root: Tensor) -> None:
         for parent, vjp in pulls:
             contrib = vjp(g)
             if parent.is_leaf:
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.values)
                 parent.grad += contrib
             else:
                 prev = adjoint.get(id(parent))
@@ -119,9 +119,7 @@ def backward(root: Tensor) -> None:
 # shape ops
 # ---------------------------------------------------------------------
 
-def reshape(x, *shape):
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
+def reshape(x, shape: tuple):
     xv = values_of(x)
     out = xv.reshape(shape)
     if not _tracked(x):
@@ -129,21 +127,19 @@ def reshape(x, *shape):
     return record(out, [(x, lambda g: g.reshape(xv.shape))])
 
 
-def concat(parts, axis: int = -1):
+def concat(parts):
+    """Join stacks on their last (channel) axis."""
     vs = [values_of(p) for p in parts]
-    out = np.concatenate(vs, axis=axis)
+    out = np.concatenate(vs, axis=-1)
     if not _tracked(*parts):
         return out
-    ax = axis % out.ndim
     pulls = []
     start = 0
     for p, v in zip(parts, vs):
-        stop = start + v.shape[ax]
-        sl = tuple(slice(None) if d != ax else slice(start, stop)
-                   for d in range(out.ndim))
+        stop = start + v.shape[-1]
 
-        def vjp(g, sl=sl):
-            return g[sl]
+        def vjp(g, start=start, stop=stop):
+            return g[..., start:stop]
 
         pulls.append((p, vjp))
         start = stop

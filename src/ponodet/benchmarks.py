@@ -98,8 +98,7 @@ def crowded_benchmark() -> Benchmark:
 
 
 def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
-             cls_loss: str = "CE", max_iter: int | None = None,
-             log_path=None) -> dict:
+             cls_loss: str = "CE", max_iter: int | None = None) -> dict:
     """Train one ablation cell on the benchmark's setup, score it on the
     test split."""
     setup = bench.setup
@@ -110,7 +109,7 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
     model = ToyNet(bench.net, bench.gen.n_classes, bench.n_anchors,
                    seed=cfg.seed)
     state = RunState.fresh(model, setup.bank.grid)
-    reports = run_training(state, setup.bank, cfg, log_path=log_path)
+    reports = run_training(state, setup.bank, cfg)
     dets = dataset_detections(model, state.grid, setup.test, bench.score_min,
                               bench.nms_iou)
     per_class, mean = map_eval(dets, [s.gt for s in setup.test])

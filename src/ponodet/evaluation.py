@@ -14,6 +14,9 @@ from .anchors import AnchorGrid
 from .geometry import Detections, GroundTruth, decode_cxywh, nms, pairwise_iou
 from .loss import sigmoid
 
+# a detection matches an object it overlaps at least this much
+IOU_MATCH = 0.5
+
 
 def extract_detections(logits, offsets, grid: AnchorGrid,
                        score_min: float = 0.05,
@@ -28,15 +31,14 @@ def extract_detections(logits, offsets, grid: AnchorGrid,
     return nms(Detections(boxes, sel[2], scores[sel]), nms_iou)
 
 
-def _ranked_matches(dets_per_scene: list[Detections],
-                    gts: list[GroundTruth], iou_match: float):
+def _ranked_matches(dets_per_scene: list[Detections], gts: list[GroundTruth]):
     """Class ids and true-positive flags of all detections, ranked by
     descending score, ties by scene, then list order.
 
     Each object is matched at most once: a detection takes the
     highest-overlap unmatched same-class object of its scene (ties to the
     lowest object index) when that overlap is positive and reaches
-    `iou_match`.  A match depends only on the scene's detections of the
+    `IOU_MATCH`.  A match depends only on the scene's detections of the
     class, so each scene is matched on its own, from one IoU matrix.
     """
     if len(dets_per_scene) != len(gts):
@@ -52,7 +54,7 @@ def _ranked_matches(dets_per_scene: list[Detections],
             for j, v in enumerate(row):
                 if v > best and j not in matched:
                     best, best_j = v, j
-            if best_j >= 0 and best >= iou_match:
+            if best_j >= 0 and best >= IOU_MATCH:
                 matched.add(best_j)
                 hits[k] = True
         ranked += zip((-dets.scores).tolist(), [s] * len(dets), range(len(dets)),
@@ -82,10 +84,10 @@ def _area(tp: np.ndarray, n_gt: int) -> float:
     return float(ap)
 
 
-def map_eval(dets_per_scene: list[Detections], gts: list[GroundTruth],
-             iou_match: float = 0.5) -> tuple[dict[int, float], float]:
+def map_eval(dets_per_scene: list[Detections],
+             gts: list[GroundTruth]) -> tuple[dict[int, float], float]:
     """Per-class AP over classes present in the annotations, and their mean."""
-    classes, tp = _ranked_matches(dets_per_scene, gts, iou_match)
+    classes, tp = _ranked_matches(dets_per_scene, gts)
     present = sorted({c for gt in gts for c in gt.class_ids.tolist()})
     per_class = {c: _area(tp[classes == c], sum(int(np.sum(gt.class_ids == c)) for gt in gts))
                  for c in present}

@@ -32,17 +32,16 @@ FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
 
 
-def initial_balance(n_classes: int, n_anchors: int,
-                    value: float = 1.0) -> dict[str, np.ndarray]:
-    """The trainable balance parameters s, lambda = exp(-s) for every entry:
-    the global `bw.s_cls` and `bw.s_loc` (0-d), then the per-grid
-    `bw.s_cls_grid` and `bw.s_loc_grid` [n_classes, n_anchors].  The keys
-    are the checkpoint's entry names, and `learned` mode steps the arrays
-    in place with the model parameters, in this order."""
+def initial_balance(n_classes: int, n_anchors: int) -> dict[str, np.ndarray]:
+    """The trainable balance parameters s, lambda = exp(-s) for every entry,
+    each entry starting at s = 1: the global `bw.s_cls` and `bw.s_loc`
+    (0-d), then the per-grid `bw.s_cls_grid` and `bw.s_loc_grid`
+    [n_classes, n_anchors].  The keys are the checkpoint's entry names, and
+    `learned` mode steps the arrays in place with the model parameters, in
+    this order."""
     grid = (n_classes, n_anchors)
-    return {"bw.s_cls": np.full((), value), "bw.s_loc": np.full((), value),
-            "bw.s_cls_grid": np.full(grid, value),
-            "bw.s_loc_grid": np.full(grid, value)}
+    return {"bw.s_cls": np.ones(()), "bw.s_loc": np.ones(()),
+            "bw.s_cls_grid": np.ones(grid), "bw.s_loc_grid": np.ones(grid)}
 
 
 @dataclass

@@ -7,8 +7,8 @@ offset regression head.  One walk over the layers describes the network:
 at construction it draws the kernels, and the forward pass applies them
 to an image stack [N, H, W, 3], each conv, bias and leaky ReLU as one
 ``conv2d`` call and one tape record.  Parameters are plain float64 arrays
-in a name->array dict; each training iteration wraps them as leaves on a
-fresh tape.  Passing the raw arrays runs the same forward in pure numpy
+in a name->array dict; a training run wraps each as a leaf once, on the
+tape it owns.  Passing the raw arrays runs the same forward in pure numpy
 for inference.
 """
 
@@ -102,7 +102,7 @@ class ToyNet:
         dec = [None] * cfg.levels
         dec[top] = conv(f"dec{top}", enc[top], 2 * c << top)
         for k in range(top - 1, -1, -1):
-            dec[k] = conv(f"dec{k}", ad.concat([ad.upsample2(dec[k + 1]), enc[k]], axis=-1),
+            dec[k] = conv(f"dec{k}", ad.concat([ad.upsample2(dec[k + 1]), enc[k]]),
                           2 * c << k)
 
         pyramids = []
@@ -113,7 +113,7 @@ class ToyNet:
             for _ in range(k):
                 h = ad.upsample2(h)
             pyramids.append(h)
-        trunk = ad.concat(pyramids, axis=-1)
+        trunk = ad.concat(pyramids)
 
         heads = []
         nca = self.n_classes * self.n_anchors
@@ -145,10 +145,6 @@ class ToyNet:
     def meta(self) -> dict:
         return {"model_kind": 1.0, **{k: float(v) for k, v in asdict(self.cfg).items()},
                 "n_classes": float(self.n_classes), "n_anchors": float(self.n_anchors)}
-
-
-def leaf_params(params: dict[str, np.ndarray], tape: ad.Tape) -> dict[str, ad.Tensor]:
-    return {name: ad.leaf(arr, tape) for name, arr in params.items()}
 
 
 # ---------------------------------------------------------------------

@@ -6,6 +6,11 @@ step under a polynomial learning-rate decay.  Labels and the predicted
 overlaps inside label computation are plain data; the localization loss
 is the only gradient path into the offsets.
 
+A run's trained arrays are fixed when its `RunState` is built, so the
+state builds their taped leaves then, once, on a tape it owns; every
+iteration records on those leaves and clears the tape's records when its
+pass ends, by backward or by a raise.
+
 A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map and one
 pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums
@@ -37,8 +42,7 @@ from .anchors import AnchorGrid, AnchorSet, build_grid
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
-from .model import (FEAT_STRIDE, ToyNet, ToyNetConfig, leaf_params, load_arrays,
-                    save_arrays)
+from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, load_arrays, save_arrays
 
 LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
@@ -95,7 +99,9 @@ class RunState:
     and rebinds those dicts to views.  `velocity` names only the buffers
     the optimizer has stepped, so the checkpoint of a run with fixed
     weights holds no `mom.bw.*` entries.  `flat_grad` is the one gradient
-    vector every iteration zeroes and its leaves accumulate into.
+    vector every iteration zeroes.  `leaves` holds one leaf per trained
+    array, built once on the state's `tape`: its value is the array's view
+    into `flat_params` and its gradient the view into `flat_grad`.
     """
 
     model: ToyNet
@@ -119,7 +125,10 @@ class RunState:
             self.momentum_views[name][...] = v
         self.velocity = {name: self.momentum_views[name] for name in self.velocity}
         self.flat_grad = np.zeros_like(self.flat_params)
-        self.grad_views = list(self._views(self.flat_grad).values())
+        self.tape = ad.Tape()
+        self.leaves = {name: ad.leaf(a, self.tape) for name, a in params.items()}
+        for t, grad in zip(self.leaves.values(), self._views(self.flat_grad).values()):
+            t.grad = grad
 
     def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each trained array's view into a flat vector, in optimizer order."""
@@ -207,35 +216,31 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     """One optimizer step over a batch of scenes, as one taped pass over
     the stacked batch.  The scenes' assignments come from `bank`, which
     must be on the state's grid."""
-    tape = ad.Tape()
     learned = cfg.mode == "learned"
-    # learned mode trains the balance weights as more parameters, after
-    # the model's; their order sets the momentum buffers' checkpoint order
-    trained = {**state.model.params, **state.bw} if learned else state.model.params
-    params = leaf_params(trained, tape)
     state.flat_grad.fill(0.0)
-    for t, grad in zip(params.values(), state.grad_views):
-        t.grad = grad
-
     assignment = Assignment.stack([scene_cache(bank, scene) for scene in batch])
-    out = state.model.forward(params, np.stack([scene.image for scene in batch]))
-    o_hat = pred_iou_values(state.grid, out.offsets, assignment)
-    gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
-    loc_map = loss_mod.loc_loss_map(gate, o_hat)
-    if cfg.cls_loss == "CE":
-        cls_map = loss_mod.bce_logits(labels.astype(np.float64), out.logits)
-    else:
-        cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
-    n_pos = int(gate.sum())
-    per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
-    n_total = len(batch) * state.grid.boxes.size // 4
-    total, loc, cls, reg = loss_mod.weighted_totals(loc_map, cls_map, max(1, n_pos),
-                                                    n_total, cfg.mode, params)
-    ad.backward(total)
     # every taped tensor points at the tape and the tape's records point
-    # back at them; dropping the records frees the iteration's tensors and
-    # the arrays their vjps hold without waiting for the cyclic collector
-    tape.records.clear()
+    # back at them; clearing the records, also after a raise, frees the
+    # iteration's tensors without waiting for the cyclic collector and
+    # leaves the next iteration an empty tape
+    try:
+        out = state.model.forward(state.leaves, np.stack([scene.image for scene in batch]))
+        o_hat = pred_iou_values(state.grid, out.offsets, assignment)
+        gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
+        loc_map = loss_mod.loc_loss_map(gate, o_hat)
+        if cfg.cls_loss == "CE":
+            cls_map = loss_mod.bce_logits(labels.astype(np.float64), out.logits)
+        else:
+            cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
+        n_pos = int(gate.sum())
+        per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
+        n_total = len(batch) * state.grid.boxes.size // 4
+        # only learned mode reads (and gives a gradient to) the `bw.*` leaves
+        total, loc, cls, reg = loss_mod.weighted_totals(
+            loc_map, cls_map, max(1, n_pos), n_total, cfg.mode, state.leaves)
+        ad.backward(total)
+    finally:
+        state.tape.records.clear()
     # freeze rule: in learned mode a grid with zero positive labels keeps
     # both of its s entries and their momentum through this iteration's step
     frozen = per_grid_pos == 0
@@ -245,7 +250,7 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     # the stepped prefix: the model's parameters, then in learned mode the
     # balance weights; its buffers are the checkpoint's `mom.*` entries
     n = len(state.flat_params) if learned else state.n_model
-    for name in params:
+    for name in (state.leaves if learned else state.model.params):
         state.velocity.setdefault(name, state.momentum_views[name])
     sgd_step(state.flat_params[:n], state.flat_momentum[:n], state.flat_grad[:n],
              lr_at(state.iteration, cfg), cfg.momentum)
@@ -269,8 +274,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     loss raises FloatingPointError naming the iteration, before that
     iteration is logged or checkpointed.
     """
-    if not (bank.grid.feat_stride == state.grid.feat_stride
-            and np.array_equal(bank.grid.boxes, state.grid.boxes)):
+    if not np.array_equal(bank.grid.boxes, state.grid.boxes):
         raise ValueError("the scene bank is on another anchor grid than the run")
     reports = []
     log = open(log_path, "w" if state.iteration == 0 else "a") if log_path else None
@@ -312,7 +316,7 @@ def save_run(path, state: RunState) -> None:
     for k, v in state.model.meta().items():
         arrays[f"meta.{k}"] = np.asarray(v)
     arrays["meta.iteration"] = np.asarray(float(state.iteration))
-    arrays["meta.feat_stride"] = np.asarray(float(state.grid.feat_stride))
+    arrays["meta.feat_stride"] = np.asarray(float(FEAT_STRIDE))
     arrays["anchors.shapes"] = state.grid.boxes[0, 0, :, :, 2:]
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr

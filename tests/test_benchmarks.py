@@ -37,18 +37,21 @@ def counted(monkeypatch):
     return calls
 
 
-def test_shared_setup_cells_match_cells_run_alone(tmp_path, counted):
+def log_rows(cell) -> list[str]:
+    """The cell's `log.csv` rows, as `run_training` would write them."""
+    cfg = replace(tiny_crowded().train_cfg, max_iter=ITERS)
+    return [r.csv_row(i, train_mod.lr_at(i, cfg)) for i, r in enumerate(cell["reports"])]
+
+
+def test_shared_setup_cells_match_cells_run_alone(counted):
     bench = tiny_crowded()
-    for rule in RULES:
-        B.run_cell(bench, label_rule=rule, max_iter=ITERS,
-                   log_path=tmp_path / f"shared_{rule}.csv")
+    shared = {rule: log_rows(B.run_cell(bench, label_rule=rule, max_iter=ITERS))
+              for rule in RULES}
     # one k-means, and one generator call per split
     assert counted == {"kmeans_anchors": 1, "generate": 2}
     for rule in RULES:
-        B.run_cell(tiny_crowded(), label_rule=rule, max_iter=ITERS,
-                   log_path=tmp_path / f"alone_{rule}.csv")
-        assert (tmp_path / f"shared_{rule}.csv").read_bytes() \
-            == (tmp_path / f"alone_{rule}.csv").read_bytes(), rule
+        alone = log_rows(B.run_cell(tiny_crowded(), label_rule=rule, max_iter=ITERS))
+        assert len(alone) == ITERS and shared[rule] == alone, rule
     assert counted == {"kmeans_anchors": 4, "generate": 8}
 
 

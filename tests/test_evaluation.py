@@ -9,10 +9,10 @@ from ponodet.loss import sigmoid
 from test_geometry import dets_of, iou_oracle, nms_oracle, rows_of
 
 
-def average_precision(dets_per_scene, gts, class_id, iou_match=0.5):
+def average_precision(dets_per_scene, gts, class_id):
     """One class's AP as `map_eval` scores it; 0.0 for a class with no
     annotated object."""
-    return map_eval(dets_per_scene, gts, iou_match)[0].get(class_id, 0.0)
+    return map_eval(dets_per_scene, gts)[0].get(class_id, 0.0)
 
 
 def extract_oracle(logits, offsets, grid, score_min, nms_iou):

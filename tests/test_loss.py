@@ -138,7 +138,7 @@ class TestBalancedTotals:
     def test_learned_identity_weights(self):
         rng = np.random.default_rng(3)
         loc_sums, cls_sums = rng.uniform(0, 4, (2, 3)), rng.uniform(0, 8, (2, 3))
-        bw = initial_balance(2, 3, value=0.0)
+        bw = {name: np.zeros(np.shape(v)) for name, v in initial_balance(2, 3).items()}
         total, loc, cls, reg = totals_on_leaves(loc_sums, cls_sums, 5, 96, "learned", bw)
         assert loc == pytest.approx(loc_sums.sum() / 5, rel=1e-12)
         assert cls == pytest.approx(cls_sums.sum() / 96, rel=1e-12)
@@ -188,16 +188,17 @@ class TestBalanceWeights:
         # for any finite s, so positive loss sums give positive terms
         sums = np.ones((2, 2))
         for value in (-40.0, 40.0):
-            bw = initial_balance(2, 2, value=value)
+            bw = {name: np.full(np.shape(v), value)
+                  for name, v in initial_balance(2, 2).items()}
             _, loc, cls, _ = totals_on_leaves(sums, sums, 1, 4, "learned", bw)
             assert loc > 0 and cls > 0
 
     def test_initial_keys_shapes_and_order(self):
         # the keys are the checkpoint entry names, in optimizer order
-        bw = initial_balance(2, 3, value=0.5)
+        bw = initial_balance(2, 3)
         assert list(bw) == ["bw.s_cls", "bw.s_loc", "bw.s_cls_grid", "bw.s_loc_grid"]
         assert [v.shape for v in bw.values()] == [(), (), (2, 3), (2, 3)]
-        assert all(v.dtype == np.float64 and np.all(v == 0.5) for v in bw.values())
+        assert all(v.dtype == np.float64 and np.all(v == 1.0) for v in bw.values())
 
 
 class TestSelfBalancingFixedPoint:

@@ -17,12 +17,12 @@ from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, config_from_kv, generate
 from ponodet.loss import LossReport, initial_balance
-from ponodet.model import ToyNet, ToyNetConfig, leaf_params, load_arrays, save_arrays
+from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
 from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
                            lr_at, run_training, save_run, sgd_step, train_iteration)
 
 from test_autodiff import add, reduce_sum
-from test_model import TabularPredictor
+from test_model import TabularPredictor, leaves_of
 
 
 def one_object_scene(image_size=32):
@@ -236,9 +236,8 @@ def per_scene_reference(state, batch, cfg):
     which are added up over the batch.  Returns the loss terms, n_pos,
     per_grid_pos and the gradients the optimizer would receive; the state
     is left unchanged."""
-    tape = ad.Tape()
     learned = cfg.mode == "learned"
-    params = leaf_params({**state.model.params, **(state.bw if learned else {})}, tape)
+    params = leaves_of({**state.model.params, **(state.bw if learned else {})})
     loc_sums = cls_sums = None
     n_pos = 0
     per_grid_pos = np.zeros((state.grid.n_classes, state.grid.n_anchors), np.int64)
@@ -259,7 +258,7 @@ def per_scene_reference(state, batch, cfg):
     total, *terms = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
                                              n_total, cfg.mode, params)
     ad.backward(total)
-    grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+    grads = {name: t.grad for name, t in params.items()}
     return tuple(terms), n_pos, per_grid_pos, grads
 
 
@@ -557,6 +556,30 @@ class TestCheckpoint:
         assert [n for n in names if n.startswith("bw.")] == list(initial_balance(1, 2))
 
 
+def bench_run(bench, cell=("AMS", "learned", "CE")):
+    """One batch of a pinned benchmark's training scenes, a fresh state of
+    its net on fixed 12 x 12 anchors, and its config set to the cell's
+    (label rule, mode, classification loss)."""
+    from ponodet import benchmarks
+    b = getattr(benchmarks, f"{bench}_benchmark")()
+    scenes = generate(b.gen, b.train_cfg.batch_size)
+    nc = b.gen.n_classes
+    grid = anchor_grid(AnchorSet(np.full((nc, b.n_anchors, 2), 12.0)), b.net.input_size)
+    state = RunState.fresh(ToyNet(b.net, nc, b.n_anchors), grid)
+    rule, mode, cls_loss = cell
+    cfg = replace(b.train_cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
+    return scenes, state, cfg
+
+
+def count_records(monkeypatch) -> list[int]:
+    """The tape records each `backward` call finds, from now on."""
+    counts = []
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: counts.append(
+        len(root.tape.records)) or backward(root))
+    return counts
+
+
 class TestTapeShape:
     """What one iteration puts on the tape: one record per conv (bias and
     activation included), upsample, concat and reshape of the network, then
@@ -566,20 +589,53 @@ class TestTapeShape:
         ("crowded", ("AMS", "learned", "CE"), 18 + 4),
         ("imbalanced", ("AO", "retina_norm", "FL"), 22 + 4)])
     def test_records_per_iteration(self, monkeypatch, bench, cell, records):
-        from ponodet import benchmarks
-        b = getattr(benchmarks, f"{bench}_benchmark")()
-        scenes = generate(b.gen, b.train_cfg.batch_size)
-        nc = b.gen.n_classes
-        grid = anchor_grid(AnchorSet(np.full((nc, b.n_anchors, 2), 12.0)), b.net.input_size)
-        state = RunState.fresh(ToyNet(b.net, nc, b.n_anchors), grid)
-        rule, mode, cls_loss = cell
-        cfg = replace(b.train_cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
-        counts = []
-        backward = ad.backward
-        monkeypatch.setattr(ad, "backward", lambda root: counts.append(
-            len(root.tape.records)) or backward(root))
+        scenes, state, cfg = bench_run(bench, cell)
+        counts = count_records(monkeypatch)
         train_iteration(state, scenes, cfg, SceneBank(scenes, state.grid))
         assert counts == [records]
+
+
+class TestRunLeaves:
+    """A run's leaves are built with its state, one per trained array, and
+    every iteration records on them."""
+
+    def test_no_leaf_built_after_the_state(self, monkeypatch):
+        scenes, state, cfg = bench_run("crowded")
+        made = []
+        leaf = ad.leaf
+        monkeypatch.setattr(ad, "leaf", lambda *args: made.append(args) or leaf(*args))
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=3))
+        assert state.iteration == 3 and len(made) == 0
+        assert list(state.leaves) == list(state.model.params) + list(state.bw)
+        assert len(state.leaves) == 28
+
+    def test_raising_iteration_leaves_no_records(self, monkeypatch):
+        scenes, state, cfg = bench_run("crowded")
+        _, twin, _ = bench_run("crowded")
+        bank = SceneBank(scenes, state.grid)
+        weighted = loss_mod.weighted_totals
+        at_raise = []
+
+        def raise_once(*args):
+            weighted(*args)
+            at_raise.append(len(state.tape.records))
+            monkeypatch.setattr(loss_mod, "weighted_totals", weighted)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(loss_mod, "weighted_totals", raise_once)
+        with pytest.raises(RuntimeError, match="injected"):
+            train_iteration(state, scenes, cfg, bank)
+        assert at_raise == [22] and state.tape.records == []
+        assert state.iteration == 0
+
+        counts = count_records(monkeypatch)
+        report = train_iteration(state, scenes, cfg, bank)
+        want = train_iteration(twin, scenes, cfg, bank)
+        assert counts == [22, 22]
+        assert (report.total, report.loc, report.cls, report.reg, report.n_pos) \
+            == (want.total, want.loc, want.cls, want.reg, want.n_pos)
+        np.testing.assert_array_equal(report.per_grid_pos, want.per_grid_pos)
+        assert state.flat_params.tobytes() == twin.flat_params.tobytes()
 
 
 class TestFlatState:
