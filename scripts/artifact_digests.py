@@ -7,7 +7,9 @@ The flow is the ablation of acceptance criterion c10, extended: gen-data
 cell's final checkpoint, assign-dump without and with a checkpoint,
 plot-weights, a learned-mode train at batch size 2 with checkpoints
 (stacked assignments and a batch-2 optimizer step), the anchors command,
-an ablate that reads that anchor file, and a train with --seed.  It prints one
+an ablate that reads that anchor file, a train with --seed, and gen-data at
+the pinned crowded generator's settings with the anchors command on that
+set (crowded scenes and 2 anchors per class).  It prints one
 `sha256 relpath` line per file written, sorted by path.  Run it from the
 root of a source checkout; ponodet is imported from that checkout's src/
 directory, so one command compares two checkouts:
@@ -31,6 +33,16 @@ objects_per_scene = 1,2
 crowding = 0.5
 seed = 12
 image_size = 32
+"""
+
+GENSPEC_CROWDED = """\
+n_classes = 2
+class_freq = 0.5,0.5
+size_ranges = 10:24,10:24
+objects_per_scene = 2,4
+crowding = 0.8
+seed = 303
+image_size = 48
 """
 
 ABLATE = """\
@@ -86,6 +98,7 @@ def run_flow(root: Path) -> Path:
     inputs, root = root / "inputs", root / "artifacts"
     inputs.mkdir(parents=True)
     (inputs / "genspec.txt").write_text(GENSPEC)
+    (inputs / "genspec_crowded.txt").write_text(GENSPEC_CROWDED)
     (inputs / "ablate.txt").write_text(ABLATE.format(root=root))
     (inputs / "train_b2.txt").write_text(TRAIN_BATCH2)
     (inputs / "ablate_anchors.txt").write_text(ABLATE_ANCHORS.format(root=root))
@@ -110,6 +123,10 @@ def run_flow(root: Path) -> Path:
          "--out", f"{root}/ablation_anchors"],
         ["train", "--config", f"{inputs}/train_b2.txt", "--dataset", f"{root}/ds",
          "--anchors", f"{root}/anchors.txt", "--out", f"{root}/train_seed", "--seed", "8"],
+        ["gen-data", "--config", f"{inputs}/genspec_crowded.txt", "--out",
+         f"{root}/crowded_ds", "-n", "8"],
+        ["anchors", "--dataset", f"{root}/crowded_ds", "--out", f"{root}/crowded_anchors.txt",
+         "--n-a", "2", "--seed", "33"],
     ]
     for argv in steps:
         with contextlib.redirect_stdout(sys.stderr):

@@ -9,7 +9,7 @@ log (w, h): every start moves at once, and each start halves its own step
 when no move lowers its cost.  A start carries the cost of its current
 shape from the round that reached it, so a round scores only the 8 moves
 of every active start against all cluster members, in one array op that
-writes into two work buffers allocated once per search.  The cost is
+writes into two work buffers allocated once per class.  The cost is
 piecewise smooth with kinks at the members' sides, where optima often
 sit, so the search runs its step down to `_STEP_TOL` rather than relying
 on a gradient.
@@ -108,23 +108,24 @@ def _cluster_cost(shapes: np.ndarray, members: np.ndarray) -> np.ndarray:
     return np.sum(1.0 - wh_iou(shapes[..., None, :], members), axis=-1)
 
 
-def _local_search(starts: np.ndarray,
-                  members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _local_search(starts: np.ndarray, members: np.ndarray,
+                  work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Compass search of the summed 1 - IoU cost in log (w, h), all starts
     at once.
 
     Each start carries the cost of its current shape from the round that
     reached it, so a round scores only every active start's 8 moves
-    against every member, into two [starts * 8, members] work buffers
-    allocated once per search.  A start takes its cheapest move (the first
-    of equal costs) when that strictly lowers its cost, else halves its
-    own step; it stops once the step falls below `_STEP_TOL`.  Returns the
-    end shapes and their costs.
+    against every member, into [starts * 8, members] views of the two flat
+    buffers `work` (new ones if None).  A start takes its cheapest move
+    (the first of equal costs) when that strictly lowers its cost, else
+    halves its step; it stops once the step falls below `_STEP_TOL`.
+    Returns the end shapes and their costs.
     """
     mw, mh = members[:, 0], members[:, 1]
     m_area = mw * mh
-    inter = np.empty((len(starts) * len(_MOVES), len(members)))
-    union = np.empty_like(inter)
+    rows, m = len(starts) * len(_MOVES), len(members)
+    inter, union = (buf[:rows * m].reshape(rows, m)
+                    for buf in work or (np.empty(rows * m), np.empty(rows * m)))
 
     def score(log_shapes: np.ndarray) -> np.ndarray:
         # `_cluster_cost` term by term in the same order, so the same doubles
@@ -159,8 +160,8 @@ def _local_search(starts: np.ndarray,
 def _cached_search(starts: np.ndarray, members: np.ndarray,
                    cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """`_local_search` through `cache`, which maps (members, start) bytes
-    to that start's end and end cost; only starts not yet searched on
-    these members are searched, each once.
+    to that start's end and end cost, and may hold its buffers as "work";
+    only starts not yet searched on these members are searched, once.
 
     A start's path depends on nothing but itself and the members, so a
     cached end is bit for bit the end a new batch would reach.
@@ -168,7 +169,7 @@ def _cached_search(starts: np.ndarray, members: np.ndarray,
     seen = cache.setdefault(members.tobytes(), {})
     todo = {s.tobytes(): s for s in starts if s.tobytes() not in seen}
     if todo:
-        ends, costs = _local_search(np.asarray(list(todo.values())), members)
+        ends, costs = _local_search(np.asarray(list(todo.values())), members, cache.get("work"))
         seen.update(zip(todo, zip(ends, costs)))
     found = [seen[s.tobytes()] for s in starts]
     return (np.asarray([end for end, _ in found]),
@@ -227,7 +228,9 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
     the steps of both phases together.
     """
     centroids = _farthest_point_init(shapes, n_a, rng)
-    searches: dict = {}
+    # `_local_search`'s buffers, for its largest batch (`_best_shape`'s)
+    size = (_MAX_STARTS + 2) * len(_MOVES) * len(shapes)
+    searches: dict = {"work": (np.empty(size), np.empty(size))}
     assign = None
     multistart = False
     for _ in range(max_iter):

@@ -1,27 +1,28 @@
 """Anchor-to-object assignment: one record per scene and anchor grid.
 
-`assign_ao` builds the [h, w, nc, na, n_gt] IoU tensor between anchor
-cells and objects once, clusters every cell to the same-class object it
-overlaps most, and normalizes each cluster by its own best overlap (PONO).
-That guarantees every object at least one anchor with a normalized overlap
-of exactly 1 regardless of how coarse the anchor set is.  The returned
-`Assignment` holds everything later steps read: the object index, raw and
-normalized overlap, and the assigned box per cell.  `Assignment.stack`
-puts the records of a batch's scenes on a leading scene axis, the layout
-`pred_iou_values` and the label rules read.  Labels come from
-thresholding the normalized map (PONO), thresholding raw overlap (AO), or
-the ambiguity-managed product with the predicted-box overlap map (AMS).
+`assign_ao` builds the [h, w, nc, na, n_gt] IoU tensor
+(`geometry.overlap`) between anchor cells and objects once, clusters every
+cell to the same-class object it overlaps most, and normalizes each
+cluster by its own best overlap (PONO).  That guarantees every object at
+least one anchor with a normalized overlap of exactly 1 regardless of how
+coarse the anchor set is.  The returned `Assignment` holds everything
+later steps read: the object index, raw and normalized overlap, and the
+assigned box per cell.  `Assignment.stack` puts the records of a batch's
+scenes on a leading scene axis, the layout `pred_iou_values` and the label
+rules read.  Labels come from thresholding the normalized map (PONO),
+thresholding raw overlap (AO), or the ambiguity-managed product with the
+predicted-box overlap map (AMS).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .anchors import AnchorGrid
-from .geometry import EXP_CLAMP, GroundTruth, iou_cxywh
+from .geometry import EXP_CLAMP, GroundTruth, decode, overlap
 
 UNASSIGNED = -1
 # AMS labels a cell positive where pono * o_hat beats this
@@ -46,18 +47,12 @@ class Assignment:
 
     @classmethod
     def stack(cls, records: list[Assignment]) -> Assignment:
-        """The scenes' records on a leading scene axis, in list order."""
-        return cls(_stacked([r.gt_index for r in records]),
-                   _stacked([r.ao for r in records]),
-                   _stacked([r.pono for r in records]),
-                   _stacked([r.gt_box for r in records]))
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """Equal-shape arrays on a new leading axis.  One concatenate of [None]
-    views: on maps this small, np.stack's checks in Python cost more than
-    the copy, and this runs every training iteration."""
-    return np.concatenate([a[None] for a in arrays])
+        """The scenes' records on a leading scene axis, in list order.  One
+        concatenate of [None] views per field: on maps this small, np.stack's
+        checks in Python cost more than the copy, and this runs every
+        training iteration."""
+        return cls(*(np.concatenate([getattr(r, f.name)[None] for r in records])
+                     for f in fields(cls)))
 
 
 def _grid_gt_iou(grid: AnchorGrid, gt: GroundTruth) -> np.ndarray:
@@ -66,8 +61,8 @@ def _grid_gt_iou(grid: AnchorGrid, gt: GroundTruth) -> np.ndarray:
     out = np.zeros(grid.boxes.shape[:4] + (len(gt),), dtype=np.float64)
     for c in np.unique(gt.class_ids):
         objs = np.flatnonzero(gt.class_ids == c)
-        cells = np.moveaxis(grid.boxes[:, :, c, :, None, :], -1, 0)
-        out[:, :, c][..., objs] = iou_cxywh(*cells, *gt.boxes[objs].T)
+        cells = grid.boxes[:, :, c, :, None, :]
+        out[:, :, c][..., objs] = overlap(cells[..., :2], cells[..., 2:], gt.boxes[objs])[0]
     return out
 
 
@@ -140,9 +135,9 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
     [N, h, w, nc, na, 4].  `assignment` is the `Assignment.stack` of the N
     scenes.
 
-    The forward is `decode_cxywh` then `iou_cxywh` with each (x, y) pair on
-    a last axis of 2, so every value keeps its bits.  Tensor offsets get
-    one tape record whose vjp is the IoU gradient through the decode
+    The forward is `geometry.decode` then `geometry.overlap`, the box
+    decode and IoU of every other caller.  Tensor offsets get one tape
+    record whose vjp is the IoU gradient through the decode
     (UnitBox, Yu et al., ACM MM 2016) written out.  It keeps the
     subgradients of the elementwise form: a min/max tie passes the
     gradient to the decoded box's edge, max(ix, 0) passes it at ix = 0,
@@ -152,19 +147,12 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
         raise ValueError(f"offsets shape {offsets.shape} does not match grid "
                          f"{grid.boxes.shape} with assignments stacked as "
                          f"{assignment.gt_index.shape}")
-    b, g, ov = grid.boxes, assignment.gt_box, ad.values_of(offsets)
+    b, ov = grid.boxes, ad.values_of(offsets)
     keep = assignment.gt_index != UNASSIGNED
-    dwh = ov[..., 2:]
-    grow = np.exp(np.clip(dwh, -EXP_CLAMP, EXP_CLAMP))
-    side = b[..., 2:] * grow                                  # w, h
-    center = b[..., :2] + ov[..., :2] * b[..., 2:]            # cx, cy
-    hi, gt_hi = center + side * 0.5, g[..., :2] + g[..., 2:] * 0.5
-    lo, gt_lo = center - side * 0.5, g[..., :2] - g[..., 2:] * 0.5
-    overlap = np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo)   # ix, iy
-    clipped = np.maximum(overlap, 0.0)
-    inter = clipped[..., 0] * clipped[..., 1]
-    union = side[..., 0] * side[..., 1] + g[..., 2] * g[..., 3] - inter
-    out = inter / union * keep
+    center, side, grow = decode(b, ov)
+    iou, (hi, lo, gt_hi, gt_lo, extent, clipped, inter, union) = \
+        overlap(center, side, assignment.gt_box)
+    out = iou * keep
     if not isinstance(offsets, ad.Tensor):
         return out
 
@@ -172,11 +160,11 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
         d_iou = grad * keep
         d_union = -d_iou * inter / (union * union)
         d_inter = d_iou / union - d_union
-        d_overlap = d_inter[..., None] * clipped[..., ::-1] * (overlap >= 0.0)
+        d_overlap = d_inter[..., None] * clipped[..., ::-1] * (extent >= 0.0)
         d_hi = d_overlap * (hi <= gt_hi)
         d_lo = -d_overlap * (lo >= gt_lo)
         d_side = (d_hi - d_lo) * 0.5 + d_union[..., None] * side[..., ::-1]
-        inside = (dwh >= -EXP_CLAMP) & (dwh <= EXP_CLAMP)
+        inside = (ov[..., 2:] >= -EXP_CLAMP) & (ov[..., 2:] <= EXP_CLAMP)
         return np.concatenate([(d_hi + d_lo) * b[..., 2:],
                                d_side * b[..., 2:] * grow * inside], axis=-1)
 

@@ -10,9 +10,9 @@ The op set is what one training iteration records: the network's
 whose functions compute their forward on arrays and append one record
 with a written-out vjp through ``record``, down to the scalar total.  A
 Tensor has no arithmetic of its own.  The network ops return plain
-arrays, untracked, when no input is a Tensor.  A leaf's gradient starts
-at zero and ``backward`` adds into it in place, so a training run binds
-each of its leaves to a view of its gradient vector once.
+arrays, untracked, when no input is a Tensor.  ``backward`` adds into a
+leaf's gradient buffer in place, so a training run builds each leaf once,
+with its view of the run's gradient vector as that buffer.
 """
 
 from __future__ import annotations
@@ -32,32 +32,35 @@ class Tape:
 
 
 class Tensor:
-    """Dense float64 value tracked on a tape for backward: a leaf, or the
-    output of an op on one."""
+    """Dense float64 value tracked on a tape for backward: a leaf, which
+    holds a `grad` buffer, or the output of an op on one (`grad` None)."""
 
-    __slots__ = ("values", "tape", "grad", "is_leaf", "__weakref__")
+    __slots__ = ("values", "tape", "grad", "__weakref__")
 
     # Keep numpy from coercing Tensor operands in `ndarray <op> Tensor`;
     # with this set, numpy raises TypeError instead of building an object
     # array of Tensors.
     __array_ufunc__ = None
 
-    def __init__(self, values, tape: Tape, is_leaf: bool = False) -> None:
+    def __init__(self, values, tape: Tape, grad: np.ndarray | None = None) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         self.tape = tape
-        self.grad = np.zeros_like(self.values) if is_leaf else None
-        self.is_leaf = is_leaf
+        self.grad = grad
 
     @property
     def shape(self) -> tuple:
         return self.values.shape
 
 
-def leaf(values, tape: Tape) -> Tensor:
-    """Create a differentiable leaf bound to `tape`, with a zero gradient."""
+def leaf(values, tape: Tape, grad: np.ndarray | None = None) -> Tensor:
+    """Create a differentiable leaf bound to `tape`; its gradient is `grad`,
+    a buffer of the values' shape bound as given, or a new zero array."""
     if tape is None:
         raise ValueError("a leaf tensor needs a tape")
-    return Tensor(values, tape, is_leaf=True)
+    values = np.asarray(values, dtype=np.float64)
+    if grad is not None and grad.shape != values.shape:
+        raise ValueError(f"gradient buffer {grad.shape} does not match leaf {values.shape}")
+    return Tensor(values, tape, np.zeros_like(values) if grad is None else grad)
 
 
 def values_of(x) -> np.ndarray:
@@ -96,7 +99,7 @@ def backward(root: Tensor) -> None:
     if root.values.shape != ():
         raise ValueError(f"backward root must be scalar, got shape {root.values.shape}")
     seed = np.ones((), dtype=np.float64)
-    if root.is_leaf:
+    if root.grad is not None:
         root.grad += seed
         return
     adjoint: dict[int, np.ndarray] = {id(root): seed}
@@ -108,7 +111,7 @@ def backward(root: Tensor) -> None:
             g = pre(g)
         for parent, vjp in pulls:
             contrib = vjp(g)
-            if parent.is_leaf:
+            if parent.grad is not None:
                 parent.grad += contrib
             else:
                 prev = adjoint.get(id(parent))

@@ -101,7 +101,9 @@ _PLACE_TRIES = 24
 
 
 def _intersection(a: tuple, b: tuple) -> float:
-    """Intersection area of two (cx, cy, w, h) boxes."""
+    """Intersection area of two (cx, cy, w, h) boxes, on Python floats: the
+    array form of `geometry.overlap` places the same boxes, but made
+    `generate` over 50% slower on one candidate against a few boxes."""
     iw = min(a[0] + a[2] / 2, b[0] + b[2] / 2) - max(a[0] - a[2] / 2, b[0] - b[2] / 2)
     ih = min(a[1] + a[3] / 2, b[1] + b[3] / 2) - max(a[1] - a[3] / 2, b[1] - b[3] / 2)
     return iw * ih if iw > 0 and ih > 0 else 0.0
@@ -210,11 +212,11 @@ def atomic_open(path, mode: str = "w"):
 
 
 def write_pnm(path, pixels: np.ndarray) -> None:
-    """An 8-bit binary netpbm file of values in [0, 1]: a pixmap (P6) for
-    an [h, w, 3] image, a graymap (P5) for an [h, w] map."""
+    """An 8-bit binary netpbm file of values in [0, 1], written atomically:
+    a pixmap (P6) for an [h, w, 3] image, a graymap (P5) for an [h, w] map."""
     h, w = pixels.shape[:2]
     data = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"{'P6' if pixels.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())
 

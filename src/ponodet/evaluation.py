@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anchors import AnchorGrid
-from .geometry import Detections, GroundTruth, decode_cxywh, nms, pairwise_iou
+from .geometry import Detections, GroundTruth, decode, nms, pairwise_iou
 from .loss import sigmoid
 
 # a detection matches an object it overlaps at least this much
@@ -27,7 +27,7 @@ def extract_detections(logits, offsets, grid: AnchorGrid,
         raise ValueError(f"logits shape {logits.shape} does not match grid")
     scores = sigmoid(logits)
     sel = np.nonzero(scores >= score_min)
-    boxes = np.stack(decode_cxywh(*grid.boxes[sel].T, *offsets[sel].T), axis=1)
+    boxes = np.concatenate(decode(grid.boxes[sel], offsets[sel])[:2], axis=1)
     return nms(Detections(boxes, sel[2], scores[sel]), nms_iou)
 
 

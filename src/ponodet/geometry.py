@@ -1,12 +1,12 @@
-"""Axis-aligned boxes as arrays: the scene records, IoU, the anchor-offset
-codec, and NMS.
+"""Axis-aligned boxes as arrays: the scene records, the one box decode and
+box IoU, and NMS.
 
 A box is a (cx, cy, w, h) row in pixels, center-size because decoding
 offsets against an anchor is the gradient path, and a set of boxes is an
-[n, 4] float64 array; edges are derived where an overlap needs them.  The
-codec and the elementwise IoU take component arrays (or scalars) that
-broadcast together; the taped training path records its own decode + IoU
-(`assignment.pred_iou_values`).
+[n, 4] float64 array.  `decode` and `overlap` keep (x, y) on a last axis
+of 2 and broadcast, so one formula serves anchor assignment, the taped
+predicted-box overlap (whose vjp reads the pieces `overlap` returns),
+detection extraction, NMS and AP matching.
 """
 
 from __future__ import annotations
@@ -74,28 +74,32 @@ class Detections:
         return Detections(self.boxes[index], self.class_ids[index], self.scores[index])
 
 
-def decode_cxywh(acx, acy, aw, ah, dx, dy, dw, dh):
-    """Apply offset arrays to anchor component arrays; returns cx, cy, w, h."""
-    cx = acx + dx * aw
-    cy = acy + dy * ah
-    w = aw * np.exp(np.clip(dw, -EXP_CLAMP, EXP_CLAMP))
-    h = ah * np.exp(np.clip(dh, -EXP_CLAMP, EXP_CLAMP))
-    return cx, cy, w, h
+def decode(anchors, offsets):
+    """Apply offsets [..., 4] to anchors [..., 4]: the decoded center and
+    side [..., 2], and the side growth exp(clip([dw, dh])) [..., 2]."""
+    grow = np.exp(np.clip(offsets[..., 2:], -EXP_CLAMP, EXP_CLAMP))
+    return anchors[..., :2] + offsets[..., :2] * anchors[..., 2:], anchors[..., 2:] * grow, grow
 
 
-def iou_cxywh(acx, acy, aw, ah, bcx, bcy, bw, bh):
-    """Elementwise IoU between two box component stacks; disjoint pairs
-    give 0."""
-    ix = np.minimum(acx + aw * 0.5, bcx + bw * 0.5) - np.maximum(acx - aw * 0.5, bcx - bw * 0.5)
-    iy = np.minimum(acy + ah * 0.5, bcy + bh * 0.5) - np.maximum(acy - ah * 0.5, bcy - bh * 0.5)
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    union = aw * ah + bw * bh - inter
-    return inter / union
+def overlap(center, side, boxes):
+    """IoU of the boxes of `center` and `side` [..., 2] with `boxes` [..., 4]
+    (broadcast; disjoint pairs give 0), and its pieces (hi, lo, box_hi,
+    box_lo, extent, clipped, inter, union): both boxes' edges, the overlap
+    extent and max(extent, 0) [..., 2], and the two areas of the ratio."""
+    hi, box_hi = center + side * 0.5, boxes[..., :2] + boxes[..., 2:] * 0.5
+    lo, box_lo = center - side * 0.5, boxes[..., :2] - boxes[..., 2:] * 0.5
+    extent = np.minimum(hi, box_hi) - np.maximum(lo, box_lo)
+    clipped = np.maximum(extent, 0.0)
+    inter = clipped[..., 0] * clipped[..., 1]
+    union = side[..., 0] * side[..., 1] + boxes[..., 2] * boxes[..., 3] - inter
+    return inter / union, (hi, lo, box_hi, box_lo, extent, clipped, inter, union)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box of `a` [n, 4] with every box of `b` [m, 4], [n, m]."""
-    return iou_cxywh(*a.T[:, :, None], *b.T[:, None, :])
+    # column-major: (x, y) outermost, so each op runs along m, not on pairs
+    a, b = np.asfortranarray(a), np.asfortranarray(b)
+    return overlap(a[:, None, :2], a[:, None, 2:], b)[0]
 
 
 def nms(dets: Detections, iou_threshold: float) -> Detections:

@@ -126,9 +126,8 @@ class RunState:
         self.velocity = {name: self.momentum_views[name] for name in self.velocity}
         self.flat_grad = np.zeros_like(self.flat_params)
         self.tape = ad.Tape()
-        self.leaves = {name: ad.leaf(a, self.tape) for name, a in params.items()}
-        for t, grad in zip(self.leaves.values(), self._views(self.flat_grad).values()):
-            t.grad = grad
+        grads = self._views(self.flat_grad)
+        self.leaves = {name: ad.leaf(a, self.tape, grads[name]) for name, a in params.items()}
 
     def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each trained array's view into a flat vector, in optimizer order."""

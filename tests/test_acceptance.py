@@ -24,7 +24,7 @@ from ponodet.train import RunState, SceneBank, TrainConfig, run_training, sgd_st
 
 from test_autodiff import grad_check, reduce_sum, take
 from test_evaluation import average_precision, brute_force_ap
-from test_geometry import iou_oracle
+from test_geometry import decode_cxywh, iou_oracle
 from test_anchors import grid_search_single_shape
 from test_model import TabularPredictor
 
@@ -131,7 +131,6 @@ def _offsets_kink_free(grid, offs, am, gate, margin=5e-3):
     """True when every gated cell's decoded box sits clear of the IoU
     min/max kinks (coincident edges, vanishing intersection) so central
     differences see a smooth function."""
-    from ponodet.geometry import decode_cxywh
     b = grid.boxes
     cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
                                 offs[..., 0], offs[..., 1],

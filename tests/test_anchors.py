@@ -359,9 +359,9 @@ class TestKmeans:
         local_search, best_shape = anchors._local_search, anchors._best_shape
         one_class = anchors._kmeans_one_class
 
-        def spy_local(starts, members):
+        def spy_local(starts, members, work=None):
             searched.append(len(starts))
-            return local_search(starts, members)
+            return local_search(starts, members, work)
 
         def spy_best(members, current=None, cache=None):
             before = sum(searched)
@@ -381,6 +381,26 @@ class TestKmeans:
         # centroid; the confirming step searches only from the new centroid
         assert per_class == [[9, 9, 1, 1], [9, 9, 1, 1]], per_class
         assert sum(searched) <= 84  # 120 with every start searched each time
+
+    def test_one_pair_of_work_buffers_per_class(self, monkeypatch):
+        sizes, seed = pinned_split("crowded")
+        pairs, searches = [], []  # the pairs are held, so no id is reused
+        local_search = anchors._local_search
+
+        def spy_local(starts, members, work=None):
+            if not any(work is p for p in pairs):
+                pairs.append(work)
+            searches.append(len(members))
+            return local_search(starts, members, work)
+
+        monkeypatch.setattr(anchors, "_local_search", spy_local)
+        kmeans_anchors(sizes, 2, seed)
+        assert len(pairs) == len(sizes) == 2 and len(searches) > 2 * len(pairs)
+        for pair, shapes in zip(pairs, sizes):
+            # the largest start batch (mean, 8 members, centroid) x 8 moves
+            # by every shape of the class
+            assert len(pair) == 2 and pair[0] is not pair[1]
+            assert all(buf.shape == ((_MAX_STARTS + 2) * 8 * len(shapes),) for buf in pair)
 
     def test_empty_class_error_names_class(self):
         with pytest.raises(ValueError, match="class 1"):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
-from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, ams_labels,
-                                assign_ao, pred_iou_values)
+from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, _grid_gt_iou,
+                                ams_labels, assign_ao, pred_iou_values)
 from ponodet.data import GenSpec, generate
-from ponodet.geometry import decode_cxywh
 from ponodet.train import TrainConfig, _gate_and_labels
 
-from test_geometry import iou_oracle
+from test_geometry import CLAMP_OFFSETS, decode_cxywh, iou_cxywh, iou_oracle
 
 
 def square_grid(shapes, h=4, w=4, stride=8):
@@ -198,6 +198,50 @@ class TestPredIoU:
             np.testing.assert_array_equal(stacked.gt_box[k], rec.gt_box)
             one = pred_iou_values(grid, offsets[k:k + 1], Assignment.stack([rec]))
             np.testing.assert_array_equal(o_hat[k], one[0])
+
+
+def special_grid_scenes():
+    """A 3 x 3 two-class grid and scenes whose objects sit at the IoU's
+    kinks against its anchors: identical, touching, nested and disjoint
+    boxes, objects of both classes, and a scene without objects."""
+    grid = square_grid([[[8.0, 8.0], [4.0, 4.0]], [[16.0, 8.0], [8.0, 16.0]]],
+                       h=3, w=3, stride=8)
+    gts = [GroundTruth(boxes=[(4, 4, 8, 8), (16, 4, 8, 8), (20, 20, 2, 2),
+                              (100, 100, 4, 4), (12, 12, 16, 8), (4, 20, 8, 8)],
+                       class_ids=[0, 0, 0, 0, 1, 1]),
+           GroundTruth(boxes=[(12, 12, 24, 24)], class_ids=[1]),
+           GroundTruth(boxes=[], class_ids=[])]
+    return grid, gts
+
+
+class TestOneIoU:
+    """The anchor x object tensor and the predicted-box overlap give the
+    component oracle's bits."""
+
+    def test_grid_gt_iou_matches_oracle(self):
+        grid, gts = special_grid_scenes()
+        for gt in gts:
+            want = np.zeros(grid.boxes.shape[:4] + (len(gt),))
+            for k, (box, c) in enumerate(zip(gt.boxes, gt.class_ids)):
+                want[:, :, c, :, k] = iou_cxywh(*np.moveaxis(grid.boxes[:, :, c], -1, 0), *box)
+            got = _grid_gt_iou(grid, gt)
+            np.testing.assert_array_equal(got, want)
+        assert got.shape == (3, 3, 2, 2, 0)
+
+    def test_pred_iou_forward_matches_oracle(self):
+        grid, gts = special_grid_scenes()
+        stacked = Assignment.stack([assign_ao(grid, gt) for gt in gts])
+        rng = np.random.default_rng(11)
+        offsets = np.asarray(CLAMP_OFFSETS)[rng.integers(len(CLAMP_OFFSETS),
+                                                         size=stacked.gt_index.shape)]
+        offsets[0, 0, 0] = 0.0  # the anchors that equal or touch their objects
+        box = decode_cxywh(*np.moveaxis(grid.boxes, -1, 0), *np.moveaxis(offsets, -1, 0))
+        want = iou_cxywh(*box, *np.moveaxis(stacked.gt_box, -1, 0)) \
+            * (stacked.gt_index != UNASSIGNED)
+        np.testing.assert_array_equal(pred_iou_values(grid, offsets, stacked), want)
+        taped = pred_iou_values(grid, ad.leaf(offsets, ad.Tape()), stacked)
+        np.testing.assert_array_equal(taped.values, want)
+        assert np.any(want == 1.0) and np.any((want > 0.0) & (want < 1.0))
 
 
 def rule_labels(rule, overlaps, **cfg):

@@ -249,6 +249,16 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [1.0, 0.0])
         np.testing.assert_array_equal(y.grad, [0.0, 1.0])
 
+    def test_leaf_binds_given_gradient_buffer(self):
+        tape, buf = ad.Tape(), np.full(3, 2.0)
+        x = ad.leaf(np.array([1.0, 2.0, 3.0]), tape, buf)
+        assert x.grad is buf
+        ad.backward(reduce_sum(mul(x, x)))
+        assert x.grad is buf
+        np.testing.assert_array_equal(buf, [4.0, 6.0, 8.0])
+        with pytest.raises(ValueError, match=r"gradient buffer \(2,\) does not match"):
+            ad.leaf(np.zeros(3), tape, np.zeros(2))
+
     def test_mixed_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
         x = ad.leaf(np.array(1.0), t1)

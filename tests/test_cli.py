@@ -127,7 +127,9 @@ class TestPipeline:
                     "--anchors", str(workspace / "anchors.txt"), "--checkpoint", ckpt,
                     "--out", str(tmp_path / "dump")]) == 0
         assert run(["plot-weights", "--checkpoint", ckpt, "--out", str(tmp_path / "wt")]) == 0
-        assert written == ["maps.csv", "weights.csv"]
+        maps = [f"{kind}_c{c}_a{a}.pgm" for c in range(2) for a in range(2)
+                for kind in ("pono", "labels", "prediou")]
+        assert written == maps + ["maps.csv", "weights.csv"]
         assert sorted(os.listdir(tmp_path / "wt")) == ["weights.csv"]
 
     def test_plot_weights(self, workspace):

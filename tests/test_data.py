@@ -233,9 +233,43 @@ class TestDatasetIO:
         monkeypatch.setattr(data_mod, "atomic_open", recording_open)
         save_dataset(tmp_path / "ds", generate(basic_spec(), 2))
         save_gen_spec(tmp_path / "ds" / "genspec.txt", basic_spec())
-        assert written == ["annotations.txt", "genspec.txt"]
+        assert written == ["scene_00000.ppm", "scene_00001.ppm", "annotations.txt",
+                           "genspec.txt"]
         assert not [n for n in sorted(p.name for p in (tmp_path / "ds").iterdir())
                     if n.endswith(".tmp")]
+
+    def test_failed_pixel_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        class HalfPixels:
+            """A binary file whose second write, the pixel block, stores
+            half its bytes and then fails."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.f.write(data[:len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+        for name, pixels in (("x.ppm", np.zeros((4, 5, 3))), ("x.pgm", np.zeros((4, 5)))):
+            path = tmp_path / name
+            write_pnm(path, pixels)
+            old = path.read_bytes()
+            monkeypatch.setattr(data_mod, "open", lambda file, mode="r": HalfPixels(open(file, mode)),
+                                raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                write_pnm(path, np.ones_like(pixels))
+            monkeypatch.undo()
+            assert path.read_bytes() == old
+            assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(name)) == [name]
 
     def test_ppm_roundtrip_idempotent(self, tmp_path):
         img = np.clip(np.rint(np.random.default_rng(0).uniform(0, 1, (8, 10, 3)) * 255),

@@ -3,10 +3,11 @@ import pytest
 
 from ponodet.anchors import AnchorSet, build_grid
 from ponodet.evaluation import extract_detections, map_eval
-from ponodet.geometry import Detections, GroundTruth, decode_cxywh
+from ponodet.geometry import Detections, GroundTruth
 from ponodet.loss import sigmoid
 
-from test_geometry import dets_of, iou_oracle, nms_oracle, rows_of
+from test_geometry import (CLAMP_OFFSETS, decode_cxywh, dets_of, iou_oracle, nms_oracle,
+                           rows_of)
 
 
 def average_precision(dets_per_scene, gts, class_id):
@@ -210,3 +211,16 @@ class TestExtractDetections:
                 got = extract_detections(logits, offsets, grid, score_min, nms_iou)
                 assert rows_of(got) == extract_oracle(logits, offsets, grid,
                                                       score_min, nms_iou)
+
+    def test_clamped_offsets_and_empty_selection_match_per_cell_loop(self):
+        rng = np.random.default_rng(9)
+        grid = build_grid(AnchorSet(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1)), 6, 6, 4)
+        logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.boxes.shape[:4])
+        # dw / dh inside, at and beyond the clamp
+        offsets = np.asarray(CLAMP_OFFSETS)[rng.integers(len(CLAMP_OFFSETS),
+                                                         size=grid.boxes.shape[:4])]
+        for score_min, nms_iou in ((0.05, 1.0), (0.5, 0.5), (0.99, 0.5)):
+            got = extract_detections(logits, offsets, grid, score_min, nms_iou)
+            assert rows_of(got) == extract_oracle(logits, offsets, grid,
+                                                  score_min, nms_iou)
+        assert len(got) == 0 and got.boxes.shape == (0, 4)

@@ -4,8 +4,36 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ponodet.geometry import (EXP_CLAMP, Detections, GroundTruth, decode_cxywh,
-                              nms, pairwise_iou)
+from ponodet.geometry import (EXP_CLAMP, Detections, GroundTruth, decode, nms,
+                              overlap, pairwise_iou)
+
+
+# The component form of the box decode and the box IoU, one array per
+# coordinate: the oracle `decode` and `overlap` match bit for bit.
+
+def decode_cxywh(acx, acy, aw, ah, dx, dy, dw, dh):
+    """Apply offset arrays to anchor component arrays; returns cx, cy, w, h."""
+    cx = acx + dx * aw
+    cy = acy + dy * ah
+    w = aw * np.exp(np.clip(dw, -EXP_CLAMP, EXP_CLAMP))
+    h = ah * np.exp(np.clip(dh, -EXP_CLAMP, EXP_CLAMP))
+    return cx, cy, w, h
+
+
+def iou_cxywh(acx, acy, aw, ah, bcx, bcy, bw, bh):
+    """Elementwise IoU between two box component stacks; disjoint pairs
+    give 0."""
+    ix = np.minimum(acx + aw * 0.5, bcx + bw * 0.5) - np.maximum(acx - aw * 0.5, bcx - bw * 0.5)
+    iy = np.minimum(acy + ah * 0.5, bcy + bh * 0.5) - np.maximum(acy - ah * 0.5, bcy - bh * 0.5)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    union = aw * ah + bw * bh - inter
+    return inter / union
+
+
+def decode_rows(anchors, offsets) -> np.ndarray:
+    """`decode` as (cx, cy, w, h) rows [..., 4]."""
+    center, side, _ = decode(np.asarray(anchors, float), np.asarray(offsets, float))
+    return np.concatenate([center, side], axis=-1)
 
 
 def iou_oracle(a, b) -> float:
@@ -121,20 +149,30 @@ class TestIoU:
 
 class TestDecode:
     def test_zero_offsets_identity(self):
-        assert decode_cxywh(7.0, 11.0, 3.0, 5.0, 0, 0, 0, 0) == (7.0, 11.0, 3.0, 5.0)
+        assert decode_rows((7.0, 11.0, 3.0, 5.0), (0, 0, 0, 0)).tolist() == [7.0, 11.0, 3.0, 5.0]
 
     def test_closed_form(self):
-        cx, cy, w, h = decode_cxywh(10, 10, 4, 4, 0.5, 0.0, math.log(2.0), 0.0)
+        cx, cy, w, h = decode_rows((10, 10, 4, 4), (0.5, 0.0, math.log(2.0), 0.0))
         assert cx == pytest.approx(12.0)
         assert cy == pytest.approx(10.0)
         assert w == pytest.approx(8.0)
         assert h == pytest.approx(4.0)
 
     def test_scale_clamp(self):
-        _, _, w, _ = decode_cxywh(10, 10, 4, 4, 0, 0, 100.0, 0)
+        _, _, w, _ = decode_rows((10, 10, 4, 4), (0, 0, 100.0, 0))
         assert w == pytest.approx(4000.0)
-        _, _, w, _ = decode_cxywh(10, 10, 4, 4, 0, 0, -100.0, 0)
+        _, _, w, _ = decode_rows((10, 10, 4, 4), (0, 0, -100.0, 0))
         assert w == pytest.approx(4.0 / 1000.0)
+
+    def test_growth_is_the_side_ratio(self):
+        anchors = np.array([[10.0, 10.0, 4.0, 6.0]] * 3)
+        offsets = np.array([[0, 0, 0.5, -0.5], [0, 0, EXP_CLAMP, -EXP_CLAMP],
+                            [0, 0, 50.0, -np.inf]])
+        _, side, grow = decode(anchors, offsets)
+        np.testing.assert_array_equal(grow, np.exp(np.clip(offsets[:, 2:], -EXP_CLAMP,
+                                                           EXP_CLAMP)))
+        np.testing.assert_array_equal(side, anchors[:, 2:] * grow)
+        np.testing.assert_array_equal(grow[1], grow[2])
 
     @given(grid_boxes, grid_boxes)
     def test_roundtrip_through_encode(self, anchor, target):
@@ -145,11 +183,88 @@ class TestDecode:
         dh = math.log(target[3] / anchor[3])
         if max(abs(dw), abs(dh)) > EXP_CLAMP:
             return
-        cx, cy, w, h = decode_cxywh(*anchor, dx, dy, dw, dh)
+        cx, cy, w, h = decode_rows(anchor, (dx, dy, dw, dh))
         assert cx == pytest.approx(target[0], rel=1e-9, abs=1e-9)
         assert cy == pytest.approx(target[1], rel=1e-9, abs=1e-9)
         assert w == pytest.approx(target[2], rel=1e-12)
         assert h == pytest.approx(target[3], rel=1e-12)
+
+
+# box pairs at the IoU's kinks: touching edges (x, y, a corner), disjoint,
+# nested, identical, and a partial overlap
+SPECIAL_PAIRS = [
+    ((4.0, 4.0, 4.0, 4.0), (8.0, 4.0, 4.0, 4.0)),
+    ((4.0, 4.0, 4.0, 4.0), (4.0, 10.0, 4.0, 8.0)),
+    ((4.0, 4.0, 4.0, 4.0), (8.0, 8.0, 4.0, 4.0)),
+    ((0.0, 0.0, 2.0, 2.0), (10.0, 10.0, 2.0, 2.0)),
+    ((0.0, 0.0, 2.0, 2.0), (0.0, 10.0, 2.0, 2.0)),
+    ((5.0, 5.0, 10.0, 10.0), (4.0, 6.0, 2.0, 3.0)),
+    ((5.0, 5.0, 10.0, 10.0), (5.0, 5.0, 10.0, 10.0)),
+    ((3.5, -2.0, 7.0, 1.25), (3.5, -2.0, 7.0, 1.25)),
+    ((1.0, 1.0, 2.0, 2.0), (2.0, 1.0, 2.0, 2.0)),
+]
+# offsets with dw / dh inside, exactly at and beyond +-EXP_CLAMP
+CLAMP_OFFSETS = [(0.0, 0.0, 0.0, 0.0), (0.25, -0.5, 0.3, -0.7),
+                 (0.0, 0.0, EXP_CLAMP, -EXP_CLAMP), (0.0, 0.0, -EXP_CLAMP, EXP_CLAMP),
+                 (1.5, 2.0, 2 * EXP_CLAMP, -2 * EXP_CLAMP), (0.0, 0.0, np.inf, -np.inf)]
+
+
+def special_boxes() -> tuple[np.ndarray, np.ndarray]:
+    """The special pairs both ways round, as two [n, 4] arrays."""
+    a = np.array([p[0] for p in SPECIAL_PAIRS] + [p[1] for p in SPECIAL_PAIRS])
+    b = np.array([p[1] for p in SPECIAL_PAIRS] + [p[0] for p in SPECIAL_PAIRS])
+    return a, b
+
+
+class TestOneFormula:
+    """`decode` and `overlap` give the component oracle's bits, on pair
+    axes and on every broadcast the callers use."""
+
+    def test_special_pairs_match_oracle(self):
+        a, b = special_boxes()
+        got, (hi, lo, b_hi, b_lo, extent, clipped, inter, union) = \
+            overlap(a[:, :2], a[:, 2:], b)
+        np.testing.assert_array_equal(got, iou_cxywh(*a.T, *b.T))
+        assert got.tolist()[:9] == [0.0, 0.0, 0.0, 0.0, 0.0, 0.06, 1.0, 1.0, 1 / 3]
+        np.testing.assert_array_equal(hi, a[:, :2] + a[:, 2:] * 0.5)
+        np.testing.assert_array_equal(b_lo, b[:, :2] - b[:, 2:] * 0.5)
+        np.testing.assert_array_equal(clipped, np.maximum(extent, 0.0))
+        np.testing.assert_array_equal(got, inter / union)
+        assert np.all(extent[:3].min(axis=1) == 0.0) and np.all(extent[3:5].min(axis=1) < 0.0)
+
+    @given(st.lists(st.tuples(grid_boxes, grid_boxes), max_size=8))
+    def test_pairs_match_oracle(self, pairs):
+        a = np.asarray([p[0] for p in pairs], float).reshape(-1, 4)
+        b = np.asarray([p[1] for p in pairs], float).reshape(-1, 4)
+        np.testing.assert_array_equal(overlap(a[:, :2], a[:, 2:], b)[0],
+                                      iou_cxywh(*a.T, *b.T))
+
+    def test_pairwise_matches_oracle(self):
+        a, b = special_boxes()
+        rng = np.random.default_rng(5)
+        c = np.concatenate([b, rng.uniform(1, 12, (20, 4))])
+        for x, y in ((a, c), (c, a), (a[:0], c), (a, c[:0]), (c, c)):
+            got = pairwise_iou(x, y)
+            assert got.shape == (len(x), len(y))
+            np.testing.assert_array_equal(got, iou_cxywh(*x.T[:, :, None], *y.T[:, None, :]))
+
+    def test_decode_matches_oracle(self):
+        a, _ = special_boxes()
+        anchors = np.repeat(a, len(CLAMP_OFFSETS), axis=0)
+        offsets = np.tile(np.asarray(CLAMP_OFFSETS), (len(a), 1))
+        want = np.stack(decode_cxywh(*anchors.T, *offsets.T), axis=1)
+        np.testing.assert_array_equal(decode_rows(anchors, offsets), want)
+        # an empty selection decodes to no boxes
+        assert decode_rows(anchors[:0], offsets[:0]).shape == (0, 4)
+
+    def test_decode_then_overlap_matches_oracle(self):
+        a, b = special_boxes()
+        anchors = np.repeat(a, len(CLAMP_OFFSETS), axis=0)
+        boxes = np.repeat(b, len(CLAMP_OFFSETS), axis=0)
+        offsets = np.tile(np.asarray(CLAMP_OFFSETS), (len(a), 1))
+        center, side, _ = decode(anchors, offsets)
+        want = iou_cxywh(*decode_cxywh(*anchors.T, *offsets.T), *boxes.T)
+        np.testing.assert_array_equal(overlap(center, side, boxes)[0], want)
 
 
 # detections on a coarse grid with few score levels, so equal scores and

@@ -9,7 +9,7 @@ from ponodet.anchors import AnchorSet, build_grid
 from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import Scene
-from ponodet.geometry import EXP_CLAMP, decode_cxywh
+from ponodet.geometry import EXP_CLAMP
 from ponodet.loss import (LOC_GATE, MODES, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, SceneBank, TrainConfig,
@@ -17,6 +17,7 @@ from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, SceneBank, TrainCo
 
 from test_autodiff import (add, clip, div, exp, grad_check, log1p, maximum, mean,
                            minimum, mul, neg, power, reduce_sum, sigmoid, sub, take)
+from test_geometry import decode_cxywh
 from test_model import TabularPredictor
 
 
@@ -220,7 +221,7 @@ class TestSelfBalancingFixedPoint:
 # ---------------------------------------------------------------------
 
 def elementwise_decode(acx, acy, aw, ah, dx, dy, dw, dh):
-    """`geometry.decode_cxywh`, one op per step."""
+    """The `decode_cxywh` oracle, one op per step."""
     cx = add(acx, mul(dx, aw))
     cy = add(acy, mul(dy, ah))
     w = mul(aw, exp(clip(dw, -EXP_CLAMP, EXP_CLAMP)))
@@ -229,7 +230,7 @@ def elementwise_decode(acx, acy, aw, ah, dx, dy, dw, dh):
 
 
 def elementwise_iou(acx, acy, aw, ah, bcx, bcy, bw, bh):
-    """`geometry.iou_cxywh`, one op per step: differentiable through the
+    """The `iou_cxywh` oracle, one op per step: differentiable through the
     min/max subgradients."""
     ix = sub(minimum(add(acx, mul(aw, 0.5)), add(bcx, mul(bw, 0.5))),
              maximum(sub(acx, mul(aw, 0.5)), sub(bcx, mul(bw, 0.5))))

@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import re
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -639,6 +640,23 @@ class TestRunLeaves:
 
 
 class TestFlatState:
+    def test_building_a_state_allocates_no_throwaway_gradients(self):
+        # the flat parameter, momentum and gradient vectors are 3 copies of
+        # the trained arrays; a zero gradient per leaf would be a fourth
+        from ponodet import benchmarks
+        b = benchmarks.imbalanced_benchmark()
+        grid = anchor_grid(AnchorSet(np.full((2, b.n_anchors, 2), 12.0)), b.net.input_size)
+        model = ToyNet(b.net, 2, b.n_anchors)
+        tracemalloc.start()
+        try:
+            state = RunState.fresh(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * state.flat_params.nbytes, peak / state.flat_params.nbytes
+        for name, t in state.leaves.items():
+            assert np.shares_memory(t.grad, state.flat_grad), name
+
     def test_fresh_state_arrays_are_views(self, tmp_path):
         _, _, made = TestDeterminismAndResume().make_setup(tmp_path)
         state = RunState.fresh(made.model, made.grid)
