@@ -37,7 +37,6 @@ IMAGE_SIZE = 48
 
 @dataclass(frozen=True)
 class Benchmark:
-    name: str
     gen: GenSpec
     n_anchors: int
     train_cfg: TrainConfig
@@ -77,11 +76,10 @@ def imbalanced_benchmark() -> Benchmark:
                   size_ranges=((14.0, 30.0), (8.0, 18.0)),
                   objects_per_scene=(1, 4), crowding=0.0, seed=202,
                   image_size=IMAGE_SIZE)
-    return Benchmark(
-        name="imbalanced", gen=gen, n_anchors=5,
-        train_cfg=TrainConfig(max_iter=5000, batch_size=1, seed=22),
-        net=ToyNetConfig(input_size=IMAGE_SIZE, base_channels=8,
-                         levels=2, head_convs=2))
+    return Benchmark(gen=gen, n_anchors=5,
+                     train_cfg=TrainConfig(max_iter=5000, batch_size=1, seed=22),
+                     net=ToyNetConfig(input_size=IMAGE_SIZE, base_channels=8,
+                                      levels=2, head_convs=2))
 
 
 def crowded_benchmark() -> Benchmark:
@@ -89,12 +87,11 @@ def crowded_benchmark() -> Benchmark:
                   size_ranges=((10.0, 24.0), (10.0, 24.0)),
                   objects_per_scene=(2, 4), crowding=0.8, seed=303,
                   image_size=IMAGE_SIZE)
-    return Benchmark(
-        name="crowded", gen=gen, n_anchors=2,
-        train_cfg=TrainConfig(max_iter=6000, batch_size=2, seed=33),
-        net=ToyNetConfig(input_size=IMAGE_SIZE, base_channels=4,
-                         levels=2, head_convs=1),
-        n_train=400, score_min=0.01, nms_iou=0.7)
+    return Benchmark(gen=gen, n_anchors=2,
+                     train_cfg=TrainConfig(max_iter=6000, batch_size=2, seed=33),
+                     net=ToyNetConfig(input_size=IMAGE_SIZE, base_channels=4,
+                                      levels=2, head_convs=1),
+                     n_train=400, score_min=0.01, nms_iou=0.7)
 
 
 def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
@@ -112,7 +109,7 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
     reports = run_training(state, setup.bank, cfg)
     dets = dataset_detections(model, state.grid, setup.test, bench.score_min,
                               bench.nms_iou)
-    per_class, mean = map_eval(dets, [s.gt for s in setup.test])
+    per_class, mean, _ = map_eval(dets, [s.gt for s in setup.test])
     return {
         "state": state,
         "anchor_set": setup.anchor_set,

@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,15 +60,9 @@ SEED = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 
 
 def _read_config(path, extra_keys=()) -> dict[str, str]:
-    """A `train` (or, with ABLATE_KEYS, `ablate`) key=value file.  A key other
-    than a TrainConfig or ToyNetConfig field, `model` and `extra_keys` is an
-    error rather than a setting silently left at its default."""
-    kv = data_mod.read_kv(path)
-    known = {f.name for f in fields(TrainConfig) + fields(ToyNetConfig)} | {"model", *extra_keys}
-    unknown = [key for key in kv if key not in known]
-    if unknown:
-        raise RuntimeError(f"{path}: unknown config key "
-                           + ", ".join(repr(key) for key in unknown))
+    """A `train` (or, with ABLATE_KEYS, `ablate`) key=value file of
+    TrainConfig and ToyNetConfig fields, `model` and `extra_keys`."""
+    kv = data_mod.read_config(path, TrainConfig, ToyNetConfig, extra=("model", *extra_keys))
     if kv.get("model", "toynet") != "toynet":
         raise RuntimeError(f"{path}: model = {kv['model']}, but the only model is toynet")
     return kv
@@ -127,7 +121,8 @@ def _check_image_size(dataset_dir, scenes: list, checkpoint, model: ToyNet) -> N
 
 
 def cmd_gen_data(args) -> int:
-    spec = data_mod.gen_spec_from_file(args.config)
+    kv = data_mod.read_config(args.config, data_mod.GenSpec)
+    spec = data_mod.config_from_kv(data_mod.GenSpec, kv, args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     scenes = data_mod.generate(spec, args.count)
@@ -151,10 +146,7 @@ def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
     run to `out_dir`."""
     model = ToyNet(net, bank.grid.n_classes, bank.grid.n_anchors, seed=cfg.seed)
     state = RunState.fresh(model, bank.grid)
-    os.makedirs(out_dir, exist_ok=True)
-    run_training(state, bank, cfg,
-                 log_path=os.path.join(out_dir, "log.csv"),
-                 checkpoint_dir=out_dir)
+    run_training(state, bank, cfg, run_dir=out_dir)
     save_run(os.path.join(out_dir, "final.bin"), state)
     return state
 
@@ -177,9 +169,7 @@ def cmd_train(args) -> int:
 def _evaluate(state: RunState, scenes: list, score_min: float, nms_iou: float):
     dets = eval_mod.dataset_detections(state.model, state.grid, scenes,
                                        score_min, nms_iou)
-    gts = [s.gt for s in scenes]
-    per_class, mean = eval_mod.map_eval(dets, gts)
-    n_gt = {c: sum(int(np.sum(gt.class_ids == c)) for gt in gts) for c in per_class}
+    per_class, mean, n_gt = eval_mod.map_eval(dets, [s.gt for s in scenes])
     n_det = {c: sum(int(np.sum(ds.class_ids == c)) for ds in dets) for c in per_class}
     return per_class, mean, n_gt, n_det
 
@@ -220,14 +210,17 @@ def cmd_assign_dump(args) -> int:
         raise RuntimeError(f"{args.dataset}: no scene {args.scene} "
                            f"({len(scenes)} scenes)")
     scene = scenes[args.scene]
-    model = load_run(args.checkpoint).model if args.checkpoint else None
-    if model is not None:
-        _check_image_size(args.dataset, scenes, args.checkpoint, model)
+    state = load_run(args.checkpoint) if args.checkpoint else None
+    if state is not None:
+        if not np.array_equal(state.grid.boxes[0, 0, :, :, 2:], anchor_set.shapes):
+            raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
+                               f"those of {args.anchors}")
+        _check_image_size(args.dataset, scenes, args.checkpoint, state.model)
     grid = anchor_grid(anchor_set, scene.image.shape[0])
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
-    if model is not None:
-        out = model.forward(model.params, scene.image[None])
+    if state is not None:
+        out = state.model.forward(state.model.params, scene.image[None])
         o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
@@ -236,7 +229,7 @@ def cmd_assign_dump(args) -> int:
                            assignment.pono[:, :, c, a])
         data_mod.write_pnm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
                            labels[:, :, c, a].astype(np.float64))
-        if model is not None:
+        if state is not None:
             data_mod.write_pnm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
                                o_hat[:, :, c, a])
     with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
@@ -290,15 +283,16 @@ def _ablation_cell(config, base: TrainConfig, text: str) -> tuple[str, TrainConf
 def cmd_ablate(args) -> int:
     kv = _read_config(args.config, ABLATE_KEYS)
     base = data_mod.config_from_kv(TrainConfig, kv, args.config)
-    for key in ("dataset", "cells"):
-        if not kv.get(key):
+    texts = [text.strip() for text in kv.get("cells", "").split(",") if text.strip()]
+    for key, given in (("dataset", kv.get("dataset")), ("cells", texts)):
+        if not given:
             raise RuntimeError(f"{args.config}: config key {key!r} is missing or empty")
+    # an empty `eval_dataset`, like an empty `anchors`, is absent
     dataset_dir = kv["dataset"]
-    eval_dir = kv.get("eval_dataset", dataset_dir)
+    eval_dir = kv.get("eval_dataset") or dataset_dir
     n_a = kv.get("n_a", "3")
     if not n_a.isdecimal() or int(n_a) < 1:
         raise RuntimeError(f"{args.config}: n_a must be a whole number >= 1, got {n_a!r}")
-    texts = [text.strip() for text in kv["cells"].split(",") if text.strip()]
     cells = [_ablation_cell(args.config, base, text) for text in texts]
     seen = set()
     for text, (name, _) in zip(texts, cells):

@@ -347,7 +347,7 @@ def config_from_kv(cls, kv: dict[str, str], path):
     the key=value pairs read from the file `path`.  A field's value parses
     by its `parse` metadata, else by its default's type (bool from a word);
     an absent key keeps the default, and a field without one must be
-    given.  Keys that are not `cls` fields are left for the caller.  A
+    given.  Keys that are not `cls` fields are `read_config`'s to check.  A
     missing key, a value that does not parse, or one that breaks a rule of
     `cls`, raises a ValueError naming the file and the key."""
     values = {}
@@ -368,16 +368,17 @@ def config_from_kv(cls, kv: dict[str, str], path):
         raise ValueError(f"{path}: {e}") from None
 
 
-def gen_spec_from_file(path) -> GenSpec:
-    """A GenSpec from a genspec.txt file; an unknown or missing key, a value
-    that does not parse and a GenSpec rule it breaks each raise a
-    ValueError naming the file and the key."""
+def read_config(path, *schemas, extra=()) -> dict[str, str]:
+    """The key=value pairs of the config file `path`, whose keys must be
+    fields of the dataclasses `schemas` or names in `extra`: an unknown key
+    raises a ValueError naming the file and the key, rather than being a
+    setting silently left at its default."""
     kv = read_kv(path)
-    keys = {f.name for f in fields(GenSpec)}
-    unknown = ", ".join(repr(key) for key in kv if key not in keys)
-    if unknown:
-        raise ValueError(f"{path}: unknown key {unknown}")
-    return config_from_kv(GenSpec, kv, path)
+    known = {f.name for schema in schemas for f in fields(schema)} | set(extra)
+    for key in kv:
+        if key not in known:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+    return kv
 
 
 def save_gen_spec(path, spec: GenSpec) -> None:

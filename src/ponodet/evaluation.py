@@ -8,6 +8,8 @@ integrated over recall.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .anchors import AnchorGrid
@@ -85,14 +87,14 @@ def _area(tp: np.ndarray, n_gt: int) -> float:
 
 
 def map_eval(dets_per_scene: list[Detections],
-             gts: list[GroundTruth]) -> tuple[dict[int, float], float]:
-    """Per-class AP over classes present in the annotations, and their mean."""
+             gts: list[GroundTruth]) -> tuple[dict[int, float], float, dict[int, int]]:
+    """Per-class AP over the classes present in the annotations, their
+    mean, and each of those classes' annotated object count."""
     classes, tp = _ranked_matches(dets_per_scene, gts)
-    present = sorted({c for gt in gts for c in gt.class_ids.tolist()})
-    per_class = {c: _area(tp[classes == c], sum(int(np.sum(gt.class_ids == c)) for gt in gts))
-                 for c in present}
+    n_gt = dict(sorted(Counter(c for gt in gts for c in gt.class_ids.tolist()).items()))
+    per_class = {c: _area(tp[classes == c], n) for c, n in n_gt.items()}
     mean = sum(per_class.values()) / len(per_class) if per_class else 0.0
-    return per_class, mean
+    return per_class, mean, n_gt
 
 
 def dataset_detections(model, grid: AnchorGrid, scenes,

@@ -262,21 +262,27 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
 
 
 def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
-                 log_path=None, checkpoint_dir=None) -> list[LossReport]:
+                 run_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
     Batches and optional horizontal flips of the bank's scenes are drawn
     from the per-iteration RNG.  The bank's mirrors and assignments outlive
     the call; a bank on another grid than the state's raises ValueError.
-    A run from iteration 0 starts `log_path` afresh; a resumed run appends
-    to it, and the log is flushed before each checkpoint.  A non-finite
-    loss raises FloatingPointError naming the iteration, before that
-    iteration is logged or checkpointed.
+    With a `run_dir`, the run makes that directory and owns the names of
+    the files it writes there: `log.csv`, one row per iteration, and with
+    `cfg.checkpoint_every` a `ckpt_NNNNNN.bin` at every multiple of it.  A
+    run from iteration 0 starts `log.csv` afresh; a resumed run appends to
+    it, and the log is flushed before each checkpoint.  A non-finite loss
+    raises FloatingPointError naming the iteration, before that iteration
+    is logged or checkpointed.
     """
     if not np.array_equal(bank.grid.boxes, state.grid.boxes):
         raise ValueError("the scene bank is on another anchor grid than the run")
     reports = []
-    log = open(log_path, "w" if state.iteration == 0 else "a") if log_path else None
+    log = None
+    if run_dir is not None:
+        os.makedirs(run_dir, exist_ok=True)
+        log = open(os.path.join(run_dir, "log.csv"), "w" if state.iteration == 0 else "a")
     try:
         if log and state.iteration == 0:
             log.write(LossReport.CSV_HEADER + "\n")
@@ -293,13 +299,11 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
             reports.append(report)
             if log:
                 log.write(report.csv_row(it, lr) + "\n")
-            if checkpoint_dir and cfg.checkpoint_every \
-                    and state.iteration % cfg.checkpoint_every == 0:
-                if log:
+                if cfg.checkpoint_every and state.iteration % cfg.checkpoint_every == 0:
                     # the log on disk reaches every checkpoint
                     log.flush()
-                save_run(os.path.join(checkpoint_dir,
-                                      f"ckpt_{state.iteration:06d}.bin"), state)
+                    save_run(os.path.join(run_dir, f"ckpt_{state.iteration:06d}.bin"),
+                             state)
     finally:
         if log:
             log.close()

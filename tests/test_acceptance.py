@@ -55,7 +55,7 @@ def easy_benchmark() -> B.Benchmark:
                   objects_per_scene=(1, 3), crowding=0.0, seed=101,
                   image_size=B.IMAGE_SIZE)
     return B.Benchmark(
-        name="easy", gen=gen, n_anchors=3,
+        gen=gen, n_anchors=3,
         train_cfg=TrainConfig(max_iter=5000, batch_size=1, seed=11),
         net=ToyNetConfig(input_size=B.IMAGE_SIZE, base_channels=8,
                          levels=2, head_convs=2))

@@ -205,7 +205,7 @@ class TestBadInput:
     @pytest.mark.parametrize("old,new,message", [
         ("n_classes = 2", "n_classes = two", "n_classes: invalid literal"),
         ("crowding = 0.0", "crowding = 1.5", "crowding must be in [0, 1]"),
-        ("crowding = 0.0", "crowdng = 0.8", "unknown key 'crowdng'"),
+        ("crowding = 0.0", "crowdng = 0.8", "unknown config key 'crowdng'"),
     ])
     def test_bad_genspec_names_file_and_key(self, tmp_path, capsys, old, new, message):
         spec = tmp_path / "gen.txt"
@@ -267,7 +267,7 @@ class TestBadInput:
 
 
     @pytest.mark.parametrize("key,cells", [("dataset", "AMS:learned:CE"),
-                                           ("cells", None), ("cells", "")])
+                                           ("cells", None), ("cells", ""), ("cells", ",")])
     def test_ablate_missing_key_names_file_and_key(self, workspace, tmp_path, capsys,
                                                    key, cells):
         cfg = tmp_path / "ablate.txt"
@@ -275,6 +275,7 @@ class TestBadInput:
         cfg.write_text(text + ("" if cells is None else f"cells = {cells}\n"))
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
         assert f"{cfg}: config key {key!r} is missing or empty" in capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
 
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
         net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, head_convs=1), 1, 2)
@@ -359,6 +360,21 @@ class TestBadInput:
                     str(workspace / "anchors.txt"), "--checkpoint", str(ckpt),
                     "--out", str(tmp_path / "dump")]) == 2
         assert f"{ds}: images are 48px square, but {ckpt} is for 32px images" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
+
+    @pytest.mark.parametrize("shapes", ["0 8.0 8.0\n0 12.0 12.0\n1 8.0 8.0\n1 12.0 12.0\n",
+                                        "0 8.0 8.0\n1 8.0 8.0\n"],
+                             ids=["same_counts", "other_counts"])
+    def test_assign_dump_anchors_differ_from_checkpoint(self, workspace, tmp_path, capsys,
+                                                        shapes):
+        anchors = tmp_path / "other.txt"
+        anchors.write_text(shapes)
+        ckpt = workspace / "run" / "final.bin"
+        assert run(["assign-dump", "--dataset", str(workspace / "ds"), "--anchors",
+                    str(anchors), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "dump")]) == 2
+        assert f"{ckpt}: the checkpoint's anchors are not those of {anchors}" \
             in capsys.readouterr().err
         assert not (tmp_path / "dump").exists()
 
@@ -457,7 +473,7 @@ class TestFlagRanges:
                      "load_anchor_set"):
             monkeypatch.setattr(f"ponodet.cli.{name}",
                                 lambda *a, name=name, **k: calls.append(name))
-        for name in ("load_dataset", "load_annotations", "generate", "gen_spec_from_file"):
+        for name in ("load_dataset", "load_annotations", "generate", "read_config"):
             monkeypatch.setattr(data_mod, name, lambda *a, name=name, **k: calls.append(name))
         return calls
 
@@ -653,6 +669,19 @@ class TestAblate:
         monkeypatch.setattr(cli_mod, "run_training", counting_train)
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
         assert len(per_cell) == 2 and per_cell[0] > 0 and per_cell[1] == 0
+
+    def test_empty_eval_dataset_scores_on_training_set(self, workspace, tmp_path,
+                                                       monkeypatch):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text() + "max_iter = 3\n")
+        empty = tmp_path / "empty_eval.txt"
+        empty.write_text(cfg.read_text() + "eval_dataset =\n")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")  # holds no annotations.txt
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
+        assert run(["ablate", "--config", str(empty), "--out", str(tmp_path / "ab_e")]) == 0
+        assert (tmp_path / "ab_e" / "summary.csv").read_bytes() == \
+            (tmp_path / "ab" / "summary.csv").read_bytes()
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         cfg = self.make_config(tmp_path, workspace / "ds")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import data as data_mod
-from ponodet.data import (GenSpec, Scene, gen_spec_from_file, generate,
-                          hflip, load_annotations, load_dataset, read_kv,
+from ponodet.data import (GenSpec, Scene, config_from_kv, generate, hflip,
+                          load_annotations, load_dataset, read_config, read_kv,
                           read_ppm, save_dataset, save_gen_spec, write_pnm)
 from ponodet.geometry import GroundTruth
 
@@ -20,6 +20,11 @@ def basic_spec(**overrides):
               objects_per_scene=(1, 3), crowding=0.0, seed=5, image_size=64)
     kw.update(overrides)
     return GenSpec(**kw)
+
+
+def read_spec(path) -> GenSpec:
+    """A genspec.txt file read as `gen-data` reads it."""
+    return config_from_kv(GenSpec, read_config(path, GenSpec), path)
 
 
 class TestGenSpec:
@@ -35,7 +40,7 @@ class TestGenSpec:
         spec = basic_spec(crowding=0.25)
         path = tmp_path / "genspec.txt"
         save_gen_spec(path, spec)
-        assert gen_spec_from_file(path) == spec
+        assert read_spec(path) == spec
 
     def test_kv_parser_errors(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -57,7 +62,7 @@ class TestGenSpec:
     def test_value_that_does_not_parse_names_file_and_key(self, tmp_path, old, new, key):
         path = self.spec_file(tmp_path, old, new)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {key}: ")):
-            gen_spec_from_file(path)
+            read_spec(path)
 
     @pytest.mark.parametrize("old,new,key", [
         ("crowding = 0.0", "crowding = 1.5", "crowding"),
@@ -70,7 +75,7 @@ class TestGenSpec:
     def test_rule_failure_names_file_and_key(self, tmp_path, old, new, key):
         path = self.spec_file(tmp_path, old, new)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as e:
-            gen_spec_from_file(path)
+            read_spec(path)
         assert key in str(e.value)
 
     @pytest.mark.parametrize("key", ["n_classes", "class_freq", "size_ranges",
@@ -81,19 +86,19 @@ class TestGenSpec:
         path.write_text("".join(line for line in path.read_text().splitlines(True)
                                 if not line.startswith(key + " ")))
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
-            gen_spec_from_file(path)
+            read_spec(path)
 
     def test_optional_keys_take_their_defaults(self, tmp_path):
         path = tmp_path / "genspec.txt"
         path.write_text("n_classes = 1\nclass_freq = 1\nsize_ranges = 8:14\n"
                         "objects_per_scene = 1,2\n")
-        spec = gen_spec_from_file(path)
+        spec = read_spec(path)
         assert (spec.crowding, spec.seed, spec.image_size) == (0.0, 0, 64)
 
     def test_unknown_key_names_file_and_key(self, tmp_path):
         path = self.spec_file(tmp_path, "crowding = 0.0", "crowdng = 0.8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key 'crowdng'")):
-            gen_spec_from_file(path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key 'crowdng'")):
+            read_spec(path)
 
 
 class TestGenerate:

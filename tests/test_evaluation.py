@@ -16,6 +16,11 @@ def average_precision(dets_per_scene, gts, class_id):
     return map_eval(dets_per_scene, gts)[0].get(class_id, 0.0)
 
 
+def object_counts(gts, classes):
+    """Each class's annotated object count, counted scene by scene."""
+    return {c: sum(int(np.sum(gt.class_ids == c)) for gt in gts) for c in classes}
+
+
 def extract_oracle(logits, offsets, grid, score_min, nms_iou):
     """The former per-cell loop: decode each selected cell on its own, then
     the per-pair NMS oracle; (cx, cy, w, h, class_id, score) rows."""
@@ -149,22 +154,33 @@ class TestMapEval:
     def test_all_perfect(self):
         gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 1])]
         dets = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(30, 30, 8, 8, 1, 0.8))]
-        per_class, mean = map_eval(dets, gts)
+        per_class, mean, n_gt = map_eval(dets, gts)
         assert per_class == {0: 1.0, 1: 1.0}
         assert mean == 1.0
+        assert n_gt == object_counts(gts, per_class)
 
     def test_half(self):
         gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 1])]
         dets = [dets_of(det(10, 10, 8, 8, 0, 0.9))]
-        per_class, mean = map_eval(dets, gts)
+        per_class, mean, n_gt = map_eval(dets, gts)
         assert per_class == {0: 1.0, 1: 0.0}
         assert mean == 0.5
+        assert n_gt == object_counts(gts, per_class)
 
     def test_only_present_classes_counted(self):
         gts = [GroundTruth([(10, 10, 8, 8)], [1])]
         dets = [dets_of(det(10, 10, 8, 8, 1, 0.9), det(20, 20, 8, 8, 0, 0.8))]
-        per_class, mean = map_eval(dets, gts)
+        per_class, mean, n_gt = map_eval(dets, gts)
         assert set(per_class) == {1}
+        assert n_gt == object_counts(gts, per_class) == {1: 1}
+
+    def test_object_counts_over_scenes(self):
+        gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8), (50, 50, 8, 8)], [2, 0, 2]),
+               GroundTruth(np.zeros((0, 4)), []),
+               GroundTruth([(20, 20, 8, 8)], [2])]
+        per_class, _, n_gt = map_eval([dets_of()] * 3, gts)
+        assert list(n_gt) == list(per_class) == [0, 2]
+        assert n_gt == object_counts(gts, per_class) == {0: 1, 2: 3}
 
 
 class TestExtractDetections:

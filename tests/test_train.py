@@ -491,7 +491,7 @@ class TestDeterminismAndResume:
         from dataclasses import replace
         scenes, cfg, state = self.make_setup(tmp_path)
         cfg = replace(cfg, checkpoint_every=6)
-        straight = run_training(state, SceneBank(scenes, state.grid), cfg, checkpoint_dir=tmp_path)
+        straight = run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
 
         resumed_state = load_run(tmp_path / "ckpt_000006.bin")
         assert resumed_state.iteration == 6
@@ -518,8 +518,7 @@ class TestDeterminismAndResume:
             save(path, st)
 
         monkeypatch.setattr(train_mod, "save_run", spy)
-        run_training(state, SceneBank(scenes, state.grid), cfg, log_path=log,
-                     checkpoint_dir=tmp_path)
+        run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
         assert [it for it, _ in on_disk] == [5, 10]
         for it, lines in on_disk:
             assert lines[:1] == [LossReport.CSV_HEADER]
@@ -527,10 +526,11 @@ class TestDeterminismAndResume:
 
     def test_log_rows_deterministic(self, tmp_path):
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
-        run_training(state, SceneBank(scenes, state.grid), cfg, log_path=tmp_path / "a.csv")
+        run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path / "a")
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
-        run_training(state, SceneBank(scenes, state.grid), cfg, log_path=tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path / "b")
+        assert (tmp_path / "a" / "log.csv").read_bytes() == \
+            (tmp_path / "b" / "log.csv").read_bytes()
 
 
 class TestCheckpoint:
@@ -802,7 +802,7 @@ class TestIterationLifetime:
         cfg = replace(cfg, lr0=1e6)
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match=r"at iteration \d+"):
-            run_training(state, SceneBank(scenes, state.grid), cfg, log_path=tmp_path / "log.csv")
+            run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
         rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
         assert len(rows) == state.iteration - 1
