@@ -282,15 +282,17 @@ def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int,
     """Cluster each class's (w, h) samples into `n_a` anchor shapes.
 
     Deterministic given `seed`; classes with fewer distinct shapes than
-    `n_a` may yield duplicate centroids.  Raises if a class has no samples.
+    `n_a` may yield duplicate centroids.  A class with no samples raises a
+    ValueError naming it, before any class is clustered.
     """
     if n_a < 1:
         raise ValueError("n_a must be >= 1")
-    out = []
-    for c, sizes in enumerate(gt_sizes_per_class):
-        arr = np.asarray(sizes, dtype=np.float64).reshape(-1, 2)
+    per_class = [np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in gt_sizes_per_class]
+    for c, arr in enumerate(per_class):
         if arr.size == 0:
-            raise ValueError(f"class {c} has no box samples to cluster")
+            raise ValueError(f"class {c} has no boxes, but the classes run to {len(per_class) - 1}")
+    out = []
+    for c, arr in enumerate(per_class):
         rng = np.random.default_rng([seed, c])
         centroids = _kmeans_one_class(arr, n_a, rng, max_iter)
         order = np.lexsort((centroids[:, 0], centroids[:, 1],

@@ -29,7 +29,7 @@ from functools import cached_property
 from .anchors import AnchorSet, kmeans_anchors, sizes_per_class
 from .data import GenSpec, Scene, generate
 from .evaluation import dataset_detections, map_eval
-from .model import ToyNet, ToyNetConfig
+from .model import ToyNetConfig
 from .train import RunState, SceneBank, TrainConfig, anchor_grid, run_training
 
 IMAGE_SIZE = 48
@@ -103,13 +103,11 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
                   cls_loss=cls_loss)
     if max_iter is not None:
         cfg = replace(cfg, max_iter=max_iter)
-    model = ToyNet(bench.net, bench.gen.n_classes, bench.n_anchors,
-                   seed=cfg.seed)
-    state = RunState.fresh(model, setup.bank.grid)
+    state = RunState.fresh(bench.net, setup.bank.grid, cfg.seed)
     reports = run_training(state, setup.bank, cfg)
-    dets = dataset_detections(model, state.grid, setup.test, bench.score_min,
+    dets = dataset_detections(state.model, state.grid, setup.test, bench.score_min,
                               bench.nms_iou)
-    per_class, mean, _ = map_eval(dets, [s.gt for s in setup.test])
+    per_class, mean, _, _ = map_eval(dets, [s.gt for s in setup.test])
     return {
         "state": state,
         "anchor_set": setup.anchor_set,

@@ -22,7 +22,7 @@ from . import evaluation as eval_mod
 from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
-from .model import ToyNet, ToyNetConfig
+from .model import ToyNetConfig
 from .train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
                     run_training, save_run)
 
@@ -104,20 +104,19 @@ def _cluster_anchors(dataset_dir, gts: list, n_a: int, seed: int) -> AnchorSet:
     n_classes = max((int(gt.class_ids.max()) for gt in gts if len(gt)), default=-1) + 1
     if n_classes == 0:
         raise RuntimeError(f"{dataset_dir}: no annotated objects")
-    sizes = sizes_per_class(gts, n_classes)
-    empty = [c for c, s in enumerate(sizes) if not len(s)]
-    if empty:
-        raise RuntimeError(f"{dataset_dir}: class {empty[0]} has no boxes, but the "
-                           f"dataset has class ids up to {n_classes - 1}")
-    return kmeans_anchors(sizes, n_a=n_a, seed=seed)
+    try:
+        return kmeans_anchors(sizes_per_class(gts, n_classes), n_a=n_a, seed=seed)
+    except ValueError as e:
+        raise RuntimeError(f"{dataset_dir}: {e}") from None
 
 
-def _check_image_size(dataset_dir, scenes: list, checkpoint, model: ToyNet) -> None:
-    """A checkpoint's network reads only images of its own input size."""
-    size, want = scenes[0].image.shape[0], model.cfg.input_size
+def _check_image_size(dataset_dir, scenes: list, want: int, owner) -> None:
+    """The dataset's images are `want` px square, the input size of the
+    network that `owner` (a checkpoint or a config file) is for."""
+    size = scenes[0].image.shape[0]
     if size != want:
         raise RuntimeError(f"{dataset_dir}: images are {size}px square, "
-                           f"but {checkpoint} is for {want}px images")
+                           f"but {owner} is for {want}px images")
 
 
 def cmd_gen_data(args) -> int:
@@ -144,8 +143,7 @@ def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
                 out_dir: str) -> RunState:
     """Train a fresh network on the bank's scenes and grid and write its
     run to `out_dir`."""
-    model = ToyNet(net, bank.grid.n_classes, bank.grid.n_anchors, seed=cfg.seed)
-    state = RunState.fresh(model, bank.grid)
+    state = RunState.fresh(net, bank.grid, cfg.seed)
     run_training(state, bank, cfg, run_dir=out_dir)
     save_run(os.path.join(out_dir, "final.bin"), state)
     return state
@@ -166,15 +164,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate(state: RunState, scenes: list, score_min: float, nms_iou: float):
+def _score(state: RunState, scenes: list, out_dir, score_min: float,
+           nms_iou: float) -> tuple[dict[int, float], float]:
+    """Score the run's network on `scenes` and write `report.csv` and
+    `report.txt` to `out_dir`: each scored class's AP, annotated objects
+    and detections, and the mAP.  Returns the per-class AP and the mAP."""
     dets = eval_mod.dataset_detections(state.model, state.grid, scenes,
                                        score_min, nms_iou)
-    per_class, mean, n_gt = eval_mod.map_eval(dets, [s.gt for s in scenes])
-    n_det = {c: sum(int(np.sum(ds.class_ids == c)) for ds in dets) for c in per_class}
-    return per_class, mean, n_gt, n_det
-
-
-def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
+    per_class, mean, n_gt, n_det = eval_mod.map_eval(dets, [s.gt for s in scenes])
     os.makedirs(out_dir, exist_ok=True)
     with data_mod.atomic_open(os.path.join(out_dir, "report.csv")) as f:
         f.write("class,ap,n_gt,n_det\n")
@@ -186,16 +183,15 @@ def _write_eval_report(out_dir, per_class, mean, n_gt, n_det) -> None:
             f.write(f"class {c}: AP {per_class[c]:.4f} "
                     f"({n_gt[c]} objects, {n_det[c]} detections)\n")
         f.write(f"mAP {mean:.4f}\n")
+    return per_class, mean
 
 
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
     scenes = _load_scenes(args.dataset)
     _check_classes(args.dataset, scenes, state.grid.n_classes, "checkpoint's anchors")
-    _check_image_size(args.dataset, scenes, args.checkpoint, state.model)
-    per_class, mean, n_gt, n_det = _evaluate(
-        state, scenes, args.score_min, args.iou_nms)
-    _write_eval_report(args.out, per_class, mean, n_gt, n_det)
+    _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
+    per_class, mean = _score(state, scenes, args.out, args.score_min, args.iou_nms)
     for c in sorted(per_class):
         print(f"class {c}: AP {per_class[c]:.4f}")
     print(f"mAP {mean:.4f}")
@@ -215,7 +211,7 @@ def cmd_assign_dump(args) -> int:
         if not np.array_equal(state.grid.boxes[0, 0, :, :, 2:], anchor_set.shapes):
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
-        _check_image_size(args.dataset, scenes, args.checkpoint, state.model)
+        _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
     grid = anchor_grid(anchor_set, scene.image.shape[0])
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
@@ -303,10 +299,8 @@ def cmd_ablate(args) -> int:
     # anchors are clustered or anything is written
     scenes = _load_scenes(dataset_dir)
     eval_scenes = scenes if eval_dir == dataset_dir else _load_scenes(eval_dir)
-    if eval_scenes[0].image.shape != scenes[0].image.shape:
-        raise RuntimeError(f"{eval_dir}: images are {eval_scenes[0].image.shape[0]}px square, "
-                           f"but {dataset_dir} has {scenes[0].image.shape[0]}px images")
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
+    _check_image_size(eval_dir, eval_scenes, net.input_size, args.config)
 
     if kv.get("anchors"):
         anchor_set = load_anchor_set(kv["anchors"])
@@ -327,9 +321,7 @@ def cmd_ablate(args) -> int:
     for name, cfg in cells:
         cell_dir = os.path.join(args.out, name)
         state = _train_once(cfg, net, bank, cell_dir)
-        per_class, mean, n_gt, n_det = _evaluate(
-            state, eval_scenes, args.score_min, args.iou_nms)
-        _write_eval_report(cell_dir, per_class, mean, n_gt, n_det)
+        per_class, mean = _score(state, eval_scenes, cell_dir, args.score_min, args.iou_nms)
         rows.append((name, cfg.label_rule, cfg.mode, cfg.cls_loss, mean, per_class))
         print(f"{name}: mAP {mean:.4f}")
 

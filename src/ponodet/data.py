@@ -59,14 +59,17 @@ def _range_of(parse, sep: str):
 class GenSpec:
     """Generator settings; `class_freq` must sum to 1, sizes are >= 4 px.
     Each field is a genspec.txt key, and a field's `parse` metadata reads
-    its value there."""
+    its value there; its `format` metadata, else `repr`, writes it."""
 
     n_classes: int = field(metadata={"parse": int})
     class_freq: tuple = field(metadata={
-        "parse": lambda text: tuple(float(x) for x in text.split(","))})
+        "parse": lambda text: tuple(float(x) for x in text.split(",")),
+        "format": lambda values: ",".join(map(repr, values))})
     size_ranges: tuple = field(metadata={
-        "parse": lambda text: tuple(map(_range_of(float, ":"), text.split(",")))})
-    objects_per_scene: tuple = field(metadata={"parse": _range_of(int, ",")})
+        "parse": lambda text: tuple(map(_range_of(float, ":"), text.split(","))),
+        "format": lambda pairs: ",".join(f"{lo!r}:{hi!r}" for lo, hi in pairs)})
+    objects_per_scene: tuple = field(metadata={
+        "parse": _range_of(int, ","), "format": lambda pair: ",".join(map(repr, pair))})
     crowding: float = 0.0
     seed: int = 0
     image_size: int = 64
@@ -320,16 +323,19 @@ def text_lines(path):
 
 
 def read_kv(path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
+    """Flat `key = value` lines; '#' starts a comment; a key is given once."""
+    out, first = {}, {}  # key -> value, key -> line number
     for ln, raw in text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ValueError(f"{path}:{ln}: key {key!r} is given twice, "
+                             f"first on line {first[key]}")
+        first[key], out[key] = ln, value
     return out
 
 
@@ -383,10 +389,5 @@ def read_config(path, *schemas, extra=()) -> dict[str, str]:
 
 def save_gen_spec(path, spec: GenSpec) -> None:
     with atomic_open(path) as f:
-        f.write(f"n_classes = {spec.n_classes}\n")
-        f.write("class_freq = " + ",".join(repr(x) for x in spec.class_freq) + "\n")
-        f.write("size_ranges = " + ",".join(f"{lo!r}:{hi!r}" for lo, hi in spec.size_ranges) + "\n")
-        f.write(f"objects_per_scene = {spec.objects_per_scene[0]},{spec.objects_per_scene[1]}\n")
-        f.write(f"crowding = {spec.crowding!r}\n")
-        f.write(f"seed = {spec.seed}\n")
-        f.write(f"image_size = {spec.image_size}\n")
+        for fd in fields(GenSpec):
+            f.write(f"{fd.name} = {fd.metadata.get('format', repr)(getattr(spec, fd.name))}\n")

@@ -86,15 +86,16 @@ def _area(tp: np.ndarray, n_gt: int) -> float:
     return float(ap)
 
 
-def map_eval(dets_per_scene: list[Detections],
-             gts: list[GroundTruth]) -> tuple[dict[int, float], float, dict[int, int]]:
+def map_eval(dets_per_scene: list[Detections], gts: list[GroundTruth]
+             ) -> tuple[dict[int, float], float, dict[int, int], dict[int, int]]:
     """Per-class AP over the classes present in the annotations, their
-    mean, and each of those classes' annotated object count."""
+    mean, and each of those classes' annotated object and detection counts."""
     classes, tp = _ranked_matches(dets_per_scene, gts)
     n_gt = dict(sorted(Counter(c for gt in gts for c in gt.class_ids.tolist()).items()))
     per_class = {c: _area(tp[classes == c], n) for c, n in n_gt.items()}
+    n_det = {c: int(np.count_nonzero(classes == c)) for c in n_gt}
     mean = sum(per_class.values()) / len(per_class) if per_class else 0.0
-    return per_class, mean, n_gt
+    return per_class, mean, n_gt, n_det
 
 
 def dataset_detections(model, grid: AnchorGrid, scenes,

@@ -56,8 +56,9 @@ class ToyNetConfig:
         if self.head_convs < 0:
             raise ValueError("head_convs must be >= 0")
         need = FEAT_STRIDE * 2 ** (self.levels - 1)
-        if self.input_size % need:
-            raise ValueError(f"input_size must be a multiple of {need} for {self.levels} levels")
+        if self.input_size < 1 or self.input_size % need:
+            raise ValueError(f"input_size must be a positive multiple of {need} "
+                             f"for {self.levels} levels")
 
     @property
     def feat_size(self) -> int:

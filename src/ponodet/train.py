@@ -139,10 +139,12 @@ class RunState:
         return views
 
     @classmethod
-    def fresh(cls, model, grid: AnchorGrid) -> RunState:
-        """Iteration 0 on `grid`, with unit balance weights."""
-        return cls(model=model, grid=grid,
-                   bw=initial_balance(grid.n_classes, grid.n_anchors))
+    def fresh(cls, net: ToyNetConfig, grid: AnchorGrid, seed: int) -> RunState:
+        """Iteration 0 on `grid` of a ToyNet sized by `net`, drawn from `seed`,
+        with an output per class and anchor of the grid; unit balance weights."""
+        nc, na = grid.n_classes, grid.n_anchors
+        return cls(model=ToyNet(net, nc, na, seed=seed), grid=grid,
+                   bw=initial_balance(nc, na))
 
 
 def anchor_grid(anchor_set: AnchorSet, image_size: int) -> AnchorGrid:

@@ -402,9 +402,15 @@ class TestKmeans:
             assert len(pair) == 2 and pair[0] is not pair[1]
             assert all(buf.shape == ((_MAX_STARTS + 2) * 8 * len(shapes),) for buf in pair)
 
-    def test_empty_class_error_names_class(self):
-        with pytest.raises(ValueError, match="class 1"):
-            kmeans_anchors([np.ones((3, 2)) * 10, np.empty((0, 2))], n_a=2, seed=0)
+    def test_empty_class_error_names_class(self, monkeypatch):
+        # raised before any class is clustered, class 0 included
+        clustered = []
+        monkeypatch.setattr(anchors, "_kmeans_one_class",
+                            lambda *a: clustered.append(a) or np.ones((2, 2)))
+        sizes = [np.full((400, 2), 10.0), np.empty((0, 2)), np.full((4, 2), 9.0)]
+        with pytest.raises(ValueError, match="class 1 has no boxes, but the classes run to 2"):
+            kmeans_anchors(sizes, n_a=2, seed=0)
+        assert clustered == []
 
 
 class TestBuildGrid:

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from ponodet import train as train_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
 from ponodet.anchors import AnchorSet, load_anchor_set
 from ponodet.data import load_dataset, read_kv
-from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
-from ponodet.train import RunState, anchor_grid, save_run
+from ponodet.model import ToyNetConfig, load_arrays, save_arrays
+from ponodet.train import RunState, TrainConfig, anchor_grid, save_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -245,7 +246,7 @@ class TestBadInput:
                                                           monkeypatch):
         ds = self.make_class_gap_dataset(tmp_path)
         started = []
-        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+        monkeypatch.setattr("ponodet.anchors._kmeans_one_class",
                             lambda *a, **k: started.append("kmeans"))
         out = tmp_path / "anchors.txt"
         assert run(["anchors", "--dataset", str(ds), "--out", str(out)]) == 2
@@ -258,7 +259,7 @@ class TestBadInput:
         cfg = tmp_path / "ablate.txt"
         cfg.write_text(f"dataset = {ds}\ncells = AMS:learned:CE\nn_a = 2\n")
         started = []
-        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+        monkeypatch.setattr("ponodet.anchors._kmeans_one_class",
                             lambda *a, **k: started.append("kmeans"))
         out = tmp_path / "ab"
         assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
@@ -278,8 +279,8 @@ class TestBadInput:
         assert not (tmp_path / "ab").exists()
 
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
-        net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, head_convs=1), 1, 2)
-        state = RunState.fresh(net, anchor_grid(AnchorSet(np.full((1, 2, 2), 9.0)), 32))
+        state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, head_convs=1),
+                               anchor_grid(AnchorSet(np.full((1, 2, 2), 9.0)), 32), 0)
         save_run(tmp_path / "one_class.bin", state)
         ds = workspace / "ds"
         first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
@@ -328,6 +329,34 @@ class TestBadInput:
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(text)
             assert _read_config(cfg, extra) == read_kv(cfg)
+        # the block shows the defaults, but for input_size: the dataset's size
+        cfg.write_text(block)
+        kv = read_kv(cfg)
+        assert data_mod.config_from_kv(TrainConfig, kv, cfg) == TrainConfig()
+        net = data_mod.config_from_kv(ToyNetConfig, kv, cfg)
+        assert replace(net, input_size=ToyNetConfig().input_size) == ToyNetConfig()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+    def test_repeated_config_key_names_both_lines(self, workspace, tmp_path, capsys,
+                                                  monkeypatch, command):
+        started = []
+        monkeypatch.setattr("ponodet.cli.run_training", lambda *a, **k: started.append(1))
+        monkeypatch.setattr(data_mod, "generate", lambda *a, **k: started.append(1))
+        ds = workspace / "ds"
+        text, key, first, argv = {
+            "gen-data": (GENSPEC, "seed", 6, ["-n", "2"]),
+            "train": (TRAINCFG, "max_iter", 7,
+                      ["--dataset", str(ds), "--anchors", str(workspace / "anchors.txt")]),
+            "ablate": (f"dataset = {ds}\ncells = AMS:learned:CE\n" + TRAINCFG,
+                       "max_iter", 9, []),
+        }[command]
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text(text + f"{key} = 3\n")
+        line = text.count("\n") + 1
+        assert run([command, "--config", str(cfg), "--out", str(out), *argv]) == 2
+        assert f"{cfg}:{line}: key {key!r} is given twice, first on line {first}" \
+            in capsys.readouterr().err
+        assert started == [] and not out.exists()
 
     @pytest.mark.parametrize("h,w,message", [
         (48, 48, "scene 1 image is 48x48, but scene 0 is 32x32"),
@@ -388,7 +417,7 @@ class TestBadInput:
         monkeypatch.setattr("ponodet.cli.run_training",
                             lambda *a, **k: started.append("train"))
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
-        assert f"{ds}: images are 48px square, but {workspace / 'ds'} has 32px images" \
+        assert f"{ds}: images are 48px square, but {cfg} is for 32px images" \
             in capsys.readouterr().err
         assert started == []
 
@@ -583,7 +612,8 @@ class TestAblate:
         test_ds = TestBadInput().make_dataset(tmp_path)
         cfg = self.make_config(tmp_path, workspace / "ds")
         cfg.write_text(cfg.read_text().replace("PONO:unit:CE", "PONO:unit:CE,AO:unit:FL")
-                       + f"eval_dataset = {test_ds}\nmax_iter = 3\n")
+                       .replace("max_iter = 20", "max_iter = 3")
+                       + f"eval_dataset = {test_ds}\n")
         loaded = []
         load = data_mod.load_dataset
 
@@ -673,7 +703,7 @@ class TestAblate:
     def test_empty_eval_dataset_scores_on_training_set(self, workspace, tmp_path,
                                                        monkeypatch):
         cfg = self.make_config(tmp_path, workspace / "ds")
-        cfg.write_text(cfg.read_text() + "max_iter = 3\n")
+        cfg.write_text(cfg.read_text().replace("max_iter = 20", "max_iter = 3"))
         empty = tmp_path / "empty_eval.txt"
         empty.write_text(cfg.read_text() + "eval_dataset =\n")
         (tmp_path / "cwd").mkdir()

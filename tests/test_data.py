@@ -48,6 +48,20 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=":1"):
             read_kv(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("max_iter = 20\n# max_iter = 9\nseed = 1\n\n max_iter=3 # again\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:5: key 'max_iter' is given twice, first on line 1")):
+            read_kv(path)
+
+    def test_genspec_text(self, tmp_path):
+        path = tmp_path / "genspec.txt"
+        save_gen_spec(path, basic_spec(crowding=0.25))
+        assert path.read_text() == (
+            "n_classes = 2\nclass_freq = 0.7,0.3\nsize_ranges = 8.0:20.0,6.0:14.0\n"
+            "objects_per_scene = 1,3\ncrowding = 0.25\nseed = 5\nimage_size = 64\n")
+
     def spec_file(self, tmp_path, old, new):
         path = tmp_path / "genspec.txt"
         save_gen_spec(path, basic_spec())

@@ -21,6 +21,11 @@ def object_counts(gts, classes):
     return {c: sum(int(np.sum(gt.class_ids == c)) for gt in gts) for c in classes}
 
 
+def detection_counts(dets_per_scene, classes):
+    """Each class's detection count, counted scene by scene."""
+    return {c: sum(int(np.sum(d.class_ids == c)) for d in dets_per_scene) for c in classes}
+
+
 def extract_oracle(logits, offsets, grid, score_min, nms_iou):
     """The former per-cell loop: decode each selected cell on its own, then
     the per-pair NMS oracle; (cx, cy, w, h, class_id, score) rows."""
@@ -154,33 +159,49 @@ class TestMapEval:
     def test_all_perfect(self):
         gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 1])]
         dets = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(30, 30, 8, 8, 1, 0.8))]
-        per_class, mean, n_gt = map_eval(dets, gts)
+        per_class, mean, n_gt, n_det = map_eval(dets, gts)
         assert per_class == {0: 1.0, 1: 1.0}
         assert mean == 1.0
         assert n_gt == object_counts(gts, per_class)
+        assert n_det == detection_counts(dets, per_class) == {0: 1, 1: 1}
 
     def test_half(self):
         gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 1])]
         dets = [dets_of(det(10, 10, 8, 8, 0, 0.9))]
-        per_class, mean, n_gt = map_eval(dets, gts)
+        per_class, mean, n_gt, n_det = map_eval(dets, gts)
         assert per_class == {0: 1.0, 1: 0.0}
         assert mean == 0.5
         assert n_gt == object_counts(gts, per_class)
+        # class 1 is scored without a detection
+        assert n_det == detection_counts(dets, per_class) == {0: 1, 1: 0}
 
     def test_only_present_classes_counted(self):
         gts = [GroundTruth([(10, 10, 8, 8)], [1])]
         dets = [dets_of(det(10, 10, 8, 8, 1, 0.9), det(20, 20, 8, 8, 0, 0.8))]
-        per_class, mean, n_gt = map_eval(dets, gts)
+        per_class, mean, n_gt, n_det = map_eval(dets, gts)
         assert set(per_class) == {1}
         assert n_gt == object_counts(gts, per_class) == {1: 1}
+        # the class-0 detection has no annotated class to count under
+        assert n_det == detection_counts(dets, per_class) == {1: 1}
 
     def test_object_counts_over_scenes(self):
         gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8), (50, 50, 8, 8)], [2, 0, 2]),
                GroundTruth(np.zeros((0, 4)), []),
                GroundTruth([(20, 20, 8, 8)], [2])]
-        per_class, _, n_gt = map_eval([dets_of()] * 3, gts)
+        per_class, _, n_gt, n_det = map_eval([dets_of()] * 3, gts)
         assert list(n_gt) == list(per_class) == [0, 2]
         assert n_gt == object_counts(gts, per_class) == {0: 1, 2: 3}
+        assert n_det == {0: 0, 2: 0}
+
+    def test_detection_counts_over_scenes(self):
+        gts = [GroundTruth([(10, 10, 8, 8), (30, 30, 8, 8)], [0, 2]),
+               GroundTruth([(20, 20, 8, 8)], [2])]
+        dets = [dets_of(det(10, 10, 8, 8, 0, 0.9), det(30, 30, 8, 8, 2, 0.4),
+                        det(31, 30, 8, 8, 2, 0.3), det(50, 50, 8, 8, 1, 0.8)),
+                dets_of(det(20, 20, 8, 8, 2, 0.7), det(5, 5, 8, 8, 3, 0.6))]
+        _, _, _, n_det = map_eval(dets, gts)
+        assert list(n_det) == [0, 2]
+        assert n_det == detection_counts(dets, [0, 2]) == {0: 1, 2: 3}
 
 
 class TestExtractDetections:

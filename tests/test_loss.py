@@ -170,8 +170,9 @@ class TestBalancedTotals:
     def test_npos_floor(self):
         # no object, so no gated cell: the loc normalizer is floored at 1
         scene = Scene(np.zeros((16, 16, 3)), GroundTruth([], []))
-        state = RunState.fresh(TabularPredictor(2, 2, 1, 1),
-                               anchor_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 16))
+        state = RunState(model=TabularPredictor(2, 2, 1, 1),
+                         grid=anchor_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 16),
+                         bw=initial_balance(1, 1))
         rep = train_iteration(state, [scene], TrainConfig(max_iter=2, mode="unit"),
                               SceneBank([scene], state.grid))
         assert rep.loc == 0.0 and np.isfinite(rep.total)

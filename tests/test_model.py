@@ -49,6 +49,11 @@ class TestToyNetConfig:
             ToyNetConfig(input_size=40, levels=3)  # needs a multiple of 32
         assert ToyNetConfig(input_size=64, levels=3).feat_size == 8
 
+    @pytest.mark.parametrize("size", [0, -16])
+    def test_input_size_positive(self, size):
+        with pytest.raises(ValueError, match="input_size must be a positive multiple of 16"):
+            ToyNetConfig(input_size=size)
+
     def test_min_levels(self):
         with pytest.raises(ValueError):
             ToyNetConfig(input_size=64, levels=1)

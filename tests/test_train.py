@@ -396,8 +396,7 @@ class TestSceneBank:
         assert first == len(drawn_variants(cfg, len(scenes)))
         # a second run on the bank draws the first run's variants and more
         longer = replace(cfg, max_iter=9, label_rule="AO")
-        other = TestDeterminismAndResume().make_setup(tmp_path)[2]
-        run_training(RunState.fresh(other.model, state.grid), bank, longer)
+        run_training(RunState.fresh(state.model.cfg, state.grid, longer.seed), bank, longer)
         assert len(calls) == len(drawn_variants(longer, len(scenes))) > first
         assert len(set(map(id, calls))) == len(calls) == len(bank.assignments)
 
@@ -437,9 +436,8 @@ class TestFreezeHoldsMomentum:
                      GroundTruth([(9, 9, 10, 10), (22, 22, 10, 10)], [0, 1]))
         only_0 = Scene(np.zeros((32, 32, 3)), GroundTruth([(9, 9, 10, 10)], [0]))
         grid = build_grid(AnchorSet(np.full((2, 2, 2), 10.0)), 4, 4, 8)
-        net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, levels=2,
-                                  head_convs=1), 2, 2, seed=0)
-        state = RunState.fresh(net, grid)
+        state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
+                                            head_convs=1), grid, 0)
         bank = SceneBank([both, only_0], grid)
         cfg = TrainConfig(lr0=0.05, max_iter=8, label_rule="PONO", flip=False)
         keys = ("bw.s_cls_grid", "bw.s_loc_grid")
@@ -470,9 +468,8 @@ class TestDeterminismAndResume:
         grid = build_grid(aset, 4, 4, 8)
         cfg = TrainConfig(lr0=0.01, max_iter=max_iter, batch_size=2, seed=5,
                           mode="learned")
-        net = ToyNet(ToyNetConfig(input_size=32, base_channels=2, levels=2,
-                                  head_convs=1), 1, 2, seed=cfg.seed)
-        state = RunState(model=net, grid=grid, bw=initial_balance(1, 2))
+        state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
+                                            head_convs=1), grid, cfg.seed)
         return scenes, cfg, state
 
     def test_seeded_rerun_identical_reports(self, tmp_path):
@@ -566,7 +563,7 @@ def bench_run(bench, cell=("AMS", "learned", "CE")):
     scenes = generate(b.gen, b.train_cfg.batch_size)
     nc = b.gen.n_classes
     grid = anchor_grid(AnchorSet(np.full((nc, b.n_anchors, 2), 12.0)), b.net.input_size)
-    state = RunState.fresh(ToyNet(b.net, nc, b.n_anchors), grid)
+    state = RunState.fresh(b.net, grid, 0)
     rule, mode, cls_loss = cell
     cfg = replace(b.train_cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
     return scenes, state, cfg
@@ -646,10 +643,10 @@ class TestFlatState:
         from ponodet import benchmarks
         b = benchmarks.imbalanced_benchmark()
         grid = anchor_grid(AnchorSet(np.full((2, b.n_anchors, 2), 12.0)), b.net.input_size)
-        model = ToyNet(b.net, 2, b.n_anchors)
+        model, bw = ToyNet(b.net, 2, b.n_anchors), initial_balance(2, b.n_anchors)
         tracemalloc.start()
         try:
-            state = RunState.fresh(model, grid)
+            state = RunState(model=model, grid=grid, bw=bw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -657,9 +654,23 @@ class TestFlatState:
         for name, t in state.leaves.items():
             assert np.shares_memory(t.grad, state.flat_grad), name
 
+    def test_fresh_state_is_a_toynet_for_the_grid(self):
+        net = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
+        grid = anchor_grid(AnchorSet(np.full((3, 2, 2), 9.0)), 32)
+        state = RunState.fresh(net, grid, 7)
+        want = ToyNet(net, 3, 2, seed=7)
+        assert (state.model.cfg, state.model.n_classes, state.model.n_anchors) == (net, 3, 2)
+        assert list(state.model.params) == list(want.params)
+        for name, p in want.params.items():
+            np.testing.assert_array_equal(state.model.params[name], p)
+        assert list(state.bw) == list(initial_balance(3, 2))
+        for name, s in initial_balance(3, 2).items():
+            np.testing.assert_array_equal(state.bw[name], s)
+        assert state.iteration == 0 and state.grid is grid
+
     def test_fresh_state_arrays_are_views(self, tmp_path):
         _, _, made = TestDeterminismAndResume().make_setup(tmp_path)
-        state = RunState.fresh(made.model, made.grid)
+        state = RunState.fresh(made.model.cfg, made.grid, 0)
         assert_flat_views(state)
         assert state.velocity == {}
         assert state.n_model == sum(a.size for a in state.model.params.values())
