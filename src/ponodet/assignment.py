@@ -27,6 +27,8 @@ from .geometry import EXP_CLAMP, GroundTruth, decode, overlap
 UNASSIGNED = -1
 # AMS labels a cell positive where pono * o_hat beats this
 AMS_THRESHOLD = 0.5
+# the AO baseline labels a cell positive where its raw overlap beats this
+AO_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,8 @@ def _read_config(path, extra_keys=()) -> dict[str, str]:
 
 def _net_config(path, kv: dict, image_size: int) -> ToyNetConfig:
     """The network settings read from the config file `path`; `input_size`
-    defaults to, and must equal, the dataset's image size."""
-    net = data_mod.config_from_kv(ToyNetConfig, {"input_size": str(image_size), **kv}, path)
-    if net.input_size != image_size:
-        raise RuntimeError(f"{path}: input_size = {net.input_size}, but the "
-                           f"dataset's images are {image_size}x{image_size}")
-    return net
+    defaults to the dataset's image size.  `_check_image_size` compares them."""
+    return data_mod.config_from_kv(ToyNetConfig, {"input_size": str(image_size), **kv}, path)
 
 
 def _load_scenes(dataset_dir) -> list:
@@ -158,6 +154,7 @@ def cmd_train(args) -> int:
     scenes = _load_scenes(args.dataset)
     _check_classes(args.dataset, scenes, anchor_set.n_classes)
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
+    _check_image_size(args.dataset, scenes, net.input_size, args.config)
     _train_once(cfg, net, SceneBank(scenes, anchor_grid(anchor_set, net.input_size)),
                 args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
@@ -300,7 +297,8 @@ def cmd_ablate(args) -> int:
     scenes = _load_scenes(dataset_dir)
     eval_scenes = scenes if eval_dir == dataset_dir else _load_scenes(eval_dir)
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
-    _check_image_size(eval_dir, eval_scenes, net.input_size, args.config)
+    for directory, checked in ((dataset_dir, scenes), (eval_dir, eval_scenes)):
+        _check_image_size(directory, checked, net.input_size, args.config)
 
     if kv.get("anchors"):
         anchor_set = load_anchor_set(kv["anchors"])

@@ -10,9 +10,9 @@ coordinate an exact dyadic rational, so horizontal flips and annotation
 round-trips are bit-exact.
 
 On disk a dataset is a directory of binary portable pixmaps plus one
-`annotations.txt` with a `scene N` header per scene followed by
-`class_id cx cy w h` lines.  Images are 8-bit quantized; annotations are
-full precision.
+`annotations.txt` in which the k-th scene (from 0) is a `scene k` header
+followed by `class_id cx cy w h` lines.  Images are 8-bit quantized;
+annotations are full precision.
 """
 
 from __future__ import annotations
@@ -255,13 +255,15 @@ def save_dataset(directory, scenes: list[Scene]) -> None:
 
 
 def load_annotations(path) -> list[GroundTruth]:
-    """Parse an annotations file; raises with the line number on bad records."""
+    """Parse an annotations file; raises with the line number on a bad header or record."""
     scenes: list[tuple[list, list]] = []  # (boxes, class ids) per scene
     for ln, raw in text_lines(path):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("scene "):
+            if line != f"scene {len(scenes)}":
+                raise ValueError(f"{path}:{ln}: expected 'scene {len(scenes)}', got {line!r}")
             scenes.append(([], []))
             continue
         if not scenes:

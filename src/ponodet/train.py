@@ -39,39 +39,34 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import AnchorGrid, AnchorSet, build_grid
-from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
+from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, load_arrays, save_arrays
 
 LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
+MOMENTUM = 0.9    # the SGD step's momentum
+POLY_POWER = 0.9  # the learning-rate decay's exponent
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings; MOMENTUM, POLY_POWER and AO_THRESHOLD are constants."""
+
     lr0: float = 0.005
-    momentum: float = 0.9
-    poly_power: float = 0.9
     max_iter: int = 1000
     batch_size: int = 1
     mode: str = "learned"
     label_rule: str = "AMS"
     cls_loss: str = "CE"
     seed: int = 0
-    ao_threshold: float = 0.5
     flip: bool = True
     checkpoint_every: int = 0
 
     def __post_init__(self):
         if not 0 <= self.lr0 < math.inf:
             raise ValueError("lr0 must be finite and >= 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if not 0 <= self.poly_power < math.inf:
-            raise ValueError("poly_power must be finite and >= 0")
-        if not (0.0 <= self.ao_threshold < 1.0):
-            raise ValueError("ao_threshold must be in [0, 1)")
         for key in ("max_iter", "batch_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
@@ -182,8 +177,8 @@ class SceneBank:
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
-    """Polynomial decay from lr0 down to 0 at max_iter."""
-    return cfg.lr0 * (1.0 - iteration / cfg.max_iter) ** cfg.poly_power
+    """Polynomial decay from lr0 down to 0 at max_iter, by the power POLY_POWER."""
+    return cfg.lr0 * (1.0 - iteration / cfg.max_iter) ** POLY_POWER
 
 
 def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray,
@@ -205,9 +200,10 @@ def scene_cache(bank: SceneBank, scene: Scene) -> Assignment:
 
 def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
     """Loc-loss gate (float 0/1) and classification labels, shaped like the
-    (stacked) assignment's maps.  Under the PONO and AO rules the labels are
-    the gate; under AMS they also need the predicted overlap."""
-    mask = a.ao > cfg.ao_threshold if cfg.label_rule == "AO" else a.pono > LOC_GATE
+    (stacked) assignment's maps: the raw overlap above AO_THRESHOLD under
+    AO, else the normalized one above LOC_GATE.  Under the PONO and AO
+    rules the labels are the gate; AMS also needs the predicted overlap."""
+    mask = a.ao > AO_THRESHOLD if cfg.label_rule == "AO" else a.pono > LOC_GATE
     labels = ams_labels(a.pono, o_hat) if cfg.label_rule == "AMS" else mask.astype(np.uint8)
     return mask.astype(np.float64), labels
 
@@ -254,7 +250,7 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     for name in (state.leaves if learned else state.model.params):
         state.velocity.setdefault(name, state.momentum_views[name])
     sgd_step(state.flat_params[:n], state.flat_momentum[:n], state.flat_grad[:n],
-             lr_at(state.iteration, cfg), cfg.momentum)
+             lr_at(state.iteration, cfg), MOMENTUM)
     for a, values in held:
         a[frozen] = values
     state.iteration += 1

@@ -1,11 +1,16 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line.  The three training benchmarks dominate the runtime
-(about 90 s on a 2-core VM); everything else is seconds.
+PASS/FAIL line.  The seven pinned training runs dominate the runtime; they
+train side by side in worker processes, one per usable core (about 50 s
+on a 2-core VM), and everything else is seconds.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import functools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -61,23 +66,68 @@ def easy_benchmark() -> B.Benchmark:
                          levels=2, head_convs=2))
 
 
-@pytest.fixture(scope="session")
-def imbalanced_runs():
-    bench = B.imbalanced_benchmark()
-    return {mode: B.run_cell(bench, mode=mode)
-            for mode in ("learned", "retina_norm", "unit")}
+# the pinned runs as (benchmark, run_cell keyword, value), longest first
+PINNED_RUNS = ([("imbalanced", "mode", mode) for mode in ("learned", "retina_norm", "unit")]
+               + [("easy", None, None)]
+               + [("crowded", "label_rule", rule) for rule in ("AMS", "PONO", "AO")])
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _benchmark(name: str) -> B.Benchmark:
+    """One object per benchmark and process: the cells a worker trains of
+    one benchmark share its setup, as they do in one process."""
+    return {"imbalanced": B.imbalanced_benchmark, "crowded": B.crowded_benchmark,
+            "easy": easy_benchmark}[name]()
+
+
+def _pinned_run(name: str, key, value) -> dict:
+    return B.run_cell(_benchmark(name), **({key: value} if key else {}))
 
 
 @pytest.fixture(scope="session")
-def crowded_runs():
-    bench = B.crowded_benchmark()
-    return {rule: B.run_cell(bench, label_rule=rule)
-            for rule in ("AMS", "PONO", "AO")}
+def pinned_runs():
+    """Every pinned run's `run_cell` result, keyed by its PINNED_RUNS entry.
+    The runs train at first use in one pool of spawned workers, one per
+    usable core.  A cell's bytes depend only on its benchmark and config,
+    and BLAS is set to one thread before a worker loads numpy, so a worker
+    gives the result the cell gives in process.  The parent's environment
+    is restored afterwards."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREADS}
+    os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
+    try:
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        workers = min(len(PINNED_RUNS), cores)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) \
+                as pool:
+            futures = {run: pool.submit(_pinned_run, *run) for run in PINNED_RUNS}
+            return {run: future.result() for run, future in futures.items()}
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _runs_of(pinned_runs, benchmark: str) -> dict:
+    return {value: run for (name, _, value), run in pinned_runs.items() if name == benchmark}
 
 
 @pytest.fixture(scope="session")
-def easy_run():
-    return B.run_cell(easy_benchmark())
+def imbalanced_runs(pinned_runs):
+    return _runs_of(pinned_runs, "imbalanced")
+
+
+@pytest.fixture(scope="session")
+def crowded_runs(pinned_runs):
+    return _runs_of(pinned_runs, "crowded")
+
+
+@pytest.fixture(scope="session")
+def easy_run(pinned_runs):
+    return pinned_runs[("easy", None, None)]
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 
 from ponodet import autodiff as ad
 from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
-from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, _grid_gt_iou,
-                                ams_labels, assign_ao, pred_iou_values)
+from ponodet.assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, GroundTruth,
+                                _grid_gt_iou, ams_labels, assign_ao, pred_iou_values)
 from ponodet.data import GenSpec, generate
 from ponodet.train import TrainConfig, _gate_and_labels
 
@@ -244,13 +244,13 @@ class TestOneIoU:
         assert np.any(want == 1.0) and np.any((want > 0.0) & (want < 1.0))
 
 
-def rule_labels(rule, overlaps, **cfg):
+def rule_labels(rule, overlaps):
     """`_gate_and_labels` under a PONO or AO rule, for a record whose raw and
     normalized overlaps both equal `overlaps`; the labels equal the gate."""
     a = Assignment(np.zeros(overlaps.shape, np.int64), overlaps, overlaps,
                    np.ones(overlaps.shape + (4,)))
     gate, labels = _gate_and_labels(a, np.zeros(overlaps.shape),
-                                    TrainConfig(label_rule=rule, **cfg))
+                                    TrainConfig(label_rule=rule))
     np.testing.assert_array_equal(gate, labels)
     return labels
 
@@ -274,9 +274,10 @@ class TestLabels:
         np.testing.assert_array_equal(rule_labels("PONO", o), [[[[0, 1]]]])
 
     def test_ao_threshold_rule(self):
+        # the AO baseline is positive strictly above AO_THRESHOLD on the raw overlap
+        assert AO_THRESHOLD == 0.5
         raw = np.array([[[[0.51, 0.5, 0.49]]]])
-        np.testing.assert_array_equal(rule_labels("AO", raw, ao_threshold=0.5),
-                                      [[[[1, 0, 0]]]])
+        np.testing.assert_array_equal(rule_labels("AO", raw), [[[[1, 0, 0]]]])
 
     def test_ams_subset_of_pono(self):
         rng = np.random.default_rng(3)

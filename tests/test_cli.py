@@ -301,6 +301,11 @@ class TestBadInput:
         ("train", "lr = 0.5\n", "lr"),
         ("train", "dataset = elsewhere\n", "dataset"),
         ("ablate", "cells = AMS:learned:CE\neval_set = x\n", "eval_set"),
+        # MOMENTUM, POLY_POWER and AO_THRESHOLD are constants, not config keys
+        *[("train", f"{key} = 0.9\n", key)
+          for key in ("momentum", "poly_power", "ao_threshold")],
+        *[("ablate", f"cells = AMS:learned:CE\n{key} = 0.5\n", key)
+          for key in ("momentum", "poly_power", "ao_threshold")],
     ])
     def test_unknown_config_key(self, workspace, tmp_path, capsys, command, text, key):
         cfg = tmp_path / "cfg.txt"
@@ -427,8 +432,35 @@ class TestBadInput:
         assert run(["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
                     "--anchors", str(workspace / "anchors.txt"),
                     "--out", str(tmp_path / "run")]) == 2
-        assert f"{cfg}: input_size = 48, but the dataset's images are 32x32" \
+        assert f"{workspace / 'ds'}: images are 32px square, but {cfg} is for 48px images" \
             in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_ablate_train_image_size_differs(self, workspace, tmp_path, capsys,
+                                             monkeypatch):
+        ds = self.make_dataset(tmp_path, count=1, size=48)
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(f"dataset = {ds}\ninput_size = 32\ncells = AMS:learned:CE\nn_a = 2\n")
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("cluster"))
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
+        assert f"{ds}: images are 48px square, but {cfg} is for 32px images" \
+            in capsys.readouterr().err
+        assert started == [] and not (tmp_path / "ab").exists()
+
+    def test_scene_header_out_of_order(self, workspace, tmp_path, capsys):
+        # gen-data numbers the headers 0, 1, 2; a renumbered one would pair
+        # its annotations with another scene's image
+        ds = self.make_dataset(tmp_path)
+        ann = ds / "annotations.txt"
+        lines = ann.read_text().splitlines()
+        line = lines.index("scene 1") + 1
+        lines[line - 1] = "scene 7"
+        ann.write_text("\n".join(lines) + "\n")
+        assert run(self.train_argv(workspace, ds, workspace / "anchors.txt",
+                                   tmp_path / "run")) == 2
+        assert f"{ann}:{line}: expected 'scene 1', got 'scene 7'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_loss_exits_2(self, workspace, tmp_path, capsys):

@@ -308,6 +308,20 @@ class TestDatasetIO:
         assert len(gts) == 2
         assert len(gts[0]) == 0 and len(gts[1]) == 1
 
+    @pytest.mark.parametrize("text,line,want,got", [
+        ("scene 0\nscene 2\n", 2, "scene 1", "scene 2"),
+        ("scene 0\n0 10.0 10.0 8.0 8.0\nscene 0\n", 3, "scene 1", "scene 0"),
+        ("scene x\n0 10.0 10.0 8.0 8.0\n", 1, "scene 0", "scene x")],
+        ids=["gap", "repeat", "not_a_number"])
+    def test_scene_header_must_count_from_zero(self, tmp_path, text, line, want, got):
+        # the k-th header numbers its scene k, so annotations pair with the
+        # images `scene_<k>.ppm` they were written for
+        path = tmp_path / "annotations.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{line}: expected {want!r}, got {got!r}")):
+            load_annotations(path)
+
     def test_short_record_names_line(self, tmp_path):
         path = tmp_path / "annotations.txt"
         path.write_text("scene 0\n0 10.0 10.0 8.0\n")

@@ -48,7 +48,7 @@ class TestLrSchedule:
         assert lr_at(100, cfg) == 0.0
 
     def test_midpoint(self):
-        cfg = TrainConfig(lr0=0.005, poly_power=0.9, max_iter=100)
+        cfg = TrainConfig(lr0=0.005, max_iter=100)
         assert lr_at(50, cfg) == pytest.approx(0.005 * 0.5 ** 0.9, rel=1e-12)
         assert lr_at(50, cfg) == pytest.approx(0.002679, abs=2e-6)
 
@@ -314,7 +314,7 @@ class TestSceneCache:
         scene = self.crowded_scene()
         shapes = ((8.0, 8.0), (14.0, 12.0))
         pono = TrainConfig(lr0=0.0, max_iter=5, label_rule="PONO")
-        ao = TrainConfig(lr0=0.0, max_iter=5, label_rule="AO", ao_threshold=0.3)
+        ao = TrainConfig(lr0=0.0, max_iter=5, label_rule="AO")
         reused = tabular_state(scene, shapes=shapes)
         bank = SceneBank([scene], reused.grid)
         n_pono = train_iteration(reused, [scene], pono, bank).n_pos
@@ -322,7 +322,7 @@ class TestSceneCache:
         fresh = tabular_state(scene, shapes=shapes)
         assert n_ao == train_iteration(fresh, [scene], ao,
                                        SceneBank([scene], fresh.grid)).n_pos
-        assert n_ao != n_pono
+        assert 0 < n_ao != n_pono  # 2 against 11 on this scene and these anchors
 
     def test_new_scene_at_a_collected_scene_id_is_a_miss(self):
         # scenes die between direct train_iteration calls and CPython hands
@@ -828,16 +828,15 @@ class TestConfigParsing:
         cfg = config_from_kv(TrainConfig, {"max_iter": "50", "mode": "unit",
                                            "flip": "false"}, "cfg.txt")
         assert cfg.max_iter == 50 and cfg.mode == "unit" and cfg.flip is False
-        assert cfg.lr0 == 0.005 and cfg.momentum == 0.9 and cfg.poly_power == 0.9
+        assert cfg.lr0 == 0.005 and train_mod.MOMENTUM == 0.9 and train_mod.POLY_POWER == 0.9
 
     def test_empty_kv_gives_defaults(self):
         assert config_from_kv(TrainConfig, {}, "cfg.txt") == TrainConfig()
         assert config_from_kv(ToyNetConfig, {}, "cfg.txt") == ToyNetConfig()
 
     def test_every_field_round_trips(self):
-        cfg = TrainConfig(lr0=0.02, momentum=0.5, poly_power=1.5, max_iter=7,
-                          batch_size=3, mode="unit", label_rule="AO",
-                          cls_loss="FL", seed=42, ao_threshold=0.4, flip=False,
+        cfg = TrainConfig(lr0=0.02, max_iter=7, batch_size=3, mode="unit",
+                          label_rule="AO", cls_loss="FL", seed=42, flip=False,
                           checkpoint_every=2)
         net = ToyNetConfig(input_size=96, base_channels=3, levels=3, head_convs=0)
         for c in (cfg, net):
@@ -846,8 +845,6 @@ class TestConfigParsing:
             assert config_from_kv(type(c), kv, "cfg.txt") == c
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(label_rule="NOPE")
         with pytest.raises(ValueError):
@@ -864,12 +861,6 @@ class TestConfigParsing:
         (TrainConfig, "flip", "maybe", "flip: 'maybe' is not one of true, yes, 1,"),
         (TrainConfig, "lr0", "inf", "lr0 must be finite and >= 0"),
         (TrainConfig, "lr0", "nan", "lr0 must be finite and >= 0"),
-        (TrainConfig, "poly_power", "nan", "poly_power must be finite and >= 0"),
-        (TrainConfig, "poly_power", "inf", "poly_power must be finite and >= 0"),
-        (TrainConfig, "poly_power", "-0.5", "poly_power must be finite and >= 0"),
-        (TrainConfig, "ao_threshold", "nan", "ao_threshold must be in [0, 1)"),
-        (TrainConfig, "ao_threshold", "1", "ao_threshold must be in [0, 1)"),
-        (TrainConfig, "ao_threshold", "-0.1", "ao_threshold must be in [0, 1)"),
         (TrainConfig, "batch_size", "0", "batch_size must be >= 1"),
         (TrainConfig, "checkpoint_every", "-1", "checkpoint_every must be >= 0"),
         (TrainConfig, "seed", "-1", "seed must be >= 0"),
