@@ -11,7 +11,8 @@ assigned box per cell.  `Assignment.stack` puts the records of a batch's
 scenes on a leading scene axis, the layout `pred_iou_values` and the label
 rules read.  Labels come from thresholding the normalized map (PONO),
 thresholding raw overlap (AO), or the ambiguity-managed product with the
-predicted-box overlap map (AMS).
+predicted-box overlap map (AMS).  The abstract's "soft" assignment is that
+prediction-dependent AMS label; its threshold stays hard.
 """
 
 from __future__ import annotations

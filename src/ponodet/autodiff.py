@@ -13,6 +13,11 @@ Tensor has no arithmetic of its own.  The network ops return plain
 arrays, untracked, when no input is a Tensor.  ``backward`` adds into a
 leaf's gradient buffer in place, so a training run builds each leaf once,
 with its view of the run's gradient vector as that buffer.
+
+A run's tape keeps ``conv2d``'s per-call work arrays for its life, keyed
+by the call's geometry (input shape, kernel shape, stride), which fixes
+the entries a call writes: the zeros it never writes stay valid from pass
+to pass.  Untaped calls allocate.  One thread per tape.
 """
 
 from __future__ import annotations
@@ -21,14 +26,24 @@ import numpy as np
 
 
 class Tape:
-    """Ordered record of operations for one forward pass."""
+    """Ordered record of operations for one forward pass; conv2d's work arrays."""
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "work")
 
     def __init__(self) -> None:
         # (output, pre, pulls): `pre` maps the output's adjoint once before
         # every (input, vjp) pull reads it, or is None
         self.records: list[tuple[Tensor, object, tuple]] = []
+        # (role, input shape, kernel shape, stride) -> ndarray, never a Tensor
+        self.work: dict[tuple, np.ndarray] = {}
+
+
+def _work(work: dict, key: tuple, shape: tuple) -> np.ndarray:
+    """`work[key]`, made as zeros of `shape` on first use."""
+    buf = work.get(key)
+    if buf is None:
+        buf = work[key] = np.zeros(shape)
+    return buf
 
 
 class Tensor:
@@ -153,27 +168,27 @@ def concat(parts):
 # linear algebra / spatial ops
 # ---------------------------------------------------------------------
 
-def _im2col(xv: np.ndarray, k: int, stride: int, pad: int):
-    """The [n*ho*wo, k*k*cin] patch matrix of a zero-padded image stack,
-    and (ho, wo).  Each row reads one k x k window in (row, column, cin)
-    order, the order the flattened kernel is laid out in; the rows run over
-    the images, then the output rows and columns."""
-    n, h, w, cin = xv.shape
+def _im2col(xp: np.ndarray, k: int, stride: int, out: np.ndarray | None = None):
+    """The [n*ho*wo, k*k*cin] patch matrix of an already padded image
+    stack, copied into `out` (a new array if None), and (ho, wo).  Each row
+    reads one k x k window in (row, column, cin) order, the order the
+    flattened kernel is laid out in; the rows run over the images, then
+    the output rows and columns.  A 1 x 1 stride-1 kernel reads the stack
+    itself, reshaped."""
+    n, hp, wp, cin = xp.shape
     if k == stride == 1:
-        return xv.reshape(n * h * w, cin), h, w
-    if pad:
-        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
-        xp[:, pad:pad + h, pad:pad + w] = xv
-    else:
-        xp = np.ascontiguousarray(xv)
-    ho = (xp.shape[1] - k) // stride + 1
-    wo = (xp.shape[2] - k) // stride + 1
+        return xp.reshape(n * hp * wp, cin), hp, wp
+    xp = np.ascontiguousarray(xp)
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     sn, s0, s1, s2 = xp.strides
     # the window view over xp's buffer; as_strided builds the same view at
     # several times the cost, which shows on maps this small
     win = np.ndarray((n, ho, wo, k, k, cin), np.float64, xp, 0,
                      (sn, s0 * stride, s1 * stride, s0, s1, s2))
-    return win.reshape(n * ho * wo, k * k * cin), ho, wo
+    if out is None:
+        return np.ascontiguousarray(win).reshape(n * ho * wo, k * k * cin), ho, wo
+    np.copyto(out.reshape(win.shape), win)
+    return out, ho, wo
 
 
 def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
@@ -190,20 +205,30 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
     zero map, against the kernel flipped in space with cin and cout
     swapped.  The activation slope (1 or `leak`) multiplies the output
     gradient once per backward pass, before the input, kernel and bias
-    pulls read it.
+    pulls read it.  A taped call's padded input, spread map and that map's
+    patch matrix are its tape's work arrays; the kernel vjp's is its own.
     """
     xv, wv = values_of(x), values_of(w)
     if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2] \
             or wv.shape[0] != wv.shape[1]:
         raise ValueError(f"conv2d shape mismatch: input {xv.shape}, kernel {wv.shape}")
-    k, _, cin, cout = wv.shape
+    tape = None
+    for p in (x, w, b):
+        if isinstance(p, Tensor):
+            tape = p.tape
+    work, key = ({} if tape is None else tape.work), (xv.shape, wv.shape, stride)
+    (n, h, wd, _), (k, _, cin, cout) = xv.shape, wv.shape
     pad = (k - 1) // 2
-    cols, ho, wo = _im2col(xv, k, stride, pad)
+    xp = xv
+    if pad:
+        xp = _work(work, ("pad", *key), (n, h + 2 * pad, wd + 2 * pad, cin))
+        xp[:, pad:pad + h, pad:pad + wd] = xv
+    cols, ho, wo = _im2col(xp, k, stride)
     w2 = wv.reshape(k * k * cin, cout)
-    out = (cols @ w2).reshape(xv.shape[0], ho, wo, cout) + values_of(b)
+    out = (cols @ w2).reshape(n, ho, wo, cout) + values_of(b)
     if leak is not None:
         z, out = out, np.maximum(out, leak * out)
-    if not _tracked(x, w, b):
+    if tape is None:
         return out
 
     # the vjps read their sizes off the arrays they hold: every closed-over
@@ -216,10 +241,11 @@ def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
         # correlation of the flipped kernel with g spread `stride` apart
         # from offset k - 1 - pad in a zero map
         off = k - 1 - pad
-        spread = np.zeros((n, h + k - 1, wd + k - 1, cout))
+        spread = _work(work, ("spread", *key), (n, h + k - 1, wd + k - 1, cout))
         spread[:, off:off + stride * ho:stride, off:off + stride * wo:stride] = g
         flipped = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-        return (_im2col(spread, k, 1, 0)[0] @ flipped).reshape(xv.shape)
+        patches = None if k == 1 else _work(work, ("cols", *key), (n * h * wd, k * k * cout))
+        return (_im2col(spread, k, 1, patches)[0] @ flipped).reshape(xv.shape)
 
     def vjp_w(g):
         return (cols.T @ g.reshape(len(cols), -1)).reshape(wv.shape)

@@ -272,7 +272,8 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     run from iteration 0 starts `log.csv` afresh; a resumed run appends to
     it, and the log is flushed before each checkpoint.  A non-finite loss
     raises FloatingPointError naming the iteration, before that iteration
-    is logged or checkpointed.
+    is logged or checkpointed.  The conv2d work arrays the run's passes
+    reuse live on the state's tape until the call returns.
     """
     if not np.array_equal(bank.grid.boxes, state.grid.boxes):
         raise ValueError("the scene bank is on another anchor grid than the run")
@@ -303,6 +304,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
                     save_run(os.path.join(run_dir, f"ckpt_{state.iteration:06d}.bin"),
                              state)
     finally:
+        state.tape.work.clear()
         if log:
             log.close()
     return reports

@@ -467,6 +467,23 @@ class TestConvOracle:
         for a, c in zip(*grads):
             np.testing.assert_array_equal(a, c)
 
+    def test_repeated_passes_on_one_tape_match_fresh_tapes(self, xs, ws, stride, pad):
+        # the tape's work arrays carry over from pass to pass: every pass
+        # on one tape must give the bits of the same pass on a fresh tape
+        def one_pass(tape, k):
+            rng = np.random.default_rng([k, *xs, *ws])
+            leaves = make_leaves(tape, rng.normal(size=xs), rng.normal(size=ws),
+                                 rng.normal(size=ws[3]))
+            out = ad.conv2d(*leaves, stride=stride, leak=0.1)
+            ad.backward(reduce_sum(mul(out, rng.normal(size=out.shape))))
+            tape.records.clear()
+            return [out.values] + [lf.grad for lf in leaves]
+
+        shared = ad.Tape()
+        for k in range(3):
+            for a, c in zip(one_pass(shared, k), one_pass(ad.Tape(), k)):
+                np.testing.assert_array_equal(a, c)
+
 
 class TestConvLeak:
     LEAK = 0.1
@@ -528,3 +545,78 @@ class TestConvLeak:
         for a, c in zip(*grads):
             np.testing.assert_array_equal(a, c)
         assert np.any(grads[0][0][1] != 0.0)  # gradient passes at z = 0
+
+
+class TestConvWork:
+    """A taped conv's padded input, spread output gradient and that map's
+    patch matrix are its tape's work arrays, keyed by the call's input
+    shape, kernel shape and stride."""
+
+    # pairs whose padded inputs or spread maps have one buffer shape but
+    # write other entries: k=3 on 10x10 and k=5 on 8x8 both pad to 12x12;
+    # strides 1 and 2 on one input spread their gradients apart differently
+    PAIRS = [
+        (((2, 10, 10, 2), (3, 3, 2, 3), 1), ((2, 8, 8, 2), (5, 5, 2, 3), 1)),
+        (((2, 8, 8, 2), (3, 3, 2, 3), 1), ((2, 8, 8, 2), (3, 3, 2, 3), 2)),
+    ]
+
+    @pytest.mark.parametrize("first,second", PAIRS)
+    def test_same_buffer_shape_other_entries_match_oracle(self, first, second):
+        tape = ad.Tape()
+        for k in range(2):
+            rng = np.random.default_rng([k, 5])
+            convs = []
+            for xs, ws, stride in (first, second):
+                x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[3])
+                xl, wl = make_leaves(tape, x, w)
+                out = ad.conv2d(xl, wl, b, stride=stride)
+                convs.append((x, w, b, stride, xl, wl, out, rng.normal(size=out.shape)))
+            ad.backward(add(*[reduce_sum(mul(c[6], c[7])) for c in convs]))
+            tape.records.clear()
+            for x, w, b, stride, xl, wl, out, g in convs:
+                pad = (w.shape[0] - 1) // 2
+                np.testing.assert_array_equal(
+                    out.values, np.stack([ref_conv2d(xk, w, b, stride, pad) for xk in x]))
+                per_image = [ref_conv2d_vjps(x[i], w, g[i], stride, pad)
+                             for i in range(len(x))]
+                np.testing.assert_allclose(xl.grad, np.stack([gx for gx, _ in per_image]),
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(wl.grad, sum(gw for _, gw in per_image),
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_convs_of_one_geometry_in_one_pass(self):
+        # the second conv takes the first's work arrays while the first's
+        # vjps still need their own patch matrix
+        def f(x, w1, w2, b):
+            return reduce_sum(power(ad.conv2d(ad.conv2d(x, w1, b), w2, b), 2.0))
+
+        rng = np.random.default_rng(22)
+        assert grad_check(f, [rng.normal(size=(2, 5, 5, 3)), rng.normal(size=(3, 3, 3, 3)),
+                              rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3)]) < 1e-6
+
+    def test_no_output_adjoint_or_gradient_shares_a_work_array(self):
+        rng = np.random.default_rng(21)
+        tape = ad.Tape()
+        x, w1, b1, w2, b2, w3, b3, w4, b4 = make_leaves(
+            tape, rng.normal(size=(2, 8, 8, 2)), rng.normal(size=(3, 3, 2, 3)),
+            rng.normal(size=3), rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3),
+            rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3),
+            rng.normal(size=(1, 1, 3, 2)), rng.normal(size=2))
+        h = ad.conv2d(x, w1, b1, stride=2, leak=0.1)
+        # two convs of one geometry share their work arrays
+        h = ad.conv2d(ad.conv2d(h, w2, b2, leak=0.1), w3, b3)
+        out = ad.conv2d(h, w4, b4)
+        seen = [r[0].values for r in tape.records]
+        for i, (rec, pre, pulls) in enumerate(tape.records):
+            def watch(fn):
+                def vjp(g):
+                    seen.append(g)
+                    seen.append(fn(g))
+                    return seen[-1]
+                return vjp
+            tape.records[i] = (rec, pre, tuple((p, watch(fn)) for p, fn in pulls))
+        backward(reduce_sum(mul(out, rng.normal(size=out.shape))))
+        work = list(tape.work.values())
+        assert {key[0] for key in tape.work} == {"pad", "spread", "cols"}
+        seen += [lf.grad for lf in (x, w1, b1, w2, b2, w3, b3, w4, b4)]
+        assert not any(np.shares_memory(a, buf) for a in seen for buf in work)

@@ -636,6 +636,36 @@ class TestRunLeaves:
         assert state.flat_params.tobytes() == twin.flat_params.tobytes()
 
 
+class TestRunWork:
+    """A run's passes reuse the conv2d work arrays its first pass made on
+    the state's tape, and the run drops them when it returns."""
+
+    def test_work_arrays_made_in_the_first_iteration_only(self, monkeypatch):
+        scenes, state, cfg = bench_run("crowded")
+        held = []
+        step = train_mod.train_iteration
+
+        def watch(*args):
+            report = step(*args)
+            # the copies hold the arrays, so no id passes to a new one
+            held.append(dict(state.tape.work))
+            return report
+
+        monkeypatch.setattr(train_mod, "train_iteration", watch)
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=10))
+        assert len(held) == 10 and len(held[0]) > 0
+        ids = [{key: id(a) for key, a in work.items()} for work in held]
+        assert all(later == ids[0] for later in ids[1:])
+        assert state.tape.work == {}
+
+    def test_raising_run_drops_its_work_arrays(self):
+        scenes, state, cfg = bench_run("crowded")
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            run_training(state, SceneBank(scenes, state.grid),
+                         replace(cfg, max_iter=40, lr0=1e6))
+        assert state.iteration > 1 and state.tape.work == {}
+
+
 class TestFlatState:
     def test_building_a_state_allocates_no_throwaway_gradients(self):
         # the flat parameter, momentum and gradient vectors are 3 copies of
