@@ -1,4 +1,4 @@
-"""Per-class anchor shape discovery and the dense anchor grid.
+"""Per-class anchor shape discovery; the anchor set and anchor grid types.
 
 Anchor shapes come from k-means over the (w, h) pairs of each class
 independently, with distance 1 - IoU of the two shapes aligned at a common
@@ -46,6 +46,8 @@ _MOVES = np.array([[-1, -1], [-1, 0], [-1, 1], [0, -1],
                    [0, 1], [1, -1], [1, 0], [1, 1]], dtype=np.float64)
 _STEP0 = 0.25
 _STEP_TOL = 1e-13
+# Cap on the Lloyd steps of one class's k-means, both phases together
+_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -109,23 +111,22 @@ def _cluster_cost(shapes: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 def _local_search(starts: np.ndarray, members: np.ndarray,
-                  work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  work: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Compass search of the summed 1 - IoU cost in log (w, h), all starts
     at once.
 
     Each start carries the cost of its current shape from the round that
     reached it, so a round scores only every active start's 8 moves
     against every member, into [starts * 8, members] views of the two flat
-    buffers `work` (new ones if None).  A start takes its cheapest move
-    (the first of equal costs) when that strictly lowers its cost, else
-    halves its step; it stops once the step falls below `_STEP_TOL`.
+    buffers `work`.  A start takes its cheapest move (the first of equal
+    costs) when that strictly lowers its cost, else halves its step; it
+    stops once the step falls below `_STEP_TOL`.
     Returns the end shapes and their costs.
     """
     mw, mh = members[:, 0], members[:, 1]
     m_area = mw * mh
     rows, m = len(starts) * len(_MOVES), len(members)
-    inter, union = (buf[:rows * m].reshape(rows, m)
-                    for buf in work or (np.empty(rows * m), np.empty(rows * m)))
+    inter, union = (buf[:rows * m].reshape(rows, m) for buf in work)
 
     def score(log_shapes: np.ndarray) -> np.ndarray:
         # `_cluster_cost` term by term in the same order, so the same doubles
@@ -160,7 +161,7 @@ def _local_search(starts: np.ndarray, members: np.ndarray,
 def _cached_search(starts: np.ndarray, members: np.ndarray,
                    cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """`_local_search` through `cache`, which maps (members, start) bytes
-    to that start's end and end cost, and may hold its buffers as "work";
+    to that start's end and end cost, and holds its buffers as "work";
     only starts not yet searched on these members are searched, once.
 
     A start's path depends on nothing but itself and the members, so a
@@ -169,21 +170,20 @@ def _cached_search(starts: np.ndarray, members: np.ndarray,
     seen = cache.setdefault(members.tobytes(), {})
     todo = {s.tobytes(): s for s in starts if s.tobytes() not in seen}
     if todo:
-        ends, costs = _local_search(np.asarray(list(todo.values())), members, cache.get("work"))
+        ends, costs = _local_search(np.asarray(list(todo.values())), members, cache["work"])
         seen.update(zip(todo, zip(ends, costs)))
     found = [seen[s.tobytes()] for s in starts]
     return (np.asarray([end for end, _ in found]),
             np.asarray([cost for _, cost in found]))
 
 
-def _best_shape(members: np.ndarray, current: np.ndarray | None = None,
-                cache: dict | None = None) -> np.ndarray:
+def _best_shape(members: np.ndarray, current: np.ndarray, cache: dict) -> np.ndarray:
     """Shape minimizing the summed 1 - IoU distance to `members`.
 
     Multi-start: the component-wise mean, a deterministic subsample of the
     members, and the current centroid each seed a local search (through
-    `cache`, when given); exact-cost candidates (the starts themselves)
-    compete too, so zero-cost starts are returned bit-for-bit.
+    `cache`); exact-cost candidates (the starts themselves) compete too,
+    so zero-cost starts are returned bit-for-bit.
     """
     starts = [members.mean(axis=0)]
     if len(members) <= _MAX_STARTS:
@@ -192,12 +192,10 @@ def _best_shape(members: np.ndarray, current: np.ndarray | None = None,
         order = np.argsort(members[:, 0] * members[:, 1], kind="stable")
         picks = np.linspace(0, len(members) - 1, _MAX_STARTS).astype(int)
         starts.extend(members[order[picks]])
-    if current is not None:
-        starts.append(np.asarray(current, dtype=np.float64))
+    starts.append(np.asarray(current, dtype=np.float64))
     starts = np.asarray(starts, dtype=np.float64)
 
-    ends, end_costs = _cached_search(starts, members,
-                                     {} if cache is None else cache)
+    ends, end_costs = _cached_search(starts, members, cache)
     start_costs = _cluster_cost(starts, members)
     # interleaved (start, its end) order: the first of equal costs wins
     cands = np.stack([starts, ends], axis=1).reshape(-1, 2)
@@ -225,7 +223,7 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
     one compass search started from the centroid itself.  From that step
     on, every step uses the multi-start `_best_shape`, and the loop ends
     at the first multi-start step that changes nothing.  `max_iter` caps
-    the steps of both phases together.
+    the steps of both phases together: `kmeans_anchors` passes `_MAX_STEPS`.
     """
     centroids = _farthest_point_init(shapes, n_a, rng)
     # `_local_search`'s buffers, for its largest batch (`_best_shape`'s)
@@ -277,9 +275,18 @@ def sizes_per_class(gts, n_classes: int) -> list[np.ndarray]:
     return [boxes[class_ids == c, 2:] for c in range(n_classes)]
 
 
-def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int,
-                   max_iter: int = 60) -> AnchorSet:
-    """Cluster each class's (w, h) samples into `n_a` anchor shapes.
+def check_no_empty_class(present: np.ndarray, n_classes: int) -> None:
+    """Raise a ValueError naming the first class below `n_classes` missing
+    from `present`, the sorted distinct ids below it that have boxes."""
+    if len(present) < n_classes:
+        gaps = np.flatnonzero(present != np.arange(len(present)))
+        c = int(gaps[0]) if gaps.size else len(present)
+        raise ValueError(f"class {c} has no boxes, but the classes run to {n_classes - 1}")
+
+
+def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int) -> AnchorSet:
+    """Cluster each class's (w, h) samples into `n_a` anchor shapes, with
+    at most `_MAX_STEPS` Lloyd steps per class.
 
     Deterministic given `seed`; classes with fewer distinct shapes than
     `n_a` may yield duplicate centroids.  A class with no samples raises a
@@ -288,31 +295,15 @@ def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int,
     if n_a < 1:
         raise ValueError("n_a must be >= 1")
     per_class = [np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in gt_sizes_per_class]
-    for c, arr in enumerate(per_class):
-        if arr.size == 0:
-            raise ValueError(f"class {c} has no boxes, but the classes run to {len(per_class) - 1}")
+    check_no_empty_class(np.flatnonzero([arr.size for arr in per_class]), len(per_class))
     out = []
     for c, arr in enumerate(per_class):
         rng = np.random.default_rng([seed, c])
-        centroids = _kmeans_one_class(arr, n_a, rng, max_iter)
+        centroids = _kmeans_one_class(arr, n_a, rng, _MAX_STEPS)
         order = np.lexsort((centroids[:, 0], centroids[:, 1],
                             centroids[:, 0] * centroids[:, 1]))
         out.append(centroids[order])
     return AnchorSet(np.asarray(out))
-
-
-def build_grid(anchor_set: AnchorSet, h_f: int, w_f: int,
-               feat_stride: int) -> AnchorGrid:
-    """Tile the anchor shapes over every cell center of an h_f x w_f map."""
-    if min(h_f, w_f, feat_stride) < 1:
-        raise ValueError("h_f, w_f and feat_stride must be >= 1")
-    nc, na = anchor_set.n_classes, anchor_set.n_anchors
-    boxes = np.empty((h_f, w_f, nc, na, 4), dtype=np.float64)
-    boxes[..., 0] = ((np.arange(w_f) + 0.5) * feat_stride)[None, :, None, None]
-    boxes[..., 1] = ((np.arange(h_f) + 0.5) * feat_stride)[:, None, None, None]
-    boxes[..., 2] = anchor_set.shapes[..., 0][None, None, :, :]
-    boxes[..., 3] = anchor_set.shapes[..., 1][None, None, :, :]
-    return AnchorGrid(boxes=boxes)
 
 
 def save_anchor_set(path, anchor_set: AnchorSet) -> None:

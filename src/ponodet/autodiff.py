@@ -67,15 +67,15 @@ class Tensor:
         return self.values.shape
 
 
-def leaf(values, tape: Tape, grad: np.ndarray | None = None) -> Tensor:
+def leaf(values, tape: Tape, grad: np.ndarray) -> Tensor:
     """Create a differentiable leaf bound to `tape`; its gradient is `grad`,
-    a buffer of the values' shape bound as given, or a new zero array."""
+    a buffer of the values' shape bound as given."""
     if tape is None:
         raise ValueError("a leaf tensor needs a tape")
     values = np.asarray(values, dtype=np.float64)
-    if grad is not None and grad.shape != values.shape:
+    if grad.shape != values.shape:
         raise ValueError(f"gradient buffer {grad.shape} does not match leaf {values.shape}")
-    return Tensor(values, tape, np.zeros_like(values) if grad is None else grad)
+    return Tensor(values, tape, grad)
 
 
 def values_of(x) -> np.ndarray:
@@ -191,11 +191,11 @@ def _im2col(xp: np.ndarray, k: int, stride: int, out: np.ndarray | None = None):
     return out, ho, wo
 
 
-def conv2d(x, w, b, stride: int = 1, leak: float | None = None):
+def conv2d(x, w, b, stride: int, leak: float | None):
     """2-D convolution of a channels-last image stack [N, H, W, Cin] with
     a square kernel [k, k, Cin, Cout] plus bias [Cout], zero padding
-    (k - 1) // 2 on every side, stride 1 or 2.  With `leak`
-    (0 < leak < 1), the biased output z goes through the leaky ReLU
+    (k - 1) // 2 on every side, stride 1 or 2.  With a `leak` that is not
+    None (0 < leak < 1), the biased output z goes through the leaky ReLU
     max(z, leak * z) in the same op and record (slope 1 at z = 0).
 
     Lowered to one GEMM of the patch matrix (im2col) of all N images

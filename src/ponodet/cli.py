@@ -19,8 +19,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .anchors import (AnchorSet, kmeans_anchors, load_anchor_set,
-                      save_anchor_set, sizes_per_class)
+from .anchors import (AnchorSet, check_no_empty_class, kmeans_anchors,
+                      load_anchor_set, save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import ToyNetConfig
 from .train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
@@ -97,11 +97,12 @@ def _check_classes(dataset_dir, scenes: list, n_classes: int,
 def _cluster_anchors(dataset_dir, gts: list, n_a: int, seed: int) -> AnchorSet:
     """Per-class k-means anchors from the ground truth of the dataset in
     `dataset_dir`; every class id up to the largest must have a box."""
-    n_classes = max((int(gt.class_ids.max()) for gt in gts if len(gt)), default=-1) + 1
-    if n_classes == 0:
+    ids = np.unique(np.concatenate([np.zeros(0, np.int64), *(gt.class_ids for gt in gts)]))
+    if ids.size == 0:
         raise RuntimeError(f"{dataset_dir}: no annotated objects")
-    try:
-        return kmeans_anchors(sizes_per_class(gts, n_classes), n_a=n_a, seed=seed)
+    try:  # on the distinct ids, before an array per class is built
+        check_no_empty_class(ids, int(ids[-1]) + 1)
+        return kmeans_anchors(sizes_per_class(gts, len(ids)), n_a=n_a, seed=seed)
     except ValueError as e:
         raise RuntimeError(f"{dataset_dir}: {e}") from None
 
@@ -280,7 +281,9 @@ def cmd_ablate(args) -> int:
     for key, given in (("dataset", kv.get("dataset")), ("cells", texts)):
         if not given:
             raise RuntimeError(f"{args.config}: config key {key!r} is missing or empty")
-    # an empty `eval_dataset`, like an empty `anchors`, is absent
+    # an empty `anchors`, like an empty `eval_dataset`, is absent
+    if kv.get("anchors") and "n_a" in kv:
+        raise RuntimeError(f"{args.config}: config keys 'n_a' and 'anchors' exclude each other")
     dataset_dir = kv["dataset"]
     eval_dir = kv.get("eval_dataset") or dataset_dir
     n_a = kv.get("n_a", "3")

@@ -278,6 +278,8 @@ def load_annotations(path) -> list[GroundTruth]:
             raise ValueError(f"{path}:{ln}: {e}") from None
         if cid < 0:
             raise ValueError(f"{path}:{ln}: negative class id {cid}")
+        if cid >= 2 ** 63:
+            raise ValueError(f"{path}:{ln}: class id {cid} does not fit int64")
         if not all(map(math.isfinite, (cx, cy, w, h))):
             raise ValueError(f"{path}:{ln}: non-finite box in {line!r}")
         if not (w > 0 and h > 0):

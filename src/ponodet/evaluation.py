@@ -20,9 +20,8 @@ from .loss import sigmoid
 IOU_MATCH = 0.5
 
 
-def extract_detections(logits, offsets, grid: AnchorGrid,
-                       score_min: float = 0.05,
-                       nms_iou: float = 0.5) -> Detections:
+def extract_detections(logits, offsets, grid: AnchorGrid, score_min: float,
+                       nms_iou: float) -> Detections:
     """Decode every cell of one scene's logits [h, w, nc, na] and offsets
     [h, w, nc, na, 4] whose score clears `score_min`, then per-class NMS."""
     if logits.shape != grid.boxes.shape[:4]:
@@ -98,9 +97,8 @@ def map_eval(dets_per_scene: list[Detections], gts: list[GroundTruth]
     return per_class, mean, n_gt, n_det
 
 
-def dataset_detections(model, grid: AnchorGrid, scenes,
-                       score_min: float = 0.05,
-                       nms_iou: float = 0.5) -> list[Detections]:
+def dataset_detections(model, grid: AnchorGrid, scenes, score_min: float,
+                       nms_iou: float) -> list[Detections]:
     """Forward every scene in pure numpy, one scene per forward, and
     extract detections."""
     out = []

@@ -130,7 +130,7 @@ def focal_logits(p, z):
 # ---------------------------------------------------------------------
 
 def weighted_totals(loc_map, cls_map, n_pos: float, n_total: float,
-                    mode: str, bw=None):
+                    mode: str, bw):
     """The balanced loss of the loss maps [..., n_classes, n_anchors]:
     each map is summed per grid over its leading axes into `sums`, and its
     term is lam * sum(lam_grid * sums) / norm, normalized by `n_pos` for

@@ -68,8 +68,7 @@ class ToyNetConfig:
 class ToyNet:
     """Encoder-decoder detector with multi-scale concatenation at stride 8."""
 
-    def __init__(self, cfg: ToyNetConfig, n_classes: int, n_anchors: int,
-                 seed: int = 0):
+    def __init__(self, cfg: ToyNetConfig, n_classes: int, n_anchors: int, seed: int):
         self.cfg = cfg
         self.n_classes, self.n_anchors = n_classes, n_anchors
         self.params: dict[str, np.ndarray] = {}

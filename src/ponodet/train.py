@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import loss as loss_mod
-from .anchors import AnchorGrid, AnchorSet, build_grid
+from .anchors import AnchorGrid, AnchorSet
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
@@ -143,9 +143,16 @@ class RunState:
 
 
 def anchor_grid(anchor_set: AnchorSet, image_size: int) -> AnchorGrid:
-    """The anchors tiled over the stride-8 feature map of a square image."""
+    """The anchor shapes tiled over every cell center of a square image's stride-8 map."""
     f = image_size // FEAT_STRIDE
-    return build_grid(anchor_set, f, f, FEAT_STRIDE)
+    if f < 1:
+        raise ValueError(f"a {image_size}px image has no stride-{FEAT_STRIDE} cell")
+    centers = (np.arange(f) + 0.5) * FEAT_STRIDE
+    boxes = np.empty((f, f, anchor_set.n_classes, anchor_set.n_anchors, 4))
+    boxes[..., 0] = centers[None, :, None, None]
+    boxes[..., 1] = centers[:, None, None, None]
+    boxes[..., 2:] = anchor_set.shapes
+    return AnchorGrid(boxes=boxes)
 
 
 class SceneBank:
@@ -182,10 +189,10 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 
 
 def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray,
-             lr: float, momentum: float) -> None:
-    """v <- momentum * v + g;  p <- p - lr * v, in place on equal-length
+             lr: float) -> None:
+    """v <- MOMENTUM * v + g;  p <- p - lr * v, in place on equal-length
     flat vectors."""
-    velocity *= momentum
+    velocity *= MOMENTUM
     velocity += grads
     params -= lr * velocity
 
@@ -250,7 +257,7 @@ def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
     for name in (state.leaves if learned else state.model.params):
         state.velocity.setdefault(name, state.momentum_views[name])
     sgd_step(state.flat_params[:n], state.flat_momentum[:n], state.flat_grad[:n],
-             lr_at(state.iteration, cfg), MOMENTUM)
+             lr_at(state.iteration, cfg))
     for a, values in held:
         a[frozen] = values
     state.iteration += 1

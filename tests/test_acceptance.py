@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ponodet import benchmarks as B
-from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors, wh_iou
+from ponodet.anchors import AnchorSet, kmeans_anchors, wh_iou
 from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
@@ -30,7 +30,7 @@ from ponodet.train import RunState, SceneBank, TrainConfig, run_training, sgd_st
 from test_autodiff import grad_check, reduce_sum, take
 from test_evaluation import average_precision, brute_force_ap
 from test_geometry import decode_cxywh, iou_oracle
-from test_anchors import grid_search_single_shape
+from test_anchors import build_grid, grid_search_single_shape
 from test_model import TabularPredictor
 
 # mAP-point floor (x100 scale) by which unit weighting must trail learned
@@ -253,7 +253,7 @@ def test_c03_self_balancing_fixed_point():
         s, vel = np.array([1.0]), np.zeros(1)
         for _ in range(4000):
             g = 1.0 - math.exp(-float(s[0])) * L
-            sgd_step(s, vel, np.array([g]), lr=0.01, momentum=0.9)
+            sgd_step(s, vel, np.array([g]), lr=0.01)
         err = abs(float(s[0]) - math.log(L))
         results.append((L, err))
     ok = all(err < 1e-3 for _, err in results)

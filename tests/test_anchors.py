@@ -8,11 +8,42 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ponodet import anchors
-from ponodet.anchors import (AnchorSet, build_grid, kmeans_anchors,
+from ponodet.anchors import (AnchorGrid, AnchorSet, kmeans_anchors,
                              load_anchor_set, save_anchor_set, sizes_per_class,
-                             wh_iou, _MAX_STARTS, _cluster_cost)
+                             wh_iou, _MAX_STARTS, _MOVES, _cluster_cost)
 from ponodet.benchmarks import crowded_benchmark, imbalanced_benchmark
 from ponodet.data import generate
+from ponodet.train import anchor_grid
+
+
+def build_grid(anchor_set: AnchorSet, h_f: int, w_f: int,
+               feat_stride: int) -> AnchorGrid:
+    """Tile the anchor shapes over every cell center of an h_f x w_f map:
+    the general form of `train.anchor_grid`, for grids of any size and
+    stride."""
+    if min(h_f, w_f, feat_stride) < 1:
+        raise ValueError("h_f, w_f and feat_stride must be >= 1")
+    nc, na = anchor_set.n_classes, anchor_set.n_anchors
+    boxes = np.empty((h_f, w_f, nc, na, 4), dtype=np.float64)
+    boxes[..., 0] = ((np.arange(w_f) + 0.5) * feat_stride)[None, :, None, None]
+    boxes[..., 1] = ((np.arange(h_f) + 0.5) * feat_stride)[:, None, None, None]
+    boxes[..., 2] = anchor_set.shapes[..., 0][None, None, :, :]
+    boxes[..., 3] = anchor_set.shapes[..., 1][None, None, :, :]
+    return AnchorGrid(boxes=boxes)
+
+
+def search_work(n_starts: int, n_members: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_local_search` buffers for `n_starts` starts on `n_members` members."""
+    size = n_starts * len(_MOVES) * n_members
+    return np.empty(size), np.empty(size)
+
+
+def best_shape(members: np.ndarray) -> np.ndarray:
+    """`_best_shape` from the members' mean, on a cache of its own: the
+    mean is already its first start, so the shape is the one the search
+    finds without a current centroid."""
+    cache = {"work": search_work(_MAX_STARTS + 2, len(members))}
+    return anchors._best_shape(members, members.mean(axis=0), cache)
 
 
 def grid_search_single_shape(samples: np.ndarray, resolution: int = 120):
@@ -226,10 +257,23 @@ class TestKmeans:
         wide = AnchorSet(np.repeat(single.shapes, 4, axis=1))
         assert kmeans_objective(aset, sizes) <= kmeans_objective(wide, sizes) + 1e-12
 
+    def test_lloyd_steps_capped_at_60(self, monkeypatch):
+        caps, one_class = [], anchors._kmeans_one_class
+
+        def spy(shapes, n_a, rng, max_iter):
+            caps.append(max_iter)
+            return one_class(shapes, n_a, rng, max_iter)
+
+        monkeypatch.setattr(anchors, "_kmeans_one_class", spy)
+        kmeans_anchors([np.full((3, 2), 5.0), np.full((4, 2), 9.0)], n_a=2, seed=0)
+        assert caps == [60, 60]
+
     def test_objective_nonincreasing_with_iterations(self):
         rng = np.random.default_rng(7)
         sizes = [rng.uniform(5, 60, size=(100, 2))]
-        costs = [kmeans_objective(kmeans_anchors(sizes, 3, seed=2, max_iter=it), sizes)
+        # the class's k-means under each cap, drawn as `kmeans_anchors` draws it
+        costs = [kmeans_objective(AnchorSet(anchors._kmeans_one_class(
+                     sizes[0], 3, np.random.default_rng([2, 0]), it)[None]), sizes)
                  for it in (1, 2, 4, 8, 16, 32)]
         assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
 
@@ -266,7 +310,7 @@ class TestKmeans:
         rng = np.random.default_rng(23)
         for _ in range(100):
             members = rng.uniform(4.0, 60.0, size=(int(rng.integers(2, 9)), 2))
-            cost = _cluster_cost(anchors._best_shape(members), members)
+            cost = _cluster_cost(best_shape(members), members)
             assert cost <= _cluster_cost(nm_best_shape(members), members) + 1e-12
             assert cost <= grid_search_single_shape(members)[1] + 1e-6
 
@@ -319,7 +363,8 @@ class TestKmeans:
         assign = np.argmin(1.0 - wh_iou(shapes[:, None, :], centroids[None]), axis=1)
         for k in range(n_a):
             members = shapes[assign == k]
-            assert not (_cluster_cost(best_shape(members, centroids[k]), members)
+            cache = {"work": search_work(_MAX_STARTS + 2, len(members))}
+            assert not (_cluster_cost(best_shape(members, centroids[k], cache), members)
                         < _cluster_cost(centroids[k], members))
 
     def test_search_matches_compass_oracle(self, monkeypatch):
@@ -348,7 +393,7 @@ class TestKmeans:
         # rounds before the far start, which must first walk there
         batches.append((np.array([[12.0, 7.0], [90.0, 2.0]]), np.array([[12.0, 7.0]])))
         for starts, members in batches:
-            got = anchors._local_search(starts, members)
+            got = anchors._local_search(starts, members, search_work(len(starts), len(members)))
             want = compass_search_oracle(starts, members)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
@@ -442,6 +487,16 @@ class TestBuildGrid:
         aset = AnchorSet(np.full((1, 1, 2), 4.0))
         with pytest.raises(ValueError):
             build_grid(aset, 0, 3, 8)
+
+    @pytest.mark.parametrize("size", [32, 48, 64])
+    def test_equals_the_square_stride_8_grid_of_a_run(self, size):
+        aset = AnchorSet(np.random.default_rng(size).uniform(4, 30, (2, 3, 2)))
+        want = anchor_grid(aset, size).boxes
+        np.testing.assert_array_equal(build_grid(aset, size // 8, size // 8, 8).boxes, want)
+
+    def test_run_grid_needs_a_stride_8_cell(self):
+        with pytest.raises(ValueError, match="a 7px image has no stride-8 cell"):
+            anchor_grid(AnchorSet(np.full((1, 1, 2), 4.0)), 7)
 
 
 class TestAnchorFile:

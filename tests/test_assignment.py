@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from ponodet import autodiff as ad
-from ponodet.anchors import AnchorSet, build_grid, kmeans_anchors
+from ponodet.anchors import AnchorSet, kmeans_anchors
 from ponodet.assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, GroundTruth,
                                 _grid_gt_iou, ams_labels, assign_ao, pred_iou_values)
 from ponodet.data import GenSpec, generate
 from ponodet.train import TrainConfig, _gate_and_labels
 
+from test_anchors import build_grid
+from test_autodiff import zero_leaf
 from test_geometry import CLAMP_OFFSETS, decode_cxywh, iou_cxywh, iou_oracle
 
 
@@ -239,7 +241,7 @@ class TestOneIoU:
         want = iou_cxywh(*box, *np.moveaxis(stacked.gt_box, -1, 0)) \
             * (stacked.gt_index != UNASSIGNED)
         np.testing.assert_array_equal(pred_iou_values(grid, offsets, stacked), want)
-        taped = pred_iou_values(grid, ad.leaf(offsets, ad.Tape()), stacked)
+        taped = pred_iou_values(grid, zero_leaf(offsets, ad.Tape()), stacked)
         np.testing.assert_array_equal(taped.values, want)
         assert np.any(want == 1.0) and np.any((want > 0.0) & (want < 1.0))
 

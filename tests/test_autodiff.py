@@ -113,6 +113,12 @@ def mean(x, axis=None):
     return div(total, x.values.size // total.values.size)
 
 
+def zero_leaf(values, tape: Tape) -> ad.Tensor:
+    """A leaf with a new zero gradient buffer of its own."""
+    values = np.asarray(values, dtype=np.float64)
+    return leaf(values, tape, np.zeros_like(values))
+
+
 def grad_check(f, inputs, step: float = 1e-4) -> float:
     """Compare analytic gradients of scalar `f(*leaves)` against central
     finite differences.
@@ -123,7 +129,7 @@ def grad_check(f, inputs, step: float = 1e-4) -> float:
     """
     arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
     tape = Tape()
-    leaves = [leaf(a.copy(), tape) for a in arrays]
+    leaves = [zero_leaf(a.copy(), tape) for a in arrays]
     out = f(*leaves)
     backward(out)
     analytic = [lf.grad for lf in leaves]
@@ -132,7 +138,7 @@ def grad_check(f, inputs, step: float = 1e-4) -> float:
         shifted = [a.copy() for a in arrays]
         shifted[k].flat[i] += delta
         t = Tape()
-        r = f(*[leaf(a, t) for a in shifted])
+        r = f(*[zero_leaf(a, t) for a in shifted])
         return float(values_of(r))
 
     worst = 0.0
@@ -145,7 +151,7 @@ def grad_check(f, inputs, step: float = 1e-4) -> float:
 
 
 def make_leaves(tape, *arrays):
-    return [ad.leaf(np.asarray(a, float), tape) for a in arrays]
+    return [zero_leaf(np.asarray(a, float), tape) for a in arrays]
 
 
 class TestForward:
@@ -161,20 +167,24 @@ class TestForward:
         x = np.arange(18.0).reshape(2, 3, 3, 1)
         w = np.zeros((3, 3, 1, 1))
         w[1, 1, 0, 0] = 1.0
-        out = ad.conv2d(x, w, np.zeros(1), stride=1)
+        out = ad.conv2d(x, w, np.zeros(1), stride=1, leak=None)
         np.testing.assert_array_equal(out, x)
 
     def test_conv_stride2_shape(self):
-        out = ad.conv2d(np.ones((2, 8, 8, 2)), np.ones((3, 3, 2, 5)), np.zeros(5), stride=2)
+        out = ad.conv2d(np.ones((2, 8, 8, 2)), np.ones((3, 3, 2, 5)), np.zeros(5),
+                        stride=2, leak=None)
         assert out.shape == (2, 4, 4, 5)
 
     def test_conv_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ad.conv2d(np.ones((1, 4, 4, 3)), np.ones((3, 3, 2, 5)), np.zeros(5))
+            ad.conv2d(np.ones((1, 4, 4, 3)), np.ones((3, 3, 2, 5)), np.zeros(5),
+                      stride=1, leak=None)
         with pytest.raises(ValueError, match="conv2d shape mismatch"):
-            ad.conv2d(np.ones((4, 4, 2)), np.ones((3, 3, 2, 5)), np.zeros(5))
+            ad.conv2d(np.ones((4, 4, 2)), np.ones((3, 3, 2, 5)), np.zeros(5),
+                      stride=1, leak=None)
         with pytest.raises(ValueError, match="conv2d shape mismatch"):  # not square
-            ad.conv2d(np.ones((1, 4, 4, 2)), np.ones((3, 1, 2, 5)), np.zeros(5))
+            ad.conv2d(np.ones((1, 4, 4, 2)), np.ones((3, 1, 2, 5)), np.zeros(5),
+                      stride=1, leak=None)
 
     def test_upsample_nearest(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
@@ -190,16 +200,16 @@ class TestForward:
         x = rng.normal(size=(2, 6, 6, 3))
         w = rng.normal(size=(3, 3, 3, 4))
         b = rng.normal(size=4)
-        plain = ad.conv2d(x, w, b, stride=2)
+        plain = ad.conv2d(x, w, b, stride=2, leak=None)
         tape = ad.Tape()
-        tracked = ad.conv2d(ad.leaf(x, tape), w, b, stride=2)
+        tracked = ad.conv2d(zero_leaf(x, tape), w, b, stride=2, leak=None)
         np.testing.assert_array_equal(plain, tracked.values)
 
 
 class TestBackward:
     def test_leaf_root(self):
         tape = ad.Tape()
-        x = ad.leaf(np.array(3.0), tape)
+        x = zero_leaf(np.array(3.0), tape)
         ad.backward(x)
         assert x.grad == 1.0
 
@@ -231,8 +241,8 @@ class TestBackward:
 
     def test_broadcasting_unbroadcast(self):
         tape = ad.Tape()
-        x = ad.leaf(np.ones((3, 4)), tape)
-        y = ad.leaf(np.ones(4), tape)
+        x = zero_leaf(np.ones((3, 4)), tape)
+        y = zero_leaf(np.ones(4), tape)
         ad.backward(reduce_sum(mul(x, y)))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
         np.testing.assert_array_equal(y.grad, 3 * np.ones(4))
@@ -261,8 +271,8 @@ class TestBackward:
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
-        x = ad.leaf(np.array(1.0), t1)
-        y = ad.leaf(np.array(1.0), t2)
+        x = zero_leaf(np.array(1.0), t1)
+        y = zero_leaf(np.array(1.0), t2)
         with pytest.raises(ValueError, match="different tapes"):
             add(x, y)
         with pytest.raises(ValueError, match="no operand is a Tensor"):
@@ -272,8 +282,8 @@ class TestBackward:
         def run():
             tape = ad.Tape()
             rng = np.random.default_rng(9)
-            x = ad.leaf(rng.normal(size=(2, 4, 4, 2)), tape)
-            w = ad.leaf(rng.normal(size=(3, 3, 2, 3)), tape)
+            x = zero_leaf(rng.normal(size=(2, 4, 4, 2)), tape)
+            w = zero_leaf(rng.normal(size=(3, 3, 2, 3)), tape)
             out = reduce_sum(ad.conv2d(x, w, np.zeros(3), stride=1, leak=0.1))
             ad.backward(out)
             return out.values.copy(), x.grad.copy(), w.grad.copy()
@@ -302,7 +312,7 @@ class TestGradCheck:
         rng = np.random.default_rng(3)
 
         def f(x, w, b):
-            y = ad.conv2d(x, w, b, stride=2)
+            y = ad.conv2d(x, w, b, stride=2, leak=None)
             return reduce_sum(power(ad.upsample2(y), 2.0))
 
         err = grad_check(
@@ -414,7 +424,7 @@ class TestConvOracle:
 
     def test_forward_bit_identical(self, xs, ws, stride, pad):
         x, w, b = self.inputs(xs, ws)
-        out = ad.conv2d(x, w, b, stride=stride)
+        out = ad.conv2d(x, w, b, stride=stride, leak=None)
         for k in range(xs[0]):
             np.testing.assert_array_equal(out[k], ref_conv2d(x[k], w, b, stride, pad))
 
@@ -422,7 +432,7 @@ class TestConvOracle:
         x, w, b = self.inputs(xs, ws)
         tape = ad.Tape()
         xl, wl, bl = make_leaves(tape, x, w, b)
-        out = ad.conv2d(xl, wl, bl, stride=stride)
+        out = ad.conv2d(xl, wl, bl, stride=stride, leak=None)
         g = np.random.default_rng(7).normal(size=out.shape)
         ad.backward(reduce_sum(mul(out, g)))
         per_image = [ref_conv2d_vjps(x[k], w, g[k], stride, pad) for k in range(xs[0])]
@@ -435,17 +445,17 @@ class TestConvOracle:
     def test_input_grad_matches_col2im(self, xs, ws, stride, pad):
         x, w, b = self.inputs(xs, ws)
         tape = ad.Tape()
-        xl = ad.leaf(x, tape)
+        xl = zero_leaf(x, tape)
         out = ad.conv2d(xl, w, b, stride=stride, leak=0.1)
         g = np.random.default_rng(8).normal(size=out.shape)
         ad.backward(reduce_sum(mul(out, g)))
-        z = ad.conv2d(x, w, b, stride=stride)
+        z = ad.conv2d(x, w, b, stride=stride, leak=None)
         want = col2im_input_grad(x, w, np.where(z >= 0, g, 0.1 * g), stride)
         np.testing.assert_allclose(xl.grad, want, rtol=1e-12, atol=1e-12)
 
     def test_grad_check(self, xs, ws, stride, pad):
         def f(x, w, b):
-            return reduce_sum(power(ad.conv2d(x, w, b, stride=stride), 2.0))
+            return reduce_sum(power(ad.conv2d(x, w, b, stride=stride, leak=None), 2.0))
 
         assert grad_check(f, list(self.inputs(xs, ws))) < 1e-6
 
@@ -461,7 +471,7 @@ class TestConvOracle:
             if fuse:
                 out = ad.conv2d(*leaves, stride=stride, leak=0.1)
             else:
-                out = leaky_relu(ad.conv2d(*leaves, stride=stride), 0.1)
+                out = leaky_relu(ad.conv2d(*leaves, stride=stride, leak=None), 0.1)
             ad.backward(reduce_sum(power(out, 2.0)))
             grads.append([lf.grad for lf in leaves])
         for a, c in zip(*grads):
@@ -493,7 +503,7 @@ class TestConvLeak:
         tape = ad.Tape()
         x, w, b = make_leaves(tape, rng.normal(size=(2, 4, 4, 2)),
                               rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3))
-        ad.conv2d(x, w, b, leak=self.LEAK)
+        ad.conv2d(x, w, b, stride=1, leak=self.LEAK)
         assert len(tape.records) == 1
 
     def test_grad_check_away_from_zero(self):
@@ -501,7 +511,7 @@ class TestConvLeak:
         x, w, b = rng.normal(size=(2, 5, 5, 2)), rng.normal(size=(3, 3, 2, 3)), \
             rng.normal(size=3)
         # the finite-difference steps never cross the kink at z = 0
-        assert np.abs(ad.conv2d(x, w, b)).min() > 1e-2
+        assert np.abs(ad.conv2d(x, w, b, stride=1, leak=None)).min() > 1e-2
 
         def f(x, w, b):
             return reduce_sum(power(ad.conv2d(x, w, b, stride=1, leak=self.LEAK), 2.0))
@@ -513,7 +523,7 @@ class TestConvLeak:
         # while the central difference averages the two sides to
         # (1 + leak) / 2, so grad_check sees exactly the convention gap
         def f(x, w, b):
-            return reduce_sum(ad.conv2d(x, w, b, leak=self.LEAK))
+            return reduce_sum(ad.conv2d(x, w, b, stride=1, leak=self.LEAK))
 
         x, w, b = np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)), np.zeros(1)
         assert grad_check(f, [x, w, b]) == pytest.approx((1 - self.LEAK) / 2, abs=1e-9)
@@ -531,15 +541,15 @@ class TestConvLeak:
         x[0, :3] = 0.0
         x[1] = 0.0
         w, b = rng.normal(size=(3, 3, 2, 3)), np.zeros(3)
-        z = ad.conv2d(x, w, b)
+        z = ad.conv2d(x, w, b, stride=1, leak=None)
         assert np.count_nonzero(z == 0.0) >= z[1].size
         g = rng.normal(size=z.shape)
         grads = []
         for fuse in (True, False):
             tape = ad.Tape()
             leaves = make_leaves(tape, x, w, b)
-            out = ad.conv2d(*leaves, leak=self.LEAK) if fuse \
-                else leaky_relu(ad.conv2d(*leaves), self.LEAK)
+            out = ad.conv2d(*leaves, stride=1, leak=self.LEAK) if fuse \
+                else leaky_relu(ad.conv2d(*leaves, stride=1, leak=None), self.LEAK)
             ad.backward(reduce_sum(mul(out, g)))
             grads.append([lf.grad for lf in leaves])
         for a, c in zip(*grads):
@@ -569,7 +579,7 @@ class TestConvWork:
             for xs, ws, stride in (first, second):
                 x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[3])
                 xl, wl = make_leaves(tape, x, w)
-                out = ad.conv2d(xl, wl, b, stride=stride)
+                out = ad.conv2d(xl, wl, b, stride=stride, leak=None)
                 convs.append((x, w, b, stride, xl, wl, out, rng.normal(size=out.shape)))
             ad.backward(add(*[reduce_sum(mul(c[6], c[7])) for c in convs]))
             tape.records.clear()
@@ -588,7 +598,8 @@ class TestConvWork:
         # the second conv takes the first's work arrays while the first's
         # vjps still need their own patch matrix
         def f(x, w1, w2, b):
-            return reduce_sum(power(ad.conv2d(ad.conv2d(x, w1, b), w2, b), 2.0))
+            h = ad.conv2d(x, w1, b, stride=1, leak=None)
+            return reduce_sum(power(ad.conv2d(h, w2, b, stride=1, leak=None), 2.0))
 
         rng = np.random.default_rng(22)
         assert grad_check(f, [rng.normal(size=(2, 5, 5, 3)), rng.normal(size=(3, 3, 3, 3)),
@@ -604,8 +615,9 @@ class TestConvWork:
             rng.normal(size=(1, 1, 3, 2)), rng.normal(size=2))
         h = ad.conv2d(x, w1, b1, stride=2, leak=0.1)
         # two convs of one geometry share their work arrays
-        h = ad.conv2d(ad.conv2d(h, w2, b2, leak=0.1), w3, b3)
-        out = ad.conv2d(h, w4, b4)
+        h = ad.conv2d(ad.conv2d(h, w2, b2, stride=1, leak=0.1), w3, b3,
+                      stride=1, leak=None)
+        out = ad.conv2d(h, w4, b4, stride=1, leak=None)
         seen = [r[0].values for r in tape.records]
         for i, (rec, pre, pulls) in enumerate(tape.records):
             def watch(fn):

@@ -266,6 +266,37 @@ class TestBadInput:
         assert f"{ds}: class 1 has no boxes" in capsys.readouterr().err
         assert started == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", ["anchors", "ablate"])
+    def test_class_gap_costs_nothing_per_class(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        # class ids 0 and 10**12: the gap is found on the two distinct ids,
+        # so no array is built for each of the 10**12 classes below the top
+        ds = self.make_class_gap_dataset(tmp_path)
+        ann = ds / "annotations.txt"
+        ann.write_text("".join((f"{10**12}" + line[1:] if line.startswith("2 ") else line)
+                               + "\n" for line in ann.read_text().splitlines()))
+        n_boxes = sum(len(gt) for gt in data_mod.load_annotations(ann))
+        refused, sizes = [], cli_mod.sizes_per_class
+
+        def spy(gts, n_classes):
+            if n_classes > n_boxes:
+                refused.append(n_classes)
+                raise RuntimeError(f"refused {n_classes} classes for {n_boxes} boxes")
+            return sizes(gts, n_classes)
+
+        monkeypatch.setattr(cli_mod, "sizes_per_class", spy)
+        out = tmp_path / "out"
+        if command == "anchors":
+            argv = ["anchors", "--dataset", str(ds), "--out", str(out)]
+        else:
+            cfg = tmp_path / "ablate.txt"
+            cfg.write_text(f"dataset = {ds}\ncells = AMS:learned:CE\nn_a = 2\n")
+            argv = ["ablate", "--config", str(cfg), "--out", str(out)]
+        assert run(argv) == 2
+        assert f"{ds}: class 1 has no boxes, but the classes run to {10**12}\n" \
+            in capsys.readouterr().err
+        assert refused == [] and not out.exists()
+
 
     @pytest.mark.parametrize("key,cells", [("dataset", "AMS:learned:CE"),
                                            ("cells", None), ("cells", ""), ("cells", ",")])
@@ -713,6 +744,32 @@ class TestAblate:
         assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{cfg}: levels must be >= 2" in capsys.readouterr().err
         assert started == [] and not (out / "anchors.txt").exists()
+
+    @pytest.mark.parametrize("order", ["n_a first", "anchors first"])
+    def test_n_a_and_anchors_exclude_each_other(self, workspace, tmp_path, capsys,
+                                                monkeypatch, order):
+        keys = [f"anchors = {workspace / 'anchors.txt'}\n", "n_a = 2\n"]
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(TRAINCFG + f"dataset = {workspace / 'ds'}\ncells = AMS:learned:CE\n"
+                       + "".join(keys[::-1] if order == "n_a first" else keys))
+        started = []
+        monkeypatch.setattr(data_mod, "load_dataset", lambda *a: started.append("scenes"))
+        monkeypatch.setattr(cli_mod, "load_anchor_set", lambda *a: started.append("anchors"))
+        out = tmp_path / "ab"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: config keys 'n_a' and 'anchors' exclude each other" \
+            in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
+    def test_empty_anchors_is_absent_beside_n_a(self, workspace, tmp_path, monkeypatch):
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text().replace("max_iter = 20", "max_iter = 2")
+                       + "anchors =\n")
+        clustered, cluster = [], cli_mod.kmeans_anchors
+        monkeypatch.setattr(cli_mod, "kmeans_anchors",
+                            lambda *a, **k: clustered.append(k["n_a"]) or cluster(*a, **k))
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
+        assert clustered == [2] and (tmp_path / "ab" / "anchors.txt").exists()
 
     def test_later_cells_reuse_the_first_cells_assignments(self, workspace, tmp_path,
                                                            monkeypatch):

@@ -334,6 +334,16 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=":4"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("record,message", [
+        ("-1 5 5 5 5", "negative class id -1"),
+        (f"{2**63} 5 5 5 5", f"class id {2**63} does not fit int64"),
+        (f"{10**30} 5 5 5 5", f"class id {10**30} does not fit int64")])
+    def test_bad_class_id_names_line(self, tmp_path, record, message):
+        path = tmp_path / "annotations.txt"
+        path.write_text(f"scene 0\n{2**63 - 1} 10.0 10.0 8.0 8.0\n{record}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            load_annotations(path)
+
     @pytest.mark.parametrize("record", ["0 nan 5 5 5", "0 5 5 inf 5",
                                         "0 5 -inf 5 5", "0 5 5 5 1e400"])
     def test_non_finite_box_names_line(self, tmp_path, record):
@@ -353,7 +363,8 @@ def loads_or_names_the_line(load, path):
         return None
 
 
-NUMBERS = ["0", "1", "-1", "5", "0.5", "-2", "1e400", "nan", "inf", "-inf", "1e-320", "x"]
+NUMBERS = ["0", "1", "-1", "5", "0.5", "-2", "1e400", "nan", "inf", "-inf", "1e-320", "x",
+           str(2**63)]
 TOKEN_SOUP = st.lists(st.lists(st.sampled_from(
     NUMBERS + ["scene", "0x10", "=", "#", "key", "a = b"]), max_size=6).map(" ".join),
     max_size=8).map("\n".join)

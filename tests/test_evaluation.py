@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ponodet.anchors import AnchorSet, build_grid
+from ponodet.anchors import AnchorSet
 from ponodet.evaluation import extract_detections, map_eval
 from ponodet.geometry import Detections, GroundTruth
 from ponodet.loss import sigmoid
 
+from test_anchors import build_grid
 from test_geometry import (CLAMP_OFFSETS, decode_cxywh, dets_of, iou_oracle, nms_oracle,
                            rows_of)
 
@@ -211,13 +212,13 @@ class TestExtractDetections:
     def test_all_low_logits_empty(self):
         grid = self.grid()
         assert extract_detections(np.full((2, 2, 1, 1), -10.0),
-                                  np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05).boxes.shape == (0, 4)
+                                  np.zeros((2, 2, 1, 1, 4)), grid, 0.05, 0.5).boxes.shape == (0, 4)
 
     def test_single_hot_cell_is_anchor_box(self):
         grid = self.grid()
         logits = np.full((2, 2, 1, 1), -10.0)
         logits[1, 0, 0, 0] = 10.0
-        dets = extract_detections(logits, np.zeros((2, 2, 1, 1, 4)), grid, score_min=0.05)
+        dets = extract_detections(logits, np.zeros((2, 2, 1, 1, 4)), grid, 0.05, 0.5)
         assert len(dets) == 1
         assert dets.boxes[0].tolist() == grid.boxes[1, 0, 0, 0].tolist()
         assert dets.scores[0] > 0.9999

@@ -5,7 +5,7 @@ import pytest
 
 from ponodet import autodiff as ad
 from ponodet import train as train_mod
-from ponodet.anchors import AnchorSet, build_grid
+from ponodet.anchors import AnchorSet
 from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import Scene
@@ -15,8 +15,10 @@ from ponodet.loss import (LOC_GATE, MODES, bce_logits, focal_logits, initial_bal
 from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, SceneBank, TrainConfig,
                            anchor_grid, train_iteration)
 
+from test_anchors import build_grid
 from test_autodiff import (add, clip, div, exp, grad_check, log1p, maximum, mean,
-                           minimum, mul, neg, power, reduce_sum, sigmoid, sub, take)
+                           minimum, mul, neg, power, reduce_sum, sigmoid, sub, take,
+                           zero_leaf)
 from test_geometry import decode_cxywh
 from test_model import TabularPredictor
 
@@ -47,14 +49,14 @@ def on_leaf(fn, *args):
     """The forward values of a loss map `fn` with its last argument (the
     overlaps or the logits) a leaf on a fresh tape."""
     *rest, x = args
-    return fn(*rest, ad.leaf(np.asarray(x, np.float64), ad.Tape())).values
+    return fn(*rest, zero_leaf(np.asarray(x, np.float64), ad.Tape())).values
 
 
 def totals_on_leaves(loc_map, cls_map, n_pos, n_total, mode, bw=None):
     """`weighted_totals` with the two maps (or sums) leaves on a fresh
     tape: the total's value as a float, then the three terms."""
     tape = ad.Tape()
-    total, *terms = weighted_totals(ad.leaf(loc_map, tape), ad.leaf(cls_map, tape),
+    total, *terms = weighted_totals(zero_leaf(loc_map, tape), zero_leaf(cls_map, tape),
                                     n_pos, n_total, mode, bw)
     return (float(total.values), *terms)
 
@@ -181,7 +183,7 @@ class TestBalancedTotals:
     def test_unknown_mode(self):
         z = np.zeros((1, 1))
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-            weighted_totals(z, z, 1, 4, "bogus")
+            weighted_totals(z, z, 1, 4, "bogus", None)
 
 
 class TestBalanceWeights:
@@ -364,8 +366,8 @@ def head(fns, grid, assignment, cfg, logits, offsets, s_values):
     every leaf's gradient and the positive count."""
     pred_iou, loc_map_fn, bce, focal, totals = fns
     tape = ad.Tape()
-    z, off = ad.leaf(logits.copy(), tape), ad.leaf(offsets.copy(), tape)
-    bw = {name: ad.leaf(v.copy(), tape) for name, v in s_values.items()}
+    z, off = zero_leaf(logits.copy(), tape), zero_leaf(offsets.copy(), tape)
+    bw = {name: zero_leaf(v.copy(), tape) for name, v in s_values.items()}
     o_hat = pred_iou(grid, off, assignment)
     gate, labels = train_mod._gate_and_labels(assignment, ad.values_of(o_hat), cfg)
     loc_map = loc_map_fn(gate, o_hat)
@@ -398,9 +400,9 @@ def assert_totals_match_separate_records(loc_map, cls_map, n_pos, n_total, mode,
     results = []
     for totals in (weighted_totals, separate_records_totals):
         tape = ad.Tape()
-        leaves = {"loc": ad.leaf(loc_map.copy(), tape),
-                  "cls": ad.leaf(cls_map.copy(), tape)}
-        bw = {name: ad.leaf(v.copy(), tape) for name, v in s_values.items()}
+        leaves = {"loc": zero_leaf(loc_map.copy(), tape),
+                  "cls": zero_leaf(cls_map.copy(), tape)}
+        bw = {name: zero_leaf(v.copy(), tape) for name, v in s_values.items()}
         for t in bw.values():
             t.grad = np.full(t.shape, 0.1)
         total, *terms = totals(leaves["loc"], leaves["cls"], n_pos, n_total, mode, bw)

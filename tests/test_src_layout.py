@@ -18,6 +18,16 @@ function, say) is on no run's path.
 Likewise every public method or property of a `src/ponodet` class must be
 read as an attribute somewhere in `src/`, `bench/` or `scripts/`.
 
+Every default of a module-level or class-body `def` in `src/ponodet` is
+an option that runs vary: some call in `src/`, `bench/` or `scripts/`
+omits it and another one overrides it, and a call with `*` or `**`
+counts as both.  A default that every such call overrides, or that none
+does, is a value only the tests vary; the parameter goes or loses its
+default.  Calls resolve as the qualified reads above: a bare name in its
+own module or bound by `from .m import name`, `alias.name` with `alias`
+bound to module `m`, a class name for `__init__`, and for any other
+method an attribute call of its name.  Nested functions are exempt.
+
 Every package a `src/ponodet` module imports is the standard library,
 `ponodet` itself or one of the `[project] dependencies`; test-only
 packages belong in the `test` extra.
@@ -61,20 +71,30 @@ def _imported_module(module: str | None, level: int) -> str | None:
     return None
 
 
-def qualified_reads(tree: ast.Module) -> set[tuple[str, str]]:
-    """(module, name) pairs a file reads qualified: `from .m import name`,
-    `alias.name` with `alias` bound to module `m`, and `("ponodet.m",
-    "name")` string pairs ("name" may be "Class.method")."""
-    reads, aliases = set(), {}  # aliases: local name -> module
+def imports(tree: ast.Module) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """The package names a file imports: local name -> (module, name) for
+    `from .m import name`, and local name -> module for the aliases of
+    `from . import m`."""
+    names, aliases = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             base = _imported_module(node.module, node.level)
             for alias in node.names if base is not None else ():
                 if base:
-                    reads.add((base, alias.name))
+                    names[alias.asname or alias.name] = (base, alias.name)
                 else:
                     aliases[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
+    return names, aliases
+
+
+def qualified_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) pairs a file reads qualified: `from .m import name`,
+    `alias.name` with `alias` bound to module `m`, and `("ponodet.m",
+    "name")` string pairs ("name" may be "Class.method")."""
+    names, aliases = imports(tree)
+    reads = set(names.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
                 isinstance(e, ast.Constant) and isinstance(e.value, str)
                 for e in node.elts[:2]):
             base = _imported_module(node.elts[0].value, 0)
@@ -157,6 +177,111 @@ def test_every_public_class_member_is_read_outside_the_tests():
                        if isinstance(node, ast.FunctionDef)
                        and not node.name.startswith("_") and node.name not in read]
     assert not unread, "class members only tests read: " + ", ".join(unread)
+
+
+def defaults(module: str, tree: ast.Module) -> list[tuple]:
+    """One entry per module-level or class-body def with defaults: how a
+    call names it, (module, name) for a function, (module, Class) for
+    `Class.__init__` and (None, name) for any other method; its
+    `module:qualified name`; its positional parameters; the defaulted ones;
+    and how many leading parameters a call does not pass (`self`, `cls`)."""
+    found = []
+
+    def add(key, name, fn, bound):
+        a = fn.args
+        pos = [p.arg for p in a.posonlyargs + a.args]
+        with_default = pos[len(pos) - len(a.defaults):] + [
+            p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        if with_default:
+            found.append((key, f"{module}:{name}", pos, with_default, bound))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            add((module, node.name), node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for fn in (n for n in node.body if isinstance(n, ast.FunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                key = (module, node.name) if fn.name == "__init__" else (None, fn.name)
+                add(key, f"{node.name}.{fn.name}", fn, 0 if static else 1)
+    return found
+
+
+def calls(module: str | None, tree: ast.Module):
+    """(key, call) for each call in a file, keyed as `defaults` keys the
+    defs it may reach; `module` is None outside the package."""
+    names, aliases = imports(tree)
+    own = {n.name for n in tree.body
+           if isinstance(n, (ast.FunctionDef, ast.ClassDef))} if module else set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            if f.id in own:
+                yield (module, f.id), node
+            elif f.id in names:
+                yield names[f.id], node
+        elif isinstance(f, ast.Attribute):
+            if isinstance(f.value, ast.Name) and f.value.id in aliases:
+                yield (aliases[f.value.id], f.attr), node
+            yield (None, f.attr), node
+
+
+def unvaried_defaults(modules: dict[str, ast.Module], outside: list[ast.Module]) -> list[str]:
+    """`module:function(param)` for each default of a package module (keyed
+    by module name) that no call omits or no call overrides."""
+    entries = [e for module, tree in modules.items() for e in defaults(module, tree)]
+    by_key = {}
+    for entry in entries:
+        by_key.setdefault(entry[0], []).append(entry)
+    omitted, overridden = set(), set()
+    for module, tree in [*modules.items(), *((None, t) for t in outside)]:
+        for key, call in calls(module, tree):
+            starred = any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords)
+            for _, name, pos, with_default, bound in by_key.get(key, ()):
+                given = set(pos[:bound + len(call.args)]) | {k.arg for k in call.keywords}
+                for param in with_default:
+                    if starred or param in given:
+                        overridden.add((name, param))
+                    if starred or param not in given:
+                        omitted.add((name, param))
+    return [f"{name}({param})" for _, name, _, with_default, _ in entries
+            for param in with_default
+            if (name, param) not in omitted or (name, param) not in overridden]
+
+
+def test_every_src_default_is_an_option_runs_vary():
+    modules = {p.stem: parse(p) for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    outside = [parse(p) for p in sorted((ROOT / "bench").glob("*.py"))
+               + sorted((ROOT / "scripts").glob("*.py"))
+               if not p.name.startswith("test_")]
+    unvaried = unvaried_defaults(modules, outside)
+    assert not unvaried, "defaults no run varies: " + ", ".join(unvaried)
+
+
+def test_a_default_counts_only_calls_that_reach_it():
+    modules = {name: ast.parse(src) for name, src in {
+        "ops": "def scale(x, k=2):\n    return x * k\n\n"
+               "def shift(x, d=1):\n    return x + d\n\n"
+               "def clip(x, lo=0, hi=1):\n    return min(max(x, lo), hi)\n\n"
+               "class Acc:\n"
+               "    def __init__(self, start=0):\n        self.total = start\n\n"
+               "    def add(self, x, times=1):\n        self.total += x * times\n",
+        # `scale` omitted here and overridden in the outside file; `clip`
+        # overridden positionally and by keyword, omitted in a `*` call
+        "cli": "from .ops import Acc, clip, scale\n\n"
+               "def main(args, shift):\n"
+               "    acc = Acc(5)\n    acc.add(scale(1))\n    acc.add(2, 3)\n"
+               "    shift(clip(1, 2), 3)\n    return clip(*args, hi=2)\n",
+    }.items()}
+    # `o.shift(x)` omits `d`, but the `shift(..., 3)` above is a local, not
+    # ops.shift; `Acc(5)` overrides `start` and nothing omits it
+    outside = [ast.parse("from ponodet import ops as o\n"
+                         "def f(x):\n    return o.scale(o.shift(x), k=3)\n")]
+    assert unvaried_defaults(modules, outside) == ["ops:shift(d)", "ops:Acc.__init__(start)"]
 
 
 def test_src_imports_only_declared_dependencies():

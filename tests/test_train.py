@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ponodet import autodiff as ad
-from ponodet.anchors import AnchorSet, build_grid
+from ponodet.anchors import AnchorSet
 from ponodet import loss as loss_mod
 from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
@@ -19,9 +19,11 @@ from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
 from ponodet.data import GenSpec, Scene, config_from_kv, generate
 from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
-from ponodet.train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
-                           lr_at, run_training, save_run, sgd_step, train_iteration)
+from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, anchor_grid,
+                           load_run, lr_at, run_training, save_run, sgd_step,
+                           train_iteration)
 
+from test_anchors import build_grid
 from test_autodiff import add, reduce_sum
 from test_model import TabularPredictor, leaves_of
 
@@ -105,12 +107,13 @@ def assert_flat_views(state):
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         p, v = np.array([1.0, 2.0]), np.zeros(2)
-        sgd_step(p, v, np.array([0.5, -1.0]), lr=0.1, momentum=0.0)
+        # from zero velocity the first step is plain gradient descent
+        sgd_step(p, v, np.array([0.5, -1.0]), lr=0.1)
         np.testing.assert_allclose(p, [0.95, 2.1])
 
     def test_zero_gradients_decay_buffers(self):
         p, v = np.array([1.0]), np.array([2.0])
-        sgd_step(p, v, np.zeros(1), lr=0.1, momentum=0.9)
+        sgd_step(p, v, np.zeros(1), lr=0.1)
         np.testing.assert_allclose(v, [1.8])
         np.testing.assert_allclose(p, [1.0 - 0.18])
 
@@ -118,7 +121,7 @@ class TestSgdStep:
         p, v = np.array([0.0]), np.zeros(1)
         for _ in range(500):
             g = 2.0 * (p - 3.0)
-            sgd_step(p, v, g, lr=0.1, momentum=0.9)
+            sgd_step(p, v, g, lr=0.1)
         assert abs(float(p[0]) - 3.0) < 1e-6
 
     @pytest.mark.parametrize("mode", ["learned", "unit"])
@@ -134,18 +137,18 @@ class TestSgdStep:
         steps = []
         step = train_mod.sgd_step
 
-        def spy(p, v, g, lr, momentum):
-            steps.append((len(p), g.copy(), lr, momentum))
-            step(p, v, g, lr, momentum)
+        def spy(p, v, g, lr):
+            steps.append((len(p), g.copy(), lr))
+            step(p, v, g, lr)
 
         monkeypatch.setattr(train_mod, "sgd_step", spy)
         train_iteration(state, scenes[:2], cfg, SceneBank(scenes[:2], state.grid))
-        (n, g, lr, momentum), = steps
+        (n, g, lr), = steps
         trained = by_name(state, g)
         assert n == (len(state.flat_params) if mode == "learned" else state.n_model)
         assert list(trained) == list(params)[:len(trained)]
         per_array_sgd_step({name: params[name] for name in trained}, velocity,
-                           trained, lr, momentum)
+                           trained, lr, MOMENTUM)
         for name, a in {**state.model.params, **state.bw}.items():
             np.testing.assert_array_equal(a, params[name], err_msg=name)
         assert list(state.velocity) == list(velocity)
@@ -278,7 +281,7 @@ class TestBatchedIteration:
         assert n_pos > 0
         seen = {}
         monkeypatch.setattr(train_mod, "sgd_step",
-                            lambda params, velocity, g, lr, momentum:
+                            lambda params, velocity, g, lr:
                             seen.update(by_name(state, g.copy())))
         report = train_iteration(state, batch, cfg, SceneBank(batch, state.grid))
         np.testing.assert_allclose((report.loc, report.cls, report.reg), terms,
@@ -673,7 +676,7 @@ class TestFlatState:
         from ponodet import benchmarks
         b = benchmarks.imbalanced_benchmark()
         grid = anchor_grid(AnchorSet(np.full((2, b.n_anchors, 2), 12.0)), b.net.input_size)
-        model, bw = ToyNet(b.net, 2, b.n_anchors), initial_balance(2, b.n_anchors)
+        model, bw = ToyNet(b.net, 2, b.n_anchors, seed=0), initial_balance(2, b.n_anchors)
         tracemalloc.start()
         try:
             state = RunState(model=model, grid=grid, bw=bw)
