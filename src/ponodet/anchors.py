@@ -95,6 +95,12 @@ class AnchorGrid:
     def n_anchors(self) -> int:
         return self.boxes.shape[3]
 
+    @property
+    def shapes(self) -> np.ndarray:
+        """The anchor shapes [n_classes, n_anchors, 2] as (w, h), every
+        cell's alike: a view of cell (0, 0)."""
+        return self.boxes[0, 0, :, :, 2:]
+
 
 def wh_iou(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
     """IoU of (..., 2) shape stacks aligned at a common center (broadcasts)."""

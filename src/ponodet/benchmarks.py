@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .anchors import AnchorSet, kmeans_anchors, sizes_per_class
+from .anchors import kmeans_anchors, sizes_per_class
 from .data import GenSpec, Scene, generate
 from .evaluation import dataset_detections, map_eval
 from .model import ToyNetConfig
@@ -58,8 +58,7 @@ class Benchmark:
         anchor_set = kmeans_anchors(
             sizes_per_class([s.gt for s in train], self.gen.n_classes),
             n_a=self.n_anchors, seed=self.train_cfg.seed)
-        return Setup(test, anchor_set,
-                     SceneBank(train, anchor_grid(anchor_set, self.gen.image_size)))
+        return Setup(test, SceneBank(train, anchor_grid(anchor_set, self.gen.image_size)))
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,6 @@ class Setup:
     """What every cell of one benchmark trains and scores on."""
 
     test: list[Scene]
-    anchor_set: AnchorSet
     bank: SceneBank
 
 
@@ -97,7 +95,8 @@ def crowded_benchmark() -> Benchmark:
 def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
              cls_loss: str = "CE", max_iter: int | None = None) -> dict:
     """Train one ablation cell on the benchmark's setup, score it on the
-    test split."""
+    test split: the trained `state`, its `map` and the iterations'
+    `reports`."""
     setup = bench.setup
     cfg = replace(bench.train_cfg, mode=mode, label_rule=label_rule,
                   cls_loss=cls_loss)
@@ -107,11 +106,5 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
     reports = run_training(state, setup.bank, cfg)
     dets = dataset_detections(state.model, state.grid, setup.test, bench.score_min,
                               bench.nms_iou)
-    per_class, mean, _, _ = map_eval(dets, [s.gt for s in setup.test])
-    return {
-        "state": state,
-        "anchor_set": setup.anchor_set,
-        "per_class_ap": per_class,
-        "map": mean,
-        "reports": reports,
-    }
+    _, mean, _, _ = map_eval(dets, [s.gt for s in setup.test])
+    return {"state": state, "map": mean, "reports": reports}

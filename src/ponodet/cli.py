@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -139,10 +140,13 @@ def cmd_anchors(args) -> int:
 def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
                 out_dir: str) -> RunState:
     """Train a fresh network on the bank's scenes and grid and write its
-    run to `out_dir`."""
+    run to `out_dir`, where only a finished run leaves a `final.bin`."""
+    final = os.path.join(out_dir, "final.bin")
+    with contextlib.suppress(FileNotFoundError):  # an earlier run's, if any
+        os.remove(final)
     state = RunState.fresh(net, bank.grid, cfg.seed)
     run_training(state, bank, cfg, run_dir=out_dir)
-    save_run(os.path.join(out_dir, "final.bin"), state)
+    save_run(final, state)
     return state
 
 
@@ -206,7 +210,7 @@ def cmd_assign_dump(args) -> int:
     scene = scenes[args.scene]
     state = load_run(args.checkpoint) if args.checkpoint else None
     if state is not None:
-        if not np.array_equal(state.grid.boxes[0, 0, :, :, 2:], anchor_set.shapes):
+        if not np.array_equal(state.grid.shapes, anchor_set.shapes):
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
@@ -240,7 +244,7 @@ def cmd_assign_dump(args) -> int:
 
 def cmd_plot_weights(args) -> int:
     state = load_run(args.checkpoint)
-    shapes = state.grid.boxes[0, 0, :, :, 2:]
+    shapes = state.grid.shapes
     lam_cls = np.exp(-state.bw["bw.s_cls_grid"])
     lam_loc = np.exp(-state.bw["bw.s_loc_grid"])
     os.makedirs(args.out, exist_ok=True)
@@ -312,6 +316,9 @@ def cmd_ablate(args) -> int:
     if eval_scenes is not scenes:
         _check_classes(eval_dir, eval_scenes, anchor_set.n_classes)
     os.makedirs(args.out, exist_ok=True)
+    summary = os.path.join(args.out, "summary.csv")
+    with contextlib.suppress(FileNotFoundError):  # an earlier run's, if any
+        os.remove(summary)
     if not kv.get("anchors"):
         save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
     # one bank for every cell: the cells draw the same batches, so each
@@ -327,13 +334,13 @@ def cmd_ablate(args) -> int:
         print(f"{name}: mAP {mean:.4f}")
 
     classes = sorted({c for *_, pc in rows for c in pc})
-    with data_mod.atomic_open(os.path.join(args.out, "summary.csv")) as f:
+    with data_mod.atomic_open(summary) as f:
         f.write("cell,label_rule,mode,cls_loss,map,"
                 + ",".join(f"ap_{c}" for c in classes) + "\n")
         for name, label_rule, mode, cls_loss, mean, pc in rows:
             aps = ",".join(repr(pc.get(c, 0.0)) for c in classes)
             f.write(f"{name},{label_rule},{mode},{cls_loss},{mean!r},{aps}\n")
-    print(f"summary at {os.path.join(args.out, 'summary.csv')}")
+    print(f"summary at {summary}")
     return 0
 
 

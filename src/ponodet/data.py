@@ -343,31 +343,21 @@ def read_kv(path) -> dict[str, str]:
     return out
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise ValueError(f"{text!r} is not one of {', '.join(_BOOLS)}")
-    return _BOOLS[text.lower()]
-
-
 def config_from_kv(cls, kv: dict[str, str], path):
     """Build the dataclass `cls` (TrainConfig, ToyNetConfig or GenSpec) from
     the key=value pairs read from the file `path`.  A field's value parses
-    by its `parse` metadata, else by its default's type (bool from a word);
-    an absent key keeps the default, and a field without one must be
-    given.  Keys that are not `cls` fields are `read_config`'s to check.  A
-    missing key, a value that does not parse, or one that breaks a rule of
-    `cls`, raises a ValueError naming the file and the key."""
+    by its `parse` metadata, else by its default's type (`int`, `float` or
+    `str`); an absent key keeps the default, and a field without one must
+    be given.  Keys that are not `cls` fields are `read_config`'s to
+    check.  A missing key, a value that does not parse, or one that breaks
+    a rule of `cls`, raises a ValueError naming the file and the key."""
     values = {}
     for f in fields(cls):
         if f.name not in kv:
             if f.default is MISSING:
                 raise ValueError(f"{path}: missing key {f.name!r}")
             continue
-        kind = type(f.default)
-        parse = f.metadata.get("parse", _parse_bool if kind is bool else kind)
+        parse = f.metadata.get("parse", type(f.default))
         try:
             values[f.name] = parse(kv[f.name])
         except ValueError as e:

@@ -179,8 +179,9 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a `save_arrays` file; a foreign, truncated or overlong file
-    raises ValueError naming the path and the fault."""
+    """Read a `save_arrays` file; a foreign, truncated or overlong file, or
+    one that repeats an entry name, raises ValueError naming the path and
+    the fault."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != MAGIC:
@@ -195,17 +196,19 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         return blob[pos - n:pos]
 
     (count,) = struct.unpack("<I", take(4))
-    entries = []
+    entries = {}  # name -> shape
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
             name = take(name_len).decode()
         except UnicodeDecodeError:
             raise ValueError(f"{path}: entry name is not UTF-8") from None
+        if name in entries:
+            raise ValueError(f"{path}: entry {name!r} is given twice")
         (ndim,) = struct.unpack("<B", take(1))
-        entries.append((name, struct.unpack(f"<{ndim}q", take(8 * ndim))))
+        entries[name] = struct.unpack(f"<{ndim}q", take(8 * ndim))
     out = {}
-    for name, shape in entries:
+    for name, shape in entries.items():
         if min(shape, default=0) < 0:
             raise ValueError(f"{path}: entry {name!r} has shape {shape}")
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")

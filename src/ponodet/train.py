@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +49,14 @@ LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
 MOMENTUM = 0.9    # the SGD step's momentum
 POLY_POWER = 0.9  # the learning-rate decay's exponent
+_CHECKPOINT = re.compile(r"ckpt_\d{6,}\.bin")  # the names `run_training` writes
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """A run's settings; MOMENTUM, POLY_POWER and AO_THRESHOLD are constants."""
+    """A run's settings, each a `train` and `ablate` config key.  MOMENTUM,
+    POLY_POWER and AO_THRESHOLD are constants, and every run mirrors each
+    scene it draws with probability 0.5."""
 
     lr0: float = 0.005
     max_iter: int = 1000
@@ -61,7 +65,6 @@ class TrainConfig:
     label_rule: str = "AMS"
     cls_loss: str = "CE"
     seed: int = 0
-    flip: bool = True
     checkpoint_every: int = 0
 
     def __post_init__(self):
@@ -270,14 +273,16 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
                  run_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
-    Batches and optional horizontal flips of the bank's scenes are drawn
-    from the per-iteration RNG.  The bank's mirrors and assignments outlive
-    the call; a bank on another grid than the state's raises ValueError.
-    With a `run_dir`, the run makes that directory and owns the names of
-    the files it writes there: `log.csv`, one row per iteration, and with
-    `cfg.checkpoint_every` a `ckpt_NNNNNN.bin` at every multiple of it.  A
-    run from iteration 0 starts `log.csv` afresh; a resumed run appends to
-    it, and the log is flushed before each checkpoint.  A non-finite loss
+    Each iteration draws its batch of the bank's scenes, and mirrors each
+    drawn scene with probability 0.5, from the per-iteration RNG.  The
+    bank's mirrors and assignments outlive the call; a bank on another grid
+    than the state's raises ValueError.  With a `run_dir`, the run makes
+    that directory and owns the names of the files it writes there:
+    `log.csv`, one row per iteration, and with `cfg.checkpoint_every` a
+    `ckpt_NNNNNN.bin` at every multiple of it.  A run from iteration 0
+    removes the directory's checkpoints of an earlier run and starts
+    `log.csv` afresh; a resumed run removes nothing and appends to the log,
+    and the log is flushed before each checkpoint.  A non-finite loss
     raises FloatingPointError naming the iteration, before that iteration
     is logged or checkpointed.  The conv2d work arrays the run's passes
     reuse live on the state's tape until the call returns.
@@ -288,6 +293,10 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     log = None
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
+        if state.iteration == 0:
+            for name in os.listdir(run_dir):
+                if _CHECKPOINT.fullmatch(name):
+                    os.remove(os.path.join(run_dir, name))
         log = open(os.path.join(run_dir, "log.csv"), "w" if state.iteration == 0 else "a")
     try:
         if log and state.iteration == 0:
@@ -296,7 +305,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
             it = state.iteration
             rng = np.random.default_rng([cfg.seed, 7, it])
             idx = rng.integers(0, len(bank.scenes), size=cfg.batch_size)
-            batch = [bank.variant(int(i), cfg.flip and rng.random() < 0.5) for i in idx]
+            batch = [bank.variant(int(i), rng.random() < 0.5) for i in idx]
             lr = lr_at(it, cfg)
             report = train_iteration(state, batch, cfg, bank)
             if not np.isfinite(report.total):
@@ -327,7 +336,7 @@ def save_run(path, state: RunState) -> None:
         arrays[f"meta.{k}"] = np.asarray(v)
     arrays["meta.iteration"] = np.asarray(float(state.iteration))
     arrays["meta.feat_stride"] = np.asarray(float(FEAT_STRIDE))
-    arrays["anchors.shapes"] = state.grid.boxes[0, 0, :, :, 2:]
+    arrays["anchors.shapes"] = state.grid.shapes
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr
     arrays.update(state.bw)

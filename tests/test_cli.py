@@ -154,6 +154,40 @@ class TestRerun:
         assert log == first
         assert len(log.decode().splitlines()) == 1 + 4
 
+    def test_rerun_clears_earlier_checkpoints(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        for max_iter in (20, 10):
+            cfg = tmp_path / f"iters_{max_iter}.txt"
+            cfg.write_text(TRAINCFG.replace("max_iter = 30", f"max_iter = {max_iter}")
+                           + "checkpoint_every = 10\n")
+            assert run(["train", "--config", str(cfg), "--dataset", str(workspace / "ds"),
+                        "--anchors", str(workspace / "anchors.txt"),
+                        "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("ckpt_*")) == ["ckpt_000010.bin"]
+        assert len((out / "log.csv").read_text().splitlines()) == 1 + 10
+
+    @pytest.mark.parametrize("command,result", [("train", "final.bin"),
+                                                ("ablate", "summary.csv")])
+    def test_failed_rerun_leaves_no_earlier_result(self, workspace, tmp_path, capsys,
+                                                   command, result):
+        argv = [command, "--out", str(tmp_path / "run")]
+        if command == "train":
+            argv += ["--dataset", str(workspace / "ds"),
+                     "--anchors", str(workspace / "anchors.txt")]
+            text = TRAINCFG.replace("max_iter = 30", "max_iter = 4")
+        else:
+            text = (TRAINCFG.replace("max_iter = 30", "max_iter = 4")
+                    + f"dataset = {workspace / 'ds'}\ncells = AMS:learned:CE\nn_a = 2\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert run(argv + ["--config", str(cfg)]) == 0
+        assert any((tmp_path / "run").rglob(result))
+        cfg.write_text(text.replace("lr0 = 0.01", "lr0 = 1e6"))
+        with np.errstate(all="ignore"):
+            assert run(argv + ["--config", str(cfg)]) == 2
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not any((tmp_path / "run").rglob(result))
+
 
 class TestBadInput:
     def make_dataset(self, root, objects="1,2", count=3, size=32):
@@ -332,11 +366,12 @@ class TestBadInput:
         ("train", "lr = 0.5\n", "lr"),
         ("train", "dataset = elsewhere\n", "dataset"),
         ("ablate", "cells = AMS:learned:CE\neval_set = x\n", "eval_set"),
-        # MOMENTUM, POLY_POWER and AO_THRESHOLD are constants, not config keys
+        # MOMENTUM, POLY_POWER and AO_THRESHOLD are constants and every run
+        # mirrors scenes at random: none of them is a config key
         *[("train", f"{key} = 0.9\n", key)
-          for key in ("momentum", "poly_power", "ao_threshold")],
+          for key in ("momentum", "poly_power", "ao_threshold", "flip")],
         *[("ablate", f"cells = AMS:learned:CE\n{key} = 0.5\n", key)
-          for key in ("momentum", "poly_power", "ao_threshold")],
+          for key in ("momentum", "poly_power", "ao_threshold", "flip")],
     ])
     def test_unknown_config_key(self, workspace, tmp_path, capsys, command, text, key):
         cfg = tmp_path / "cfg.txt"
@@ -525,7 +560,7 @@ class TestBadConfigValue:
         ("levels = 2", "levels = 1", "levels must be >= 2"),
         ("head_convs = 1", "head_convs = -1", "head_convs must be >= 0"),
         ("batch_size = 1", "batch_size = 0", "batch_size must be >= 1"),
-        ("seed = 9", "seed = 9\nflip = maybe", "flip: 'maybe' is not one of"),
+        ("seed = 9", "seed = 9\nflip = maybe", "unknown config key 'flip'"),
         ("seed = 9", "seed = 9\ncheckpoint_every = -1", "checkpoint_every must be >= 0"),
         ("seed = 9", "seed = -1", "seed must be >= 0"),
     ])

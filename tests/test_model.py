@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ class TestCheckpointFormat:
         path = tmp_path / "foreign.bin"
         path.write_bytes(MAGIC + b"\x01\x00\x00\x00" + b"\x02\x00\xff\xfe" + b"\x00" + bytes(8))
         with pytest.raises(ValueError, match=re.escape(f"{path}: entry name is not UTF-8")):
+            load_arrays(path)
+
+    def test_repeated_entry_name_rejected(self, tmp_path):
+        # two one-value entries named "a"; the later one must not win
+        header = struct.pack("<H", 1) + b"a" + struct.pack("<Bq", 1, 1)
+        path = tmp_path / "twice.bin"
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + header * 2
+                         + struct.pack("<2d", 1.0, 2.0))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry 'a' is given twice")):
             load_arrays(path)
 
     def test_bytes_deterministic(self, tmp_path):

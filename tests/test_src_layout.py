@@ -28,6 +28,12 @@ own module or bound by `from .m import name`, `alias.name` with `alias`
 bound to module `m`, a class name for `__init__`, and for any other
 method an attribute call of its name.  Nested functions are exempt.
 
+Every field of `TrainConfig`, `ToyNetConfig` and `GenSpec` is a config
+key, and some code in `src/`, `bench/` or `scripts/` sets it: a keyword
+of a call there, or a `key = value` line in a string literal there,
+f-string parts included.  A key that only tests set is a setting no run
+varies; it goes.
+
 Every package a `src/ponodet` module imports is the standard library,
 `ponodet` itself or one of the `[project] dependencies`; test-only
 packages belong in the `test` extra.
@@ -36,9 +42,14 @@ packages belong in the `test` extra.
 import ast
 import re
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
+
+from ponodet.data import GenSpec
+from ponodet.model import ToyNetConfig
+from ponodet.train import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ponodet"
@@ -282,6 +293,54 @@ def test_a_default_counts_only_calls_that_reach_it():
     outside = [ast.parse("from ponodet import ops as o\n"
                          "def f(x):\n    return o.scale(o.shift(x), k=3)\n")]
     assert unvaried_defaults(modules, outside) == ["ops:shift(d)", "ops:Acc.__init__(start)"]
+
+
+# a `key = value` line of a config text; `==` is no setting
+KEY_LINE = re.compile(r"^\s*(\w+)\s*=(?!=)", re.M)
+
+
+def set_keys(tree: ast.Module) -> set[str]:
+    """The names a file sets: the keywords of its calls and the keys of the
+    `key = value` lines in its string literals, f-string parts included."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keys |= {k.arg for k in node.keywords if k.arg}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            keys |= set(KEY_LINE.findall(node.value))
+    return keys
+
+
+def unset_config_keys(configs, trees: list[ast.Module]) -> list[str]:
+    """`Class.field` for each field of the dataclasses `configs` that no
+    file of `trees` sets."""
+    keys = set().union(*map(set_keys, trees))
+    return [f"{cls.__name__}.{f.name}" for cls in configs for f in fields(cls)
+            if f.name not in keys]
+
+
+def test_every_config_key_is_set_outside_the_tests():
+    trees = [parse(p) for p in sorted(PACKAGE.glob("*.py"))
+             + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+             if not p.name.startswith("test_")]
+    unset = unset_config_keys((TrainConfig, ToyNetConfig, GenSpec), trees)
+    assert not unset, "config keys only tests set: " + ", ".join(unset)
+
+
+def test_a_config_key_counts_only_settings():
+    @dataclass
+    class Cfg:
+        by_keyword: int = 0
+        by_text: int = 0
+        by_f_string: int = 0
+        compared: int = 0
+        assigned: int = 0
+
+    trees = [ast.parse(src) for src in (
+        "run(by_keyword=1)\nassigned = 2\n",
+        'TEXT = """\nby_text = 3\n"""\nOK = "compared == 4"\n',
+        'def text(v):\n    return f"x = {v}\\nby_f_string = 5\\n"\n')]
+    assert unset_config_keys([Cfg], trees) == ["Cfg.compared", "Cfg.assigned"]
 
 
 def test_src_imports_only_declared_dependencies():

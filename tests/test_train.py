@@ -34,6 +34,13 @@ def one_object_scene(image_size=32):
     return Scene(img, gt)
 
 
+def train_on_one_scene(state, scene, cfg) -> list[LossReport]:
+    """`cfg.max_iter` steps from iteration 0 on the one scene, never
+    mirrored: a tabular predictor's outputs are that scene's."""
+    bank = SceneBank([scene], state.grid)
+    return [train_iteration(state, [scene], cfg, bank) for _ in range(cfg.max_iter)]
+
+
 def tabular_state(scene, shapes=((8.0, 8.0),), stride=8):
     size = scene.image.shape[0]
     f = size // stride
@@ -175,8 +182,8 @@ class TestTrainIteration:
         # decays toward zero (smoothed, after warmup)
         scene = one_object_scene()
         state = tabular_state(scene, shapes=((8.0, 8.0), (12.0, 12.0)))
-        cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit", flip=False)
-        reports = run_training(state, SceneBank([scene], state.grid), cfg)
+        cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit")
+        reports = train_on_one_scene(state, scene, cfg)
         loc = np.array([r.loc for r in reports])
         smooth = np.convolve(loc, np.ones(25) / 25, mode="valid")
         tail = smooth[10:]
@@ -188,8 +195,8 @@ class TestTrainIteration:
         # predicted overlap to 1 and its product-rule label positive
         scene = one_object_scene()
         state = tabular_state(scene, shapes=((10.0, 9.0),))
-        cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit", flip=False)
-        run_training(state, SceneBank([scene], state.grid), cfg)
+        cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit")
+        train_on_one_scene(state, scene, cfg)
         am = assign_ao(state.grid, scene.gt)
         o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
                                 Assignment.stack([am]))[0]
@@ -210,8 +217,8 @@ class TestTrainIteration:
         am = assign_ao(state.grid, scene.gt)
         torn = (1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
         assert 0.0 < am.pono[torn] <= 0.5
-        cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned", flip=False)
-        run_training(state, SceneBank([scene], state.grid), cfg)
+        cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned")
+        train_on_one_scene(state, scene, cfg)
         o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
                                 Assignment.stack([am]))[0]
         assert ams_labels(am.pono, o_hat)[torn] == 0
@@ -356,10 +363,11 @@ class TestSceneCache:
             return a
 
         monkeypatch.setattr(train_mod, "assign_ao", recording_assign)
-        run_training(state, SceneBank([scene], state.grid),
-                     TrainConfig(max_iter=3, flip=False))
+        cfg = TrainConfig(max_iter=3)
+        run_training(state, SceneBank([scene], state.grid), cfg)
         gc.collect()
-        assert len(made) == 1 and made[0]() is None
+        assert len(made) == len(drawn_variants(cfg, 1))
+        assert all(ref() is None for ref in made)
         assert {f.name for f in fields(RunState)} == {"model", "bw", "grid",
                                                       "iteration", "velocity"}
 
@@ -367,8 +375,10 @@ class TestSceneCache:
         scene = self.crowded_scene()
         state = tabular_state(scene)
         bank = SceneBank([scene], state.grid)
-        run_training(state, bank, TrainConfig(max_iter=3, flip=False))
-        assert list(bank.assignments) == [scene.gt]
+        cfg = TrainConfig(max_iter=3)
+        run_training(state, bank, cfg)
+        assert set(bank.assignments) == {bank.variant(i, mirrored).gt
+                                         for i, mirrored in drawn_variants(cfg, 1)}
         mirrored = bank.variant(0, True)
         assert bank.variant(0, True) is mirrored and bank.variant(0, False) is scene
         # the mirror is a view: the bank holds one copy of each scene's pixels
@@ -382,7 +392,7 @@ def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
     for it in range(cfg.max_iter):
         rng = np.random.default_rng([cfg.seed, 7, it])
         for i in rng.integers(0, n_scenes, size=cfg.batch_size):
-            drawn.add((int(i), bool(cfg.flip and rng.random() < 0.5)))
+            drawn.add((int(i), bool(rng.random() < 0.5)))
     return drawn
 
 
@@ -423,8 +433,8 @@ class TestFreezeRule:
         grid = build_grid(aset, 4, 4, 8)
         model = TabularPredictor(4, 4, 2, 2)
         state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
-        cfg = TrainConfig(lr0=0.05, max_iter=60, mode="learned", flip=False)
-        run_training(state, SceneBank([scene], state.grid), cfg)
+        cfg = TrainConfig(lr0=0.05, max_iter=60, mode="learned")
+        train_on_one_scene(state, scene, cfg)
         assert np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
         assert np.all(state.bw["bw.s_loc_grid"][1] == 1.0)
         # the trained class moved
@@ -442,7 +452,7 @@ class TestFreezeHoldsMomentum:
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
                                             head_convs=1), grid, 0)
         bank = SceneBank([both, only_0], grid)
-        cfg = TrainConfig(lr0=0.05, max_iter=8, label_rule="PONO", flip=False)
+        cfg = TrainConfig(lr0=0.05, max_iter=8, label_rule="PONO")
         keys = ("bw.s_cls_grid", "bw.s_loc_grid")
 
         def class_1():
@@ -495,7 +505,11 @@ class TestDeterminismAndResume:
 
         resumed_state = load_run(tmp_path / "ckpt_000006.bin")
         assert resumed_state.iteration == 6
-        rest = run_training(resumed_state, SceneBank(scenes, resumed_state.grid), cfg)
+        rest = run_training(resumed_state, SceneBank(scenes, resumed_state.grid), cfg,
+                            run_dir=tmp_path)
+        # a resumed run removes no checkpoint of the run it resumes
+        assert sorted(p.name for p in tmp_path.glob("ckpt_*")) == \
+            ["ckpt_000006.bin", "ckpt_000012.bin"]
 
         assert [r.total for r in rest] == [r.total for r in straight[6:]]
         for k in state.model.params:
@@ -858,9 +872,8 @@ CONFIG_FIELDS = [(cls, f.name) for cls in (TrainConfig, ToyNetConfig)
 
 class TestConfigParsing:
     def test_defaults_and_overrides(self):
-        cfg = config_from_kv(TrainConfig, {"max_iter": "50", "mode": "unit",
-                                           "flip": "false"}, "cfg.txt")
-        assert cfg.max_iter == 50 and cfg.mode == "unit" and cfg.flip is False
+        cfg = config_from_kv(TrainConfig, {"max_iter": "50", "mode": "unit"}, "cfg.txt")
+        assert cfg.max_iter == 50 and cfg.mode == "unit"
         assert cfg.lr0 == 0.005 and train_mod.MOMENTUM == 0.9 and train_mod.POLY_POWER == 0.9
 
     def test_empty_kv_gives_defaults(self):
@@ -869,8 +882,7 @@ class TestConfigParsing:
 
     def test_every_field_round_trips(self):
         cfg = TrainConfig(lr0=0.02, max_iter=7, batch_size=3, mode="unit",
-                          label_rule="AO", cls_loss="FL", seed=42, flip=False,
-                          checkpoint_every=2)
+                          label_rule="AO", cls_loss="FL", seed=42, checkpoint_every=2)
         net = ToyNetConfig(input_size=96, base_channels=3, levels=3, head_convs=0)
         for c in (cfg, net):
             kv = {f.name: str(getattr(c, f.name)) for f in fields(c)}
@@ -883,15 +895,8 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             TrainConfig(cls_loss="hinge")
 
-    @pytest.mark.parametrize("words,value", [(("true", "YES", "1"), True),
-                                             (("false", "No", "0"), False)])
-    def test_boolean_words(self, words, value):
-        for word in words:
-            assert config_from_kv(TrainConfig, {"flip": word}, "cfg.txt").flip is value
-
     @pytest.mark.parametrize("cls,key,text,message", [
         (TrainConfig, "lr0", "abc", "lr0: could not convert string to float: 'abc'"),
-        (TrainConfig, "flip", "maybe", "flip: 'maybe' is not one of true, yes, 1,"),
         (TrainConfig, "lr0", "inf", "lr0 must be finite and >= 0"),
         (TrainConfig, "lr0", "nan", "lr0 must be finite and >= 0"),
         (TrainConfig, "batch_size", "0", "batch_size must be >= 1"),
