@@ -15,17 +15,17 @@ A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map and one
 pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums
 per grid and weights in one record.  The training scenes live in a
-`SceneBank` on one anchor grid.  A scene's mirror image and the
-`Assignment` of each scene variant (plain or mirrored) against the grid
-never change, so the bank computes each on first use and keeps it for as
-long as its owner keeps the bank: every cell of an ablation shares one.
-The batch's records are stacked each iteration, and the gate and labels
-read off them depend on the config and are recomputed each iteration.
-Batch losses are the sums over the batch's scenes divided by the summed
-positive counts (equivalently: maps averaged before weighting).  The
-batch RNG is derived from (seed, iteration), which makes checkpoint
-resume bit-exact without serializing generator state, and makes every
-run with the same seed draw the same batches.
+`SceneBank` on one anchor grid, and a run draws them by key
+`(index, mirrored)`.  A drawn variant and its `Assignment` against the
+grid never change, so the bank makes the pair on first use and keeps it
+for as long as its owner keeps the bank: every cell of an ablation
+shares one.  The batch's records are stacked each iteration, and the
+gate and labels read off them depend on the config and are recomputed
+each iteration.  Batch losses are the sums over the batch's scenes
+divided by the summed positive counts (equivalently: maps averaged
+before weighting).  The batch RNG is derived from (seed, iteration),
+which makes checkpoint resume bit-exact without serializing generator
+state, and makes every run with the same seed draw the same batches.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import AnchorGrid, AnchorSet
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
-from .data import Scene, hflip
+from .data import Scene, atomic_open, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, load_arrays, save_arrays
 
@@ -159,31 +159,20 @@ def anchor_grid(anchor_set: AnchorSet, image_size: int) -> AnchorGrid:
 
 
 class SceneBank:
-    """Training scenes on one anchor grid, each drawn plain or mirrored.
+    """Training scenes on one anchor grid, drawn by key `(index, mirrored)`.
 
-    A scene's mirror image (a view of its image, so the bank holds no
-    second copy of the pixels) and each variant's `Assignment` against the
-    grid are computed on first use and kept for the bank's life, so runs
-    that share a bank (the cells of one ablation) flip and assign each
-    variant once.
+    `variants` maps each drawn key to the pair (the scene, plain or
+    mirrored; its `Assignment` against the grid).  `scene_cache` makes a
+    pair on first use and the bank keeps it for its life, so runs that
+    share a bank (the cells of one ablation) flip and assign each variant
+    once.  A mirror's image is a view of its scene's, so the bank holds one
+    copy of the pixels.
     """
 
     def __init__(self, scenes: list[Scene], grid: AnchorGrid):
         self.scenes = scenes
         self.grid = grid
-        self._flipped: dict[int, Scene] = {}
-        # GroundTruth -> Assignment; a GroundTruth hashes by identity, and
-        # the key held here keeps its id from passing to a new one
-        self.assignments: dict = {}
-
-    def variant(self, index: int, flip: bool) -> Scene:
-        """Scene `index`, mirrored if `flip`."""
-        if not flip:
-            return self.scenes[index]
-        scene = self._flipped.get(index)
-        if scene is None:
-            scene = self._flipped[index] = hflip(self.scenes[index])
-        return scene
+        self.variants: dict[tuple[int, bool], tuple[Scene, Assignment]] = {}
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -200,12 +189,15 @@ def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray,
     params -= lr * velocity
 
 
-def scene_cache(bank: SceneBank, scene: Scene) -> Assignment:
-    """The scene's assignment against the bank's grid, computed on first use."""
-    cached = bank.assignments.get(scene.gt)
-    if cached is None:
-        cached = bank.assignments[scene.gt] = assign_ao(bank.grid, scene.gt)
-    return cached
+def scene_cache(bank: SceneBank, key: tuple[int, bool]) -> tuple[Scene, Assignment]:
+    """The bank's variant `key` = (index, mirrored) and its assignment
+    against the bank's grid, made on first use."""
+    pair = bank.variants.get(key)
+    if pair is None:
+        index, mirrored = key
+        scene = hflip(bank.scenes[index]) if mirrored else bank.scenes[index]
+        pair = bank.variants[key] = (scene, assign_ao(bank.grid, scene.gt))
+    return pair
 
 
 def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
@@ -218,20 +210,21 @@ def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
     return mask.astype(np.float64), labels
 
 
-def train_iteration(state: RunState, batch: list[Scene], cfg: TrainConfig,
+def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainConfig,
                     bank: SceneBank) -> LossReport:
-    """One optimizer step over a batch of scenes, as one taped pass over
-    the stacked batch.  The scenes' assignments come from `bank`, which
+    """One optimizer step over the batch of `bank` variants drawn as `keys`
+    (index, mirrored), as one taped pass over the stacked batch.  The bank
     must be on the state's grid."""
     learned = cfg.mode == "learned"
     state.flat_grad.fill(0.0)
-    assignment = Assignment.stack([scene_cache(bank, scene) for scene in batch])
+    batch = [scene_cache(bank, key) for key in keys]
+    assignment = Assignment.stack([a for _, a in batch])
     # every taped tensor points at the tape and the tape's records point
     # back at them; clearing the records, also after a raise, frees the
     # iteration's tensors without waiting for the cyclic collector and
     # leaves the next iteration an empty tape
     try:
-        out = state.model.forward(state.leaves, np.stack([scene.image for scene in batch]))
+        out = state.model.forward(state.leaves, np.stack([scene.image for scene, _ in batch]))
         o_hat = pred_iou_values(state.grid, out.offsets, assignment)
         gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
         loc_map = loss_mod.loc_loss_map(gate, o_hat)
@@ -273,16 +266,18 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
                  run_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
-    Each iteration draws its batch of the bank's scenes, and mirrors each
-    drawn scene with probability 0.5, from the per-iteration RNG.  The
-    bank's mirrors and assignments outlive the call; a bank on another grid
-    than the state's raises ValueError.  With a `run_dir`, the run makes
-    that directory and owns the names of the files it writes there:
-    `log.csv`, one row per iteration, and with `cfg.checkpoint_every` a
+    Each iteration draws its batch from the per-iteration RNG as keys
+    (index, mirrored) of the bank's scenes, each mirrored with probability
+    0.5.  The bank's variants outlive the call; a bank on another grid than
+    the state's raises ValueError.  With a `run_dir`, the run makes that
+    directory and owns the names of the files it writes there: `log.csv`,
+    a header and one row per iteration, and with `cfg.checkpoint_every` a
     `ckpt_NNNNNN.bin` at every multiple of it.  A run from iteration 0
     removes the directory's checkpoints of an earlier run and starts
-    `log.csv` afresh; a resumed run removes nothing and appends to the log,
-    and the log is flushed before each checkpoint.  A non-finite loss
+    `log.csv` afresh.  A resumed run removes no checkpoint; it rewrites
+    `log.csv` (atomically) to the header and the complete rows below its
+    iteration, then appends, so a resume writes the log a straight run
+    would.  The log is flushed before each checkpoint.  A non-finite loss
     raises FloatingPointError naming the iteration, before that iteration
     is logged or checkpointed.  The conv2d work arrays the run's passes
     reuse live on the state's tape until the call returns.
@@ -293,21 +288,28 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     log = None
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
+        path = os.path.join(run_dir, "log.csv")
+        rows = []
         if state.iteration == 0:
             for name in os.listdir(run_dir):
                 if _CHECKPOINT.fullmatch(name):
                     os.remove(os.path.join(run_dir, name))
-        log = open(os.path.join(run_dir, "log.csv"), "w" if state.iteration == 0 else "a")
+        elif os.path.exists(path):
+            with open(path) as f:
+                rows = [row for row in f.readlines()[1:] if row.endswith("\n")
+                        and int(row.split(",", 1)[0]) < state.iteration]
+        with atomic_open(path) as f:
+            f.write(LossReport.CSV_HEADER + "\n")
+            f.writelines(rows)
+        log = open(path, "a")
     try:
-        if log and state.iteration == 0:
-            log.write(LossReport.CSV_HEADER + "\n")
         while state.iteration < cfg.max_iter:
             it = state.iteration
             rng = np.random.default_rng([cfg.seed, 7, it])
             idx = rng.integers(0, len(bank.scenes), size=cfg.batch_size)
-            batch = [bank.variant(int(i), rng.random() < 0.5) for i in idx]
+            keys = [(int(i), rng.random() < 0.5) for i in idx]
             lr = lr_at(it, cfg)
-            report = train_iteration(state, batch, cfg, bank)
+            report = train_iteration(state, keys, cfg, bank)
             if not np.isfinite(report.total):
                 raise FloatingPointError(
                     f"non-finite loss {report.total!r} at iteration {it}")
@@ -351,7 +353,9 @@ def load_run(path) -> RunState:
     an entry the run does not know or of another shape than its `meta.*`
     entries imply, a `meta.*` entry that is not one finite whole number,
     a size below 1 or an anchor side that is not finite and positive,
-    raises ValueError naming the path and the entry."""
+    raises ValueError naming the path and the entry.  Its `mom.*` entries
+    must be none, every `model.*` array's, or every trained array's; a
+    missing one is named by the first in optimizer order."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -412,9 +416,12 @@ def load_run(path) -> RunState:
                          "not finite and positive")
     for name in model.params:
         model.params[name] = entry(f"model.{name}")
+    # the momentum buffers are those of a prefix the optimizer steps: none,
+    # the model's, or every trained array's; a resume would zero a missing one
+    held = {name for name in [*params, *bw] if f"mom.{name}" in arrays}
+    stepped = [*params, *bw] if held & bw.keys() else list(params) if held else []
     # construction copies every array into the state's flat vectors
     return RunState(model=model, grid=anchor_grid(AnchorSet(sides), cfg.input_size),
                     bw={name: entry(name) for name in bw},
                     iteration=meta("meta.iteration"),
-                    velocity={name[len("mom."):]: arr for name, arr in arrays.items()
-                              if name.startswith("mom.")})
+                    velocity={name: entry(f"mom.{name}") for name in stepped})

@@ -275,7 +275,7 @@ def test_c04_freeze_rule():
     # the tabular predictor's outputs are one fixed scene's, never mirrored
     bank = SceneBank(scenes[:1], state.grid)
     for _ in range(cfg.max_iter):
-        train_iteration(state, scenes[:1], cfg, bank)
+        train_iteration(state, [(0, False)], cfg, bank)
     frozen = (np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
               and np.all(state.bw["bw.s_loc_grid"][1] == 1.0))
     trained = np.any(state.bw["bw.s_cls_grid"][0] != 1.0)

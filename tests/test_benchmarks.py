@@ -71,8 +71,8 @@ def test_cells_share_the_scene_bank(monkeypatch):
                         lambda grid, gt: calls.append(gt) or assign(grid, gt))
     results = [B.run_cell(bench, label_rule=rule, max_iter=ITERS) for rule in RULES]
     cfg = replace(bench.train_cfg, max_iter=ITERS)
-    assert len(calls) == len(drawn_variants(cfg, bench.n_train)) == len(
-        bench.setup.bank.assignments)
+    assert len(calls) == len(bench.setup.bank.variants)
+    assert set(bench.setup.bank.variants) == drawn_variants(cfg, bench.n_train)
     assert all(r["state"].grid is bench.setup.bank.grid for r in results)
 
 
@@ -102,3 +102,36 @@ class TestBenchContract:
         lookups = 2 * ITERS * bench.train_cfg.batch_size
         assert figures["assignment.scene_cache_hit_ratio"][0] == pytest.approx(
             1 - len(drawn_variants(cfg, bench.n_train)) / lookups)
+
+    def test_cli_ablate_spans(self, tracer_module, tmp_path):
+        # the path the `ablate_cli` workload runs: gen-data, then one
+        # ablate with checkpoints through `cli.run`
+        from collections import Counter
+        from ponodet.cli import run
+        from test_cli import GENSPEC
+        cells, iters, every, n_scenes = ("AMS:learned:CE", "AO:retina_norm:FL"), 4, 2, 6
+        cfg = train_mod.TrainConfig(max_iter=iters, batch_size=2, seed=9,
+                                    checkpoint_every=every)
+        (tmp_path / "genspec.txt").write_text(GENSPEC)
+        (tmp_path / "ablate.txt").write_text(
+            "base_channels = 2\nlevels = 2\nhead_convs = 1\n"
+            f"max_iter = {iters}\nbatch_size = {cfg.batch_size}\nseed = {cfg.seed}\n"
+            f"checkpoint_every = {every}\nn_a = 2\ndataset = {tmp_path / 'ds'}\n"
+            f"cells = {','.join(cells)}\n")
+        with tracer_module.Tracer(tracer_module.LAYERS) as tracer:
+            assert not tracer.skipped
+            assert run(["gen-data", "--config", str(tmp_path / "genspec.txt"),
+                        "--out", str(tmp_path / "ds"), "-n", str(n_scenes)]) == 0
+            assert run(["ablate", "--config", str(tmp_path / "ablate.txt"),
+                        "--out", str(tmp_path / "ab")]) == 0
+        counts = Counter(span.name for span in tracer.spans)
+        assert counts["train.run_training"] == len(cells)
+        assert [s.info["scenes"] for s in tracer.named("train.iteration")] \
+            == [cfg.batch_size] * (len(cells) * iters)
+        assert counts["evaluation.dataset_detections"] == len(cells)
+        assert counts["evaluation.map_eval"] == len(cells)
+        assert counts["anchors.kmeans"] == 1
+        assert counts["train.save_run"] == len(cells) * (iters // every + 1)
+        figures = tracer_module.layer_metrics(tracer)
+        assert figures["assignment.scene_cache_misses"][0] \
+            == len(drawn_variants(cfg, n_scenes))

@@ -175,7 +175,7 @@ class TestBalancedTotals:
         state = RunState(model=TabularPredictor(2, 2, 1, 1),
                          grid=anchor_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 16),
                          bw=initial_balance(1, 1))
-        rep = train_iteration(state, [scene], TrainConfig(max_iter=2, mode="unit"),
+        rep = train_iteration(state, [(0, False)], TrainConfig(max_iter=2, mode="unit"),
                               SceneBank([scene], state.grid))
         assert rep.loc == 0.0 and np.isfinite(rep.total)
         assert rep.n_pos == 0

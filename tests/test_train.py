@@ -16,7 +16,7 @@ from ponodet import loss as loss_mod
 from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
-from ponodet.data import GenSpec, Scene, config_from_kv, generate
+from ponodet.data import GenSpec, Scene, config_from_kv, generate, hflip
 from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
 from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, anchor_grid,
@@ -38,7 +38,12 @@ def train_on_one_scene(state, scene, cfg) -> list[LossReport]:
     """`cfg.max_iter` steps from iteration 0 on the one scene, never
     mirrored: a tabular predictor's outputs are that scene's."""
     bank = SceneBank([scene], state.grid)
-    return [train_iteration(state, [scene], cfg, bank) for _ in range(cfg.max_iter)]
+    return [train_iteration(state, [(0, False)], cfg, bank) for _ in range(cfg.max_iter)]
+
+
+def plain(n: int) -> list[tuple[int, bool]]:
+    """The draw keys of a bank's first `n` scenes, none mirrored."""
+    return [(i, False) for i in range(n)]
 
 
 def tabular_state(scene, shapes=((8.0, 8.0),), stride=8):
@@ -149,7 +154,7 @@ class TestSgdStep:
             step(p, v, g, lr)
 
         monkeypatch.setattr(train_mod, "sgd_step", spy)
-        train_iteration(state, scenes[:2], cfg, SceneBank(scenes[:2], state.grid))
+        train_iteration(state, plain(2), cfg, SceneBank(scenes, state.grid))
         (n, g, lr), = steps
         trained = by_name(state, g)
         assert n == (len(state.flat_params) if mode == "learned" else state.n_model)
@@ -170,9 +175,9 @@ class TestTrainIteration:
         scene = one_object_scene()
         state = tabular_state(scene)
         cfg = TrainConfig(lr0=0.0, max_iter=10, mode="learned")
-        first = train_iteration(state, [scene], cfg, SceneBank([scene], state.grid))
+        first = train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.grid))
         for _ in range(3):
-            rep = train_iteration(state, [scene], cfg, SceneBank([scene], state.grid))
+            rep = train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.grid))
         assert rep.total == first.total
         assert rep.loc == first.loc and rep.cls == first.cls
 
@@ -226,7 +231,7 @@ class TestTrainIteration:
     def test_report_total_decomposition(self):
         scene = one_object_scene()
         state = tabular_state(scene)
-        rep = train_iteration(state, [scene], TrainConfig(max_iter=5),
+        rep = train_iteration(state, [(0, False)], TrainConfig(max_iter=5),
                               SceneBank([scene], state.grid))
         assert rep.total == rep.loc + rep.cls + rep.reg
 
@@ -236,7 +241,7 @@ class TestTrainIteration:
         s0 = state.bw["bw.s_cls_grid"].copy()
         cfg = TrainConfig(lr0=0.05, max_iter=5, mode="unit")
         for _ in range(5):
-            train_iteration(state, [scene], cfg, SceneBank([scene], state.grid))
+            train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.grid))
         np.testing.assert_array_equal(state.bw["bw.s_cls_grid"], s0)
         assert state.bw["bw.s_cls"] == 1.0
 
@@ -290,7 +295,8 @@ class TestBatchedIteration:
         monkeypatch.setattr(train_mod, "sgd_step",
                             lambda params, velocity, g, lr:
                             seen.update(by_name(state, g.copy())))
-        report = train_iteration(state, batch, cfg, SceneBank(batch, state.grid))
+        report = train_iteration(state, [(1, False), (4, False)], cfg,
+                                 SceneBank(scenes, state.grid))
         np.testing.assert_allclose((report.loc, report.cls, report.reg), terms,
                                    rtol=1e-12, atol=1e-12)
         assert report.n_pos == n_pos
@@ -307,7 +313,7 @@ class TestBatchedIteration:
         monkeypatch.setattr(state.model, "forward",
                             lambda params, images: calls.append(images.shape) or
                             forward(params, images))
-        train_iteration(state, scenes[:3], cfg, SceneBank(scenes[:3], state.grid))
+        train_iteration(state, plain(3), cfg, SceneBank(scenes, state.grid))
         assert calls == [(3, 32, 32, 3)]
 
 
@@ -327,10 +333,10 @@ class TestSceneCache:
         ao = TrainConfig(lr0=0.0, max_iter=5, label_rule="AO")
         reused = tabular_state(scene, shapes=shapes)
         bank = SceneBank([scene], reused.grid)
-        n_pono = train_iteration(reused, [scene], pono, bank).n_pos
-        n_ao = train_iteration(reused, [scene], ao, bank).n_pos
+        n_pono = train_iteration(reused, [(0, False)], pono, bank).n_pos
+        n_ao = train_iteration(reused, [(0, False)], ao, bank).n_pos
         fresh = tabular_state(scene, shapes=shapes)
-        assert n_ao == train_iteration(fresh, [scene], ao,
+        assert n_ao == train_iteration(fresh, [(0, False)], ao,
                                        SceneBank([scene], fresh.grid)).n_pos
         assert 0 < n_ao != n_pono  # 2 against 11 on this scene and these anchors
 
@@ -343,9 +349,10 @@ class TestSceneCache:
         for k in (1, 2, 3, 1, 3, 2):
             scene = Scene(img, GroundTruth(
                 [(6.0 + 8 * j, 6.0, 8.0, 8.0) for j in range(k)], [0] * k))
-            n_pos = train_iteration(reused, [scene], cfg, SceneBank([scene], reused.grid)).n_pos
+            n_pos = train_iteration(reused, [(0, False)], cfg,
+                                    SceneBank([scene], reused.grid)).n_pos
             fresh = tabular_state(scene)
-            assert n_pos == train_iteration(fresh, [scene], cfg,
+            assert n_pos == train_iteration(fresh, [(0, False)], cfg,
                                             SceneBank([scene], fresh.grid)).n_pos
             del scene
 
@@ -377,12 +384,8 @@ class TestSceneCache:
         bank = SceneBank([scene], state.grid)
         cfg = TrainConfig(max_iter=3)
         run_training(state, bank, cfg)
-        assert set(bank.assignments) == {bank.variant(i, mirrored).gt
-                                         for i, mirrored in drawn_variants(cfg, 1)}
-        mirrored = bank.variant(0, True)
-        assert bank.variant(0, True) is mirrored and bank.variant(0, False) is scene
-        # the mirror is a view: the bank holds one copy of each scene's pixels
-        assert np.shares_memory(mirrored.image, scene.image)
+        assert set(bank.variants) == drawn_variants(cfg, 1) == {(0, False), (0, True)}
+        assert bank.variants[0, False][0] is scene
 
 
 def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
@@ -406,12 +409,27 @@ class TestSceneBank:
                             lambda grid, gt: calls.append(gt) or assign(grid, gt))
         run_training(state, bank, cfg)
         first = len(calls)
-        assert first == len(drawn_variants(cfg, len(scenes)))
+        assert set(bank.variants) == drawn_variants(cfg, len(scenes))
+        assert first == len(bank.variants)
         # a second run on the bank draws the first run's variants and more
         longer = replace(cfg, max_iter=9, label_rule="AO")
         run_training(RunState.fresh(state.model.cfg, state.grid, longer.seed), bank, longer)
-        assert len(calls) == len(drawn_variants(longer, len(scenes))) > first
-        assert len(set(map(id, calls))) == len(calls) == len(bank.assignments)
+        assert set(bank.variants) == drawn_variants(longer, len(scenes))
+        assert len(calls) == len(bank.variants) > first
+        # one assignment per key, made on its own variant's ground truth
+        for gt, (scene, _) in zip(calls, bank.variants.values(), strict=True):
+            assert gt is scene.gt
+
+    def test_mirrored_variant_is_a_view(self, tmp_path):
+        scenes, _, state = TestDeterminismAndResume().make_setup(tmp_path)
+        bank = SceneBank(scenes, state.grid)
+        mirrored, assignment = train_mod.scene_cache(bank, (2, True))
+        assert np.shares_memory(mirrored.image, scenes[2].image)
+        np.testing.assert_array_equal(mirrored.image, hflip(scenes[2]).image)
+        np.testing.assert_array_equal(mirrored.gt.boxes, hflip(scenes[2]).gt.boxes)
+        again = train_mod.scene_cache(bank, (2, True))
+        assert again[0] is mirrored and again[1] is assignment
+        assert list(bank.variants) == [(2, True)]
 
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
@@ -460,11 +478,11 @@ class TestFreezeHoldsMomentum:
                     for a in (state.bw[key], state.momentum_views[key])]
 
         for _ in range(3):
-            assert train_iteration(state, [both], cfg, bank).per_grid_pos[1].any()
+            assert train_iteration(state, [(0, False)], cfg, bank).per_grid_pos[1].any()
         held = class_1()
         assert np.any(held[1] != 0.0)  # momentum the step could carry on
         for _ in range(5):
-            assert not train_iteration(state, [only_0], cfg, bank).per_grid_pos[1].any()
+            assert not train_iteration(state, [(1, False)], cfg, bank).per_grid_pos[1].any()
             for now, then in zip(class_1(), held):
                 np.testing.assert_array_equal(now, then)
         # class 0 keeps training
@@ -502,14 +520,22 @@ class TestDeterminismAndResume:
         scenes, cfg, state = self.make_setup(tmp_path)
         cfg = replace(cfg, checkpoint_every=6)
         straight = run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
+        log = (tmp_path / "log.csv").read_bytes()
 
         resumed_state = load_run(tmp_path / "ckpt_000006.bin")
         assert resumed_state.iteration == 6
         rest = run_training(resumed_state, SceneBank(scenes, resumed_state.grid), cfg,
                             run_dir=tmp_path)
-        # a resumed run removes no checkpoint of the run it resumes
+        # a resumed run removes no checkpoint of the run it resumes, and
+        # cuts the log back to the checkpoint before it appends
         assert sorted(p.name for p in tmp_path.glob("ckpt_*")) == \
             ["ckpt_000006.bin", "ckpt_000012.bin"]
+        assert (tmp_path / "log.csv").read_bytes() == log
+        # into a directory with no log: the header and the resumed rows
+        run_training(load_run(tmp_path / "ckpt_000006.bin"),
+                     SceneBank(scenes, resumed_state.grid), cfg, run_dir=tmp_path / "new")
+        lines = log.decode().splitlines(keepends=True)
+        assert (tmp_path / "new" / "log.csv").read_text() == "".join(lines[:1] + lines[7:])
 
         assert [r.total for r in rest] == [r.total for r in straight[6:]]
         for k in state.model.params:
@@ -606,7 +632,7 @@ class TestTapeShape:
     def test_records_per_iteration(self, monkeypatch, bench, cell, records):
         scenes, state, cfg = bench_run(bench, cell)
         counts = count_records(monkeypatch)
-        train_iteration(state, scenes, cfg, SceneBank(scenes, state.grid))
+        train_iteration(state, plain(len(scenes)), cfg, SceneBank(scenes, state.grid))
         assert counts == [records]
 
 
@@ -627,7 +653,7 @@ class TestRunLeaves:
     def test_raising_iteration_leaves_no_records(self, monkeypatch):
         scenes, state, cfg = bench_run("crowded")
         _, twin, _ = bench_run("crowded")
-        bank = SceneBank(scenes, state.grid)
+        bank, keys = SceneBank(scenes, state.grid), plain(len(scenes))
         weighted = loss_mod.weighted_totals
         at_raise = []
 
@@ -639,13 +665,13 @@ class TestRunLeaves:
 
         monkeypatch.setattr(loss_mod, "weighted_totals", raise_once)
         with pytest.raises(RuntimeError, match="injected"):
-            train_iteration(state, scenes, cfg, bank)
+            train_iteration(state, keys, cfg, bank)
         assert at_raise == [22] and state.tape.records == []
         assert state.iteration == 0
 
         counts = count_records(monkeypatch)
-        report = train_iteration(state, scenes, cfg, bank)
-        want = train_iteration(twin, scenes, cfg, bank)
+        report = train_iteration(state, keys, cfg, bank)
+        want = train_iteration(twin, keys, cfg, bank)
         assert counts == [22, 22]
         assert (report.total, report.loc, report.cls, report.reg, report.n_pos) \
             == (want.total, want.loc, want.cls, want.reg, want.n_pos)
@@ -756,6 +782,36 @@ class TestLoadRun:
             with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has no {key!r}")):
                 load_run(path)
 
+    @pytest.mark.parametrize("mode,dropped,named", [
+        ("learned", ["mom.stem1.w"], "mom.stem1.w"),
+        ("learned", ["mom.bw.s_cls"], "mom.bw.s_cls"),
+        ("learned", ["mom.stem0.w", "mom.bw.s_loc_grid"], "mom.stem0.w"),
+        ("unit", ["mom.cls_out.b"], "mom.cls_out.b")])
+    def test_partial_momentum_rejected(self, tmp_path, mode, dropped, named):
+        # a resume would restart a missing buffer at zero, so the buffers
+        # held must be none, the model's or every trained array's
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
+        run_training(state, SceneBank(scenes, state.grid), replace(cfg, mode=mode))
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        assert set(dropped) <= set(arrays)
+        path = tmp_path / "partial.bin"
+        save_arrays(path, {k: v for k, v in arrays.items() if k not in dropped})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has no {named!r}")):
+            load_run(path)
+
+    @pytest.mark.parametrize("kept", ["none", "model", "all"])
+    def test_stepped_prefix_momentum_loads(self, tmp_path, kept):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
+        run_training(state, SceneBank(scenes, state.grid), cfg)
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        keep = {"none": (), "model": tuple(state.model.params), "all": tuple(state.leaves)}[kept]
+        path = tmp_path / "prefix.bin"
+        save_arrays(path, {k: v for k, v in arrays.items()
+                           if not k.startswith("mom.") or k[len("mom."):] in keep})
+        assert list(load_run(path).velocity) == list(keep)
+
     def test_entry_shape_checked_against_meta(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
         run_training(state, SceneBank(scenes, state.grid), cfg)
@@ -849,7 +905,7 @@ class TestIterationLifetime:
         gc.collect()
         gc.disable()
         try:
-            train_iteration(state, scenes[:2], cfg, SceneBank(scenes[:2], state.grid))
+            train_iteration(state, plain(2), cfg, SceneBank(scenes, state.grid))
             assert len(roots) == 1 and roots[0]() is None
         finally:
             gc.enable()
