@@ -9,13 +9,20 @@ plot-weights, a learned-mode train at batch size 2 with checkpoints
 (stacked assignments and a batch-2 optimizer step), the anchors command,
 an ablate that reads that anchor file, a train with --seed, and gen-data at
 the pinned crowded generator's settings with the anchors command on that
-set (crowded scenes and 2 anchors per class).  It prints one
-`sha256 relpath` line per file written, sorted by path.  Run it from the
-root of a source checkout; ponodet is imported from that checkout's src/
-directory, so one command compares two checkouts:
+set (crowded scenes and 2 anchors per class).  It prints two `#` lines
+naming the numpy version and the BLAS build, on which the bytes depend,
+then one `sha256 relpath` line per file written, sorted by path.  Run it
+from the root of a source checkout; ponodet is imported from that
+checkout's src/ directory, so one command compares two checkouts:
 
     diff <(cd ../parent && python3 "$OLDPWD/scripts/artifact_digests.py") \\
          <(python3 scripts/artifact_digests.py)
+
+Its output is the manifest tests/artifact_digests.txt, which a tier-1
+test compares with a fresh run of the flow.  A change that alters output
+bytes on purpose rewrites the manifest by rerunning the script:
+
+    python3 scripts/artifact_digests.py > tests/artifact_digests.txt
 """
 
 import contextlib
@@ -143,10 +150,18 @@ def digests(root: Path) -> list[str]:
             for p in paths]
 
 
+def build() -> list[str]:
+    """The `#` lines naming the numpy version and its BLAS."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
 def main() -> int:
     sys.path.insert(0, os.path.abspath("src"))
     with tempfile.TemporaryDirectory() as tmp:
-        for line in digests(run_flow(Path(tmp))):
+        for line in build() + digests(run_flow(Path(tmp))):
             print(line)
     return 0
 

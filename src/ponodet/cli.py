@@ -137,16 +137,22 @@ def cmd_anchors(args) -> int:
     return 0
 
 
+def _remove(directory, *names: str) -> None:
+    """Remove the files `names` an earlier run left in `directory`, if any."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, name))
+
+
 def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
                 out_dir: str) -> RunState:
     """Train a fresh network on the bank's scenes and grid and write its
-    run to `out_dir`, where only a finished run leaves a `final.bin`."""
-    final = os.path.join(out_dir, "final.bin")
-    with contextlib.suppress(FileNotFoundError):  # an earlier run's, if any
-        os.remove(final)
+    run to `out_dir`, where only a finished run leaves a `final.bin` and
+    only a scored one a report."""
+    _remove(out_dir, "final.bin", "report.csv", "report.txt")
     state = RunState.fresh(net, bank.grid, cfg.seed)
     run_training(state, bank, cfg, run_dir=out_dir)
-    save_run(final, state)
+    save_run(os.path.join(out_dir, "final.bin"), state)
     return state
 
 
@@ -230,6 +236,8 @@ def cmd_assign_dump(args) -> int:
         if state is not None:
             data_mod.write_pnm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
                                o_hat[:, :, c, a])
+        else:  # an earlier dump's, which this one's pred_iou of 0 contradicts
+            _remove(args.out, f"prediou_c{c}_a{a}.pgm")
     with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
         f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
         for i, j, c, a in np.ndindex(labels.shape):
@@ -317,10 +325,12 @@ def cmd_ablate(args) -> int:
         _check_classes(eval_dir, eval_scenes, anchor_set.n_classes)
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
-    with contextlib.suppress(FileNotFoundError):  # an earlier run's, if any
-        os.remove(summary)
+    _remove(args.out, "summary.csv")
+    clustered = os.path.join(args.out, "anchors.txt")
     if not kv.get("anchors"):
-        save_anchor_set(os.path.join(args.out, "anchors.txt"), anchor_set)
+        save_anchor_set(clustered, anchor_set)
+    elif os.path.exists(clustered) and not os.path.samefile(clustered, kv["anchors"]):
+        os.remove(clustered)  # an earlier run's, which the given anchors replace
     # one bank for every cell: the cells draw the same batches, so each
     # scene is mirrored and assigned once per ablation
     bank = SceneBank(scenes, anchor_grid(anchor_set, net.input_size))

@@ -55,6 +55,10 @@ class ToyNetConfig:
             raise ValueError("levels must be >= 2")
         if self.head_convs < 0:
             raise ValueError("head_convs must be >= 0")
+        # bound levels by the input size before the power below is built
+        if self.levels - 1 > max(self.input_size, 1).bit_length():
+            raise ValueError(f"levels = {self.levels} is too many for a "
+                             f"{self.input_size}px input")
         need = FEAT_STRIDE * 2 ** (self.levels - 1)
         if self.input_size < 1 or self.input_size % need:
             raise ValueError(f"input_size must be a positive multiple of {need} "

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import functools
+import hashlib
 import math
 import multiprocessing
 import os
@@ -25,12 +26,14 @@ from ponodet.geometry import Detections, pairwise_iou
 from ponodet.loss import (bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.model import ToyNetConfig
-from ponodet.train import RunState, SceneBank, TrainConfig, sgd_step, train_iteration
+from ponodet.train import (RunState, SceneBank, TrainConfig, lr_at, sgd_step,
+                           train_iteration)
 
 from test_autodiff import grad_check, reduce_sum, take
 from test_evaluation import average_precision, brute_force_ap
 from test_geometry import decode_cxywh, iou_oracle
 from test_anchors import build_grid, grid_search_single_shape
+from test_cli import read_manifest
 from test_model import TabularPredictor
 
 # mAP-point floor (x100 scale) by which unit weighting must trail learned
@@ -124,6 +127,27 @@ def crowded_runs(pinned_runs):
 @pytest.fixture(scope="session")
 def easy_run(pinned_runs):
     return pinned_runs[("easy", None, None)]
+
+
+def pinned_line(run: tuple, result: dict) -> str:
+    """A pinned run's manifest line: its name, the sha256 of its trained
+    `flat_params` and of its `log.csv` rows, and its mAP's repr."""
+    name, key, value = run
+    cfg = _benchmark(name).train_cfg
+    rows = "".join(f"{r.csv_row(i, lr_at(i, cfg))}\n" for i, r in enumerate(result["reports"]))
+    return " ".join([name + (f":{key}={value}" if key else ""),
+                     hashlib.sha256(result["state"].flat_params.tobytes()).hexdigest(),
+                     hashlib.sha256(rows.encode()).hexdigest(), repr(result["map"])])
+
+
+@pytest.mark.slow
+def test_pinned_runs_match_the_manifest(pinned_runs):
+    """Every pinned run trains the bytes and scores the mAP recorded in
+    tests/pinned_runs.txt.  The criteria below judge what the runs learn;
+    this test pins that they are the runs judged last time.  A change that
+    alters them on purpose rewrites the manifest from this test's message."""
+    got = [pinned_line(run, result) for run, result in pinned_runs.items()]
+    assert read_manifest("pinned_runs.txt") == got, "the pinned runs gave:\n" + "\n".join(got)
 
 
 # ----------------------------------------------------------------------

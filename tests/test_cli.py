@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import os
 import re
@@ -167,7 +166,9 @@ class TestRerun:
         assert len((out / "log.csv").read_text().splitlines()) == 1 + 10
 
     @pytest.mark.parametrize("command,result", [("train", "final.bin"),
-                                                ("ablate", "summary.csv")])
+                                                ("ablate", "summary.csv"),
+                                                ("ablate", "report.csv"),
+                                                ("ablate", "report.txt")])
     def test_failed_rerun_leaves_no_earlier_result(self, workspace, tmp_path, capsys,
                                                    command, result):
         argv = [command, "--out", str(tmp_path / "run")]
@@ -187,6 +188,31 @@ class TestRerun:
             assert run(argv + ["--config", str(cfg)]) == 2
         assert "non-finite loss" in capsys.readouterr().err
         assert not any((tmp_path / "run").rglob(result))
+
+    def test_ablate_given_anchors_drops_earlier_clustered_ones(self, workspace, tmp_path):
+        out = tmp_path / "ab"
+        text = (TRAINCFG.replace("max_iter = 30", "max_iter = 2")
+                + f"dataset = {workspace / 'ds'}\ncells = AMS:learned:CE\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text + "n_a = 3\n")
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        clustered = (out / "anchors.txt").read_bytes()
+        # anchors read from the earlier run's own file keep it
+        cfg.write_text(text + f"anchors = {out / 'anchors.txt'}\n")
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "anchors.txt").read_bytes() == clustered
+        cfg.write_text(text + f"anchors = {workspace / 'anchors.txt'}\n")
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "anchors.txt").exists()
+
+    def test_assign_dump_without_checkpoint_drops_earlier_prediou_maps(self, workspace,
+                                                                       tmp_path):
+        argv = ["assign-dump", "--dataset", str(workspace / "ds"),
+                "--anchors", str(workspace / "anchors.txt"), "--out", str(tmp_path / "maps")]
+        assert run(argv + ["--checkpoint", str(workspace / "run" / "final.bin")]) == 0
+        assert len(list((tmp_path / "maps").glob("prediou_*.pgm"))) == 4
+        assert run(argv) == 0
+        assert not any((tmp_path / "maps").glob("prediou_*.pgm"))
 
 
 class TestBadInput:
@@ -558,6 +584,9 @@ class TestBadConfigValue:
         ("base_channels = 2", "base_channels = abc", "base_channels: invalid literal"),
         ("base_channels = 2", "base_channels = 0", "base_channels must be >= 1"),
         ("levels = 2", "levels = 1", "levels must be >= 2"),
+        ("levels = 2", "levels = 3000", "levels = 3000 is too many for a 32px input\n"),
+        ("levels = 2", f"levels = {10**11}",
+         f"levels = {10**11} is too many for a 32px input\n"),
         ("head_convs = 1", "head_convs = -1", "head_convs must be >= 0"),
         ("batch_size = 1", "batch_size = 0", "batch_size must be >= 1"),
         ("seed = 9", "seed = 9\nflip = maybe", "unknown config key 'flip'"),
@@ -657,36 +686,39 @@ class TestFlagRanges:
         assert started == [] and not out.exists()
 
 
+def artifact_script():
+    """scripts/artifact_digests.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "scripts" / "artifact_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def read_manifest(name: str) -> list[str]:
+    """The lines of the byte manifest `tests/<name>` below its `#` header,
+    which must name this process's numpy version and BLAS: the bytes depend
+    on both, so a manifest made on another build fails, never skips."""
+    lines = (ROOT / "tests" / name).read_text().splitlines()
+    made_on = [line for line in lines if line.startswith("#")]
+    here = artifact_script().build()
+    assert made_on == here, f"{name} was made on {made_on}, but this build is {here}"
+    return [line for line in lines if not line.startswith("#")]
+
+
 class TestArtifactDigests:
-    def test_one_digest_per_artifact(self, tmp_path):
-        spec = importlib.util.spec_from_file_location(
-            "artifact_digests", ROOT / "scripts" / "artifact_digests.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        artifacts = script.run_flow(tmp_path)
-        digests = {rel: digest for digest, rel in
-                   (line.split(" ", 1) for line in script.digests(artifacts))}
-        assert sorted(digests) == sorted(p.relative_to(artifacts).as_posix()
-                                         for p in artifacts.rglob("*") if p.is_file())
-        for rel, digest in digests.items():
-            assert hashlib.sha256((artifacts / rel).read_bytes()).hexdigest() == digest
-        expected = ["ablation/summary.csv", "ablation/anchors.txt", "ds/annotations.txt",
-                    "ds/genspec.txt", "ds/scene_00009.ppm", "eval_ds/scene_00005.ppm",
-                    "eval/report.csv", "eval/report.txt", "maps/maps.csv",
-                    "maps_ckpt/maps.csv", "maps_ckpt/prediou_c1_a1.pgm",
-                    "weights/weights.csv", "train_b2/log.csv", "train_b2/final.bin",
-                    "train_b2/ckpt_000005.bin", "train_b2/ckpt_000010.bin",
-                    "anchors.txt", "ablation_anchors/summary.csv",
-                    "ablation_anchors/pono_learned_fl/final.bin",
-                    "train_seed/log.csv", "train_seed/final.bin"]
-        for cell in ("ams_learned_ce", "pono_unit_ce", "ao_retina_norm_fl"):
-            expected += [f"ablation/{cell}/{name}" for name in
-                         ("log.csv", "report.csv", "report.txt", "final.bin",
-                          "ckpt_000010.bin", "ckpt_000020.bin")]
-        assert set(expected) <= set(digests)
-        # the ablate given an anchor file clusters none of its own
-        assert "ablation_anchors/anchors.txt" not in digests
-        assert digests["train_seed/log.csv"] != digests["train_b2/log.csv"]
+    def test_every_artifact_matches_the_manifest(self, tmp_path):
+        """The flow writes exactly the files and bytes of the manifest;
+        `python3 scripts/artifact_digests.py > tests/artifact_digests.txt`
+        rewrites it after a change that alters bytes on purpose."""
+        script = artifact_script()
+        want = dict(line.split(" ")[::-1] for line in read_manifest("artifact_digests.txt"))
+        got = dict(line.split(" ")[::-1] for line in script.digests(script.run_flow(tmp_path)))
+        differ = [rel for rel in sorted(want.keys() | got.keys())
+                  if want.get(rel) != got.get(rel)]
+        assert not differ, (f"{len(differ)} artifacts differ from the manifest, first "
+                            f"{differ[0]}: manifest {want.get(differ[0])}, "
+                            f"flow {got.get(differ[0])}")
 
 
 class TestAblate:

@@ -56,6 +56,12 @@ class TestToyNetConfig:
         with pytest.raises(ValueError, match="input_size must be a positive multiple of 16"):
             ToyNetConfig(input_size=size)
 
+    @pytest.mark.parametrize("levels", [3000, 10**11])
+    def test_levels_bounded_by_input_size(self, levels):
+        # before 2 ** (levels - 1) is built: 10**11 once filled memory
+        with pytest.raises(ValueError, match=f"^levels = {levels} is too many for a 48px input$"):
+            ToyNetConfig(input_size=48, levels=levels)
+
     def test_min_levels(self):
         with pytest.raises(ValueError):
             ToyNetConfig(input_size=64, levels=1)

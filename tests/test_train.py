@@ -890,6 +890,17 @@ class TestLoadRun:
         with pytest.raises(ValueError, match=re.escape(f"{path}: levels must be >= 2")):
             load_run(path)
 
+    @pytest.mark.parametrize("levels", [3000, 10**11])
+    def test_toynet_levels_bounded(self, tmp_path, levels):
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
+        save_run(tmp_path / "full.bin", state)
+        path = tmp_path / "bad.bin"
+        save_arrays(path, {**load_arrays(tmp_path / "full.bin"),
+                           "meta.levels": np.asarray(float(levels))})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: levels = {levels} is too many for a 32px input") + "$"):
+            load_run(path)
+
 
 class TestIterationLifetime:
     def test_taped_tensors_freed_without_cyclic_gc(self, tmp_path, monkeypatch):
