@@ -1,4 +1,7 @@
-"""Per-class anchor shape discovery; the anchor set and anchor grid types.
+"""Per-class anchor shape discovery, and the anchor grid the shapes tile.
+
+Anchor shapes are a float64 array [n_classes, n_anchors, 2] of (w, h)
+pixels, each class's sorted by ascending area.  `anchor_grid` checks them.
 
 Anchor shapes come from k-means over the (w, h) pairs of each class
 independently, with distance 1 - IoU of the two shapes aligned at a common
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open, text_lines
+from .model import FEAT_STRIDE
 
 # Cap on local-search restarts per centroid update; small clusters get one
 # start per member, large clusters a deterministic area-spread subsample.
@@ -48,33 +52,6 @@ _STEP0 = 0.25
 _STEP_TOL = 1e-13
 # Cap on the Lloyd steps of one class's k-means, both phases together
 _MAX_STEPS = 60
-
-
-@dataclass(frozen=True)
-class AnchorSet:
-    """Per-class anchor shapes, [n_classes, n_anchors, 2] as (w, h) pixels.
-
-    Within each class, shapes are sorted by ascending area so the anchor
-    index is deterministic.
-    """
-
-    shapes: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.shapes, dtype=np.float64)
-        if s.ndim != 3 or s.shape[2] != 2:
-            raise ValueError(f"shapes must be [n_classes, n_anchors, 2], got {s.shape}")
-        if not np.all(s > 0):
-            raise ValueError("anchor sides must be positive")
-        object.__setattr__(self, "shapes", s)
-
-    @property
-    def n_classes(self) -> int:
-        return self.shapes.shape[0]
-
-    @property
-    def n_anchors(self) -> int:
-        return self.shapes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -100,6 +77,26 @@ class AnchorGrid:
         """The anchor shapes [n_classes, n_anchors, 2] as (w, h), every
         cell's alike: a view of cell (0, 0)."""
         return self.boxes[0, 0, :, :, 2:]
+
+
+def anchor_grid(shapes: np.ndarray, image_size: int) -> AnchorGrid:
+    """Anchor shapes [n_classes, n_anchors, 2] tiled over every cell center
+    of a square image's stride-8 map.  Shapes of another layout or with a
+    side <= 0, and an image with no stride-8 cell, raise ValueError."""
+    shapes = np.asarray(shapes, dtype=np.float64)
+    if shapes.ndim != 3 or shapes.shape[2] != 2:
+        raise ValueError(f"shapes must be [n_classes, n_anchors, 2], got {shapes.shape}")
+    if not np.all(shapes > 0):
+        raise ValueError("anchor sides must be positive")
+    f = image_size // FEAT_STRIDE
+    if f < 1:
+        raise ValueError(f"a {image_size}px image has no stride-{FEAT_STRIDE} cell")
+    centers = (np.arange(f) + 0.5) * FEAT_STRIDE
+    boxes = np.empty((f, f, *shapes.shape[:2], 4))
+    boxes[..., 0] = centers[None, :, None, None]
+    boxes[..., 1] = centers[:, None, None, None]
+    boxes[..., 2:] = shapes
+    return AnchorGrid(boxes=boxes)
 
 
 def wh_iou(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
@@ -290,7 +287,7 @@ def check_no_empty_class(present: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"class {c} has no boxes, but the classes run to {n_classes - 1}")
 
 
-def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int) -> AnchorSet:
+def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int) -> np.ndarray:
     """Cluster each class's (w, h) samples into `n_a` anchor shapes, with
     at most `_MAX_STEPS` Lloyd steps per class.
 
@@ -309,20 +306,19 @@ def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int) -> AnchorSet:
         order = np.lexsort((centroids[:, 0], centroids[:, 1],
                             centroids[:, 0] * centroids[:, 1]))
         out.append(centroids[order])
-    return AnchorSet(np.asarray(out))
+    return np.asarray(out)
 
 
-def save_anchor_set(path, anchor_set: AnchorSet) -> None:
+def save_anchor_set(path, shapes: np.ndarray) -> None:
     """One `class w h` line per shape, full float precision, written
     atomically."""
     with atomic_open(path) as f:
-        for c in range(anchor_set.n_classes):
-            for a in range(anchor_set.n_anchors):
-                w, h = (float(v) for v in anchor_set.shapes[c, a])
-                f.write(f"{c} {w!r} {h!r}\n")
+        for c, class_shapes in enumerate(shapes):
+            for w, h in class_shapes:
+                f.write(f"{c} {float(w)!r} {float(h)!r}\n")
 
 
-def load_anchor_set(path) -> AnchorSet:
+def load_anchor_set(path) -> np.ndarray:
     per_class: dict[int, list] = {}
     for ln, line in text_lines(path):
         line = line.strip()
@@ -349,5 +345,4 @@ def load_anchor_set(path) -> AnchorSet:
         raise ValueError(f"{path}: every class 0..{n_classes - 1} needs the same shape count")
     shapes = np.asarray([per_class[c] for c in range(n_classes)], dtype=np.float64)
     order = np.argsort(shapes[..., 0] * shapes[..., 1], axis=1, kind="stable")
-    shapes = np.take_along_axis(shapes, order[..., None], axis=1)
-    return AnchorSet(shapes)
+    return np.take_along_axis(shapes, order[..., None], axis=1)

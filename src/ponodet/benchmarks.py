@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .anchors import kmeans_anchors, sizes_per_class
+from .anchors import anchor_grid, kmeans_anchors, sizes_per_class
 from .data import GenSpec, Scene, generate
 from .evaluation import dataset_detections, map_eval
 from .model import ToyNetConfig
-from .train import RunState, SceneBank, TrainConfig, anchor_grid, run_training
+from .train import RunState, SceneBank, TrainConfig, run_training
 
 IMAGE_SIZE = 48
 
@@ -55,10 +55,9 @@ class Benchmark:
         object with a setup of its own."""
         train = generate(self.gen, self.n_train)
         test = generate(replace(self.gen, seed=self.gen.seed + 5000), self.n_test)
-        anchor_set = kmeans_anchors(
-            sizes_per_class([s.gt for s in train], self.gen.n_classes),
-            n_a=self.n_anchors, seed=self.train_cfg.seed)
-        return Setup(test, SceneBank(train, anchor_grid(anchor_set, self.gen.image_size)))
+        shapes = kmeans_anchors(sizes_per_class([s.gt for s in train], self.gen.n_classes),
+                                n_a=self.n_anchors, seed=self.train_cfg.seed)
+        return Setup(test, SceneBank(train, anchor_grid(shapes, self.gen.image_size)))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .anchors import (AnchorSet, check_no_empty_class, kmeans_anchors,
+from .anchors import (anchor_grid, check_no_empty_class, kmeans_anchors,
                       load_anchor_set, save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import ToyNetConfig
-from .train import (RunState, SceneBank, TrainConfig, anchor_grid, load_run,
-                    run_training, save_run)
+from .train import RunState, SceneBank, TrainConfig, load_run, run_training, save_run
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 
@@ -95,7 +94,7 @@ def _check_classes(dataset_dir, scenes: list, n_classes: int,
                 f"{covered_by} cover classes 0..{n_classes - 1}")
 
 
-def _cluster_anchors(dataset_dir, gts: list, n_a: int, seed: int) -> AnchorSet:
+def _cluster_anchors(dataset_dir, gts: list, n_a: int, seed: int) -> np.ndarray:
     """Per-class k-means anchors from the ground truth of the dataset in
     `dataset_dir`; every class id up to the largest must have a box."""
     ids = np.unique(np.concatenate([np.zeros(0, np.int64), *(gt.class_ids for gt in gts)]))
@@ -131,9 +130,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_anchors(args) -> int:
     gts = data_mod.load_annotations(os.path.join(args.dataset, "annotations.txt"))
-    anchor_set = _cluster_anchors(args.dataset, gts, args.n_a, args.seed)
-    save_anchor_set(args.out, anchor_set)
-    print(f"wrote {anchor_set.n_classes}x{args.n_a} anchor shapes to {args.out}")
+    shapes = _cluster_anchors(args.dataset, gts, args.n_a, args.seed)
+    save_anchor_set(args.out, shapes)
+    print(f"wrote {len(shapes)}x{args.n_a} anchor shapes to {args.out}")
     return 0
 
 
@@ -161,13 +160,12 @@ def cmd_train(args) -> int:
     cfg = data_mod.config_from_kv(TrainConfig, kv, args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    anchor_set = load_anchor_set(args.anchors)
+    shapes = load_anchor_set(args.anchors)
     scenes = _load_scenes(args.dataset)
-    _check_classes(args.dataset, scenes, anchor_set.n_classes)
+    _check_classes(args.dataset, scenes, len(shapes))
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
     _check_image_size(args.dataset, scenes, net.input_size, args.config)
-    _train_once(cfg, net, SceneBank(scenes, anchor_grid(anchor_set, net.input_size)),
-                args.out)
+    _train_once(cfg, net, SceneBank(scenes, anchor_grid(shapes, net.input_size)), args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
@@ -207,20 +205,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_assign_dump(args) -> int:
-    anchor_set = load_anchor_set(args.anchors)
+    shapes = load_anchor_set(args.anchors)
     scenes = _load_scenes(args.dataset)
-    _check_classes(args.dataset, scenes, anchor_set.n_classes)
+    _check_classes(args.dataset, scenes, len(shapes))
     if not 0 <= args.scene < len(scenes):
         raise RuntimeError(f"{args.dataset}: no scene {args.scene} "
                            f"({len(scenes)} scenes)")
     scene = scenes[args.scene]
     state = load_run(args.checkpoint) if args.checkpoint else None
     if state is not None:
-        if not np.array_equal(state.grid.shapes, anchor_set.shapes):
+        if not np.array_equal(state.grid.shapes, shapes):
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
-    grid = anchor_grid(anchor_set, scene.image.shape[0])
+    grid = anchor_grid(shapes, scene.image.shape[0])
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
     if state is not None:
@@ -316,24 +314,23 @@ def cmd_ablate(args) -> int:
         _check_image_size(directory, checked, net.input_size, args.config)
 
     if kv.get("anchors"):
-        anchor_set = load_anchor_set(kv["anchors"])
+        shapes = load_anchor_set(kv["anchors"])
     else:
-        anchor_set = _cluster_anchors(dataset_dir, [s.gt for s in scenes],
-                                      int(n_a), base.seed)
-    _check_classes(dataset_dir, scenes, anchor_set.n_classes)
+        shapes = _cluster_anchors(dataset_dir, [s.gt for s in scenes], int(n_a), base.seed)
+    _check_classes(dataset_dir, scenes, len(shapes))
     if eval_scenes is not scenes:
-        _check_classes(eval_dir, eval_scenes, anchor_set.n_classes)
+        _check_classes(eval_dir, eval_scenes, len(shapes))
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
     _remove(args.out, "summary.csv")
     clustered = os.path.join(args.out, "anchors.txt")
     if not kv.get("anchors"):
-        save_anchor_set(clustered, anchor_set)
+        save_anchor_set(clustered, shapes)
     elif os.path.exists(clustered) and not os.path.samefile(clustered, kv["anchors"]):
         os.remove(clustered)  # an earlier run's, which the given anchors replace
     # one bank for every cell: the cells draw the same batches, so each
     # scene is mirrored and assigned once per ablation
-    bank = SceneBank(scenes, anchor_grid(anchor_set, net.input_size))
+    bank = SceneBank(scenes, anchor_grid(shapes, net.input_size))
 
     rows = []
     for name, cfg in cells:

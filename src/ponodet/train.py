@@ -15,7 +15,7 @@ A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map and one
 pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums
 per grid and weights in one record.  The training scenes live in a
-`SceneBank` on one anchor grid, and a run draws them by key
+`SceneBank` on one `anchors.anchor_grid`, and a run draws them by key
 `(index, mirrored)`.  A drawn variant and its `Assignment` against the
 grid never change, so the bank makes the pair on first use and keeps it
 for as long as its owner keeps the bank: every cell of an ablation
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import loss as loss_mod
-from .anchors import AnchorGrid, AnchorSet
+from .anchors import AnchorGrid, anchor_grid
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, atomic_open, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
@@ -143,19 +143,6 @@ class RunState:
         nc, na = grid.n_classes, grid.n_anchors
         return cls(model=ToyNet(net, nc, na, seed=seed), grid=grid,
                    bw=initial_balance(nc, na))
-
-
-def anchor_grid(anchor_set: AnchorSet, image_size: int) -> AnchorGrid:
-    """The anchor shapes tiled over every cell center of a square image's stride-8 map."""
-    f = image_size // FEAT_STRIDE
-    if f < 1:
-        raise ValueError(f"a {image_size}px image has no stride-{FEAT_STRIDE} cell")
-    centers = (np.arange(f) + 0.5) * FEAT_STRIDE
-    boxes = np.empty((f, f, anchor_set.n_classes, anchor_set.n_anchors, 4))
-    boxes[..., 0] = centers[None, :, None, None]
-    boxes[..., 1] = centers[:, None, None, None]
-    boxes[..., 2:] = anchor_set.shapes
-    return AnchorGrid(boxes=boxes)
 
 
 class SceneBank:
@@ -421,7 +408,7 @@ def load_run(path) -> RunState:
     held = {name for name in [*params, *bw] if f"mom.{name}" in arrays}
     stepped = [*params, *bw] if held & bw.keys() else list(params) if held else []
     # construction copies every array into the state's flat vectors
-    return RunState(model=model, grid=anchor_grid(AnchorSet(sides), cfg.input_size),
+    return RunState(model=model, grid=anchor_grid(sides, cfg.input_size),
                     bw={name: entry(name) for name in bw},
                     iteration=meta("meta.iteration"),
                     velocity={name: entry(f"mom.{name}") for name in stepped})

@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ponodet import benchmarks as B
-from ponodet.anchors import AnchorSet, kmeans_anchors, wh_iou
+from ponodet.anchors import kmeans_anchors, wh_iou
 from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
@@ -170,7 +170,7 @@ def test_c01_pono_coverage():
                        seed=int(spec_rng.integers(2 ** 31)), image_size=64)
         scene = generate(spec, 1)[0]
         shapes = spec_rng.uniform(6.0, 48.0, size=(n_classes, int(spec_rng.integers(1, 5)), 2))
-        grid = build_grid(AnchorSet(shapes), 8, 8, 8)
+        grid = build_grid(shapes, 8, 8, 8)
         am = assign_ao(grid, scene.gt)
         for k in range(len(scene.gt)):
             cluster = am.pono[am.gt_index == k]
@@ -189,7 +189,7 @@ def _random_instance(rng):
     """Small random grid/object setup away from min/max kinks."""
     na = int(rng.integers(1, 3))
     shapes = rng.uniform(6, 20, size=(1, na, 2))
-    grid = build_grid(AnchorSet(shapes), 2, 2, 8)
+    grid = build_grid(shapes, 2, 2, 8)
     boxes = [(float(rng.uniform(4, 12)), float(rng.uniform(4, 12)),
               float(rng.uniform(5, 14)), float(rng.uniform(5, 14)))]
     gt = GroundTruth(boxes=boxes, class_ids=[0])
@@ -291,7 +291,7 @@ def test_c04_freeze_rule():
                    image_size=32)
     scenes = generate(spec, 10)
     assert all(1 not in s.gt.class_ids for s in scenes)
-    aset = AnchorSet(np.full((2, 2, 2), 10.0))
+    aset = np.full((2, 2, 2), 10.0)
     grid = build_grid(aset, 4, 4, 8)
     model = TabularPredictor(4, 4, 2, 2)
     state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
@@ -406,7 +406,7 @@ def test_c09_oracle_equivalence():
     for trial in range(4):
         samples = rng.uniform(6, 40, size=(5, 2))
         aset = kmeans_anchors([samples], n_a=1, seed=trial)
-        got = float(np.sum(1.0 - wh_iou(aset.shapes[0, 0], samples)))
+        got = float(np.sum(1.0 - wh_iou(aset[0, 0], samples)))
         _, grid_cost = grid_search_single_shape(samples)
         worst_kmeans = max(worst_kmeans, got - grid_cost)
 

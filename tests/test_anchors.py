@@ -1,6 +1,5 @@
 import functools
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,27 +7,26 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ponodet import anchors
-from ponodet.anchors import (AnchorGrid, AnchorSet, kmeans_anchors,
+from ponodet.anchors import (AnchorGrid, anchor_grid, kmeans_anchors,
                              load_anchor_set, save_anchor_set, sizes_per_class,
                              wh_iou, _MAX_STARTS, _MOVES, _cluster_cost)
 from ponodet.benchmarks import crowded_benchmark, imbalanced_benchmark
 from ponodet.data import generate
-from ponodet.train import anchor_grid
 
 
-def build_grid(anchor_set: AnchorSet, h_f: int, w_f: int,
+def build_grid(shapes: np.ndarray, h_f: int, w_f: int,
                feat_stride: int) -> AnchorGrid:
-    """Tile the anchor shapes over every cell center of an h_f x w_f map:
-    the general form of `train.anchor_grid`, for grids of any size and
-    stride."""
+    """Tile the anchor shapes [n_classes, n_anchors, 2] over every cell
+    center of an h_f x w_f map: the general form of `anchors.anchor_grid`,
+    for grids of any size and stride."""
     if min(h_f, w_f, feat_stride) < 1:
         raise ValueError("h_f, w_f and feat_stride must be >= 1")
-    nc, na = anchor_set.n_classes, anchor_set.n_anchors
+    nc, na = shapes.shape[:2]
     boxes = np.empty((h_f, w_f, nc, na, 4), dtype=np.float64)
     boxes[..., 0] = ((np.arange(w_f) + 0.5) * feat_stride)[None, :, None, None]
     boxes[..., 1] = ((np.arange(h_f) + 0.5) * feat_stride)[:, None, None, None]
-    boxes[..., 2] = anchor_set.shapes[..., 0][None, None, :, :]
-    boxes[..., 3] = anchor_set.shapes[..., 1][None, None, :, :]
+    boxes[..., 2] = shapes[..., 0][None, None, :, :]
+    boxes[..., 3] = shapes[..., 1][None, None, :, :]
     return AnchorGrid(boxes=boxes)
 
 
@@ -57,18 +55,18 @@ def grid_search_single_shape(samples: np.ndarray, resolution: int = 120):
     return grid[i], float(costs[i])
 
 
-def kmeans_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> float:
+def kmeans_objective(shapes: np.ndarray, gt_sizes_per_class: list) -> float:
     """Summed min-over-centroids 1 - IoU cost over all classes."""
     total = 0.0
-    for c in range(anchor_set.n_classes):
+    for c in range(len(shapes)):
         arr = np.asarray(gt_sizes_per_class[c], dtype=np.float64).reshape(-1, 2)
-        d = 1.0 - wh_iou(arr[:, None, :], anchor_set.shapes[c][None, :, :])
+        d = 1.0 - wh_iou(arr[:, None, :], shapes[c][None, :, :])
         total += float(d.min(axis=1).sum())
     return total
 
 
-def per_class_objective(anchor_set: AnchorSet, gt_sizes_per_class: list) -> list:
-    return [kmeans_objective(AnchorSet(anchor_set.shapes[c:c + 1]), [sizes])
+def per_class_objective(shapes: np.ndarray, gt_sizes_per_class: list) -> list:
+    return [kmeans_objective(shapes[c:c + 1], [sizes])
             for c, sizes in enumerate(gt_sizes_per_class)]
 
 
@@ -204,7 +202,7 @@ def pinned_split(name: str) -> tuple[list, int]:
     return sizes_per_class(gts, bench.gen.n_classes), bench.train_cfg.seed
 
 
-def oracle_anchors(sizes: list, n_a: int, seed: int, monkeypatch) -> AnchorSet:
+def oracle_anchors(sizes: list, n_a: int, seed: int, monkeypatch) -> np.ndarray:
     with monkeypatch.context() as m:
         m.setattr(anchors, "_kmeans_one_class", multistart_lloyd)
         return kmeans_anchors(sizes, n_a, seed)
@@ -223,19 +221,19 @@ class TestKmeans:
     def test_zero_variance(self):
         sizes = [np.full((40, 2), 10.0)]
         aset = kmeans_anchors(sizes, n_a=3, seed=0)
-        np.testing.assert_array_equal(aset.shapes[0], np.full((3, 2), 10.0))
+        np.testing.assert_array_equal(aset[0], np.full((3, 2), 10.0))
 
     def test_two_point_clusters(self):
         sizes = [np.array([[10.0, 10.0]] * 50 + [[40.0, 40.0]] * 50)]
         aset = kmeans_anchors(sizes, n_a=2, seed=3)
-        np.testing.assert_allclose(aset.shapes[0], [[10, 10], [40, 40]])
+        np.testing.assert_allclose(aset[0], [[10, 10], [40, 40]])
 
     def test_single_centroid_matches_grid_search(self):
         rng = np.random.default_rng(17)
         for trial in range(4):
             samples = rng.uniform(6.0, 40.0, size=(5, 2))
             aset = kmeans_anchors([samples], n_a=1, seed=trial)
-            got_cost = float(np.sum(1.0 - wh_iou(aset.shapes[0, 0], samples)))
+            got_cost = float(np.sum(1.0 - wh_iou(aset[0, 0], samples)))
             _, grid_cost = grid_search_single_shape(samples)
             assert got_cost <= grid_cost + 1e-6
 
@@ -244,7 +242,7 @@ class TestKmeans:
         sizes = [rng.uniform(5, 50, size=(80, 2)), rng.uniform(8, 30, size=(40, 2))]
         a = kmeans_anchors(sizes, n_a=3, seed=9)
         b = kmeans_anchors(sizes, n_a=3, seed=9)
-        np.testing.assert_array_equal(a.shapes, b.shapes)
+        np.testing.assert_array_equal(a, b)
 
     def test_objective_beats_init(self):
         # the final objective can never exceed the farthest-point seeding cost
@@ -254,7 +252,7 @@ class TestKmeans:
         # rerun with max_iter=0-equivalent: 1 iteration still updates, so
         # compare against a degenerate clustering of one shape instead
         single = kmeans_anchors(sizes, n_a=1, seed=1)
-        wide = AnchorSet(np.repeat(single.shapes, 4, axis=1))
+        wide = np.repeat(single, 4, axis=1)
         assert kmeans_objective(aset, sizes) <= kmeans_objective(wide, sizes) + 1e-12
 
     def test_lloyd_steps_capped_at_60(self, monkeypatch):
@@ -272,8 +270,8 @@ class TestKmeans:
         rng = np.random.default_rng(7)
         sizes = [rng.uniform(5, 60, size=(100, 2))]
         # the class's k-means under each cap, drawn as `kmeans_anchors` draws it
-        costs = [kmeans_objective(AnchorSet(anchors._kmeans_one_class(
-                     sizes[0], 3, np.random.default_rng([2, 0]), it)[None]), sizes)
+        costs = [kmeans_objective(anchors._kmeans_one_class(
+                     sizes[0], 3, np.random.default_rng([2, 0]), it)[None], sizes)
                  for it in (1, 2, 4, 8, 16, 32)]
         assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
 
@@ -281,7 +279,7 @@ class TestKmeans:
         rng = np.random.default_rng(8)
         sizes = [rng.uniform(5, 60, size=(100, 2))]
         aset = kmeans_anchors(sizes, n_a=4, seed=0)
-        areas = aset.shapes[0, :, 0] * aset.shapes[0, :, 1]
+        areas = aset[0, :, 0] * aset[0, :, 1]
         assert np.all(np.diff(areas) >= 0)
 
     @pytest.mark.parametrize("name", ["imbalanced_n_a3", "crowded_200_boxes"])
@@ -319,13 +317,13 @@ class TestKmeans:
         sizes, seed = pinned_split(name)
         got = kmeans_anchors(sizes, n_a, seed)
         want = oracle_anchors(sizes, n_a, seed, monkeypatch)
-        np.testing.assert_array_equal(got.shapes, want.shapes)
+        np.testing.assert_array_equal(got, want)
 
     def test_imbalanced_five_anchors_within_multistart_oracle(self, monkeypatch):
         sizes, seed = pinned_split("imbalanced")
         got = kmeans_anchors(sizes, 5, seed)
         want = oracle_anchors(sizes, 5, seed, monkeypatch)
-        np.testing.assert_allclose(got.shapes, want.shapes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         got_obj, want_obj = (per_class_objective(a, sizes) for a in (got, want))
         assert all(g <= w + 1e-12 for g, w in zip(got_obj, want_obj)), (got_obj, want_obj)
 
@@ -460,43 +458,57 @@ class TestKmeans:
 
 class TestBuildGrid:
     def test_single_cell(self):
-        aset = AnchorSet(np.array([[[4.0, 4.0]]]))
+        aset = np.array([[[4.0, 4.0]]])
         grid = build_grid(aset, 1, 1, 8)
         assert grid.boxes[0, 0, 0, 0].tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_centers(self):
-        aset = AnchorSet(np.array([[[4.0, 4.0]]]))
+        aset = np.array([[[4.0, 4.0]]])
         grid = build_grid(aset, 2, 2, 8)
         centers = {tuple(grid.boxes[i, j, 0, 0, :2].tolist())
                    for i in range(2) for j in range(2)}
         assert centers == {(4.0, 4.0), (12.0, 4.0), (4.0, 12.0), (12.0, 12.0)}
 
     def test_cell_count_and_shapes(self):
-        aset = AnchorSet(np.arange(1, 2 * 3 * 2 + 1, dtype=float).reshape(2, 3, 2))
+        aset = np.arange(1, 2 * 3 * 2 + 1, dtype=float).reshape(2, 3, 2)
         grid = build_grid(aset, 5, 7, 4)
         assert grid.boxes.shape == (5, 7, 2, 3, 4)
-        np.testing.assert_array_equal(grid.boxes[2, 3, :, :, 2:], aset.shapes)
+        np.testing.assert_array_equal(grid.boxes[2, 3, :, :, 2:], aset)
 
     def test_centers_inside_image(self):
-        aset = AnchorSet(np.full((1, 2, 2), 9.0))
+        aset = np.full((1, 2, 2), 9.0)
         grid = build_grid(aset, 6, 6, 8)
         assert grid.boxes[..., 0].max() < 6 * 8
         assert grid.boxes[..., 1].min() > 0
 
     def test_validates_sizes(self):
-        aset = AnchorSet(np.full((1, 1, 2), 4.0))
+        aset = np.full((1, 1, 2), 4.0)
         with pytest.raises(ValueError):
             build_grid(aset, 0, 3, 8)
 
     @pytest.mark.parametrize("size", [32, 48, 64])
     def test_equals_the_square_stride_8_grid_of_a_run(self, size):
-        aset = AnchorSet(np.random.default_rng(size).uniform(4, 30, (2, 3, 2)))
+        aset = np.random.default_rng(size).uniform(4, 30, (2, 3, 2))
         want = anchor_grid(aset, size).boxes
         np.testing.assert_array_equal(build_grid(aset, size // 8, size // 8, 8).boxes, want)
 
     def test_run_grid_needs_a_stride_8_cell(self):
         with pytest.raises(ValueError, match="a 7px image has no stride-8 cell"):
-            anchor_grid(AnchorSet(np.full((1, 1, 2), 4.0)), 7)
+            anchor_grid(np.full((1, 1, 2), 4.0), 7)
+
+    @pytest.mark.parametrize("shapes", [np.full((2, 2), 4.0), np.full((1, 2, 3), 4.0),
+                                        np.full((1, 1, 1, 2), 4.0)])
+    def test_run_grid_needs_class_anchor_side_shapes(self, shapes):
+        with pytest.raises(ValueError, match=re.escape(
+                f"shapes must be [n_classes, n_anchors, 2], got {shapes.shape}")):
+            anchor_grid(shapes, 32)
+
+    @pytest.mark.parametrize("side", [0.0, -3.0, np.nan])
+    def test_run_grid_needs_positive_sides(self, side):
+        shapes = np.full((2, 2, 2), 9.0)
+        shapes[1, 0, 1] = side
+        with pytest.raises(ValueError, match="anchor sides must be positive"):
+            anchor_grid(shapes, 32)
 
 
 class TestAnchorFile:
@@ -507,15 +519,14 @@ class TestAnchorFile:
         path = tmp_path / "anchors.txt"
         save_anchor_set(path, aset)
         loaded = load_anchor_set(path)
-        np.testing.assert_array_equal(loaded.shapes, aset.shapes)
+        np.testing.assert_array_equal(loaded, aset)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "anchors.txt"
-        save_anchor_set(path, AnchorSet(np.full((1, 2, 2), 8.0)))
+        save_anchor_set(path, np.full((1, 2, 2), 8.0))
         before = path.read_bytes()
         # the second class's sides do not convert, after the first line is out
-        broken = SimpleNamespace(n_classes=2, n_anchors=1, shapes=np.array(
-            [[[9.0, 9.0]], [["w", "h"]]], dtype=object))
+        broken = np.array([[[9.0, 9.0]], [["w", "h"]]], dtype=object)
         with pytest.raises(ValueError):
             save_anchor_set(path, broken)
         assert path.read_bytes() == before
@@ -557,4 +568,4 @@ class TestAnchorFile:
         except ValueError as e:
             assert str(e).startswith(str(path)), str(e)
         else:
-            assert np.all(np.isfinite(aset.shapes)) and np.all(aset.shapes > 0)
+            assert np.all(np.isfinite(aset)) and np.all(aset > 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ponodet import autodiff as ad
-from ponodet.anchors import AnchorSet, kmeans_anchors
+from ponodet.anchors import kmeans_anchors
 from ponodet.assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, GroundTruth,
                                 _grid_gt_iou, ams_labels, assign_ao, pred_iou_values)
 from ponodet.data import GenSpec, generate
@@ -14,7 +14,7 @@ from test_geometry import CLAMP_OFFSETS, decode_cxywh, iou_cxywh, iou_oracle
 
 
 def square_grid(shapes, h=4, w=4, stride=8):
-    return build_grid(AnchorSet(np.asarray(shapes, float)), h, w, stride)
+    return build_grid(np.asarray(shapes, float), h, w, stride)
 
 
 class TestAssignAO:
@@ -136,7 +136,7 @@ class TestPono:
         rng = np.random.default_rng(7)
         for scene in scenes:
             shapes = rng.uniform(6, 40, size=(2, rng.integers(1, 4), 2))
-            grid = build_grid(AnchorSet(shapes), 8, 8, 8)
+            grid = build_grid(shapes, 8, 8, 8)
             am = assign_ao(grid, scene.gt)
             for k in range(len(scene.gt)):
                 cluster = am.pono[am.gt_index == k]

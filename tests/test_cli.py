@@ -11,10 +11,10 @@ from ponodet import cli as cli_mod
 from ponodet import data as data_mod
 from ponodet import train as train_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
-from ponodet.anchors import AnchorSet, load_anchor_set
+from ponodet.anchors import anchor_grid, load_anchor_set
 from ponodet.data import load_dataset, read_kv
 from ponodet.model import ToyNetConfig, load_arrays, save_arrays
-from ponodet.train import RunState, TrainConfig, anchor_grid, save_run
+from ponodet.train import RunState, TrainConfig, save_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,7 +82,7 @@ class TestPipeline:
 
     def test_anchors_file(self, workspace):
         aset = load_anchor_set(workspace / "anchors.txt")
-        assert aset.n_classes == 2 and aset.n_anchors == 2
+        assert aset.shape == (2, 2, 2)
 
     def test_train_artifacts(self, workspace):
         assert (workspace / "run" / "final.bin").exists()
@@ -371,7 +371,7 @@ class TestBadInput:
 
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, head_convs=1),
-                               anchor_grid(AnchorSet(np.full((1, 2, 2), 9.0)), 32), 0)
+                               anchor_grid(np.full((1, 2, 2), 9.0), 32), 0)
         save_run(tmp_path / "one_class.bin", state)
         ds = workspace / "ds"
         first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)

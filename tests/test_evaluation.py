@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ponodet.anchors import AnchorSet
 from ponodet.evaluation import extract_detections, map_eval
 from ponodet.geometry import Detections, GroundTruth
 from ponodet.loss import sigmoid
@@ -207,7 +206,7 @@ class TestMapEval:
 
 class TestExtractDetections:
     def grid(self):
-        return build_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 2, 2, 8)
+        return build_grid(np.full((1, 1, 2), 8.0), 2, 2, 8)
 
     def test_all_low_logits_empty(self):
         grid = self.grid()
@@ -240,7 +239,7 @@ class TestExtractDetections:
 
     def test_matches_per_cell_loop(self):
         rng = np.random.default_rng(7)
-        grid = build_grid(AnchorSet(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1)), 6, 6, 4)
+        grid = build_grid(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1), 6, 6, 4)
         for _ in range(10):
             # few logit levels: equal scores and same-spot duplicates are common
             logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.boxes.shape[:4])
@@ -252,7 +251,7 @@ class TestExtractDetections:
 
     def test_clamped_offsets_and_empty_selection_match_per_cell_loop(self):
         rng = np.random.default_rng(9)
-        grid = build_grid(AnchorSet(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1)), 6, 6, 4)
+        grid = build_grid(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1), 6, 6, 4)
         logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.boxes.shape[:4])
         # dw / dh inside, at and beyond the clamp
         offsets = np.asarray(CLAMP_OFFSETS)[rng.integers(len(CLAMP_OFFSETS),

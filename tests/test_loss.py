@@ -5,7 +5,7 @@ import pytest
 
 from ponodet import autodiff as ad
 from ponodet import train as train_mod
-from ponodet.anchors import AnchorSet
+from ponodet.anchors import anchor_grid
 from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import Scene
@@ -13,7 +13,7 @@ from ponodet.geometry import EXP_CLAMP
 from ponodet.loss import (LOC_GATE, MODES, bce_logits, focal_logits, initial_balance,
                           loc_loss_map, weighted_totals)
 from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, SceneBank, TrainConfig,
-                           anchor_grid, train_iteration)
+                           train_iteration)
 
 from test_anchors import build_grid
 from test_autodiff import (add, clip, div, exp, grad_check, log1p, maximum, mean,
@@ -173,7 +173,7 @@ class TestBalancedTotals:
         # no object, so no gated cell: the loc normalizer is floored at 1
         scene = Scene(np.zeros((16, 16, 3)), GroundTruth([], []))
         state = RunState(model=TabularPredictor(2, 2, 1, 1),
-                         grid=anchor_grid(AnchorSet(np.full((1, 1, 2), 8.0)), 16),
+                         grid=anchor_grid(np.full((1, 1, 2), 8.0), 16),
                          bw=initial_balance(1, 1))
         rep = train_iteration(state, [(0, False)], TrainConfig(max_iter=2, mode="unit"),
                               SceneBank([scene], state.grid))
@@ -452,7 +452,7 @@ def random_head_instance(rng):
     """Two stacked scenes on a 4x4 grid of 2 classes x 2 anchors, with
     offsets near zero, so that decoded boxes overlap their objects."""
     shapes = rng.uniform(6.0, 20.0, (2, 2, 2))
-    grid = build_grid(AnchorSet(shapes), 4, 4, 8)
+    grid = build_grid(shapes, 4, 4, 8)
     records = []
     for _ in range(2):
         k = int(rng.integers(1, 4))
@@ -520,7 +520,7 @@ class TestFusedHead:
         # assigned its own object: coincident right edges (x) and both
         # y edges, coincident left edges, boxes that only touch (ix = 0),
         # and dw / dh exactly at the clamp; two logits are exactly 0
-        grid = build_grid(AnchorSet(np.full((1, 4, 2), 8.0)), 1, 1, 8)
+        grid = build_grid(np.full((1, 4, 2), 8.0), 1, 1, 8)
         gt_box = np.array([[5.0, 4.0, 6.0, 8.0], [3.0, 3.0, 6.0, 6.0],
                            [12.0, 4.0, 8.0, 8.0], [4.0, 4.0, 8.0, 8.0]])
         shape = (1, 1, 1, 1, 4)

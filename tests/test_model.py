@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import autodiff as ad
-from ponodet.anchors import AnchorSet
 from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
 from ponodet.loss import bce_logits, loc_loss_map, sigmoid
 from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig, load_arrays,
@@ -195,7 +194,7 @@ class TestToyNetGradients:
         net = ToyNet(cfg, 1, 1, seed=11)
         rng = np.random.default_rng(2)
         image = rng.uniform(0, 1, (32, 32, 3))
-        grid = build_grid(AnchorSet(np.full((1, 1, 2), 10.0)), 4, 4, 8)
+        grid = build_grid(np.full((1, 1, 2), 10.0), 4, 4, 8)
         gt = GroundTruth(boxes=[(12.5, 11.0, 11.0, 9.0)], class_ids=[0])
         stacked = Assignment.stack([assign_ao(grid, gt)])
         gate = (stacked.pono > 0.5).astype(float)

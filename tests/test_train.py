@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ponodet import autodiff as ad
-from ponodet.anchors import AnchorSet
+from ponodet.anchors import anchor_grid
 from ponodet import loss as loss_mod
 from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
@@ -19,9 +19,8 @@ from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
 from ponodet.data import GenSpec, Scene, config_from_kv, generate, hflip
 from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
-from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, anchor_grid,
-                           load_run, lr_at, run_training, save_run, sgd_step,
-                           train_iteration)
+from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, load_run, lr_at,
+                           run_training, save_run, sgd_step, train_iteration)
 
 from test_anchors import build_grid
 from test_autodiff import add, reduce_sum
@@ -49,7 +48,7 @@ def plain(n: int) -> list[tuple[int, bool]]:
 def tabular_state(scene, shapes=((8.0, 8.0),), stride=8):
     size = scene.image.shape[0]
     f = size // stride
-    aset = AnchorSet(np.asarray([list(shapes)], float))
+    aset = np.asarray([list(shapes)], float)
     grid = build_grid(aset, f, f, stride)
     model = TabularPredictor(f, f, 1, len(shapes))
     return RunState(model=model, grid=grid, bw=initial_balance(1, len(shapes)))
@@ -433,12 +432,12 @@ class TestSceneBank:
 
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
-        other = anchor_grid(AnchorSet(np.full((1, 2, 2), [8.0, 13.0])), 32)
+        other = anchor_grid(np.full((1, 2, 2), [8.0, 13.0]), 32)
         with pytest.raises(ValueError, match="another anchor grid"):
             run_training(state, SceneBank(scenes, other), cfg)
         assert state.iteration == 0
         # an equal grid built anew is the same grid
-        same = anchor_grid(AnchorSet(np.full((1, 2, 2), [8.0, 12.0])), 32)
+        same = anchor_grid(np.full((1, 2, 2), [8.0, 12.0]), 32)
         run_training(state, SceneBank(scenes, same), replace(cfg, max_iter=1))
 
 
@@ -447,7 +446,7 @@ class TestFreezeRule:
         # class 1 never occurs: its grid weights must stay exactly at init
         img = np.zeros((32, 32, 3))
         scene = Scene(img, GroundTruth([(12, 12, 10, 10)], [0]))
-        aset = AnchorSet(np.full((2, 2, 2), 9.0))
+        aset = np.full((2, 2, 2), 9.0)
         grid = build_grid(aset, 4, 4, 8)
         model = TabularPredictor(4, 4, 2, 2)
         state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
@@ -466,7 +465,7 @@ class TestFreezeHoldsMomentum:
         both = Scene(np.zeros((32, 32, 3)),
                      GroundTruth([(9, 9, 10, 10), (22, 22, 10, 10)], [0, 1]))
         only_0 = Scene(np.zeros((32, 32, 3)), GroundTruth([(9, 9, 10, 10)], [0]))
-        grid = build_grid(AnchorSet(np.full((2, 2, 2), 10.0)), 4, 4, 8)
+        grid = build_grid(np.full((2, 2, 2), 10.0), 4, 4, 8)
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
                                             head_convs=1), grid, 0)
         bank = SceneBank([both, only_0], grid)
@@ -495,7 +494,7 @@ class TestDeterminismAndResume:
                        size_ranges=((8.0, 14.0),), objects_per_scene=(1, 2),
                        crowding=0.0, seed=3, image_size=32)
         scenes = generate(spec, 6)
-        aset = AnchorSet(np.full((1, 2, 2), [8.0, 12.0]))
+        aset = np.full((1, 2, 2), [8.0, 12.0])
         grid = build_grid(aset, 4, 4, 8)
         cfg = TrainConfig(lr0=0.01, max_iter=max_iter, batch_size=2, seed=5,
                           mode="learned")
@@ -605,7 +604,7 @@ def bench_run(bench, cell=("AMS", "learned", "CE")):
     b = getattr(benchmarks, f"{bench}_benchmark")()
     scenes = generate(b.gen, b.train_cfg.batch_size)
     nc = b.gen.n_classes
-    grid = anchor_grid(AnchorSet(np.full((nc, b.n_anchors, 2), 12.0)), b.net.input_size)
+    grid = anchor_grid(np.full((nc, b.n_anchors, 2), 12.0), b.net.input_size)
     state = RunState.fresh(b.net, grid, 0)
     rule, mode, cls_loss = cell
     cfg = replace(b.train_cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
@@ -715,7 +714,7 @@ class TestFlatState:
         # the trained arrays; a zero gradient per leaf would be a fourth
         from ponodet import benchmarks
         b = benchmarks.imbalanced_benchmark()
-        grid = anchor_grid(AnchorSet(np.full((2, b.n_anchors, 2), 12.0)), b.net.input_size)
+        grid = anchor_grid(np.full((2, b.n_anchors, 2), 12.0), b.net.input_size)
         model, bw = ToyNet(b.net, 2, b.n_anchors, seed=0), initial_balance(2, b.n_anchors)
         tracemalloc.start()
         try:
@@ -729,7 +728,7 @@ class TestFlatState:
 
     def test_fresh_state_is_a_toynet_for_the_grid(self):
         net = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
-        grid = anchor_grid(AnchorSet(np.full((3, 2, 2), 9.0)), 32)
+        grid = anchor_grid(np.full((3, 2, 2), 9.0), 32)
         state = RunState.fresh(net, grid, 7)
         want = ToyNet(net, 3, 2, seed=7)
         assert (state.model.cfg, state.model.n_classes, state.model.n_anchors) == (net, 3, 2)
