@@ -55,7 +55,7 @@ class ToyNetConfig:
             raise ValueError("levels must be >= 2")
         if self.head_convs < 0:
             raise ValueError("head_convs must be >= 0")
-        # bound levels by the input size before the power below is built
+        # refuse levels whose power of 2 exceeds input_size before building it
         if self.levels - 1 > max(self.input_size, 1).bit_length():
             raise ValueError(f"levels = {self.levels} is too many for a "
                              f"{self.input_size}px input")

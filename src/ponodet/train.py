@@ -15,7 +15,7 @@ A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map and one
 pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums
 per grid and weights in one record.  The training scenes live in a
-`SceneBank` on one `anchors.anchor_grid`, and a run draws them by key
+`SceneBank` on one grid from `anchors.anchor_grid`; a run draws them by key
 `(index, mirrored)`.  A drawn variant and its `Assignment` against the
 grid never change, so the bank makes the pair on first use and keeps it
 for as long as its owner keeps the bank: every cell of an ablation
