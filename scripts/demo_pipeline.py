@@ -2,14 +2,15 @@
 """End-to-end CLI walkthrough on a small dataset: generate scenes, cluster
 anchors, train briefly, evaluate, and dump the assignment maps.
 
-Writes everything under ./demo_out (override with --out).
+Writes everything under ./demo_out (override with --out).  Runs from any
+directory: ponodet is imported from the src/ next to this script.
 """
 
 import argparse
 import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from ponodet.cli import run
 

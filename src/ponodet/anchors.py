@@ -1,7 +1,8 @@
 """Per-class anchor shape discovery, and the anchor grid the shapes tile.
 
 Anchor shapes are a float64 array [n_classes, n_anchors, 2] of (w, h)
-pixels, each class's sorted by ascending area.  `anchor_grid` checks them.
+pixels, each class's sorted by ascending area.  `anchor_grid` checks them
+and tiles them into the grid array; `grid_shapes` reads them back off it.
 
 Anchor shapes come from k-means over the (w, h) pairs of each class
 independently, with distance 1 - IoU of the two shapes aligned at a common
@@ -32,7 +33,6 @@ that confirms the fixed point searches only from centroids that moved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,35 +54,12 @@ _STEP_TOL = 1e-13
 _MAX_STEPS = 60
 
 
-@dataclass(frozen=True)
-class AnchorGrid:
-    """Dense anchor boxes [h_f, w_f, n_classes, n_anchors, 4] as (cx, cy, w, h).
-
-    Cell (i, j) centers its anchors at ((j + 0.5) * stride, (i + 0.5) * stride),
-    so grids with equal boxes have equal strides.
-    """
-
-    boxes: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.boxes.shape[2]
-
-    @property
-    def n_anchors(self) -> int:
-        return self.boxes.shape[3]
-
-    @property
-    def shapes(self) -> np.ndarray:
-        """The anchor shapes [n_classes, n_anchors, 2] as (w, h), every
-        cell's alike: a view of cell (0, 0)."""
-        return self.boxes[0, 0, :, :, 2:]
-
-
-def anchor_grid(shapes: np.ndarray, image_size: int) -> AnchorGrid:
-    """Anchor shapes [n_classes, n_anchors, 2] tiled over every cell center
-    of a square image's stride-8 map.  Shapes of another layout or with a
-    side <= 0, and an image with no stride-8 cell, raise ValueError."""
+def anchor_grid(shapes: np.ndarray, image_size: int) -> np.ndarray:
+    """The anchor boxes [h_f, w_f, n_classes, n_anchors, 4] as (cx, cy, w, h):
+    the shapes [n_classes, n_anchors, 2] tiled over a square image's stride-8
+    map, cell (i, j) at ((j + 0.5) * 8, (i + 0.5) * 8).  Shapes of another
+    layout or with a side <= 0, and an image with no stride-8 cell, raise
+    ValueError."""
     shapes = np.asarray(shapes, dtype=np.float64)
     if shapes.ndim != 3 or shapes.shape[2] != 2:
         raise ValueError(f"shapes must be [n_classes, n_anchors, 2], got {shapes.shape}")
@@ -96,7 +73,12 @@ def anchor_grid(shapes: np.ndarray, image_size: int) -> AnchorGrid:
     boxes[..., 0] = centers[None, :, None, None]
     boxes[..., 1] = centers[:, None, None, None]
     boxes[..., 2:] = shapes
-    return AnchorGrid(boxes=boxes)
+    return boxes
+
+
+def grid_shapes(grid: np.ndarray) -> np.ndarray:
+    """The shapes [n_classes, n_anchors, 2] a grid tiles: cell (0, 0)'s view."""
+    return grid[0, 0, :, :, 2:]
 
 
 def wh_iou(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
@@ -216,8 +198,8 @@ def _farthest_point_init(shapes: np.ndarray, k: int,
     return np.asarray(centroids, dtype=np.float64)
 
 
-def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
-                      max_iter: int) -> np.ndarray:
+def _kmeans_one_class(shapes: np.ndarray, n_a: int,
+                      rng: np.random.Generator) -> np.ndarray:
     """Lloyd's algorithm under the 1 - IoU distance, in two phases.
 
     Each step assigns every shape to its nearest centroid and then moves
@@ -225,8 +207,8 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
     Until the first step that changes nothing, a centroid's new shape is
     one compass search started from the centroid itself.  From that step
     on, every step uses the multi-start `_best_shape`, and the loop ends
-    at the first multi-start step that changes nothing.  `max_iter` caps
-    the steps of both phases together: `kmeans_anchors` passes `_MAX_STEPS`.
+    at the first multi-start step that changes nothing.  `_MAX_STEPS` caps
+    the steps of both phases together.
     """
     centroids = _farthest_point_init(shapes, n_a, rng)
     # `_local_search`'s buffers, for its largest batch (`_best_shape`'s)
@@ -234,7 +216,7 @@ def _kmeans_one_class(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
     searches: dict = {"work": (np.empty(size), np.empty(size))}
     assign = None
     multistart = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         d = 1.0 - wh_iou(shapes[:, None, :], centroids[None, :, :])
         new_assign = np.argmin(d, axis=1)
         # empty-cluster repair: hand each empty cluster its own worst-fit
@@ -302,7 +284,7 @@ def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int) -> np.ndarray:
     out = []
     for c, arr in enumerate(per_class):
         rng = np.random.default_rng([seed, c])
-        centroids = _kmeans_one_class(arr, n_a, rng, _MAX_STEPS)
+        centroids = _kmeans_one_class(arr, n_a, rng)
         order = np.lexsort((centroids[:, 0], centroids[:, 1],
                             centroids[:, 0] * centroids[:, 1]))
         out.append(centroids[order])

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .anchors import AnchorGrid
 from .geometry import EXP_CLAMP, GroundTruth, decode, overlap
 
 UNASSIGNED = -1
@@ -58,13 +57,13 @@ class Assignment:
                      for f in fields(cls)))
 
 
-def _grid_gt_iou(grid: AnchorGrid, gt: GroundTruth) -> np.ndarray:
-    """IoU between every anchor cell and every object, [h, w, nc, na, n_gt];
-    objects of a different class score 0."""
-    out = np.zeros(grid.boxes.shape[:4] + (len(gt),), dtype=np.float64)
+def _grid_gt_iou(grid: np.ndarray, gt: GroundTruth) -> np.ndarray:
+    """IoU between every anchor cell of `grid` [h, w, nc, na, 4] and every
+    object, [h, w, nc, na, n_gt]; objects of a different class score 0."""
+    out = np.zeros(grid.shape[:4] + (len(gt),), dtype=np.float64)
     for c in np.unique(gt.class_ids):
         objs = np.flatnonzero(gt.class_ids == c)
-        cells = grid.boxes[:, :, c, :, None, :]
+        cells = grid[:, :, c, :, None, :]
         out[:, :, c][..., objs] = overlap(cells[..., :2], cells[..., 2:], gt.boxes[objs])[0]
     return out
 
@@ -106,7 +105,7 @@ def _cluster(overlaps: np.ndarray, n_gt: int) -> np.ndarray:
     return gt_index
 
 
-def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
+def assign_ao(grid: np.ndarray, gt: GroundTruth) -> Assignment:
     """Cluster anchor cells to objects and normalize each cluster (PONO).
 
     The anchor x object IoU tensor is built once here; every field of the
@@ -114,7 +113,7 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
     normalization is always well defined and the maximal cell of every
     cluster lands exactly on 1.0.
     """
-    shape = grid.boxes.shape[:4]
+    shape = grid.shape[:4]
     if len(gt) == 0:
         return Assignment(np.full(shape, UNASSIGNED, dtype=np.int64),
                           np.zeros(shape), np.zeros(shape), np.ones(shape + (4,)))
@@ -132,7 +131,7 @@ def assign_ao(grid: AnchorGrid, gt: GroundTruth) -> Assignment:
     return Assignment(gt_index, ao, pono, gt_box)
 
 
-def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
+def pred_iou_values(grid: np.ndarray, offsets, assignment: Assignment):
     """Overlap of each cell's decoded box with its assigned object (0 where
     unassigned), [N, h, w, nc, na]; generic over ndarray/Tensor offsets
     [N, h, w, nc, na, 4].  `assignment` is the `Assignment.stack` of the N
@@ -145,14 +144,14 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
     subgradients of the elementwise form: a min/max tie passes the
     gradient to the decoded box's edge, max(ix, 0) passes it at ix = 0,
     and the dw/dh clamp passes it on its closed interval."""
-    if offsets.shape[1:] != grid.boxes.shape \
+    if offsets.shape[1:] != grid.shape \
             or offsets.shape[:-1] != assignment.gt_index.shape:
         raise ValueError(f"offsets shape {offsets.shape} does not match grid "
-                         f"{grid.boxes.shape} with assignments stacked as "
+                         f"{grid.shape} with assignments stacked as "
                          f"{assignment.gt_index.shape}")
-    b, ov = grid.boxes, ad.values_of(offsets)
+    ov = ad.values_of(offsets)
     keep = assignment.gt_index != UNASSIGNED
-    center, side, grow = decode(b, ov)
+    center, side, grow = decode(grid, ov)
     iou, (hi, lo, gt_hi, gt_lo, extent, clipped, inter, union) = \
         overlap(center, side, assignment.gt_box)
     out = iou * keep
@@ -168,8 +167,8 @@ def pred_iou_values(grid: AnchorGrid, offsets, assignment: Assignment):
         d_lo = -d_overlap * (lo >= gt_lo)
         d_side = (d_hi - d_lo) * 0.5 + d_union[..., None] * side[..., ::-1]
         inside = (ov[..., 2:] >= -EXP_CLAMP) & (ov[..., 2:] <= EXP_CLAMP)
-        return np.concatenate([(d_hi + d_lo) * b[..., 2:],
-                               d_side * b[..., 2:] * grow * inside], axis=-1)
+        return np.concatenate([(d_hi + d_lo) * grid[..., 2:],
+                               d_side * grid[..., 2:] * grow * inside], axis=-1)
 
     return ad.record(out, [(offsets, vjp)])
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .anchors import (anchor_grid, check_no_empty_class, kmeans_anchors,
+from .anchors import (anchor_grid, check_no_empty_class, grid_shapes, kmeans_anchors,
                       load_anchor_set, save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import ToyNetConfig
@@ -195,7 +195,7 @@ def _score(state: RunState, scenes: list, out_dir, score_min: float,
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
     scenes = _load_scenes(args.dataset)
-    _check_classes(args.dataset, scenes, state.grid.n_classes, "checkpoint's anchors")
+    _check_classes(args.dataset, scenes, state.grid.shape[2], "checkpoint's anchors")
     _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
     per_class, mean = _score(state, scenes, args.out, args.score_min, args.iou_nms)
     for c in sorted(per_class):
@@ -214,7 +214,7 @@ def cmd_assign_dump(args) -> int:
     scene = scenes[args.scene]
     state = load_run(args.checkpoint) if args.checkpoint else None
     if state is not None:
-        if not np.array_equal(state.grid.shapes, shapes):
+        if not np.array_equal(grid_shapes(state.grid), shapes):
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
@@ -226,7 +226,7 @@ def cmd_assign_dump(args) -> int:
         o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
-    for c, a in np.ndindex(grid.n_classes, grid.n_anchors):
+    for c, a in np.ndindex(grid.shape[2:4]):
         data_mod.write_pnm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
                            assignment.pono[:, :, c, a])
         data_mod.write_pnm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
@@ -250,7 +250,7 @@ def cmd_assign_dump(args) -> int:
 
 def cmd_plot_weights(args) -> int:
     state = load_run(args.checkpoint)
-    shapes = state.grid.shapes
+    shapes = grid_shapes(state.grid)
     lam_cls = np.exp(-state.bw["bw.s_cls_grid"])
     lam_loc = np.exp(-state.bw["bw.s_loc_grid"])
     os.makedirs(args.out, exist_ok=True)

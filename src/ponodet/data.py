@@ -85,6 +85,10 @@ class GenSpec:
         lo, hi = self.objects_per_scene
         if not (0 <= lo <= hi):
             raise ValueError(f"objects_per_scene: bad range {self.objects_per_scene}")
+        most = (self.image_size // 4) ** 2  # placement is quadratic in the count
+        if hi > most:
+            raise ValueError(f"objects_per_scene: {hi} objects, but a {self.image_size}px "
+                             f"image holds {most} disjoint 4px squares")
         if not (0.0 <= self.crowding <= 1.0):
             raise ValueError(f"crowding must be in [0, 1], got {self.crowding}")
         if self.seed < 0:

@@ -12,7 +12,6 @@ from collections import Counter
 
 import numpy as np
 
-from .anchors import AnchorGrid
 from .geometry import Detections, GroundTruth, decode, nms, pairwise_iou
 from .loss import sigmoid
 
@@ -20,15 +19,15 @@ from .loss import sigmoid
 IOU_MATCH = 0.5
 
 
-def extract_detections(logits, offsets, grid: AnchorGrid, score_min: float,
+def extract_detections(logits, offsets, grid: np.ndarray, score_min: float,
                        nms_iou: float) -> Detections:
     """Decode every cell of one scene's logits [h, w, nc, na] and offsets
     [h, w, nc, na, 4] whose score clears `score_min`, then per-class NMS."""
-    if logits.shape != grid.boxes.shape[:4]:
+    if logits.shape != grid.shape[:4]:
         raise ValueError(f"logits shape {logits.shape} does not match grid")
     scores = sigmoid(logits)
     sel = np.nonzero(scores >= score_min)
-    boxes = np.concatenate(decode(grid.boxes[sel], offsets[sel])[:2], axis=1)
+    boxes = np.concatenate(decode(grid[sel], offsets[sel])[:2], axis=1)
     return nms(Detections(boxes, sel[2], scores[sel]), nms_iou)
 
 
@@ -97,7 +96,7 @@ def map_eval(dets_per_scene: list[Detections], gts: list[GroundTruth]
     return per_class, mean, n_gt, n_det
 
 
-def dataset_detections(model, grid: AnchorGrid, scenes, score_min: float,
+def dataset_detections(model, grid: np.ndarray, scenes, score_min: float,
                        nms_iou: float) -> list[Detections]:
     """Forward every scene in pure numpy, one scene per forward, and
     extract detections."""

@@ -4,12 +4,12 @@ predicts per-anchor score logits and offsets.
 Every pyramid level is processed by a small conv stack, resized to the
 stride-8 map, concatenated, and read by a classification head and an
 offset regression head.  One walk over the layers describes the network:
-at construction it draws the kernels, and the forward pass applies them
-to an image stack [N, H, W, 3], each conv, bias and leaky ReLU as one
-``conv2d`` call and one tape record.  Parameters are plain float64 arrays
-in a name->array dict; a training run wraps each as a leaf once, on the
-tape it owns.  Passing the raw arrays runs the same forward in pure numpy
-for inference.
+at construction it takes each layer's kernel as it reaches the layer, and
+the forward pass applies them to an image stack [N, H, W, 3], each conv,
+bias and leaky ReLU as one ``conv2d`` call and one tape record.
+Parameters are plain float64 arrays in a name->array dict; a training run
+wraps each as a leaf once, on the tape it owns.  Passing the raw arrays
+runs the same forward in pure numpy for inference.
 """
 
 from __future__ import annotations
@@ -69,24 +69,35 @@ class ToyNetConfig:
         return self.input_size // FEAT_STRIDE
 
 
+def drawn_kernels(seed: int):
+    """A fresh `ToyNet`'s kernels: uniform in +-sqrt(3 / fan_in), drawn layer
+    by layer from `seed`, and constant biases."""
+    rng = np.random.default_rng([seed, 1])
+
+    def draw(name, shape, bias):
+        limit = np.sqrt(3.0 / math.prod(shape[:3]))
+        return rng.uniform(-limit, limit, shape), np.full(shape[3], bias, dtype=np.float64)
+    return draw
+
+
 class ToyNet:
     """Encoder-decoder detector with multi-scale concatenation at stride 8."""
 
-    def __init__(self, cfg: ToyNetConfig, n_classes: int, n_anchors: int, seed: int):
+    def __init__(self, cfg: ToyNetConfig, n_classes: int, n_anchors: int, kernels):
+        """Layer `name` takes `kernels(name, (k, k, cin, cout), bias)` -> (w, b),
+        called in walk order on stand-ins of no scene, which hold no pixels."""
         self.cfg = cfg
         self.n_classes, self.n_anchors = n_classes, n_anchors
         self.params: dict[str, np.ndarray] = {}
-        rng = np.random.default_rng([seed, 1])
 
         def make(name, x, cout, stride=1, k=3, act=True, bias=0.0):
-            # draw the kernel and stand in for the output, without a conv
+            # take the layer's arrays and stand in for its output, without a conv
             n, h, w, cin = x.shape
-            limit = np.sqrt(3.0 / (k * k * cin))
-            self.params[f"{name}.w"] = rng.uniform(-limit, limit, (k, k, cin, cout))
-            self.params[f"{name}.b"] = np.full(cout, bias, dtype=np.float64)
-            return np.zeros((n, (h - 1) // stride + 1, (w - 1) // stride + 1, cout))
+            pair = kernels(name, (k, k, cin, cout), bias)
+            self.params[f"{name}.w"], self.params[f"{name}.b"] = pair
+            return np.empty((n, (h - 1) // stride + 1, (w - 1) // stride + 1, cout))
 
-        self._walk(make, np.zeros((1, cfg.input_size, cfg.input_size, 3)))
+        self._walk(make, np.empty((0, cfg.input_size, cfg.input_size, 3)))
 
     def _walk(self, conv, images):
         """The (cls, reg) head outputs on `images`, one `conv(name, x, cout,

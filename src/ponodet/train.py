@@ -39,11 +39,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import loss as loss_mod
-from .anchors import AnchorGrid, anchor_grid
+from .anchors import anchor_grid, grid_shapes
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, atomic_open, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
-from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, load_arrays, save_arrays
+from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 
 LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
@@ -104,7 +104,7 @@ class RunState:
 
     model: ToyNet
     bw: dict               # the `loss.initial_balance` arrays
-    grid: AnchorGrid
+    grid: np.ndarray       # the `anchors.anchor_grid` boxes
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
 
@@ -137,11 +137,11 @@ class RunState:
         return views
 
     @classmethod
-    def fresh(cls, net: ToyNetConfig, grid: AnchorGrid, seed: int) -> RunState:
+    def fresh(cls, net: ToyNetConfig, grid: np.ndarray, seed: int) -> RunState:
         """Iteration 0 on `grid` of a ToyNet sized by `net`, drawn from `seed`,
         with an output per class and anchor of the grid; unit balance weights."""
-        nc, na = grid.n_classes, grid.n_anchors
-        return cls(model=ToyNet(net, nc, na, seed=seed), grid=grid,
+        nc, na = grid.shape[2:4]
+        return cls(model=ToyNet(net, nc, na, drawn_kernels(seed)), grid=grid,
                    bw=initial_balance(nc, na))
 
 
@@ -156,7 +156,7 @@ class SceneBank:
     copy of the pixels.
     """
 
-    def __init__(self, scenes: list[Scene], grid: AnchorGrid):
+    def __init__(self, scenes: list[Scene], grid: np.ndarray):
         self.scenes = scenes
         self.grid = grid
         self.variants: dict[tuple[int, bool], tuple[Scene, Assignment]] = {}
@@ -221,7 +221,7 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
             cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
         n_pos = int(gate.sum())
         per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
-        n_total = len(batch) * state.grid.boxes.size // 4
+        n_total = len(batch) * state.grid.size // 4
         # only learned mode reads (and gives a gradient to) the `bw.*` leaves
         total, loc, cls, reg = loss_mod.weighted_totals(
             loc_map, cls_map, max(1, n_pos), n_total, cfg.mode, state.leaves)
@@ -269,7 +269,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     is logged or checkpointed.  The conv2d work arrays the run's passes
     reuse live on the state's tape until the call returns.
     """
-    if not np.array_equal(bank.grid.boxes, state.grid.boxes):
+    if not np.array_equal(bank.grid, state.grid):
         raise ValueError("the scene bank is on another anchor grid than the run")
     reports = []
     log = None
@@ -325,7 +325,7 @@ def save_run(path, state: RunState) -> None:
         arrays[f"meta.{k}"] = np.asarray(v)
     arrays["meta.iteration"] = np.asarray(float(state.iteration))
     arrays["meta.feat_stride"] = np.asarray(float(FEAT_STRIDE))
-    arrays["anchors.shapes"] = state.grid.shapes
+    arrays["anchors.shapes"] = grid_shapes(state.grid)
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr
     arrays.update(state.bw)
@@ -380,29 +380,33 @@ def load_run(path) -> RunState:
         cfg = ToyNetConfig(**sizes)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    model = ToyNet(cfg, nc, na, seed=0)
-    # every array entry must have the shape the meta entries imply; a
+
+    def checked(key: str, want: tuple) -> np.ndarray:
+        arr = entry(key)
+        if arr.shape != want:
+            raise ValueError(f"{path}: entry {key!r} has shape {arr.shape}, "
+                             f"but the meta entries imply {want}")
+        return arr
+
+    # an entry of the file bounds each array before it is built: the anchor
+    # shapes bound nc * na, and the walk checks each kernel as it reaches it
+    sides = checked("anchors.shapes", (nc, na, 2))
+    if not np.all(np.isfinite(sides) & (sides > 0)):
+        raise ValueError(f"{path}: entry 'anchors.shapes' holds a side that is "
+                         "not finite and positive")
+    model = ToyNet(cfg, nc, na, lambda name, shape, bias: (
+        checked(f"model.{name}.w", shape), checked(f"model.{name}.b", shape[3:])))
+    # every other entry must have the shape the meta entries imply; a
     # momentum buffer is keyed by the name the optimizer updates
     params = {name: p.shape for name, p in model.params.items()}
     bw = {name: v.shape for name, v in initial_balance(nc, na).items()}
     shapes = {"anchors.shapes": (nc, na, 2), **bw,
               **{f"model.{name}": s for name, s in params.items()},
               **{f"mom.{name}": s for name, s in {**params, **bw}.items()}}
-    for key, arr in arrays.items():
-        if key.startswith("meta."):
-            continue
-        want = shapes.get(key)
-        if want is None:
+    for key in [key for key in arrays if not key.startswith("meta.")]:
+        if key not in shapes:
             raise ValueError(f"{path}: checkpoint has an unknown entry {key!r}")
-        if arr.shape != want:
-            raise ValueError(f"{path}: entry {key!r} has shape {arr.shape}, "
-                             f"but the meta entries imply {want}")
-    sides = entry("anchors.shapes")
-    if not np.all(np.isfinite(sides) & (sides > 0)):
-        raise ValueError(f"{path}: entry 'anchors.shapes' holds a side that is "
-                         "not finite and positive")
-    for name in model.params:
-        model.params[name] = entry(f"model.{name}")
+        checked(key, shapes[key])
     # the momentum buffers are those of a prefix the optimizer steps: none,
     # the model's, or every trained array's; a resume would zero a missing one
     held = {name for name in [*params, *bw] if f"mom.{name}" in arrays}

@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ponodet import benchmarks as B
-from ponodet.anchors import kmeans_anchors, wh_iou
+from ponodet.anchors import grid_shapes, kmeans_anchors, wh_iou
 from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
@@ -201,10 +201,7 @@ def _offsets_kink_free(grid, offs, am, gate, margin=5e-3):
     """True when every gated cell's decoded box sits clear of the IoU
     min/max kinks (coincident edges, vanishing intersection) so central
     differences see a smooth function."""
-    b = grid.boxes
-    cx, cy, w, h = decode_cxywh(b[..., 0], b[..., 1], b[..., 2], b[..., 3],
-                                offs[..., 0], offs[..., 1],
-                                offs[..., 2], offs[..., 3])
+    cx, cy, w, h = decode_cxywh(*np.moveaxis(grid, -1, 0), *np.moveaxis(offs, -1, 0))
     gcx, gcy, gw, gh = np.moveaxis(am.gt_box, -1, 0)
     on = gate > 0
     for lo_a, lo_b in (((cx - w / 2)[on], (gcx - gw / 2)[on]),
@@ -226,7 +223,7 @@ def test_c02_gradient_suite():
         grid, am, gate = _random_instance(rng)
         if gate.sum() == 0:
             continue
-        offs = rng.uniform(-0.4, 0.4, grid.boxes.shape)
+        offs = rng.uniform(-0.4, 0.4, grid.shape)
         if not _offsets_kink_free(grid, offs, am, gate):
             continue
 
@@ -343,7 +340,7 @@ def test_c06_label_rule_ordering(crowded_runs):
 def test_c07_weight_trends(imbalanced_runs):
     run = imbalanced_runs["learned"]
     bw = run["state"].bw
-    shapes = run["state"].grid.shapes
+    shapes = grid_shapes(run["state"].grid)
     areas = shapes[..., 0] * shapes[..., 1]
     lam_loc = np.exp(-bw["bw.s_loc_grid"])
     lam_cls = np.exp(-bw["bw.s_cls_grid"])

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ponodet import anchors
-from ponodet.anchors import (AnchorGrid, anchor_grid, kmeans_anchors,
+from ponodet.anchors import (anchor_grid, grid_shapes, kmeans_anchors,
                              load_anchor_set, save_anchor_set, sizes_per_class,
                              wh_iou, _MAX_STARTS, _MOVES, _cluster_cost)
 from ponodet.benchmarks import crowded_benchmark, imbalanced_benchmark
@@ -15,10 +15,11 @@ from ponodet.data import generate
 
 
 def build_grid(shapes: np.ndarray, h_f: int, w_f: int,
-               feat_stride: int) -> AnchorGrid:
-    """Tile the anchor shapes [n_classes, n_anchors, 2] over every cell
-    center of an h_f x w_f map: the general form of `anchors.anchor_grid`,
-    for grids of any size and stride."""
+               feat_stride: int) -> np.ndarray:
+    """The anchor boxes [h_f, w_f, n_classes, n_anchors, 4] of the shapes
+    [n_classes, n_anchors, 2] tiled over every cell center of an h_f x w_f
+    map: the general form of `anchors.anchor_grid`, for grids of any size
+    and stride."""
     if min(h_f, w_f, feat_stride) < 1:
         raise ValueError("h_f, w_f and feat_stride must be >= 1")
     nc, na = shapes.shape[:2]
@@ -27,7 +28,7 @@ def build_grid(shapes: np.ndarray, h_f: int, w_f: int,
     boxes[..., 1] = ((np.arange(h_f) + 0.5) * feat_stride)[:, None, None, None]
     boxes[..., 2] = shapes[..., 0][None, None, :, :]
     boxes[..., 3] = shapes[..., 1][None, None, :, :]
-    return AnchorGrid(boxes=boxes)
+    return boxes
 
 
 def search_work(n_starts: int, n_members: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +162,11 @@ def oracle_best_shape(members: np.ndarray,
 # The k-means loop before the two-phase form, kept as its reference: the
 # multi-start centroid update at every Lloyd step.
 
-def multistart_lloyd(shapes: np.ndarray, n_a: int, rng: np.random.Generator,
-                     max_iter: int) -> np.ndarray:
+def multistart_lloyd(shapes: np.ndarray, n_a: int,
+                     rng: np.random.Generator) -> np.ndarray:
     centroids = anchors._farthest_point_init(shapes, n_a, rng)
     assign = None
-    for _ in range(max_iter):
+    for _ in range(anchors._MAX_STEPS):
         d = 1.0 - wh_iou(shapes[:, None, :], centroids[None, :, :])
         new_assign = np.argmin(d, axis=1)
         for k in range(n_a):
@@ -256,23 +257,30 @@ class TestKmeans:
         assert kmeans_objective(aset, sizes) <= kmeans_objective(wide, sizes) + 1e-12
 
     def test_lloyd_steps_capped_at_60(self, monkeypatch):
-        caps, one_class = [], anchors._kmeans_one_class
+        # the loop reads the cap: under a cap of 2, a class that needs more
+        # steps makes 2 steps of one single-start search per centroid
+        assert anchors._MAX_STEPS == 60
+        starts, cached_search = [], anchors._cached_search
 
-        def spy(shapes, n_a, rng, max_iter):
-            caps.append(max_iter)
-            return one_class(shapes, n_a, rng, max_iter)
+        def spy(batch, members, cache):
+            starts.append(len(batch))
+            return cached_search(batch, members, cache)
 
-        monkeypatch.setattr(anchors, "_kmeans_one_class", spy)
-        kmeans_anchors([np.full((3, 2), 5.0), np.full((4, 2), 9.0)], n_a=2, seed=0)
-        assert caps == [60, 60]
+        monkeypatch.setattr(anchors, "_cached_search", spy)
+        monkeypatch.setattr(anchors, "_MAX_STEPS", 2)
+        shapes = np.random.default_rng(29).uniform(5, 60, size=(100, 2))
+        anchors._kmeans_one_class(shapes, 3, np.random.default_rng(0))
+        assert starts == [1] * 6
 
-    def test_objective_nonincreasing_with_iterations(self):
+    def test_objective_nonincreasing_with_iterations(self, monkeypatch):
         rng = np.random.default_rng(7)
         sizes = [rng.uniform(5, 60, size=(100, 2))]
         # the class's k-means under each cap, drawn as `kmeans_anchors` draws it
-        costs = [kmeans_objective(anchors._kmeans_one_class(
-                     sizes[0], 3, np.random.default_rng([2, 0]), it)[None], sizes)
-                 for it in (1, 2, 4, 8, 16, 32)]
+        costs = []
+        for cap in (1, 2, 4, 8, 16, 32):
+            monkeypatch.setattr(anchors, "_MAX_STEPS", cap)
+            costs.append(kmeans_objective(anchors._kmeans_one_class(
+                sizes[0], 3, np.random.default_rng([2, 0]))[None], sizes))
         assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
 
     def test_sorted_by_area(self):
@@ -329,7 +337,7 @@ class TestKmeans:
 
     def test_single_start_steps_then_multistart_to_the_fixed_point(self, monkeypatch):
         rng = np.random.default_rng(29)
-        shapes, n_a, max_iter = rng.uniform(5, 60, size=(100, 2)), 3, 60
+        shapes, n_a = rng.uniform(5, 60, size=(100, 2)), 3
         calls, in_best = [], []
         cached_search, best_shape = anchors._cached_search, anchors._best_shape
 
@@ -349,14 +357,13 @@ class TestKmeans:
 
         monkeypatch.setattr(anchors, "_cached_search", spy_search)
         monkeypatch.setattr(anchors, "_best_shape", spy_best)
-        centroids = anchors._kmeans_one_class(shapes, n_a, np.random.default_rng(0),
-                                              max_iter)
+        centroids = anchors._kmeans_one_class(shapes, n_a, np.random.default_rng(0))
         n_local, n_best = calls.count("local"), calls.count("best")
         # every cluster is non-empty at every step, so each step makes n_a calls
         assert calls == ["local"] * n_local + ["best"] * n_best, calls
         assert n_local % n_a == 0 and n_best % n_a == 0
         assert n_local >= 2 * n_a and n_best >= n_a
-        assert (n_local + n_best) // n_a < max_iter  # converged, not capped
+        assert (n_local + n_best) // n_a < anchors._MAX_STEPS  # converged, not capped
         # the last, multi-start step changed nothing: the result is its fixed point
         assign = np.argmin(1.0 - wh_iou(shapes[:, None, :], centroids[None]), axis=1)
         for k in range(n_a):
@@ -460,37 +467,41 @@ class TestBuildGrid:
     def test_single_cell(self):
         aset = np.array([[[4.0, 4.0]]])
         grid = build_grid(aset, 1, 1, 8)
-        assert grid.boxes[0, 0, 0, 0].tolist() == [4.0, 4.0, 4.0, 4.0]
+        assert grid[0, 0, 0, 0].tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_centers(self):
         aset = np.array([[[4.0, 4.0]]])
         grid = build_grid(aset, 2, 2, 8)
-        centers = {tuple(grid.boxes[i, j, 0, 0, :2].tolist())
+        centers = {tuple(grid[i, j, 0, 0, :2].tolist())
                    for i in range(2) for j in range(2)}
         assert centers == {(4.0, 4.0), (12.0, 4.0), (4.0, 12.0), (12.0, 12.0)}
 
     def test_cell_count_and_shapes(self):
         aset = np.arange(1, 2 * 3 * 2 + 1, dtype=float).reshape(2, 3, 2)
         grid = build_grid(aset, 5, 7, 4)
-        assert grid.boxes.shape == (5, 7, 2, 3, 4)
-        np.testing.assert_array_equal(grid.boxes[2, 3, :, :, 2:], aset)
+        assert grid.shape == (5, 7, 2, 3, 4)
+        np.testing.assert_array_equal(grid[2, 3, :, :, 2:], aset)
 
     def test_centers_inside_image(self):
         aset = np.full((1, 2, 2), 9.0)
         grid = build_grid(aset, 6, 6, 8)
-        assert grid.boxes[..., 0].max() < 6 * 8
-        assert grid.boxes[..., 1].min() > 0
+        assert grid[..., 0].max() < 6 * 8
+        assert grid[..., 1].min() > 0
 
     def test_validates_sizes(self):
         aset = np.full((1, 1, 2), 4.0)
         with pytest.raises(ValueError):
             build_grid(aset, 0, 3, 8)
 
+    def test_shapes_read_back_off_a_run_grid(self):
+        aset = np.random.default_rng(4).uniform(4, 30, (2, 3, 2))
+        np.testing.assert_array_equal(grid_shapes(anchor_grid(aset, 48)), aset)
+
     @pytest.mark.parametrize("size", [32, 48, 64])
     def test_equals_the_square_stride_8_grid_of_a_run(self, size):
         aset = np.random.default_rng(size).uniform(4, 30, (2, 3, 2))
-        want = anchor_grid(aset, size).boxes
-        np.testing.assert_array_equal(build_grid(aset, size // 8, size // 8, 8).boxes, want)
+        want = anchor_grid(aset, size)
+        np.testing.assert_array_equal(build_grid(aset, size // 8, size // 8, 8), want)
 
     def test_run_grid_needs_a_stride_8_cell(self):
         with pytest.raises(ValueError, match="a 7px image has no stride-8 cell"):

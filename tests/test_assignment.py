@@ -22,7 +22,7 @@ class TestAssignAO:
         grid = square_grid([[[8.0, 8.0]]])
         am = assign_ao(grid, GroundTruth(boxes=[], class_ids=[]))
         assert np.all(am.gt_index == UNASSIGNED)
-        np.testing.assert_array_equal(am.gt_box, np.ones(grid.boxes.shape))
+        np.testing.assert_array_equal(am.gt_box, np.ones(grid.shape))
 
     def test_gt_box_rows(self):
         # assigned cells hold their object's row; unassigned cells a unit box
@@ -30,7 +30,7 @@ class TestAssignAO:
         gt = GroundTruth(boxes=[(12, 12, 10, 10), (20, 18, 12, 9), (8, 22, 7, 8)],
                          class_ids=[0, 1, 0])
         am = assign_ao(grid, gt)
-        assert am.gt_box.shape == grid.boxes.shape
+        assert am.gt_box.shape == grid.shape
         on = am.gt_index != UNASSIGNED
         assert on.any() and not on.all()
         np.testing.assert_array_equal(am.gt_box[on], gt.boxes[am.gt_index[on]])
@@ -54,7 +54,7 @@ class TestAssignAO:
         b = (3, 5, 10, 10)
         gt = GroundTruth(boxes=[a, b], class_ids=[0, 0])
         am = assign_ao(grid, gt)
-        left = tuple(grid.boxes[0, 0, 0, 0])
+        left = tuple(grid[0, 0, 0, 0])
         assert iou_oracle(left, b) > iou_oracle(left, a) > 0
         assert am.gt_index[0, 0, 0, 0] == 1
         assert am.gt_index[0, 1, 0, 0] == 0
@@ -150,7 +150,7 @@ class TestPredIoU:
         gt = GroundTruth(boxes=[(10, 12, 9, 9), (20, 18, 12, 14)],
                          class_ids=[0, 0])
         am = assign_ao(grid, gt)
-        o_hat = pred_iou_values(grid, np.zeros((1, *grid.boxes.shape)),
+        o_hat = pred_iou_values(grid, np.zeros((1, *grid.shape)),
                                 Assignment.stack([am]))
         np.testing.assert_allclose(o_hat[0], am.ao, atol=1e-15)
 
@@ -158,7 +158,7 @@ class TestPredIoU:
         grid = square_grid([[[8.0, 8.0]]], h=1, w=1, stride=8)
         gt = GroundTruth(boxes=[(4, 4, 8, 8)], class_ids=[0])
         am = assign_ao(grid, gt)
-        o_hat = pred_iou_values(grid, np.zeros((1, *grid.boxes.shape)),
+        o_hat = pred_iou_values(grid, np.zeros((1, *grid.shape)),
                                 Assignment.stack([am]))
         assert o_hat[0, 0, 0, 0, 0] == 1.0
 
@@ -167,7 +167,7 @@ class TestPredIoU:
         # anchor at (5, 5): shift to (12, 10) and double the width
         gt = GroundTruth(boxes=[(7.0, 5.0, 8.0, 4.0)], class_ids=[0])
         am = assign_ao(grid, gt)
-        offsets = np.zeros((1, *grid.boxes.shape))
+        offsets = np.zeros((1, *grid.shape))
         offsets[0, 0, 0, 0, 0] = [0.5, 0.0, np.log(2.0), 0.0]
         o_hat = pred_iou_values(grid, offsets, Assignment.stack([am]))
         assert o_hat[0, 0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -180,9 +180,9 @@ class TestPredIoU:
             pred_iou_values(grid, np.zeros((1, 2, 2, 1, 1, 4)), stacked)
         # one scene's unstacked offsets, and a stack of another length
         with pytest.raises(ValueError):
-            pred_iou_values(grid, np.zeros(grid.boxes.shape), stacked)
+            pred_iou_values(grid, np.zeros(grid.shape), stacked)
         with pytest.raises(ValueError):
-            pred_iou_values(grid, np.zeros((2, *grid.boxes.shape)), stacked)
+            pred_iou_values(grid, np.zeros((2, *grid.shape)), stacked)
 
     def test_stacked_scenes_match_one_at_a_time(self):
         grid = square_grid([[[8.0, 8.0], [12.0, 16.0]]], h=3, w=3, stride=8)
@@ -191,8 +191,8 @@ class TestPredIoU:
                            class_ids=[0, 0])]
         records = [assign_ao(grid, gt) for gt in gts]
         stacked = Assignment.stack(records)
-        assert stacked.gt_box.shape == (2, *grid.boxes.shape)
-        offsets = np.random.default_rng(3).uniform(-0.3, 0.3, (2, *grid.boxes.shape))
+        assert stacked.gt_box.shape == (2, *grid.shape)
+        offsets = np.random.default_rng(3).uniform(-0.3, 0.3, (2, *grid.shape))
         o_hat = pred_iou_values(grid, offsets, stacked)
         for k, rec in enumerate(records):
             np.testing.assert_array_equal(stacked.pono[k], rec.pono)
@@ -223,9 +223,9 @@ class TestOneIoU:
     def test_grid_gt_iou_matches_oracle(self):
         grid, gts = special_grid_scenes()
         for gt in gts:
-            want = np.zeros(grid.boxes.shape[:4] + (len(gt),))
+            want = np.zeros(grid.shape[:4] + (len(gt),))
             for k, (box, c) in enumerate(zip(gt.boxes, gt.class_ids)):
-                want[:, :, c, :, k] = iou_cxywh(*np.moveaxis(grid.boxes[:, :, c], -1, 0), *box)
+                want[:, :, c, :, k] = iou_cxywh(*np.moveaxis(grid[:, :, c], -1, 0), *box)
             got = _grid_gt_iou(grid, gt)
             np.testing.assert_array_equal(got, want)
         assert got.shape == (3, 3, 2, 2, 0)
@@ -237,7 +237,7 @@ class TestOneIoU:
         offsets = np.asarray(CLAMP_OFFSETS)[rng.integers(len(CLAMP_OFFSETS),
                                                          size=stacked.gt_index.shape)]
         offsets[0, 0, 0] = 0.0  # the anchors that equal or touch their objects
-        box = decode_cxywh(*np.moveaxis(grid.boxes, -1, 0), *np.moveaxis(offsets, -1, 0))
+        box = decode_cxywh(*np.moveaxis(grid, -1, 0), *np.moveaxis(offsets, -1, 0))
         want = iou_cxywh(*box, *np.moveaxis(stacked.gt_box, -1, 0)) \
             * (stacked.gt_index != UNASSIGNED)
         np.testing.assert_array_equal(pred_iou_values(grid, offsets, stacked), want)
@@ -311,7 +311,7 @@ class TestAmbiguitySuppression:
 
         # geometric fact: no single box overlaps both disjoint objects
         # above 0.5 -- exhaustive search over a coarse offset grid
-        anchor = grid.boxes[0, 1, 0, 0]
+        anchor = grid[0, 1, 0, 0]
         best = 0.0
         for dx in np.linspace(-1.5, 1.5, 13):
             for dw in np.linspace(-1.5, 1.5, 13):

@@ -1,6 +1,9 @@
 import importlib.util
+import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -266,6 +269,8 @@ class TestBadInput:
     @pytest.mark.parametrize("old,new,message", [
         ("n_classes = 2", "n_classes = two", "n_classes: invalid literal"),
         ("crowding = 0.0", "crowding = 1.5", "crowding must be in [0, 1]"),
+        ("objects_per_scene = 1,2", "objects_per_scene = 1,65",
+         "objects_per_scene: 65 objects, but a 32px image holds 64"),
         ("crowding = 0.0", "crowdng = 0.8", "unknown config key 'crowdng'"),
     ])
     def test_bad_genspec_names_file_and_key(self, tmp_path, capsys, old, new, message):
@@ -387,6 +392,37 @@ class TestBadInput:
         assert run(["eval", "--checkpoint", str(path), "--dataset",
                     str(workspace / "ds"), "--out", str(tmp_path / "ev")]) == 2
         assert f"{path}: entry 'model.stem0.w' has shape (3, 3, 3, 5)" in capsys.readouterr().err
+
+    def test_eval_checkpoint_sizes_checked_before_building(self, workspace, tmp_path):
+        # each meta entry once sized an array past 1 GB before any entry of
+        # the file was checked; the child caps its own address space and time
+        arrays = load_arrays(workspace / "run" / "final.bin")
+        cases = {"meta.base_channels": (4096, "entry 'model.stem0.w' has shape (3, 3, 3, 2), "
+                                              "but the meta entries imply (3, 3, 3, 4096)"),
+                 "meta.n_classes": (1e12, "entry 'anchors.shapes' has shape (2, 2, 2)"),
+                 "meta.n_anchors": (3e8, "entry 'anchors.shapes' has shape (2, 2, 2)"),
+                 "meta.head_convs": (1e9, "checkpoint has no 'model.pyr0_1.w' entry")}
+        paths = []
+        for key, (value, _) in cases.items():
+            paths.append(tmp_path / f"{key}.bin")
+            save_arrays(paths[-1], {**arrays, key: np.asarray(float(value))})
+        child = ("import contextlib, io, json, resource, signal, sys\n"
+                 "from ponodet.cli import run\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "signal.alarm(60)\n"
+                 "for path in sys.argv[1:]:\n"
+                 "    err = io.StringIO()\n"
+                 "    with contextlib.redirect_stderr(err):\n"
+                 "        code = run(['eval', '--checkpoint', path, '--dataset', 'ds',\n"
+                 "                    '--out', 'ev'])\n"
+                 "    print(json.dumps([code, err.getvalue()]), flush=True)\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", child, *map(str, paths)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        got = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [code for code, _ in got] == [2] * len(cases), done.stderr[-2000:]
+        for (_, err), path, (_, message) in zip(got, paths, cases.values()):
+            assert err.startswith(f"error: {path}: {message}"), err
 
     @pytest.mark.parametrize("command,text,key", [
         ("train", "lr = 0.5\n", "lr"),
@@ -719,6 +755,21 @@ class TestArtifactDigests:
         assert not differ, (f"{len(differ)} artifacts differ from the manifest, first "
                             f"{differ[0]}: manifest {want.get(differ[0])}, "
                             f"flow {got.get(differ[0])}")
+
+
+class TestDemo:
+    def test_demo_runs_from_another_directory(self, tmp_path):
+        # the script finds ponodet in the src/ beside it, not on a path
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_pipeline.py"),
+                               "--out", "demo"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        out = tmp_path / "demo"
+        for rel in ("train_ds/annotations.txt", "test_ds/annotations.txt", "anchors.txt",
+                    "run/log.csv", "run/final.bin", "eval/report.csv", "maps/maps.csv",
+                    "maps/prediou_c1_a2.pgm", "weights/weights.csv"):
+            assert (out / rel).is_file(), rel
 
 
 class TestAblate:

@@ -36,6 +36,16 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             basic_spec(size_ranges=((2.0, 20.0), (6.0, 14.0)))
 
+    @pytest.mark.parametrize("size", [32, 48])
+    def test_object_count_bounded_by_disjoint_4px_squares(self, size):
+        # placement is quadratic in the count: 500 objects took 7.4 s a scene
+        most = (size // 4) ** 2
+        basic_spec(image_size=size, objects_per_scene=(0, most))
+        with pytest.raises(ValueError, match=re.escape(
+                f"objects_per_scene: {most + 1} objects, but a {size}px image "
+                f"holds {most} disjoint 4px squares")):
+            basic_spec(image_size=size, objects_per_scene=(1, most + 1))
+
     def test_from_kv_roundtrip(self, tmp_path):
         spec = basic_spec(crowding=0.25)
         path = tmp_path / "genspec.txt"

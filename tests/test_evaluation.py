@@ -32,7 +32,7 @@ def extract_oracle(logits, offsets, grid, score_min, nms_iou):
     scores = sigmoid(logits)
     rows = []
     for i, j, c, a in np.argwhere(scores >= score_min):
-        b, o = grid.boxes[i, j, c, a], offsets[i, j, c, a]
+        b, o = grid[i, j, c, a], offsets[i, j, c, a]
         box = decode_cxywh(b[0], b[1], b[2], b[3], o[0], o[1], o[2], o[3])
         rows.append((*map(float, box), int(c), float(scores[i, j, c, a])))
     keep = nms_oracle([r[:4] for r in rows], [r[4] for r in rows],
@@ -219,7 +219,7 @@ class TestExtractDetections:
         logits[1, 0, 0, 0] = 10.0
         dets = extract_detections(logits, np.zeros((2, 2, 1, 1, 4)), grid, 0.05, 0.5)
         assert len(dets) == 1
-        assert dets.boxes[0].tolist() == grid.boxes[1, 0, 0, 0].tolist()
+        assert dets.boxes[0].tolist() == grid[1, 0, 0, 0].tolist()
         assert dets.scores[0] > 0.9999
 
     def test_duplicates_collapse_under_nms(self):
@@ -229,7 +229,7 @@ class TestExtractDetections:
         # all four cells decode onto the same spot
         for i in range(2):
             for j in range(2):
-                acx, acy, aw, ah = grid.boxes[i, j, 0, 0]
+                acx, acy, aw, ah = grid[i, j, 0, 0]
                 offsets[i, j, 0, 0, 0] = (8.0 - acx) / aw
                 offsets[i, j, 0, 0, 1] = (8.0 - acy) / ah
         logits[0, 0, 0, 0] = 5.0
@@ -242,8 +242,8 @@ class TestExtractDetections:
         grid = build_grid(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1), 6, 6, 4)
         for _ in range(10):
             # few logit levels: equal scores and same-spot duplicates are common
-            logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.boxes.shape[:4])
-            offsets = rng.choice([0.0, 0.25, -0.5], size=grid.boxes.shape)
+            logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.shape[:4])
+            offsets = rng.choice([0.0, 0.25, -0.5], size=grid.shape)
             for score_min, nms_iou in ((0.05, 0.5), (0.5, 0.3), (0.05, 0.9)):
                 got = extract_detections(logits, offsets, grid, score_min, nms_iou)
                 assert rows_of(got) == extract_oracle(logits, offsets, grid,
@@ -252,10 +252,10 @@ class TestExtractDetections:
     def test_clamped_offsets_and_empty_selection_match_per_cell_loop(self):
         rng = np.random.default_rng(9)
         grid = build_grid(np.sort(rng.uniform(4, 16, (2, 3, 2)), axis=1), 6, 6, 4)
-        logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.boxes.shape[:4])
+        logits = rng.choice([-4.0, 0.0, 1.0, 2.0], size=grid.shape[:4])
         # dw / dh inside, at and beyond the clamp
         offsets = np.asarray(CLAMP_OFFSETS)[rng.integers(len(CLAMP_OFFSETS),
-                                                         size=grid.boxes.shape[:4])]
+                                                         size=grid.shape[:4])]
         for score_min, nms_iou in ((0.05, 1.0), (0.5, 0.5), (0.99, 0.5)):
             got = extract_detections(logits, offsets, grid, score_min, nms_iou)
             assert rows_of(got) == extract_oracle(logits, offsets, grid,

@@ -245,10 +245,8 @@ def elementwise_iou(acx, acy, aw, ah, bcx, bcy, bw, bh):
 
 
 def elementwise_pred_iou(grid, offsets, assignment):
-    b = grid.boxes
     cx, cy, w, h = elementwise_decode(
-        b[..., 0], b[..., 1], b[..., 2], b[..., 3],
-        *(take(offsets, (..., k)) for k in range(4)))
+        *np.moveaxis(grid, -1, 0), *(take(offsets, (..., k)) for k in range(4)))
     g = assignment.gt_box
     return mul(elementwise_iou(cx, cy, w, h, g[..., 0], g[..., 1], g[..., 2], g[..., 3]),
                assignment.gt_index != UNASSIGNED)
@@ -532,8 +530,8 @@ class TestFusedHead:
         s_values = {name: np.full(np.shape(v), 0.25)
                     for name, v in initial_balance(1, 4).items()}
         # the kinks are where the test puts them
-        b = grid.boxes[None]
-        cx, cy, w, h = decode_cxywh(*np.moveaxis(b, -1, 0), *np.moveaxis(offsets, -1, 0))
+        cx, cy, w, h = decode_cxywh(*np.moveaxis(grid[None], -1, 0),
+                                    *np.moveaxis(offsets, -1, 0))
         right, left = (cx + w * 0.5).ravel(), (cx - w * 0.5).ravel()
         gt_right, gt_left = gt_box[:, 0] + gt_box[:, 2] * 0.5, gt_box[:, 0] - gt_box[:, 2] * 0.5
         assert right[0] == gt_right[0] and left[1] == gt_left[1] and right[2] == gt_left[2]

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ponodet import autodiff as ad
 from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
 from ponodet.loss import bce_logits, loc_loss_map, sigmoid
-from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig, load_arrays,
-                           save_arrays)
+from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig, drawn_kernels,
+                           load_arrays, save_arrays)
 
 from test_anchors import build_grid
 from test_autodiff import add, div, grad_check, mean, reduce_sum, zero_leaf
@@ -93,7 +93,7 @@ class TestToyNetLayers:
     def test_parameter_names_order_and_shapes(self):
         # the walk order fixes the kernel draws and the checkpoint order
         cfg = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
-        net = ToyNet(cfg, n_classes=1, n_anchors=2, seed=0)
+        net = ToyNet(cfg, 1, 2, drawn_kernels(0))
         kernels = [("stem0", 3, 3, 2), ("stem1", 3, 2, 4), ("stem2", 3, 4, 8),
                    ("enc1", 3, 8, 16), ("dec1", 3, 16, 8), ("dec0", 3, 16, 4),
                    ("pyr0_0", 3, 4, 4), ("pyr1_0", 3, 8, 8), ("cls0", 3, 12, 8),
@@ -113,11 +113,18 @@ class TestToyNetLayers:
 
         monkeypatch.setattr(ad, "conv2d", fail)
         monkeypatch.setattr(ToyNet, "forward", fail)
-        ToyNet(ToyNetConfig(input_size=64, base_channels=3, levels=3), 2, 2, seed=0)
+        ToyNet(ToyNetConfig(input_size=64, base_channels=3, levels=3), 2, 2,
+               drawn_kernels(0))
+
+    def test_walk_stand_ins_hold_no_pixels(self):
+        # a stand-in stack of one 2**20 px scene would take 26 TB
+        cfg = ToyNetConfig(input_size=2 ** 20, base_channels=1, levels=2, head_convs=0)
+        net = ToyNet(cfg, 1, 1, drawn_kernels(0))
+        assert net.params["stem0.w"].shape == (3, 3, 3, 1)
 
     def test_meta_lists_the_config_fields(self):
         cfg = ToyNetConfig(input_size=64, base_channels=3, levels=3, head_convs=0)
-        assert ToyNet(cfg, 2, 5, seed=0).meta() == {
+        assert ToyNet(cfg, 2, 5, drawn_kernels(0)).meta() == {
             "model_kind": 1.0, "input_size": 64.0, "base_channels": 3.0,
             "levels": 3.0, "head_convs": 0.0, "n_classes": 2.0, "n_anchors": 5.0}
 
@@ -125,14 +132,14 @@ class TestToyNetLayers:
 class TestToyNetForward:
     def test_output_shapes(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
-        net = ToyNet(cfg, n_classes=2, n_anchors=3, seed=0)
+        net = ToyNet(cfg, 2, 3, drawn_kernels(0))
         out = net.forward(net.params, np.zeros((2, 32, 32, 3)))
         assert out.logits.shape == (2, 4, 4, 2, 3)
         assert out.offsets.shape == (2, 4, 4, 2, 3, 4)
 
     def test_input_size_checked(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
-        net = ToyNet(cfg, 1, 1, seed=0)
+        net = ToyNet(cfg, 1, 1, drawn_kernels(0))
         with pytest.raises(ValueError):
             net.forward(net.params, np.zeros((1, 16, 16, 3)))
         with pytest.raises(ValueError, match="image stack"):
@@ -140,7 +147,7 @@ class TestToyNetForward:
 
     def test_zero_weights_give_constant_logits(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
-        net = ToyNet(cfg, 2, 2, seed=1)
+        net = ToyNet(cfg, 2, 2, drawn_kernels(1))
         zeroed = {k: np.zeros_like(v) for k, v in net.params.items()}
         out = net.forward(zeroed, np.random.default_rng(0).uniform(0, 1, (2, 32, 32, 3)))
         assert np.ptp(out.logits) == 0.0
@@ -148,15 +155,15 @@ class TestToyNetForward:
 
     def test_deterministic_init(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
-        a = ToyNet(cfg, 2, 2, seed=7)
-        b = ToyNet(cfg, 2, 2, seed=7)
+        a = ToyNet(cfg, 2, 2, drawn_kernels(7))
+        b = ToyNet(cfg, 2, 2, drawn_kernels(7))
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_stack_forward_matches_per_scene_forwards(self, taped):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=2)
-        net = ToyNet(cfg, 2, 3, seed=4)
+        net = ToyNet(cfg, 2, 3, drawn_kernels(4))
         images = np.random.default_rng(6).uniform(0, 1, (3, 32, 32, 3))
 
         def forward(stack):
@@ -174,7 +181,7 @@ class TestToyNetForward:
         # shifting the input by the coarsest pyramid stride shifts the
         # stride-8 output by the matching number of cells on interior cells
         cfg = ToyNetConfig(input_size=256, base_channels=2, levels=2, head_convs=1)
-        net = ToyNet(cfg, 1, 1, seed=3)
+        net = ToyNet(cfg, 1, 1, drawn_kernels(3))
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 1, (256, 256, 3))
         shift = 16  # stride of the coarsest level; 2 cells at stride 8
@@ -191,7 +198,7 @@ class TestToyNetGradients:
     @pytest.mark.slow
     def test_full_gradcheck_on_small_scene(self):
         cfg = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
-        net = ToyNet(cfg, 1, 1, seed=11)
+        net = ToyNet(cfg, 1, 1, drawn_kernels(11))
         rng = np.random.default_rng(2)
         image = rng.uniform(0, 1, (32, 32, 3))
         grid = build_grid(np.full((1, 1, 2), 10.0), 4, 4, 8)

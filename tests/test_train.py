@@ -18,7 +18,7 @@ from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, config_from_kv, generate, hflip
 from ponodet.loss import LossReport, initial_balance
-from ponodet.model import ToyNet, ToyNetConfig, load_arrays, save_arrays
+from ponodet.model import ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, load_run, lr_at,
                            run_training, save_run, sgd_step, train_iteration)
 
@@ -255,7 +255,7 @@ def per_scene_reference(state, batch, cfg):
     params = leaves_of({**state.model.params, **(state.bw if learned else {})})
     loc_sums = cls_sums = None
     n_pos = 0
-    per_grid_pos = np.zeros((state.grid.n_classes, state.grid.n_anchors), np.int64)
+    per_grid_pos = np.zeros(state.grid.shape[2:4], np.int64)
     for scene in batch:
         one = Assignment.stack([assign_ao(state.grid, scene.gt)])
         out = state.model.forward(params, scene.image[None])
@@ -269,7 +269,7 @@ def per_scene_reference(state, batch, cfg):
         cls_sums = cs if cls_sums is None else add(cls_sums, cs)
         n_pos += int(gate.sum())
         per_grid_pos += labels.sum(axis=(0, 1, 2), dtype=np.int64)
-    n_total = len(batch) * state.grid.boxes.size // 4
+    n_total = len(batch) * state.grid.size // 4
     total, *terms = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
                                              n_total, cfg.mode, params)
     ad.backward(total)
@@ -715,7 +715,8 @@ class TestFlatState:
         from ponodet import benchmarks
         b = benchmarks.imbalanced_benchmark()
         grid = anchor_grid(np.full((2, b.n_anchors, 2), 12.0), b.net.input_size)
-        model, bw = ToyNet(b.net, 2, b.n_anchors, seed=0), initial_balance(2, b.n_anchors)
+        model = ToyNet(b.net, 2, b.n_anchors, drawn_kernels(0))
+        bw = initial_balance(2, b.n_anchors)
         tracemalloc.start()
         try:
             state = RunState(model=model, grid=grid, bw=bw)
@@ -730,7 +731,7 @@ class TestFlatState:
         net = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
         grid = anchor_grid(np.full((3, 2, 2), 9.0), 32)
         state = RunState.fresh(net, grid, 7)
-        want = ToyNet(net, 3, 2, seed=7)
+        want = ToyNet(net, 3, 2, drawn_kernels(7))
         assert (state.model.cfg, state.model.n_classes, state.model.n_anchors) == (net, 3, 2)
         assert list(state.model.params) == list(want.params)
         for name, p in want.params.items():
