@@ -1,8 +1,8 @@
 """Per-class anchor shape discovery, and the anchor grid the shapes tile.
 
 Anchor shapes are a float64 array [n_classes, n_anchors, 2] of (w, h)
-pixels, each class's sorted by ascending area.  `anchor_grid` checks them
-and tiles them into the grid array; `grid_shapes` reads them back off it.
+pixels, each class's sorted by ascending area, as a run and its checkpoint
+hold them.  `anchor_grid` checks them and tiles them at one image size.
 
 Anchor shapes come from k-means over the (w, h) pairs of each class
 independently, with distance 1 - IoU of the two shapes aligned at a common
@@ -74,11 +74,6 @@ def anchor_grid(shapes: np.ndarray, image_size: int) -> np.ndarray:
     boxes[..., 1] = centers[:, None, None, None]
     boxes[..., 2:] = shapes
     return boxes
-
-
-def grid_shapes(grid: np.ndarray) -> np.ndarray:
-    """The shapes [n_classes, n_anchors, 2] a grid tiles: cell (0, 0)'s view."""
-    return grid[0, 0, :, :, 2:]
 
 
 def wh_iou(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .anchors import anchor_grid, kmeans_anchors, sizes_per_class
+from .anchors import kmeans_anchors, sizes_per_class
 from .data import GenSpec, Scene, generate
 from .evaluation import dataset_detections, map_eval
 from .model import ToyNetConfig
@@ -57,7 +57,7 @@ class Benchmark:
         test = generate(replace(self.gen, seed=self.gen.seed + 5000), self.n_test)
         shapes = kmeans_anchors(sizes_per_class([s.gt for s in train], self.gen.n_classes),
                                 n_a=self.n_anchors, seed=self.train_cfg.seed)
-        return Setup(test, SceneBank(train, anchor_grid(shapes, self.gen.image_size)))
+        return Setup(test, SceneBank(train, shapes))
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
                   cls_loss=cls_loss)
     if max_iter is not None:
         cfg = replace(cfg, max_iter=max_iter)
-    state = RunState.fresh(bench.net, setup.bank.grid, cfg.seed)
+    state = RunState.fresh(bench.net, setup.bank.shapes, cfg.seed)
     reports = run_training(state, setup.bank, cfg)
-    dets = dataset_detections(state.model, state.grid, setup.test, bench.score_min,
-                              bench.nms_iou)
+    dets = dataset_detections(state.model, setup.bank.grid, setup.test,
+                              bench.score_min, bench.nms_iou)
     _, mean, _, _ = map_eval(dets, [s.gt for s in setup.test])
     return {"state": state, "map": mean, "reports": reports}

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .anchors import (anchor_grid, check_no_empty_class, grid_shapes, kmeans_anchors,
-                      load_anchor_set, save_anchor_set, sizes_per_class)
+from .anchors import (anchor_grid, check_no_empty_class, kmeans_anchors, load_anchor_set,
+                      save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .model import ToyNetConfig
 from .train import RunState, SceneBank, TrainConfig, load_run, run_training, save_run
@@ -145,11 +145,11 @@ def _remove(directory, *names: str) -> None:
 
 def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
                 out_dir: str) -> RunState:
-    """Train a fresh network on the bank's scenes and grid and write its
+    """Train a fresh network on the bank's scenes and shapes and write its
     run to `out_dir`, where only a finished run leaves a `final.bin` and
     only a scored one a report."""
     _remove(out_dir, "final.bin", "report.csv", "report.txt")
-    state = RunState.fresh(net, bank.grid, cfg.seed)
+    state = RunState.fresh(net, bank.shapes, cfg.seed)
     run_training(state, bank, cfg, run_dir=out_dir)
     save_run(os.path.join(out_dir, "final.bin"), state)
     return state
@@ -165,18 +165,19 @@ def cmd_train(args) -> int:
     _check_classes(args.dataset, scenes, len(shapes))
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
     _check_image_size(args.dataset, scenes, net.input_size, args.config)
-    _train_once(cfg, net, SceneBank(scenes, anchor_grid(shapes, net.input_size)), args.out)
+    _train_once(cfg, net, SceneBank(scenes, shapes), args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
 
 def _score(state: RunState, scenes: list, out_dir, score_min: float,
            nms_iou: float) -> tuple[dict[int, float], float]:
-    """Score the run's network on `scenes` and write `report.csv` and
+    """Score the run's network on `scenes`, whose image size the caller has
+    checked, on its anchors tiled at that size, and write `report.csv` and
     `report.txt` to `out_dir`: each scored class's AP, annotated objects
     and detections, and the mAP.  Returns the per-class AP and the mAP."""
-    dets = eval_mod.dataset_detections(state.model, state.grid, scenes,
-                                       score_min, nms_iou)
+    grid = anchor_grid(state.shapes, state.model.cfg.input_size)
+    dets = eval_mod.dataset_detections(state.model, grid, scenes, score_min, nms_iou)
     per_class, mean, n_gt, n_det = eval_mod.map_eval(dets, [s.gt for s in scenes])
     os.makedirs(out_dir, exist_ok=True)
     with data_mod.atomic_open(os.path.join(out_dir, "report.csv")) as f:
@@ -195,7 +196,7 @@ def _score(state: RunState, scenes: list, out_dir, score_min: float,
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
     scenes = _load_scenes(args.dataset)
-    _check_classes(args.dataset, scenes, state.grid.shape[2], "checkpoint's anchors")
+    _check_classes(args.dataset, scenes, len(state.shapes), "checkpoint's anchors")
     _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
     per_class, mean = _score(state, scenes, args.out, args.score_min, args.iou_nms)
     for c in sorted(per_class):
@@ -214,7 +215,7 @@ def cmd_assign_dump(args) -> int:
     scene = scenes[args.scene]
     state = load_run(args.checkpoint) if args.checkpoint else None
     if state is not None:
-        if not np.array_equal(grid_shapes(state.grid), shapes):
+        if not np.array_equal(state.shapes, shapes):
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
@@ -250,7 +251,7 @@ def cmd_assign_dump(args) -> int:
 
 def cmd_plot_weights(args) -> int:
     state = load_run(args.checkpoint)
-    shapes = grid_shapes(state.grid)
+    shapes = state.shapes
     lam_cls = np.exp(-state.bw["bw.s_cls_grid"])
     lam_loc = np.exp(-state.bw["bw.s_loc_grid"])
     os.makedirs(args.out, exist_ok=True)
@@ -330,7 +331,7 @@ def cmd_ablate(args) -> int:
         os.remove(clustered)  # an earlier run's, which the given anchors replace
     # one bank for every cell: the cells draw the same batches, so each
     # scene is mirrored and assigned once per ablation
-    bank = SceneBank(scenes, anchor_grid(shapes, net.input_size))
+    bank = SceneBank(scenes, shapes)
 
     rows = []
     for name, cfg in cells:

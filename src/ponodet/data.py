@@ -37,6 +37,8 @@ PALETTE = [
 NOISE_SIGMA = 0.03
 BACKGROUND = 0.12
 _SNAP = 256.0  # sub-pixel grid for box coordinates
+# largest generated image side: a float64 scene is 25 MB, its noise draw as much
+MAX_IMAGE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class GenSpec:
             raise ValueError("class_freq and size_ranges must have one entry per class")
         if abs(sum(self.class_freq) - 1.0) > 1e-9:
             raise ValueError(f"class_freq must sum to 1, got {sum(self.class_freq)}")
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise ValueError(f"image_size must be at most {MAX_IMAGE_SIZE}, got {self.image_size}")
         for lo, hi in self.size_ranges:
             if not (4.0 <= lo <= hi <= self.image_size):
                 raise ValueError(f"size_ranges: bad range ({lo}, {hi}) for image size {self.image_size}")

@@ -13,19 +13,19 @@ pass ends, by backward or by a raise.
 
 A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map and one
-pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums
-per grid and weights in one record.  The training scenes live in a
-`SceneBank` on one grid from `anchors.anchor_grid`; a run draws them by key
-`(index, mirrored)`.  A drawn variant and its `Assignment` against the
-grid never change, so the bank makes the pair on first use and keeps it
-for as long as its owner keeps the bank: every cell of an ablation
-shares one.  The batch's records are stacked each iteration, and the
-gate and labels read off them depend on the config and are recomputed
-each iteration.  Batch losses are the sums over the batch's scenes
-divided by the summed positive counts (equivalently: maps averaged
-before weighting).  The batch RNG is derived from (seed, iteration),
-which makes checkpoint resume bit-exact without serializing generator
-state, and makes every run with the same seed draw the same batches.
+pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
+grid and weights in one record.  A run holds anchor shapes, not a grid:
+its scenes live in a `SceneBank` that tiles the shapes at their image
+size, drawn by key `(index, mirrored)`.  A drawn variant and its
+`Assignment` against the grid never change, so the bank makes the pair on
+first use and keeps it for as long as its owner keeps the bank: every cell
+of an ablation shares one.  The batch's records are stacked each
+iteration, and the gate and labels read off them depend on the config and
+are recomputed each iteration.  Batch losses are the sums over the batch's
+scenes divided by the summed positive counts (equivalently: maps averaged
+before weighting).  The batch RNG is derived from (seed, iteration), which
+makes checkpoint resume bit-exact without serializing generator state, and
+makes every run with the same seed draw the same batches.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import loss as loss_mod
-from .anchors import anchor_grid, grid_shapes
+from .anchors import anchor_grid
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, atomic_open, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
@@ -87,8 +87,8 @@ class TrainConfig:
 @dataclass
 class RunState:
     """Everything that evolves during a run; checkpoints restore it bit-exactly.
-    The scenes and their assignments are not part of it: they live in a
-    `SceneBank` the caller owns.
+    It holds the anchor `shapes` and no grid; the scenes, the grid and the
+    assignments live in a `SceneBank` the caller owns.
 
     The trained arrays live in one contiguous float64 vector, `flat_params`,
     in optimizer order (the model's parameters, then the `bw.*` weights),
@@ -104,13 +104,13 @@ class RunState:
 
     model: ToyNet
     bw: dict               # the `loss.initial_balance` arrays
-    grid: np.ndarray       # the `anchors.anchor_grid` boxes
+    shapes: np.ndarray     # the anchor shapes [n_classes, n_anchors, 2]
     iteration: int = 0
     velocity: dict = field(default_factory=dict)
 
     def __post_init__(self):
         trained = {**self.model.params, **self.bw}
-        self._shapes = [(name, np.shape(a)) for name, a in trained.items()]
+        self._layout = [(name, np.shape(a)) for name, a in trained.items()]
         self.n_model = sum(np.size(a) for a in self.model.params.values())
         self.flat_params = np.concatenate([np.ravel(a) for a in trained.values()],
                                           dtype=np.float64)
@@ -130,35 +130,36 @@ class RunState:
     def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each trained array's view into a flat vector, in optimizer order."""
         views, start = {}, 0
-        for name, shape in self._shapes:
+        for name, shape in self._layout:
             stop = start + math.prod(shape)
             views[name] = vector[start:stop].reshape(shape)
             start = stop
         return views
 
     @classmethod
-    def fresh(cls, net: ToyNetConfig, grid: np.ndarray, seed: int) -> RunState:
-        """Iteration 0 on `grid` of a ToyNet sized by `net`, drawn from `seed`,
-        with an output per class and anchor of the grid; unit balance weights."""
-        nc, na = grid.shape[2:4]
-        return cls(model=ToyNet(net, nc, na, drawn_kernels(seed)), grid=grid,
+    def fresh(cls, net: ToyNetConfig, shapes: np.ndarray, seed: int) -> RunState:
+        """Iteration 0 on anchor `shapes` of a ToyNet sized by `net`, drawn from
+        `seed`, with an output per class and anchor; unit balance weights."""
+        nc, na = shapes.shape[:2]
+        return cls(model=ToyNet(net, nc, na, drawn_kernels(seed)), shapes=shapes,
                    bw=initial_balance(nc, na))
 
 
 class SceneBank:
-    """Training scenes on one anchor grid, drawn by key `(index, mirrored)`.
+    """Training scenes on their anchor grid, drawn by key `(index, mirrored)`.
 
-    `variants` maps each drawn key to the pair (the scene, plain or
-    mirrored; its `Assignment` against the grid).  `scene_cache` makes a
-    pair on first use and the bank keeps it for its life, so runs that
-    share a bank (the cells of one ablation) flip and assign each variant
-    once.  A mirror's image is a view of its scene's, so the bank holds one
-    copy of the pixels.
+    The bank tiles the anchor `shapes` into its `grid` at its scenes' image
+    size.  `variants` maps each drawn key to the pair (the scene, plain or
+    mirrored; its `Assignment` against the grid).  `scene_cache` makes a pair
+    on first use and the bank keeps it for its life, so runs that share a bank
+    (the cells of one ablation) flip and assign each variant once.  A mirror's
+    image is a view of its scene's, so the bank holds one copy of the pixels.
     """
 
-    def __init__(self, scenes: list[Scene], grid: np.ndarray):
+    def __init__(self, scenes: list[Scene], shapes: np.ndarray):
         self.scenes = scenes
-        self.grid = grid
+        self.shapes = shapes
+        self.grid = anchor_grid(shapes, scenes[0].image.shape[0])
         self.variants: dict[tuple[int, bool], tuple[Scene, Assignment]] = {}
 
 
@@ -201,7 +202,7 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
                     bank: SceneBank) -> LossReport:
     """One optimizer step over the batch of `bank` variants drawn as `keys`
     (index, mirrored), as one taped pass over the stacked batch.  The bank
-    must be on the state's grid."""
+    must be on the state's anchor shapes."""
     learned = cfg.mode == "learned"
     state.flat_grad.fill(0.0)
     batch = [scene_cache(bank, key) for key in keys]
@@ -212,7 +213,7 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
     # leaves the next iteration an empty tape
     try:
         out = state.model.forward(state.leaves, np.stack([scene.image for scene, _ in batch]))
-        o_hat = pred_iou_values(state.grid, out.offsets, assignment)
+        o_hat = pred_iou_values(bank.grid, out.offsets, assignment)
         gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
         loc_map = loss_mod.loc_loss_map(gate, o_hat)
         if cfg.cls_loss == "CE":
@@ -221,7 +222,7 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
             cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
         n_pos = int(gate.sum())
         per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
-        n_total = len(batch) * state.grid.size // 4
+        n_total = len(batch) * bank.grid.size // 4
         # only learned mode reads (and gives a gradient to) the `bw.*` leaves
         total, loc, cls, reg = loss_mod.weighted_totals(
             loc_map, cls_map, max(1, n_pos), n_total, cfg.mode, state.leaves)
@@ -255,8 +256,8 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
 
     Each iteration draws its batch from the per-iteration RNG as keys
     (index, mirrored) of the bank's scenes, each mirrored with probability
-    0.5.  The bank's variants outlive the call; a bank on another grid than
-    the state's raises ValueError.  With a `run_dir`, the run makes that
+    0.5.  The bank's variants outlive the call; a bank on anchor shapes other
+    than the state's raises ValueError.  With a `run_dir`, the run makes that
     directory and owns the names of the files it writes there: `log.csv`,
     a header and one row per iteration, and with `cfg.checkpoint_every` a
     `ckpt_NNNNNN.bin` at every multiple of it.  A run from iteration 0
@@ -269,8 +270,8 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     is logged or checkpointed.  The conv2d work arrays the run's passes
     reuse live on the state's tape until the call returns.
     """
-    if not np.array_equal(bank.grid, state.grid):
-        raise ValueError("the scene bank is on another anchor grid than the run")
+    if not np.array_equal(bank.shapes, state.shapes):
+        raise ValueError("the scene bank is on other anchor shapes than the run")
     reports = []
     log = None
     if run_dir is not None:
@@ -325,7 +326,7 @@ def save_run(path, state: RunState) -> None:
         arrays[f"meta.{k}"] = np.asarray(v)
     arrays["meta.iteration"] = np.asarray(float(state.iteration))
     arrays["meta.feat_stride"] = np.asarray(float(FEAT_STRIDE))
-    arrays["anchors.shapes"] = grid_shapes(state.grid)
+    arrays["anchors.shapes"] = state.shapes
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr
     arrays.update(state.bw)
@@ -335,14 +336,14 @@ def save_run(path, state: RunState) -> None:
 
 
 def load_run(path) -> RunState:
-    """Restore a `save_run` checkpoint of a ToyNet run.  One whose
-    `meta.model_kind` is not 1.0, that lacks an entry the run needs, holds
-    an entry the run does not know or of another shape than its `meta.*`
-    entries imply, a `meta.*` entry that is not one finite whole number,
-    a size below 1 or an anchor side that is not finite and positive,
-    raises ValueError naming the path and the entry.  Its `mom.*` entries
-    must be none, every `model.*` array's, or every trained array's; a
-    missing one is named by the first in optimizer order."""
+    """Restore a `save_run` checkpoint of a ToyNet run; loading tiles no grid.
+    One whose `meta.model_kind` is not 1.0, that lacks an entry the run needs,
+    holds an entry the run does not know or of another shape than its `meta.*`
+    entries imply, a `meta.*` entry that is not one finite whole number, a size
+    below 1 or an anchor side that is not finite and positive, raises ValueError
+    naming the path and the entry.  Its `mom.*` entries must be none, every
+    `model.*` array's, or every trained array's; a missing one is named by the
+    first in optimizer order."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -412,7 +413,7 @@ def load_run(path) -> RunState:
     held = {name for name in [*params, *bw] if f"mom.{name}" in arrays}
     stepped = [*params, *bw] if held & bw.keys() else list(params) if held else []
     # construction copies every array into the state's flat vectors
-    return RunState(model=model, grid=anchor_grid(sides, cfg.input_size),
+    return RunState(model=model, shapes=sides,
                     bw={name: entry(name) for name in bw},
                     iteration=meta("meta.iteration"),
                     velocity={name: entry(f"mom.{name}") for name in stepped})

@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ponodet import benchmarks as B
-from ponodet.anchors import grid_shapes, kmeans_anchors, wh_iou
+from ponodet.anchors import kmeans_anchors, wh_iou
 from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate
@@ -289,12 +289,11 @@ def test_c04_freeze_rule():
     scenes = generate(spec, 10)
     assert all(1 not in s.gt.class_ids for s in scenes)
     aset = np.full((2, 2, 2), 10.0)
-    grid = build_grid(aset, 4, 4, 8)
     model = TabularPredictor(4, 4, 2, 2)
-    state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
+    state = RunState(model=model, shapes=aset, bw=initial_balance(2, 2))
     cfg = TrainConfig(lr0=0.05, max_iter=120, mode="learned")
     # the tabular predictor's outputs are one fixed scene's, never mirrored
-    bank = SceneBank(scenes[:1], state.grid)
+    bank = SceneBank(scenes[:1], state.shapes)
     for _ in range(cfg.max_iter):
         train_iteration(state, [(0, False)], cfg, bank)
     frozen = (np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
@@ -340,7 +339,7 @@ def test_c06_label_rule_ordering(crowded_runs):
 def test_c07_weight_trends(imbalanced_runs):
     run = imbalanced_runs["learned"]
     bw = run["state"].bw
-    shapes = grid_shapes(run["state"].grid)
+    shapes = run["state"].shapes
     areas = shapes[..., 0] * shapes[..., 1]
     lam_loc = np.exp(-bw["bw.s_loc_grid"])
     lam_cls = np.exp(-bw["bw.s_cls_grid"])

@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ponodet import anchors
-from ponodet.anchors import (anchor_grid, grid_shapes, kmeans_anchors,
-                             load_anchor_set, save_anchor_set, sizes_per_class,
-                             wh_iou, _MAX_STARTS, _MOVES, _cluster_cost)
+from ponodet.anchors import (anchor_grid, kmeans_anchors, load_anchor_set,
+                             save_anchor_set, sizes_per_class, wh_iou, _MAX_STARTS,
+                             _MOVES, _cluster_cost)
 from ponodet.benchmarks import crowded_benchmark, imbalanced_benchmark
 from ponodet.data import generate
 
@@ -492,10 +492,6 @@ class TestBuildGrid:
         aset = np.full((1, 1, 2), 4.0)
         with pytest.raises(ValueError):
             build_grid(aset, 0, 3, 8)
-
-    def test_shapes_read_back_off_a_run_grid(self):
-        aset = np.random.default_rng(4).uniform(4, 30, (2, 3, 2))
-        np.testing.assert_array_equal(grid_shapes(anchor_grid(aset, 48)), aset)
 
     @pytest.mark.parametrize("size", [32, 48, 64])
     def test_equals_the_square_stride_8_grid_of_a_run(self, size):

@@ -73,7 +73,7 @@ def test_cells_share_the_scene_bank(monkeypatch):
     cfg = replace(bench.train_cfg, max_iter=ITERS)
     assert len(calls) == len(bench.setup.bank.variants)
     assert set(bench.setup.bank.variants) == drawn_variants(cfg, bench.n_train)
-    assert all(r["state"].grid is bench.setup.bank.grid for r in results)
+    assert all(r["state"].shapes is bench.setup.bank.shapes for r in results)
 
 
 class TestBenchContract:

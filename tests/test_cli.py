@@ -14,7 +14,7 @@ from ponodet import cli as cli_mod
 from ponodet import data as data_mod
 from ponodet import train as train_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
-from ponodet.anchors import anchor_grid, load_anchor_set
+from ponodet.anchors import load_anchor_set
 from ponodet.data import load_dataset, read_kv
 from ponodet.model import ToyNetConfig, load_arrays, save_arrays
 from ponodet.train import RunState, TrainConfig, save_run
@@ -272,6 +272,8 @@ class TestBadInput:
         ("objects_per_scene = 1,2", "objects_per_scene = 1,65",
          "objects_per_scene: 65 objects, but a 32px image holds 64"),
         ("crowding = 0.0", "crowdng = 0.8", "unknown config key 'crowdng'"),
+        ("image_size = 32", "image_size = 100000000",
+         "image_size must be at most 1024, got 100000000"),
     ])
     def test_bad_genspec_names_file_and_key(self, tmp_path, capsys, old, new, message):
         spec = tmp_path / "gen.txt"
@@ -376,7 +378,7 @@ class TestBadInput:
 
     def test_eval_class_outside_checkpoint(self, workspace, tmp_path, capsys):
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, head_convs=1),
-                               anchor_grid(np.full((1, 2, 2), 9.0), 32), 0)
+                               np.full((1, 2, 2), 9.0), 0)
         save_run(tmp_path / "one_class.bin", state)
         ds = workspace / "ds"
         first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
@@ -423,6 +425,37 @@ class TestBadInput:
         assert [code for code, _ in got] == [2] * len(cases), done.stderr[-2000:]
         for (_, err), path, (_, message) in zip(got, paths, cases.values()):
             assert err.startswith(f"error: {path}: {message}"), err
+
+    def test_checkpoint_input_size_sizes_nothing_on_load(self, workspace, tmp_path):
+        # no entry's shape depends on meta.input_size, so loading once tiled
+        # a 2 TiB anchor grid at it; the child caps its own address space
+        # and time
+        arrays = load_arrays(workspace / "run" / "final.bin")
+        big = tmp_path / "big.bin"
+        save_arrays(big, {**arrays, "meta.input_size": np.asarray(float(2 ** 20))})
+        ds = workspace / "ds"
+        argvs = [["eval", "--checkpoint", big, "--dataset", ds, "--out", "ev"],
+                 ["assign-dump", "--dataset", ds, "--anchors", workspace / "anchors.txt",
+                  "--checkpoint", big, "--out", "maps"],
+                 ["plot-weights", "--checkpoint", big, "--out", "weights"]]
+        child = ("import contextlib, io, json, resource, signal, sys\n"
+                 "from ponodet.cli import run\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "signal.alarm(60)\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    err = io.StringIO()\n"
+                 "    with contextlib.redirect_stderr(err), \\\n"
+                 "            contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        code = run(argv)\n"
+                 "    print(json.dumps([code, err.getvalue()]), flush=True)\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        argv_json = json.dumps([list(map(str, argv)) for argv in argvs])
+        done = subprocess.run([sys.executable, "-c", child, argv_json], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        got = [json.loads(line) for line in done.stdout.splitlines()]
+        message = f"error: {ds}: images are 32px square, but {big} is for 1048576px images\n"
+        assert got == [[2, message], [2, message], [0, ""]], done.stderr[-2000:]
+        assert (tmp_path / "weights" / "weights.csv").read_text().startswith("class,anchor,")
 
     @pytest.mark.parametrize("command,text,key", [
         ("train", "lr = 0.5\n", "lr"),

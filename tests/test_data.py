@@ -46,6 +46,13 @@ class TestGenSpec:
                 f"holds {most} disjoint 4px squares")):
             basic_spec(image_size=size, objects_per_scene=(1, most + 1))
 
+    def test_image_size_bounded(self):
+        # generating a 1e8 px scene once failed asking numpy for 213 PiB
+        basic_spec(image_size=data_mod.MAX_IMAGE_SIZE)
+        with pytest.raises(ValueError, match=re.escape(
+                f"image_size must be at most {data_mod.MAX_IMAGE_SIZE}, got 100000000")):
+            basic_spec(image_size=100_000_000)
+
     def test_from_kv_roundtrip(self, tmp_path):
         spec = basic_spec(crowding=0.25)
         path = tmp_path / "genspec.txt"

@@ -5,7 +5,6 @@ import pytest
 
 from ponodet import autodiff as ad
 from ponodet import train as train_mod
-from ponodet.anchors import anchor_grid
 from ponodet.assignment import (UNASSIGNED, Assignment, GroundTruth, assign_ao,
                                 pred_iou_values)
 from ponodet.data import Scene
@@ -173,10 +172,10 @@ class TestBalancedTotals:
         # no object, so no gated cell: the loc normalizer is floored at 1
         scene = Scene(np.zeros((16, 16, 3)), GroundTruth([], []))
         state = RunState(model=TabularPredictor(2, 2, 1, 1),
-                         grid=anchor_grid(np.full((1, 1, 2), 8.0), 16),
+                         shapes=np.full((1, 1, 2), 8.0),
                          bw=initial_balance(1, 1))
         rep = train_iteration(state, [(0, False)], TrainConfig(max_iter=2, mode="unit"),
-                              SceneBank([scene], state.grid))
+                              SceneBank([scene], state.shapes))
         assert rep.loc == 0.0 and np.isfinite(rep.total)
         assert rep.n_pos == 0
 

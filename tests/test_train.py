@@ -22,7 +22,6 @@ from ponodet.model import ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save
 from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, load_run, lr_at,
                            run_training, save_run, sgd_step, train_iteration)
 
-from test_anchors import build_grid
 from test_autodiff import add, reduce_sum
 from test_model import TabularPredictor, leaves_of
 
@@ -36,7 +35,7 @@ def one_object_scene(image_size=32):
 def train_on_one_scene(state, scene, cfg) -> list[LossReport]:
     """`cfg.max_iter` steps from iteration 0 on the one scene, never
     mirrored: a tabular predictor's outputs are that scene's."""
-    bank = SceneBank([scene], state.grid)
+    bank = SceneBank([scene], state.shapes)
     return [train_iteration(state, [(0, False)], cfg, bank) for _ in range(cfg.max_iter)]
 
 
@@ -45,13 +44,16 @@ def plain(n: int) -> list[tuple[int, bool]]:
     return [(i, False) for i in range(n)]
 
 
-def tabular_state(scene, shapes=((8.0, 8.0),), stride=8):
-    size = scene.image.shape[0]
-    f = size // stride
+def tabular_state(scene, shapes=((8.0, 8.0),)):
+    f = scene.image.shape[0] // 8
     aset = np.asarray([list(shapes)], float)
-    grid = build_grid(aset, f, f, stride)
     model = TabularPredictor(f, f, 1, len(shapes))
-    return RunState(model=model, grid=grid, bw=initial_balance(1, len(shapes)))
+    return RunState(model=model, shapes=aset, bw=initial_balance(1, len(shapes)))
+
+
+def grid_of(state, scene):
+    """The state's anchor shapes tiled at the scene's image size."""
+    return anchor_grid(state.shapes, scene.image.shape[0])
 
 
 class TestLrSchedule:
@@ -142,7 +144,7 @@ class TestSgdStep:
         # leaves the balance weights and their buffers alone
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
         cfg = replace(cfg, mode=mode)
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=3))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=3))
         params = {name: a.copy() for name, a in {**state.model.params, **state.bw}.items()}
         velocity = {name: v.copy() for name, v in state.velocity.items()}
         steps = []
@@ -153,7 +155,7 @@ class TestSgdStep:
             step(p, v, g, lr)
 
         monkeypatch.setattr(train_mod, "sgd_step", spy)
-        train_iteration(state, plain(2), cfg, SceneBank(scenes, state.grid))
+        train_iteration(state, plain(2), cfg, SceneBank(scenes, state.shapes))
         (n, g, lr), = steps
         trained = by_name(state, g)
         assert n == (len(state.flat_params) if mode == "learned" else state.n_model)
@@ -174,9 +176,9 @@ class TestTrainIteration:
         scene = one_object_scene()
         state = tabular_state(scene)
         cfg = TrainConfig(lr0=0.0, max_iter=10, mode="learned")
-        first = train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.grid))
+        first = train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.shapes))
         for _ in range(3):
-            rep = train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.grid))
+            rep = train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.shapes))
         assert rep.total == first.total
         assert rep.loc == first.loc and rep.cls == first.cls
 
@@ -201,8 +203,9 @@ class TestTrainIteration:
         state = tabular_state(scene, shapes=((10.0, 9.0),))
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit")
         train_on_one_scene(state, scene, cfg)
-        am = assign_ao(state.grid, scene.gt)
-        o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
+        grid = grid_of(state, scene)
+        am = assign_ao(grid, scene.gt)
+        o_hat = pred_iou_values(grid, state.model.params["offsets"][None],
                                 Assignment.stack([am]))[0]
         best = np.unravel_index(np.argmax(am.pono), am.pono.shape)
         assert o_hat[best] > 0.999
@@ -218,12 +221,13 @@ class TestTrainIteration:
                          class_ids=[0, 0])
         scene = Scene(img, gt)
         state = tabular_state(scene, shapes=((11.0, 11.0),))
-        am = assign_ao(state.grid, scene.gt)
+        grid = grid_of(state, scene)
+        am = assign_ao(grid, scene.gt)
         torn = (1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
         assert 0.0 < am.pono[torn] <= 0.5
         cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned")
         train_on_one_scene(state, scene, cfg)
-        o_hat = pred_iou_values(state.grid, state.model.params["offsets"][None],
+        o_hat = pred_iou_values(grid, state.model.params["offsets"][None],
                                 Assignment.stack([am]))[0]
         assert ams_labels(am.pono, o_hat)[torn] == 0
 
@@ -231,7 +235,7 @@ class TestTrainIteration:
         scene = one_object_scene()
         state = tabular_state(scene)
         rep = train_iteration(state, [(0, False)], TrainConfig(max_iter=5),
-                              SceneBank([scene], state.grid))
+                              SceneBank([scene], state.shapes))
         assert rep.total == rep.loc + rep.cls + rep.reg
 
     def test_unit_mode_trains_without_weight_updates(self):
@@ -240,7 +244,7 @@ class TestTrainIteration:
         s0 = state.bw["bw.s_cls_grid"].copy()
         cfg = TrainConfig(lr0=0.05, max_iter=5, mode="unit")
         for _ in range(5):
-            train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.grid))
+            train_iteration(state, [(0, False)], cfg, SceneBank([scene], state.shapes))
         np.testing.assert_array_equal(state.bw["bw.s_cls_grid"], s0)
         assert state.bw["bw.s_cls"] == 1.0
 
@@ -255,11 +259,12 @@ def per_scene_reference(state, batch, cfg):
     params = leaves_of({**state.model.params, **(state.bw if learned else {})})
     loc_sums = cls_sums = None
     n_pos = 0
-    per_grid_pos = np.zeros(state.grid.shape[2:4], np.int64)
+    per_grid_pos = np.zeros(state.shapes.shape[:2], np.int64)
     for scene in batch:
-        one = Assignment.stack([assign_ao(state.grid, scene.gt)])
+        grid = grid_of(state, scene)
+        one = Assignment.stack([assign_ao(grid, scene.gt)])
         out = state.model.forward(params, scene.image[None])
-        o_hat = pred_iou_values(state.grid, out.offsets, one)
+        o_hat = pred_iou_values(grid, out.offsets, one)
         gate, labels = train_mod._gate_and_labels(one, ad.values_of(o_hat), cfg)
         loc_map = loss_mod.loc_loss_map(gate, o_hat)
         cls_fn = loss_mod.bce_logits if cfg.cls_loss == "CE" else loss_mod.focal_logits
@@ -269,7 +274,7 @@ def per_scene_reference(state, batch, cfg):
         cls_sums = cs if cls_sums is None else add(cls_sums, cs)
         n_pos += int(gate.sum())
         per_grid_pos += labels.sum(axis=(0, 1, 2), dtype=np.int64)
-    n_total = len(batch) * state.grid.size // 4
+    n_total = len(batch) * grid.size // 4
     total, *terms = loss_mod.weighted_totals(loc_sums, cls_sums, max(1, n_pos),
                                              n_total, cfg.mode, params)
     ad.backward(total)
@@ -286,7 +291,7 @@ class TestBatchedIteration:
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
         cfg = replace(cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
         # a few steps first, so the AMS labels see trained offsets
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=4))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=4))
         batch = [scenes[1], scenes[4]]
         terms, n_pos, per_grid_pos, grads = per_scene_reference(state, batch, cfg)
         assert n_pos > 0
@@ -295,7 +300,7 @@ class TestBatchedIteration:
                             lambda params, velocity, g, lr:
                             seen.update(by_name(state, g.copy())))
         report = train_iteration(state, [(1, False), (4, False)], cfg,
-                                 SceneBank(scenes, state.grid))
+                                 SceneBank(scenes, state.shapes))
         np.testing.assert_allclose((report.loc, report.cls, report.reg), terms,
                                    rtol=1e-12, atol=1e-12)
         assert report.n_pos == n_pos
@@ -312,7 +317,7 @@ class TestBatchedIteration:
         monkeypatch.setattr(state.model, "forward",
                             lambda params, images: calls.append(images.shape) or
                             forward(params, images))
-        train_iteration(state, plain(3), cfg, SceneBank(scenes, state.grid))
+        train_iteration(state, plain(3), cfg, SceneBank(scenes, state.shapes))
         assert calls == [(3, 32, 32, 3)]
 
 
@@ -331,12 +336,12 @@ class TestSceneCache:
         pono = TrainConfig(lr0=0.0, max_iter=5, label_rule="PONO")
         ao = TrainConfig(lr0=0.0, max_iter=5, label_rule="AO")
         reused = tabular_state(scene, shapes=shapes)
-        bank = SceneBank([scene], reused.grid)
+        bank = SceneBank([scene], reused.shapes)
         n_pono = train_iteration(reused, [(0, False)], pono, bank).n_pos
         n_ao = train_iteration(reused, [(0, False)], ao, bank).n_pos
         fresh = tabular_state(scene, shapes=shapes)
         assert n_ao == train_iteration(fresh, [(0, False)], ao,
-                                       SceneBank([scene], fresh.grid)).n_pos
+                                       SceneBank([scene], fresh.shapes)).n_pos
         assert 0 < n_ao != n_pono  # 2 against 11 on this scene and these anchors
 
     def test_new_scene_at_a_collected_scene_id_is_a_miss(self):
@@ -349,10 +354,10 @@ class TestSceneCache:
             scene = Scene(img, GroundTruth(
                 [(6.0 + 8 * j, 6.0, 8.0, 8.0) for j in range(k)], [0] * k))
             n_pos = train_iteration(reused, [(0, False)], cfg,
-                                    SceneBank([scene], reused.grid)).n_pos
+                                    SceneBank([scene], reused.shapes)).n_pos
             fresh = tabular_state(scene)
             assert n_pos == train_iteration(fresh, [(0, False)], cfg,
-                                            SceneBank([scene], fresh.grid)).n_pos
+                                            SceneBank([scene], fresh.shapes)).n_pos
             del scene
 
     def test_run_training_keeps_no_entries(self, monkeypatch):
@@ -370,17 +375,17 @@ class TestSceneCache:
 
         monkeypatch.setattr(train_mod, "assign_ao", recording_assign)
         cfg = TrainConfig(max_iter=3)
-        run_training(state, SceneBank([scene], state.grid), cfg)
+        run_training(state, SceneBank([scene], state.shapes), cfg)
         gc.collect()
         assert len(made) == len(drawn_variants(cfg, 1))
         assert all(ref() is None for ref in made)
-        assert {f.name for f in fields(RunState)} == {"model", "bw", "grid",
+        assert {f.name for f in fields(RunState)} == {"model", "bw", "shapes",
                                                       "iteration", "velocity"}
 
     def test_bank_keeps_its_entries_past_the_call(self):
         scene = self.crowded_scene()
         state = tabular_state(scene)
-        bank = SceneBank([scene], state.grid)
+        bank = SceneBank([scene], state.shapes)
         cfg = TrainConfig(max_iter=3)
         run_training(state, bank, cfg)
         assert set(bank.variants) == drawn_variants(cfg, 1) == {(0, False), (0, True)}
@@ -401,7 +406,7 @@ def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
 class TestSceneBank:
     def test_each_variant_assigned_once_across_runs(self, tmp_path, monkeypatch):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=5)
-        bank = SceneBank(scenes, state.grid)
+        bank = SceneBank(scenes, state.shapes)
         calls = []
         assign = train_mod.assign_ao
         monkeypatch.setattr(train_mod, "assign_ao",
@@ -412,7 +417,7 @@ class TestSceneBank:
         assert first == len(bank.variants)
         # a second run on the bank draws the first run's variants and more
         longer = replace(cfg, max_iter=9, label_rule="AO")
-        run_training(RunState.fresh(state.model.cfg, state.grid, longer.seed), bank, longer)
+        run_training(RunState.fresh(state.model.cfg, state.shapes, longer.seed), bank, longer)
         assert set(bank.variants) == drawn_variants(longer, len(scenes))
         assert len(calls) == len(bank.variants) > first
         # one assignment per key, made on its own variant's ground truth
@@ -421,7 +426,7 @@ class TestSceneBank:
 
     def test_mirrored_variant_is_a_view(self, tmp_path):
         scenes, _, state = TestDeterminismAndResume().make_setup(tmp_path)
-        bank = SceneBank(scenes, state.grid)
+        bank = SceneBank(scenes, state.shapes)
         mirrored, assignment = train_mod.scene_cache(bank, (2, True))
         assert np.shares_memory(mirrored.image, scenes[2].image)
         np.testing.assert_array_equal(mirrored.image, hflip(scenes[2]).image)
@@ -432,12 +437,12 @@ class TestSceneBank:
 
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
-        other = anchor_grid(np.full((1, 2, 2), [8.0, 13.0]), 32)
-        with pytest.raises(ValueError, match="another anchor grid"):
+        other = np.full((1, 2, 2), [8.0, 13.0])
+        with pytest.raises(ValueError, match="other anchor shapes than the run"):
             run_training(state, SceneBank(scenes, other), cfg)
         assert state.iteration == 0
-        # an equal grid built anew is the same grid
-        same = anchor_grid(np.full((1, 2, 2), [8.0, 12.0]), 32)
+        # equal shapes made anew are the same shapes
+        same = np.full((1, 2, 2), [8.0, 12.0])
         run_training(state, SceneBank(scenes, same), replace(cfg, max_iter=1))
 
 
@@ -447,9 +452,8 @@ class TestFreezeRule:
         img = np.zeros((32, 32, 3))
         scene = Scene(img, GroundTruth([(12, 12, 10, 10)], [0]))
         aset = np.full((2, 2, 2), 9.0)
-        grid = build_grid(aset, 4, 4, 8)
         model = TabularPredictor(4, 4, 2, 2)
-        state = RunState(model=model, grid=grid, bw=initial_balance(2, 2))
+        state = RunState(model=model, shapes=aset, bw=initial_balance(2, 2))
         cfg = TrainConfig(lr0=0.05, max_iter=60, mode="learned")
         train_on_one_scene(state, scene, cfg)
         assert np.all(state.bw["bw.s_cls_grid"][1] == 1.0)
@@ -465,10 +469,10 @@ class TestFreezeHoldsMomentum:
         both = Scene(np.zeros((32, 32, 3)),
                      GroundTruth([(9, 9, 10, 10), (22, 22, 10, 10)], [0, 1]))
         only_0 = Scene(np.zeros((32, 32, 3)), GroundTruth([(9, 9, 10, 10)], [0]))
-        grid = build_grid(np.full((2, 2, 2), 10.0), 4, 4, 8)
+        aset = np.full((2, 2, 2), 10.0)
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
-                                            head_convs=1), grid, 0)
-        bank = SceneBank([both, only_0], grid)
+                                            head_convs=1), aset, 0)
+        bank = SceneBank([both, only_0], aset)
         cfg = TrainConfig(lr0=0.05, max_iter=8, label_rule="PONO")
         keys = ("bw.s_cls_grid", "bw.s_loc_grid")
 
@@ -495,18 +499,17 @@ class TestDeterminismAndResume:
                        crowding=0.0, seed=3, image_size=32)
         scenes = generate(spec, 6)
         aset = np.full((1, 2, 2), [8.0, 12.0])
-        grid = build_grid(aset, 4, 4, 8)
         cfg = TrainConfig(lr0=0.01, max_iter=max_iter, batch_size=2, seed=5,
                           mode="learned")
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
-                                            head_convs=1), grid, cfg.seed)
+                                            head_convs=1), aset, cfg.seed)
         return scenes, cfg, state
 
     def test_seeded_rerun_identical_reports(self, tmp_path):
         scenes, cfg, state_a = self.make_setup(tmp_path)
         _, _, state_b = self.make_setup(tmp_path)
-        ra = run_training(state_a, SceneBank(scenes, state_a.grid), cfg)
-        rb = run_training(state_b, SceneBank(scenes, state_b.grid), cfg)
+        ra = run_training(state_a, SceneBank(scenes, state_a.shapes), cfg)
+        rb = run_training(state_b, SceneBank(scenes, state_b.shapes), cfg)
         assert [r.total for r in ra] == [r.total for r in rb]
         for k in state_a.model.params:
             np.testing.assert_array_equal(state_a.model.params[k],
@@ -518,12 +521,12 @@ class TestDeterminismAndResume:
         from dataclasses import replace
         scenes, cfg, state = self.make_setup(tmp_path)
         cfg = replace(cfg, checkpoint_every=6)
-        straight = run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
+        straight = run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path)
         log = (tmp_path / "log.csv").read_bytes()
 
         resumed_state = load_run(tmp_path / "ckpt_000006.bin")
         assert resumed_state.iteration == 6
-        rest = run_training(resumed_state, SceneBank(scenes, resumed_state.grid), cfg,
+        rest = run_training(resumed_state, SceneBank(scenes, resumed_state.shapes), cfg,
                             run_dir=tmp_path)
         # a resumed run removes no checkpoint of the run it resumes, and
         # cuts the log back to the checkpoint before it appends
@@ -532,7 +535,7 @@ class TestDeterminismAndResume:
         assert (tmp_path / "log.csv").read_bytes() == log
         # into a directory with no log: the header and the resumed rows
         run_training(load_run(tmp_path / "ckpt_000006.bin"),
-                     SceneBank(scenes, resumed_state.grid), cfg, run_dir=tmp_path / "new")
+                     SceneBank(scenes, resumed_state.shapes), cfg, run_dir=tmp_path / "new")
         lines = log.decode().splitlines(keepends=True)
         assert (tmp_path / "new" / "log.csv").read_text() == "".join(lines[:1] + lines[7:])
 
@@ -557,7 +560,7 @@ class TestDeterminismAndResume:
             save(path, st)
 
         monkeypatch.setattr(train_mod, "save_run", spy)
-        run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
+        run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path)
         assert [it for it, _ in on_disk] == [5, 10]
         for it, lines in on_disk:
             assert lines[:1] == [LossReport.CSV_HEADER]
@@ -565,9 +568,9 @@ class TestDeterminismAndResume:
 
     def test_log_rows_deterministic(self, tmp_path):
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
-        run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path / "a")
+        run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path / "a")
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
-        run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path / "b")
+        run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path / "b")
         assert (tmp_path / "a" / "log.csv").read_bytes() == \
             (tmp_path / "b" / "log.csv").read_bytes()
 
@@ -575,7 +578,7 @@ class TestDeterminismAndResume:
 class TestCheckpoint:
     def test_learned_round_trip_byte_identical(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
-        run_training(state, SceneBank(scenes, state.grid), cfg)
+        run_training(state, SceneBank(scenes, state.shapes), cfg)
         save_run(tmp_path / "a.bin", state)
         save_run(tmp_path / "b.bin", load_run(tmp_path / "a.bin"))
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -589,7 +592,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("mode", ["unit", "retina_norm"])
     def test_fixed_weights_have_no_momentum(self, tmp_path, mode):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, mode=mode))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, mode=mode))
         save_run(tmp_path / "final.bin", state)
         names = list(load_arrays(tmp_path / "final.bin"))
         assert not [n for n in names if n.startswith("mom.bw.")]
@@ -604,8 +607,7 @@ def bench_run(bench, cell=("AMS", "learned", "CE")):
     b = getattr(benchmarks, f"{bench}_benchmark")()
     scenes = generate(b.gen, b.train_cfg.batch_size)
     nc = b.gen.n_classes
-    grid = anchor_grid(np.full((nc, b.n_anchors, 2), 12.0), b.net.input_size)
-    state = RunState.fresh(b.net, grid, 0)
+    state = RunState.fresh(b.net, np.full((nc, b.n_anchors, 2), 12.0), 0)
     rule, mode, cls_loss = cell
     cfg = replace(b.train_cfg, label_rule=rule, mode=mode, cls_loss=cls_loss)
     return scenes, state, cfg
@@ -631,7 +633,7 @@ class TestTapeShape:
     def test_records_per_iteration(self, monkeypatch, bench, cell, records):
         scenes, state, cfg = bench_run(bench, cell)
         counts = count_records(monkeypatch)
-        train_iteration(state, plain(len(scenes)), cfg, SceneBank(scenes, state.grid))
+        train_iteration(state, plain(len(scenes)), cfg, SceneBank(scenes, state.shapes))
         assert counts == [records]
 
 
@@ -644,7 +646,7 @@ class TestRunLeaves:
         made = []
         leaf = ad.leaf
         monkeypatch.setattr(ad, "leaf", lambda *args: made.append(args) or leaf(*args))
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=3))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=3))
         assert state.iteration == 3 and len(made) == 0
         assert list(state.leaves) == list(state.model.params) + list(state.bw)
         assert len(state.leaves) == 28
@@ -652,7 +654,7 @@ class TestRunLeaves:
     def test_raising_iteration_leaves_no_records(self, monkeypatch):
         scenes, state, cfg = bench_run("crowded")
         _, twin, _ = bench_run("crowded")
-        bank, keys = SceneBank(scenes, state.grid), plain(len(scenes))
+        bank, keys = SceneBank(scenes, state.shapes), plain(len(scenes))
         weighted = loss_mod.weighted_totals
         at_raise = []
 
@@ -694,7 +696,7 @@ class TestRunWork:
             return report
 
         monkeypatch.setattr(train_mod, "train_iteration", watch)
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=10))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=10))
         assert len(held) == 10 and len(held[0]) > 0
         ids = [{key: id(a) for key, a in work.items()} for work in held]
         assert all(later == ids[0] for later in ids[1:])
@@ -703,7 +705,7 @@ class TestRunWork:
     def test_raising_run_drops_its_work_arrays(self):
         scenes, state, cfg = bench_run("crowded")
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            run_training(state, SceneBank(scenes, state.grid),
+            run_training(state, SceneBank(scenes, state.shapes),
                          replace(cfg, max_iter=40, lr0=1e6))
         assert state.iteration > 1 and state.tape.work == {}
 
@@ -714,12 +716,12 @@ class TestFlatState:
         # the trained arrays; a zero gradient per leaf would be a fourth
         from ponodet import benchmarks
         b = benchmarks.imbalanced_benchmark()
-        grid = anchor_grid(np.full((2, b.n_anchors, 2), 12.0), b.net.input_size)
+        shapes = np.full((2, b.n_anchors, 2), 12.0)
         model = ToyNet(b.net, 2, b.n_anchors, drawn_kernels(0))
         bw = initial_balance(2, b.n_anchors)
         tracemalloc.start()
         try:
-            state = RunState(model=model, grid=grid, bw=bw)
+            state = RunState(model=model, shapes=shapes, bw=bw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -729,8 +731,8 @@ class TestFlatState:
 
     def test_fresh_state_is_a_toynet_for_the_grid(self):
         net = ToyNetConfig(input_size=32, base_channels=2, levels=2, head_convs=1)
-        grid = anchor_grid(np.full((3, 2, 2), 9.0), 32)
-        state = RunState.fresh(net, grid, 7)
+        shapes = np.full((3, 2, 2), 9.0)
+        state = RunState.fresh(net, shapes, 7)
         want = ToyNet(net, 3, 2, drawn_kernels(7))
         assert (state.model.cfg, state.model.n_classes, state.model.n_anchors) == (net, 3, 2)
         assert list(state.model.params) == list(want.params)
@@ -739,27 +741,27 @@ class TestFlatState:
         assert list(state.bw) == list(initial_balance(3, 2))
         for name, s in initial_balance(3, 2).items():
             np.testing.assert_array_equal(state.bw[name], s)
-        assert state.iteration == 0 and state.grid is grid
+        assert state.iteration == 0 and state.shapes is shapes
 
     def test_fresh_state_arrays_are_views(self, tmp_path):
         _, _, made = TestDeterminismAndResume().make_setup(tmp_path)
-        state = RunState.fresh(made.model.cfg, made.grid, 0)
+        state = RunState.fresh(made.model.cfg, made.shapes, 0)
         assert_flat_views(state)
         assert state.velocity == {}
         assert state.n_model == sum(a.size for a in state.model.params.values())
 
     def test_stepped_buffers_are_views(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=2, mode="unit"))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=2, mode="unit"))
         assert list(state.velocity) == list(state.model.params)
         assert_flat_views(state)
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, max_iter=3))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=3))
         assert list(state.velocity) == list(state.model.params) + list(state.bw)
         assert_flat_views(state)
 
     def test_loaded_state_arrays_are_views(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
-        run_training(state, SceneBank(scenes, state.grid), cfg)
+        run_training(state, SceneBank(scenes, state.shapes), cfg)
         save_run(tmp_path / "a.bin", state)
         loaded = load_run(tmp_path / "a.bin")
         assert_flat_views(loaded)
@@ -771,7 +773,7 @@ class TestFlatState:
 class TestLoadRun:
     def test_missing_entry_named(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, SceneBank(scenes, state.grid), cfg)
+        run_training(state, SceneBank(scenes, state.shapes), cfg)
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         required = [key for key in arrays if not key.startswith("mom.")]
@@ -791,7 +793,7 @@ class TestLoadRun:
         # a resume would restart a missing buffer at zero, so the buffers
         # held must be none, the model's or every trained array's
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, SceneBank(scenes, state.grid), replace(cfg, mode=mode))
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, mode=mode))
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         assert set(dropped) <= set(arrays)
@@ -803,7 +805,7 @@ class TestLoadRun:
     @pytest.mark.parametrize("kept", ["none", "model", "all"])
     def test_stepped_prefix_momentum_loads(self, tmp_path, kept):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, SceneBank(scenes, state.grid), cfg)
+        run_training(state, SceneBank(scenes, state.shapes), cfg)
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         keep = {"none": (), "model": tuple(state.model.params), "all": tuple(state.leaves)}[kept]
@@ -814,7 +816,7 @@ class TestLoadRun:
 
     def test_entry_shape_checked_against_meta(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
-        run_training(state, SceneBank(scenes, state.grid), cfg)
+        run_training(state, SceneBank(scenes, state.shapes), cfg)
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
         checked = [key for key in arrays if not key.startswith("meta.")]
@@ -916,7 +918,7 @@ class TestIterationLifetime:
         gc.collect()
         gc.disable()
         try:
-            train_iteration(state, plain(2), cfg, SceneBank(scenes, state.grid))
+            train_iteration(state, plain(2), cfg, SceneBank(scenes, state.shapes))
             assert len(roots) == 1 and roots[0]() is None
         finally:
             gc.enable()
@@ -927,7 +929,7 @@ class TestIterationLifetime:
         cfg = replace(cfg, lr0=1e6)
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match=r"at iteration \d+"):
-            run_training(state, SceneBank(scenes, state.grid), cfg, run_dir=tmp_path)
+            run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path)
         rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
         assert len(rows) == state.iteration - 1
