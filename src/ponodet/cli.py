@@ -23,10 +23,12 @@ from . import evaluation as eval_mod
 from .anchors import (anchor_grid, check_no_empty_class, kmeans_anchors, load_anchor_set,
                       save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
-from .model import ToyNetConfig
+from .loss import initial_balance
+from .model import ToyNetConfig, net_floats
 from .train import RunState, SceneBank, TrainConfig, load_run, run_training, save_run
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
+MAX_RUN_BYTES = 1 << 32  # the most memory a `train` or `ablate` config may ask a run for
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,6 +118,23 @@ def _check_image_size(dataset_dir, scenes: list, want: int, owner) -> None:
                            f"but {owner} is for {want}px images")
 
 
+def _check_run_size(config, cfg: TrainConfig, net: ToyNetConfig, shapes: np.ndarray) -> None:
+    """A run of the settings in the config file `config` on anchor `shapes`
+    asks for at most MAX_RUN_BYTES, counted in closed form before any kernel
+    is drawn: at least the state's three float64 vectors of the trained
+    arrays (the kernels and biases, then the balance weights) and one
+    batch's conv patch matrices and outputs."""
+    params, acts = net_floats(net, *shapes.shape[:2])
+    params += sum(np.size(s) for s in initial_balance(*shapes.shape[:2]).values())
+    need = 8 * (3 * params + cfg.batch_size * acts)
+    if need > MAX_RUN_BYTES:
+        keys = ", ".join(f"{key} = {getattr(net, key)}" for key in
+                         ("input_size", "base_channels", "levels", "head_convs"))
+        raise RuntimeError(f"{config}: {keys} and batch_size = {cfg.batch_size} ask a run "
+                           f"for at least {need / 2 ** 30:.3g} GiB, above the "
+                           f"{MAX_RUN_BYTES / 2 ** 30:g} GiB bound")
+
+
 def cmd_gen_data(args) -> int:
     kv = data_mod.read_config(args.config, data_mod.GenSpec)
     spec = data_mod.config_from_kv(data_mod.GenSpec, kv, args.config)
@@ -165,6 +184,7 @@ def cmd_train(args) -> int:
     _check_classes(args.dataset, scenes, len(shapes))
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
     _check_image_size(args.dataset, scenes, net.input_size, args.config)
+    _check_run_size(args.config, cfg, net, shapes)
     _train_once(cfg, net, SceneBank(scenes, shapes), args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
@@ -219,7 +239,10 @@ def cmd_assign_dump(args) -> int:
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
-    grid = anchor_grid(shapes, scene.image.shape[0])
+    try:
+        grid = anchor_grid(shapes, scene.image.shape[0])
+    except ValueError as e:
+        raise RuntimeError(f"{args.dataset}: {e}") from None
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
     if state is not None:
@@ -321,6 +344,7 @@ def cmd_ablate(args) -> int:
     _check_classes(dataset_dir, scenes, len(shapes))
     if eval_scenes is not scenes:
         _check_classes(eval_dir, eval_scenes, len(shapes))
+    _check_run_size(args.config, base, net, shapes)
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
     _remove(args.out, "summary.csv")

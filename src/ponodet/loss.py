@@ -37,8 +37,8 @@ def initial_balance(n_classes: int, n_anchors: int) -> dict[str, np.ndarray]:
     each entry starting at s = 1: the global `bw.s_cls` and `bw.s_loc`
     (0-d), then the per-grid `bw.s_cls_grid` and `bw.s_loc_grid`
     [n_classes, n_anchors].  The keys are the checkpoint's entry names, and
-    `learned` mode steps the arrays in place with the model parameters, in
-    this order."""
+    every mode steps the arrays in place with the model parameters, in this
+    order; only `learned` mode gives them a gradient."""
     grid = (n_classes, n_anchors)
     return {"bw.s_cls": np.ones(()), "bw.s_loc": np.ones(()),
             "bw.s_cls_grid": np.ones(grid), "bw.s_loc_grid": np.ones(grid)}

@@ -69,6 +69,36 @@ class ToyNetConfig:
         return self.input_size // FEAT_STRIDE
 
 
+def net_floats(cfg: ToyNetConfig, n_classes: int, n_anchors: int) -> tuple[int, int]:
+    """(the kernel and bias floats, one image's conv patch-matrix and output
+    floats) of the ToyNet `_walk` builds, in closed form: a layer repeated
+    `head_convs` times is counted once and multiplied, so a config is sized
+    before any layer is walked or built."""
+    c, f, reps = cfg.base_channels, cfg.feat_size, cfg.head_convs
+    params = acts = 0
+
+    def conv(side, cin, cout, k=3, times=1):
+        nonlocal params, acts
+        params += times * (k * k * cin + 1) * cout
+        acts += times * side * side * (k * k * cin + cout)
+
+    for i, (cin, cout) in enumerate(((3, c), (c, 2 * c), (2 * c, 4 * c))):
+        conv(f << (2 - i), cin, cout)
+    for k in range(1, cfg.levels):
+        conv(f >> k, 4 * c << (k - 1), 4 * c << k)
+    top = cfg.levels - 1
+    for k in range(cfg.levels):
+        conv(f >> k, (4 if k == top else 8) * c << k, 2 * c << k)
+        conv(f >> k, 2 * c << k, 2 * c << k, times=reps)
+    trunk, m = 2 * c * ((1 << cfg.levels) - 1), max(2 * c, 8)
+    for cout in (n_classes * n_anchors, 4 * n_classes * n_anchors):
+        if reps:
+            conv(f, trunk, m)
+            conv(f, m, m, times=reps - 1)
+        conv(f, m if reps else trunk, cout, k=1)
+    return params, acts
+
+
 def drawn_kernels(seed: int):
     """A fresh `ToyNet`'s kernels: uniform in +-sqrt(3 / fan_in), drawn layer
     by layer from `seed`, and constant biases."""

@@ -9,7 +9,9 @@ is the only gradient path into the offsets.
 A run's trained arrays are fixed when its `RunState` is built, so the
 state builds their taped leaves then, once, on a tape it owns; every
 iteration records on those leaves and clears the tape's records when its
-pass ends, by backward or by a raise.
+pass ends, by backward or by a raise.  Every mode steps every trained array
+and its momentum buffer; outside `learned` mode the loss gives the `bw.*`
+weights no gradient, so from zero momentum they keep their bits.
 
 A batch is one array problem: its images are stacked on a leading scene
 axis and go through one taped forward, one predicted-overlap map and one
@@ -93,35 +95,33 @@ class RunState:
     The trained arrays live in one contiguous float64 vector, `flat_params`,
     in optimizer order (the model's parameters, then the `bw.*` weights),
     and their momentum buffers in a second, `flat_momentum`; construction
-    copies the given `model.params`, `bw` and `velocity` arrays into them
-    and rebinds those dicts to views.  `velocity` names only the buffers
-    the optimizer has stepped, so the checkpoint of a run with fixed
-    weights holds no `mom.bw.*` entries.  `flat_grad` is the one gradient
-    vector every iteration zeroes.  `leaves` holds one leaf per trained
-    array, built once on the state's `tape`: its value is the array's view
-    into `flat_params` and its gradient the view into `flat_grad`.
+    copies the given `model.params`, `bw` and `momentum` arrays into them
+    and rebinds those dicts to views.  `momentum` then names one buffer per
+    trained array, zero where none was given, and every mode steps them
+    all.  `flat_grad` is the one gradient vector every iteration zeroes.
+    `leaves` holds one leaf per trained array, built once on the state's
+    `tape`: its value is the array's view into `flat_params` and its
+    gradient the view into `flat_grad`.
     """
 
     model: ToyNet
     bw: dict               # the `loss.initial_balance` arrays
     shapes: np.ndarray     # the anchor shapes [n_classes, n_anchors, 2]
     iteration: int = 0
-    velocity: dict = field(default_factory=dict)
+    momentum: dict = field(default_factory=dict)
 
     def __post_init__(self):
         trained = {**self.model.params, **self.bw}
         self._layout = [(name, np.shape(a)) for name, a in trained.items()]
-        self.n_model = sum(np.size(a) for a in self.model.params.values())
         self.flat_params = np.concatenate([np.ravel(a) for a in trained.values()],
                                           dtype=np.float64)
         params = self._views(self.flat_params)
         self.model.params.update((name, params[name]) for name in self.model.params)
         self.bw.update((name, params[name]) for name in self.bw)
         self.flat_momentum = np.zeros_like(self.flat_params)
-        self.momentum_views = self._views(self.flat_momentum)
-        for name, v in self.velocity.items():
-            self.momentum_views[name][...] = v
-        self.velocity = {name: self.momentum_views[name] for name in self.velocity}
+        given, self.momentum = self.momentum, self._views(self.flat_momentum)
+        for name, v in given.items():
+            self.momentum[name][...] = v
         self.flat_grad = np.zeros_like(self.flat_params)
         self.tape = ad.Tape()
         grads = self._views(self.flat_grad)
@@ -203,7 +203,6 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
     """One optimizer step over the batch of `bank` variants drawn as `keys`
     (index, mirrored), as one taped pass over the stacked batch.  The bank
     must be on the state's anchor shapes."""
-    learned = cfg.mode == "learned"
     state.flat_grad.fill(0.0)
     batch = [scene_cache(bank, key) for key in keys]
     assignment = Assignment.stack([a for _, a in batch])
@@ -229,18 +228,13 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
         ad.backward(total)
     finally:
         state.tape.records.clear()
-    # freeze rule: in learned mode a grid with zero positive labels keeps
-    # both of its s entries and their momentum through this iteration's step
+    # freeze rule: a grid with zero positive labels keeps both of its s
+    # entries and their momentum through this iteration's step; outside
+    # learned mode the loss gives no `bw.*` leaf a gradient
     frozen = per_grid_pos == 0
     held = [(a, a[frozen]) for key in ("bw.s_cls_grid", "bw.s_loc_grid")
-            for a in (state.bw[key], state.momentum_views[key])] if learned else []
-
-    # the stepped prefix: the model's parameters, then in learned mode the
-    # balance weights; its buffers are the checkpoint's `mom.*` entries
-    n = len(state.flat_params) if learned else state.n_model
-    for name in (state.leaves if learned else state.model.params):
-        state.velocity.setdefault(name, state.momentum_views[name])
-    sgd_step(state.flat_params[:n], state.flat_momentum[:n], state.flat_grad[:n],
+            for a in (state.bw[key], state.momentum[key])]
+    sgd_step(state.flat_params, state.flat_momentum, state.flat_grad,
              lr_at(state.iteration, cfg))
     for a, values in held:
         a[frozen] = values
@@ -330,7 +324,7 @@ def save_run(path, state: RunState) -> None:
     for name, arr in state.model.params.items():
         arrays[f"model.{name}"] = arr
     arrays.update(state.bw)
-    for name, arr in state.velocity.items():
+    for name, arr in state.momentum.items():
         arrays[f"mom.{name}"] = arr
     save_arrays(path, arrays)
 
@@ -341,9 +335,8 @@ def load_run(path) -> RunState:
     holds an entry the run does not know or of another shape than its `meta.*`
     entries imply, a `meta.*` entry that is not one finite whole number, a size
     below 1 or an anchor side that is not finite and positive, raises ValueError
-    naming the path and the entry.  Its `mom.*` entries must be none, every
-    `model.*` array's, or every trained array's; a missing one is named by the
-    first in optimizer order."""
+    naming the path and the entry.  Every trained array's `mom.*` buffer is
+    required too, since a resume would restart a missing one at zero."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -408,12 +401,8 @@ def load_run(path) -> RunState:
         if key not in shapes:
             raise ValueError(f"{path}: checkpoint has an unknown entry {key!r}")
         checked(key, shapes[key])
-    # the momentum buffers are those of a prefix the optimizer steps: none,
-    # the model's, or every trained array's; a resume would zero a missing one
-    held = {name for name in [*params, *bw] if f"mom.{name}" in arrays}
-    stepped = [*params, *bw] if held & bw.keys() else list(params) if held else []
     # construction copies every array into the state's flat vectors
     return RunState(model=model, shapes=sides,
                     bw={name: entry(name) for name in bw},
                     iteration=meta("meta.iteration"),
-                    velocity={name: entry(f"mom.{name}") for name in stepped})
+                    momentum={name: entry(f"mom.{name}") for name in [*params, *bw]})

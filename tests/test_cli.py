@@ -15,7 +15,8 @@ from ponodet import data as data_mod
 from ponodet import train as train_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
 from ponodet.anchors import load_anchor_set
-from ponodet.data import load_dataset, read_kv
+from ponodet.assignment import GroundTruth
+from ponodet.data import Scene, load_dataset, read_kv
 from ponodet.model import ToyNetConfig, load_arrays, save_arrays
 from ponodet.train import RunState, TrainConfig, save_run
 
@@ -250,6 +251,17 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"{ds}: scene {first} has class id 1" in err
 
+    def test_assign_dump_image_without_a_cell_names_the_dataset(self, tmp_path, capsys):
+        ds = tmp_path / "d"
+        data_mod.save_dataset(ds, [Scene(np.zeros((4, 4, 3)),
+                                         GroundTruth([(2.0, 2.0, 2.0, 2.0)], [0]))])
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("0 8.0 8.0\n")
+        assert run(["assign-dump", "--dataset", str(ds), "--anchors", str(anchors),
+                    "--out", str(tmp_path / "dump")]) == 2
+        assert f"{ds}: a 4px image has no stride-8 cell" in capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
+
     def test_assign_dump_scene_out_of_range(self, workspace, tmp_path, capsys):
         assert run(["assign-dump", "--dataset", str(workspace / "ds"), "--scene", "8",
                     "--anchors", str(workspace / "anchors.txt"),
@@ -425,6 +437,45 @@ class TestBadInput:
         assert [code for code, _ in got] == [2] * len(cases), done.stderr[-2000:]
         for (_, err), path, (_, message) in zip(got, paths, cases.values()):
             assert err.startswith(f"error: {path}: {message}"), err
+
+    def test_run_size_checked_before_building(self, workspace, tmp_path):
+        # no dataset bounds these keys, and each once asked for far more than
+        # 1 GB: a kernel, the layer walk, or the batch draw; the child caps
+        # its own address space and time
+        ds, anchors = workspace / "ds", workspace / "anchors.txt"
+        cases = [("base_channels = 2", "base_channels = 100000"),
+                 ("head_convs = 1", "head_convs = 1000000000"),
+                 ("batch_size = 1", "batch_size = 1000000000000")]
+        argvs = []
+        for i, (old, new) in enumerate(cases):
+            cfg = tmp_path / f"train{i}.txt"
+            cfg.write_text(TRAINCFG.replace(old, new))
+            argvs.append(["train", "--config", cfg, "--dataset", ds, "--anchors", anchors,
+                          "--out", f"run{i}"])
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(TRAINCFG.replace(*cases[1]) + f"dataset = {ds}\nanchors = {anchors}\n"
+                       "cells = AMS:learned:CE\n")
+        argvs.append(["ablate", "--config", cfg, "--out", "ab"])
+        child = ("import contextlib, io, json, resource, signal, sys\n"
+                 "from ponodet.cli import run\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "signal.alarm(60)\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    err = io.StringIO()\n"
+                 "    with contextlib.redirect_stderr(err), \\\n"
+                 "            contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        code = run(argv)\n"
+                 "    print(json.dumps([code, err.getvalue()]), flush=True)\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        argv_json = json.dumps([list(map(str, argv)) for argv in argvs])
+        done = subprocess.run([sys.executable, "-c", child, argv_json], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        got = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [code for code, _ in got] == [2] * len(argvs), done.stderr[-2000:]
+        for (_, err), argv, (_, new) in zip(got, argvs, cases + cases[1:2]):
+            assert err.startswith(f"error: {argv[2]}: input_size = 32, "), err
+            assert new in err and "batch_size = " in err and "GiB bound" in err, err
+        assert not any(tmp_path.glob("run*")) and not (tmp_path / "ab").exists()
 
     def test_checkpoint_input_size_sizes_nothing_on_load(self, workspace, tmp_path):
         # no entry's shape depends on meta.input_size, so loading once tiled

@@ -9,7 +9,7 @@ from ponodet import autodiff as ad
 from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
 from ponodet.loss import bce_logits, loc_loss_map, sigmoid
 from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig, drawn_kernels,
-                           load_arrays, save_arrays)
+                           load_arrays, net_floats, save_arrays)
 
 from test_anchors import build_grid
 from test_autodiff import add, div, grad_check, mean, reduce_sum, zero_leaf
@@ -121,6 +121,27 @@ class TestToyNetLayers:
         cfg = ToyNetConfig(input_size=2 ** 20, base_channels=1, levels=2, head_convs=0)
         net = ToyNet(cfg, 1, 1, drawn_kernels(0))
         assert net.params["stem0.w"].shape == (3, 3, 3, 1)
+
+    @pytest.mark.parametrize("input_size,base_channels,levels,head_convs,nc,na", [
+        (32, 2, 2, 1, 1, 2), (32, 1, 2, 0, 2, 3), (48, 4, 2, 2, 2, 2),
+        (64, 3, 3, 0, 1, 1), (64, 5, 3, 3, 3, 2), (128, 2, 4, 2, 2, 5)])
+    def test_closed_form_sizes_match_the_walk(self, input_size, base_channels, levels,
+                                              head_convs, nc, na):
+        # the kernel and bias floats the walk builds, and per image each
+        # conv's patch matrix [h_out * w_out, k * k * cin] and output
+        cfg = ToyNetConfig(input_size=input_size, base_channels=base_channels,
+                           levels=levels, head_convs=head_convs)
+        net = ToyNet(cfg, nc, na, drawn_kernels(0))
+        acts = []
+
+        def conv(name, x, cout, stride=1, k=3, act=True, bias=0.0):
+            side = (x.shape[1] - 1) // stride + 1
+            acts.append(side * side * (k * k * x.shape[3] + cout))
+            return np.empty((1, side, side, cout))
+
+        net._walk(conv, np.empty((1, input_size, input_size, 3)))
+        assert net_floats(cfg, nc, na) == (sum(p.size for p in net.params.values()),
+                                           sum(acts))
 
     def test_meta_lists_the_config_fields(self):
         cfg = ToyNetConfig(input_size=64, base_channels=3, levels=3, head_convs=0)

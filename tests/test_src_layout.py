@@ -36,7 +36,10 @@ varies; it goes.
 
 Every package a `src/ponodet` module imports is the standard library,
 `ponodet` itself or one of the `[project] dependencies`; test-only
-packages belong in the `test` extra.
+packages belong in the `test` extra.  A module imports `ponodet` only
+relatively (`from . import m`, `from .m import name`), so two copies of
+the package, loaded side by side as separate packages, never share a
+module.
 """
 
 import ast
@@ -362,3 +365,18 @@ def test_src_imports_only_declared_dependencies():
                            if top.lower() not in allowed]
     assert not undeclared, "imports missing from [project] dependencies: " \
         + ", ".join(undeclared)
+
+
+def test_src_imports_ponodet_only_relatively():
+    absolute = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno}: {name}" for name in names
+                         if name.split(".")[0] == "ponodet"]
+    assert not absolute, "absolute ponodet imports: " + ", ".join(absolute)

@@ -87,21 +87,21 @@ def per_array_sgd_step(params: dict, velocity: dict, grads: dict,
 
 
 def by_name(state, vector) -> dict:
-    """A prefix of one of the state's flat vectors, split into the trained
-    arrays' names and shapes in optimizer order."""
+    """One of the state's flat vectors, split into the trained arrays' names
+    and shapes in optimizer order."""
     out, start = {}, 0
     for name, a in {**state.model.params, **state.bw}.items():
-        if start == len(vector):
-            break
         out[name] = vector[start:start + a.size].reshape(a.shape)
         start += a.size
+    assert start == len(vector)
     return out
 
 
 def assert_flat_views(state):
     """`model.params` and `bw` are views into `flat_params` in optimizer
-    order, and each `velocity` buffer is the view into `flat_momentum` at
-    the same offset as its array."""
+    order, and `momentum` holds one buffer per trained array, in the same
+    order, each the view into `flat_momentum` at the same offset as its
+    array."""
     def address(a):
         return a.__array_interface__["data"][0]
 
@@ -112,7 +112,8 @@ def assert_flat_views(state):
         offsets[name] = start
         start += a.size
     assert start == len(state.flat_params) == len(state.flat_momentum)
-    for name, v in state.velocity.items():
+    assert list(state.momentum) == list(offsets)
+    for name, v in state.momentum.items():
         assert v.shape == np.shape({**state.model.params, **state.bw}[name])
         assert address(v) - address(state.flat_momentum) == 8 * offsets[name], name
 
@@ -139,14 +140,14 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("mode", ["learned", "unit"])
     def test_flat_step_matches_per_array_loop(self, tmp_path, monkeypatch, mode):
-        # the flat step on the optimizer prefix moves every parameter and
+        # the flat step over every trained array moves every parameter and
         # buffer to the bits the per-array loop gives, and in unit mode
-        # leaves the balance weights and their buffers alone
+        # leaves the balance weights and their zero buffers bit for bit
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
         cfg = replace(cfg, mode=mode)
         run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=3))
         params = {name: a.copy() for name, a in {**state.model.params, **state.bw}.items()}
-        velocity = {name: v.copy() for name, v in state.velocity.items()}
+        velocity = {name: v.copy() for name, v in state.momentum.items()}
         steps = []
         step = train_mod.sgd_step
 
@@ -157,18 +158,18 @@ class TestSgdStep:
         monkeypatch.setattr(train_mod, "sgd_step", spy)
         train_iteration(state, plain(2), cfg, SceneBank(scenes, state.shapes))
         (n, g, lr), = steps
-        trained = by_name(state, g)
-        assert n == (len(state.flat_params) if mode == "learned" else state.n_model)
-        assert list(trained) == list(params)[:len(trained)]
-        per_array_sgd_step({name: params[name] for name in trained}, velocity,
-                           trained, lr, MOMENTUM)
+        assert n == len(state.flat_params)
+        bw_before = {name: params[name].tobytes() for name in state.bw}
+        per_array_sgd_step(params, velocity, by_name(state, g), lr, MOMENTUM)
         for name, a in {**state.model.params, **state.bw}.items():
             np.testing.assert_array_equal(a, params[name], err_msg=name)
-        assert list(state.velocity) == list(velocity)
-        for name, v in state.velocity.items():
+        assert list(state.momentum) == list(velocity)
+        for name, v in state.momentum.items():
             np.testing.assert_array_equal(v, velocity[name], err_msg=name)
         if mode == "unit":
-            assert not any(name.startswith("bw.") for name in state.velocity)
+            for name in state.bw:
+                assert state.bw[name].tobytes() == bw_before[name], name
+                assert not state.momentum[name].any(), name
 
 
 class TestTrainIteration:
@@ -305,10 +306,16 @@ class TestBatchedIteration:
                                    rtol=1e-12, atol=1e-12)
         assert report.n_pos == n_pos
         np.testing.assert_array_equal(report.per_grid_pos, per_grid_pos)
-        assert seen.keys() == grads.keys()
-        for name, g in grads.items():
-            np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12,
-                                       err_msg=name)
+        # the step sees every trained array; outside learned mode the loss
+        # gives the balance weights no gradient, so theirs stays zero
+        assert list(seen) == [*state.model.params, *state.bw]
+        assert seen.keys() - grads.keys() == (set() if mode == "learned" else set(state.bw))
+        for name, g in seen.items():
+            if name in grads:
+                np.testing.assert_allclose(g, grads[name], rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
+            else:
+                assert not g.any(), name
 
     def test_one_taped_forward_per_batch(self, tmp_path, monkeypatch):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
@@ -380,7 +387,7 @@ class TestSceneCache:
         assert len(made) == len(drawn_variants(cfg, 1))
         assert all(ref() is None for ref in made)
         assert {f.name for f in fields(RunState)} == {"model", "bw", "shapes",
-                                                      "iteration", "velocity"}
+                                                      "iteration", "momentum"}
 
     def test_bank_keeps_its_entries_past_the_call(self):
         scene = self.crowded_scene()
@@ -478,7 +485,7 @@ class TestFreezeHoldsMomentum:
 
         def class_1():
             return [a[1].copy() for key in keys
-                    for a in (state.bw[key], state.momentum_views[key])]
+                    for a in (state.bw[key], state.momentum[key])]
 
         for _ in range(3):
             assert train_iteration(state, [(0, False)], cfg, bank).per_grid_pos[1].any()
@@ -517,34 +524,34 @@ class TestDeterminismAndResume:
 
     def test_checkpoint_resume_bit_exact(self, tmp_path):
         # a mid-run checkpoint must restore the remaining iterations
-        # bit-for-bit (same lr schedule, momentum buffers, batch draws)
-        from dataclasses import replace
-        scenes, cfg, state = self.make_setup(tmp_path)
-        cfg = replace(cfg, checkpoint_every=6)
-        straight = run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path)
-        log = (tmp_path / "log.csv").read_bytes()
+        # bit-for-bit (same lr schedule, momentum buffers, batch draws), in
+        # every weighting mode
+        for mode in loss_mod.MODES:
+            run_dir = tmp_path / mode
+            scenes, cfg, state = self.make_setup(tmp_path)
+            cfg = replace(cfg, checkpoint_every=6, mode=mode)
+            straight = run_training(state, SceneBank(scenes, state.shapes), cfg,
+                                    run_dir=run_dir)
+            log = (run_dir / "log.csv").read_bytes()
 
-        resumed_state = load_run(tmp_path / "ckpt_000006.bin")
-        assert resumed_state.iteration == 6
-        rest = run_training(resumed_state, SceneBank(scenes, resumed_state.shapes), cfg,
-                            run_dir=tmp_path)
-        # a resumed run removes no checkpoint of the run it resumes, and
-        # cuts the log back to the checkpoint before it appends
-        assert sorted(p.name for p in tmp_path.glob("ckpt_*")) == \
-            ["ckpt_000006.bin", "ckpt_000012.bin"]
-        assert (tmp_path / "log.csv").read_bytes() == log
-        # into a directory with no log: the header and the resumed rows
-        run_training(load_run(tmp_path / "ckpt_000006.bin"),
-                     SceneBank(scenes, resumed_state.shapes), cfg, run_dir=tmp_path / "new")
-        lines = log.decode().splitlines(keepends=True)
-        assert (tmp_path / "new" / "log.csv").read_text() == "".join(lines[:1] + lines[7:])
+            resumed_state = load_run(run_dir / "ckpt_000006.bin")
+            assert resumed_state.iteration == 6
+            rest = run_training(resumed_state, SceneBank(scenes, resumed_state.shapes), cfg,
+                                run_dir=run_dir)
+            # a resumed run removes no checkpoint of the run it resumes, and
+            # cuts the log back to the checkpoint before it appends
+            assert sorted(p.name for p in run_dir.glob("ckpt_*")) == \
+                ["ckpt_000006.bin", "ckpt_000012.bin"]
+            assert (run_dir / "log.csv").read_bytes() == log
+            # into a directory with no log: the header and the resumed rows
+            run_training(load_run(run_dir / "ckpt_000006.bin"),
+                         SceneBank(scenes, resumed_state.shapes), cfg, run_dir=run_dir / "new")
+            lines = log.decode().splitlines(keepends=True)
+            assert (run_dir / "new" / "log.csv").read_text() == "".join(lines[:1] + lines[7:])
 
-        assert [r.total for r in rest] == [r.total for r in straight[6:]]
-        for k in state.model.params:
-            np.testing.assert_array_equal(resumed_state.model.params[k],
-                                          state.model.params[k])
-        for k in state.bw:
-            np.testing.assert_array_equal(resumed_state.bw[k], state.bw[k])
+            assert [r.total for r in rest] == [r.total for r in straight[6:]], mode
+            assert resumed_state.flat_params.tobytes() == state.flat_params.tobytes(), mode
+            assert resumed_state.flat_momentum.tobytes() == state.flat_momentum.tobytes(), mode
 
     def test_log_on_disk_at_each_checkpoint(self, tmp_path, monkeypatch):
         # a kill right after a checkpoint must leave a log that reaches the
@@ -591,12 +598,19 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("mode", ["unit", "retina_norm"])
     def test_fixed_weights_have_no_momentum(self, tmp_path, mode):
+        # a fixed-weight run writes every trained array's buffer, in the
+        # order a learned run does, and the balance weights' are all zero
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
         run_training(state, SceneBank(scenes, state.shapes), replace(cfg, mode=mode))
         save_run(tmp_path / "final.bin", state)
-        names = list(load_arrays(tmp_path / "final.bin"))
-        assert not [n for n in names if n.startswith("mom.bw.")]
-        assert [n for n in names if n.startswith("bw.")] == list(initial_balance(1, 2))
+        arrays = load_arrays(tmp_path / "final.bin")
+        bw = list(initial_balance(1, 2))
+        assert [n for n in arrays if n.startswith("bw.")] == bw
+        mom = [n[len("mom."):] for n in arrays if n.startswith("mom.")]
+        assert mom == list(state.model.params) + bw
+        for name in bw:
+            assert not arrays[f"mom.{name}"].any(), name
+            np.testing.assert_array_equal(arrays[name], initial_balance(1, 2)[name])
 
 
 def bench_run(bench, cell=("AMS", "learned", "CE")):
@@ -747,17 +761,16 @@ class TestFlatState:
         _, _, made = TestDeterminismAndResume().make_setup(tmp_path)
         state = RunState.fresh(made.model.cfg, made.shapes, 0)
         assert_flat_views(state)
-        assert state.velocity == {}
-        assert state.n_model == sum(a.size for a in state.model.params.values())
+        assert not state.flat_momentum.any()
 
     def test_stepped_buffers_are_views(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
+        momentum = state.momentum
         run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=2, mode="unit"))
-        assert list(state.velocity) == list(state.model.params)
         assert_flat_views(state)
         run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=3))
-        assert list(state.velocity) == list(state.model.params) + list(state.bw)
         assert_flat_views(state)
+        assert state.momentum is momentum and state.flat_momentum.any()
 
     def test_loaded_state_arrays_are_views(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=3)
@@ -765,7 +778,6 @@ class TestFlatState:
         save_run(tmp_path / "a.bin", state)
         loaded = load_run(tmp_path / "a.bin")
         assert_flat_views(loaded)
-        assert list(loaded.velocity) == list(state.velocity)
         np.testing.assert_array_equal(loaded.flat_params, state.flat_params)
         np.testing.assert_array_equal(loaded.flat_momentum, state.flat_momentum)
 
@@ -788,31 +800,34 @@ class TestLoadRun:
         ("learned", ["mom.stem1.w"], "mom.stem1.w"),
         ("learned", ["mom.bw.s_cls"], "mom.bw.s_cls"),
         ("learned", ["mom.stem0.w", "mom.bw.s_loc_grid"], "mom.stem0.w"),
-        ("unit", ["mom.cls_out.b"], "mom.cls_out.b")])
+        ("unit", ["mom.cls_out.b"], "mom.cls_out.b"),
+        # no buffer, as the parent wrote at iteration 0, and the model's
+        # alone, as it wrote for fixed weights
+        pytest.param("learned", "mom.", "mom.stem0.w", id="learned-no_buffers"),
+        pytest.param("unit", "mom.bw.", "mom.bw.s_cls", id="unit-model_buffers_only")])
     def test_partial_momentum_rejected(self, tmp_path, mode, dropped, named):
-        # a resume would restart a missing buffer at zero, so the buffers
-        # held must be none, the model's or every trained array's
+        # a resume would restart a missing buffer at zero, so every trained
+        # array's buffer is required, and the first missing one is named
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
         run_training(state, SceneBank(scenes, state.shapes), replace(cfg, mode=mode))
         save_run(tmp_path / "full.bin", state)
         arrays = load_arrays(tmp_path / "full.bin")
-        assert set(dropped) <= set(arrays)
+        if isinstance(dropped, str):  # every entry under a prefix
+            dropped = [k for k in arrays if k.startswith(dropped)]
+        assert named in dropped and set(dropped) <= set(arrays)
         path = tmp_path / "partial.bin"
         save_arrays(path, {k: v for k, v in arrays.items() if k not in dropped})
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has no {named!r}")):
             load_run(path)
 
-    @pytest.mark.parametrize("kept", ["none", "model", "all"])
-    def test_stepped_prefix_momentum_loads(self, tmp_path, kept):
+    def test_every_momentum_buffer_loads(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
         run_training(state, SceneBank(scenes, state.shapes), cfg)
         save_run(tmp_path / "full.bin", state)
-        arrays = load_arrays(tmp_path / "full.bin")
-        keep = {"none": (), "model": tuple(state.model.params), "all": tuple(state.leaves)}[kept]
-        path = tmp_path / "prefix.bin"
-        save_arrays(path, {k: v for k, v in arrays.items()
-                           if not k.startswith("mom.") or k[len("mom."):] in keep})
-        assert list(load_run(path).velocity) == list(keep)
+        loaded = load_run(tmp_path / "full.bin")
+        assert list(loaded.momentum) == list(state.leaves)
+        for name, v in state.momentum.items():
+            assert loaded.momentum[name].tobytes() == v.tobytes(), name
 
     def test_entry_shape_checked_against_meta(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=2)
