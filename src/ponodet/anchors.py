@@ -52,6 +52,9 @@ _STEP0 = 0.25
 _STEP_TOL = 1e-13
 # Cap on the Lloyd steps of one class's k-means, both phases together
 _MAX_STEPS = 60
+# most anchor shapes per class: over 10x any run's n_a (5); above the box
+# count k-means spends time superlinear in n_a on duplicate centroids
+MAX_N_A = 64
 
 
 def anchor_grid(shapes: np.ndarray, image_size: int) -> np.ndarray:
@@ -269,11 +272,14 @@ def kmeans_anchors(gt_sizes_per_class: list, n_a: int, seed: int) -> np.ndarray:
     at most `_MAX_STEPS` Lloyd steps per class.
 
     Deterministic given `seed`; classes with fewer distinct shapes than
-    `n_a` may yield duplicate centroids.  A class with no samples raises a
-    ValueError naming it, before any class is clustered.
+    `n_a` may yield duplicate centroids.  An `n_a` outside 1..MAX_N_A
+    raises a ValueError, and so does a class with no samples, naming it,
+    before any class is clustered.
     """
     if n_a < 1:
         raise ValueError("n_a must be >= 1")
+    if n_a > MAX_N_A:
+        raise ValueError(f"n_a must be at most {MAX_N_A}, got {n_a}")
     per_class = [np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in gt_sizes_per_class]
     check_no_empty_class(np.flatnonzero([arr.size for arr in per_class]), len(per_class))
     out = []

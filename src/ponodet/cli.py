@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .anchors import (anchor_grid, check_no_empty_class, kmeans_anchors, load_anchor_set,
-                      save_anchor_set, sizes_per_class)
+from .anchors import (MAX_N_A, anchor_grid, check_no_empty_class, kmeans_anchors,
+                      load_anchor_set, save_anchor_set, sizes_per_class)
 from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
 from .loss import initial_balance
 from .model import ToyNetConfig, net_floats
@@ -29,6 +30,7 @@ from .train import RunState, SceneBank, TrainConfig, load_run, run_training, sav
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 MAX_RUN_BYTES = 1 << 32  # the most memory a `train` or `ablate` config may ask a run for
+_MAP = re.compile(r"(pono|labels|prediou)_c\d+_a\d+\.pgm")  # the maps `assign-dump` writes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +60,8 @@ def _checked(kind, holds, what: str):
 SCORE_MIN = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 IOU_NMS = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 COUNT = _checked(int, lambda v: v >= 1, "a whole number >= 1")
+# COUNT's own error passes through, so only the upper bound reads differently
+N_A = _checked(COUNT, lambda v: v <= MAX_N_A, f"at most {MAX_N_A}")
 SEED = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 
 
@@ -120,10 +124,10 @@ def _check_image_size(dataset_dir, scenes: list, want: int, owner) -> None:
 
 def _check_run_size(config, cfg: TrainConfig, net: ToyNetConfig, shapes: np.ndarray) -> None:
     """A run of the settings in the config file `config` on anchor `shapes`
-    asks for at most MAX_RUN_BYTES, counted in closed form before any kernel
-    is drawn: at least the state's three float64 vectors of the trained
-    arrays (the kernels and biases, then the balance weights) and one
-    batch's conv patch matrices and outputs."""
+    asks for at most MAX_RUN_BYTES, counted on the network's layer walk
+    before any kernel is drawn: at least the state's three float64 vectors
+    of the trained arrays (the kernels and biases, then the balance
+    weights) and one batch's conv patch matrices and outputs."""
     params, acts = net_floats(net, *shapes.shape[:2])
     params += sum(np.size(s) for s in initial_balance(*shapes.shape[:2]).values())
     need = 8 * (3 * params + cfg.batch_size * acts)
@@ -250,6 +254,9 @@ def cmd_assign_dump(args) -> int:
         o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
+    for name in os.listdir(args.out):  # an earlier dump's, of another grid or with pred_iou
+        if _MAP.fullmatch(name):
+            os.remove(os.path.join(args.out, name))
     for c, a in np.ndindex(grid.shape[2:4]):
         data_mod.write_pnm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
                            assignment.pono[:, :, c, a])
@@ -258,8 +265,6 @@ def cmd_assign_dump(args) -> int:
         if state is not None:
             data_mod.write_pnm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
                                o_hat[:, :, c, a])
-        else:  # an earlier dump's, which this one's pred_iou of 0 contradicts
-            _remove(args.out, f"prediou_c{c}_a{a}.pgm")
     with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
         f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
         for i, j, c, a in np.ndindex(labels.shape):
@@ -320,9 +325,10 @@ def cmd_ablate(args) -> int:
         raise RuntimeError(f"{args.config}: config keys 'n_a' and 'anchors' exclude each other")
     dataset_dir = kv["dataset"]
     eval_dir = kv.get("eval_dataset") or dataset_dir
-    n_a = kv.get("n_a", "3")
-    if not n_a.isdecimal() or int(n_a) < 1:
-        raise RuntimeError(f"{args.config}: n_a must be a whole number >= 1, got {n_a!r}")
+    try:
+        n_a = N_A(kv.get("n_a", "3"))
+    except argparse.ArgumentTypeError as e:
+        raise RuntimeError(f"{args.config}: n_a {e}") from None
     cells = [_ablation_cell(args.config, base, text) for text in texts]
     seen = set()
     for text, (name, _) in zip(texts, cells):
@@ -340,7 +346,7 @@ def cmd_ablate(args) -> int:
     if kv.get("anchors"):
         shapes = load_anchor_set(kv["anchors"])
     else:
-        shapes = _cluster_anchors(dataset_dir, [s.gt for s in scenes], int(n_a), base.seed)
+        shapes = _cluster_anchors(dataset_dir, [s.gt for s in scenes], n_a, base.seed)
     _check_classes(dataset_dir, scenes, len(shapes))
     if eval_scenes is not scenes:
         _check_classes(eval_dir, eval_scenes, len(shapes))
@@ -391,7 +397,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("anchors", help="cluster per-class anchor shapes")
     a.add_argument("--dataset", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--n-a", type=COUNT, default=3)
+    a.add_argument("--n-a", type=N_A, default=3)
     a.add_argument("--seed", type=SEED, default=0)
     a.set_defaults(fn=cmd_anchors)
 

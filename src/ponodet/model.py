@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -67,36 +67,6 @@ class ToyNetConfig:
     @property
     def feat_size(self) -> int:
         return self.input_size // FEAT_STRIDE
-
-
-def net_floats(cfg: ToyNetConfig, n_classes: int, n_anchors: int) -> tuple[int, int]:
-    """(the kernel and bias floats, one image's conv patch-matrix and output
-    floats) of the ToyNet `_walk` builds, in closed form: a layer repeated
-    `head_convs` times is counted once and multiplied, so a config is sized
-    before any layer is walked or built."""
-    c, f, reps = cfg.base_channels, cfg.feat_size, cfg.head_convs
-    params = acts = 0
-
-    def conv(side, cin, cout, k=3, times=1):
-        nonlocal params, acts
-        params += times * (k * k * cin + 1) * cout
-        acts += times * side * side * (k * k * cin + cout)
-
-    for i, (cin, cout) in enumerate(((3, c), (c, 2 * c), (2 * c, 4 * c))):
-        conv(f << (2 - i), cin, cout)
-    for k in range(1, cfg.levels):
-        conv(f >> k, 4 * c << (k - 1), 4 * c << k)
-    top = cfg.levels - 1
-    for k in range(cfg.levels):
-        conv(f >> k, (4 if k == top else 8) * c << k, 2 * c << k)
-        conv(f >> k, 2 * c << k, 2 * c << k, times=reps)
-    trunk, m = 2 * c * ((1 << cfg.levels) - 1), max(2 * c, 8)
-    for cout in (n_classes * n_anchors, 4 * n_classes * n_anchors):
-        if reps:
-            conv(f, trunk, m)
-            conv(f, m, m, times=reps - 1)
-        conv(f, m if reps else trunk, cout, k=1)
-    return params, acts
 
 
 def drawn_kernels(seed: int):
@@ -190,6 +160,35 @@ class ToyNet:
     def meta(self) -> dict:
         return {"model_kind": 1.0, **{k: float(v) for k, v in asdict(self.cfg).items()},
                 "n_classes": float(self.n_classes), "n_anchors": float(self.n_anchors)}
+
+
+def net_floats(cfg: ToyNetConfig, n_classes: int, n_anchors: int) -> tuple[int, int]:
+    """(the kernel and bias floats, one image's conv patch-matrix and output
+    floats) of the ToyNet `_walk` builds, as Python ints, counted on that
+    walk over zero-byte kernels and stand-ins of no scene.  A large config
+    is counted from walks of small ones: from `head_convs` 1 up both counts
+    are linear in it (each head layer past a stack's first repeats the one
+    before it), and from `base_channels` 4 up at most quadratic in it (each
+    channel count is 3, 8, the head output's or a multiple of it)."""
+    for key, low, degree in (("head_convs", 1, 1), ("base_channels", 4, 2)):
+        n = getattr(cfg, key) - low
+        if n > degree:  # Newton's forward differences of walks at low .. low + degree
+            ys = np.array([net_floats(replace(cfg, **{key: low + i}), n_classes, n_anchors)
+                           for i in range(degree + 1)], dtype=object)
+            return tuple(sum(math.comb(n, i) * np.diff(ys, i, axis=0)[0]
+                             for i in range(degree + 1)))
+    acts = 0
+
+    def conv(name, x, cout, stride=1, k=3, act=True, bias=0.0):
+        nonlocal acts
+        side = (x.shape[1] - 1) // stride + 1
+        acts += side * side * (k * k * x.shape[3] + cout)
+        return np.empty((0, side, side, cout))
+
+    net = ToyNet(cfg, n_classes, n_anchors, lambda name, shape, bias: (
+        np.broadcast_to(0.0, shape), np.broadcast_to(bias, shape[3:])))
+    net._walk(conv, np.empty((0, cfg.input_size, cfg.input_size, 3)))
+    return sum(p.size for p in net.params.values()), acts
 
 
 # ---------------------------------------------------------------------

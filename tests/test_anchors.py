@@ -462,6 +462,11 @@ class TestKmeans:
             kmeans_anchors(sizes, n_a=2, seed=0)
         assert clustered == []
 
+    def test_n_a_bounded(self):
+        with pytest.raises(ValueError, match=f"n_a must be at most {anchors.MAX_N_A}, "
+                                             f"got {anchors.MAX_N_A + 1}"):
+            kmeans_anchors([np.full((4, 2), 9.0)], n_a=anchors.MAX_N_A + 1, seed=0)
+
 
 class TestBuildGrid:
     def test_single_cell(self):

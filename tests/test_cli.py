@@ -14,7 +14,7 @@ from ponodet import cli as cli_mod
 from ponodet import data as data_mod
 from ponodet import train as train_mod
 from ponodet.cli import ABLATE_KEYS, _read_config, run
-from ponodet.anchors import load_anchor_set
+from ponodet.anchors import MAX_N_A, load_anchor_set
 from ponodet.assignment import GroundTruth
 from ponodet.data import Scene, load_dataset, read_kv
 from ponodet.model import ToyNetConfig, load_arrays, save_arrays
@@ -217,6 +217,17 @@ class TestRerun:
         assert len(list((tmp_path / "maps").glob("prediou_*.pgm"))) == 4
         assert run(argv) == 0
         assert not any((tmp_path / "maps").glob("prediou_*.pgm"))
+
+    def test_assign_dump_drops_a_larger_grids_maps(self, workspace, tmp_path):
+        out, three = tmp_path / "maps", tmp_path / "anchors3.txt"
+        assert run(["anchors", "--dataset", str(workspace / "ds"), "--out", str(three),
+                    "--n-a", "3"]) == 0
+        for anchors in (three, workspace / "anchors.txt"):
+            assert run(["assign-dump", "--dataset", str(workspace / "ds"),
+                        "--anchors", str(anchors), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.pgm")) == sorted(
+            f"{kind}_c{c}_a{a}.pgm" for kind in ("labels", "pono") for c in (0, 1)
+            for a in (0, 1))
 
 
 class TestBadInput:
@@ -703,6 +714,9 @@ class TestBadConfigValue:
         ("lr0 = 0.01", "lr0 = inf", "lr0 must be finite and >= 0"),
         ("base_channels = 2", "base_channels = abc", "base_channels: invalid literal"),
         ("base_channels = 2", "base_channels = 0", "base_channels must be >= 1"),
+        ("base_channels = 2", f"base_channels = {'9' * 20}",
+         f"input_size = 32, base_channels = {'9' * 20}, levels = 2, head_convs = 1 and "
+         "batch_size = 1 ask a run for at least 2.7e+35 GiB"),
         ("levels = 2", "levels = 1", "levels must be >= 2"),
         ("levels = 2", "levels = 3000", "levels = 3000 is too many for a 32px input\n"),
         ("levels = 2", f"levels = {10**11}",
@@ -727,6 +741,7 @@ class TestBadConfigValue:
         ("levels = 1\n", "levels must be >= 2"),
         ("n_a = x\n", "n_a must be a whole number >= 1, got 'x'"),
         ("n_a = 0\n", "n_a must be a whole number >= 1, got '0'"),
+        (f"n_a = {MAX_N_A + 1}\n", f"n_a must be at most {MAX_N_A}, got '{MAX_N_A + 1}'"),
     ])
     def test_ablate(self, workspace, tmp_path, capsys, started, text, message):
         cfg = tmp_path / "ablate.txt"
@@ -786,6 +801,7 @@ class TestFlagRanges:
     @pytest.mark.parametrize("command,flag,value,message", [
         ("anchors", "--n-a", "0", "must be a whole number >= 1, got '0'"),
         ("anchors", "--n-a", "1.5", "must be a whole number >= 1, got '1.5'"),
+        ("anchors", "--n-a", f"{MAX_N_A + 1}", f"must be at most {MAX_N_A}, got '{MAX_N_A + 1}'"),
         ("anchors", "--seed", "-1", "must be a whole number >= 0, got '-1'"),
         ("anchors", "--seed", "x", "must be a whole number >= 0, got 'x'"),
         ("gen-data", "--seed", "-1", "must be a whole number >= 0, got '-1'"),

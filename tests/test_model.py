@@ -124,7 +124,9 @@ class TestToyNetLayers:
 
     @pytest.mark.parametrize("input_size,base_channels,levels,head_convs,nc,na", [
         (32, 2, 2, 1, 1, 2), (32, 1, 2, 0, 2, 3), (48, 4, 2, 2, 2, 2),
-        (64, 3, 3, 0, 1, 1), (64, 5, 3, 3, 3, 2), (128, 2, 4, 2, 2, 5)])
+        (64, 3, 3, 0, 1, 1), (64, 5, 3, 3, 3, 2), (128, 2, 4, 2, 2, 5),
+        # sized from walks at smaller head_convs, base_channels or both
+        (48, 2, 2, 4, 2, 2), (64, 3, 3, 6, 1, 3), (32, 9, 2, 0, 2, 2), (64, 12, 3, 5, 2, 3)])
     def test_closed_form_sizes_match_the_walk(self, input_size, base_channels, levels,
                                               head_convs, nc, na):
         # the kernel and bias floats the walk builds, and per image each
