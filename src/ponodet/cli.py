@@ -10,10 +10,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
-import re
 import sys
 from dataclasses import replace
 
@@ -30,7 +28,7 @@ from .train import RunState, SceneBank, TrainConfig, load_run, run_training, sav
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 MAX_RUN_BYTES = 1 << 32  # the most memory a `train` or `ablate` config may ask a run for
-_MAP = re.compile(r"(pono|labels|prediou)_c\d+_a\d+\.pgm")  # the maps `assign-dump` writes
+_MAP = r"(pono|labels|prediou)_c\d+_a\d+\.pgm"  # the maps `assign-dump` writes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,19 +157,14 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _remove(directory, *names: str) -> None:
-    """Remove the files `names` an earlier run left in `directory`, if any."""
-    for name in names:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(directory, name))
-
-
 def _train_once(cfg: TrainConfig, net: ToyNetConfig, bank: SceneBank,
                 out_dir: str) -> RunState:
     """Train a fresh network on the bank's scenes and shapes and write its
-    run to `out_dir`, where only a finished run leaves a `final.bin` and
-    only a scored one a report."""
-    _remove(out_dir, "final.bin", "report.csv", "report.txt")
+    run to `out_dir`, first removing an earlier run's `final.bin`,
+    `report.csv` and `report.txt` there: only a finished run leaves a
+    `final.bin` and only a scored one a report."""
+    os.makedirs(out_dir, exist_ok=True)
+    data_mod.clear(out_dir, r"final\.bin|report\.(csv|txt)")
     state = RunState.fresh(net, bank.shapes, cfg.seed)
     run_training(state, bank, cfg, run_dir=out_dir)
     save_run(os.path.join(out_dir, "final.bin"), state)
@@ -204,11 +197,9 @@ def _score(state: RunState, scenes: list, out_dir, score_min: float,
     dets = eval_mod.dataset_detections(state.model, grid, scenes, score_min, nms_iou)
     per_class, mean, n_gt, n_det = eval_mod.map_eval(dets, [s.gt for s in scenes])
     os.makedirs(out_dir, exist_ok=True)
-    with data_mod.atomic_open(os.path.join(out_dir, "report.csv")) as f:
-        f.write("class,ap,n_gt,n_det\n")
-        for c in sorted(per_class):
-            f.write(f"{c},{per_class[c]!r},{n_gt[c]},{n_det[c]}\n")
-        f.write(f"mean,{mean!r},,\n")
+    rows = [(c, per_class[c], n_gt[c], n_det[c]) for c in sorted(per_class)]
+    data_mod.write_csv(os.path.join(out_dir, "report.csv"), "class,ap,n_gt,n_det",
+                       rows + [("mean", mean, None, None)])
     with data_mod.atomic_open(os.path.join(out_dir, "report.txt")) as f:
         for c in sorted(per_class):
             f.write(f"class {c}: AP {per_class[c]:.4f} "
@@ -254,9 +245,7 @@ def cmd_assign_dump(args) -> int:
         o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
-    for name in os.listdir(args.out):  # an earlier dump's, of another grid or with pred_iou
-        if _MAP.fullmatch(name):
-            os.remove(os.path.join(args.out, name))
+    data_mod.clear(args.out, _MAP)  # an earlier dump's, of another grid or with pred_iou
     for c, a in np.ndindex(grid.shape[2:4]):
         data_mod.write_pnm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
                            assignment.pono[:, :, c, a])
@@ -265,14 +254,10 @@ def cmd_assign_dump(args) -> int:
         if state is not None:
             data_mod.write_pnm(os.path.join(args.out, f"prediou_c{c}_a{a}.pgm"),
                                o_hat[:, :, c, a])
-    with data_mod.atomic_open(os.path.join(args.out, "maps.csv")) as f:
-        f.write("i,j,class,anchor,gt_index,pono,pred_iou,label\n")
-        for i, j, c, a in np.ndindex(labels.shape):
-            f.write(f"{i},{j},{c},{a},"
-                    f"{int(assignment.gt_index[i, j, c, a])},"
-                    f"{float(assignment.pono[i, j, c, a])!r},"
-                    f"{float(o_hat[i, j, c, a])!r},"
-                    f"{int(labels[i, j, c, a])}\n")
+    data_mod.write_csv(os.path.join(args.out, "maps.csv"),
+                       "i,j,class,anchor,gt_index,pono,pred_iou,label",
+                       ((*cell, assignment.gt_index[cell], assignment.pono[cell], o_hat[cell],
+                         labels[cell]) for cell in np.ndindex(labels.shape)))
     print(f"wrote assignment maps for scene {args.scene} to {args.out}")
     return 0
 
@@ -284,16 +269,12 @@ def cmd_plot_weights(args) -> int:
     lam_loc = np.exp(-state.bw["bw.s_loc_grid"])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "weights.csv")
-    with data_mod.atomic_open(path) as f:
-        f.write("class,anchor,w,h,area,lambda_cls,lambda_loc\n")
-        for c in range(shapes.shape[0]):
-            for a in range(shapes.shape[1]):
-                w, h = float(shapes[c, a, 0]), float(shapes[c, a, 1])
-                f.write(f"{c},{a},{w!r},{h!r},{w * h!r},"
-                        f"{float(lam_cls[c, a])!r},{float(lam_loc[c, a])!r}\n")
-        # math.exp: np.exp may round the last bit differently
-        s_cls, s_loc = float(state.bw["bw.s_cls"]), float(state.bw["bw.s_loc"])
-        f.write(f"global,,,,,{math.exp(-s_cls)!r},{math.exp(-s_loc)!r}\n")
+    rows = [(c, a, w, h, w * h, lam_cls[c, a], lam_loc[c, a]) for (c, a), (w, h)
+            in zip(np.ndindex(shapes.shape[:2]), shapes.reshape(-1, 2).tolist())]
+    # math.exp: np.exp may round the last bit differently
+    s_cls, s_loc = float(state.bw["bw.s_cls"]), float(state.bw["bw.s_loc"])
+    rows.append(("global", None, None, None, None, math.exp(-s_cls), math.exp(-s_loc)))
+    data_mod.write_csv(path, "class,anchor,w,h,area,lambda_cls,lambda_loc", rows)
     print(f"wrote weight table to {path}")
     return 0
 
@@ -353,12 +334,13 @@ def cmd_ablate(args) -> int:
     _check_run_size(args.config, base, net, shapes)
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
-    _remove(args.out, "summary.csv")
     clustered = os.path.join(args.out, "anchors.txt")
+    # an earlier run's summary, and its anchors unless they are the ones given
+    kept = kv.get("anchors") and os.path.exists(clustered) and os.path.samefile(
+        clustered, kv["anchors"])
+    data_mod.clear(args.out, r"summary\.csv" if kept else r"summary\.csv|anchors\.txt")
     if not kv.get("anchors"):
         save_anchor_set(clustered, shapes)
-    elif os.path.exists(clustered) and not os.path.samefile(clustered, kv["anchors"]):
-        os.remove(clustered)  # an earlier run's, which the given anchors replace
     # one bank for every cell: the cells draw the same batches, so each
     # scene is mirrored and assigned once per ablation
     bank = SceneBank(scenes, shapes)
@@ -372,12 +354,11 @@ def cmd_ablate(args) -> int:
         print(f"{name}: mAP {mean:.4f}")
 
     classes = sorted({c for *_, pc in rows for c in pc})
-    with data_mod.atomic_open(summary) as f:
-        f.write("cell,label_rule,mode,cls_loss,map,"
-                + ",".join(f"ap_{c}" for c in classes) + "\n")
-        for name, label_rule, mode, cls_loss, mean, pc in rows:
-            aps = ",".join(repr(pc.get(c, 0.0)) for c in classes)
-            f.write(f"{name},{label_rule},{mode},{cls_loss},{mean!r},{aps}\n")
+    # with no scored class, the ap columns are one empty field
+    data_mod.write_csv(summary, "cell,label_rule,mode,cls_loss,map,"
+                       + ",".join(f"ap_{c}" for c in classes),
+                       [(*row, *([pc.get(c, 0.0) for c in classes] or [None]))
+                        for *row, pc in rows])
     print(f"summary at {summary}")
     return 0
 

@@ -59,9 +59,9 @@ def _range_of(parse, sep: str):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Generator settings; `class_freq` must sum to 1, sizes are >= 4 px.
-    Each field is a genspec.txt key, and a field's `parse` metadata reads
-    its value there; its `format` metadata, else `repr`, writes it."""
+    """Generator settings: `class_freq` entries finite, >= 0 and summing to
+    1, sizes >= 4 px.  Each field is a genspec.txt key, and a field's `parse`
+    metadata reads its value there; its `format` metadata, else `repr`, writes it."""
 
     n_classes: int = field(metadata={"parse": int})
     class_freq: tuple = field(metadata={
@@ -79,6 +79,9 @@ class GenSpec:
     def __post_init__(self):
         if len(self.class_freq) != self.n_classes or len(self.size_ranges) != self.n_classes:
             raise ValueError("class_freq and size_ranges must have one entry per class")
+        if not all(0.0 <= f < math.inf for f in self.class_freq):  # NaN fails too
+            raise ValueError(f"class_freq entries must be finite and >= 0, "
+                             f"got {self.class_freq}")
         if abs(sum(self.class_freq) - 1.0) > 1e-9:
             raise ValueError(f"class_freq must sum to 1, got {sum(self.class_freq)}")
         if self.image_size > MAX_IMAGE_SIZE:
@@ -222,6 +225,28 @@ def atomic_open(path, mode: str = "w"):
             os.remove(tmp)
 
 
+def csv_line(values) -> str:
+    """One CSV line, without its newline: a Python or numpy float as
+    `repr(float(v))`, every bit of it, `None` as an empty field, and
+    anything else as `str(v)`."""
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                    else "" if v is None else str(v) for v in values)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write `path` atomically: `header`, then one `csv_line` per row."""
+    with atomic_open(path) as f:
+        f.write(header + "\n")
+        f.writelines(csv_line(row) + "\n" for row in rows)
+
+
+def clear(directory, pattern) -> None:
+    """Remove each file in `directory` whose whole name matches `pattern`."""
+    for name in os.listdir(directory):
+        if re.fullmatch(pattern, name):
+            os.remove(os.path.join(directory, name))
+
+
 def write_pnm(path, pixels: np.ndarray) -> None:
     """An 8-bit binary netpbm file of values in [0, 1], written atomically:
     a pixmap (P6) for an [h, w, 3] image, a graymap (P5) for an [h, w] map."""
@@ -251,7 +276,11 @@ def _image_name(idx: int) -> str:
 
 
 def save_dataset(directory, scenes: list[Scene]) -> None:
+    """Write `scenes` to `directory` as `scene_NNNNN.ppm` images and one
+    `annotations.txt`, first removing the images of an earlier dataset
+    there, so a smaller dataset leaves none of a larger one's behind."""
     os.makedirs(directory, exist_ok=True)
+    clear(directory, r"scene_\d{5,}\.ppm")
     lines = []
     for idx, scene in enumerate(scenes):
         write_pnm(os.path.join(directory, _image_name(idx)), scene.image)

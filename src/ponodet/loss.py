@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import csv_line
 
 MODES = ("learned", "unit", "retina_norm")
 
@@ -56,8 +57,7 @@ class LossReport:
     CSV_HEADER = "iteration,total,loc,cls,reg,n_pos,lr"
 
     def csv_row(self, iteration: int, lr: float) -> str:
-        return (f"{iteration},{self.total!r},{self.loc!r},{self.cls!r},"
-                f"{self.reg!r},{self.n_pos},{lr!r}")
+        return csv_line((iteration, self.total, self.loc, self.cls, self.reg, self.n_pos, lr))
 
 
 # ---------------------------------------------------------------------

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import anchor_grid
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
-from .data import Scene, atomic_open, hflip
+from .data import Scene, atomic_open, clear, hflip
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 
@@ -51,7 +50,7 @@ LABEL_RULES = ("AMS", "PONO", "AO")
 CLS_LOSSES = ("CE", "FL")
 MOMENTUM = 0.9    # the SGD step's momentum
 POLY_POWER = 0.9  # the learning-rate decay's exponent
-_CHECKPOINT = re.compile(r"ckpt_\d{6,}\.bin")  # the names `run_training` writes
+_CHECKPOINT = r"ckpt_\d{6,}\.bin"  # the names `run_training` writes
 
 
 @dataclass(frozen=True)
@@ -255,8 +254,8 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     directory and owns the names of the files it writes there: `log.csv`,
     a header and one row per iteration, and with `cfg.checkpoint_every` a
     `ckpt_NNNNNN.bin` at every multiple of it.  A run from iteration 0
-    removes the directory's checkpoints of an earlier run and starts
-    `log.csv` afresh.  A resumed run removes no checkpoint; it rewrites
+    clears (`data.clear`) the directory's checkpoints of an earlier run and
+    starts `log.csv` afresh.  A resumed run removes no checkpoint; it rewrites
     `log.csv` (atomically) to the header and the complete rows below its
     iteration, then appends, so a resume writes the log a straight run
     would.  The log is flushed before each checkpoint.  A non-finite loss
@@ -273,9 +272,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
         path = os.path.join(run_dir, "log.csv")
         rows = []
         if state.iteration == 0:
-            for name in os.listdir(run_dir):
-                if _CHECKPOINT.fullmatch(name):
-                    os.remove(os.path.join(run_dir, name))
+            clear(run_dir, _CHECKPOINT)
         elif os.path.exists(path):
             with open(path) as f:
                 rows = [row for row in f.readlines()[1:] if row.endswith("\n")

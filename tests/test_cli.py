@@ -218,6 +218,16 @@ class TestRerun:
         assert run(argv) == 0
         assert not any((tmp_path / "maps").glob("prediou_*.pgm"))
 
+    def test_gen_data_drops_a_larger_datasets_images(self, tmp_path):
+        spec, out = tmp_path / "gen.txt", tmp_path / "ds"
+        spec.write_text(GENSPEC)
+        for count in ("4", "2"):
+            assert run(["gen-data", "--config", str(spec), "--out", str(out),
+                        "-n", count]) == 0
+        assert sorted(p.name for p in out.glob("*.ppm")) == ["scene_00000.ppm",
+                                                              "scene_00001.ppm"]
+        assert len(load_dataset(out)) == 2
+
     def test_assign_dump_drops_a_larger_grids_maps(self, workspace, tmp_path):
         out, three = tmp_path / "maps", tmp_path / "anchors3.txt"
         assert run(["anchors", "--dataset", str(workspace / "ds"), "--out", str(three),
@@ -297,6 +307,13 @@ class TestBadInput:
         ("crowding = 0.0", "crowdng = 0.8", "unknown config key 'crowdng'"),
         ("image_size = 32", "image_size = 100000000",
          "image_size must be at most 1024, got 100000000"),
+        # with no objects to draw, NaN frequencies would pass the sum check
+        pytest.param("class_freq = 0.5,0.5\nsize_ranges = 8:14,8:14\nobjects_per_scene = 1,2",
+                     "class_freq = nan,nan\nsize_ranges = 8:14,8:14\nobjects_per_scene = 0,0",
+                     "class_freq entries must be finite and >= 0, got (nan, nan)",
+                     id="class_freq-nan-no-objects"),
+        ("class_freq = 0.5,0.5", "class_freq = 1.5,-0.5",
+         "class_freq entries must be finite and >= 0, got (1.5, -0.5)"),
     ])
     def test_bad_genspec_names_file_and_key(self, tmp_path, capsys, old, new, message):
         spec = tmp_path / "gen.txt"

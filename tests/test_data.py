@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import data as data_mod
-from ponodet.data import (GenSpec, Scene, config_from_kv, generate, hflip,
-                          load_annotations, load_dataset, read_config, read_kv,
-                          read_ppm, save_dataset, save_gen_spec, write_pnm)
+from ponodet.data import (GenSpec, Scene, clear, config_from_kv, csv_line, generate,
+                          hflip, load_annotations, load_dataset, read_config, read_kv,
+                          read_ppm, save_dataset, save_gen_spec, write_csv, write_pnm)
 from ponodet.geometry import GroundTruth
 
 from test_geometry import iou_oracle
@@ -274,6 +274,29 @@ class TestDatasetIO:
         assert not [n for n in sorted(p.name for p in (tmp_path / "ds").iterdir())
                     if n.endswith(".tmp")]
 
+    def test_csv_written_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        write_csv(path, "a,b", [(1, 0.5)])
+        written = []
+        atomic_open = data_mod.atomic_open
+
+        def recording_open(path, mode="w"):
+            written.append(os.path.basename(path))
+            return atomic_open(path, mode)
+
+        def failing_rows():
+            yield 2, 0.25
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(data_mod, "atomic_open", recording_open)
+        with pytest.raises(OSError, match="No space left"):
+            write_csv(path, "a,b", failing_rows())
+        assert written == ["x.csv"]
+        assert path.read_text() == "a,b\n1,0.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        write_csv(path, "a,b", [(2, 0.25), (3, None)])
+        assert path.read_text() == "a,b\n2,0.25\n3,\n"
+
     def test_failed_pixel_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         class HalfPixels:
             """A binary file whose second write, the pixel block, stores
@@ -447,3 +470,25 @@ def test_generation_valid_for_any_seed(seed):
     for scene in scenes:
         assert scene.image.shape == (64, 64, 3)
         assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
+
+
+class TestCsvLine:
+    def test_numpy_and_python_floats_read_alike(self):
+        assert csv_line([0.1]) == csv_line([np.float64(0.1)]) == "0.1"
+        assert csv_line([np.float32(0.5), 1e-300]) == "0.5,1e-300"
+
+    def test_none_is_an_empty_field(self):
+        assert csv_line(["mean", 0.25, None, None]) == "mean,0.25,,"
+
+    def test_integers_are_digits(self):
+        assert csv_line([np.int64(-3), np.uint8(255), 7]) == "-3,255,7"
+
+
+def test_clear_removes_only_whole_name_matches(tmp_path):
+    names = ["final.bin", "report.csv", "report.txt", "report.csv.bak", "xfinal.bin",
+             "log.csv"]
+    for name in names:
+        (tmp_path / name).write_text("")
+    clear(tmp_path, r"final\.bin|report\.(csv|txt)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "report.csv.bak",
+                                                          "xfinal.bin"]
