@@ -61,7 +61,7 @@ def _grid_gt_iou(grid: np.ndarray, gt: GroundTruth) -> np.ndarray:
     """IoU between every anchor cell of `grid` [h, w, nc, na, 4] and every
     object, [h, w, nc, na, n_gt]; objects of a different class score 0."""
     out = np.zeros(grid.shape[:4] + (len(gt),), dtype=np.float64)
-    for c in np.unique(gt.class_ids):
+    for c in sorted(set(gt.class_ids.tolist())):
         objs = np.flatnonzero(gt.class_ids == c)
         cells = grid[:, :, c, :, None, :]
         out[:, :, c][..., objs] = overlap(cells[..., :2], cells[..., 2:], gt.boxes[objs])[0]

@@ -98,12 +98,18 @@ def _check_classes(dataset_dir, scenes: list, n_classes: int,
                 f"{covered_by} cover classes 0..{n_classes - 1}")
 
 
+def _check_annotated(dataset_dir, gts: list) -> None:
+    """The dataset in `dataset_dir`, of ground truth `gts`, has an object."""
+    if not any(len(gt) for gt in gts):
+        raise RuntimeError(f"{dataset_dir}: no annotated objects")
+
+
 def _cluster_anchors(dataset_dir, gts: list, n_a: int, seed: int) -> np.ndarray:
     """Per-class k-means anchors from the ground truth of the dataset in
     `dataset_dir`; every class id up to the largest must have a box."""
-    ids = np.unique(np.concatenate([np.zeros(0, np.int64), *(gt.class_ids for gt in gts)]))
-    if ids.size == 0:
-        raise RuntimeError(f"{dataset_dir}: no annotated objects")
+    _check_annotated(dataset_dir, gts)
+    # a set, not np.unique, whose first call imports numpy.ma
+    ids = np.array(sorted({c for gt in gts for c in gt.class_ids.tolist()}), dtype=np.int64)
     try:  # on the distinct ids, before an array per class is built
         check_no_empty_class(ids, int(ids[-1]) + 1)
         return kmeans_anchors(sizes_per_class(gts, len(ids)), n_a=n_a, seed=seed)
@@ -211,6 +217,7 @@ def _score(state: RunState, scenes: list, out_dir, score_min: float,
 def cmd_eval(args) -> int:
     state = load_run(args.checkpoint)
     scenes = _load_scenes(args.dataset)
+    _check_annotated(args.dataset, [s.gt for s in scenes])
     _check_classes(args.dataset, scenes, len(state.shapes), "checkpoint's anchors")
     _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
     per_class, mean = _score(state, scenes, args.out, args.score_min, args.iou_nms)
@@ -241,7 +248,7 @@ def cmd_assign_dump(args) -> int:
     assignment = assign_ao(grid, scene.gt)
     o_hat = np.zeros_like(assignment.pono)
     if state is not None:
-        out = state.model.forward(state.model.params, scene.image[None])
+        out = state.model.forward(state.model.params, data_mod.pixels(scene.image[None]))
         o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
     labels = ams_labels(assignment.pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
@@ -320,6 +327,7 @@ def cmd_ablate(args) -> int:
     # anchors are clustered or anything is written
     scenes = _load_scenes(dataset_dir)
     eval_scenes = scenes if eval_dir == dataset_dir else _load_scenes(eval_dir)
+    _check_annotated(eval_dir, [s.gt for s in eval_scenes])
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
     for directory, checked in ((dataset_dir, scenes), (eval_dir, eval_scenes)):
         _check_image_size(directory, checked, net.input_size, args.config)

@@ -13,6 +13,11 @@ On disk a dataset is a directory of binary portable pixmaps plus one
 `annotations.txt` in which the k-th scene (from 0) is a `scene k` header
 followed by `class_id cx cy w h` lines.  Images are 8-bit quantized;
 annotations are full precision.
+
+A generated scene's image holds float64 values in [0, 1]; a loaded one
+holds its file's 8-bit levels, one byte per value.  `pixels` is the one
+map from either to float64 in [0, 1], and every forward and every image
+write reads a scene's image through it.
 """
 
 from __future__ import annotations
@@ -37,13 +42,16 @@ PALETTE = [
 NOISE_SIGMA = 0.03
 BACKGROUND = 0.12
 _SNAP = 256.0  # sub-pixel grid for box coordinates
-# largest generated image side: a float64 scene is 25 MB, its noise draw as much
+# largest generated image side: a generated (float64) 1024px scene is 25 MB,
+# its noise draw as much; a loaded (8-bit) one is 3 MB
 MAX_IMAGE_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class Scene:
-    """One image with its annotation."""
+    """One image [h, w, 3] with its annotation.  The image is float64 in
+    [0, 1] when generated and the file's uint8 levels when loaded; read it
+    through `pixels`."""
 
     image: np.ndarray
     gt: GroundTruth
@@ -247,17 +255,27 @@ def clear(directory, pattern) -> None:
             os.remove(os.path.join(directory, name))
 
 
-def write_pnm(path, pixels: np.ndarray) -> None:
-    """An 8-bit binary netpbm file of values in [0, 1], written atomically:
-    a pixmap (P6) for an [h, w, 3] image, a graymap (P5) for an [h, w] map."""
-    h, w = pixels.shape[:2]
-    data = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
+def pixels(images: np.ndarray) -> np.ndarray:
+    """The float64 values in [0, 1] of a scene image or image stack: uint8
+    levels over 255.0, bit-equal to `levels.astype(np.float64) / 255.0`, or
+    a float64 image itself, not a copy."""
+    return images / 255.0 if images.dtype == np.uint8 else images
+
+
+def write_pnm(path, values: np.ndarray) -> None:
+    """An 8-bit binary netpbm file of float `values` in [0, 1], written
+    atomically: a pixmap (P6) for an [h, w, 3] image, a graymap (P5) for an
+    [h, w] map."""
+    h, w = values.shape[:2]
+    data = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
     with atomic_open(path, "wb") as f:
-        f.write(f"{'P6' if pixels.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode())
+        f.write(f"{'P6' if values.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
+    """The uint8 levels [h, w, 3] of a binary 8-bit PPM, in an array of
+    their own: exactly h * w * 3 bytes."""
     with open(path, "rb") as f:
         blob = f.read()
     m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", blob)
@@ -267,8 +285,8 @@ def read_ppm(path) -> np.ndarray:
     found, need = len(blob) - m.end(), w * h * 3
     if found < need:
         raise ValueError(f"{path}: pixel block has {found} bytes, the {w}x{h} header needs {need}")
-    pixels = np.frombuffer(blob[m.end():], dtype=np.uint8, count=need)
-    return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
+    levels = np.frombuffer(blob[m.end():], dtype=np.uint8, count=need)
+    return levels.reshape(h, w, 3).copy()
 
 
 def _image_name(idx: int) -> str:
@@ -283,7 +301,7 @@ def save_dataset(directory, scenes: list[Scene]) -> None:
     clear(directory, r"scene_\d{5,}\.ppm")
     lines = []
     for idx, scene in enumerate(scenes):
-        write_pnm(os.path.join(directory, _image_name(idx)), scene.image)
+        write_pnm(os.path.join(directory, _image_name(idx)), pixels(scene.image))
         lines.append(f"scene {idx}")
         for (cx, cy, w, h), cid in zip(scene.gt.boxes.tolist(), scene.gt.class_ids.tolist()):
             lines.append(f"{cid} {cx!r} {cy!r} {w!r} {h!r}")

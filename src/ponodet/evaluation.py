@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 
+from .data import pixels
 from .geometry import Detections, GroundTruth, decode, nms, pairwise_iou
 from .loss import sigmoid
 
@@ -102,7 +103,7 @@ def dataset_detections(model, grid: np.ndarray, scenes, score_min: float,
     extract detections."""
     out = []
     for scene in scenes:
-        pred = model.forward(model.params, scene.image[None])
+        pred = model.forward(model.params, pixels(scene.image[None]))
         out.append(extract_detections(pred.logits[0], pred.offsets[0], grid,
                                       score_min, nms_iou))
     return out

@@ -115,7 +115,7 @@ def nms(dets: Detections, iou_threshold: float) -> Detections:
     order = np.lexsort((dets.class_ids, -dets.scores))  # stable: ties keep input order
     dets = dets.take(order)
     keep = np.ones(len(dets), dtype=bool)
-    for c in np.unique(dets.class_ids):
+    for c in sorted(set(dets.class_ids.tolist())):
         members = np.flatnonzero(dets.class_ids == c)
         over = pairwise_iou(dets.boxes[members], dets.boxes[members]) > iou_threshold
         alive = np.ones(len(members), dtype=bool)

@@ -140,9 +140,14 @@ class ToyNet:
         return heads
 
     def forward(self, params, images) -> PredictorOutput:
-        """Predictions for an image stack [N, input_size, input_size, 3]."""
+        """Predictions for a float64 image stack [N, input_size, input_size, 3]."""
         cfg = self.cfg
-        shape = ad.values_of(images).shape
+        # not ad.values_of, which would cast an 8-bit stack to 0..255 floats
+        values = images.values if isinstance(images, ad.Tensor) else np.asarray(images)
+        if values.dtype != np.float64:
+            raise ValueError(f"expected a float64 image stack, got {values.dtype}; "
+                             "data.pixels maps stored images to float64")
+        shape = values.shape
         if len(shape) != 4 or shape[1:3] != (cfg.input_size, cfg.input_size):
             raise ValueError(f"expected an [N, {cfg.input_size}, {cfg.input_size}, C] "
                              f"image stack, got shape {shape}")

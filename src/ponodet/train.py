@@ -14,7 +14,8 @@ and its momentum buffer; outside `learned` mode the loss gives the `bw.*`
 weights no gradient, so from zero momentum they keep their bits.
 
 A batch is one array problem: its images are stacked on a leading scene
-axis and go through one taped forward, one predicted-overlap map and one
+axis, mapped to float64 once by `data.pixels` (a loaded scene keeps its
+file's 8-bit levels until then), and go through one taped forward, one predicted-overlap map and one
 pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
 grid and weights in one record.  A run holds anchor shapes, not a grid:
 its scenes live in a `SceneBank` that tiles the shapes at their image
@@ -42,7 +43,7 @@ from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import anchor_grid
 from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
-from .data import Scene, atomic_open, clear, hflip
+from .data import Scene, atomic_open, clear, hflip, pixels
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 
@@ -153,9 +154,15 @@ class SceneBank:
     on first use and the bank keeps it for its life, so runs that share a bank
     (the cells of one ablation) flip and assign each variant once.  A mirror's
     image is a view of its scene's, so the bank holds one copy of the pixels.
+    Its scenes are all generated or all loaded: a batch is stacked before
+    `pixels` reads it, and a stack of 8-bit and float64 images would be
+    float64 with the levels unscaled.
     """
 
     def __init__(self, scenes: list[Scene], shapes: np.ndarray):
+        dtypes = sorted({str(scene.image.dtype) for scene in scenes})
+        if len(dtypes) > 1:
+            raise ValueError(f"a bank's images must share one dtype, got {', '.join(dtypes)}")
         self.scenes = scenes
         self.shapes = shapes
         self.grid = anchor_grid(shapes, scenes[0].image.shape[0])
@@ -210,7 +217,8 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
     # iteration's tensors without waiting for the cyclic collector and
     # leaves the next iteration an empty tape
     try:
-        out = state.model.forward(state.leaves, np.stack([scene.image for scene, _ in batch]))
+        images = pixels(np.stack([scene.image for scene, _ in batch]))
+        out = state.model.forward(state.leaves, images)
         o_hat = pred_iou_values(bank.grid, out.offsets, assignment)
         gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
         loc_map = loss_mod.loc_loss_map(gate, o_hat)

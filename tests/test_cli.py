@@ -338,6 +338,30 @@ class TestBadInput:
         assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
         assert f"{ds}: no annotated objects" in capsys.readouterr().err
 
+    def test_eval_on_dataset_without_objects(self, workspace, tmp_path, capsys):
+        ds = self.make_dataset(tmp_path, objects="0,0")
+        out = tmp_path / "ev"
+        assert run(["eval", "--checkpoint", str(workspace / "run" / "final.bin"),
+                    "--dataset", str(ds), "--out", str(out)]) == 2
+        assert f"{ds}: no annotated objects" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_on_eval_dataset_without_objects(self, workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        ds = self.make_dataset(tmp_path, objects="0,0")
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(f"dataset = {workspace / 'ds'}\neval_dataset = {ds}\n"
+                       "cells = AMS:learned:CE\nn_a = 2\n")
+        started = []
+        monkeypatch.setattr("ponodet.cli.kmeans_anchors",
+                            lambda *a, **k: started.append("kmeans"))
+        monkeypatch.setattr("ponodet.cli.run_training",
+                            lambda *a, **k: started.append("train"))
+        out = tmp_path / "ab"
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{ds}: no annotated objects" in capsys.readouterr().err
+        assert started == [] and not out.exists()
+
     def make_class_gap_dataset(self, root):
         """A dataset whose class ids are 0 and 2: class 1 has no box."""
         ds = self.make_dataset(root, objects="2,2", count=4)
@@ -887,6 +911,30 @@ class TestDemo:
                     "run/log.csv", "run/final.bin", "eval/report.csv", "maps/maps.csv",
                     "maps/prediou_c1_a2.pgm", "weights/weights.csv"):
             assert (out / rel).is_file(), rel
+
+
+def test_gen_data_and_ablate_leave_numpy_ma_unimported(tmp_path):
+    # np.unique's first call imports numpy.ma (about 1.3 MB and 10-17 ms),
+    # so k-means set-up, scene assignment and NMS count ids without it
+    (tmp_path / "gen.txt").write_text(GENSPEC.replace("crowding = 0.0", "crowding = 0.5"))
+    (tmp_path / "ablate.txt").write_text(
+        TRAINCFG.replace("max_iter = 30", "max_iter = 2")
+        + "dataset = ds\neval_dataset = test\ncells = AMS:learned:CE\nn_a = 2\n")
+    child = ("import sys\n"
+             "import numpy as np\n"
+             "from ponodet.cli import run\n"
+             "codes = [run(['gen-data', '--config', 'gen.txt', '--out', 'ds', '-n', '4']),\n"
+             "         run(['gen-data', '--config', 'gen.txt', '--out', 'test', '-n', '2',\n"
+             "              '--seed', '7']),\n"
+             "         run(['ablate', '--config', 'ablate.txt', '--out', 'ab'])]\n"
+             "ma = ['numpy.ma' in sys.modules]\n"
+             "np.unique(np.zeros(1))\n"
+             "print(codes, ma + ['numpy.ma' in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    # the last flag shows np.unique still imports numpy.ma in this numpy
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] [False, True]", done.stderr[-2000:]
 
 
 class TestAblate:

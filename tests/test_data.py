@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import data as data_mod
 from ponodet.data import (GenSpec, Scene, clear, config_from_kv, csv_line, generate,
-                          hflip, load_annotations, load_dataset, read_config, read_kv,
-                          read_ppm, save_dataset, save_gen_spec, write_csv, write_pnm)
+                          hflip, load_annotations, load_dataset, pixels, read_config,
+                          read_kv, read_ppm, save_dataset, save_gen_spec, write_csv,
+                          write_pnm)
 from ponodet.geometry import GroundTruth
 
 from test_geometry import iou_oracle
@@ -242,7 +243,37 @@ class TestDatasetIO:
         save_dataset(tmp_path / "ds", scenes)
         loaded = load_dataset(tmp_path / "ds")
         q = np.clip(np.rint(scenes[0].image * 255), 0, 255) / 255.0
-        np.testing.assert_allclose(loaded[0].image, q, atol=1e-12)
+        np.testing.assert_allclose(pixels(loaded[0].image), q, atol=1e-12)
+
+    def test_read_ppm_returns_the_levels(self, tmp_path):
+        levels = np.arange(256, dtype=np.uint8).reshape(8, 32)
+        image = np.stack([levels, levels[::-1], levels.T.reshape(8, 32)], axis=-1)
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n32 8\n255\n" + image.tobytes())
+        got = read_ppm(path)
+        assert got.dtype == np.uint8 and got.nbytes == 8 * 32 * 3
+        np.testing.assert_array_equal(got, image)
+
+    def test_pixels_of_every_level_is_the_level_over_255(self):
+        levels = np.arange(256, dtype=np.uint8)
+        got = pixels(levels)
+        want = np.array([np.float64(v) / 255.0 for v in range(256)])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        generated = generate(basic_spec(), 1)[0].image
+        assert pixels(generated) is generated
+
+    def test_loaded_images_hold_one_byte_per_value(self, tmp_path):
+        save_dataset(tmp_path / "ds", generate(basic_spec(seed=4), 3))
+        for scene in load_dataset(tmp_path / "ds"):
+            assert scene.image.dtype == np.uint8
+            assert scene.image.nbytes == 64 * 64 * 3
+
+    def test_resaving_a_loaded_dataset_keeps_every_byte(self, tmp_path):
+        save_dataset(tmp_path / "a", generate(basic_spec(crowding=0.3, seed=6), 4))
+        save_dataset(tmp_path / "b", load_dataset(tmp_path / "a"))
+        for name in sorted(os.listdir(tmp_path / "a")):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_every_truncation_names_the_file(self, tmp_path):
         path = tmp_path / "x.ppm"
@@ -334,7 +365,7 @@ class TestDatasetIO:
         img = np.clip(np.rint(np.random.default_rng(0).uniform(0, 1, (8, 10, 3)) * 255),
                       0, 255) / 255.0
         write_pnm(tmp_path / "x.ppm", img)
-        np.testing.assert_array_equal(read_ppm(tmp_path / "x.ppm"), img)
+        np.testing.assert_array_equal(pixels(read_ppm(tmp_path / "x.ppm")), img)
 
     def test_empty_annotations(self, tmp_path):
         path = tmp_path / "annotations.txt"

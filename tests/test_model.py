@@ -168,6 +168,16 @@ class TestToyNetForward:
         with pytest.raises(ValueError, match="image stack"):
             net.forward(net.params, np.zeros((32, 32, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.int64])
+    def test_refuses_an_image_stack_that_is_not_float64(self, dtype):
+        # an unconverted 8-bit stack would otherwise run as values 0..255
+        cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
+        net = ToyNet(cfg, 1, 1, drawn_kernels(0))
+        images = np.zeros((1, 32, 32, 3), dtype=dtype)
+        for params in (net.params, leaves_of(net.params)):
+            with pytest.raises(ValueError, match=f"float64 image stack, got {np.dtype(dtype)}"):
+                net.forward(params, images)
+
     def test_zero_weights_give_constant_logits(self):
         cfg = ToyNetConfig(input_size=32, base_channels=4, levels=2, head_convs=1)
         net = ToyNet(cfg, 2, 2, drawn_kernels(1))

@@ -16,7 +16,9 @@ from ponodet import loss as loss_mod
 from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
-from ponodet.data import GenSpec, Scene, config_from_kv, generate, hflip
+from ponodet.data import (GenSpec, Scene, config_from_kv, generate, hflip, load_dataset,
+                          save_dataset)
+from ponodet.evaluation import dataset_detections
 from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, load_run, lr_at,
@@ -451,6 +453,35 @@ class TestSceneBank:
         # equal shapes made anew are the same shapes
         same = np.full((1, 2, 2), [8.0, 12.0])
         run_training(state, SceneBank(scenes, same), replace(cfg, max_iter=1))
+
+
+class TestLoadedImages:
+    def test_batch_and_eval_forwards_read_the_float_images(self, tmp_path, monkeypatch):
+        # a loaded scene keeps its 8-bit levels; every forward must still
+        # read levels.astype(float64) / 255.0, the float image a load made
+        scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
+        save_dataset(tmp_path / "ds", scenes[:3])
+        loaded = load_dataset(tmp_path / "ds")
+        floats = [scene.image.astype(np.float64) / 255.0 for scene in loaded]
+        seen, forward = [], ToyNet.forward
+        monkeypatch.setattr(ToyNet, "forward", lambda self, params, images:
+                            seen.append(ad.values_of(images)) or forward(self, params, images))
+        bank = SceneBank(loaded, state.shapes)
+        train_iteration(state, [(0, False), (2, True)], cfg, bank)
+        dataset_detections(state.model, bank.grid, loaded, 0.05, 0.5)
+        want = [np.stack([floats[0], floats[2][:, ::-1]]), *(f[None] for f in floats)]
+        assert len(seen) == len(want)
+        for got, expect in zip(seen, want):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, expect)
+
+    def test_bank_refuses_loaded_and_generated_scenes_together(self, tmp_path):
+        # their stack would be float64 with the 8-bit levels unscaled
+        scenes, _, state = TestDeterminismAndResume().make_setup(tmp_path)
+        save_dataset(tmp_path / "ds", scenes[:1])
+        mixed = [*load_dataset(tmp_path / "ds"), scenes[1]]
+        with pytest.raises(ValueError, match="one dtype, got float64, uint8"):
+            SceneBank(mixed, state.shapes)
 
 
 class TestFreezeRule:
