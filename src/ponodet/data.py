@@ -14,10 +14,10 @@ On disk a dataset is a directory of binary portable pixmaps plus one
 followed by `class_id cx cy w h` lines.  Images are 8-bit quantized;
 annotations are full precision.
 
-A generated scene's image holds float64 values in [0, 1]; a loaded one
-holds its file's 8-bit levels, one byte per value.  `pixels` is the one
-map from either to float64 in [0, 1], and every forward and every image
-write reads a scene's image through it.
+Every scene holds its image as 8-bit levels: `generate` quantizes each
+render once through `levels`, and a load keeps its file's levels, so the
+two are bit-equal.  `pixels` is the one map from levels to float64 in
+[0, 1]; every forward and every image write reads a scene through it.
 """
 
 from __future__ import annotations
@@ -42,19 +42,22 @@ PALETTE = [
 NOISE_SIGMA = 0.03
 BACKGROUND = 0.12
 _SNAP = 256.0  # sub-pixel grid for box coordinates
-# largest generated image side: a generated (float64) 1024px scene is 25 MB,
-# its noise draw as much; a loaded (8-bit) one is 3 MB
+# largest generated image side: a 1024px scene keeps 3 MB of levels; its
+# float64 canvas and noise draw, 25 MB each, live only while it renders
 MAX_IMAGE_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class Scene:
-    """One image [h, w, 3] with its annotation.  The image is float64 in
-    [0, 1] when generated and the file's uint8 levels when loaded; read it
-    through `pixels`."""
+    """One image [h, w, 3] of uint8 levels, read through `pixels`, with its annotation."""
 
     image: np.ndarray
     gt: GroundTruth
+
+    def __post_init__(self):
+        if self.image.dtype != np.uint8 or self.image.ndim != 3 or self.image.shape[2] != 3:
+            raise ValueError(f"a scene image is uint8 [h, w, 3], got {self.image.dtype} "
+                             f"{list(self.image.shape)}")
 
 
 def _range_of(parse, sep: str):
@@ -179,7 +182,7 @@ def _render(rng: np.random.Generator, gt: GroundTruth, size: int) -> np.ndarray:
         img[max(ys, 0):min(ye, size), max(xs, 0):min(xe, size)] = \
             PALETTE[cid % len(PALETTE)]
     img += rng.normal(0.0, NOISE_SIGMA, img.shape)
-    return np.clip(img, 0.0, 1.0)
+    return img
 
 
 def generate(spec: GenSpec, n: int) -> list[Scene]:
@@ -202,7 +205,7 @@ def generate(spec: GenSpec, n: int) -> list[Scene]:
                 boxes.append(_spawn_neighbor(rng, box, spec.image_size))
                 class_ids.append(cid)
         gt = GroundTruth(boxes=boxes, class_ids=class_ids)
-        scenes.append(Scene(image=_render(rng, gt, spec.image_size), gt=gt))
+        scenes.append(Scene(image=levels(_render(rng, gt, spec.image_size)), gt=gt))
     return scenes
 
 
@@ -255,11 +258,14 @@ def clear(directory, pattern) -> None:
             os.remove(os.path.join(directory, name))
 
 
+def levels(values: np.ndarray) -> np.ndarray:
+    """The uint8 levels of float `values`, clipped to [0, 1]: the one quantizer."""
+    return np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
+
+
 def pixels(images: np.ndarray) -> np.ndarray:
-    """The float64 values in [0, 1] of a scene image or image stack: uint8
-    levels over 255.0, bit-equal to `levels.astype(np.float64) / 255.0`, or
-    a float64 image itself, not a copy."""
-    return images / 255.0 if images.dtype == np.uint8 else images
+    """The float64 values in [0, 1] of a scene image or stack of uint8 levels."""
+    return images / 255.0
 
 
 def write_pnm(path, values: np.ndarray) -> None:
@@ -267,10 +273,9 @@ def write_pnm(path, values: np.ndarray) -> None:
     atomically: a pixmap (P6) for an [h, w, 3] image, a graymap (P5) for an
     [h, w] map."""
     h, w = values.shape[:2]
-    data = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
     with atomic_open(path, "wb") as f:
         f.write(f"{'P6' if values.ndim == 3 else 'P5'}\n{w} {h}\n255\n".encode())
-        f.write(data.tobytes())
+        f.write(levels(values).tobytes())
 
 
 def read_ppm(path) -> np.ndarray:

@@ -14,9 +14,9 @@ and its momentum buffer; outside `learned` mode the loss gives the `bw.*`
 weights no gradient, so from zero momentum they keep their bits.
 
 A batch is one array problem: its images are stacked on a leading scene
-axis, mapped to float64 once by `data.pixels` (a loaded scene keeps its
-file's 8-bit levels until then), and go through one taped forward, one predicted-overlap map and one
-pair of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
+axis, mapped from their 8-bit levels to float64 once by `data.pixels`,
+and go through one taped forward, one predicted-overlap map and one pair
+of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
 grid and weights in one record.  A run holds anchor shapes, not a grid:
 its scenes live in a `SceneBank` that tiles the shapes at their image
 size, drawn by key `(index, mirrored)`.  A drawn variant and its
@@ -153,16 +153,10 @@ class SceneBank:
     mirrored; its `Assignment` against the grid).  `scene_cache` makes a pair
     on first use and the bank keeps it for its life, so runs that share a bank
     (the cells of one ablation) flip and assign each variant once.  A mirror's
-    image is a view of its scene's, so the bank holds one copy of the pixels.
-    Its scenes are all generated or all loaded: a batch is stacked before
-    `pixels` reads it, and a stack of 8-bit and float64 images would be
-    float64 with the levels unscaled.
+    image is a view of its scene's, so the bank holds one copy of the levels.
     """
 
     def __init__(self, scenes: list[Scene], shapes: np.ndarray):
-        dtypes = sorted({str(scene.image.dtype) for scene in scenes})
-        if len(dtypes) > 1:
-            raise ValueError(f"a bank's images must share one dtype, got {', '.join(dtypes)}")
         self.scenes = scenes
         self.shapes = shapes
         self.grid = anchor_grid(shapes, scenes[0].image.shape[0])

@@ -274,7 +274,7 @@ class TestBadInput:
 
     def test_assign_dump_image_without_a_cell_names_the_dataset(self, tmp_path, capsys):
         ds = tmp_path / "d"
-        data_mod.save_dataset(ds, [Scene(np.zeros((4, 4, 3)),
+        data_mod.save_dataset(ds, [Scene(np.zeros((4, 4, 3), np.uint8),
                                          GroundTruth([(2.0, 2.0, 2.0, 2.0)], [0]))])
         anchors = tmp_path / "anchors.txt"
         anchors.write_text("0 8.0 8.0\n")

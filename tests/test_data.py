@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import data as data_mod
 from ponodet.data import (GenSpec, Scene, clear, config_from_kv, csv_line, generate,
-                          hflip, load_annotations, load_dataset, pixels, read_config,
-                          read_kv, read_ppm, save_dataset, save_gen_spec, write_csv,
-                          write_pnm)
+                          hflip, levels, load_annotations, load_dataset, pixels,
+                          read_config, read_kv, read_ppm, save_dataset, save_gen_spec,
+                          write_csv, write_pnm)
 from ponodet.geometry import GroundTruth
 
 from test_geometry import iou_oracle
@@ -196,9 +196,18 @@ class TestGenerate:
         scenes = generate(basic_spec(seed=77), 5)
         for scene in scenes:
             for cx, cy, _, _ in scene.gt.boxes:
-                patch = scene.image[int(cy) - 1:int(cy) + 1,
-                                    int(cx) - 1:int(cx) + 1]
+                patch = pixels(scene.image[int(cy) - 1:int(cy) + 1,
+                                           int(cx) - 1:int(cx) + 1])
                 assert abs(patch.mean() - 0.12) > 0.05  # not background
+
+
+@pytest.mark.parametrize("image", [np.zeros((8, 8, 3)), np.zeros((8, 8, 3), np.float32),
+                                   np.zeros((8, 8), np.uint8), np.zeros((8, 8, 4), np.uint8)],
+                         ids=["float64", "float32", "gray", "rgba"])
+def test_scene_refuses_an_image_that_is_not_uint8_rgb(image):
+    with pytest.raises(ValueError, match=re.escape(
+            f"a scene image is uint8 [h, w, 3], got {image.dtype} {list(image.shape)}")):
+        Scene(image, GroundTruth([], []))
 
 
 class TestHflip:
@@ -210,12 +219,12 @@ class TestHflip:
             np.testing.assert_array_equal(twice.gt.class_ids, scene.gt.class_ids)
 
     def test_center_box_unchanged(self):
-        img = np.zeros((64, 64, 3))
+        img = np.zeros((64, 64, 3), np.uint8)
         scene = Scene(img, GroundTruth([(32.0, 10.0, 8.0, 8.0)], [0]))
         assert hflip(scene).gt.boxes[0, 0] == 32.0
 
     def test_mirror_formula(self):
-        img = np.zeros((64, 64, 3))
+        img = np.zeros((64, 64, 3), np.uint8)
         scene = Scene(img, GroundTruth([(10.0, 20.0, 8.0, 8.0)], [1]))
         out = hflip(scene)
         assert out.gt.boxes[0, 0] == 54.0
@@ -242,12 +251,21 @@ class TestDatasetIO:
         scenes = generate(basic_spec(seed=3), 2)
         save_dataset(tmp_path / "ds", scenes)
         loaded = load_dataset(tmp_path / "ds")
-        q = np.clip(np.rint(scenes[0].image * 255), 0, 255) / 255.0
-        np.testing.assert_allclose(pixels(loaded[0].image), q, atol=1e-12)
+        np.testing.assert_array_equal(loaded[0].image, scenes[0].image)
+
+    @pytest.mark.parametrize("spec", [basic_spec(seed=8),
+                                      basic_spec(crowding=1.0, objects_per_scene=(2, 3), seed=9)],
+                             ids=["plain", "crowded"])
+    def test_generated_levels_survive_save_and_load(self, tmp_path, spec):
+        scenes = generate(spec, 4)
+        save_dataset(tmp_path / "ds", scenes)
+        for made, loaded in zip(scenes, load_dataset(tmp_path / "ds"), strict=True):
+            assert made.image.dtype == loaded.image.dtype == np.uint8
+            np.testing.assert_array_equal(loaded.image, made.image)
 
     def test_read_ppm_returns_the_levels(self, tmp_path):
-        levels = np.arange(256, dtype=np.uint8).reshape(8, 32)
-        image = np.stack([levels, levels[::-1], levels.T.reshape(8, 32)], axis=-1)
+        ramp = np.arange(256, dtype=np.uint8).reshape(8, 32)
+        image = np.stack([ramp, ramp[::-1], ramp.T.reshape(8, 32)], axis=-1)
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P6\n32 8\n255\n" + image.tobytes())
         got = read_ppm(path)
@@ -255,13 +273,14 @@ class TestDatasetIO:
         np.testing.assert_array_equal(got, image)
 
     def test_pixels_of_every_level_is_the_level_over_255(self):
-        levels = np.arange(256, dtype=np.uint8)
-        got = pixels(levels)
+        every = np.arange(256, dtype=np.uint8)
+        got = pixels(every)
         want = np.array([np.float64(v) / 255.0 for v in range(256)])
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
-        generated = generate(basic_spec(), 1)[0].image
-        assert pixels(generated) is generated
+        back = levels(got)
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, every)
 
     def test_loaded_images_hold_one_byte_per_value(self, tmp_path):
         save_dataset(tmp_path / "ds", generate(basic_spec(seed=4), 3))
@@ -500,7 +519,7 @@ def test_generation_valid_for_any_seed(seed):
     scenes = generate(basic_spec(seed=seed, crowding=0.5), 2)
     for scene in scenes:
         assert scene.image.shape == (64, 64, 3)
-        assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
+        assert scene.image.dtype == np.uint8
 
 
 class TestCsvLine:

@@ -170,7 +170,7 @@ class TestBalancedTotals:
 
     def test_npos_floor(self):
         # no object, so no gated cell: the loc normalizer is floored at 1
-        scene = Scene(np.zeros((16, 16, 3)), GroundTruth([], []))
+        scene = Scene(np.zeros((16, 16, 3), np.uint8), GroundTruth([], []))
         state = RunState(model=TabularPredictor(2, 2, 1, 1),
                          shapes=np.full((1, 1, 2), 8.0),
                          bw=initial_balance(1, 1))

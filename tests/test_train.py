@@ -17,7 +17,7 @@ from ponodet import train as train_mod
 from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import (GenSpec, Scene, config_from_kv, generate, hflip, load_dataset,
-                          save_dataset)
+                          pixels, save_dataset)
 from ponodet.evaluation import dataset_detections
 from ponodet.loss import LossReport, initial_balance
 from ponodet.model import ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
@@ -29,7 +29,7 @@ from test_model import TabularPredictor, leaves_of
 
 
 def one_object_scene(image_size=32):
-    img = np.zeros((image_size, image_size, 3))
+    img = np.zeros((image_size, image_size, 3), np.uint8)
     gt = GroundTruth(boxes=[(13.0, 14.0, 10.0, 9.0)], class_ids=[0])
     return Scene(img, gt)
 
@@ -218,7 +218,7 @@ class TestTrainIteration:
         # two disjoint same-class objects share a middle anchor; its
         # normalized overlap stays at or below the gate so the product
         # rule keeps it negative for the entire run
-        img = np.zeros((32, 32, 3))
+        img = np.zeros((32, 32, 3), np.uint8)
         gt = GroundTruth(boxes=[(6.0, 12.0, 11.0, 11.0),
                                 (18.0, 12.0, 11.0, 11.0)],
                          class_ids=[0, 0])
@@ -266,7 +266,7 @@ def per_scene_reference(state, batch, cfg):
     for scene in batch:
         grid = grid_of(state, scene)
         one = Assignment.stack([assign_ao(grid, scene.gt)])
-        out = state.model.forward(params, scene.image[None])
+        out = state.model.forward(params, pixels(scene.image[None]))
         o_hat = pred_iou_values(grid, out.offsets, one)
         gate, labels = train_mod._gate_and_labels(one, ad.values_of(o_hat), cfg)
         loc_map = loss_mod.loc_loss_map(gate, o_hat)
@@ -332,7 +332,7 @@ class TestBatchedIteration:
 
 class TestSceneCache:
     def crowded_scene(self):
-        img = np.zeros((32, 32, 3))
+        img = np.zeros((32, 32, 3), np.uint8)
         gt = GroundTruth(boxes=[(10.0, 10.0, 12.0, 10.0), (17.0, 12.0, 12.0, 10.0),
                                 (22.0, 24.0, 9.0, 14.0)], class_ids=[0, 0, 0])
         return Scene(img, gt)
@@ -357,7 +357,7 @@ class TestSceneCache:
         # scenes die between direct train_iteration calls and CPython hands
         # their ids to new scenes; each new scene must get its own gate
         cfg = TrainConfig(lr0=0.0, max_iter=5, label_rule="PONO")
-        img = np.zeros((32, 32, 3))
+        img = np.zeros((32, 32, 3), np.uint8)
         reused = tabular_state(one_object_scene())
         for k in (1, 2, 3, 1, 3, 2):
             scene = Scene(img, GroundTruth(
@@ -457,8 +457,8 @@ class TestSceneBank:
 
 class TestLoadedImages:
     def test_batch_and_eval_forwards_read_the_float_images(self, tmp_path, monkeypatch):
-        # a loaded scene keeps its 8-bit levels; every forward must still
-        # read levels.astype(float64) / 255.0, the float image a load made
+        # a scene keeps its 8-bit levels; every forward must read
+        # levels.astype(float64) / 255.0
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
         save_dataset(tmp_path / "ds", scenes[:3])
         loaded = load_dataset(tmp_path / "ds")
@@ -475,19 +475,11 @@ class TestLoadedImages:
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, expect)
 
-    def test_bank_refuses_loaded_and_generated_scenes_together(self, tmp_path):
-        # their stack would be float64 with the 8-bit levels unscaled
-        scenes, _, state = TestDeterminismAndResume().make_setup(tmp_path)
-        save_dataset(tmp_path / "ds", scenes[:1])
-        mixed = [*load_dataset(tmp_path / "ds"), scenes[1]]
-        with pytest.raises(ValueError, match="one dtype, got float64, uint8"):
-            SceneBank(mixed, state.shapes)
-
 
 class TestFreezeRule:
     def test_absent_class_weights_bit_equal(self):
         # class 1 never occurs: its grid weights must stay exactly at init
-        img = np.zeros((32, 32, 3))
+        img = np.zeros((32, 32, 3), np.uint8)
         scene = Scene(img, GroundTruth([(12, 12, 10, 10)], [0]))
         aset = np.full((2, 2, 2), 9.0)
         model = TabularPredictor(4, 4, 2, 2)
@@ -504,9 +496,9 @@ class TestFreezeHoldsMomentum:
     def test_grid_that_loses_its_positives_keeps_value_and_momentum(self):
         # class 1 has positives for 3 iterations and then none for 5: from
         # then on its grids' s entries and their momentum stay bit for bit
-        both = Scene(np.zeros((32, 32, 3)),
+        both = Scene(np.zeros((32, 32, 3), np.uint8),
                      GroundTruth([(9, 9, 10, 10), (22, 22, 10, 10)], [0, 1]))
-        only_0 = Scene(np.zeros((32, 32, 3)), GroundTruth([(9, 9, 10, 10)], [0]))
+        only_0 = Scene(np.zeros((32, 32, 3), np.uint8), GroundTruth([(9, 9, 10, 10)], [0]))
         aset = np.full((2, 2, 2), 10.0)
         state = RunState.fresh(ToyNetConfig(input_size=32, base_channels=2, levels=2,
                                             head_convs=1), aset, 0)
