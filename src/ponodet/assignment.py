@@ -5,19 +5,22 @@
 cell to the same-class object it overlaps most, and normalizes each
 cluster by its own best overlap (PONO).  That guarantees every object at
 least one anchor with a normalized overlap of exactly 1 regardless of how
-coarse the anchor set is.  The returned `Assignment` holds everything
-later steps read: the object index, raw and normalized overlap, and the
-assigned box per cell.  `Assignment.stack` puts the records of a batch's
-scenes on a leading scene axis, the layout `pred_iou_values` and the label
-rules read.  Labels come from thresholding the normalized map (PONO),
-thresholding raw overlap (AO), or the ambiguity-managed product with the
-predicted-box overlap map (AMS).  The abstract's "soft" assignment is that
-prediction-dependent AMS label; its threshold stays hard.
+coarse the anchor set is.  The returned `SceneAssignment` keeps the object
+index and raw overlap per cell (9 bytes below 128 objects; all four maps
+take 56) and per-object tables.  `Assignment.stack` puts a batch's records
+on a leading scene axis, the layout `pred_iou_values` and the label rules
+read, and is the one place the normalized overlap and assigned box per
+cell are derived.  Labels come from thresholding the normalized map
+(PONO), thresholding raw overlap (AO), or the ambiguity-managed product
+with the predicted-box overlap map (AMS).  The abstract's "soft"
+assignment is that prediction-dependent AMS label; its threshold stays
+hard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,29 +35,42 @@ AO_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
+class SceneAssignment:
+    """One scene against one anchor grid: maps shaped like the grid [h, w,
+    nc, na], and tables whose row k + 1 is object k's and row 0 a dummy."""
+
+    gt_index: np.ndarray     # object per cell, UNASSIGNED where no same-class overlap
+    ao: np.ndarray           # raw overlap with the assigned object, 0 if none
+    cluster_max: np.ndarray  # [1 + n_gt]: 1.0, then each cluster's maximum ao
+    boxes: np.ndarray        # [1 + n_gt, 4]: a unit box, then each object's (cx, cy, w, h)
+
+
+@dataclass(frozen=True)
 class Assignment:
-    """One scene against one anchor grid, every array shaped like the grid
-    [h, w, nc, na]; or, from `stack`, N scenes with every array [N, h, w,
-    nc, na].
+    """N scenes against one anchor grid, every array [N, h, w, nc, na], from
+    `stack`.  `gt_box` [..., 4] holds the assigned object's (cx, cy, w, h)
+    per cell, with unit dummy boxes on unassigned cells; mask any
+    computation on it with `gt_index != UNASSIGNED`."""
 
-    `gt_box` [..., 4] holds the assigned object's (cx, cy, w, h) per cell,
-    with unit dummy boxes on unassigned cells; mask any computation on it
-    with `gt_index != UNASSIGNED`.
-    """
-
-    gt_index: np.ndarray   # object per cell, UNASSIGNED where no same-class overlap
+    gt_index: np.ndarray   # int64 object per cell within its scene, or UNASSIGNED
     ao: np.ndarray         # raw overlap with the assigned object, 0 if none
     pono: np.ndarray       # ao divided by its cluster's maximum, in [0, 1]
     gt_box: np.ndarray
 
     @classmethod
-    def stack(cls, records: list[Assignment]) -> Assignment:
-        """The scenes' records on a leading scene axis, in list order.  One
-        concatenate of [None] views per field: on maps this small, np.stack's
-        checks in Python cost more than the copy, and this runs every
-        training iteration."""
-        return cls(*(np.concatenate([getattr(r, f.name)[None] for r in records])
-                     for f in fields(cls)))
+    def stack(cls, records: list[SceneAssignment]) -> Assignment:
+        """The scenes' records on a leading scene axis, in list order.  Each
+        cell takes its object's row of the joined tables, an unassigned cell
+        its scene's dummy row (0.0 / 1.0 and a unit box).  Concatenates of
+        [None] views: on maps this small, np.stack's checks in Python cost
+        more than the copy, and this runs every training iteration."""
+        gt_index = np.concatenate([r.gt_index[None] for r in records], dtype=np.int64)
+        ao = np.concatenate([r.ao[None] for r in records])
+        first = [*accumulate([len(r.cluster_max) for r in records[:-1]], initial=1)]
+        rows = gt_index + np.array(first)[:, None, None, None, None]
+        pono = ao / np.concatenate([r.cluster_max for r in records]).take(rows)
+        return cls(gt_index, ao, pono,
+                   np.concatenate([r.boxes for r in records]).take(rows, axis=0))
 
 
 def _grid_gt_iou(grid: np.ndarray, gt: GroundTruth) -> np.ndarray:
@@ -105,30 +121,27 @@ def _cluster(overlaps: np.ndarray, n_gt: int) -> np.ndarray:
     return gt_index
 
 
-def assign_ao(grid: np.ndarray, gt: GroundTruth) -> Assignment:
+def assign_ao(grid: np.ndarray, gt: GroundTruth) -> SceneAssignment:
     """Cluster anchor cells to objects and normalize each cluster (PONO).
 
-    The anchor x object IoU tensor is built once here; every field of the
-    record is read off it.  Assigned cells have positive overlap, so the
+    The anchor x object IoU tensor is built once here; the record's maps and
+    tables are read off it.  Assigned cells have positive overlap, so the
     normalization is always well defined and the maximal cell of every
-    cluster lands exactly on 1.0.
+    cluster lands exactly on 1.0.  The index map's type is the least signed
+    one that holds -1 - n_gt, so every object index and UNASSIGNED.
     """
-    shape = grid.shape[:4]
-    if len(gt) == 0:
-        return Assignment(np.full(shape, UNASSIGNED, dtype=np.int64),
-                          np.zeros(shape), np.zeros(shape), np.ones(shape + (4,)))
-    overlaps = _grid_gt_iou(grid, gt)
-    gt_index = _cluster(overlaps, len(gt))
-    unassigned = gt_index == UNASSIGNED
-    safe = np.maximum(gt_index, 0)
-    ao = np.where(unassigned, 0.0,
-                  np.take_along_axis(overlaps, safe[..., None], axis=-1)[..., 0])
-    cluster_max = np.zeros(len(gt))
-    np.maximum.at(cluster_max, gt_index[~unassigned], ao[~unassigned])
-    pono = np.zeros_like(ao)
-    pono[~unassigned] = ao[~unassigned] / cluster_max[gt_index[~unassigned]]
-    gt_box = np.where(unassigned[..., None], 1.0, gt.boxes[safe])
-    return Assignment(gt_index, ao, pono, gt_box)
+    shape, n = grid.shape[:4], len(gt)
+    gt_index, ao = np.full(shape, UNASSIGNED), np.zeros(shape)
+    if n:
+        overlaps = _grid_gt_iou(grid, gt)
+        gt_index = _cluster(overlaps, n)
+        ao = np.where(gt_index == UNASSIGNED, 0.0, np.take_along_axis(
+            overlaps, np.maximum(gt_index, 0)[..., None], axis=-1)[..., 0])
+    cluster_max = np.zeros(1 + n)
+    np.maximum.at(cluster_max, gt_index + 1, ao)
+    cluster_max[0] = 1.0
+    return SceneAssignment(gt_index.astype(np.min_scalar_type(-1 - n)), ao, cluster_max,
+                           np.concatenate([np.ones((1, 4)), gt.boxes]))
 
 
 def pred_iou_values(grid: np.ndarray, offsets, assignment: Assignment):

@@ -245,17 +245,18 @@ def cmd_assign_dump(args) -> int:
         grid = anchor_grid(shapes, scene.image.shape[0])
     except ValueError as e:
         raise RuntimeError(f"{args.dataset}: {e}") from None
-    assignment = assign_ao(grid, scene.gt)
-    o_hat = np.zeros_like(assignment.pono)
+    assignment = Assignment.stack([assign_ao(grid, scene.gt)])
+    pono, gt_index = assignment.pono[0], assignment.gt_index[0]
+    o_hat = np.zeros_like(pono)
     if state is not None:
         out = state.model.forward(state.model.params, data_mod.pixels(scene.image[None]))
-        o_hat = pred_iou_values(grid, out.offsets, Assignment.stack([assignment]))[0]
-    labels = ams_labels(assignment.pono, o_hat)
+        o_hat = pred_iou_values(grid, out.offsets, assignment)[0]
+    labels = ams_labels(pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
     data_mod.clear(args.out, _MAP)  # an earlier dump's, of another grid or with pred_iou
     for c, a in np.ndindex(grid.shape[2:4]):
         data_mod.write_pnm(os.path.join(args.out, f"pono_c{c}_a{a}.pgm"),
-                           assignment.pono[:, :, c, a])
+                           pono[:, :, c, a])
         data_mod.write_pnm(os.path.join(args.out, f"labels_c{c}_a{a}.pgm"),
                            labels[:, :, c, a].astype(np.float64))
         if state is not None:
@@ -263,7 +264,7 @@ def cmd_assign_dump(args) -> int:
                                o_hat[:, :, c, a])
     data_mod.write_csv(os.path.join(args.out, "maps.csv"),
                        "i,j,class,anchor,gt_index,pono,pred_iou,label",
-                       ((*cell, assignment.gt_index[cell], assignment.pono[cell], o_hat[cell],
+                       ((*cell, gt_index[cell], pono[cell], o_hat[cell],
                          labels[cell]) for cell in np.ndindex(labels.shape)))
     print(f"wrote assignment maps for scene {args.scene} to {args.out}")
     return 0

@@ -20,15 +20,16 @@ of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
 grid and weights in one record.  A run holds anchor shapes, not a grid:
 its scenes live in a `SceneBank` that tiles the shapes at their image
 size, drawn by key `(index, mirrored)`.  A drawn variant and its
-`Assignment` against the grid never change, so the bank makes the pair on
-first use and keeps it for as long as its owner keeps the bank: every cell
-of an ablation shares one.  The batch's records are stacked each
-iteration, and the gate and labels read off them depend on the config and
-are recomputed each iteration.  Batch losses are the sums over the batch's
-scenes divided by the summed positive counts (equivalently: maps averaged
-before weighting).  The batch RNG is derived from (seed, iteration), which
-makes checkpoint resume bit-exact without serializing generator state, and
-makes every run with the same seed draw the same batches.
+`SceneAssignment` never change, so the bank makes the pair on first use
+and keeps it while its owner keeps the bank: every cell of an ablation
+shares one.  Each iteration `Assignment.stack` derives the batch's
+normalized overlaps and boxes from its records, and the gate and labels
+read off them depend on the config.  Batch losses are the sums over the
+batch's scenes divided by the summed positive counts (equivalently: maps
+averaged before weighting).  The batch RNG is derived from (seed,
+iteration), which makes checkpoint resume bit-exact without serializing
+generator state, and makes every run with the same seed draw the same
+batches.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import anchor_grid
-from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
+from .assignment import (AO_THRESHOLD, Assignment, SceneAssignment, ams_labels, assign_ao,
+                         pred_iou_values)
 from .data import Scene, atomic_open, clear, hflip, pixels
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
@@ -150,17 +152,19 @@ class SceneBank:
 
     The bank tiles the anchor `shapes` into its `grid` at its scenes' image
     size.  `variants` maps each drawn key to the pair (the scene, plain or
-    mirrored; its `Assignment` against the grid).  `scene_cache` makes a pair
-    on first use and the bank keeps it for its life, so runs that share a bank
-    (the cells of one ablation) flip and assign each variant once.  A mirror's
-    image is a view of its scene's, so the bank holds one copy of the levels.
-    """
+    mirrored; its `SceneAssignment` against the grid).  `scene_cache` makes a
+    pair on first use and the bank keeps it for its life, so runs that share a
+    bank (the cells of one ablation) flip and assign each variant once.  A
+    mirror's image is a view of its scene's, so the bank holds one copy of the
+    levels.  A record is an int8 index and a float64 raw overlap per anchor
+    cell below 128 objects, 9 bytes (56 with the maps `Assignment.stack`
+    derives), plus per-object tables."""
 
     def __init__(self, scenes: list[Scene], shapes: np.ndarray):
         self.scenes = scenes
         self.shapes = shapes
         self.grid = anchor_grid(shapes, scenes[0].image.shape[0])
-        self.variants: dict[tuple[int, bool], tuple[Scene, Assignment]] = {}
+        self.variants: dict[tuple[int, bool], tuple[Scene, SceneAssignment]] = {}
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -177,7 +181,7 @@ def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray,
     params -= lr * velocity
 
 
-def scene_cache(bank: SceneBank, key: tuple[int, bool]) -> tuple[Scene, Assignment]:
+def scene_cache(bank: SceneBank, key: tuple[int, bool]) -> tuple[Scene, SceneAssignment]:
     """The bank's variant `key` = (index, mirrored) and its assignment
     against the bank's grid, made on first use."""
     pair = bank.variants.get(key)

@@ -171,7 +171,7 @@ def test_c01_pono_coverage():
         scene = generate(spec, 1)[0]
         shapes = spec_rng.uniform(6.0, 48.0, size=(n_classes, int(spec_rng.integers(1, 5)), 2))
         grid = build_grid(shapes, 8, 8, 8)
-        am = assign_ao(grid, scene.gt)
+        am = Assignment.stack([assign_ao(grid, scene.gt)])
         for k in range(len(scene.gt)):
             cluster = am.pono[am.gt_index == k]
             if cluster.size == 0 or cluster.max() != 1.0:
@@ -193,8 +193,8 @@ def _random_instance(rng):
     boxes = [(float(rng.uniform(4, 12)), float(rng.uniform(4, 12)),
               float(rng.uniform(5, 14)), float(rng.uniform(5, 14)))]
     gt = GroundTruth(boxes=boxes, class_ids=[0])
-    am = assign_ao(grid, gt)
-    return grid, am, (am.pono > 0.5).astype(float)
+    am = Assignment.stack([assign_ao(grid, gt)])
+    return grid, am, (am.pono[0] > 0.5).astype(float)
 
 
 def _offsets_kink_free(grid, offs, am, gate, margin=5e-3):
@@ -202,7 +202,7 @@ def _offsets_kink_free(grid, offs, am, gate, margin=5e-3):
     min/max kinks (coincident edges, vanishing intersection) so central
     differences see a smooth function."""
     cx, cy, w, h = decode_cxywh(*np.moveaxis(grid, -1, 0), *np.moveaxis(offs, -1, 0))
-    gcx, gcy, gw, gh = np.moveaxis(am.gt_box, -1, 0)
+    gcx, gcy, gw, gh = np.moveaxis(am.gt_box[0], -1, 0)
     on = gate > 0
     for lo_a, lo_b in (((cx - w / 2)[on], (gcx - gw / 2)[on]),
                        ((cx + w / 2)[on], (gcx + gw / 2)[on]),
@@ -220,14 +220,12 @@ def test_c02_gradient_suite():
     worst = {"offsets": 0.0, "logits_ce": 0.0, "logits_fl": 0.0, "weights": 0.0}
     n = 0
     while n < 100:
-        grid, am, gate = _random_instance(rng)
+        grid, stacked, gate = _random_instance(rng)
         if gate.sum() == 0:
             continue
         offs = rng.uniform(-0.4, 0.4, grid.shape)
-        if not _offsets_kink_free(grid, offs, am, gate):
+        if not _offsets_kink_free(grid, offs, stacked, gate):
             continue
-
-        stacked = Assignment.stack([am])
 
         def f_off(t):
             return reduce_sum(loc_loss_map(

@@ -1,11 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ponodet import autodiff as ad
-from ponodet.anchors import kmeans_anchors
+from ponodet import benchmarks as B
+from ponodet.anchors import anchor_grid, kmeans_anchors
 from ponodet.assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, GroundTruth,
-                                _grid_gt_iou, ams_labels, assign_ao, pred_iou_values)
-from ponodet.data import GenSpec, generate
+                                _cluster, _grid_gt_iou, ams_labels, assign_ao,
+                                pred_iou_values)
+from ponodet.data import GenSpec, Scene, generate, hflip
 from ponodet.train import TrainConfig, _gate_and_labels
 
 from test_anchors import build_grid
@@ -17,10 +21,51 @@ def square_grid(shapes, h=4, w=4, stride=8):
     return build_grid(np.asarray(shapes, float), h, w, stride)
 
 
+def scene_maps(grid, gt) -> Assignment:
+    """One scene's maps [h, w, nc, na] as `Assignment.stack` derives them
+    from its `assign_ao` record, taken off the scene axis."""
+    one = Assignment.stack([assign_ao(grid, gt)])
+    return Assignment(*(getattr(one, f.name)[0] for f in fields(Assignment)))
+
+
+def full_maps(grid, gt) -> Assignment:
+    """The oracle: one scene's int64 object index, raw and normalized
+    overlap and assigned box, each built per cell off the IoU tensor."""
+    shape = grid.shape[:4]
+    if len(gt) == 0:
+        return Assignment(np.full(shape, UNASSIGNED, dtype=np.int64),
+                          np.zeros(shape), np.zeros(shape), np.ones(shape + (4,)))
+    overlaps = _grid_gt_iou(grid, gt)
+    gt_index = _cluster(overlaps, len(gt))
+    unassigned = gt_index == UNASSIGNED
+    safe = np.maximum(gt_index, 0)
+    ao = np.where(unassigned, 0.0,
+                  np.take_along_axis(overlaps, safe[..., None], axis=-1)[..., 0])
+    cluster_max = np.zeros(len(gt))
+    np.maximum.at(cluster_max, gt_index[~unassigned], ao[~unassigned])
+    pono = np.zeros_like(ao)
+    pono[~unassigned] = ao[~unassigned] / cluster_max[gt_index[~unassigned]]
+    gt_box = np.where(unassigned[..., None], 1.0, gt.boxes[safe])
+    return Assignment(gt_index, ao, pono, gt_box)
+
+
+def assert_stack_matches_oracle(grid, gts) -> Assignment:
+    """`Assignment.stack` of the scenes' records equals the oracle maps on a
+    scene axis: int64 indices of equal value and the same float bytes."""
+    got = Assignment.stack([assign_ao(grid, gt) for gt in gts])
+    want = [full_maps(grid, gt) for gt in gts]
+    assert got.gt_index.dtype == np.int64
+    np.testing.assert_array_equal(got.gt_index, np.stack([w.gt_index for w in want]))
+    for name in ("ao", "pono", "gt_box"):
+        assert getattr(got, name).tobytes() == \
+            np.stack([getattr(w, name) for w in want]).tobytes(), name
+    return got
+
+
 class TestAssignAO:
     def test_empty_gt_all_unassigned(self):
         grid = square_grid([[[8.0, 8.0]]])
-        am = assign_ao(grid, GroundTruth(boxes=[], class_ids=[]))
+        am = scene_maps(grid, GroundTruth(boxes=[], class_ids=[]))
         assert np.all(am.gt_index == UNASSIGNED)
         np.testing.assert_array_equal(am.gt_box, np.ones(grid.shape))
 
@@ -29,7 +74,7 @@ class TestAssignAO:
         grid = square_grid([[[8.0, 8.0]], [[12.0, 10.0]]])
         gt = GroundTruth(boxes=[(12, 12, 10, 10), (20, 18, 12, 9), (8, 22, 7, 8)],
                          class_ids=[0, 1, 0])
-        am = assign_ao(grid, gt)
+        am = scene_maps(grid, gt)
         assert am.gt_box.shape == grid.shape
         on = am.gt_index != UNASSIGNED
         assert on.any() and not on.all()
@@ -101,21 +146,21 @@ class TestPono:
     def test_single_anchor_cluster_gets_one(self):
         grid = square_grid([[[6.0, 6.0]]], h=2, w=2, stride=16)
         gt = GroundTruth(boxes=[(8, 8, 5, 5)], class_ids=[0])
-        am = assign_ao(grid, gt)
+        am = scene_maps(grid, gt)
         cluster = am.pono[am.gt_index == 0]
         assert cluster.max() == 1.0
 
     def test_direct_normalization(self):
         grid = square_grid([[[10.0, 10.0]]], h=1, w=2, stride=10)
         gt = GroundTruth(boxes=[(7.5, 5, 10, 10)], class_ids=[0])
-        am = assign_ao(grid, gt)
+        am = scene_maps(grid, gt)
         assert np.all(am.gt_index == 0)
         np.testing.assert_allclose(am.pono, am.ao / am.ao.max())
 
     def test_zero_on_unassigned(self):
         grid = square_grid([[[8.0, 8.0]], [[8.0, 8.0]]])
         gt = GroundTruth(boxes=[(10, 10, 8, 8)], class_ids=[0])
-        am = assign_ao(grid, gt)
+        am = scene_maps(grid, gt)
         assert np.all(am.pono[:, :, 1, :] == 0)
 
     def test_pono_at_least_ao(self):
@@ -124,7 +169,7 @@ class TestPono:
         boxes = [(rng.uniform(8, 24), rng.uniform(8, 24),
                      rng.uniform(6, 20), rng.uniform(6, 20)) for _ in range(3)]
         gt = GroundTruth(boxes=boxes, class_ids=[0, 0, 0])
-        am = assign_ao(grid, gt)
+        am = scene_maps(grid, gt)
         assert np.all(am.pono >= am.ao - 1e-15)
 
     def test_every_object_reaches_exactly_one(self):
@@ -137,11 +182,60 @@ class TestPono:
         for scene in scenes:
             shapes = rng.uniform(6, 40, size=(2, rng.integers(1, 4), 2))
             grid = build_grid(shapes, 8, 8, 8)
-            am = assign_ao(grid, scene.gt)
+            am = scene_maps(grid, scene.gt)
             for k in range(len(scene.gt)):
                 cluster = am.pono[am.gt_index == k]
                 assert cluster.size > 0
                 assert cluster.max() == 1.0
+
+
+class TestCompactRecord:
+    """A scene's record keeps the index and raw overlap maps and per-object
+    tables; `Assignment.stack` derives the rest with the oracle's bits."""
+
+    @pytest.mark.parametrize("name", ["crowded", "imbalanced"])
+    def test_stack_gives_the_oracle_bits(self, name):
+        spec = getattr(B, f"{name}_benchmark")().gen
+        scenes = generate(spec, 10)
+        empty = Scene(np.zeros_like(scenes[0].image), GroundTruth(boxes=[], class_ids=[]))
+        pool = scenes + [empty]
+        rng = np.random.default_rng(41)
+        grid = anchor_grid(rng.uniform(6.0, 30.0, (spec.n_classes, 2, 2)), spec.image_size)
+        mirrored = 0
+        for size in (1, 2, 3):
+            for trial in range(4):
+                idx = rng.integers(0, len(pool), size)
+                if trial == 0:
+                    idx[-1] = len(pool) - 1  # the scene without objects
+                flips = rng.random(size) < 0.5
+                mirrored += int(flips.sum())
+                gts = [(hflip(pool[i]) if f else pool[i]).gt for i, f in zip(idx, flips)]
+                got = assert_stack_matches_oracle(grid, gts)
+                assert got.gt_box.shape == (size, *grid.shape)
+        assert mirrored > 0
+
+    @pytest.mark.parametrize("n", [127, 128, 300])
+    def test_index_type_holds_every_object(self, n):
+        # object k is the exact box of cell k of a 20 x 20 one-anchor grid,
+        # and touches its neighbours only, so cell k keeps object k
+        grid = square_grid([[[4.0, 4.0]]], h=20, w=20, stride=4)
+        gt = GroundTruth(boxes=grid.reshape(-1, 4)[:n], class_ids=[0] * n)
+        record = assign_ao(grid, gt)
+        assert record.gt_index.dtype == (np.int8 if n < 128 else np.int16)
+        assert len(record.cluster_max) == len(record.boxes) == n + 1
+        np.testing.assert_array_equal(record.gt_index.reshape(-1)[:n], np.arange(n))
+        flat = Assignment.stack([record]).gt_index.reshape(-1)
+        np.testing.assert_array_equal(flat[:n], np.arange(n))
+        assert np.all(flat[n:] == UNASSIGNED) and UNASSIGNED == -1
+
+    def test_narrow_and_wide_indices_stack_together(self):
+        # a 300-object scene after a 127-object one sits past any int8 offset
+        grid = square_grid([[[4.0, 4.0]]], h=20, w=20, stride=4)
+        cells = grid.reshape(-1, 4)
+        gts = [GroundTruth(boxes=cells[:n], class_ids=[0] * n) for n in (127, 300, 128)]
+        gts.insert(2, GroundTruth(boxes=[], class_ids=[]))
+        got = assert_stack_matches_oracle(grid, gts)
+        assert got.gt_index.max() == 299 and np.all(got.gt_index[2] == UNASSIGNED)
 
 
 class TestPredIoU:
@@ -194,10 +288,11 @@ class TestPredIoU:
         assert stacked.gt_box.shape == (2, *grid.shape)
         offsets = np.random.default_rng(3).uniform(-0.3, 0.3, (2, *grid.shape))
         o_hat = pred_iou_values(grid, offsets, stacked)
-        for k, rec in enumerate(records):
-            np.testing.assert_array_equal(stacked.pono[k], rec.pono)
-            np.testing.assert_array_equal(stacked.gt_index[k], rec.gt_index)
-            np.testing.assert_array_equal(stacked.gt_box[k], rec.gt_box)
+        for k, (gt, rec) in enumerate(zip(gts, records)):
+            alone = scene_maps(grid, gt)
+            np.testing.assert_array_equal(stacked.pono[k], alone.pono)
+            np.testing.assert_array_equal(stacked.gt_index[k], alone.gt_index)
+            np.testing.assert_array_equal(stacked.gt_box[k], alone.gt_box)
             one = pred_iou_values(grid, offsets[k:k + 1], Assignment.stack([rec]))
             np.testing.assert_array_equal(o_hat[k], one[0])
 
@@ -305,7 +400,7 @@ class TestAmbiguitySuppression:
         a = (8, 6, 12, 12)
         b = (28, 6, 12, 12)
         gt = GroundTruth(boxes=[a, b], class_ids=[0, 0])
-        am = assign_ao(grid, gt)
+        am = scene_maps(grid, gt)
         mid = am.pono[0, 1, 0, 0]
         assert 0.0 < mid <= 0.5
 

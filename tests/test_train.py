@@ -207,9 +207,8 @@ class TestTrainIteration:
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit")
         train_on_one_scene(state, scene, cfg)
         grid = grid_of(state, scene)
-        am = assign_ao(grid, scene.gt)
-        o_hat = pred_iou_values(grid, state.model.params["offsets"][None],
-                                Assignment.stack([am]))[0]
+        am = Assignment.stack([assign_ao(grid, scene.gt)])
+        o_hat = pred_iou_values(grid, state.model.params["offsets"][None], am)
         best = np.unravel_index(np.argmax(am.pono), am.pono.shape)
         assert o_hat[best] > 0.999
         assert am.pono[best] * o_hat[best] > 0.5
@@ -225,13 +224,12 @@ class TestTrainIteration:
         scene = Scene(img, gt)
         state = tabular_state(scene, shapes=((11.0, 11.0),))
         grid = grid_of(state, scene)
-        am = assign_ao(grid, scene.gt)
-        torn = (1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
+        am = Assignment.stack([assign_ao(grid, scene.gt)])
+        torn = (0, 1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
         assert 0.0 < am.pono[torn] <= 0.5
         cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned")
         train_on_one_scene(state, scene, cfg)
-        o_hat = pred_iou_values(grid, state.model.params["offsets"][None],
-                                Assignment.stack([am]))[0]
+        o_hat = pred_iou_values(grid, state.model.params["offsets"][None], am)
         assert ams_labels(am.pono, o_hat)[torn] == 0
 
     def test_report_total_decomposition(self):
@@ -443,6 +441,28 @@ class TestSceneBank:
         again = train_mod.scene_cache(bank, (2, True))
         assert again[0] is mirrored and again[1] is assignment
         assert list(bank.variants) == [(2, True)]
+
+    def test_a_kept_variant_holds_nine_bytes_per_cell(self):
+        # below 128 objects a kept record owns an int8 index and a float64
+        # raw overlap per anchor cell; only its per-object tables grow with
+        # the object count, here up to 127 objects
+        from ponodet import benchmarks
+        spec = benchmarks.crowded_benchmark().gen
+        scenes = generate(spec, 4)
+        boxes = np.random.default_rng(5).uniform(8.0, 40.0, (127, 4))
+        scenes.append(Scene(np.zeros_like(scenes[0].image),
+                            GroundTruth(boxes=boxes, class_ids=[0] * 127)))
+        bank = SceneBank(scenes, np.full((spec.n_classes, 2, 2), [9.0, 12.0]))
+        for i in range(len(scenes)):
+            for mirrored in (False, True):
+                train_mod.scene_cache(bank, (i, mirrored))
+        cells = math.prod(bank.grid.shape[:4])
+        for scene, record in bank.variants.values():
+            arrays = [getattr(record, f.name) for f in fields(record)]
+            assert all(a.base is None for a in arrays)  # no view into a larger buffer
+            per_cell = [a for a in arrays if a.shape[:4] == bank.grid.shape[:4]]
+            assert sum(a.nbytes for a in per_cell) <= 9 * cells
+            assert sorted(len(a) for a in arrays if a.ndim < 4) == [len(scene.gt) + 1] * 2
 
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
