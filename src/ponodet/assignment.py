@@ -5,11 +5,11 @@
 cell to the same-class object it overlaps most, and normalizes each
 cluster by its own best overlap (PONO).  That guarantees every object at
 least one anchor with a normalized overlap of exactly 1 regardless of how
-coarse the anchor set is.  The returned `SceneAssignment` keeps the object
-index and raw overlap per cell (9 bytes below 128 objects; all four maps
-take 56) and per-object tables.  `Assignment.stack` puts a batch's records
-on a leading scene axis, the layout `pred_iou_values` and the label rules
-read, and is the one place the normalized overlap and assigned box per
+coarse the anchor set is.  The returned `SceneAssignment` holds the object
+index and raw overlap per cell and per-object tables.  `train.SceneBank`
+copies each drawn record into a row of its per-field arrays and builds a
+batch's `Assignment`, the layout `pred_iou_values` and the label rules
+read: it is the one place the normalized overlap and assigned box per
 cell are derived.  Labels come from thresholding the normalized map
 (PONO), thresholding raw overlap (AO), or the ambiguity-managed product
 with the predicted-box overlap map (AMS).  The abstract's "soft"
@@ -20,7 +20,6 @@ hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -48,29 +47,14 @@ class SceneAssignment:
 @dataclass(frozen=True)
 class Assignment:
     """N scenes against one anchor grid, every array [N, h, w, nc, na], from
-    `stack`.  `gt_box` [..., 4] holds the assigned object's (cx, cy, w, h)
-    per cell, with unit dummy boxes on unassigned cells; mask any
-    computation on it with `gt_index != UNASSIGNED`."""
+    `train.SceneBank.assignment`.  `gt_box` [..., 4] holds the assigned
+    object's (cx, cy, w, h) per cell, with unit dummy boxes on unassigned
+    cells; mask any computation on it with `gt_index != UNASSIGNED`."""
 
     gt_index: np.ndarray   # int64 object per cell within its scene, or UNASSIGNED
     ao: np.ndarray         # raw overlap with the assigned object, 0 if none
     pono: np.ndarray       # ao divided by its cluster's maximum, in [0, 1]
     gt_box: np.ndarray
-
-    @classmethod
-    def stack(cls, records: list[SceneAssignment]) -> Assignment:
-        """The scenes' records on a leading scene axis, in list order.  Each
-        cell takes its object's row of the joined tables, an unassigned cell
-        its scene's dummy row (0.0 / 1.0 and a unit box).  Concatenates of
-        [None] views: on maps this small, np.stack's checks in Python cost
-        more than the copy, and this runs every training iteration."""
-        gt_index = np.concatenate([r.gt_index[None] for r in records], dtype=np.int64)
-        ao = np.concatenate([r.ao[None] for r in records])
-        first = [*accumulate([len(r.cluster_max) for r in records[:-1]], initial=1)]
-        rows = gt_index + np.array(first)[:, None, None, None, None]
-        pono = ao / np.concatenate([r.cluster_max for r in records]).take(rows)
-        return cls(gt_index, ao, pono,
-                   np.concatenate([r.boxes for r in records]).take(rows, axis=0))
 
 
 def _grid_gt_iou(grid: np.ndarray, gt: GroundTruth) -> np.ndarray:
@@ -147,8 +131,7 @@ def assign_ao(grid: np.ndarray, gt: GroundTruth) -> SceneAssignment:
 def pred_iou_values(grid: np.ndarray, offsets, assignment: Assignment):
     """Overlap of each cell's decoded box with its assigned object (0 where
     unassigned), [N, h, w, nc, na]; generic over ndarray/Tensor offsets
-    [N, h, w, nc, na, 4].  `assignment` is the `Assignment.stack` of the N
-    scenes.
+    [N, h, w, nc, na, 4].  `assignment` is the N scenes' `Assignment`.
 
     The forward is `geometry.decode` then `geometry.overlap`, the box
     decode and IoU of every other caller.  Tensor offsets get one tape

@@ -21,10 +21,11 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .anchors import (MAX_N_A, anchor_grid, check_no_empty_class, kmeans_anchors,
                       load_anchor_set, save_anchor_set, sizes_per_class)
-from .assignment import Assignment, ams_labels, assign_ao, pred_iou_values
+from .assignment import ams_labels, pred_iou_values
 from .loss import initial_balance
 from .model import ToyNetConfig, net_floats
-from .train import RunState, SceneBank, TrainConfig, load_run, run_training, save_run
+from .train import (RunState, SceneBank, TrainConfig, load_run, run_training, save_run,
+                    scene_cache)
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 MAX_RUN_BYTES = 1 << 32  # the most memory a `train` or `ablate` config may ask a run for
@@ -242,10 +243,10 @@ def cmd_assign_dump(args) -> int:
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
     try:
-        grid = anchor_grid(shapes, scene.image.shape[0])
+        bank = SceneBank([scene], shapes)
     except ValueError as e:
         raise RuntimeError(f"{args.dataset}: {e}") from None
-    assignment = Assignment.stack([assign_ao(grid, scene.gt)])
+    grid, assignment = bank.grid, bank.assignment([scene_cache(bank, (0, False))])
     pono, gt_index = assignment.pono[0], assignment.gt_index[0]
     o_hat = np.zeros_like(pono)
     if state is not None:
@@ -357,8 +358,9 @@ def cmd_ablate(args) -> int:
     rows = []
     for name, cfg in cells:
         cell_dir = os.path.join(args.out, name)
-        state = _train_once(cfg, net, bank, cell_dir)
-        per_class, mean = _score(state, eval_scenes, cell_dir, args.score_min, args.iou_nms)
+        # no name holds the cell's state, so it is freed before the next is built
+        per_class, mean = _score(_train_once(cfg, net, bank, cell_dir), eval_scenes,
+                                 cell_dir, args.score_min, args.iou_nms)
         rows.append((name, cfg.label_rule, cfg.mode, cfg.cls_loss, mean, per_class))
         print(f"{name}: mAP {mean:.4f}")
 

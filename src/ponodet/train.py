@@ -19,17 +19,17 @@ and go through one taped forward, one predicted-overlap map and one pair
 of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
 grid and weights in one record.  A run holds anchor shapes, not a grid:
 its scenes live in a `SceneBank` that tiles the shapes at their image
-size, drawn by key `(index, mirrored)`.  A drawn variant and its
-`SceneAssignment` never change, so the bank makes the pair on first use
-and keeps it while its owner keeps the bank: every cell of an ablation
-shares one.  Each iteration `Assignment.stack` derives the batch's
-normalized overlaps and boxes from its records, and the gate and labels
-read off them depend on the config.  Batch losses are the sums over the
-batch's scenes divided by the summed positive counts (equivalently: maps
-averaged before weighting).  The batch RNG is derived from (seed,
-iteration), which makes checkpoint resume bit-exact without serializing
-generator state, and makes every run with the same seed draw the same
-batches.
+size, drawn by key `(index, mirrored)`.  A drawn variant's assignment
+never changes, so the bank fills the variant's row of its per-field
+arrays on first use and keeps it while its owner keeps the bank: every
+cell of an ablation shares one.  Each iteration `SceneBank.assignment`
+takes the batch's rows and derives their normalized overlaps and boxes,
+and the gate and labels read off them depend on the config.  Batch
+losses are the sums over the batch's scenes divided by the summed
+positive counts (equivalently: maps averaged before weighting).  The
+batch RNG is derived from (seed, iteration), which makes checkpoint
+resume bit-exact without serializing generator state, and makes every
+run with the same seed draw the same batches.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import anchor_grid
-from .assignment import (AO_THRESHOLD, Assignment, SceneAssignment, ams_labels, assign_ao,
-                         pred_iou_values)
+from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
 from .data import Scene, atomic_open, clear, hflip, pixels
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
@@ -100,10 +99,12 @@ class RunState:
     copies the given `model.params`, `bw` and `momentum` arrays into them
     and rebinds those dicts to views.  `momentum` then names one buffer per
     trained array, zero where none was given, and every mode steps them
-    all.  `flat_grad` is the one gradient vector every iteration zeroes.
-    `leaves` holds one leaf per trained array, built once on the state's
-    `tape`: its value is the array's view into `flat_params` and its
-    gradient the view into `flat_grad`.
+    all.  `flat_grad` is the one gradient vector every iteration zeroes;
+    it holds the gradient only until `sgd_step`, which overwrites it with
+    the step, so a gradient norm must be read before the step.  `leaves`
+    holds one leaf per trained array, built once on the state's `tape`: its
+    value is the array's view into `flat_params` and its gradient the view
+    into `flat_grad`.
     """
 
     model: ToyNet
@@ -151,20 +152,41 @@ class SceneBank:
     """Training scenes on their anchor grid, drawn by key `(index, mirrored)`.
 
     The bank tiles the anchor `shapes` into its `grid` at its scenes' image
-    size.  `variants` maps each drawn key to the pair (the scene, plain or
-    mirrored; its `SceneAssignment` against the grid).  `scene_cache` makes a
-    pair on first use and the bank keeps it for its life, so runs that share a
-    bank (the cells of one ablation) flip and assign each variant once.  A
-    mirror's image is a view of its scene's, so the bank holds one copy of the
-    levels.  A record is an int8 index and a float64 raw overlap per anchor
-    cell below 128 objects, 9 bytes (56 with the maps `Assignment.stack`
-    derives), plus per-object tables."""
+    size, which every scene must share.  Variant `(index, mirrored)` is row
+    `2 * index + mirrored` of each per-field array: `gt_index` [2N, h, w, nc,
+    na] in the least signed type that holds -1 - the bank's largest object
+    count, `ao` float64, and the per-object tables `cluster_max` and `boxes`,
+    one dummy row and then a row per object for each variant, not padded;
+    `first` is the table row of each variant's object 0.  `scene_cache`
+    fills a row on first use and the bank keeps it for its life, so runs
+    that share a bank (the cells of one ablation) flip and assign each
+    variant once.  Below 128 objects a row is 9 bytes per anchor cell."""
 
     def __init__(self, scenes: list[Scene], shapes: np.ndarray):
-        self.scenes = scenes
-        self.shapes = shapes
+        if not scenes:
+            raise ValueError("a scene bank needs at least one scene")
+        for i, scene in enumerate(scenes):
+            if scene.image.shape != scenes[0].image.shape:
+                raise ValueError(f"scene {i} has image shape {scene.image.shape}, "
+                                 f"scene 0 {scenes[0].image.shape}")
+        self.scenes, self.shapes = scenes, shapes
         self.grid = anchor_grid(shapes, scenes[0].image.shape[0])
-        self.variants: dict[tuple[int, bool], tuple[Scene, SceneAssignment]] = {}
+        counts = np.repeat([len(scene.gt) for scene in scenes], 2)
+        rows, ends = (len(counts), *self.grid.shape[:4]), np.cumsum(counts + 1)
+        self.gt_index = np.zeros(rows, np.min_scalar_type(-1 - counts.max()))
+        self.ao, self.filled = np.zeros(rows), np.zeros(len(counts), bool)
+        self.first = ends - counts
+        self.cluster_max, self.boxes = np.ones(ends[-1]), np.ones((ends[-1], 4))
+
+    def assignment(self, rows: list[int]) -> Assignment:
+        """The variants in `rows` on a leading scene axis, in list order.  Each
+        cell takes its object's table row, an unassigned cell its variant's
+        dummy row (0.0 / 1.0 and a unit box)."""
+        gt_index = self.gt_index[rows].astype(np.int64)
+        ao = self.ao[rows]
+        at = gt_index + self.first[rows].reshape(-1, 1, 1, 1, 1)
+        return Assignment(gt_index, ao, ao / self.cluster_max.take(at),
+                          self.boxes.take(at, axis=0))
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -175,21 +197,24 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray,
              lr: float) -> None:
     """v <- MOMENTUM * v + g;  p <- p - lr * v, in place on equal-length
-    flat vectors."""
+    flat vectors.  `grads` is used up: it is left holding lr * v."""
     velocity *= MOMENTUM
     velocity += grads
-    params -= lr * velocity
+    params -= np.multiply(velocity, lr, out=grads)
 
 
-def scene_cache(bank: SceneBank, key: tuple[int, bool]) -> tuple[Scene, SceneAssignment]:
-    """The bank's variant `key` = (index, mirrored) and its assignment
-    against the bank's grid, made on first use."""
-    pair = bank.variants.get(key)
-    if pair is None:
-        index, mirrored = key
-        scene = hflip(bank.scenes[index]) if mirrored else bank.scenes[index]
-        pair = bank.variants[key] = (scene, assign_ao(bank.grid, scene.gt))
-    return pair
+def scene_cache(bank: SceneBank, key: tuple[int, bool]) -> int:
+    """The bank's row of variant `key` = (index, mirrored), filled with its
+    assignment against the bank's grid on first use."""
+    index, mirrored = key
+    row = 2 * index + mirrored
+    if not bank.filled[row]:
+        scene = bank.scenes[index]
+        a = assign_ao(bank.grid, (hflip(scene) if mirrored else scene).gt)
+        tables = slice(bank.first[row] - 1, bank.first[row] + len(a.boxes) - 1)
+        bank.gt_index[row], bank.ao[row], bank.filled[row] = a.gt_index, a.ao, True
+        bank.cluster_max[tables], bank.boxes[tables] = a.cluster_max, a.boxes
+    return row
 
 
 def _gate_and_labels(a: Assignment, o_hat: np.ndarray, cfg: TrainConfig):
@@ -208,14 +233,14 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
     (index, mirrored), as one taped pass over the stacked batch.  The bank
     must be on the state's anchor shapes."""
     state.flat_grad.fill(0.0)
-    batch = [scene_cache(bank, key) for key in keys]
-    assignment = Assignment.stack([a for _, a in batch])
+    assignment = bank.assignment([scene_cache(bank, key) for key in keys])
     # every taped tensor points at the tape and the tape's records point
     # back at them; clearing the records, also after a raise, frees the
     # iteration's tensors without waiting for the cyclic collector and
     # leaves the next iteration an empty tape
     try:
-        images = pixels(np.stack([scene.image for scene, _ in batch]))
+        images = pixels(np.stack([bank.scenes[i].image[:, ::-1] if mirrored
+                                  else bank.scenes[i].image for i, mirrored in keys]))
         out = state.model.forward(state.leaves, images)
         o_hat = pred_iou_values(bank.grid, out.offsets, assignment)
         gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
@@ -226,7 +251,7 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
             cls_map = loss_mod.focal_logits(labels.astype(np.float64), out.logits)
         n_pos = int(gate.sum())
         per_grid_pos = labels.sum(axis=(0, 1, 2), dtype=np.int64)
-        n_total = len(batch) * bank.grid.size // 4
+        n_total = len(keys) * bank.grid.size // 4
         # only learned mode reads (and gives a gradient to) the `bw.*` leaves
         total, loc, cls, reg = loss_mod.weighted_totals(
             loc_map, cls_map, max(1, n_pos), n_total, cfg.mode, state.leaves)

@@ -19,8 +19,7 @@ from scipy.stats import spearmanr
 
 from ponodet import benchmarks as B
 from ponodet.anchors import kmeans_anchors, wh_iou
-from ponodet.assignment import (Assignment, GroundTruth, assign_ao,
-                                pred_iou_values)
+from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
 from ponodet.data import GenSpec, Scene, generate
 from ponodet.geometry import Detections, pairwise_iou
 from ponodet.loss import (bce_logits, focal_logits, initial_balance,
@@ -33,6 +32,7 @@ from test_autodiff import grad_check, reduce_sum, take
 from test_evaluation import average_precision, brute_force_ap
 from test_geometry import decode_cxywh, iou_oracle
 from test_anchors import build_grid, grid_search_single_shape
+from test_assignment import stack_records
 from test_cli import read_manifest
 from test_model import TabularPredictor
 
@@ -171,7 +171,7 @@ def test_c01_pono_coverage():
         scene = generate(spec, 1)[0]
         shapes = spec_rng.uniform(6.0, 48.0, size=(n_classes, int(spec_rng.integers(1, 5)), 2))
         grid = build_grid(shapes, 8, 8, 8)
-        am = Assignment.stack([assign_ao(grid, scene.gt)])
+        am = stack_records([assign_ao(grid, scene.gt)])
         for k in range(len(scene.gt)):
             cluster = am.pono[am.gt_index == k]
             if cluster.size == 0 or cluster.max() != 1.0:
@@ -193,7 +193,7 @@ def _random_instance(rng):
     boxes = [(float(rng.uniform(4, 12)), float(rng.uniform(4, 12)),
               float(rng.uniform(5, 14)), float(rng.uniform(5, 14)))]
     gt = GroundTruth(boxes=boxes, class_ids=[0])
-    am = Assignment.stack([assign_ao(grid, gt)])
+    am = stack_records([assign_ao(grid, gt)])
     return grid, am, (am.pono[0] > 0.5).astype(float)
 
 

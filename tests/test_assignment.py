@@ -1,4 +1,5 @@
 from dataclasses import fields
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ponodet.assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, GroundTrut
                                 _cluster, _grid_gt_iou, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate, hflip
-from ponodet.train import TrainConfig, _gate_and_labels
+from ponodet.train import SceneBank, TrainConfig, _gate_and_labels, scene_cache
 
 from test_anchors import build_grid
 from test_autodiff import zero_leaf
@@ -21,10 +22,30 @@ def square_grid(shapes, h=4, w=4, stride=8):
     return build_grid(np.asarray(shapes, float), h, w, stride)
 
 
+def stack_records(records) -> Assignment:
+    """The oracle batch: the scenes' `assign_ao` records on a leading scene
+    axis, in list order, each kept as its own arrays.  A cell takes its
+    object's row of the joined tables, an unassigned cell its scene's dummy
+    row.  The bank's rows must give the same bits."""
+    gt_index = np.concatenate([r.gt_index[None] for r in records], dtype=np.int64)
+    ao = np.concatenate([r.ao[None] for r in records])
+    first = [*accumulate([len(r.cluster_max) for r in records[:-1]], initial=1)]
+    rows = gt_index + np.array(first)[:, None, None, None, None]
+    pono = ao / np.concatenate([r.cluster_max for r in records]).take(rows)
+    return Assignment(gt_index, ao, pono,
+                      np.concatenate([r.boxes for r in records]).take(rows, axis=0))
+
+
+def drawn(bank, keys) -> Assignment:
+    """The bank's batch of variants `keys` (index, mirrored), filling rows
+    on first use as a training iteration does."""
+    return bank.assignment([scene_cache(bank, key) for key in keys])
+
+
 def scene_maps(grid, gt) -> Assignment:
-    """One scene's maps [h, w, nc, na] as `Assignment.stack` derives them
+    """One scene's maps [h, w, nc, na] as the oracle batch derives them
     from its `assign_ao` record, taken off the scene axis."""
-    one = Assignment.stack([assign_ao(grid, gt)])
+    one = stack_records([assign_ao(grid, gt)])
     return Assignment(*(getattr(one, f.name)[0] for f in fields(Assignment)))
 
 
@@ -49,17 +70,35 @@ def full_maps(grid, gt) -> Assignment:
     return Assignment(gt_index, ao, pono, gt_box)
 
 
-def assert_stack_matches_oracle(grid, gts) -> Assignment:
-    """`Assignment.stack` of the scenes' records equals the oracle maps on a
-    scene axis: int64 indices of equal value and the same float bytes."""
-    got = Assignment.stack([assign_ao(grid, gt) for gt in gts])
-    want = [full_maps(grid, gt) for gt in gts]
-    assert got.gt_index.dtype == np.int64
-    np.testing.assert_array_equal(got.gt_index, np.stack([w.gt_index for w in want]))
-    for name in ("ao", "pono", "gt_box"):
-        assert getattr(got, name).tobytes() == \
-            np.stack([getattr(w, name) for w in want]).tobytes(), name
+def assert_same_bits(got: Assignment, want: Assignment) -> None:
+    for f in fields(Assignment):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def assert_bank_matches_oracle(bank, keys) -> Assignment:
+    """The bank's batch of `keys` has the bits of the oracle batch of the
+    variants' records, and that of the per-cell oracle maps on a scene
+    axis: int64 indices and the same float bytes."""
+    gts = [(hflip(bank.scenes[i]) if mirrored else bank.scenes[i]).gt
+           for i, mirrored in keys]
+    got = drawn(bank, keys)
+    assert_same_bits(got, stack_records([assign_ao(bank.grid, gt) for gt in gts]))
+    want = [full_maps(bank.grid, gt) for gt in gts]
+    assert_same_bits(got, Assignment(*(np.stack([getattr(w, f.name) for w in want])
+                                       for f in fields(Assignment))))
     return got
+
+
+def exact_cell_scenes(counts):
+    """Scenes of `counts` objects on one-anchor 8 x 8 shapes at image size
+    160, and the shapes: object k is the exact box of anchor cell k of the
+    20 x 20 grid and touches its neighbours only, so cell k keeps object k."""
+    shapes = np.full((1, 1, 2), 8.0)
+    cells = anchor_grid(shapes, 160).reshape(-1, 4)
+    return [Scene(np.zeros((160, 160, 3), np.uint8),
+                  GroundTruth(boxes=cells[:n], class_ids=[0] * n)) for n in counts], shapes
 
 
 class TestAssignAO:
@@ -191,7 +230,8 @@ class TestPono:
 
 class TestCompactRecord:
     """A scene's record keeps the index and raw overlap maps and per-object
-    tables; `Assignment.stack` derives the rest with the oracle's bits."""
+    tables, and the bank keeps each drawn record as a row of its per-field
+    arrays; its stacked batches have the oracle's bits."""
 
     @pytest.mark.parametrize("name", ["crowded", "imbalanced"])
     def test_stack_gives_the_oracle_bits(self, name):
@@ -200,7 +240,7 @@ class TestCompactRecord:
         empty = Scene(np.zeros_like(scenes[0].image), GroundTruth(boxes=[], class_ids=[]))
         pool = scenes + [empty]
         rng = np.random.default_rng(41)
-        grid = anchor_grid(rng.uniform(6.0, 30.0, (spec.n_classes, 2, 2)), spec.image_size)
+        bank = SceneBank(pool, rng.uniform(6.0, 30.0, (spec.n_classes, 2, 2)))
         mirrored = 0
         for size in (1, 2, 3):
             for trial in range(4):
@@ -209,33 +249,33 @@ class TestCompactRecord:
                     idx[-1] = len(pool) - 1  # the scene without objects
                 flips = rng.random(size) < 0.5
                 mirrored += int(flips.sum())
-                gts = [(hflip(pool[i]) if f else pool[i]).gt for i, f in zip(idx, flips)]
-                got = assert_stack_matches_oracle(grid, gts)
-                assert got.gt_box.shape == (size, *grid.shape)
+                got = assert_bank_matches_oracle(
+                    bank, [(int(i), bool(f)) for i, f in zip(idx, flips)])
+                assert got.gt_box.shape == (size, *bank.grid.shape)
         assert mirrored > 0
 
     @pytest.mark.parametrize("n", [127, 128, 300])
     def test_index_type_holds_every_object(self, n):
-        # object k is the exact box of cell k of a 20 x 20 one-anchor grid,
-        # and touches its neighbours only, so cell k keeps object k
-        grid = square_grid([[[4.0, 4.0]]], h=20, w=20, stride=4)
-        gt = GroundTruth(boxes=grid.reshape(-1, 4)[:n], class_ids=[0] * n)
-        record = assign_ao(grid, gt)
+        (scene,), shapes = exact_cell_scenes([n])
+        record = assign_ao(anchor_grid(shapes, 160), scene.gt)
         assert record.gt_index.dtype == (np.int8 if n < 128 else np.int16)
         assert len(record.cluster_max) == len(record.boxes) == n + 1
         np.testing.assert_array_equal(record.gt_index.reshape(-1)[:n], np.arange(n))
-        flat = Assignment.stack([record]).gt_index.reshape(-1)
+        bank = SceneBank([scene], shapes)
+        assert bank.gt_index.dtype == record.gt_index.dtype
+        flat = drawn(bank, [(0, False)]).gt_index.reshape(-1)
         np.testing.assert_array_equal(flat[:n], np.arange(n))
         assert np.all(flat[n:] == UNASSIGNED) and UNASSIGNED == -1
 
     def test_narrow_and_wide_indices_stack_together(self):
         # a 300-object scene after a 127-object one sits past any int8 offset
-        grid = square_grid([[[4.0, 4.0]]], h=20, w=20, stride=4)
-        cells = grid.reshape(-1, 4)
-        gts = [GroundTruth(boxes=cells[:n], class_ids=[0] * n) for n in (127, 300, 128)]
-        gts.insert(2, GroundTruth(boxes=[], class_ids=[]))
-        got = assert_stack_matches_oracle(grid, gts)
+        scenes, shapes = exact_cell_scenes([127, 300, 0, 128])
+        bank = SceneBank(scenes, shapes)
+        assert bank.gt_index.dtype == np.int16
+        got = assert_bank_matches_oracle(bank, [(0, False), (1, True), (2, False), (3, False)])
         assert got.gt_index.max() == 299 and np.all(got.gt_index[2] == UNASSIGNED)
+        for keys in ([(3, True), (1, False)], [(2, True)], [(0, True), (0, False)]):
+            assert_bank_matches_oracle(bank, keys)
 
 
 class TestPredIoU:
@@ -245,7 +285,7 @@ class TestPredIoU:
                          class_ids=[0, 0])
         am = assign_ao(grid, gt)
         o_hat = pred_iou_values(grid, np.zeros((1, *grid.shape)),
-                                Assignment.stack([am]))
+                                stack_records([am]))
         np.testing.assert_allclose(o_hat[0], am.ao, atol=1e-15)
 
     def test_perfect_anchor(self):
@@ -253,7 +293,7 @@ class TestPredIoU:
         gt = GroundTruth(boxes=[(4, 4, 8, 8)], class_ids=[0])
         am = assign_ao(grid, gt)
         o_hat = pred_iou_values(grid, np.zeros((1, *grid.shape)),
-                                Assignment.stack([am]))
+                                stack_records([am]))
         assert o_hat[0, 0, 0, 0, 0] == 1.0
 
     def test_offsets_fit_gt_exactly(self):
@@ -263,13 +303,13 @@ class TestPredIoU:
         am = assign_ao(grid, gt)
         offsets = np.zeros((1, *grid.shape))
         offsets[0, 0, 0, 0, 0] = [0.5, 0.0, np.log(2.0), 0.0]
-        o_hat = pred_iou_values(grid, offsets, Assignment.stack([am]))
+        o_hat = pred_iou_values(grid, offsets, stack_records([am]))
         assert o_hat[0, 0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch(self):
         grid = square_grid([[[8.0, 8.0]]])
         gt = GroundTruth(boxes=[(8, 8, 8, 8)], class_ids=[0])
-        stacked = Assignment.stack([assign_ao(grid, gt)])
+        stacked = stack_records([assign_ao(grid, gt)])
         with pytest.raises(ValueError):
             pred_iou_values(grid, np.zeros((1, 2, 2, 1, 1, 4)), stacked)
         # one scene's unstacked offsets, and a stack of another length
@@ -284,7 +324,7 @@ class TestPredIoU:
                GroundTruth(boxes=[(20, 18, 12, 14), (6, 6, 8, 7)],
                            class_ids=[0, 0])]
         records = [assign_ao(grid, gt) for gt in gts]
-        stacked = Assignment.stack(records)
+        stacked = stack_records(records)
         assert stacked.gt_box.shape == (2, *grid.shape)
         offsets = np.random.default_rng(3).uniform(-0.3, 0.3, (2, *grid.shape))
         o_hat = pred_iou_values(grid, offsets, stacked)
@@ -293,7 +333,7 @@ class TestPredIoU:
             np.testing.assert_array_equal(stacked.pono[k], alone.pono)
             np.testing.assert_array_equal(stacked.gt_index[k], alone.gt_index)
             np.testing.assert_array_equal(stacked.gt_box[k], alone.gt_box)
-            one = pred_iou_values(grid, offsets[k:k + 1], Assignment.stack([rec]))
+            one = pred_iou_values(grid, offsets[k:k + 1], stack_records([rec]))
             np.testing.assert_array_equal(o_hat[k], one[0])
 
 
@@ -327,7 +367,7 @@ class TestOneIoU:
 
     def test_pred_iou_forward_matches_oracle(self):
         grid, gts = special_grid_scenes()
-        stacked = Assignment.stack([assign_ao(grid, gt) for gt in gts])
+        stacked = stack_records([assign_ao(grid, gt) for gt in gts])
         rng = np.random.default_rng(11)
         offsets = np.asarray(CLAMP_OFFSETS)[rng.integers(len(CLAMP_OFFSETS),
                                                          size=stacked.gt_index.shape)]

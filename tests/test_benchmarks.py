@@ -9,7 +9,7 @@ import pytest
 from ponodet import benchmarks as B
 from ponodet import train as train_mod
 
-from test_train import drawn_variants
+from test_train import drawn_variants, filled_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 RULES = ("AMS", "PONO", "AO")
@@ -71,8 +71,8 @@ def test_cells_share_the_scene_bank(monkeypatch):
                         lambda grid, gt: calls.append(gt) or assign(grid, gt))
     results = [B.run_cell(bench, label_rule=rule, max_iter=ITERS) for rule in RULES]
     cfg = replace(bench.train_cfg, max_iter=ITERS)
-    assert len(calls) == len(bench.setup.bank.variants)
-    assert set(bench.setup.bank.variants) == drawn_variants(cfg, bench.n_train)
+    assert len(calls) == bench.setup.bank.filled.sum()
+    assert filled_keys(bench.setup.bank) == drawn_variants(cfg, bench.n_train)
     assert all(r["state"].shapes is bench.setup.bank.shapes for r in results)
 
 
@@ -98,7 +98,8 @@ class TestBenchContract:
         assert figures["anchors.kmeans_calls"][0] == 1
         assert figures["data.generate_s"][0] > 0
         assert figures["assignment.scene_cache_misses"][0] \
-            == len(drawn_variants(cfg, bench.n_train))
+            == len(drawn_variants(cfg, bench.n_train)) == bench.setup.bank.filled.sum()
+        assert filled_keys(bench.setup.bank) == drawn_variants(cfg, bench.n_train)
         lookups = 2 * ITERS * bench.train_cfg.batch_size
         assert figures["assignment.scene_cache_hit_ratio"][0] == pytest.approx(
             1 - len(drawn_variants(cfg, bench.n_train)) / lookups)

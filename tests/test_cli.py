@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -953,6 +955,27 @@ class TestAblate:
         assert len(rows) == 3
         assert (out / "ams_learned_ce" / "report.csv").exists()
         assert (out / "pono_unit_ce" / "log.csv").exists()
+
+    def test_finished_cell_state_freed_before_the_next_is_built(self, workspace, tmp_path,
+                                                                 monkeypatch):
+        # a cell's state holds its trained vectors and their momentum and
+        # gradient; none may outlive its cell while the next cell trains
+        cfg = self.make_config(tmp_path, workspace / "ds")
+        cfg.write_text(cfg.read_text().replace("PONO:unit:CE", "PONO:unit:CE,AO:unit:FL")
+                       .replace("max_iter = 20", "max_iter = 2"))
+        built, alive = [], []
+        fresh = RunState.fresh.__func__
+
+        def tracked(cls, *args):
+            gc.collect()
+            alive.append([ref() is not None for ref in built])
+            state = fresh(cls, *args)
+            built.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(RunState, "fresh", classmethod(tracked))
+        assert run(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 0
+        assert alive == [[], [False], [False, False]]
 
     def test_datasets_loaded_once_per_call(self, workspace, tmp_path, monkeypatch):
         test_ds = TestBadInput().make_dataset(tmp_path)

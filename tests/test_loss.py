@@ -15,6 +15,7 @@ from ponodet.train import (CLS_LOSSES, LABEL_RULES, RunState, SceneBank, TrainCo
                            train_iteration)
 
 from test_anchors import build_grid
+from test_assignment import stack_records
 from test_autodiff import (add, clip, div, exp, grad_check, log1p, maximum, mean,
                            minimum, mul, neg, power, reduce_sum, sigmoid, sub, take,
                            zero_leaf)
@@ -456,7 +457,7 @@ def random_head_instance(rng):
         gt = GroundTruth([(*rng.uniform(4, 28, 2), *rng.uniform(5, 16, 2))
                           for _ in range(k)], rng.integers(0, 2, k))
         records.append(assign_ao(grid, gt))
-    assignment = Assignment.stack(records)
+    assignment = stack_records(records)
     offsets = rng.uniform(-0.3, 0.3, assignment.gt_box.shape)
     logits = rng.normal(0.0, 3.0, assignment.gt_index.shape)
     s_values = {name: rng.normal(0.0, 0.5, np.shape(v))

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ponodet import autodiff as ad
-from ponodet.assignment import Assignment, GroundTruth, assign_ao, pred_iou_values
+from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
 from ponodet.loss import bce_logits, loc_loss_map, sigmoid
 from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig, drawn_kernels,
                            load_arrays, net_floats, save_arrays)
 
 from test_anchors import build_grid
+from test_assignment import stack_records
 from test_autodiff import add, div, grad_check, mean, reduce_sum, zero_leaf
 
 
@@ -236,7 +237,7 @@ class TestToyNetGradients:
         image = rng.uniform(0, 1, (32, 32, 3))
         grid = build_grid(np.full((1, 1, 2), 10.0), 4, 4, 8)
         gt = GroundTruth(boxes=[(12.5, 11.0, 11.0, 9.0)], class_ids=[0])
-        stacked = Assignment.stack([assign_ao(grid, gt)])
+        stacked = stack_records([assign_ao(grid, gt)])
         gate = (stacked.pono > 0.5).astype(float)
         labels = gate.copy()
         names = sorted(net.params)

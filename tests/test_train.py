@@ -14,8 +14,7 @@ from ponodet import autodiff as ad
 from ponodet.anchors import anchor_grid
 from ponodet import loss as loss_mod
 from ponodet import train as train_mod
-from ponodet.assignment import (Assignment, GroundTruth, ams_labels, assign_ao,
-                                pred_iou_values)
+from ponodet.assignment import GroundTruth, ams_labels, assign_ao, pred_iou_values
 from ponodet.data import (GenSpec, Scene, config_from_kv, generate, hflip, load_dataset,
                           pixels, save_dataset)
 from ponodet.evaluation import dataset_detections
@@ -24,6 +23,7 @@ from ponodet.model import ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save
 from ponodet.train import (MOMENTUM, RunState, SceneBank, TrainConfig, load_run, lr_at,
                            run_training, save_run, sgd_step, train_iteration)
 
+from test_assignment import drawn, stack_records
 from test_autodiff import add, reduce_sum
 from test_model import TabularPredictor, leaves_of
 
@@ -133,6 +133,30 @@ class TestSgdStep:
         np.testing.assert_allclose(v, [1.8])
         np.testing.assert_allclose(p, [1.0 - 0.18])
 
+    def test_in_place_step_keeps_the_bits_and_makes_no_temporary(self):
+        # the step writes lr * v into the used-up gradient: the same product
+        # of the same operands, down to signed zeros and subnormals
+        rng = np.random.default_rng(8)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        pool = np.array([0.0, -0.0, tiny, -tiny, 7 * tiny, -np.finfo(np.float64).tiny / 3,
+                         1e-310, 1.5, -2.25, 1e300])
+        p, v, g = (rng.choice(pool, 40_000) for _ in range(3))
+        for lr in (0.01, 1e-300, 0.0):
+            want_p, want_v = p.copy(), v.copy()
+            want_v *= MOMENTUM
+            want_v += g
+            want_p -= lr * want_v
+            used = g.copy()
+            tracemalloc.start()
+            try:
+                sgd_step(p, v, used, lr)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert p.tobytes() == want_p.tobytes() and v.tobytes() == want_v.tobytes()
+            assert peak < p.nbytes // 4
+        assert np.any(np.signbit(p) & (p == 0.0)) and np.any((p != 0) & (abs(p) < 1e-308))
+
     def test_quadratic_bowl_convergence(self):
         p, v = np.array([0.0]), np.zeros(1)
         for _ in range(500):
@@ -206,8 +230,8 @@ class TestTrainIteration:
         state = tabular_state(scene, shapes=((10.0, 9.0),))
         cfg = TrainConfig(lr0=0.05, max_iter=400, mode="unit")
         train_on_one_scene(state, scene, cfg)
-        grid = grid_of(state, scene)
-        am = Assignment.stack([assign_ao(grid, scene.gt)])
+        bank = SceneBank([scene], state.shapes)
+        grid, am = bank.grid, drawn(bank, [(0, False)])
         o_hat = pred_iou_values(grid, state.model.params["offsets"][None], am)
         best = np.unravel_index(np.argmax(am.pono), am.pono.shape)
         assert o_hat[best] > 0.999
@@ -223,8 +247,8 @@ class TestTrainIteration:
                          class_ids=[0, 0])
         scene = Scene(img, gt)
         state = tabular_state(scene, shapes=((11.0, 11.0),))
-        grid = grid_of(state, scene)
-        am = Assignment.stack([assign_ao(grid, scene.gt)])
+        bank = SceneBank([scene], state.shapes)
+        grid, am = bank.grid, drawn(bank, [(0, False)])
         torn = (0, 1, 1, 0, 0)  # cell centered at (12, 12), overlapping both
         assert 0.0 < am.pono[torn] <= 0.5
         cfg = TrainConfig(lr0=0.05, max_iter=150, mode="learned")
@@ -263,7 +287,7 @@ def per_scene_reference(state, batch, cfg):
     per_grid_pos = np.zeros(state.shapes.shape[:2], np.int64)
     for scene in batch:
         grid = grid_of(state, scene)
-        one = Assignment.stack([assign_ao(grid, scene.gt)])
+        one = stack_records([assign_ao(grid, scene.gt)])
         out = state.model.forward(params, pixels(scene.image[None]))
         o_hat = pred_iou_values(grid, out.offsets, one)
         gate, labels = train_mod._gate_and_labels(one, ad.values_of(o_hat), cfg)
@@ -368,8 +392,8 @@ class TestSceneCache:
             del scene
 
     def test_run_training_keeps_no_entries(self, monkeypatch):
-        # the bank holds the assignments: none outlives the bank, and the
-        # state holds no scene data
+        # the bank copies each assignment into its rows: no record outlives
+        # its fill, and the state holds no scene data
         scene = self.crowded_scene()
         state = tabular_state(scene)
         made = []
@@ -395,19 +419,34 @@ class TestSceneCache:
         bank = SceneBank([scene], state.shapes)
         cfg = TrainConfig(max_iter=3)
         run_training(state, bank, cfg)
-        assert set(bank.variants) == drawn_variants(cfg, 1) == {(0, False), (0, True)}
-        assert bank.variants[0, False][0] is scene
+        assert filled_keys(bank) == drawn_variants(cfg, 1) == {(0, False), (0, True)}
+        assert bank.scenes[0] is scene
+        rows = stack_records([assign_ao(bank.grid, scene.gt),
+                              assign_ao(bank.grid, hflip(scene).gt)])
+        np.testing.assert_array_equal(bank.gt_index[:2], rows.gt_index)
+        np.testing.assert_array_equal(bank.ao[:2], rows.ao)
 
 
-def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
+def first_draws(cfg: TrainConfig, n_scenes: int) -> list:
     """(scene index, mirrored) of every scene `run_training` draws from
-    iteration 0 to cfg.max_iter, replayed from the per-iteration RNG."""
-    drawn = set()
+    iteration 0 to cfg.max_iter, replayed from the per-iteration RNG, each
+    once, in the order of its first draw."""
+    keys = {}
     for it in range(cfg.max_iter):
         rng = np.random.default_rng([cfg.seed, 7, it])
         for i in rng.integers(0, n_scenes, size=cfg.batch_size):
-            drawn.add((int(i), bool(rng.random() < 0.5)))
-    return drawn
+            keys.setdefault((int(i), bool(rng.random() < 0.5)))
+    return list(keys)
+
+
+def drawn_variants(cfg: TrainConfig, n_scenes: int) -> set:
+    """The keys of `first_draws` as a set."""
+    return set(first_draws(cfg, n_scenes))
+
+
+def filled_keys(bank: SceneBank) -> set:
+    """(scene index, mirrored) of every row the bank has filled."""
+    return {(int(row) // 2, bool(row % 2)) for row in np.flatnonzero(bank.filled)}
 
 
 class TestSceneBank:
@@ -420,32 +459,43 @@ class TestSceneBank:
                             lambda grid, gt: calls.append(gt) or assign(grid, gt))
         run_training(state, bank, cfg)
         first = len(calls)
-        assert set(bank.variants) == drawn_variants(cfg, len(scenes))
-        assert first == len(bank.variants)
+        assert filled_keys(bank) == drawn_variants(cfg, len(scenes))
+        assert first == bank.filled.sum()
         # a second run on the bank draws the first run's variants and more
         longer = replace(cfg, max_iter=9, label_rule="AO")
         run_training(RunState.fresh(state.model.cfg, state.shapes, longer.seed), bank, longer)
-        assert set(bank.variants) == drawn_variants(longer, len(scenes))
-        assert len(calls) == len(bank.variants) > first
+        assert filled_keys(bank) == drawn_variants(longer, len(scenes))
+        assert len(calls) == bank.filled.sum() > first
         # one assignment per key, made on its own variant's ground truth
-        for gt, (scene, _) in zip(calls, bank.variants.values(), strict=True):
-            assert gt is scene.gt
+        for gt, (i, mirrored) in zip(calls, first_draws(longer, len(scenes)), strict=True):
+            if mirrored:
+                np.testing.assert_array_equal(gt.boxes, hflip(scenes[i]).gt.boxes)
+                np.testing.assert_array_equal(gt.class_ids, scenes[i].gt.class_ids)
+            else:
+                assert gt is scenes[i].gt
 
-    def test_mirrored_variant_is_a_view(self, tmp_path):
+    def test_mirrored_variant_fills_one_row(self, tmp_path, monkeypatch):
         scenes, _, state = TestDeterminismAndResume().make_setup(tmp_path)
         bank = SceneBank(scenes, state.shapes)
-        mirrored, assignment = train_mod.scene_cache(bank, (2, True))
-        assert np.shares_memory(mirrored.image, scenes[2].image)
-        np.testing.assert_array_equal(mirrored.image, hflip(scenes[2]).image)
-        np.testing.assert_array_equal(mirrored.gt.boxes, hflip(scenes[2]).gt.boxes)
+        calls = []
+        assign = train_mod.assign_ao
+        monkeypatch.setattr(train_mod, "assign_ao",
+                            lambda grid, gt: calls.append(gt) or assign(grid, gt))
+        row = train_mod.scene_cache(bank, (2, True))
+        assert row == 5 and bank.scenes[2] is scenes[2]
+        mirrored = hflip(scenes[2])
+        np.testing.assert_array_equal(calls[0].boxes, mirrored.gt.boxes)
+        n = len(mirrored.gt)
+        np.testing.assert_array_equal(bank.boxes[bank.first[row]:][:n], mirrored.gt.boxes)
         again = train_mod.scene_cache(bank, (2, True))
-        assert again[0] is mirrored and again[1] is assignment
-        assert list(bank.variants) == [(2, True)]
+        assert again == row and len(calls) == 1
+        assert filled_keys(bank) == {(2, True)}
 
-    def test_a_kept_variant_holds_nine_bytes_per_cell(self):
-        # below 128 objects a kept record owns an int8 index and a float64
-        # raw overlap per anchor cell; only its per-object tables grow with
-        # the object count, here up to 127 objects
+    def test_the_bank_holds_nine_bytes_per_cell_and_row(self):
+        # below 128 objects the bank keeps an int8 index and a float64 raw
+        # overlap per anchor cell of each of its 2N rows, and per-object
+        # tables of one dummy row and a row per object per variant; drawing
+        # variants fills these arrays and makes no other
         from ponodet import benchmarks
         spec = benchmarks.crowded_benchmark().gen
         scenes = generate(spec, 4)
@@ -453,16 +503,36 @@ class TestSceneBank:
         scenes.append(Scene(np.zeros_like(scenes[0].image),
                             GroundTruth(boxes=boxes, class_ids=[0] * 127)))
         bank = SceneBank(scenes, np.full((spec.n_classes, 2, 2), [9.0, 12.0]))
+
+        def arrays():
+            return {name: a for name, a in vars(bank).items()
+                    if isinstance(a, np.ndarray) and name not in ("shapes", "grid")}
+
+        held = arrays()
+        cells, rows = math.prod(bank.grid.shape[:4]), 2 * len(scenes)
+        per_cell = [a for a in held.values() if a.shape == (rows, *bank.grid.shape[:4])]
+        assert sum(a.nbytes for a in per_cell) <= 9 * cells * rows
+        objects = sum(1 + len(scene.gt) for scene in scenes)
+        assert sorted(len(a) for a in held.values() if a.ndim < 5 and len(a) != rows) \
+            == [2 * objects] * 2
         for i in range(len(scenes)):
             for mirrored in (False, True):
                 train_mod.scene_cache(bank, (i, mirrored))
-        cells = math.prod(bank.grid.shape[:4])
-        for scene, record in bank.variants.values():
-            arrays = [getattr(record, f.name) for f in fields(record)]
-            assert all(a.base is None for a in arrays)  # no view into a larger buffer
-            per_cell = [a for a in arrays if a.shape[:4] == bank.grid.shape[:4]]
-            assert sum(a.nbytes for a in per_cell) <= 9 * cells
-            assert sorted(len(a) for a in arrays if a.ndim < 4) == [len(scene.gt) + 1] * 2
+                now = arrays()
+                assert now.keys() == held.keys()
+                assert all(now[k] is a and a.base is None for k, a in held.items())
+        assert bank.filled.all()
+
+    def test_empty_bank_refused(self):
+        with pytest.raises(ValueError, match="at least one scene"):
+            SceneBank([], np.full((1, 2, 2), 8.0))
+
+    def test_scenes_of_another_image_shape_refused(self):
+        # a bank tiles one grid, so every scene must share scene 0's image
+        scenes = [one_object_scene(32), one_object_scene(32), one_object_scene(40)]
+        with pytest.raises(ValueError, match=re.escape(
+                "scene 2 has image shape (40, 40, 3), scene 0 (32, 32, 3)")):
+            SceneBank(scenes, np.full((1, 2, 2), 8.0))
 
     def test_bank_on_another_grid_rejected(self, tmp_path):
         scenes, cfg, state = TestDeterminismAndResume().make_setup(tmp_path)
