@@ -1,20 +1,20 @@
 """Anchor-to-object assignment: one record per scene and anchor grid.
 
-`assign_ao` builds the [h, w, nc, na, n_gt] IoU tensor
-(`geometry.overlap`) between anchor cells and objects once, clusters every
-cell to the same-class object it overlaps most, and normalizes each
+`assign_ao` builds the [h, w, nc, na, n_gt] IoU tensor between anchor cells
+and objects once, in one `geometry.overlap` call masked by class, clusters
+every cell to the same-class object it overlaps most, and normalizes each
 cluster by its own best overlap (PONO).  That guarantees every object at
 least one anchor with a normalized overlap of exactly 1 regardless of how
-coarse the anchor set is.  The returned `SceneAssignment` holds the object
-index and raw overlap per cell and per-object tables.  `train.SceneBank`
-copies each drawn record into a row of its per-field arrays and builds a
-batch's `Assignment`, the layout `pred_iou_values` and the label rules
-read: it is the one place the normalized overlap and assigned box per
-cell are derived.  Labels come from thresholding the normalized map
-(PONO), thresholding raw overlap (AO), or the ambiguity-managed product
-with the predicted-box overlap map (AMS).  The abstract's "soft"
-assignment is that prediction-dependent AMS label; its threshold stays
-hard.
+coarse the anchor set is.  The returned `SceneAssignment` holds the int64
+object index and raw overlap per cell and per-object tables.
+`train.SceneBank` keeps each drawn record in a row of its per-field arrays,
+in an index type it picks, and `SceneBank.batch` builds a batch's
+`Assignment`, the layout `pred_iou_values` and the label rules read: it is
+the one place the normalized overlap and assigned box per cell are derived.
+Labels come from thresholding the normalized map (PONO), thresholding raw
+overlap (AO), or the ambiguity-managed product with the predicted-box
+overlap map (AMS).  The abstract's "soft" assignment is that
+prediction-dependent AMS label; its threshold stays hard.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class SceneAssignment:
     """One scene against one anchor grid: maps shaped like the grid [h, w,
     nc, na], and tables whose row k + 1 is object k's and row 0 a dummy."""
 
-    gt_index: np.ndarray     # object per cell, UNASSIGNED where no same-class overlap
+    gt_index: np.ndarray     # int64 object per cell, UNASSIGNED where no same-class overlap
     ao: np.ndarray           # raw overlap with the assigned object, 0 if none
     cluster_max: np.ndarray  # [1 + n_gt]: 1.0, then each cluster's maximum ao
     boxes: np.ndarray        # [1 + n_gt, 4]: a unit box, then each object's (cx, cy, w, h)
@@ -47,7 +47,7 @@ class SceneAssignment:
 @dataclass(frozen=True)
 class Assignment:
     """N scenes against one anchor grid, every array [N, h, w, nc, na], from
-    `train.SceneBank.assignment`.  `gt_box` [..., 4] holds the assigned
+    `train.SceneBank.batch`.  `gt_box` [..., 4] holds the assigned
     object's (cx, cy, w, h) per cell, with unit dummy boxes on unassigned
     cells; mask any computation on it with `gt_index != UNASSIGNED`."""
 
@@ -59,13 +59,12 @@ class Assignment:
 
 def _grid_gt_iou(grid: np.ndarray, gt: GroundTruth) -> np.ndarray:
     """IoU between every anchor cell of `grid` [h, w, nc, na, 4] and every
-    object, [h, w, nc, na, n_gt]; objects of a different class score 0."""
-    out = np.zeros(grid.shape[:4] + (len(gt),), dtype=np.float64)
-    for c in sorted(set(gt.class_ids.tolist())):
-        objs = np.flatnonzero(gt.class_ids == c)
-        cells = grid[:, :, c, :, None, :]
-        out[:, :, c][..., objs] = overlap(cells[..., :2], cells[..., 2:], gt.boxes[objs])[0]
-    return out
+    object, [h, w, nc, na, n_gt]; objects of a different class score 0, so
+    a class id of nc or more would score 0 everywhere: `train.SceneBank`
+    refuses one."""
+    same = gt.class_ids == np.arange(grid.shape[2])[:, None, None]
+    iou = overlap(grid[..., None, :2], grid[..., None, 2:], gt.boxes)[0]
+    return np.where(same, iou, 0.0)
 
 
 def _cluster(overlaps: np.ndarray, n_gt: int) -> np.ndarray:
@@ -111,8 +110,7 @@ def assign_ao(grid: np.ndarray, gt: GroundTruth) -> SceneAssignment:
     The anchor x object IoU tensor is built once here; the record's maps and
     tables are read off it.  Assigned cells have positive overlap, so the
     normalization is always well defined and the maximal cell of every
-    cluster lands exactly on 1.0.  The index map's type is the least signed
-    one that holds -1 - n_gt, so every object index and UNASSIGNED.
+    cluster lands exactly on 1.0.
     """
     shape, n = grid.shape[:4], len(gt)
     gt_index, ao = np.full(shape, UNASSIGNED), np.zeros(shape)
@@ -124,7 +122,7 @@ def assign_ao(grid: np.ndarray, gt: GroundTruth) -> SceneAssignment:
     cluster_max = np.zeros(1 + n)
     np.maximum.at(cluster_max, gt_index + 1, ao)
     cluster_max[0] = 1.0
-    return SceneAssignment(gt_index.astype(np.min_scalar_type(-1 - n)), ao, cluster_max,
+    return SceneAssignment(gt_index, ao, cluster_max,
                            np.concatenate([np.ones((1, 4)), gt.boxes]))
 
 

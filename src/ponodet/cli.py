@@ -24,8 +24,7 @@ from .anchors import (MAX_N_A, anchor_grid, check_no_empty_class, kmeans_anchors
 from .assignment import ams_labels, pred_iou_values
 from .loss import initial_balance
 from .model import ToyNetConfig, net_floats
-from .train import (RunState, SceneBank, TrainConfig, load_run, run_training, save_run,
-                    scene_cache)
+from .train import RunState, SceneBank, TrainConfig, load_run, run_training, save_run
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
 MAX_RUN_BYTES = 1 << 32  # the most memory a `train` or `ablate` config may ask a run for
@@ -87,16 +86,23 @@ def _load_scenes(dataset_dir) -> list:
     return scenes
 
 
+def _bank(dataset_dir, scenes: list, shapes: np.ndarray) -> SceneBank:
+    """The dataset's `SceneBank`; a refused scene is an error naming `dataset_dir`."""
+    try:
+        return SceneBank(scenes, shapes)
+    except ValueError as e:
+        raise RuntimeError(f"{dataset_dir}: {e}") from None
+
+
 def _check_classes(dataset_dir, scenes: list, n_classes: int,
                    covered_by: str = "anchors") -> None:
-    """Every class id of the dataset is below `n_classes`, the class count
-    of the anchors or checkpoint named by `covered_by`."""
+    """Every class id of an eval dataset is below `n_classes`, the class
+    count of the anchors or checkpoint named by `covered_by`."""
     for idx, scene in enumerate(scenes):
-        outside = scene.gt.class_ids[scene.gt.class_ids >= n_classes]
-        if outside.size:
+        if scene.gt.class_ids.max(initial=-1) >= n_classes:
             raise RuntimeError(
-                f"{dataset_dir}: scene {idx} has class id {outside[0]}, but the "
-                f"{covered_by} cover classes 0..{n_classes - 1}")
+                f"{dataset_dir}: scene {idx} has class id {scene.gt.class_ids.max()}, "
+                f"but the {covered_by} cover classes 0..{n_classes - 1}")
 
 
 def _check_annotated(dataset_dir, gts: list) -> None:
@@ -185,11 +191,10 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     shapes = load_anchor_set(args.anchors)
     scenes = _load_scenes(args.dataset)
-    _check_classes(args.dataset, scenes, len(shapes))
     net = _net_config(args.config, kv, scenes[0].image.shape[0])
     _check_image_size(args.dataset, scenes, net.input_size, args.config)
     _check_run_size(args.config, cfg, net, shapes)
-    _train_once(cfg, net, SceneBank(scenes, shapes), args.out)
+    _train_once(cfg, net, _bank(args.dataset, scenes, shapes), args.out)
     print(f"training finished; checkpoint at {os.path.join(args.out, 'final.bin')}")
     return 0
 
@@ -231,26 +236,21 @@ def cmd_eval(args) -> int:
 def cmd_assign_dump(args) -> int:
     shapes = load_anchor_set(args.anchors)
     scenes = _load_scenes(args.dataset)
-    _check_classes(args.dataset, scenes, len(shapes))
+    bank = _bank(args.dataset, scenes, shapes)
     if not 0 <= args.scene < len(scenes):
         raise RuntimeError(f"{args.dataset}: no scene {args.scene} "
                            f"({len(scenes)} scenes)")
-    scene = scenes[args.scene]
     state = load_run(args.checkpoint) if args.checkpoint else None
     if state is not None:
         if not np.array_equal(state.shapes, shapes):
             raise RuntimeError(f"{args.checkpoint}: the checkpoint's anchors are not "
                                f"those of {args.anchors}")
         _check_image_size(args.dataset, scenes, state.model.cfg.input_size, args.checkpoint)
-    try:
-        bank = SceneBank([scene], shapes)
-    except ValueError as e:
-        raise RuntimeError(f"{args.dataset}: {e}") from None
-    grid, assignment = bank.grid, bank.assignment([scene_cache(bank, (0, False))])
+    grid, (images, assignment) = bank.grid, bank.batch([(args.scene, False)])
     pono, gt_index = assignment.pono[0], assignment.gt_index[0]
     o_hat = np.zeros_like(pono)
     if state is not None:
-        out = state.model.forward(state.model.params, data_mod.pixels(scene.image[None]))
+        out = state.model.forward(state.model.params, images)
         o_hat = pred_iou_values(grid, out.offsets, assignment)[0]
     labels = ams_labels(pono, o_hat)
     os.makedirs(args.out, exist_ok=True)
@@ -338,7 +338,9 @@ def cmd_ablate(args) -> int:
         shapes = load_anchor_set(kv["anchors"])
     else:
         shapes = _cluster_anchors(dataset_dir, [s.gt for s in scenes], n_a, base.seed)
-    _check_classes(dataset_dir, scenes, len(shapes))
+    # one bank for every cell: the cells draw the same batches, so each
+    # scene is mirrored and assigned once per ablation
+    bank = _bank(dataset_dir, scenes, shapes)
     if eval_scenes is not scenes:
         _check_classes(eval_dir, eval_scenes, len(shapes))
     _check_run_size(args.config, base, net, shapes)
@@ -351,9 +353,6 @@ def cmd_ablate(args) -> int:
     data_mod.clear(args.out, r"summary\.csv" if kept else r"summary\.csv|anchors\.txt")
     if not kv.get("anchors"):
         save_anchor_set(clustered, shapes)
-    # one bank for every cell: the cells draw the same batches, so each
-    # scene is mirrored and assigned once per ablation
-    bank = SceneBank(scenes, shapes)
 
     rows = []
     for name, cfg in cells:

@@ -13,23 +13,20 @@ pass ends, by backward or by a raise.  Every mode steps every trained array
 and its momentum buffer; outside `learned` mode the loss gives the `bw.*`
 weights no gradient, so from zero momentum they keep their bits.
 
-A batch is one array problem: its images are stacked on a leading scene
-axis, mapped from their 8-bit levels to float64 once by `data.pixels`,
-and go through one taped forward, one predicted-overlap map and one pair
-of loss maps [N, h, w, nc, na], which `loss.weighted_totals` sums per
-grid and weights in one record.  A run holds anchor shapes, not a grid:
-its scenes live in a `SceneBank` that tiles the shapes at their image
-size, drawn by key `(index, mirrored)`.  A drawn variant's assignment
-never changes, so the bank fills the variant's row of its per-field
-arrays on first use and keeps it while its owner keeps the bank: every
-cell of an ablation shares one.  Each iteration `SceneBank.assignment`
-takes the batch's rows and derives their normalized overlaps and boxes,
-and the gate and labels read off them depend on the config.  Batch
-losses are the sums over the batch's scenes divided by the summed
-positive counts (equivalently: maps averaged before weighting).  The
-batch RNG is derived from (seed, iteration), which makes checkpoint
-resume bit-exact without serializing generator state, and makes every
-run with the same seed draw the same batches.
+A run holds anchor shapes, not a grid: its scenes live in a `SceneBank`,
+which checks their class ids against the shapes and is the one reader of a
+training variant `(index, mirrored)`; every cell of an ablation shares
+one.  A batch is one array problem: `SceneBank.batch` returns its images,
+mapped from 8-bit levels to float64 once by `data.pixels`, and its
+assignment on a leading scene axis, and they go through one taped forward,
+one predicted-overlap map and one pair of loss maps [N, h, w, nc, na],
+which `loss.weighted_totals` sums per grid and weights in one record.  The
+gate and labels depend on the config.  Batch losses are the sums over the
+batch's scenes divided by the summed positive counts (equivalently: maps
+averaged before weighting).  The batch RNG is derived from (seed,
+iteration), which makes checkpoint resume bit-exact without serializing
+generator state, and makes every run with the same seed draw the same
+batches.
 """
 
 from __future__ import annotations
@@ -152,15 +149,16 @@ class SceneBank:
     """Training scenes on their anchor grid, drawn by key `(index, mirrored)`.
 
     The bank tiles the anchor `shapes` into its `grid` at its scenes' image
-    size, which every scene must share.  Variant `(index, mirrored)` is row
-    `2 * index + mirrored` of each per-field array: `gt_index` [2N, h, w, nc,
-    na] in the least signed type that holds -1 - the bank's largest object
-    count, `ao` float64, and the per-object tables `cluster_max` and `boxes`,
-    one dummy row and then a row per object for each variant, not padded;
-    `first` is the table row of each variant's object 0.  `scene_cache`
-    fills a row on first use and the bank keeps it for its life, so runs
-    that share a bank (the cells of one ablation) flip and assign each
-    variant once.  Below 128 objects a row is 9 bytes per anchor cell."""
+    size, which every scene must share, and refuses a class id the shapes do
+    not cover.  Variant `(index, mirrored)` is row `2 * index + mirrored` of
+    each per-field array: `gt_index` [2N, h, w, nc, na] in the least signed
+    type that holds -1 - the bank's largest object count, `ao` float64, and
+    the per-object tables `cluster_max` and `boxes`, one dummy row and then a
+    row per object for each variant, not padded; `first` is the table row of
+    each variant's object 0.  A variant's assignment never changes:
+    `scene_cache` fills its row on first use and the bank keeps it, so runs
+    that share a bank (the cells of one ablation) flip and assign each variant
+    once.  Below 128 objects a row is 9 bytes per anchor cell."""
 
     def __init__(self, scenes: list[Scene], shapes: np.ndarray):
         if not scenes:
@@ -169,6 +167,9 @@ class SceneBank:
             if scene.image.shape != scenes[0].image.shape:
                 raise ValueError(f"scene {i} has image shape {scene.image.shape}, "
                                  f"scene 0 {scenes[0].image.shape}")
+            if scene.gt.class_ids.max(initial=-1) >= len(shapes):
+                raise ValueError(f"scene {i} has class id {scene.gt.class_ids.max()}, "
+                                 f"but the anchors cover classes 0..{len(shapes) - 1}")
         self.scenes, self.shapes = scenes, shapes
         self.grid = anchor_grid(shapes, scenes[0].image.shape[0])
         counts = np.repeat([len(scene.gt) for scene in scenes], 2)
@@ -178,15 +179,18 @@ class SceneBank:
         self.first = ends - counts
         self.cluster_max, self.boxes = np.ones(ends[-1]), np.ones((ends[-1], 4))
 
-    def assignment(self, rows: list[int]) -> Assignment:
-        """The variants in `rows` on a leading scene axis, in list order.  Each
-        cell takes its object's table row, an unassigned cell its variant's
-        dummy row (0.0 / 1.0 and a unit box)."""
+    def batch(self, keys: list[tuple[int, bool]]) -> tuple[np.ndarray, Assignment]:
+        """The variants `keys` (index, mirrored) on a leading scene axis, in list
+        order: their `pixels` images and `Assignment`.  Each cell takes its
+        object's table row, an unassigned cell its variant's dummy row."""
+        rows = [scene_cache(self, key) for key in keys]
+        images = pixels(np.stack([self.scenes[i].image[:, ::-1] if mirrored
+                                  else self.scenes[i].image for i, mirrored in keys]))
         gt_index = self.gt_index[rows].astype(np.int64)
         ao = self.ao[rows]
         at = gt_index + self.first[rows].reshape(-1, 1, 1, 1, 1)
-        return Assignment(gt_index, ao, ao / self.cluster_max.take(at),
-                          self.boxes.take(at, axis=0))
+        return images, Assignment(gt_index, ao, ao / self.cluster_max.take(at),
+                                  self.boxes.take(at, axis=0))
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -233,14 +237,12 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
     (index, mirrored), as one taped pass over the stacked batch.  The bank
     must be on the state's anchor shapes."""
     state.flat_grad.fill(0.0)
-    assignment = bank.assignment([scene_cache(bank, key) for key in keys])
+    images, assignment = bank.batch(keys)
     # every taped tensor points at the tape and the tape's records point
     # back at them; clearing the records, also after a raise, frees the
     # iteration's tensors without waiting for the cyclic collector and
     # leaves the next iteration an empty tape
     try:
-        images = pixels(np.stack([bank.scenes[i].image[:, ::-1] if mirrored
-                                  else bank.scenes[i].image for i, mirrored in keys]))
         out = state.model.forward(state.leaves, images)
         o_hat = pred_iou_values(bank.grid, out.offsets, assignment)
         gate, labels = _gate_and_labels(assignment, np.asarray(ad.values_of(o_hat)), cfg)
@@ -278,24 +280,29 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
                  run_dir=None) -> list[LossReport]:
     """Drive train_iteration from state.iteration up to cfg.max_iter.
 
-    Each iteration draws its batch from the per-iteration RNG as keys
-    (index, mirrored) of the bank's scenes, each mirrored with probability
-    0.5.  The bank's variants outlive the call; a bank on anchor shapes other
-    than the state's raises ValueError.  With a `run_dir`, the run makes that
-    directory and owns the names of the files it writes there: `log.csv`,
-    a header and one row per iteration, and with `cfg.checkpoint_every` a
-    `ckpt_NNNNNN.bin` at every multiple of it.  A run from iteration 0
-    clears (`data.clear`) the directory's checkpoints of an earlier run and
-    starts `log.csv` afresh.  A resumed run removes no checkpoint; it rewrites
-    `log.csv` (atomically) to the header and the complete rows below its
-    iteration, then appends, so a resume writes the log a straight run
-    would.  The log is flushed before each checkpoint.  A non-finite loss
-    raises FloatingPointError naming the iteration, before that iteration
-    is logged or checkpointed.  The conv2d work arrays the run's passes
-    reuse live on the state's tape until the call returns.
+    Each iteration draws its batch from the per-iteration RNG as keys (index,
+    mirrored) of the bank's scenes, each mirrored with probability 0.5.  The
+    bank's variants outlive the call; a bank on anchor shapes or an image size
+    other than the state's raises ValueError before any file is touched.  With
+    a `run_dir`, the run makes that directory and owns the names of the files
+    it writes there: `log.csv`, a header and one row per iteration, and with
+    `cfg.checkpoint_every` a `ckpt_NNNNNN.bin` at every multiple of it.  A run
+    from iteration 0 clears (`data.clear`) the directory's checkpoints of an
+    earlier run and starts `log.csv` afresh.  A resumed run removes no
+    checkpoint; it rewrites `log.csv` (atomically) to the header and the
+    complete rows below its iteration, then appends, so a resume writes the
+    log a straight run would; a complete row that does not start with an
+    iteration raises ValueError naming its line first.  The log is flushed
+    before each checkpoint.  A non-finite loss raises FloatingPointError
+    naming the iteration, before that iteration is logged or checkpointed.
+    The conv2d work arrays the run's passes reuse live on the state's tape
+    until the call returns.
     """
     if not np.array_equal(bank.shapes, state.shapes):
         raise ValueError("the scene bank is on other anchor shapes than the run")
+    if bank.scenes[0].image.shape[0] != state.model.cfg.input_size:
+        raise ValueError(f"the scene bank's images are {bank.scenes[0].image.shape[0]}px, "
+                         f"but the run's network is for {state.model.cfg.input_size}px images")
     reports = []
     log = None
     if run_dir is not None:
@@ -306,8 +313,12 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
             clear(run_dir, _CHECKPOINT)
         elif os.path.exists(path):
             with open(path) as f:
-                rows = [row for row in f.readlines()[1:] if row.endswith("\n")
-                        and int(row.split(",", 1)[0]) < state.iteration]
+                for number, row in enumerate(f.readlines()[1:], 2):
+                    head = row.split(",", 1)[0]
+                    if row.endswith("\n") and not head.isdecimal():
+                        raise ValueError(f"{path}:{number}: {head!r} is no iteration number")
+                    if row.endswith("\n") and int(head) < state.iteration:
+                        rows.append(row)
         with atomic_open(path) as f:
             f.write(LossReport.CSV_HEADER + "\n")
             f.writelines(rows)

@@ -11,7 +11,8 @@ from ponodet.assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, GroundTrut
                                 _cluster, _grid_gt_iou, ams_labels, assign_ao,
                                 pred_iou_values)
 from ponodet.data import GenSpec, Scene, generate, hflip
-from ponodet.train import SceneBank, TrainConfig, _gate_and_labels, scene_cache
+from ponodet.geometry import overlap
+from ponodet.train import SceneBank, TrainConfig, _gate_and_labels
 
 from test_anchors import build_grid
 from test_autodiff import zero_leaf
@@ -37,9 +38,20 @@ def stack_records(records) -> Assignment:
 
 
 def drawn(bank, keys) -> Assignment:
-    """The bank's batch of variants `keys` (index, mirrored), filling rows
-    on first use as a training iteration does."""
-    return bank.assignment([scene_cache(bank, key) for key in keys])
+    """The assignment of the bank's batch of variants `keys` (index,
+    mirrored), filling rows on first use as a training iteration does."""
+    return bank.batch(keys)[1]
+
+
+def per_class_iou(grid, gt) -> np.ndarray:
+    """The oracle of `_grid_gt_iou`: one `overlap` call per class present,
+    of that class's cells against its objects, into a zero tensor."""
+    out = np.zeros(grid.shape[:4] + (len(gt),), dtype=np.float64)
+    for c in sorted(set(gt.class_ids.tolist())):
+        objs = np.flatnonzero(gt.class_ids == c)
+        cells = grid[:, :, c, :, None, :]
+        out[:, :, c][..., objs] = overlap(cells[..., :2], cells[..., 2:], gt.boxes[objs])[0]
+    return out
 
 
 def scene_maps(grid, gt) -> Assignment:
@@ -56,7 +68,7 @@ def full_maps(grid, gt) -> Assignment:
     if len(gt) == 0:
         return Assignment(np.full(shape, UNASSIGNED, dtype=np.int64),
                           np.zeros(shape), np.zeros(shape), np.ones(shape + (4,)))
-    overlaps = _grid_gt_iou(grid, gt)
+    overlaps = per_class_iou(grid, gt)
     gt_index = _cluster(overlaps, len(gt))
     unassigned = gt_index == UNASSIGNED
     safe = np.maximum(gt_index, 0)
@@ -258,11 +270,10 @@ class TestCompactRecord:
     def test_index_type_holds_every_object(self, n):
         (scene,), shapes = exact_cell_scenes([n])
         record = assign_ao(anchor_grid(shapes, 160), scene.gt)
-        assert record.gt_index.dtype == (np.int8 if n < 128 else np.int16)
         assert len(record.cluster_max) == len(record.boxes) == n + 1
         np.testing.assert_array_equal(record.gt_index.reshape(-1)[:n], np.arange(n))
         bank = SceneBank([scene], shapes)
-        assert bank.gt_index.dtype == record.gt_index.dtype
+        assert bank.gt_index.dtype == (np.int8 if n < 128 else np.int16)
         flat = drawn(bank, [(0, False)]).gt_index.reshape(-1)
         np.testing.assert_array_equal(flat[:n], np.arange(n))
         assert np.all(flat[n:] == UNASSIGNED) and UNASSIGNED == -1
@@ -351,6 +362,13 @@ def special_grid_scenes():
     return grid, gts
 
 
+def assert_same_iou(grid, gt) -> None:
+    """`_grid_gt_iou` has the per-class oracle's dtype and bytes."""
+    got, want = _grid_gt_iou(grid, gt), per_class_iou(grid, gt)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestOneIoU:
     """The anchor x object tensor and the predicted-box overlap give the
     component oracle's bits."""
@@ -364,6 +382,25 @@ class TestOneIoU:
             got = _grid_gt_iou(grid, gt)
             np.testing.assert_array_equal(got, want)
         assert got.shape == (3, 3, 2, 2, 0)
+
+    @pytest.mark.parametrize("name,variants", [("crowded", 800), ("imbalanced", 400)])
+    def test_one_call_gives_the_per_class_bits_on_a_pinned_bank(self, name, variants):
+        bank = getattr(B, f"{name}_benchmark")().setup.bank
+        gts = [g for scene in bank.scenes for g in (scene.gt, hflip(scene).gt)]
+        assert len(gts) == variants
+        for gt in gts:
+            assert_same_iou(bank.grid, gt)
+
+    def test_one_call_gives_the_per_class_bits_on_edge_scenes(self):
+        # objects at the IoU's kinks, none, and one class of two, then 127,
+        # 128 and 300 objects on a one-class grid
+        grid, gts = special_grid_scenes()
+        boxes = [(4, 4, 8, 8), (12, 12, 8, 8)]
+        for gt in [*gts, *(GroundTruth(boxes=boxes, class_ids=[c, c]) for c in (0, 1))]:
+            assert_same_iou(grid, gt)
+        scenes, shapes = exact_cell_scenes([127, 128, 300])
+        for scene in scenes:
+            assert_same_iou(anchor_grid(shapes, 160), scene.gt)
 
     def test_pred_iou_forward_matches_oracle(self):
         grid, gts = special_grid_scenes()

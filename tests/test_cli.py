@@ -274,6 +274,36 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"{ds}: scene {first} has class id 1" in err
 
+    def test_ablate_class_outside_anchor_file_leaves_out_as_it_was(self, workspace, tmp_path,
+                                                                   capsys):
+        anchors = tmp_path / "one_class.txt"
+        anchors.write_text("0 8.0 8.0\n0 12.0 12.0\n")
+        ds = workspace / "ds"
+        first = next(i for i, s in enumerate(load_dataset(ds)) if 1 in s.gt.class_ids)
+        out = tmp_path / "ab"
+        (out / "ams_learned_ce").mkdir(parents=True)
+        for name in ("summary.csv", "anchors.txt", "ams_learned_ce/final.bin"):
+            (out / name).write_text(f"an earlier run's {name}\n")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg = tmp_path / "ablate.txt"
+        cfg.write_text(TRAINCFG + f"dataset = {ds}\ncells = AMS:learned:CE\nanchors = {anchors}\n")
+        assert run(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{ds}: scene {first} has class id 1, but the anchors cover classes 0..0\n" \
+            in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_assign_dump_checks_every_scenes_class_ids(self, workspace, tmp_path, capsys):
+        anchors = tmp_path / "one_class.txt"
+        anchors.write_text("0 8.0 8.0\n0 12.0 12.0\n")
+        ds = workspace / "ds"
+        scenes = load_dataset(ds)
+        first = next(i for i, s in enumerate(scenes) if 1 in s.gt.class_ids)
+        only_0 = next(i for i, s in enumerate(scenes) if 1 not in s.gt.class_ids)
+        assert run(["assign-dump", "--dataset", str(ds), "--scene", str(only_0),
+                    "--anchors", str(anchors), "--out", str(tmp_path / "dump")]) == 2
+        assert f"{ds}: scene {first} has class id 1" in capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
+
     def test_assign_dump_image_without_a_cell_names_the_dataset(self, tmp_path, capsys):
         ds = tmp_path / "d"
         data_mod.save_dataset(ds, [Scene(np.zeros((4, 4, 3), np.uint8),

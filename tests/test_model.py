@@ -1,5 +1,6 @@
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ponodet import autodiff as ad
 from ponodet.assignment import GroundTruth, assign_ao, pred_iou_values
 from ponodet.loss import bce_logits, loc_loss_map, sigmoid
-from ponodet.model import (MAGIC, PredictorOutput, ToyNet, ToyNetConfig, drawn_kernels,
-                           load_arrays, net_floats, save_arrays)
+from ponodet.model import (FEAT_STRIDE, MAGIC, PredictorOutput, ToyNet, ToyNetConfig,
+                           drawn_kernels, load_arrays, net_floats, save_arrays)
 
 from test_anchors import build_grid
 from test_assignment import stack_records
@@ -23,10 +24,13 @@ def leaves_of(params: dict) -> dict:
 
 
 class TabularPredictor:
-    """Identity predictor: every output cell is an independent parameter."""
+    """Identity predictor: every output cell is an independent parameter.
+    Its `cfg.input_size`, as a ToyNet's, is the image side whose stride-8
+    cells its h_f rows are."""
 
     def __init__(self, h_f: int, w_f: int, n_classes: int, n_anchors: int):
         self.h_f, self.w_f = h_f, w_f
+        self.cfg = SimpleNamespace(input_size=FEAT_STRIDE * h_f)
         self.n_classes, self.n_anchors = n_classes, n_anchors
         self.params = {
             "logits": np.zeros((h_f, w_f, n_classes, n_anchors)),

@@ -34,6 +34,9 @@ of a call there, or a `key = value` line in a string literal there,
 f-string parts included.  A key that only tests set is a setting no run
 varies; it goes.
 
+A training variant is filled and read only through `train.SceneBank.batch`:
+no `src/ponodet` module but `train.py` reads `train.scene_cache`.
+
 Every package a `src/ponodet` module imports is the standard library,
 `ponodet` itself or one of the `[project] dependencies`; test-only
 packages belong in the `test` extra.  A module imports `ponodet` only
@@ -344,6 +347,12 @@ def test_a_config_key_counts_only_settings():
         'TEXT = """\nby_text = 3\n"""\nOK = "compared == 4"\n',
         'def text(v):\n    return f"x = {v}\\nby_f_string = 5\\n"\n')]
     assert unset_config_keys([Cfg], trees) == ["Cfg.compared", "Cfg.assigned"]
+
+
+def test_only_train_reads_the_scene_cache():
+    readers = [p.name for p in sorted(PACKAGE.glob("*.py")) if p.name != "train.py"
+               and ("train", "scene_cache") in qualified_reads(parse(p))]
+    assert not readers, "modules that read train.scene_cache: " + ", ".join(readers)
 
 
 def test_src_imports_only_declared_dependencies():

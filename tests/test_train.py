@@ -527,6 +527,15 @@ class TestSceneBank:
         with pytest.raises(ValueError, match="at least one scene"):
             SceneBank([], np.full((1, 2, 2), 8.0))
 
+    def test_class_outside_the_shapes_refused_at_build(self):
+        # a two-class dataset on one-class anchors
+        from ponodet import benchmarks
+        scenes = generate(benchmarks.crowded_benchmark().gen, 6)
+        first = next(i for i, s in enumerate(scenes) if 1 in s.gt.class_ids)
+        with pytest.raises(ValueError, match=re.escape(
+                f"scene {first} has class id 1, but the anchors cover classes 0..0")):
+            SceneBank(scenes, np.full((1, 2, 2), 9.0))
+
     def test_scenes_of_another_image_shape_refused(self):
         # a bank tiles one grid, so every scene must share scene 0's image
         scenes = [one_object_scene(32), one_object_scene(32), one_object_scene(40)]
@@ -685,6 +694,33 @@ class TestDeterminismAndResume:
         for it, lines in on_disk:
             assert lines[:1] == [LossReport.CSV_HEADER]
             assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(it))
+
+    def test_bank_of_another_image_size_refused_before_any_file_is_touched(self, tmp_path):
+        # an earlier run's checkpoints and log stay as they were
+        scenes, cfg, state = self.make_setup(tmp_path, max_iter=2)
+        cfg = replace(cfg, checkpoint_every=1)
+        run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["ckpt_000001.bin", "ckpt_000002.bin", "log.csv"]
+        fresh = RunState.fresh(state.model.cfg, state.shapes, cfg.seed)
+        with pytest.raises(ValueError, match=re.escape(
+                "the scene bank's images are 48px, but the run's network is for 32px")):
+            run_training(fresh, SceneBank([one_object_scene(48)], state.shapes), cfg,
+                         run_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_resume_refuses_a_log_row_without_an_iteration(self, tmp_path):
+        scenes, cfg, state = self.make_setup(tmp_path, max_iter=4)
+        cfg = replace(cfg, checkpoint_every=2)
+        run_training(state, SceneBank(scenes, state.shapes), cfg, run_dir=tmp_path)
+        log = tmp_path / "log.csv"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[2] = "x0" + lines[2][1:]
+        log.write_text("".join(lines))
+        resumed = load_run(tmp_path / "ckpt_000002.bin")
+        with pytest.raises(ValueError, match=re.escape(f"{log}:3: 'x0' is no iteration number")):
+            run_training(resumed, SceneBank(scenes, resumed.shapes), cfg, run_dir=tmp_path)
+        assert log.read_text() == "".join(lines) and resumed.iteration == 2
 
     def test_log_rows_deterministic(self, tmp_path):
         scenes, cfg, state = self.make_setup(tmp_path, max_iter=5)
