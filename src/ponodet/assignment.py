@@ -7,10 +7,10 @@ cluster by its own best overlap (PONO).  That guarantees every object at
 least one anchor with a normalized overlap of exactly 1 regardless of how
 coarse the anchor set is.  The returned `SceneAssignment` holds the int64
 object index and raw overlap per cell and per-object tables.
-`train.SceneBank` keeps each drawn record in a row of its per-field arrays,
-in an index type it picks, and `SceneBank.batch` builds a batch's
-`Assignment`, the layout `pred_iou_values` and the label rules read: it is
-the one place the normalized overlap and assigned box per cell are derived.
+`train.SceneBank` keeps a drawn record's index map, in a type it picks, and
+its tables, and `SceneBank.batch` builds a batch's `Assignment`, the layout
+`pred_iou_values` and the label rules read: it is the one place the raw and
+normalized overlaps and assigned box per cell are derived from a record.
 Labels come from thresholding the normalized map (PONO), thresholding raw
 overlap (AO), or the ambiguity-managed product with the predicted-box
 overlap map (AMS).  The abstract's "soft" assignment is that

@@ -14,10 +14,12 @@ arrays, untracked, when no input is a Tensor.  ``backward`` adds into a
 leaf's gradient buffer in place, so a training run builds each leaf once,
 with its view of the run's gradient vector as that buffer.
 
-A run's tape keeps ``conv2d``'s per-call work arrays for its life, keyed
-by the call's geometry (input shape, kernel shape, stride), which fixes
-the entries a call writes: the zeros it never writes stay valid from pass
-to pass.  Untaped calls allocate.  One thread per tape.
+A run's tape keeps ``conv2d``'s work arrays for its life: padded inputs
+and spread gradients keyed by the call's geometry (input shape, kernel
+shape, stride), which fixes the entries a call writes, so the zeros it
+never writes stay valid from pass to pass; and one flat buffer that every
+input vjp's patch matrix, written whole, reuses.  Untaped calls allocate.
+One thread per tape.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class Tape:
         # (output, pre, pulls): `pre` maps the output's adjoint once before
         # every (input, vjp) pull reads it, or is None
         self.records: list[tuple[Tensor, object, tuple]] = []
-        # (role, input shape, kernel shape, stride) -> ndarray, never a Tensor
+        # (role, input shape, kernel shape, stride) or ("cols",) -> ndarray
         self.work: dict[tuple, np.ndarray] = {}
 
 
@@ -206,7 +208,8 @@ def conv2d(x, w, b, stride: int, leak: float | None):
     swapped.  The activation slope (1 or `leak`) multiplies the output
     gradient once per backward pass, before the input, kernel and bias
     pulls read it.  A taped call's padded input, spread map and that map's
-    patch matrix are its tape's work arrays; the kernel vjp's is its own.
+    patch matrix (the front of the tape's flat ("cols",) buffer, grown to
+    the largest) are its tape's work arrays; the kernel vjp's is its own.
     """
     xv, wv = values_of(x), values_of(w)
     if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2] \
@@ -244,7 +247,11 @@ def conv2d(x, w, b, stride: int, leak: float | None):
         spread = _work(work, ("spread", *key), (n, h + k - 1, wd + k - 1, cout))
         spread[:, off:off + stride * ho:stride, off:off + stride * wo:stride] = g
         flipped = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-        patches = None if k == 1 else _work(work, ("cols", *key), (n * h * wd, k * k * cout))
+        patches, size = None, n * h * wd * k * k * cout
+        if k > 1:
+            if len(work.get(("cols",), ())) < size:
+                work["cols",] = np.empty(size)
+            patches = work["cols",][:size].reshape(n * h * wd, k * k * cout)
         return (_im2col(spread, k, 1, patches)[0] @ flipped).reshape(xv.shape)
 
     def vjp_w(g):

@@ -1,9 +1,9 @@
 """Detection extraction and average-precision scoring.
 
-AP uses the all-points (continuous) interpolation: detections are sorted
-by descending score, greedily matched to the highest-overlap unmatched
-same-class object of their scene, and the precision envelope is
-integrated over recall.
+AP uses the all-points (continuous) interpolation: each scene's detections
+are greedily matched to the highest-overlap unmatched same-class object,
+then all are ranked by descending score in one stable sort of arrays, and
+the precision envelope is integrated over recall.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ def _ranked_matches(dets_per_scene: list[Detections], gts: list[GroundTruth]):
     """
     if len(dets_per_scene) != len(gts):
         raise ValueError(f"{len(dets_per_scene)} detection lists for {len(gts)} scenes")
-    ranked = []  # (-score, scene, list index, class id, hit) per detection
-    for s, (dets, gt) in enumerate(zip(dets_per_scene, gts)):
+    starts = np.cumsum([0, *map(len, dets_per_scene)])
+    hits = np.zeros(starts[-1], dtype=bool)
+    for dets, gt, start in zip(dets_per_scene, gts, starts):
         overlaps = np.where(dets.class_ids[:, None] == gt.class_ids,
                             pairwise_iou(dets.boxes, gt.boxes), 0.0)
         order = np.argsort(-dets.scores, kind="stable")
-        hits, matched = [False] * len(dets), set()
+        matched = set()
         for k, row in zip(order.tolist(), overlaps[order].tolist()):
             best, best_j = 0.0, -1
             for j, v in enumerate(row):
@@ -57,12 +58,12 @@ def _ranked_matches(dets_per_scene: list[Detections], gts: list[GroundTruth]):
                     best, best_j = v, j
             if best_j >= 0 and best >= IOU_MATCH:
                 matched.add(best_j)
-                hits[k] = True
-        ranked += zip((-dets.scores).tolist(), [s] * len(dets), range(len(dets)),
-                      dets.class_ids.tolist(), hits)
-    ranked.sort()
-    return (np.array([r[3] for r in ranked], dtype=np.int64),
-            np.array([r[4] for r in ranked], dtype=bool))
+                hits[start + k] = True
+    # the detections run by scene, then list order, which a stable sort keeps
+    scores = np.concatenate([np.zeros(0), *(d.scores for d in dets_per_scene)])
+    classes = np.concatenate([np.zeros(0, np.int64), *(d.class_ids for d in dets_per_scene)])
+    rank = np.argsort(-scores, kind="stable")
+    return classes[rank], hits[rank]
 
 
 def _area(tp: np.ndarray, n_gt: int) -> float:

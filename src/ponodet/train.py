@@ -40,8 +40,10 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as loss_mod
 from .anchors import anchor_grid
-from .assignment import AO_THRESHOLD, Assignment, ams_labels, assign_ao, pred_iou_values
+from .assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, ams_labels, assign_ao,
+                         pred_iou_values)
 from .data import Scene, atomic_open, clear, hflip, pixels
+from .geometry import overlap
 from .loss import LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 
@@ -151,14 +153,15 @@ class SceneBank:
     The bank tiles the anchor `shapes` into its `grid` at its scenes' image
     size, which every scene must share, and refuses a class id the shapes do
     not cover.  Variant `(index, mirrored)` is row `2 * index + mirrored` of
-    each per-field array: `gt_index` [2N, h, w, nc, na] in the least signed
-    type that holds -1 - the bank's largest object count, `ao` float64, and
-    the per-object tables `cluster_max` and `boxes`, one dummy row and then a
-    row per object for each variant, not padded; `first` is the table row of
-    each variant's object 0.  A variant's assignment never changes:
-    `scene_cache` fills its row on first use and the bank keeps it, so runs
-    that share a bank (the cells of one ablation) flip and assign each variant
-    once.  Below 128 objects a row is 9 bytes per anchor cell."""
+    `gt_index` [2N, h, w, nc, na], in the least signed type that holds
+    -1 - the bank's largest object count, and owns a run of the per-object
+    tables `cluster_max` and `boxes`: one dummy row, then a row per object,
+    not padded; `first` is the table row of each variant's object 0.  A
+    variant's assignment never changes: `scene_cache` fills its row on first
+    use and the bank keeps it, so runs that share a bank (the cells of one
+    ablation) flip and assign each variant once.  Below 128 objects a row is
+    one byte per anchor cell: `batch` recomputes each cell's raw overlap
+    with its object instead of keeping it."""
 
     def __init__(self, scenes: list[Scene], shapes: np.ndarray):
         if not scenes:
@@ -175,22 +178,24 @@ class SceneBank:
         counts = np.repeat([len(scene.gt) for scene in scenes], 2)
         rows, ends = (len(counts), *self.grid.shape[:4]), np.cumsum(counts + 1)
         self.gt_index = np.zeros(rows, np.min_scalar_type(-1 - counts.max()))
-        self.ao, self.filled = np.zeros(rows), np.zeros(len(counts), bool)
+        self.filled = np.zeros(len(counts), bool)
         self.first = ends - counts
         self.cluster_max, self.boxes = np.ones(ends[-1]), np.ones((ends[-1], 4))
 
     def batch(self, keys: list[tuple[int, bool]]) -> tuple[np.ndarray, Assignment]:
         """The variants `keys` (index, mirrored) on a leading scene axis, in list
         order: their `pixels` images and `Assignment`.  Each cell takes its
-        object's table row, an unassigned cell its variant's dummy row."""
+        object's table row, an unassigned cell its variant's dummy row, and
+        its raw overlap is `assign_ao`'s: one `overlap` of the same operands."""
         rows = [scene_cache(self, key) for key in keys]
         images = pixels(np.stack([self.scenes[i].image[:, ::-1] if mirrored
                                   else self.scenes[i].image for i, mirrored in keys]))
         gt_index = self.gt_index[rows].astype(np.int64)
-        ao = self.ao[rows]
         at = gt_index + self.first[rows].reshape(-1, 1, 1, 1, 1)
-        return images, Assignment(gt_index, ao, ao / self.cluster_max.take(at),
-                                  self.boxes.take(at, axis=0))
+        gt_box = self.boxes.take(at, axis=0)
+        ao = np.where(gt_index == UNASSIGNED, 0.0,
+                      overlap(self.grid[..., :2], self.grid[..., 2:], gt_box)[0])
+        return images, Assignment(gt_index, ao, ao / self.cluster_max.take(at), gt_box)
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:
@@ -216,7 +221,7 @@ def scene_cache(bank: SceneBank, key: tuple[int, bool]) -> int:
         scene = bank.scenes[index]
         a = assign_ao(bank.grid, (hflip(scene) if mirrored else scene).gt)
         tables = slice(bank.first[row] - 1, bank.first[row] + len(a.boxes) - 1)
-        bank.gt_index[row], bank.ao[row], bank.filled[row] = a.gt_index, a.ao, True
+        bank.gt_index[row], bank.filled[row] = a.gt_index, True
         bank.cluster_max[tables], bank.boxes[tables] = a.cluster_max, a.boxes
     return row
 
@@ -373,9 +378,10 @@ def load_run(path) -> RunState:
     One whose `meta.model_kind` is not 1.0, that lacks an entry the run needs,
     holds an entry the run does not know or of another shape than its `meta.*`
     entries imply, a `meta.*` entry that is not one finite whole number, a size
-    below 1 or an anchor side that is not finite and positive, raises ValueError
-    naming the path and the entry.  Every trained array's `mom.*` buffer is
-    required too, since a resume would restart a missing one at zero."""
+    below 1, an anchor side that is not finite and positive, or a trained or
+    momentum value that is not finite, raises ValueError naming the path and
+    the entry.  Every trained array's `mom.*` buffer is required too, since a
+    resume would restart a missing one at zero."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -439,7 +445,8 @@ def load_run(path) -> RunState:
     for key in [key for key in arrays if not key.startswith("meta.")]:
         if key not in shapes:
             raise ValueError(f"{path}: checkpoint has an unknown entry {key!r}")
-        checked(key, shapes[key])
+        if not np.all(np.isfinite(checked(key, shapes[key]))):
+            raise ValueError(f"{path}: entry {key!r} holds a value that is not finite")
     # construction copies every array into the state's flat vectors
     return RunState(model=model, shapes=sides,
                     bw={name: entry(name) for name in bw},

@@ -242,8 +242,9 @@ class TestPono:
 
 class TestCompactRecord:
     """A scene's record keeps the index and raw overlap maps and per-object
-    tables, and the bank keeps each drawn record as a row of its per-field
-    arrays; its stacked batches have the oracle's bits."""
+    tables; the bank keeps each drawn record's index map as a row and its
+    tables, and recomputes the raw overlap per batch.  Its stacked batches
+    have the oracle's bits."""
 
     @pytest.mark.parametrize("name", ["crowded", "imbalanced"])
     def test_stack_gives_the_oracle_bits(self, name):
@@ -265,6 +266,22 @@ class TestCompactRecord:
                     bank, [(int(i), bool(f)) for i, f in zip(idx, flips)])
                 assert got.gt_box.shape == (size, *bank.grid.shape)
         assert mirrored > 0
+
+    @pytest.mark.parametrize("name,variants", [("crowded", 800), ("imbalanced", 400)])
+    def test_every_variant_of_a_pinned_bank_gives_the_record_bits(self, name, variants):
+        # the bank keeps an index map per variant and no float map, so each
+        # batch recomputes the raw overlap; it must give the record's bits
+        bank = getattr(B, f"{name}_benchmark")().setup.bank
+        keys = [(i, mirrored) for i in range(len(bank.scenes)) for mirrored in (False, True)]
+        assert len(keys) == variants
+        for i, mirrored in keys:
+            scene = bank.scenes[i]
+            gt = (hflip(scene) if mirrored else scene).gt
+            assert_same_bits(drawn(bank, [(i, mirrored)]),
+                             stack_records([assign_ao(bank.grid, gt)]))
+        per_cell = [a for a in vars(bank).values()
+                    if isinstance(a, np.ndarray) and a.shape[1:] == bank.grid.shape[:4]]
+        assert [a.dtype for a in per_cell] == [np.int8]
 
     @pytest.mark.parametrize("n", [127, 128, 300])
     def test_index_type_holds_every_object(self, n):

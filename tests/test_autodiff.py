@@ -558,9 +558,9 @@ class TestConvLeak:
 
 
 class TestConvWork:
-    """A taped conv's padded input, spread output gradient and that map's
-    patch matrix are its tape's work arrays, keyed by the call's input
-    shape, kernel shape and stride."""
+    """A taped conv's padded input and spread output gradient are its tape's
+    work arrays, keyed by the call's input shape, kernel shape and stride;
+    that map's patch matrix is the front of the tape's one flat buffer."""
 
     # pairs whose padded inputs or spread maps have one buffer shape but
     # write other entries: k=3 on 10x10 and k=5 on 8x8 both pad to 12x12;

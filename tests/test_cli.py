@@ -491,6 +491,22 @@ class TestBadInput:
                     str(workspace / "ds"), "--out", str(tmp_path / "ev")]) == 2
         assert f"{path}: entry 'model.stem0.w' has shape (3, 3, 3, 5)" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        # a NaN network once scored mAP 0.0 and an infinite weight plotted
+        # as lambda 0.0, both with exit 0 and normal reports
+        arrays = load_arrays(workspace / "run" / "final.bin")
+        nan_model = {k: np.full_like(v, np.nan) if k.startswith("model.") and k.endswith(".w")
+                     else v for k, v in arrays.items()}
+        for name, entries, argv in [
+                ("nan.bin", nan_model, ["eval", "--dataset", str(workspace / "ds")]),
+                ("inf.bin", {**arrays, "bw.s_cls": np.full_like(arrays["bw.s_cls"], np.inf)},
+                 ["plot-weights"])]:
+            path, out = tmp_path / name, tmp_path / name.replace(".bin", "_out")
+            save_arrays(path, entries)
+            assert run([*argv, "--checkpoint", str(path), "--out", str(out)]) == 2
+            assert f"{path}: entry '" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_eval_checkpoint_sizes_checked_before_building(self, workspace, tmp_path):
         # each meta entry once sized an array past 1 GB before any entry of
         # the file was checked; the child caps its own address space and time

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ponodet.evaluation import extract_detections, map_eval
-from ponodet.geometry import Detections, GroundTruth
+from ponodet.evaluation import IOU_MATCH, _ranked_matches, extract_detections, map_eval
+from ponodet.geometry import Detections, GroundTruth, pairwise_iou
 from ponodet.loss import sigmoid
 
 from test_anchors import build_grid
@@ -85,6 +85,30 @@ def brute_force_ap(dets_per_scene, gts, class_id, iou_match=0.5):
     return ap
 
 
+def ranked_matches_oracle(dets_per_scene, gts):
+    """The former `_ranked_matches`: a (-score, scene, list index, class id,
+    hit) tuple per detection, sorted."""
+    ranked = []
+    for s, (dets, gt) in enumerate(zip(dets_per_scene, gts)):
+        overlaps = np.where(dets.class_ids[:, None] == gt.class_ids,
+                            pairwise_iou(dets.boxes, gt.boxes), 0.0)
+        order = np.argsort(-dets.scores, kind="stable")
+        hits, matched = [False] * len(dets), set()
+        for k, row in zip(order.tolist(), overlaps[order].tolist()):
+            best, best_j = 0.0, -1
+            for j, v in enumerate(row):
+                if v > best and j not in matched:
+                    best, best_j = v, j
+            if best_j >= 0 and best >= IOU_MATCH:
+                matched.add(best_j)
+                hits[k] = True
+        ranked += zip((-dets.scores).tolist(), [s] * len(dets), range(len(dets)),
+                      dets.class_ids.tolist(), hits)
+    ranked.sort()
+    return (np.array([r[3] for r in ranked], dtype=np.int64),
+            np.array([r[4] for r in ranked], dtype=bool))
+
+
 def det(cx, cy, w, h, cls, score):
     return (cx, cy, w, h, cls, score)
 
@@ -153,6 +177,61 @@ class TestAveragePrecision:
             got = average_precision(dets, gts, 0)
             want = brute_force_ap(dets, gts, 0)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestRankedMatches:
+    """The ranking on arrays gives the tuple sort's dtypes and bytes."""
+
+    @staticmethod
+    def assert_matches_oracle(dets, gts):
+        got, want = _ranked_matches(dets, gts), ranked_matches_oracle(dets, gts)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return got
+
+    def test_random_instances_with_ties(self):
+        # scores from a few levels tie within and across scenes, 0.0 among
+        # them; some scenes have no detections and some no objects
+        rng = np.random.default_rng(44)
+        seen = {"empty_dets": 0, "empty_gt": 0, "zero": 0}
+        for _ in range(200):
+            gts, dets = [], []
+            for _ in range(rng.integers(0, 5)):
+                n_obj, n_det = rng.integers(0, 5), rng.integers(0, 7)
+                gts.append(GroundTruth(
+                    [(*rng.uniform(10, 40, 2), *rng.uniform(5, 15, 2)) for _ in range(n_obj)],
+                    rng.integers(0, 2, n_obj)))
+                near = [gts[-1].boxes[rng.integers(n_obj)] + rng.normal(0, 1.5, 4)
+                        if n_obj and rng.random() < 0.7 else rng.uniform(10, 40, 4)
+                        for _ in range(n_det)]
+                dets.append(dets_of(*[det(cx, cy, abs(w) + 1, abs(h) + 1,
+                                          rng.integers(0, 2),
+                                          rng.choice([0.0, 0.25, 0.5, 1.0]))
+                                      for cx, cy, w, h in near]))
+                seen["empty_dets"] += n_det == 0
+                seen["empty_gt"] += n_obj == 0
+                seen["zero"] += int(np.sum(dets[-1].scores == 0.0))
+            self.assert_matches_oracle(dets, gts)
+        assert min(seen.values()) > 0
+
+    def test_zero_scores_kept_at_score_min_zero(self):
+        # logits this low give a score of exactly 0.0, which score_min 0 keeps
+        grid = build_grid(np.asarray([[[8.0, 8.0]]]), 4, 4, 8)
+        rng = np.random.default_rng(45)
+        gts, dets = [], []
+        for _ in range(3):
+            logits = np.where(rng.random((4, 4, 1, 1)) < 0.5, -1000.0, 0.0)
+            dets.append(extract_detections(logits, rng.normal(0, 0.1, (4, 4, 1, 1, 4)),
+                                           grid, 0.0, 1.0))
+            gts.append(GroundTruth(grid[rng.integers(4), rng.integers(4)].reshape(-1, 4),
+                                   [0]))
+        assert sum(int(np.sum(d.scores == 0.0)) for d in dets) > 0
+        classes, hits = self.assert_matches_oracle(dets, gts)
+        assert len(classes) == 48 and hits.any()
+
+    def test_no_scenes(self):
+        classes, hits = self.assert_matches_oracle([], [])
+        assert classes.shape == hits.shape == (0,)
 
 
 class TestMapEval:

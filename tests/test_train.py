@@ -424,7 +424,9 @@ class TestSceneCache:
         rows = stack_records([assign_ao(bank.grid, scene.gt),
                               assign_ao(bank.grid, hflip(scene).gt)])
         np.testing.assert_array_equal(bank.gt_index[:2], rows.gt_index)
-        np.testing.assert_array_equal(bank.ao[:2], rows.ao)
+        got = bank.batch([(0, False), (0, True)])[1]
+        for name in ("gt_index", "ao", "pono", "gt_box"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(rows, name))
 
 
 def first_draws(cfg: TrainConfig, n_scenes: int) -> list:
@@ -491,11 +493,11 @@ class TestSceneBank:
         assert again == row and len(calls) == 1
         assert filled_keys(bank) == {(2, True)}
 
-    def test_the_bank_holds_nine_bytes_per_cell_and_row(self):
-        # below 128 objects the bank keeps an int8 index and a float64 raw
-        # overlap per anchor cell of each of its 2N rows, and per-object
-        # tables of one dummy row and a row per object per variant; drawing
-        # variants fills these arrays and makes no other
+    def test_the_bank_holds_one_byte_per_cell_and_row(self):
+        # below 128 objects the bank keeps an int8 index per anchor cell of
+        # each of its 2N rows and no float map, and per-object tables of one
+        # dummy row and a row per object per variant; drawing variants fills
+        # these arrays and makes no other
         from ponodet import benchmarks
         spec = benchmarks.crowded_benchmark().gen
         scenes = generate(spec, 4)
@@ -511,7 +513,8 @@ class TestSceneBank:
         held = arrays()
         cells, rows = math.prod(bank.grid.shape[:4]), 2 * len(scenes)
         per_cell = [a for a in held.values() if a.shape == (rows, *bank.grid.shape[:4])]
-        assert sum(a.nbytes for a in per_cell) <= 9 * cells * rows
+        assert [a.dtype for a in per_cell] == [np.int8]
+        assert per_cell[0].nbytes == cells * rows
         objects = sum(1 + len(scene.gt) for scene in scenes)
         assert sorted(len(a) for a in held.values() if a.ndim < 5 and len(a) != rows) \
             == [2 * objects] * 2
@@ -865,6 +868,27 @@ class TestRunWork:
         assert all(later == ids[0] for later in ids[1:])
         assert state.tape.work == {}
 
+    @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
+    def test_one_patch_buffer_sized_to_the_largest_patch_matrix(self, monkeypatch, bench):
+        # every input vjp's patch matrix [n*h*w, k*k*cout] is a prefix of
+        # one flat buffer, so the tape holds the largest, not their sum
+        scenes, state, cfg = bench_run(bench)
+        sizes = []
+        conv2d = ad.conv2d
+
+        def watch(x, w, b, stride, leak):
+            (n, h, wd, _), (k, _, _, cout) = x.shape, w.shape
+            if k > 1 and isinstance(x, ad.Tensor):
+                sizes.append(n * h * wd * k * k * cout)
+            return conv2d(x, w, b, stride, leak)
+
+        monkeypatch.setattr(ad, "conv2d", watch)
+        train_iteration(state, plain(len(scenes)), cfg, SceneBank(scenes, state.shapes))
+        assert len(set(sizes)) > 1
+        cols = {key: a for key, a in state.tape.work.items() if key[0] == "cols"}
+        assert list(cols) == [("cols",)]
+        assert cols["cols",].shape == (max(sizes),)
+
     def test_raising_run_drops_its_work_arrays(self):
         scenes, state, cfg = bench_run("crowded")
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
@@ -1019,6 +1043,25 @@ class TestLoadRun:
         save_arrays(path, arrays)
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: entry 'anchors.shapes' holds a side")):
+            load_run(path)
+
+    @pytest.mark.parametrize("key,value", [("model.stem0.w", np.nan),
+                                           ("model.cls_out.b", -np.inf),
+                                           ("bw.s_cls", np.inf),
+                                           ("bw.s_loc_grid", np.nan),
+                                           ("mom.stem1.w", np.inf),
+                                           ("mom.bw.s_cls_grid", np.nan)])
+    def test_non_finite_value_named(self, tmp_path, key, value):
+        # a NaN kernel would score mAP 0 and an infinite weight would plot
+        # as 0, each from a checkpoint that loaded
+        _, _, state = TestDeterminismAndResume().make_setup(tmp_path, max_iter=1)
+        save_run(tmp_path / "full.bin", state)
+        arrays = load_arrays(tmp_path / "full.bin")
+        arrays[key].reshape(-1)[-1] = value
+        path = tmp_path / "bad.bin"
+        save_arrays(path, arrays)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: entry {key!r} holds a value that is not finite")):
             load_run(path)
 
     def test_tabular_checkpoint_rejected(self, tmp_path):
