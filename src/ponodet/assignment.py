@@ -1,12 +1,13 @@
 """Anchor-to-object assignment: one record per scene and anchor grid.
 
 `assign_ao` builds the [h, w, nc, na, n_gt] IoU tensor between anchor cells
-and objects once, in one `geometry.overlap` call masked by class, clusters
-every cell to the same-class object it overlaps most, and normalizes each
-cluster by its own best overlap (PONO).  That guarantees every object at
-least one anchor with a normalized overlap of exactly 1 regardless of how
-coarse the anchor set is.  The returned `SceneAssignment` holds the int64
-object index and raw overlap per cell and per-object tables.
+and objects once, in one `geometry.overlap` call of every object against
+its own class's cells, clusters every cell to the same-class object it
+overlaps most, and normalizes each cluster by its own best overlap (PONO).
+That guarantees every object at least one anchor with a normalized overlap
+of exactly 1 regardless of how coarse the anchor set is.  The returned
+`SceneAssignment` holds the int64 object index and raw overlap per cell
+and per-object tables.
 `train.SceneBank` keeps a drawn record's index map, in a type it picks, and
 its tables, and `SceneBank.batch` builds a batch's `Assignment`, the layout
 `pred_iou_values` and the label rules read: it is the one place the raw and
@@ -59,12 +60,15 @@ class Assignment:
 
 def _grid_gt_iou(grid: np.ndarray, gt: GroundTruth) -> np.ndarray:
     """IoU between every anchor cell of `grid` [h, w, nc, na, 4] and every
-    object, [h, w, nc, na, n_gt]; objects of a different class score 0, so
-    a class id of nc or more would score 0 everywhere: `train.SceneBank`
-    refuses one."""
-    same = gt.class_ids == np.arange(grid.shape[2])[:, None, None]
-    iou = overlap(grid[..., None, :2], grid[..., None, 2:], gt.boxes)[0]
-    return np.where(same, iou, 0.0)
+    object, [h, w, nc, na, n_gt]; objects of a different class score 0.
+    Each object is scored on its own class's cells only, in one `overlap`
+    call, so a class id of nc or more raises IndexError: `train.SceneBank`
+    refuses one first."""
+    own = grid[:, :, gt.class_ids]  # [h, w, n_gt, na, 4]
+    iou = overlap(own[..., :2], own[..., 2:], gt.boxes[:, None])[0]
+    out = np.zeros((*grid.shape[:4], len(gt)))
+    out[:, :, gt.class_ids, :, np.arange(len(gt))] = iou.transpose(2, 0, 1, 3)
+    return out
 
 
 def _cluster(overlaps: np.ndarray, n_gt: int) -> np.ndarray:

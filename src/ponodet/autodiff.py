@@ -18,8 +18,9 @@ A run's tape keeps ``conv2d``'s work arrays for its life: padded inputs
 and spread gradients keyed by the call's geometry (input shape, kernel
 shape, stride), which fixes the entries a call writes, so the zeros it
 never writes stay valid from pass to pass; and one flat buffer that every
-input vjp's patch matrix, written whole, reuses.  Untaped calls allocate.
-One thread per tape.
+patch matrix of a pass, forward or backward, is written whole into, one
+at a time: no record holds a patch matrix.  Untaped calls allocate.  One
+thread per tape.
 """
 
 from __future__ import annotations
@@ -170,12 +171,13 @@ def concat(parts):
 # linear algebra / spatial ops
 # ---------------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, k: int, stride: int, out: np.ndarray | None = None):
+def _im2col(xp: np.ndarray, k: int, stride: int, work: dict):
     """The [n*ho*wo, k*k*cin] patch matrix of an already padded image
-    stack, copied into `out` (a new array if None), and (ho, wo).  Each row
-    reads one k x k window in (row, column, cin) order, the order the
-    flattened kernel is laid out in; the rows run over the images, then
-    the output rows and columns.  A 1 x 1 stride-1 kernel reads the stack
+    stack, and (ho, wo).  Each row reads one k x k window in (row, column,
+    cin) order, the order the flattened kernel is laid out in; the rows run
+    over the images, then the output rows and columns.  The matrix is
+    written to the front of `work`'s flat ("cols",) buffer, which grows to
+    the largest size asked of it.  A 1 x 1 stride-1 kernel reads the stack
     itself, reshaped."""
     n, hp, wp, cin = xp.shape
     if k == stride == 1:
@@ -187,10 +189,11 @@ def _im2col(xp: np.ndarray, k: int, stride: int, out: np.ndarray | None = None):
     # several times the cost, which shows on maps this small
     win = np.ndarray((n, ho, wo, k, k, cin), np.float64, xp, 0,
                      (sn, s0 * stride, s1 * stride, s0, s1, s2))
-    if out is None:
-        return np.ascontiguousarray(win).reshape(n * ho * wo, k * k * cin), ho, wo
-    np.copyto(out.reshape(win.shape), win)
-    return out, ho, wo
+    if len(work.get(("cols",), ())) < win.size:
+        work["cols",] = np.empty(win.size)
+    cols = work["cols",][:win.size]
+    np.copyto(cols.reshape(win.shape), win)
+    return cols.reshape(n * ho * wo, k * k * cin), ho, wo
 
 
 def conv2d(x, w, b, stride: int, leak: float | None):
@@ -198,18 +201,22 @@ def conv2d(x, w, b, stride: int, leak: float | None):
     a square kernel [k, k, Cin, Cout] plus bias [Cout], zero padding
     (k - 1) // 2 on every side, stride 1 or 2.  With a `leak` that is not
     None (0 < leak < 1), the biased output z goes through the leaky ReLU
-    max(z, leak * z) in the same op and record (slope 1 at z = 0).
+    max(z, leak * z) in the same op and record (slope 1 at z = 0), as z
+    times its slope, 1 or `leak`.
 
     Lowered to one GEMM of the patch matrix (im2col) of all N images
     against the kernel flattened to [k*k*cin, cout]; the kernel vjp is one
     GEMM that also sums over the images, and the input vjp one GEMM too:
     the patch matrix of the output gradient, spread `stride` apart in a
     zero map, against the kernel flipped in space with cin and cout
-    swapped.  The activation slope (1 or `leak`) multiplies the output
+    swapped; for a 1 x 1 stride-1 kernel, the output gradient itself
+    against the kernel transposed.  The slope multiplies the output
     gradient once per backward pass, before the input, kernel and bias
-    pulls read it.  A taped call's padded input, spread map and that map's
-    patch matrix (the front of the tape's flat ("cols",) buffer, grown to
-    the largest) are its tape's work arrays; the kernel vjp's is its own.
+    pulls read it.  A taped call's padded input and spread map are its
+    tape's work arrays, and each patch matrix it makes is the front of the
+    tape's one flat ("cols",) buffer, overwritten by the next: the record
+    holds no patch matrix, so the kernel vjp pads and lowers the input it
+    holds again, the same values into the same GEMM.
     """
     xv, wv = values_of(x), values_of(w)
     if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2] \
@@ -220,17 +227,23 @@ def conv2d(x, w, b, stride: int, leak: float | None):
         if isinstance(p, Tensor):
             tape = p.tape
     work, key = ({} if tape is None else tape.work), (xv.shape, wv.shape, stride)
-    (n, h, wd, _), (k, _, cin, cout) = xv.shape, wv.shape
-    pad = (k - 1) // 2
-    xp = xv
-    if pad:
-        xp = _work(work, ("pad", *key), (n, h + 2 * pad, wd + 2 * pad, cin))
-        xp[:, pad:pad + h, pad:pad + wd] = xv
-    cols, ho, wo = _im2col(xp, k, stride)
-    w2 = wv.reshape(k * k * cin, cout)
-    out = (cols @ w2).reshape(n, ho, wo, cout) + values_of(b)
+    pad = (wv.shape[0] - 1) // 2
+
+    def patches():
+        """_im2col of the input, padded in the geometry's work array."""
+        xp = xv
+        if pad:
+            n, h, wd, cin = xv.shape
+            xp = _work(work, ("pad", *key), (n, h + 2 * pad, wd + 2 * pad, cin))
+            xp[:, pad:pad + h, pad:pad + wd] = xv
+        return _im2col(xp, wv.shape[0], stride, work)
+
+    cols, ho, wo = patches()
+    out = (cols @ wv.reshape(cols.shape[1], -1)).reshape(len(xv), ho, wo, -1)
+    out += values_of(b)
     if leak is not None:
-        z, out = out, np.maximum(out, leak * out)
+        slope = np.where(out >= 0, 1.0, leak)
+        out *= slope
     if tape is None:
         return out
 
@@ -240,6 +253,8 @@ def conv2d(x, w, b, stride: int, leak: float | None):
         n, h, wd, cin = xv.shape
         k, cout = wv.shape[0], wv.shape[3]
         ho, wo = g.shape[1:3]
+        if k == stride == 1:
+            return (g.reshape(-1, cout) @ wv.reshape(cin, cout).T).reshape(xv.shape)
         # input pixel i takes g[o] * w[i + pad - stride * o]: a stride-1
         # correlation of the flipped kernel with g spread `stride` apart
         # from offset k - 1 - pad in a zero map
@@ -247,23 +262,14 @@ def conv2d(x, w, b, stride: int, leak: float | None):
         spread = _work(work, ("spread", *key), (n, h + k - 1, wd + k - 1, cout))
         spread[:, off:off + stride * ho:stride, off:off + stride * wo:stride] = g
         flipped = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-        patches, size = None, n * h * wd * k * k * cout
-        if k > 1:
-            if len(work.get(("cols",), ())) < size:
-                work["cols",] = np.empty(size)
-            patches = work["cols",][:size].reshape(n * h * wd, k * k * cout)
-        return (_im2col(spread, k, 1, patches)[0] @ flipped).reshape(xv.shape)
+        return (_im2col(spread, k, 1, work)[0] @ flipped).reshape(xv.shape)
 
     def vjp_w(g):
+        cols = patches()[0]
         return (cols.T @ g.reshape(len(cols), -1)).reshape(wv.shape)
 
     pulls = [(x, vjp_x), (w, vjp_w), (b, lambda g: g.sum(axis=(0, 1, 2)))]
-    pre = None
-    if leak is not None:
-        def pre(g, slope=np.where(z >= 0, 1.0, leak)):
-            return g * slope
-
-    return record(out, pulls, pre)
+    return record(out, pulls, None if leak is None else slope.__mul__)
 
 
 def upsample2(x):

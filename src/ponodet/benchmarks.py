@@ -95,7 +95,7 @@ def run_cell(bench: Benchmark, mode: str = "learned", label_rule: str = "AMS",
              cls_loss: str = "CE", max_iter: int | None = None) -> dict:
     """Train one ablation cell on the benchmark's setup, score it on the
     test split: the trained `state`, its `map` and the iterations'
-    `reports`."""
+    `reports`, a `loss.LossLog`."""
     setup = bench.setup
     cfg = replace(bench.train_cfg, mode=mode, label_rule=label_rule,
                   cls_loss=cls_loss)

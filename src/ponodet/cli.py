@@ -27,7 +27,7 @@ from .model import ToyNetConfig, net_floats
 from .train import RunState, SceneBank, TrainConfig, load_run, run_training, save_run
 
 ABLATE_KEYS = ("dataset", "eval_dataset", "cells", "n_a", "anchors")
-MAX_RUN_BYTES = 1 << 32  # the most memory a `train` or `ablate` config may ask a run for
+MAX_RUN_BYTES = 1 << 32  # the largest count `_check_run_size` lets a run's config reach
 _MAP = r"(pono|labels|prediou)_c\d+_a\d+\.pgm"  # the maps `assign-dump` writes
 
 
@@ -135,18 +135,21 @@ def _check_image_size(dataset_dir, scenes: list, want: int, owner) -> None:
 
 def _check_run_size(config, cfg: TrainConfig, net: ToyNetConfig, shapes: np.ndarray) -> None:
     """A run of the settings in the config file `config` on anchor `shapes`
-    asks for at most MAX_RUN_BYTES, counted on the network's layer walk
-    before any kernel is drawn: at least the state's three float64 vectors
-    of the trained arrays (the kernels and biases, then the balance
-    weights) and one batch's conv patch matrices and outputs."""
+    counts at most MAX_RUN_BYTES on the network's layer walk, before any
+    kernel is drawn: the state's three float64 vectors of the trained
+    arrays (the kernels and biases, then the balance weights), and every
+    conv's patch matrix and output for one batch.  A taped pass holds one
+    patch matrix at a time, so the count sizes the config and is above what
+    the run holds at once."""
     params, acts = net_floats(net, *shapes.shape[:2])
     params += sum(np.size(s) for s in initial_balance(*shapes.shape[:2]).values())
     need = 8 * (3 * params + cfg.batch_size * acts)
     if need > MAX_RUN_BYTES:
         keys = ", ".join(f"{key} = {getattr(net, key)}" for key in
                          ("input_size", "base_channels", "levels", "head_convs"))
-        raise RuntimeError(f"{config}: {keys} and batch_size = {cfg.batch_size} ask a run "
-                           f"for at least {need / 2 ** 30:.3g} GiB, above the "
+        raise RuntimeError(f"{config}: {keys} and batch_size = {cfg.batch_size} count "
+                           f"{need / 2 ** 30:.3g} GiB of trained arrays and one batch's "
+                           f"conv patch matrices and outputs, above the "
                            f"{MAX_RUN_BYTES / 2 ** 30:g} GiB bound")
 
 

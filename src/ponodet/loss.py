@@ -47,6 +47,11 @@ def initial_balance(n_classes: int, n_anchors: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class LossReport:
+    """One iteration's losses: the weighted total and its three terms, the
+    positive count and the positive labels per (class, anchor) grid.  A
+    run keeps its reports as the rows of a `LossLog`, which makes one of
+    these only when an item is read."""
+
     total: float
     loc: float
     cls: float
@@ -58,6 +63,63 @@ class LossReport:
 
     def csv_row(self, iteration: int, lr: float) -> str:
         return csv_line((iteration, self.total, self.loc, self.cls, self.reg, self.n_pos, lr))
+
+
+def _column(name: str) -> property:
+    return property(lambda self: self._rows[name][:self._len],
+                    doc=f"`{name}` of every row, a view into the log")
+
+
+class LossLog:
+    """A run's `LossReport`s as run-long arrays, one row per iteration:
+    float64 `total`, `loc`, `cls` and `reg`, int64 `n_pos` and
+    `per_grid_pos` [iterations, n_classes, n_anchors].  It reads as a list
+    of reports: `len`, iteration, and int or negative indexing give a
+    `LossReport` built from its row, and a slice gives a `LossLog` of the
+    rows.  `append` grows the rows geometrically from none, and a pickle
+    holds the used rows only."""
+
+    __slots__ = ("_rows", "_len")
+
+    total, loc, cls, reg, n_pos, per_grid_pos = map(_column, (
+        "total", "loc", "cls", "reg", "n_pos", "per_grid_pos"))
+
+    def __init__(self, grid: tuple[int, int]):
+        self._rows = np.empty(0, [("total", np.float64), ("loc", np.float64),
+                                  ("cls", np.float64), ("reg", np.float64),
+                                  ("n_pos", np.int64), ("per_grid_pos", np.int64, grid)])
+        self._len = 0
+
+    def append(self, report: LossReport) -> None:
+        if self._len == len(self._rows):
+            grown = np.empty(max(16, 2 * self._len), self._rows.dtype)
+            grown[:self._len] = self._rows
+            self._rows = grown
+        self._rows[self._len] = (report.total, report.loc, report.cls, report.reg,
+                                 report.n_pos, report.per_grid_pos)
+        self._len += 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        rows = self._rows[:self._len]
+        if isinstance(index, slice):
+            log = LossLog.__new__(LossLog)
+            log.__setstate__(rows[index].copy())
+            return log
+        row = rows[index]
+        return LossReport(float(row["total"]), float(row["loc"]), float(row["cls"]),
+                          float(row["reg"]), int(row["n_pos"]), row["per_grid_pos"].copy())
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._len))
+
+    def __getstate__(self) -> np.ndarray:
+        return self._rows[:self._len]
+
+    def __setstate__(self, rows: np.ndarray) -> None:
+        self._rows, self._len = rows, len(rows)
 
 
 # ---------------------------------------------------------------------

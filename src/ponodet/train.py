@@ -44,7 +44,7 @@ from .assignment import (AO_THRESHOLD, UNASSIGNED, Assignment, ams_labels, assig
                          pred_iou_values)
 from .data import Scene, atomic_open, clear, hflip, pixels
 from .geometry import overlap
-from .loss import LossReport, LOC_GATE, initial_balance
+from .loss import LossLog, LossReport, LOC_GATE, initial_balance
 from .model import FEAT_STRIDE, ToyNet, ToyNetConfig, drawn_kernels, load_arrays, save_arrays
 
 LABEL_RULES = ("AMS", "PONO", "AO")
@@ -282,8 +282,10 @@ def train_iteration(state: RunState, keys: list[tuple[int, bool]], cfg: TrainCon
 
 
 def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
-                 run_dir=None) -> list[LossReport]:
-    """Drive train_iteration from state.iteration up to cfg.max_iter.
+                 run_dir=None) -> LossLog:
+    """Drive train_iteration from state.iteration up to cfg.max_iter, and
+    return this call's iterations' reports as one `LossLog`, whose rows
+    grow with the run, not with cfg.max_iter.
 
     Each iteration draws its batch from the per-iteration RNG as keys (index,
     mirrored) of the bank's scenes, each mirrored with probability 0.5.  The
@@ -308,7 +310,7 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     if bank.scenes[0].image.shape[0] != state.model.cfg.input_size:
         raise ValueError(f"the scene bank's images are {bank.scenes[0].image.shape[0]}px, "
                          f"but the run's network is for {state.model.cfg.input_size}px images")
-    reports = []
+    reports = LossLog(state.shapes.shape[:2])
     log = None
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)

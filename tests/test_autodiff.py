@@ -557,10 +557,76 @@ class TestConvLeak:
         assert np.any(grads[0][0][1] != 0.0)  # gradient passes at z = 0
 
 
+def spread_input_grad(xv, wv, g, stride):
+    """The input gradient as conv2d computed it at every kernel size before
+    its 1 x 1 form: the patch matrix of `g` spread `stride` apart from
+    offset k - 1 - pad in a zero map, against the kernel flipped in space
+    with cin and cout swapped."""
+    (n, h, w, cin), (k, _, _, cout) = xv.shape, wv.shape
+    ho, wo = g.shape[1:3]
+    off = k - 1 - (k - 1) // 2
+    spread = np.zeros((n, h + k - 1, w + k - 1, cout))
+    spread[:, off:off + stride * ho:stride, off:off + stride * wo:stride] = g
+    windows = sliding_window_view(spread, (k, k), axis=(1, 2))  # [n, h, w, cout, k, k]
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)) \
+        .reshape(n * h * w, k * k * cout)
+    flipped = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+    return (patches @ flipped).reshape(xv.shape)
+
+
+# (batch, side, kernel, cin, cout, stride) for the bit-for-bit oracles of
+# the fused activation and the input vjp
+BIT_CASES = [(n, side, k, 3, 4, stride) for n in (1, 3) for k in (1, 3)
+             for stride in (1, 2) for side in (5, 6)]
+
+
+@pytest.mark.parametrize("n,side,k,cin,cout,stride", BIT_CASES)
+class TestConvBits:
+    """The leaky ReLU as z times its slope and the 1 x 1 input vjp as one
+    GEMM give the bits of max(z, leak * z) and of the spread form."""
+
+    LEAK = 0.1
+
+    def inputs(self, n, side, k, cin, cout):
+        rng = np.random.default_rng([n, side, k, cin, cout])
+        x = rng.normal(size=(n, side, side, cin))
+        x[0, : side // 2] = 0.0  # with a zero bias entry: exact zeros in z
+        b = rng.normal(size=cout)
+        b[0] = 0.0
+        return x, rng.normal(size=(k, k, cin, cout)), b
+
+    def test_activation_is_max_of_z_and_leak_z(self, n, side, k, cin, cout, stride):
+        x, w, b = self.inputs(n, side, k, cin, cout)
+        z = ad.conv2d(x, w, b, stride=stride, leak=None)
+        assert np.count_nonzero(z == 0.0) and np.count_nonzero(z < 0.0)
+        fused = ad.conv2d(x, w, b, stride=stride, leak=self.LEAK)
+        assert fused.tobytes() == np.maximum(z, self.LEAK * z).tobytes()
+        tape = ad.Tape()
+        out = ad.conv2d(*make_leaves(tape, x, w, b), stride=stride, leak=self.LEAK)
+        assert out.values.tobytes() == fused.tobytes()
+        (_, pre, _), = tape.records
+        g = np.random.default_rng(3).normal(size=z.shape)
+        assert pre(g).tobytes() == (g * np.where(z >= 0, 1.0, self.LEAK)).tobytes()
+
+    def test_input_vjp_is_the_spread_form(self, n, side, k, cin, cout, stride):
+        x, w, b = self.inputs(n, side, k, cin, cout)
+        tape = ad.Tape()
+        xl, wl = make_leaves(tape, x, w)
+        out = ad.conv2d(xl, wl, b, stride=stride, leak=None)
+        g = np.random.default_rng(4).normal(size=out.shape)
+        g[:, 0] = 0.0
+        (_, _, pulls), = tape.records
+        got = pulls[0][1](g)
+        want = spread_input_grad(x, w, g, stride)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 class TestConvWork:
     """A taped conv's padded input and spread output gradient are its tape's
     work arrays, keyed by the call's input shape, kernel shape and stride;
-    that map's patch matrix is the front of the tape's one flat buffer."""
+    each patch matrix it makes, of the padded input or of that map, is the
+    front of the tape's one flat buffer."""
 
     # pairs whose padded inputs or spread maps have one buffer shape but
     # write other entries: k=3 on 10x10 and k=5 on 8x8 both pad to 12x12;
@@ -595,8 +661,8 @@ class TestConvWork:
                                            rtol=1e-12, atol=1e-12)
 
     def test_convs_of_one_geometry_in_one_pass(self):
-        # the second conv takes the first's work arrays while the first's
-        # vjps still need their own patch matrix
+        # the second conv takes the first's work arrays, so the first's
+        # kernel vjp pads and lowers its input again after the second's ran
         def f(x, w1, w2, b):
             h = ad.conv2d(x, w1, b, stride=1, leak=None)
             return reduce_sum(power(ad.conv2d(h, w2, b, stride=1, leak=None), 2.0))

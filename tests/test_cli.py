@@ -805,7 +805,8 @@ class TestBadConfigValue:
         ("base_channels = 2", "base_channels = 0", "base_channels must be >= 1"),
         ("base_channels = 2", f"base_channels = {'9' * 20}",
          f"input_size = 32, base_channels = {'9' * 20}, levels = 2, head_convs = 1 and "
-         "batch_size = 1 ask a run for at least 2.7e+35 GiB"),
+         "batch_size = 1 count 2.7e+35 GiB of trained arrays and one batch's conv "
+         "patch matrices and outputs, above the 4 GiB bound"),
         ("levels = 2", "levels = 1", "levels must be >= 2"),
         ("levels = 2", "levels = 3000", "levels = 3000 is too many for a 32px input\n"),
         ("levels = 2", f"levels = {10**11}",

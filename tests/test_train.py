@@ -1,8 +1,10 @@
 import gc
 import math
 import os
+import pickle
 import re
 import tracemalloc
+import types
 import weakref
 from dataclasses import fields, replace
 
@@ -848,7 +850,9 @@ class TestRunLeaves:
 
 class TestRunWork:
     """A run's passes reuse the conv2d work arrays its first pass made on
-    the state's tape, and the run drops them when it returns."""
+    the state's tape, and the run drops them when it returns.  Every patch
+    matrix of a pass is the front of the tape's one flat buffer, and no
+    record holds one."""
 
     def test_work_arrays_made_in_the_first_iteration_only(self, monkeypatch):
         scenes, state, cfg = bench_run("crowded")
@@ -870,14 +874,18 @@ class TestRunWork:
 
     @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
     def test_one_patch_buffer_sized_to_the_largest_patch_matrix(self, monkeypatch, bench):
-        # every input vjp's patch matrix [n*h*w, k*k*cout] is a prefix of
-        # one flat buffer, so the tape holds the largest, not their sum
+        # every forward patch matrix [n*ho*wo, k*k*cin] and every input
+        # vjp's [n*h*w, k*k*cout] is a prefix of one flat buffer, so the
+        # tape holds the largest, not their sum
         scenes, state, cfg = bench_run(bench)
         sizes = []
         conv2d = ad.conv2d
 
         def watch(x, w, b, stride, leak):
-            (n, h, wd, _), (k, _, _, cout) = x.shape, w.shape
+            (n, h, wd, cin), (k, _, _, cout) = x.shape, w.shape
+            side = (h - 1) // stride + 1
+            if not k == stride == 1:
+                sizes.append(n * side * side * k * k * cin)
             if k > 1 and isinstance(x, ad.Tensor):
                 sizes.append(n * h * wd * k * k * cout)
             return conv2d(x, w, b, stride, leak)
@@ -895,6 +903,125 @@ class TestRunWork:
             run_training(state, SceneBank(scenes, state.shapes),
                          replace(cfg, max_iter=40, lr0=1e6))
         assert state.iteration > 1 and state.tape.work == {}
+
+    @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
+    def test_no_record_holds_a_patch_matrix(self, bench):
+        # after a taped forward, no conv2d record reaches a [rows, k*k*cin]
+        # matrix through its vjps' closures, defaults or bound arrays: the
+        # kernel vjp lowers the input it holds again
+        scenes, state, cfg = bench_run(bench)
+        images, _ = SceneBank(scenes, state.shapes).batch(plain(len(scenes)))
+        try:
+            state.model.forward(state.leaves, images)
+            convs = [(pre, pulls) for _, pre, pulls in state.tape.records
+                     if pulls[0][1].__qualname__.startswith("conv2d.")]
+            assert len(convs) == len(state.model.params) // 2
+            for pre, pulls in convs:
+                k, _, cin, _ = next(p.shape for p, fn in pulls if fn.__name__ == "vjp_w")
+                held = reachable_arrays([pre, *(fn for _, fn in pulls)])
+                assert held and not [a.shape for a in held
+                                     if a.ndim == 2 and a.shape[1] == k * k * cin]
+        finally:
+            state.tape.records.clear()
+
+
+def reachable_arrays(fns) -> list[np.ndarray]:
+    """The arrays the callables `fns` reach through closure cells, default
+    arguments and bound `__self__`, following nested functions."""
+    found, seen, todo = [], set(), list(fns)
+    while todo:
+        fn = todo.pop()
+        if fn is None or id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        held = [c.cell_contents for c in getattr(fn, "__closure__", None) or ()]
+        held += [*(getattr(fn, "__defaults__", None) or ()), getattr(fn, "__self__", None)]
+        found += [a for a in held if isinstance(a, np.ndarray)]
+        todo += [f for f in held if isinstance(f, types.FunctionType)]
+    return found
+
+
+class TestLossLog:
+    """`run_training` returns one `LossLog`: run-long arrays that read as
+    the list of the iterations' `LossReport`s."""
+
+    def twin_reports(self, bench, iters):
+        """The log of a run of `iters` iterations on a pinned net and the
+        `train_iteration` reports of a twin state fed the same draws."""
+        scenes, state, cfg = bench_run(bench)
+        _, twin, _ = bench_run(bench)
+        cfg = replace(cfg, max_iter=iters)
+        bank = SceneBank(scenes, state.shapes)
+        log = run_training(state, bank, cfg)
+        want = []
+        for it in range(iters):
+            rng = np.random.default_rng([cfg.seed, 7, it])
+            keys = [(int(i), rng.random() < 0.5)
+                    for i in rng.integers(0, len(scenes), size=cfg.batch_size)]
+            want.append(train_iteration(twin, keys, cfg, bank))
+        assert state.flat_params.tobytes() == twin.flat_params.tobytes()
+        return log, want, cfg
+
+    def assert_same(self, got, want, cfg, iterations=None):
+        """Each item of `got` is a `LossReport` with the fields, types and
+        `csv_row` bytes of the matching one of `want`."""
+        iterations = range(len(want)) if iterations is None else iterations
+        assert len(got) == len(want) == len(iterations)
+        for i, a, b in zip(iterations, got, want):
+            assert isinstance(a, LossReport)
+            for name in ("total", "loc", "cls", "reg", "n_pos"):
+                assert type(getattr(a, name)) is type(getattr(b, name)), name
+                assert getattr(a, name) == getattr(b, name), name
+            assert a.per_grid_pos.dtype == b.per_grid_pos.dtype
+            assert a.per_grid_pos.tobytes() == b.per_grid_pos.tobytes()
+            lr = lr_at(i, cfg)
+            assert a.csv_row(i, lr).encode() == b.csv_row(i, lr).encode()
+
+    @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
+    def test_items_are_the_iterations_reports(self, bench):
+        log, want, cfg = self.twin_reports(bench, 20)
+        assert isinstance(log, loss_mod.LossLog)
+        self.assert_same(log, want, cfg)
+        self.assert_same([log[i] for i in range(20)], want, cfg)
+        self.assert_same([log[i - 20] for i in range(20)], want, cfg)
+        np.testing.assert_array_equal(log.total, [r.total for r in want])
+        np.testing.assert_array_equal(log.per_grid_pos, [r.per_grid_pos for r in want])
+        assert log.n_pos.dtype == log.per_grid_pos.dtype == np.int64
+        assert log.per_grid_pos.shape == (20, *want[0].per_grid_pos.shape)
+        for bad in (20, -21):
+            with pytest.raises(IndexError):
+                log[bad]
+
+    def test_slices(self):
+        log, want, cfg = self.twin_reports("crowded", 19)
+        for part in (slice(3, 11), slice(None, None, 3), slice(-5, None), slice(7, 7)):
+            got = log[part]
+            assert isinstance(got, loss_mod.LossLog)
+            self.assert_same(got, want[part], cfg, range(19)[part])
+
+    def test_pickle_round_trip(self):
+        log, want, cfg = self.twin_reports("crowded", 17)
+        back = pickle.loads(pickle.dumps(log))
+        self.assert_same(back, want, cfg)
+        # the pickle holds the used rows only, not the 32 rows grown to
+        row = 8 * (5 + want[0].per_grid_pos.size)
+        assert len(pickle.dumps(log)) < len(pickle.dumps(log[:1])) + 17 * row
+        back.append(want[0])
+        assert len(back) == 18 and back[-1].total == want[0].total
+
+    @pytest.mark.parametrize("ahead", [0, 1])
+    def test_state_at_or_past_max_iter_gives_an_empty_log(self, ahead):
+        scenes, state, cfg = bench_run("crowded")
+        bank = SceneBank(scenes, state.shapes)
+        state.iteration = 10 ** 12 + ahead
+        tracemalloc.start()
+        try:
+            log = run_training(state, bank, replace(cfg, max_iter=10 ** 12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 0 and list(log) == [] and len(log.total) == 0
+        assert peak < 64 * 1024
 
 
 class TestFlatState:
