@@ -14,13 +14,10 @@ arrays, untracked, when no input is a Tensor.  ``backward`` adds into a
 leaf's gradient buffer in place, so a training run builds each leaf once,
 with its view of the run's gradient vector as that buffer.
 
-A run's tape keeps ``conv2d``'s work arrays for its life: padded inputs
-and spread gradients keyed by the call's geometry (input shape, kernel
-shape, stride), which fixes the entries a call writes, so the zeros it
-never writes stay valid from pass to pass; and one flat buffer that every
-patch matrix of a pass, forward or backward, is written whole into, one
-at a time: no record holds a patch matrix.  Untaped calls allocate.  One
-thread per tape.
+A tape holds its records and nothing else.  ``conv2d``'s padded inputs,
+spread gradients and patch matrices are made by the call or vjp that
+reads them and freed when it returns: no record holds a patch matrix.
+One thread per tape.
 """
 
 from __future__ import annotations
@@ -29,24 +26,14 @@ import numpy as np
 
 
 class Tape:
-    """Ordered record of operations for one forward pass; conv2d's work arrays."""
+    """Ordered record of operations for one forward pass."""
 
-    __slots__ = ("records", "work")
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
         # (output, pre, pulls): `pre` maps the output's adjoint once before
         # every (input, vjp) pull reads it, or is None
         self.records: list[tuple[Tensor, object, tuple]] = []
-        # (role, input shape, kernel shape, stride) or ("cols",) -> ndarray
-        self.work: dict[tuple, np.ndarray] = {}
-
-
-def _work(work: dict, key: tuple, shape: tuple) -> np.ndarray:
-    """`work[key]`, made as zeros of `shape` on first use."""
-    buf = work.get(key)
-    if buf is None:
-        buf = work[key] = np.zeros(shape)
-    return buf
 
 
 class Tensor:
@@ -171,14 +158,12 @@ def concat(parts):
 # linear algebra / spatial ops
 # ---------------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, k: int, stride: int, work: dict):
+def _im2col(xp: np.ndarray, k: int, stride: int):
     """The [n*ho*wo, k*k*cin] patch matrix of an already padded image
     stack, and (ho, wo).  Each row reads one k x k window in (row, column,
     cin) order, the order the flattened kernel is laid out in; the rows run
-    over the images, then the output rows and columns.  The matrix is
-    written to the front of `work`'s flat ("cols",) buffer, which grows to
-    the largest size asked of it.  A 1 x 1 stride-1 kernel reads the stack
-    itself, reshaped."""
+    over the images, then the output rows and columns.  A 1 x 1 stride-1
+    kernel reads the stack itself, reshaped."""
     n, hp, wp, cin = xp.shape
     if k == stride == 1:
         return xp.reshape(n * hp * wp, cin), hp, wp
@@ -189,11 +174,7 @@ def _im2col(xp: np.ndarray, k: int, stride: int, work: dict):
     # several times the cost, which shows on maps this small
     win = np.ndarray((n, ho, wo, k, k, cin), np.float64, xp, 0,
                      (sn, s0 * stride, s1 * stride, s0, s1, s2))
-    if len(work.get(("cols",), ())) < win.size:
-        work["cols",] = np.empty(win.size)
-    cols = work["cols",][:win.size]
-    np.copyto(cols.reshape(win.shape), win)
-    return cols.reshape(n * ho * wo, k * k * cin), ho, wo
+    return win.reshape(n * ho * wo, k * k * cin), ho, wo
 
 
 def conv2d(x, w, b, stride: int, leak: float | None):
@@ -212,31 +193,25 @@ def conv2d(x, w, b, stride: int, leak: float | None):
     swapped; for a 1 x 1 stride-1 kernel, the output gradient itself
     against the kernel transposed.  The slope multiplies the output
     gradient once per backward pass, before the input, kernel and bias
-    pulls read it.  A taped call's padded input and spread map are its
-    tape's work arrays, and each patch matrix it makes is the front of the
-    tape's one flat ("cols",) buffer, overwritten by the next: the record
-    holds no patch matrix, so the kernel vjp pads and lowers the input it
-    holds again, the same values into the same GEMM.
+    pulls read it.  The padded input, the spread map and every patch
+    matrix are fresh arrays that live for one call: the record holds no
+    patch matrix, so the kernel vjp pads and lowers the input it holds
+    again, the same values into the same GEMM.
     """
     xv, wv = values_of(x), values_of(w)
     if xv.ndim != 4 or wv.ndim != 4 or xv.shape[3] != wv.shape[2] \
             or wv.shape[0] != wv.shape[1]:
         raise ValueError(f"conv2d shape mismatch: input {xv.shape}, kernel {wv.shape}")
-    tape = None
-    for p in (x, w, b):
-        if isinstance(p, Tensor):
-            tape = p.tape
-    work, key = ({} if tape is None else tape.work), (xv.shape, wv.shape, stride)
     pad = (wv.shape[0] - 1) // 2
 
     def patches():
-        """_im2col of the input, padded in the geometry's work array."""
+        """_im2col of the input, padded in a zero array."""
         xp = xv
         if pad:
             n, h, wd, cin = xv.shape
-            xp = _work(work, ("pad", *key), (n, h + 2 * pad, wd + 2 * pad, cin))
+            xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
             xp[:, pad:pad + h, pad:pad + wd] = xv
-        return _im2col(xp, wv.shape[0], stride, work)
+        return _im2col(xp, wv.shape[0], stride)
 
     cols, ho, wo = patches()
     out = (cols @ wv.reshape(cols.shape[1], -1)).reshape(len(xv), ho, wo, -1)
@@ -244,7 +219,7 @@ def conv2d(x, w, b, stride: int, leak: float | None):
     if leak is not None:
         slope = np.where(out >= 0, 1.0, leak)
         out *= slope
-    if tape is None:
+    if not _tracked(x, w, b):
         return out
 
     # the vjps read their sizes off the arrays they hold: every closed-over
@@ -259,10 +234,10 @@ def conv2d(x, w, b, stride: int, leak: float | None):
         # correlation of the flipped kernel with g spread `stride` apart
         # from offset k - 1 - pad in a zero map
         off = k - 1 - pad
-        spread = _work(work, ("spread", *key), (n, h + k - 1, wd + k - 1, cout))
+        spread = np.zeros((n, h + k - 1, wd + k - 1, cout))
         spread[:, off:off + stride * ho:stride, off:off + stride * wo:stride] = g
         flipped = wv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-        return (_im2col(spread, k, 1, work)[0] @ flipped).reshape(xv.shape)
+        return (_im2col(spread, k, 1)[0] @ flipped).reshape(xv.shape)
 
     def vjp_w(g):
         cols = patches()[0]

@@ -138,9 +138,9 @@ def _check_run_size(config, cfg: TrainConfig, net: ToyNetConfig, shapes: np.ndar
     counts at most MAX_RUN_BYTES on the network's layer walk, before any
     kernel is drawn: the state's three float64 vectors of the trained
     arrays (the kernels and biases, then the balance weights), and every
-    conv's patch matrix and output for one batch.  A taped pass holds one
-    patch matrix at a time, so the count sizes the config and is above what
-    the run holds at once."""
+    conv's patch matrix and output for one batch.  The count sizes the
+    config; it is no bound on what the run holds at once, which also takes
+    the input gradients' patch matrices and the loss head's maps."""
     params, acts = net_floats(net, *shapes.shape[:2])
     params += sum(np.size(s) for s in initial_balance(*shapes.shape[:2]).values())
     need = 8 * (3 * params + cfg.batch_size * acts)

@@ -302,8 +302,6 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
     iteration raises ValueError naming its line first.  The log is flushed
     before each checkpoint.  A non-finite loss raises FloatingPointError
     naming the iteration, before that iteration is logged or checkpointed.
-    The conv2d work arrays the run's passes reuse live on the state's tape
-    until the call returns.
     """
     if not np.array_equal(bank.shapes, state.shapes):
         raise ValueError("the scene bank is on other anchor shapes than the run")
@@ -350,7 +348,6 @@ def run_training(state: RunState, bank: SceneBank, cfg: TrainConfig,
                     save_run(os.path.join(run_dir, f"ckpt_{state.iteration:06d}.bin"),
                              state)
     finally:
-        state.tape.work.clear()
         if log:
             log.close()
     return reports

@@ -478,8 +478,8 @@ class TestConvOracle:
             np.testing.assert_array_equal(a, c)
 
     def test_repeated_passes_on_one_tape_match_fresh_tapes(self, xs, ws, stride, pad):
-        # the tape's work arrays carry over from pass to pass: every pass
-        # on one tape must give the bits of the same pass on a fresh tape
+        # nothing carries over from pass to pass: every pass on one tape
+        # must give the bits of the same pass on a fresh tape
         def one_pass(tape, k):
             rng = np.random.default_rng([k, *xs, *ws])
             leaves = make_leaves(tape, rng.normal(size=xs), rng.normal(size=ws),
@@ -623,13 +623,12 @@ class TestConvBits:
 
 
 class TestConvWork:
-    """A taped conv's padded input and spread output gradient are its tape's
-    work arrays, keyed by the call's input shape, kernel shape and stride;
-    each patch matrix it makes, of the padded input or of that map, is the
-    front of the tape's one flat buffer."""
+    """Taped convs on one tape, of one or of different geometries, each
+    match the per-image oracle: their padded inputs, spread output
+    gradients and patch matrices are their own."""
 
-    # pairs whose padded inputs or spread maps have one buffer shape but
-    # write other entries: k=3 on 10x10 and k=5 on 8x8 both pad to 12x12;
+    # pairs whose padded inputs or spread maps have one shape but hold
+    # other entries: k=3 on 10x10 and k=5 on 8x8 both pad to 12x12;
     # strides 1 and 2 on one input spread their gradients apart differently
     PAIRS = [
         (((2, 10, 10, 2), (3, 3, 2, 3), 1), ((2, 8, 8, 2), (5, 5, 2, 3), 1)),
@@ -661,8 +660,8 @@ class TestConvWork:
                                            rtol=1e-12, atol=1e-12)
 
     def test_convs_of_one_geometry_in_one_pass(self):
-        # the second conv takes the first's work arrays, so the first's
-        # kernel vjp pads and lowers its input again after the second's ran
+        # the first's kernel vjp pads and lowers its input again after the
+        # second's vjps ran
         def f(x, w1, w2, b):
             h = ad.conv2d(x, w1, b, stride=1, leak=None)
             return reduce_sum(power(ad.conv2d(h, w2, b, stride=1, leak=None), 2.0))
@@ -670,31 +669,3 @@ class TestConvWork:
         rng = np.random.default_rng(22)
         assert grad_check(f, [rng.normal(size=(2, 5, 5, 3)), rng.normal(size=(3, 3, 3, 3)),
                               rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3)]) < 1e-6
-
-    def test_no_output_adjoint_or_gradient_shares_a_work_array(self):
-        rng = np.random.default_rng(21)
-        tape = ad.Tape()
-        x, w1, b1, w2, b2, w3, b3, w4, b4 = make_leaves(
-            tape, rng.normal(size=(2, 8, 8, 2)), rng.normal(size=(3, 3, 2, 3)),
-            rng.normal(size=3), rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3),
-            rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3),
-            rng.normal(size=(1, 1, 3, 2)), rng.normal(size=2))
-        h = ad.conv2d(x, w1, b1, stride=2, leak=0.1)
-        # two convs of one geometry share their work arrays
-        h = ad.conv2d(ad.conv2d(h, w2, b2, stride=1, leak=0.1), w3, b3,
-                      stride=1, leak=None)
-        out = ad.conv2d(h, w4, b4, stride=1, leak=None)
-        seen = [r[0].values for r in tape.records]
-        for i, (rec, pre, pulls) in enumerate(tape.records):
-            def watch(fn):
-                def vjp(g):
-                    seen.append(g)
-                    seen.append(fn(g))
-                    return seen[-1]
-                return vjp
-            tape.records[i] = (rec, pre, tuple((p, watch(fn)) for p, fn in pulls))
-        backward(reduce_sum(mul(out, rng.normal(size=out.shape))))
-        work = list(tape.work.values())
-        assert {key[0] for key in tape.work} == {"pad", "spread", "cols"}
-        seen += [lf.grad for lf in (x, w1, b1, w2, b2, w3, b3, w4, b4)]
-        assert not any(np.shares_memory(a, buf) for a in seen for buf in work)

@@ -849,60 +849,28 @@ class TestRunLeaves:
 
 
 class TestRunWork:
-    """A run's passes reuse the conv2d work arrays its first pass made on
-    the state's tape, and the run drops them when it returns.  Every patch
-    matrix of a pass is the front of the tape's one flat buffer, and no
-    record holds one."""
+    """A run's tape holds nothing but its records: conv2d's padded inputs,
+    spread maps and patch matrices live for one call, so between two
+    iterations the tape reaches only its empty record list, and no record
+    holds a patch matrix."""
 
-    def test_work_arrays_made_in_the_first_iteration_only(self, monkeypatch):
-        scenes, state, cfg = bench_run("crowded")
-        held = []
+    @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
+    def test_tape_holds_nothing_between_iterations(self, monkeypatch, bench):
+        scenes, state, cfg = bench_run(bench)
+        seen = []
         step = train_mod.train_iteration
 
         def watch(*args):
             report = step(*args)
-            # the copies hold the arrays, so no id passes to a new one
-            held.append(dict(state.tape.work))
+            # the tape's class is a referent of every instance of it
+            reached = [r for r in gc.get_referents(state.tape) if r is not ad.Tape]
+            assert reached == [[]] and reached[0] is state.tape.records
+            seen.append(state.iteration)
             return report
 
         monkeypatch.setattr(train_mod, "train_iteration", watch)
-        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=10))
-        assert len(held) == 10 and len(held[0]) > 0
-        ids = [{key: id(a) for key, a in work.items()} for work in held]
-        assert all(later == ids[0] for later in ids[1:])
-        assert state.tape.work == {}
-
-    @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
-    def test_one_patch_buffer_sized_to_the_largest_patch_matrix(self, monkeypatch, bench):
-        # every forward patch matrix [n*ho*wo, k*k*cin] and every input
-        # vjp's [n*h*w, k*k*cout] is a prefix of one flat buffer, so the
-        # tape holds the largest, not their sum
-        scenes, state, cfg = bench_run(bench)
-        sizes = []
-        conv2d = ad.conv2d
-
-        def watch(x, w, b, stride, leak):
-            (n, h, wd, cin), (k, _, _, cout) = x.shape, w.shape
-            side = (h - 1) // stride + 1
-            if not k == stride == 1:
-                sizes.append(n * side * side * k * k * cin)
-            if k > 1 and isinstance(x, ad.Tensor):
-                sizes.append(n * h * wd * k * k * cout)
-            return conv2d(x, w, b, stride, leak)
-
-        monkeypatch.setattr(ad, "conv2d", watch)
-        train_iteration(state, plain(len(scenes)), cfg, SceneBank(scenes, state.shapes))
-        assert len(set(sizes)) > 1
-        cols = {key: a for key, a in state.tape.work.items() if key[0] == "cols"}
-        assert list(cols) == [("cols",)]
-        assert cols["cols",].shape == (max(sizes),)
-
-    def test_raising_run_drops_its_work_arrays(self):
-        scenes, state, cfg = bench_run("crowded")
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            run_training(state, SceneBank(scenes, state.shapes),
-                         replace(cfg, max_iter=40, lr0=1e6))
-        assert state.iteration > 1 and state.tape.work == {}
+        run_training(state, SceneBank(scenes, state.shapes), replace(cfg, max_iter=3))
+        assert seen == [1, 2, 3]
 
     @pytest.mark.parametrize("bench", ["crowded", "imbalanced"])
     def test_no_record_holds_a_patch_matrix(self, bench):
